@@ -108,6 +108,9 @@ def write_diagnostics_json(path, scenario, traj, extra):
 def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     if args.residual_cadence is not None:
+        if args.residual_cadence < 0:
+            raise ScenarioError(f"--residual-cadence: must be >= 0, "
+                                f"got {args.residual_cadence}")
         scenario = dataclasses.replace(scenario,
                                        residual_cadence=args.residual_cadence)
     if args.translation_coefficient is not None:

@@ -100,52 +100,28 @@ def _extended_added_mass(scenario, config, want_condition=False):
     return basis, A_red, A_hat
 
 
-def _ahat_jacobian(scenario, config):
-    """Central-difference Jacobian of the extended kinetic matrix.
+def _basis_matrix(config):
+    return constraint_basis(config).matrix
 
-    Unbounded mode delegates to the canonical added-mass Jacobian; cavity
-    mode differentiates the basis-extended matrix so the smooth Householder
-    construction is part of the differentiated map."""
-    if not config.bounded:
-        return pot.added_mass_jacobian(config, scenario.mesh_level,
-                                       scenario.liquid_density,
-                                       step=scenario.fd_step)
-    q0 = pack_params(config)
-    p = len(q0)
-    dA = np.zeros((p, p, p))
-    for k in range(p):
-        h = scenario.fd_step * (1.0 + abs(q0[k]))
-        mats = []
-        for sgn in (+1.0, -1.0):
-            q = q0.copy()
-            q[k] += sgn * h
-            try:
-                cfg = config_from_params(config, q)
-            except DegenerateShapeError:
-                cfg = None
-            if cfg is not None and not check_admissible(cfg, min(scenario.mesh_level, 2)).ok:
-                cfg = None
-            mats.append(None if cfg is None
-                        else _extended_added_mass(scenario, cfg)[2])
-        if mats[0] is None and mats[1] is None:
-            raise DiscretizationError(
-                f"cannot take FD step in parameter {k}: both sides inadmissible")
-        if mats[0] is None or mats[1] is None:
-            warnings.warn(f"one-sided difference for kinetic Jacobian entry {k}")
-            base = _extended_added_mass(scenario, config)[2]
-            good = 0 if mats[1] is None else 1
-            sgn = +1.0 if good == 0 else -1.0
-            dA[k] = sgn * (mats[good] - base) / h
-        else:
-            dA[k] = (mats[0] - mats[1]) / (2.0 * h)
-    return dA
+
+def _ahat_jacobian(scenario, config, base=None):
+    """Central-difference Jacobian of the extended kinetic matrix
+    B A_red B^T, assembled from ``base`` (A_red at ``config``) when given.
+
+    Cavity mode differentiates the basis-extended matrix so the smooth
+    Householder construction is part of the differentiated map; unbounded
+    mode has B = I."""
+    return pot.added_mass_jacobian(config, scenario.mesh_level, scenario.liquid_density,
+                                   step=scenario.fd_step, wall_level=scenario.wall_level,
+                                   basis=_basis_matrix if config.bounded else None,
+                                   base=base)
 
 
 def _acceleration(scenario, config, qdot, want_aux=False):
     """Flat acceleration vector from the (constrained) Euler-Lagrange
     equations; optionally returns the assembled operators."""
     basis, A_red, A_hat = _extended_added_mass(scenario, config)
-    dA = _ahat_jacobian(scenario, config)
+    dA = _ahat_jacobian(scenario, config, A_red)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
                                   config)
@@ -414,16 +390,7 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     def solve_at(qa, qda):
         cfg = config_from_params(config, qa)
         msh = pot.configuration_meshes(cfg, scenario.mesh_level, scenario.wall_level)
-        n = sum(m.n_panels for m in msh)
-        g = np.zeros(n)
-        tans = tangents_from_vector(cfg, qda)
-        off = 0
-        from .shapes import normal_velocity
-        for k in range(cfg.n_bubbles):
-            m = msh[k]
-            g[off:off + m.n_panels] = normal_velocity(cfg.bubbles[k], tans[k],
-                                                      m.quad_points, m.quad_normals)
-            off += m.n_panels
+        g = pot._direction_data(cfg, msh, [qda])[:, 0]
         return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
 
     sol0 = solve_at(q, qd)

@@ -26,22 +26,42 @@ is structurally rank-deficient by one (the equilibrium density); the data
 is shifted to exact discrete compatibility before the solve, which keeps
 the LU solution's spurious component invisible to all boundary
 functionals.
+
+Block structure.  The surfaces (bubbles, then the wall) split both
+matrices into blocks.  Block (a, b) of S holds the integrals from the
+points of surface a over the panels of surface b; block (a, b) of
+1/2 I + K' is the weighted transpose of the double-layer integrals from
+the points of b over the panels of a.  Either block depends on surfaces a
+and b alone, so the assembly is built block by block and a block is
+reused wherever it is exactly the same:
+
+* Own-surface blocks are invariant under translation, and under scaling
+  except for S, which scales with the length.  A sphere's (or spherical
+  wall's) self-blocks are therefore those of the unit sphere of the same
+  level and orientation, with S times the radius; the unit pair is
+  computed once per (level, orientation) and kept read-only.
+* A configuration that differs from an assembled base in some bubbles (an
+  FD side of the added-mass Jacobian moves one) copies the base and
+  recomputes only the rows and columns of those bubbles, and not even
+  their self-blocks when they only translated.  Blocks between unchanged
+  surfaces, the wall-wall block among them, are never rebuilt.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (CompatibilityError, DiscretizationError,
-                     IllPosedProblemError)
-from .shapes import (Configuration, config_from_params, normal_velocity,
-                     pack_params, surface_mesh, tangents_from_vector,
-                     wall_mesh)
+from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
+                     DiscretizationError, IllPosedProblemError)
+from .shapes import (CavitySphere, Configuration, EllipsoidParams, SphereParams,
+                     config_from_params, normal_velocity_basis, pack_params,
+                     surface_mesh, wall_mesh)
 
 # relative FD step for the added-mass parameter Jacobian
 JACOBIAN_FD_STEP = 1e-4
@@ -51,19 +71,24 @@ _ROW_BLOCK = 2048
 
 
 def thread_count() -> int:
-    """Worker cap from BUBBLEDYN_THREADS (default sequential).  Jacobian
+    """Worker cap from BUBBLEDYN_THREADS (default 1, sequential).  Jacobian
     columns are independent and evaluated on a thread pool when the cap
-    allows; the heavy kernels (BLAS, LAPACK, ufuncs) release the GIL."""
+    allows; the heavy kernels (BLAS, LAPACK, ufuncs) release the GIL.
+    Anything but an integer >= 1 raises BubbleDynError."""
+    raw = os.environ.get("BUBBLEDYN_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("BUBBLEDYN_THREADS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise BubbleDynError(f"BUBBLEDYN_THREADS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def _map_workers(fn, items):
     """Map preserving order, threaded when BUBBLEDYN_THREADS > 1."""
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
+    n = min(thread_count(), len(items))
+    if n <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=n) as pool:
@@ -183,31 +208,121 @@ def _blocked(x, geom, **kw):
                  for parts in zip(*outs))
 
 
-def _collocation_matrix(geom: PanelGeometry):
-    """System matrix 1/2 I + K' and the single-layer matrix S.
+def _self_blocks(mesh):
+    """Own-surface blocks (1/2 I + K', S) of one surface.
 
-    Own-surface double-layer blocks use the point kernel (whose weighted
-    transpose collapses to the plain adjoint kernel and preserves the
-    sphere's constant-density mode exactly); cross-surface blocks use the
-    exact flat-panel integrals, robust for close bubble pairs.
+    The double-layer block uses the point kernel (whose weighted transpose
+    collapses to the plain adjoint kernel and preserves the sphere's
+    constant-density mode exactly), its diagonal closed by the Gauss row
+    identity.
     """
-    S, K, _ = _blocked(geom.points, geom, want_single=True, want_double=True)
-    for k in range(len(geom.meshes)):
-        blk = geom.block(k)
-        pts = geom.points[blk]
-        nrm = geom.normals[blk]
-        dx = pts[:, None, :] - pts[None, :, :]
-        r = np.linalg.norm(dx, axis=2)
-        np.fill_diagonal(r, 1.0)
-        sub = np.einsum('ijk,jk->ij', -dx, nrm) / (4.0 * np.pi * r ** 3)
-        sub *= geom.weights[blk][None, :]
-        np.fill_diagonal(sub, 0.0)
-        np.fill_diagonal(sub, geom.closures[k] - sub.sum(axis=1))
-        K[blk, blk] = sub
-    Kp = K.T * (geom.weights[None, :] / geom.weights[:, None])
-    A = Kp
+    geom = panel_geometry((mesh,))
+    S, _, _ = _blocked(geom.points, geom, want_single=True, want_double=False)
+    pts, w = geom.points, geom.weights
+    dx = pts[:, None, :] - pts[None, :, :]
+    r = np.linalg.norm(dx, axis=2)
+    np.fill_diagonal(r, 1.0)
+    K = np.einsum('ijk,jk->ij', -dx, geom.normals) / (4.0 * np.pi * r ** 3)
+    K *= w[None, :]
+    np.fill_diagonal(K, 0.0)
+    np.fill_diagonal(K, mesh.closure - K.sum(axis=1))
+    A = K.T * (w[None, :] / w[:, None])
     A[np.diag_indices_from(A)] += 0.5
     return A, S
+
+
+_UNIT_SPHERE_BLOCKS = {}
+_UNIT_SPHERE_LOCK = threading.Lock()
+
+
+def _unit_sphere_blocks(level: int, wall: bool):
+    """Read-only self-blocks of the unit sphere at the origin, oriented as
+    a bubble or (``wall``) as a cavity wall; built on first use."""
+    key = (level, wall)
+    with _UNIT_SPHERE_LOCK:
+        blocks = _UNIT_SPHERE_BLOCKS.get(key)
+        if blocks is None:
+            unit = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
+                    else surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level))
+            blocks = _self_blocks(unit)
+            for b in blocks:
+                b.setflags(write=False)
+            _UNIT_SPHERE_BLOCKS[key] = blocks
+    return blocks
+
+
+def _change(old, new) -> str:
+    """How surface ``new`` differs from ``old``: 'same', 'moved' (a bubble
+    translated, shape unchanged) or 'changed'.  None stands for a surface
+    of unknown shape and always counts as changed."""
+    if old is None or new is None:
+        return "changed"
+    if old is new:
+        return "same"
+    if type(old) is type(new) and isinstance(old, (SphereParams, EllipsoidParams)):
+        a, b = old.pack(), new.pack()
+        if np.array_equal(a[3:], b[3:]):
+            return "same" if np.array_equal(a[:3], b[:3]) else "moved"
+    return "changed"
+
+
+class _Assembly:
+    """Collocation matrices (1/2 I + K', S) of one set of surfaces, built
+    block by block.
+
+    ``surfaces`` names the shape behind each mesh (bubble parameters, the
+    cavity domain, or None when unknown).  With ``base``, an assembly of
+    the same surfaces at another configuration, the blocks of surfaces
+    that did not change are copied from it and only the rows and columns
+    of changed surfaces are recomputed; a bubble that only moved keeps its
+    self-blocks.  The matrices are read-only once built.
+    """
+
+    def __init__(self, meshes, surfaces=None, base=None):
+        self.meshes = tuple(meshes)
+        self.surfaces = (tuple(surfaces) if surfaces is not None
+                         else (None,) * len(self.meshes))
+        self.geom = geom = panel_geometry(self.meshes)
+        n = len(self.meshes)
+        if base is None:
+            changes = ["changed"] * n
+            A = np.empty((geom.n_panels, geom.n_panels))
+            S = np.empty_like(A)
+        else:
+            changes = [_change(old, new) for old, new in zip(base.surfaces, self.surfaces)]
+            A, S = base.A.copy(), base.S.copy()
+        parts = [panel_geometry((m,)) for m in self.meshes]
+        for a in range(n):
+            for b in range(n):
+                if a == b or (changes[a] == "same" and changes[b] == "same"):
+                    continue
+                # points of a over panels of b: S block (a, b), and the
+                # double-layer integrals whose weighted transpose is block (b, a)
+                S_ab, K_ab, _ = _blocked(parts[a].points, parts[b],
+                                         want_single=True, want_double=True)
+                S[geom.block(a), geom.block(b)] = S_ab
+                A[geom.block(b), geom.block(a)] = (
+                    K_ab.T * (parts[a].weights[None, :] / parts[b].weights[:, None]))
+        for k in range(n):
+            if changes[k] != "changed":
+                continue
+            blk = geom.block(k)
+            shape = self.surfaces[k]
+            if isinstance(shape, (SphereParams, CavitySphere)):
+                A_unit, S_unit = _unit_sphere_blocks(self.meshes[k].level,
+                                                     isinstance(shape, CavitySphere))
+                A[blk, blk] = A_unit
+                S[blk, blk] = shape.radius * S_unit
+            else:
+                A[blk, blk], S[blk, blk] = _self_blocks(self.meshes[k])
+        A.setflags(write=False)
+        S.setflags(write=False)
+        self.A, self.S = A, S
+
+
+def _surfaces(config: Configuration):
+    """Shape behind each mesh of configuration_meshes(config)."""
+    return config.bubbles + ((config.domain,) if config.bounded else ())
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +359,12 @@ class PotentialSolution:
 
 
 class _Workspace:
-    """Factorized collocation system for one configuration, reused across
-    right-hand sides (basis potentials, Jacobian columns, diagnostics)."""
+    """Factorized collocation system of one assembly, reused across
+    right-hand sides (basis potentials, diagnostics)."""
 
-    def __init__(self, meshes):
-        self.geom = panel_geometry(meshes)
-        self.A, self.S = _collocation_matrix(self.geom)
+    def __init__(self, assembly: _Assembly):
+        self.assembly = assembly
+        self.geom, self.A, self.S = assembly.geom, assembly.A, assembly.S
         self.anorm = np.abs(self.A).sum(axis=0).max()
         try:
             self.lu = sla.lu_factor(self.A, check_finite=False)
@@ -295,7 +410,7 @@ class _Workspace:
 
 def solve_neumann(problem: NeumannProblem) -> PotentialSolution:
     """Solve the collocation system for one data vector."""
-    ws = _Workspace(problem.meshes)
+    ws = _Workspace(_Assembly(problem.meshes))
     q, phi = ws.solve(problem.boundary_data)
     return PotentialSolution(density=q, meshes=problem.meshes,
                              boundary_potential=phi,
@@ -358,17 +473,13 @@ def configuration_meshes(config: Configuration, level: int, wall_level=None):
 
 
 def _direction_data(config, meshes, directions):
-    """Boundary data matrix (N, n_dirs) for packed tangent directions."""
-    nb = config.n_bubbles
-    n = sum(m.n_panels for m in meshes)
-    G = np.zeros((n, len(directions)))
-    offsets = np.cumsum([0] + [m.n_panels for m in meshes])
-    for j, d in enumerate(directions):
-        tans = tangents_from_vector(config, d)
-        for k in range(nb):
-            mesh = meshes[k]
-            G[offsets[k]:offsets[k + 1], j] = normal_velocity(
-                config.bubbles[k], tans[k], mesh.quad_points, mesh.quad_normals)
+    """Boundary data matrix (N, n_dirs) for packed tangent directions: the
+    block-diagonal normal-velocity basis of the bubbles times the direction
+    matrix, zero on the wall."""
+    basis = sla.block_diag(*(normal_velocity_basis(b, m.quad_points, m.quad_normals)
+                             for b, m in zip(config.bubbles, meshes)))
+    G = np.zeros((sum(m.n_panels for m in meshes), len(directions)))
+    G[:len(basis)] = basis @ np.column_stack(directions)
     return G
 
 
@@ -386,7 +497,7 @@ def basis_potentials(config: Configuration, level: int, directions=None,
     meshes = configuration_meshes(config, level, wall_level)
     if directions is None:
         directions = canonical_directions(config)
-    ws = _Workspace(meshes)
+    ws = _Workspace(_Assembly(meshes, _surfaces(config)))
     G = _direction_data(config, meshes, directions)
     Q, Phi = ws.solve(G)
     return [PotentialSolution(density=Q[:, j], meshes=meshes,
@@ -399,7 +510,9 @@ def basis_potentials(config: Configuration, level: int, directions=None,
 class AddedMassMatrix:
     """Gram matrix of the basis potential gradients, scaled by the liquid
     density.  ``asymmetry`` is the relative reciprocity defect before
-    symmetrization; ``eigenvalues`` the spectrum after."""
+    symmetrization; ``eigenvalues`` the spectrum after.  ``assembly``
+    holds the collocation matrices it was computed from, the ``base`` from
+    which added_mass assembles a nearby configuration."""
 
     matrix: np.ndarray
     directions: tuple
@@ -407,6 +520,7 @@ class AddedMassMatrix:
     asymmetry: float
     eigenvalues: np.ndarray
     collocation_condition: float | None = None
+    assembly: _Assembly | None = field(default=None, repr=False, compare=False)
 
     @property
     def condition(self) -> float:
@@ -428,30 +542,41 @@ def _gram(ws, config, meshes, directions, liquid_density, want_condition=False):
     cond = 1.0 / max(ws.rcond(), 1e-300) if want_condition else None
     return AddedMassMatrix(matrix=A, directions=tuple(map(np.asarray, directions)),
                            liquid_density=liquid_density, asymmetry=asym,
-                           eigenvalues=eig, collocation_condition=cond)
+                           eigenvalues=eig, collocation_condition=cond,
+                           assembly=ws.assembly)
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
-               directions=None, wall_level=None,
-               want_condition: bool = False) -> AddedMassMatrix:
+               directions=None, wall_level=None, want_condition: bool = False,
+               base: AddedMassMatrix | None = None) -> AddedMassMatrix:
     """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
-    panels (Green reduction of the volume Gram integral), symmetrized."""
+    panels (Green reduction of the volume Gram integral), symmetrized.
+
+    With ``base``, an added-mass matrix of the same bubbles and domain at
+    the same levels, the collocation blocks of surfaces that did not
+    change are taken from its assembly instead of recomputed.
+    """
     meshes = configuration_meshes(config, level, wall_level)
     if directions is None:
         directions = canonical_directions(config)
-    ws = _Workspace(meshes)
+    ws = _Workspace(_Assembly(meshes, _surfaces(config),
+                              None if base is None else base.assembly))
     return _gram(ws, config, meshes, directions, liquid_density, want_condition)
-
-
-def _single_unbounded_bubble(config: Configuration) -> bool:
-    return config.n_bubbles == 1 and not config.bounded
 
 
 def added_mass_jacobian(config: Configuration, level: int,
                         liquid_density: float = 1.0, step: float = JACOBIAN_FD_STEP,
-                        wall_level=None) -> np.ndarray:
-    """Central-difference parameter Jacobian dA/dq, shape (p, p, p) with
-    the first index the differentiated parameter.
+                        wall_level=None, basis=None,
+                        base: AddedMassMatrix | None = None) -> np.ndarray:
+    """Central-difference parameter Jacobian of the kinetic matrix
+    B A_red B^T, shape (p, p, p) with the first index the differentiated
+    parameter.
+
+    ``basis(config)`` gives B, a (p, m) matrix whose columns are the
+    directions of the reduced added mass A_red; by default B = I and the
+    kinetic matrix is the canonical added mass.  ``base`` is A_red at
+    ``config`` (computed here when not given): every FD side assembles from
+    it, and a one-sided difference reuses it.
 
     Center derivatives of a single unbounded bubble vanish identically
     (the discretization is exactly translation invariant) and are skipped.
@@ -460,10 +585,18 @@ def added_mass_jacobian(config: Configuration, level: int,
     """
     from .shapes import check_admissible  # local import to keep module load light
 
+    def kinetic(cfg, A=None):
+        """A_red at cfg (assembled from ``base`` unless given) and B A_red B^T."""
+        B = None if basis is None else basis(cfg)
+        if A is None:
+            A = added_mass(cfg, level, liquid_density, wall_level=wall_level, base=base,
+                           directions=None if B is None else list(B.T))
+        return A, A.matrix if B is None else B @ A.matrix @ B.T
+
+    base, K0 = kinetic(config, base)  # from scratch when no base is given
     q0 = pack_params(config)
     p = len(q0)
     dA = np.zeros((p, p, p))
-    skip_centers = _single_unbounded_bubble(config)
 
     def column(k):
         h = step * (1.0 + abs(q0[k]))
@@ -473,28 +606,22 @@ def added_mass_jacobian(config: Configuration, level: int,
             q[k] += sgn * h
             try:
                 cfg = config_from_params(config, q)
-            except Exception:
+            except DegenerateShapeError:
                 cfg = None
             if cfg is not None and not check_admissible(cfg, min(level, 2)).ok:
                 cfg = None
-            sides.append(cfg)
-        if sides[0] is None and sides[1] is None:
+            sides.append(None if cfg is None else kinetic(cfg)[1])
+        Kp, Km = sides
+        if Kp is None and Km is None:
             raise DiscretizationError(
                 f"cannot take FD step in parameter {k}: both sides inadmissible")
-        if sides[0] is None or sides[1] is None:
+        if Kp is None or Km is None:
             warnings.warn(f"one-sided difference for added-mass Jacobian entry {k}: "
                           "central step leaves the admissible set")
-            good = 0 if sides[1] is None else 1
-            sgn = +1.0 if good == 0 else -1.0
-            A_side = added_mass(sides[good], level, liquid_density,
-                                wall_level=wall_level).matrix
-            A_base = added_mass(config, level, liquid_density,
-                                wall_level=wall_level).matrix
-            return sgn * (A_side - A_base) / h
-        Ap = added_mass(sides[0], level, liquid_density, wall_level=wall_level).matrix
-        Am = added_mass(sides[1], level, liquid_density, wall_level=wall_level).matrix
-        return (Ap - Am) / (2.0 * h)
+            return (Kp - K0) / h if Km is None else (K0 - Km) / h
+        return (Kp - Km) / (2.0 * h)
 
+    skip_centers = config.n_bubbles == 1 and not config.bounded
     params = [k for k in range(p) if not (skip_centers and k < 3)]
     for k, col in zip(params, _map_workers(column, params)):
         dA[k] = col

@@ -195,6 +195,9 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
     if wall_level is not None:
         _expect(isinstance(wall_level, int) and 0 <= wall_level <= 6,
                 "solver.wall_level", "must be an integer in [0, 6]")
+    residual_cadence = _get(solver, "residual_cadence", "solver", int, default=0)
+    _expect(residual_cadence >= 0, "solver.residual_cadence",
+            f"must be >= 0, got {residual_cadence}")
     timing = _get(doc, "time", "document", dict)
     comparison = _get(doc, "comparison", "document", dict, default={})
     coeff = _get(comparison, "translation_coefficient", "comparison", str,
@@ -210,7 +213,7 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
         abs_tol=_number(solver, "abs_tol", "solver", default=1e-10, positive=True),
         collision_gap_fraction=_number(solver, "collision_gap_fraction", "solver",
                                        default=0.02, positive=True),
-        residual_cadence=_get(solver, "residual_cadence", "solver", int, default=0),
+        residual_cadence=residual_cadence,
         t_end=_number(timing, "t_end", "time", positive=True),
         output_dt=_number(timing, "output_dt", "time", positive=True),
         translation_coefficient=coeff)

@@ -14,7 +14,8 @@ symmetric perturbation matrix carries the entry in both (i,j) and (j,i).
 Adding a shape family means providing a params dataclass (dim, pack,
 unpack, bounding_radius, validation in __post_init__), a matching tangent
 type, and branches in surface_mesh (map the reference icosphere, supply
-on-surface quadrature data), normal_velocity, measures and tangent_like.
+on-surface quadrature data), normal_velocity, normal_velocity_basis,
+measures and tangent_like.
 Everything downstream works on packed vectors and meshes.
 """
 
@@ -527,6 +528,22 @@ def normal_velocity(shape: ShapeParams, mdot: TangentVector, x, n):
         rel = (x - shape.center) @ Sinv.T @ mdot.shape_matrix.T
         out = n @ mdot.center + np.einsum('ij,ij->i', rel, n)
     return out[0] if single else out
+
+
+def normal_velocity_basis(shape: ShapeParams, x, n) -> np.ndarray:
+    """(M, dim) matrix whose column j is the normal velocity at the points
+    ``x`` (normals ``n``) of the packed unit tangent e_j; normal_velocity
+    is linear in the tangent, so it equals this matrix times the packed
+    tangent."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = np.atleast_2d(np.asarray(n, dtype=float))
+    if isinstance(shape, SphereParams):
+        return np.column_stack([n, np.ones(len(n))])
+    u = (x - shape.center) @ np.linalg.inv(shape.shape_matrix).T
+    # slot (i, j) perturbs S_ij and S_ji: n_i u_j + n_j u_i (once on the diagonal)
+    cols = [n[:, i] * u[:, j] + (n[:, j] * u[:, i] if i != j else 0.0)
+            for i, j in _SYM_INDEX]
+    return np.column_stack([n, *cols])
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,16 @@ class TestResidualCadence:
         # equilibrium: residual at the discretization floor
         assert abs(float(sampled[0])) < 1e-6
 
+    def test_negative_cadence_rejected(self, tmp_path, capsys):
+        # k % -4 == 0 would silently sample like a cadence of 4
+        path = write_scenario(tmp_path, equilibrium_doc())
+        assert main(["run", "--scenario", path, "--out", str(tmp_path / "out"),
+                     "--residual-cadence", "-4"]) == 2
+        assert "--residual-cadence: must be >= 0" in capsys.readouterr().err
+        doc = equilibrium_doc(solver={"mesh_level": 0, "residual_cadence": -4})
+        with pytest.raises(ScenarioError, match=r"solver\.residual_cadence"):
+            scenario_from_dict(doc)
+
 
 class TestDegenerateWall:
     def test_degenerate_wall_triangles_rejected(self):

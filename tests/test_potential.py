@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from bubbledyn.errors import CompatibilityError
-from bubbledyn.potential import (added_mass, added_mass_jacobian,
-                                 basis_potentials, configuration_meshes,
-                                 evaluate, solve_neumann, surface_gradient,
-                                 NeumannProblem)
+from bubbledyn import dynamics as dyn
+from bubbledyn.errors import BubbleDynError, CompatibilityError
+from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
+                                 _surfaces, _unit_sphere_blocks, added_mass,
+                                 added_mass_jacobian, basis_potentials,
+                                 configuration_meshes, evaluate, solve_neumann,
+                                 surface_gradient, thread_count, NeumannProblem)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
-                              SphereParams, surface_mesh)
+                              SphereParams, config_from_params, normal_velocity,
+                              pack_params, surface_mesh, tangents_from_vector,
+                              wall_mesh)
 
 
 def unit_sphere_config():
@@ -280,3 +284,156 @@ class TestAddedMassJacobian:
             combo = dA[axis] + dA[4 + axis]
             assert np.max(np.abs(combo)) < 1e-6 * np.max(np.abs(dA[axis]) + 1e-30) \
                 or np.max(np.abs(combo)) < 1e-8
+
+
+def rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def sphere_pair_in_cavity():
+    return Configuration(
+        bubbles=(SphereParams(center=[-0.9, 0.1, 0.0], radius=0.6),
+                 SphereParams(center=[0.8, 0.0, 0.2], radius=0.5)),
+        domain=CavitySphere(center=np.zeros(3), radius=2.5))
+
+
+def ellipsoid_pair():
+    return Configuration(bubbles=(
+        EllipsoidParams(center=[-1.2, 0.0, 0.0],
+                        shape_matrix=[[0.8, 0.05, 0.0], [0.05, 0.6, 0.02],
+                                      [0.0, 0.02, 0.7]]),
+        EllipsoidParams(center=[1.3, 0.1, 0.0],
+                        shape_matrix=[[0.7, 0.0, 0.03], [0.0, 0.75, 0.0],
+                                      [0.03, 0.0, 0.6]])))
+
+
+class TestBlockReuse:
+    @pytest.mark.parametrize("wall", [False, True])
+    def test_sphere_self_blocks_are_scaled_unit_pair(self, wall):
+        center, radius = np.array([0.3, -1.2, 0.7]), 1.7
+        mesh = (wall_mesh(CavitySphere(center=center, radius=radius), 2) if wall
+                else surface_mesh(SphereParams(center=center, radius=radius), 2))
+        A, S = _self_blocks(mesh)
+        A_unit, S_unit = _unit_sphere_blocks(2, wall)
+        assert not A_unit.flags.writeable and not S_unit.flags.writeable
+        assert rel_diff(A_unit, A) <= 1e-13
+        assert rel_diff(radius * S_unit, S) <= 1e-13
+
+    @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity, ellipsoid_pair])
+    @pytest.mark.parametrize("slot", [0, 3])  # a center slot, a shape slot
+    def test_update_from_base_matches_scratch(self, make_config, slot):
+        config = make_config()
+        base = _Assembly(configuration_meshes(config, 1), _surfaces(config))
+        q = pack_params(config)
+        q[config.slices()[1].start + slot] += 1e-3
+        moved = config_from_params(config, q)
+        meshes = configuration_meshes(moved, 1)
+        updated = _Assembly(meshes, _surfaces(moved), base)
+        scratch = _Assembly(meshes, _surfaces(moved))
+        assert rel_diff(updated.A, scratch.A) <= 1e-12
+        assert rel_diff(updated.S, scratch.S) <= 1e-12
+        # blocks between unchanged surfaces are copied from the base
+        first = base.geom.block(0)
+        assert np.array_equal(updated.A[first, first], base.A[first, first])
+
+    @pytest.mark.parametrize("make_config, basis",
+                             [(sphere_pair_in_cavity, dyn._basis_matrix),
+                              (ellipsoid_pair, None)])
+    def test_jacobian_matches_plain_central_differences(self, make_config, basis):
+        config = make_config()
+        dA = added_mass_jacobian(config, 1, basis=basis)
+        q0 = pack_params(config)
+
+        def kinetic(q):
+            cfg = config_from_params(config, q)
+            B = np.eye(len(q)) if basis is None else basis(cfg)
+            return B @ added_mass(cfg, 1, directions=list(B.T)).matrix @ B.T
+
+        ref = np.zeros_like(dA)
+        for k in range(len(q0)):
+            h = 1e-4 * (1.0 + abs(q0[k]))
+            e = np.zeros_like(q0)
+            e[k] = h
+            ref[k] = (kinetic(q0 + e) - kinetic(q0 - e)) / (2.0 * h)
+        assert rel_diff(dA, ref) <= 1e-9
+
+    def test_one_sided_columns_reuse_the_base(self, monkeypatch):
+        # gap 5e-3 < FD step: the steps closing it leave the admissible set
+        import bubbledyn.potential as pot_mod
+        config = Configuration(bubbles=(
+            SphereParams(center=np.zeros(3), radius=1.0),
+            SphereParams(center=[2.005, 0.0, 0.0], radius=1.0)))
+        base = added_mass(config, 1)
+        calls = []
+        plain = pot_mod.added_mass
+        monkeypatch.setattr(pot_mod, "added_mass",
+                            lambda *a, **kw: calls.append(1) or plain(*a, **kw))
+        with pytest.warns(UserWarning, match="one-sided") as caught:
+            dA = added_mass_jacobian(config, 1, step=1e-2, base=base)
+        # slots cx and r of bubble 0 (+ side), cx (- side) and r (+ side) of bubble 1
+        assert sum("one-sided" in str(w.message) for w in caught) == 4
+        assert len(calls) == 2 * 8 - 4
+        q0 = pack_params(config)
+        h = 1e-2 * (1.0 + abs(q0[4]))
+        q = q0.copy()
+        q[4] += h
+        side = plain(config_from_params(config, q), 1).matrix
+        assert rel_diff(dA[4], (side - base.matrix) / h) <= 1e-9
+
+    def test_threads_bit_identical(self, monkeypatch):
+        for config, basis in ((sphere_pair_in_cavity(), dyn._basis_matrix),
+                              (ellipsoid_pair(), None)):
+            monkeypatch.setenv("BUBBLEDYN_THREADS", "1")
+            sequential = added_mass_jacobian(config, 1, basis=basis)
+            monkeypatch.setenv("BUBBLEDYN_THREADS", "2")
+            threaded = added_mass_jacobian(config, 1, basis=basis)
+            assert np.array_equal(threaded, sequential)
+
+    def test_unit_sphere_pair_built_once_under_threads(self, monkeypatch):
+        # more workers than cores and frequent switches: a check-then-act
+        # race would build the pair twice and hand out distinct arrays
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        import bubbledyn.potential as pot_mod
+        monkeypatch.setattr(pot_mod, "_UNIT_SPHERE_BLOCKS", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_unit_sphere_blocks, 1, False) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r[0] is results[0][0] and r[1] is results[0][1] for r in results)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_invalid_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("BUBBLEDYN_THREADS", value)
+        with pytest.raises(BubbleDynError, match="BUBBLEDYN_THREADS"):
+            thread_count()
+
+    def test_thread_count_read(self, monkeypatch):
+        monkeypatch.setenv("BUBBLEDYN_THREADS", "2")
+        assert thread_count() == 2
+
+    def test_direction_data_matches_per_direction_loop(self):
+        config = Configuration(
+            bubbles=(SphereParams(center=[-0.8, 0.0, 0.1], radius=0.5),
+                     EllipsoidParams(center=[0.9, 0.0, 0.0],
+                                     shape_matrix=[[0.6, 0.05, 0.0], [0.05, 0.5, 0.02],
+                                                   [0.0, 0.02, 0.4]])),
+            domain=CavitySphere(center=np.zeros(3), radius=2.5))
+        meshes = configuration_meshes(config, 1)
+        directions = list(np.random.default_rng(3).normal(size=(5, config.dim)))
+        G = _direction_data(config, meshes, directions)
+        ref = np.zeros_like(G)
+        for j, d in enumerate(directions):
+            off = 0
+            for shape, tan, mesh in zip(config.bubbles,
+                                        tangents_from_vector(config, d), meshes):
+                ref[off:off + mesh.n_panels, j] = normal_velocity(
+                    shape, tan, mesh.quad_points, mesh.quad_normals)
+                off += mesh.n_panels
+        # summation order differs from the loop: equal to a few ulps
+        assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.all(G[off:] == 0.0)
