@@ -387,15 +387,19 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     bubble_meshes = meshes[:config.n_bubbles]
     geom_pts = np.concatenate([m.quad_points for m in bubble_meshes])
 
-    def solve_at(qa, qda):
-        cfg = config_from_params(config, qa)
-        msh = pot.configuration_meshes(cfg, scenario.mesh_level, scenario.wall_level)
+    def solve_at(cfg, msh, qda):
         g = pot._direction_data(cfg, msh, [qda])[:, 0]
-        return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
+        return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g,
+                                                    shapes=pot._surfaces(cfg)))
 
-    sol0 = solve_at(q, qd)
-    sol_p = solve_at(q + eps * qd, qd + eps * qdd)
-    sol_m = solve_at(q - eps * qd, qd - eps * qdd)
+    def solve_shifted(qa, qda):
+        cfg = config_from_params(config, qa)
+        return solve_at(cfg, pot.configuration_meshes(cfg, scenario.mesh_level,
+                                                      scenario.wall_level), qda)
+
+    sol0 = solve_at(config, meshes, qd)
+    sol_p = solve_shifted(q + eps * qd, qd + eps * qdd)
+    sol_m = solve_shifted(q - eps * qd, qd - eps * qdd)
     phi_p = pot.boundary_potential_at(sol_p, geom_pts)
     phi_m = pot.boundary_potential_at(sol_m, geom_pts)
     dphi_dt = (phi_p - phi_m) / (2.0 * eps)

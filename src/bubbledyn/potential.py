@@ -45,6 +45,15 @@ reused wherever it is exactly the same:
   recomputes only the rows and columns of those bubbles, and not even
   their self-blocks when they only translated.  Blocks between unchanged
   surfaces, the wall-wall block among them, are never rebuilt.
+
+Every block integrates over the panels of one surface, and the terms of
+the flat-panel integrals that depend on those panels alone (corner dots
+and crosses, unit normals, edge lengths and in-plane edge normals) are
+computed once per surface, when its PanelGeometry is built, leaving point-
+panel products to each block.  An assembly keeps one PanelGeometry per
+surface; a configuration assembled from a base takes the mesh and the
+PanelGeometry of every unchanged surface from it, so an FD side builds
+both only for the bubble it moves.
 """
 
 from __future__ import annotations
@@ -59,9 +68,9 @@ import scipy.linalg as sla
 
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError, IllPosedProblemError)
-from .shapes import (CavitySphere, Configuration, EllipsoidParams, SphereParams,
-                     config_from_params, normal_velocity_basis, pack_params,
-                     surface_mesh, wall_mesh)
+from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
+                     SphereParams, config_from_params, normal_velocity_basis,
+                     pack_params, surface_mesh, wall_mesh)
 
 # relative FD step for the added-mass parameter Jacobian
 JACOBIAN_FD_STEP = 1e-4
@@ -96,19 +105,45 @@ def _map_workers(fn, items):
 
 
 # ---------------------------------------------------------------------------
-# geometry bundle and panel integrals
+# panel data and panel integrals
+
+
+def _frozen(a):
+    """Read-only view of ``a``."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+# fields of PanelGeometry that hold one entry per panel, with the panel axis
+_PER_PANEL = {"points": 0, "normals": 0, "weights": 0, "lift": 0, "corners": 1,
+              "corner_sq": 1, "corner_dots": 1, "detv": 0, "cross_sum": 0,
+              "unit_normal": 0, "plane_offset": 0, "edge_length": 1,
+              "edge_normal": 1, "edge_offset": 1}
 
 
 @dataclass(frozen=True)
 class PanelGeometry:
-    """Concatenated panel data for one configuration's surfaces."""
+    """Panel data of one or more surfaces: the collocation quadrature and
+    every term of the flat-panel integrals that depends on the panels
+    alone.  Built eagerly and read-only; a multi-surface geometry is the
+    concatenation of its surfaces' (see join_panels)."""
 
     meshes: tuple
     points: np.ndarray        # (N, 3) collocation points on the true surfaces
     normals: np.ndarray       # (N, 3) surface normals, into the fluid
     weights: np.ndarray       # (N,) patch quadrature weights
-    corners: tuple            # (p0, p1, p2), each (N, 3)
     lift: np.ndarray          # patch weight / flat triangle area
+    corners: np.ndarray       # (3, N, 3) corners p0, p1, p2
+    corner_sq: np.ndarray     # (3, N) |p_i|^2
+    corner_dots: np.ndarray   # (3, N) p0.p1, p1.p2, p2.p0
+    detv: np.ndarray          # (N,) p0 . (p1 x p2)
+    cross_sum: np.ndarray     # (N, 3) p1 x p2 + p2 x p0 + p0 x p1
+    unit_normal: np.ndarray   # (N, 3) flat-panel unit normal nh
+    plane_offset: np.ndarray  # (N,) p0 . nh
+    edge_length: np.ndarray   # (3, N) lengths of edges p0p1, p1p2, p2p0
+    edge_normal: np.ndarray   # (3, N, 3) in-plane edge normals mhat = eh x nh
+    edge_offset: np.ndarray   # (3, N) a . mhat, a the edge's first corner
     offsets: np.ndarray       # surface block offsets, len(meshes) + 1
     closures: np.ndarray      # per-surface Gauss row-sum values
     bounded: bool
@@ -121,19 +156,52 @@ class PanelGeometry:
         return slice(self.offsets[k], self.offsets[k + 1])
 
 
-def panel_geometry(meshes) -> PanelGeometry:
-    meshes = tuple(meshes)
-    pts = np.concatenate([m.quad_points for m in meshes])
-    nrm = np.concatenate([m.quad_normals for m in meshes])
-    w = np.concatenate([m.quad_weights for m in meshes])
-    corners = [np.concatenate(cs) for cs in zip(*(m.triangle_corners() for m in meshes))]
-    flat_area = np.concatenate([m.area for m in meshes])
-    offsets = np.cumsum([0] + [m.n_panels for m in meshes])
-    closures = np.array([m.closure for m in meshes])
-    return PanelGeometry(meshes=meshes, points=pts, normals=nrm, weights=w,
-                         corners=tuple(corners), lift=w / flat_area,
-                         offsets=offsets, closures=closures,
-                         bounded=any(m.closure < 0 for m in meshes))
+def _cross(a, b):
+    """a x b over the last axis, broadcast: the products and differences of
+    np.cross (the same bits) without its axis handling."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
+def _dot(u, v):
+    return np.einsum('...k,...k->...', u, v)
+
+
+def surface_panels(mesh) -> PanelGeometry:
+    """Panel data of one surface."""
+    corners = np.stack(mesh.triangle_corners())
+    ends = corners[[1, 2, 0]]          # edges p0p1, p1p2, p2p0 run corners -> ends
+    p0, p1, p2 = corners
+    cross12 = _cross(p1 - p0, p2 - p0)
+    nh = cross12 / np.linalg.norm(cross12, axis=1)[:, None]
+    c01, c12, c20 = _cross(corners, ends)
+    edges = ends - corners
+    length = np.linalg.norm(edges, axis=2)
+    mhat = _cross(edges / length[:, :, None], nh)
+    arrays = dict(
+        points=mesh.quad_points, normals=mesh.quad_normals, weights=mesh.quad_weights,
+        lift=mesh.quad_weights / mesh.area, corners=corners,
+        corner_sq=_dot(corners, corners), corner_dots=_dot(corners, ends),
+        detv=_dot(p0, c12), cross_sum=c12 + c20 + c01, unit_normal=nh,
+        plane_offset=_dot(p0, nh), edge_length=length, edge_normal=mhat,
+        edge_offset=_dot(corners, mhat))
+    return PanelGeometry(meshes=(mesh,), offsets=_frozen([0, mesh.n_panels]),
+                         closures=_frozen([mesh.closure]), bounded=mesh.closure < 0,
+                         **{k: _frozen(v) for k, v in arrays.items()})
+
+
+def join_panels(parts) -> PanelGeometry:
+    """Concatenation of per-surface panel data, in surface order."""
+    parts = tuple(parts)
+    if len(parts) == 1:
+        return parts[0]
+    arrays = {name: _frozen(np.concatenate([getattr(p, name) for p in parts], axis=axis))
+              for name, axis in _PER_PANEL.items()}
+    return PanelGeometry(meshes=sum((p.meshes for p in parts), ()),
+                         offsets=_frozen(np.cumsum([0] + [p.n_panels for p in parts])),
+                         closures=_frozen(np.concatenate([p.closures for p in parts])),
+                         bounded=any(p.bounded for p in parts), **arrays)
 
 
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, want_grad=False):
@@ -143,28 +211,26 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, want_grad=Fa
     (lifted to the patch measure), K integrals of the double-layer kernel
     d/dn(y) G (the signed solid angle / 4 pi, lifted), and grad the
     x-gradient of the single-layer entries.  Unwanted outputs are None.
+    The panel-only terms come precomputed with ``geom``; what is left is
+    point-panel products and elementwise work.
     """
     p0, p1, p2 = geom.corners
     x = np.asarray(x, dtype=float)
     M, N = len(x), geom.n_panels
     xx = np.einsum('mk,mk->m', x, x)[:, None]
-
-    def dots(v):
-        return x @ v.T
-
-    xv0, xv1, xv2 = dots(p0), dots(p1), dots(p2)
-    l0 = np.sqrt(np.maximum(xx - 2 * xv0 + np.einsum('nk,nk->n', p0, p0)[None], 0.0))
-    l1 = np.sqrt(np.maximum(xx - 2 * xv1 + np.einsum('nk,nk->n', p1, p1)[None], 0.0))
-    l2 = np.sqrt(np.maximum(xx - 2 * xv2 + np.einsum('nk,nk->n', p2, p2)[None], 0.0))
+    xv0, xv1, xv2 = x @ p0.T, x @ p1.T, x @ p2.T
+    q0, q1, q2 = geom.corner_sq
+    l0 = np.sqrt(np.maximum(xx - 2 * xv0 + q0[None], 0.0))
+    l1 = np.sqrt(np.maximum(xx - 2 * xv1 + q1[None], 0.0))
+    l2 = np.sqrt(np.maximum(xx - 2 * xv2 + q2[None], 0.0))
 
     # signed solid angle (van Oosterom-Strackee, expanded so that only
     # point-panel GEMMs appear)
-    cross12 = np.cross(p1 - p0, p2 - p0)
-    detv = np.einsum('nk,nk->n', p0, np.cross(p1, p2))
-    num = detv[None] - x @ (np.cross(p1, p2) + np.cross(p2, p0) + np.cross(p0, p1)).T
-    d01 = np.einsum('nk,nk->n', p0, p1)[None] - xv0 - xv1 + xx
-    d12 = np.einsum('nk,nk->n', p1, p2)[None] - xv1 - xv2 + xx
-    d20 = np.einsum('nk,nk->n', p2, p0)[None] - xv2 - xv0 + xx
+    num = geom.detv[None] - x @ geom.cross_sum.T
+    c01, c12, c20 = geom.corner_dots
+    d01 = c01[None] - xv0 - xv1 + xx
+    d12 = c12[None] - xv1 - xv2 + xx
+    d20 = c20[None] - xv2 - xv0 + xx
     den = l0 * l1 * l2 + d01 * l2 + d12 * l0 + d20 * l1
     omega = 2.0 * np.arctan2(num, den)
 
@@ -172,23 +238,20 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, want_grad=Fa
 
     S = grad = None
     if want_single or want_grad:
-        nh = cross12 / np.linalg.norm(cross12, axis=1)[:, None]
+        nh = geom.unit_normal
         I = np.zeros((M, N))
         if want_grad:
             grad = omega[:, :, None] * nh[None]
-        for (a, b, la, lb) in ((p0, p1, l0, l1), (p1, p2, l1, l2), (p2, p0, l2, l0)):
-            e = b - a
-            le = np.linalg.norm(e, axis=1)
-            eh = e / le[:, None]
+        for (la, lb), le, mhat, am in zip(((l0, l1), (l1, l2), (l2, l0)), geom.edge_length,
+                                          geom.edge_normal, geom.edge_offset):
             # stable symmetric form of the edge log integral of 1/|x-y|
             ssum = la + lb
             L = np.log((ssum + le[None]) / np.maximum(ssum - le[None], 1e-300))
-            mhat = np.cross(eh, nh)
-            d = x @ mhat.T - np.einsum('nk,nk->n', a, mhat)[None]
+            d = x @ mhat.T - am[None]
             I -= d * L
             if want_grad:
                 grad -= L[:, :, None] * mhat[None]
-        h = x @ nh.T - np.einsum('nk,nk->n', p0, nh)[None]
+        h = x @ nh.T - geom.plane_offset[None]
         I += h * omega
         if want_single:
             S = I * (-geom.lift[None] / (4.0 * np.pi))
@@ -208,24 +271,24 @@ def _blocked(x, geom, **kw):
                  for parts in zip(*outs))
 
 
-def _self_blocks(mesh):
-    """Own-surface blocks (1/2 I + K', S) of one surface.
+def _self_blocks(panels: PanelGeometry):
+    """Own-surface blocks (1/2 I + K', S) of one surface, from its panel
+    data.
 
     The double-layer block uses the point kernel (whose weighted transpose
     collapses to the plain adjoint kernel and preserves the sphere's
     constant-density mode exactly), its diagonal closed by the Gauss row
     identity.
     """
-    geom = panel_geometry((mesh,))
-    S, _, _ = _blocked(geom.points, geom, want_single=True, want_double=False)
-    pts, w = geom.points, geom.weights
+    S, _, _ = _blocked(panels.points, panels, want_single=True, want_double=False)
+    pts, w = panels.points, panels.weights
     dx = pts[:, None, :] - pts[None, :, :]
     r = np.linalg.norm(dx, axis=2)
     np.fill_diagonal(r, 1.0)
-    K = np.einsum('ijk,jk->ij', -dx, geom.normals) / (4.0 * np.pi * r ** 3)
+    K = np.einsum('ijk,jk->ij', -dx, panels.normals) / (4.0 * np.pi * r ** 3)
     K *= w[None, :]
     np.fill_diagonal(K, 0.0)
-    np.fill_diagonal(K, mesh.closure - K.sum(axis=1))
+    np.fill_diagonal(K, panels.meshes[0].closure - K.sum(axis=1))
     A = K.T * (w[None, :] / w[:, None])
     A[np.diag_indices_from(A)] += 0.5
     return A, S
@@ -244,7 +307,7 @@ def _unit_sphere_blocks(level: int, wall: bool):
         if blocks is None:
             unit = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
                     else surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level))
-            blocks = _self_blocks(unit)
+            blocks = _self_blocks(surface_panels(unit))
             for b in blocks:
                 b.setflags(write=False)
             _UNIT_SPHERE_BLOCKS[key] = blocks
@@ -268,30 +331,35 @@ def _change(old, new) -> str:
 
 class _Assembly:
     """Collocation matrices (1/2 I + K', S) of one set of surfaces, built
-    block by block.
+    block by block, and the panel data of each surface.
 
     ``surfaces`` names the shape behind each mesh (bubble parameters, the
     cavity domain, or None when unknown).  With ``base``, an assembly of
-    the same surfaces at another configuration, the blocks of surfaces
-    that did not change are copied from it and only the rows and columns
-    of changed surfaces are recomputed; a bubble that only moved keeps its
-    self-blocks.  The matrices are read-only once built.
+    the same surfaces at the same levels at another configuration, a
+    surface that did not change keeps the base's mesh and panel data (the
+    mesh passed for it is not used), the blocks between such surfaces are
+    copied, and only the rows and columns of changed surfaces are
+    recomputed; a bubble that only moved keeps its self-blocks.  Everything
+    is read-only once built.
     """
 
     def __init__(self, meshes, surfaces=None, base=None):
-        self.meshes = tuple(meshes)
-        self.surfaces = (tuple(surfaces) if surfaces is not None
-                         else (None,) * len(self.meshes))
-        self.geom = geom = panel_geometry(self.meshes)
-        n = len(self.meshes)
+        meshes = tuple(meshes)
+        n = len(meshes)
+        self.surfaces = tuple(surfaces) if surfaces is not None else (None,) * n
         if base is None:
             changes = ["changed"] * n
+        else:
+            changes = [_change(old, new) for old, new in zip(base.surfaces, self.surfaces)]
+        self.panels = parts = tuple(base.panels[k] if changes[k] == "same"
+                                    else surface_panels(meshes[k]) for k in range(n))
+        self.geom = geom = join_panels(parts)
+        self.meshes = geom.meshes
+        if base is None:
             A = np.empty((geom.n_panels, geom.n_panels))
             S = np.empty_like(A)
         else:
-            changes = [_change(old, new) for old, new in zip(base.surfaces, self.surfaces)]
             A, S = base.A.copy(), base.S.copy()
-        parts = [panel_geometry((m,)) for m in self.meshes]
         for a in range(n):
             for b in range(n):
                 if a == b or (changes[a] == "same" and changes[b] == "same"):
@@ -314,10 +382,16 @@ class _Assembly:
                 A[blk, blk] = A_unit
                 S[blk, blk] = shape.radius * S_unit
             else:
-                A[blk, blk], S[blk, blk] = _self_blocks(self.meshes[k])
+                A[blk, blk], S[blk, blk] = _self_blocks(parts[k])
         A.setflags(write=False)
         S.setflags(write=False)
         self.A, self.S = A, S
+
+    def meshes_for(self, surfaces, level, wall_level=None):
+        """Meshes of ``surfaces`` (a nearby configuration's): this
+        assembly's own where a surface is unchanged, new ones elsewhere."""
+        return tuple(mesh if _change(old, new) == "same" else _mesh(new, level, wall_level)
+                     for old, new, mesh in zip(self.surfaces, surfaces, self.meshes))
 
 
 def _surfaces(config: Configuration):
@@ -332,13 +406,21 @@ def _surfaces(config: Configuration):
 @dataclass(frozen=True)
 class NeumannProblem:
     """Neumann data (normal velocity at the collocation points) on the
-    union of bubble surfaces plus, in cavity mode, the wall (data 0)."""
+    union of bubble surfaces plus, in cavity mode, the wall (data 0).
+    ``shapes``, when given, names the shape behind each mesh (bubble
+    parameters or the cavity domain) so that the solver can reuse the
+    self-blocks it knows for them."""
 
     meshes: tuple
     boundary_data: np.ndarray
+    shapes: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "meshes", tuple(self.meshes))
+        if self.shapes is not None:
+            object.__setattr__(self, "shapes", tuple(self.shapes))
+            if len(self.shapes) != len(self.meshes):
+                raise ValueError(f"{len(self.shapes)} shapes for {len(self.meshes)} meshes")
         g = np.asarray(self.boundary_data, dtype=float)
         object.__setattr__(self, "boundary_data", g)
         n = sum(m.n_panels for m in self.meshes)
@@ -410,7 +492,7 @@ class _Workspace:
 
 def solve_neumann(problem: NeumannProblem) -> PotentialSolution:
     """Solve the collocation system for one data vector."""
-    ws = _Workspace(_Assembly(problem.meshes))
+    ws = _Workspace(_Assembly(problem.meshes, problem.shapes))
     q, phi = ws.solve(problem.boundary_data)
     return PotentialSolution(density=q, meshes=problem.meshes,
                              boundary_potential=phi,
@@ -464,12 +546,16 @@ def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
 # basis potentials and added mass
 
 
+def _mesh(shape, level: int, wall_level=None):
+    """Mesh of a bubble, or of the wall of a cavity domain."""
+    if isinstance(shape, (CavitySphere, CavityMesh)):
+        return wall_mesh(shape, level if wall_level is None else wall_level)
+    return surface_mesh(shape, level)
+
+
 def configuration_meshes(config: Configuration, level: int, wall_level=None):
     """Bubble meshes plus the wall mesh in cavity mode."""
-    meshes = [surface_mesh(b, level) for b in config.bubbles]
-    if config.bounded:
-        meshes.append(wall_mesh(config.domain, level if wall_level is None else wall_level))
-    return tuple(meshes)
+    return tuple(_mesh(s, level, wall_level) for s in _surfaces(config))
 
 
 def _direction_data(config, meshes, directions):
@@ -553,14 +639,18 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
     panels (Green reduction of the volume Gram integral), symmetrized.
 
     With ``base``, an added-mass matrix of the same bubbles and domain at
-    the same levels, the collocation blocks of surfaces that did not
-    change are taken from its assembly instead of recomputed.
+    the same levels, the meshes, panel data and collocation blocks of
+    surfaces that did not change are taken from its assembly instead of
+    rebuilt.
     """
-    meshes = configuration_meshes(config, level, wall_level)
+    surfaces = _surfaces(config)
+    if base is None:
+        meshes = configuration_meshes(config, level, wall_level)
+    else:
+        meshes = base.assembly.meshes_for(surfaces, level, wall_level)
     if directions is None:
         directions = canonical_directions(config)
-    ws = _Workspace(_Assembly(meshes, _surfaces(config),
-                              None if base is None else base.assembly))
+    ws = _Workspace(_Assembly(meshes, surfaces, None if base is None else base.assembly))
     return _gram(ws, config, meshes, directions, liquid_density, want_condition)
 
 

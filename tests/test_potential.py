@@ -7,7 +7,8 @@ from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
                                  _surfaces, _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, basis_potentials,
                                  configuration_meshes, evaluate, solve_neumann,
-                                 surface_gradient, thread_count, NeumannProblem)
+                                 surface_gradient, surface_panels, thread_count,
+                                 NeumannProblem)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
                               SphereParams, config_from_params, normal_velocity,
                               pack_params, surface_mesh, tangents_from_vector,
@@ -313,7 +314,7 @@ class TestBlockReuse:
         center, radius = np.array([0.3, -1.2, 0.7]), 1.7
         mesh = (wall_mesh(CavitySphere(center=center, radius=radius), 2) if wall
                 else surface_mesh(SphereParams(center=center, radius=radius), 2))
-        A, S = _self_blocks(mesh)
+        A, S = _self_blocks(surface_panels(mesh))
         A_unit, S_unit = _unit_sphere_blocks(2, wall)
         assert not A_unit.flags.writeable and not S_unit.flags.writeable
         assert rel_diff(A_unit, A) <= 1e-13
@@ -437,3 +438,194 @@ class TestBlockReuse:
         # summation order differs from the loop: equal to a few ulps
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.all(G[off:] == 0.0)
+
+
+def _reference_panel_blocks(x, mesh, want_single, want_double, want_grad=False):
+    """The flat-panel integrals as written before the panel-only terms were
+    precomputed: everything from the mesh corners, on every call."""
+    p0, p1, p2 = mesh.triangle_corners()
+    lift = mesh.quad_weights / mesh.area
+    M, N = len(x), mesh.n_panels
+    xx = np.einsum('mk,mk->m', x, x)[:, None]
+
+    def dots(v):
+        return x @ v.T
+
+    xv0, xv1, xv2 = dots(p0), dots(p1), dots(p2)
+    l0 = np.sqrt(np.maximum(xx - 2 * xv0 + np.einsum('nk,nk->n', p0, p0)[None], 0.0))
+    l1 = np.sqrt(np.maximum(xx - 2 * xv1 + np.einsum('nk,nk->n', p1, p1)[None], 0.0))
+    l2 = np.sqrt(np.maximum(xx - 2 * xv2 + np.einsum('nk,nk->n', p2, p2)[None], 0.0))
+    cross12 = np.cross(p1 - p0, p2 - p0)
+    detv = np.einsum('nk,nk->n', p0, np.cross(p1, p2))
+    num = detv[None] - x @ (np.cross(p1, p2) + np.cross(p2, p0) + np.cross(p0, p1)).T
+    d01 = np.einsum('nk,nk->n', p0, p1)[None] - xv0 - xv1 + xx
+    d12 = np.einsum('nk,nk->n', p1, p2)[None] - xv1 - xv2 + xx
+    d20 = np.einsum('nk,nk->n', p2, p0)[None] - xv2 - xv0 + xx
+    den = l0 * l1 * l2 + d01 * l2 + d12 * l0 + d20 * l1
+    omega = 2.0 * np.arctan2(num, den)
+    K = omega * (lift[None] / (4.0 * np.pi)) if want_double else None
+    S = grad = None
+    if want_single or want_grad:
+        nh = cross12 / np.linalg.norm(cross12, axis=1)[:, None]
+        I = np.zeros((M, N))
+        if want_grad:
+            grad = omega[:, :, None] * nh[None]
+        for (a, b, la, lb) in ((p0, p1, l0, l1), (p1, p2, l1, l2), (p2, p0, l2, l0)):
+            e = b - a
+            le = np.linalg.norm(e, axis=1)
+            eh = e / le[:, None]
+            ssum = la + lb
+            L = np.log((ssum + le[None]) / np.maximum(ssum - le[None], 1e-300))
+            mhat = np.cross(eh, nh)
+            d = x @ mhat.T - np.einsum('nk,nk->n', a, mhat)[None]
+            I -= d * L
+            if want_grad:
+                grad -= L[:, :, None] * mhat[None]
+        h = x @ nh.T - np.einsum('nk,nk->n', p0, nh)[None]
+        I += h * omega
+        if want_single:
+            S = I * (-lift[None] / (4.0 * np.pi))
+        if want_grad:
+            grad = grad * (-lift[:, None] / (4.0 * np.pi))[None, :, :]
+    return S, K, grad
+
+
+SURFACES = {
+    "sphere": lambda: surface_mesh(SphereParams(center=[0.3, -0.2, 0.1], radius=0.7), 2),
+    "ellipsoid": lambda: surface_mesh(ellipsoid_pair().bubbles[0], 2),
+    "wall": lambda: wall_mesh(CavitySphere(center=[0.1, 0.0, -0.2], radius=2.5), 1),
+}
+
+
+class TestPanelData:
+    @pytest.mark.parametrize("surface", sorted(SURFACES))
+    def test_panel_blocks_match_reference_formula(self, surface):
+        from bubbledyn.potential import _panel_blocks
+        mesh = SURFACES[surface]()
+        pts, nrm = mesh.quad_points, mesh.quad_normals
+        h = mesh.edge_length()
+        # on the panels, a hundredth of a panel off them, and far away
+        x = np.concatenate([pts, pts + 1e-2 * h * nrm, pts[::7] + 20.0 * nrm[::7]])
+        got = _panel_blocks(x, surface_panels(mesh), True, True, want_grad=True)
+        ref = _reference_panel_blocks(x, mesh, True, True, want_grad=True)
+        for g, r in zip(got, ref):
+            assert rel_diff(g, r) <= 1e-14
+        # the single outputs alone take the same path
+        S, K, grad = _panel_blocks(x, surface_panels(mesh), True, False)
+        assert K is None and grad is None
+        assert rel_diff(S, ref[0]) <= 1e-14
+
+    def test_joined_panels_concatenate_the_surfaces(self):
+        from bubbledyn.potential import join_panels
+        config = sphere_pair_in_cavity()
+        parts = [surface_panels(m) for m in configuration_meshes(config, 1)]
+        joined = join_panels(parts)
+        assert joined.meshes == tuple(p.meshes[0] for p in parts)
+        assert joined.bounded and not parts[0].bounded and parts[2].bounded
+        for k, part in enumerate(parts):
+            blk = joined.block(k)
+            assert np.array_equal(joined.edge_normal[:, blk], part.edge_normal)
+            assert np.array_equal(joined.corners[:, blk], part.corners)
+            assert np.array_equal(joined.points[blk], part.points)
+        assert join_panels(parts[:1]) is parts[0]
+
+    def test_panel_arrays_read_only(self):
+        from bubbledyn.potential import join_panels
+        meshes = configuration_meshes(sphere_pair_in_cavity(), 1)
+        for geom in (surface_panels(meshes[0]),
+                     join_panels([surface_panels(m) for m in meshes])):
+            arrays = [v for v in vars(geom).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) >= 16
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+        # the mesh's own arrays stay as they were
+        assert meshes[0].quad_points.flags.writeable
+
+    def test_fd_side_shares_unchanged_meshes_and_panels(self):
+        def mass(cfg, base=None):
+            return added_mass(cfg, 1, directions=list(dyn._basis_matrix(cfg).T), base=base)
+
+        config = sphere_pair_in_cavity()
+        base = mass(config)
+        q = pack_params(config)
+        q[config.slices()[1].start] += 1e-3  # bubble 1 moves
+        moved = config_from_params(config, q)
+        side = mass(moved, base).assembly
+        for k in (0, 2):  # bubble 0 and the wall
+            assert side.meshes[k] is base.assembly.meshes[k]
+            assert side.panels[k] is base.assembly.panels[k]
+        assert side.meshes[1] is not base.assembly.meshes[1]
+        assert side.panels[1] is not base.assembly.panels[1]
+        assert side.panels[1].meshes[0] is side.meshes[1]
+        assert np.array_equal(side.meshes[1].vertices,
+                              configuration_meshes(moved, 1)[1].vertices)
+        scratch = mass(moved).assembly
+        assert rel_diff(side.A, scratch.A) <= 1e-12
+        assert rel_diff(side.S, scratch.S) <= 1e-12
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_solve_neumann_with_shapes_matches_without(self, bounded):
+        config = sphere_pair_in_cavity()
+        if not bounded:
+            config = Configuration(bubbles=config.bubbles)
+        meshes = configuration_meshes(config, 1)
+        direction = np.random.default_rng(5).normal(size=config.dim)
+        direction[[3, 7]] = 0.0  # translations only: flux free
+        g = _direction_data(config, meshes, [direction])[:, 0]
+        plain = solve_neumann(NeumannProblem(meshes=meshes, boundary_data=g))
+        shaped = solve_neumann(NeumannProblem(meshes=meshes, boundary_data=g,
+                                              shapes=_surfaces(config)))
+        # the sphere and wall self-blocks now come from the unit pairs
+        known, unknown = _Assembly(meshes, _surfaces(config)), _Assembly(meshes)
+        assert rel_diff(known.A, unknown.A) <= 1e-13
+        assert rel_diff(known.S, unknown.S) <= 1e-13
+        grad_shaped, grad_plain = surface_gradient(shaped), surface_gradient(plain)
+        if bounded:
+            # the cavity system is singular up to roundoff (condition ~1e8):
+            # its solution carries the blocks' 1e-15 differences amplified
+            assert plain.condition > 1e7
+            assert rel_diff(grad_shaped, grad_plain) <= 1e-9
+        else:
+            assert rel_diff(shaped.density, plain.density) <= 1e-12
+            assert rel_diff(shaped.boundary_potential, plain.boundary_potential) <= 1e-12
+            assert rel_diff(grad_shaped, grad_plain) <= 1e-12
+
+    def test_shapes_must_match_meshes(self):
+        config = sphere_pair_in_cavity()
+        meshes = configuration_meshes(config, 1)
+        with pytest.raises(ValueError, match="shapes"):
+            NeumannProblem(meshes=meshes, shapes=config.bubbles,
+                           boundary_data=np.zeros(sum(m.n_panels for m in meshes)))
+
+    def test_one_rhs_builds_panels_once_per_new_surface(self, monkeypatch):
+        # two spheres in a cavity at level 1: the base configuration builds
+        # the meshes and panel data of its three surfaces, each of the 16 FD
+        # sides only those of the bubble it moves
+        import os
+        import bubbledyn.potential as pot_mod
+        from bubbledyn.scenario import parse_scenario
+        scenario = parse_scenario(os.path.join(os.path.dirname(__file__), "..",
+                                               "scenarios", "two_bubble_cavity.json"))
+        state = scenario.initial_state()
+        config, (_, qd) = state.config, state.packed()
+        for wall in (False, True):  # cached across the process: fill it first
+            _unit_sphere_blocks(scenario.mesh_level, wall)
+        calls = {name: [] for name in ("surface_panels", "surface_mesh", "wall_mesh")}
+
+        def counted(name):
+            plain = getattr(pot_mod, name)
+
+            def wrapper(*args):
+                calls[name].append(args)
+                return plain(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pot_mod, name, counted(name))
+        dyn._acceleration(scenario, config, qd)
+        assert config.dim == 8
+        assert len(calls["surface_panels"]) == 3 + 2 * 8
+        assert len(calls["surface_mesh"]) == 2 + 2 * 8
+        assert len(calls["wall_mesh"]) == 1
