@@ -45,6 +45,9 @@ reused wherever it is exactly the same:
   recomputes only the rows and columns of those bubbles, and not even
   their self-blocks when they only translated.  Blocks between unchanged
   surfaces, the wall-wall block among them, are never rebuilt.
+* A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
+  factorization is kept with the unit pair and serves every lone sphere
+  of the level: one factorization per level in a one-sphere run.
 
 Every block integrates over the panels of one surface, and the terms of
 the flat-panel integrals that depend on those panels alone (corner dots
@@ -58,6 +61,7 @@ both only for the bubble it moves.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import warnings
@@ -204,14 +208,16 @@ def join_panels(parts) -> PanelGeometry:
                          bounded=any(p.bounded for p in parts), **arrays)
 
 
-def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, want_grad=False):
+def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None):
     """Exact flat-panel integrals from points ``x`` over all panels.
 
     Returns (S, K, grad) where S holds integrals of G = -1/(4 pi |x-y|)
     (lifted to the patch measure), K integrals of the double-layer kernel
-    d/dn(y) G (the signed solid angle / 4 pi, lifted), and grad the
-    x-gradient of the single-layer entries.  Unwanted outputs are None.
-    The panel-only terms come precomputed with ``geom``; what is left is
+    d/dn(y) G (the signed solid angle / 4 pi, lifted), and grad, when a
+    ``density`` is given, the x-gradient of the single-layer potential
+    S @ density, contracted with the density panel by panel so that no
+    (M, N, 3) tensor is formed.  Unwanted outputs are None.  The
+    panel-only terms come precomputed with ``geom``; what is left is
     point-panel products and elementwise work.
     """
     p0, p1, p2 = geom.corners
@@ -237,26 +243,29 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, want_grad=Fa
     K = omega * (geom.lift[None] / (4.0 * np.pi)) if want_double else None
 
     S = grad = None
-    if want_single or want_grad:
+    if want_single or density is not None:
         nh = geom.unit_normal
-        I = np.zeros((M, N))
-        if want_grad:
-            grad = omega[:, :, None] * nh[None]
+        if want_single:
+            I = np.zeros((M, N))
+        if density is not None:
+            # grad_x of the panel integral is omega nh - sum_e L_e mhat_e;
+            # c carries the density and the lifted kernel constant
+            c = (np.asarray(density, dtype=float) * (-geom.lift / (4.0 * np.pi)))[:, None]
+            grad = omega @ (c * nh)
         for (la, lb), le, mhat, am in zip(((l0, l1), (l1, l2), (l2, l0)), geom.edge_length,
                                           geom.edge_normal, geom.edge_offset):
             # stable symmetric form of the edge log integral of 1/|x-y|
             ssum = la + lb
             L = np.log((ssum + le[None]) / np.maximum(ssum - le[None], 1e-300))
-            d = x @ mhat.T - am[None]
-            I -= d * L
-            if want_grad:
-                grad -= L[:, :, None] * mhat[None]
-        h = x @ nh.T - geom.plane_offset[None]
-        I += h * omega
+            if want_single:
+                d = x @ mhat.T - am[None]
+                I -= d * L
+            if density is not None:
+                grad -= L @ (c * mhat)
         if want_single:
+            h = x @ nh.T - geom.plane_offset[None]
+            I += h * omega
             S = I * (-geom.lift[None] / (4.0 * np.pi))
-        if want_grad:
-            grad = grad * (-geom.lift[:, None] / (4.0 * np.pi))[None, :, :]
     return S, K, grad
 
 
@@ -294,24 +303,65 @@ def _self_blocks(panels: PanelGeometry):
     return A, S
 
 
+class _Factorization:
+    """LU factorization of a collocation matrix with the matrix's 1-norm;
+    the reciprocal condition estimate is computed on first request and
+    kept.  The LU arrays are read-only."""
+
+    def __init__(self, A):
+        try:
+            lu, piv = sla.lu_factor(A, check_finite=False)
+        except (ValueError, sla.LinAlgError) as exc:
+            raise IllPosedProblemError(f"collocation matrix factorization failed: {exc}")
+        lu.setflags(write=False)
+        piv.setflags(write=False)
+        self.lu = (lu, piv)
+        self.anorm = np.abs(A).sum(axis=0).max()
+        self._rcond = None
+
+    def rcond(self) -> float:
+        # threads asking at once may each compute it: the same value
+        if self._rcond is None:
+            gecon = sla.get_lapack_funcs(("gecon",), (self.lu[0],))[0]
+            rc, _ = gecon(self.lu[0], self.anorm, norm="1")
+            self._rcond = float(rc)
+        return self._rcond
+
+
+class _UnitSphere:
+    """Read-only self-blocks (A, S) of the unit sphere at the origin at one
+    level and orientation, and the factorization of A, built on first use.
+    A lone sphere's collocation matrix is this A itself."""
+
+    def __init__(self, level: int, wall: bool):
+        unit = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
+                else surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level))
+        self.A, self.S = _self_blocks(surface_panels(unit))
+        self.A.setflags(write=False)
+        self.S.setflags(write=False)
+        self._lu = None
+
+    def factorization(self) -> _Factorization:
+        with _UNIT_SPHERE_LOCK:
+            if self._lu is None:
+                self._lu = _Factorization(self.A)
+        return self._lu
+
+
 _UNIT_SPHERE_BLOCKS = {}
 _UNIT_SPHERE_LOCK = threading.Lock()
 
 
-def _unit_sphere_blocks(level: int, wall: bool):
-    """Read-only self-blocks of the unit sphere at the origin, oriented as
-    a bubble or (``wall``) as a cavity wall; built on first use."""
+def _unit_sphere_blocks(level: int, wall: bool) -> _UnitSphere:
+    """The unit sphere's blocks, oriented as a bubble or (``wall``) as a
+    cavity wall; built on first use, one per (level, orientation) and
+    process."""
     key = (level, wall)
     with _UNIT_SPHERE_LOCK:
-        blocks = _UNIT_SPHERE_BLOCKS.get(key)
-        if blocks is None:
-            unit = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
-                    else surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level))
-            blocks = _self_blocks(surface_panels(unit))
-            for b in blocks:
-                b.setflags(write=False)
-            _UNIT_SPHERE_BLOCKS[key] = blocks
-    return blocks
+        unit = _UNIT_SPHERE_BLOCKS.get(key)
+        if unit is None:
+            unit = _UNIT_SPHERE_BLOCKS[key] = _UnitSphere(level, wall)
+    return unit
 
 
 def _change(old, new) -> str:
@@ -330,8 +380,9 @@ def _change(old, new) -> str:
 
 
 class _Assembly:
-    """Collocation matrices (1/2 I + K', S) of one set of surfaces, built
-    block by block, and the panel data of each surface.
+    """Collocation system of one set of surfaces: the matrices
+    (1/2 I + K', S), built block by block, the panel data of each surface,
+    and the LU factorization of 1/2 I + K', built by the first solve.
 
     ``surfaces`` names the shape behind each mesh (bubble parameters, the
     cavity domain, or None when unknown).  With ``base``, an assembly of
@@ -339,8 +390,13 @@ class _Assembly:
     surface that did not change keeps the base's mesh and panel data (the
     mesh passed for it is not used), the blocks between such surfaces are
     copied, and only the rows and columns of changed surfaces are
-    recomputed; a bubble that only moved keeps its self-blocks.  Everything
-    is read-only once built.
+    recomputed; a bubble that only moved keeps its self-blocks.
+
+    A lone sphere (one surface, a spherical bubble) is its unit sphere's
+    self-blocks: A is the cached unit-sphere A itself, S is r S_unit, and
+    the factorization is the one the cache keeps for that A, so a run
+    factors it once per level.  Its panel data, which no block reads, is
+    built only on request.  Everything is read-only once built.
     """
 
     def __init__(self, meshes, surfaces=None, base=None):
@@ -351,12 +407,23 @@ class _Assembly:
             changes = ["changed"] * n
         else:
             changes = [_change(old, new) for old, new in zip(base.surfaces, self.surfaces)]
+        self.meshes = tuple(base.meshes[k] if changes[k] == "same" else meshes[k]
+                            for k in range(n))
+        self.bounded = any(m.closure < 0 for m in self.meshes)
+        self._lu = None
+        self._unit = None
+        if n == 1 and isinstance(self.surfaces[0], SphereParams):
+            self._unit = _unit_sphere_blocks(self.meshes[0].level, False)
+            self.A = self._unit.A
+            self.S = self.surfaces[0].radius * self._unit.S
+            self.S.setflags(write=False)
+            return
         self.panels = parts = tuple(base.panels[k] if changes[k] == "same"
                                     else surface_panels(meshes[k]) for k in range(n))
-        self.geom = geom = join_panels(parts)
-        self.meshes = geom.meshes
+        offsets = np.cumsum([0] + [m.n_panels for m in self.meshes])
+        blocks = [slice(offsets[k], offsets[k + 1]) for k in range(n)]
         if base is None:
-            A = np.empty((geom.n_panels, geom.n_panels))
+            A = np.empty((offsets[-1], offsets[-1]))
             S = np.empty_like(A)
         else:
             A, S = base.A.copy(), base.S.copy()
@@ -368,24 +435,82 @@ class _Assembly:
                 # double-layer integrals whose weighted transpose is block (b, a)
                 S_ab, K_ab, _ = _blocked(parts[a].points, parts[b],
                                          want_single=True, want_double=True)
-                S[geom.block(a), geom.block(b)] = S_ab
-                A[geom.block(b), geom.block(a)] = (
+                S[blocks[a], blocks[b]] = S_ab
+                A[blocks[b], blocks[a]] = (
                     K_ab.T * (parts[a].weights[None, :] / parts[b].weights[:, None]))
         for k in range(n):
             if changes[k] != "changed":
                 continue
-            blk = geom.block(k)
+            blk = blocks[k]
             shape = self.surfaces[k]
             if isinstance(shape, (SphereParams, CavitySphere)):
-                A_unit, S_unit = _unit_sphere_blocks(self.meshes[k].level,
-                                                     isinstance(shape, CavitySphere))
-                A[blk, blk] = A_unit
-                S[blk, blk] = shape.radius * S_unit
+                unit = _unit_sphere_blocks(self.meshes[k].level,
+                                           isinstance(shape, CavitySphere))
+                A[blk, blk] = unit.A
+                S[blk, blk] = shape.radius * unit.S
             else:
                 A[blk, blk], S[blk, blk] = _self_blocks(parts[k])
         A.setflags(write=False)
         S.setflags(write=False)
         self.A, self.S = A, S
+
+    @functools.cached_property
+    def panels(self):
+        """Panel data of each surface.  Assigned with the blocks; only a
+        lone sphere, whose blocks read none, builds it here."""
+        return tuple(surface_panels(m) for m in self.meshes)
+
+    @functools.cached_property
+    def geom(self) -> PanelGeometry:
+        """All surfaces' panel data joined, built on first use."""
+        return join_panels(self.panels)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Patch quadrature weights of all collocation points."""
+        return np.concatenate([m.quad_weights for m in self.meshes])
+
+    def factorization(self) -> _Factorization:
+        if self._lu is None:
+            self._lu = (self._unit.factorization() if self._unit is not None
+                        else _Factorization(self.A))
+        return self._lu
+
+    def rcond(self) -> float:
+        return self.factorization().rcond()
+
+    def solve(self, g):
+        """Solve for one or more data vectors (columns of g); returns the
+        densities and the boundary potentials."""
+        lu = self.factorization()
+        g = np.asarray(g, dtype=float)
+        rhs = g.reshape(len(self.A), -1)
+        if self.bounded:
+            # structural one-dim kernel: data must be (and is made exactly)
+            # flux free in the discrete weighted sense
+            w = self.weights
+            flux = w @ rhs
+            scale = np.abs(rhs).max(axis=0) * w.sum() + 1e-300
+            bad = np.abs(flux) > FLUX_TOLERANCE * scale
+            if np.any(bad):
+                raise CompatibilityError(
+                    f"cavity boundary data has net flux {flux[bad][0]:.3e}; "
+                    "volume compatibility violated")
+            # constant shift to exact discrete compatibility (O(h^2) data
+            # perturbation, keeps the near-null mode out of the LU solution)
+            rhs = rhs - flux[None, :] / w.sum()
+        q = sla.lu_solve(lu.lu, rhs, check_finite=False)
+        if not np.all(np.isfinite(q)):
+            raise IllPosedProblemError("collocation solve produced non-finite density",
+                                       condition=1.0 / max(lu.rcond(), 1e-300))
+        if not self.bounded:
+            rc = lu.rcond()
+            if rc < 1e-13:
+                raise IllPosedProblemError(
+                    f"collocation matrix numerically singular (rcond={rc:.2e})",
+                    condition=1.0 / max(rc, 1e-300))
+        phi = self.S @ q
+        return (q.reshape(g.shape), phi.reshape(g.shape))
 
     def meshes_for(self, surfaces, level, wall_level=None):
         """Meshes of ``surfaces`` (a nearby configuration's): this
@@ -440,64 +565,14 @@ class PotentialSolution:
     condition: float | None = None
 
 
-class _Workspace:
-    """Factorized collocation system of one assembly, reused across
-    right-hand sides (basis potentials, diagnostics)."""
-
-    def __init__(self, assembly: _Assembly):
-        self.assembly = assembly
-        self.geom, self.A, self.S = assembly.geom, assembly.A, assembly.S
-        self.anorm = np.abs(self.A).sum(axis=0).max()
-        try:
-            self.lu = sla.lu_factor(self.A, check_finite=False)
-        except (ValueError, sla.LinAlgError) as exc:
-            raise IllPosedProblemError(f"collocation matrix factorization failed: {exc}")
-
-    def rcond(self) -> float:
-        gecon = sla.get_lapack_funcs(("gecon",), (self.A,))[0]
-        rc, _ = gecon(self.lu[0], self.anorm, norm="1")
-        return float(rc)
-
-    def solve(self, g):
-        """Solve for one or more data vectors (columns of g)."""
-        geom = self.geom
-        g = np.asarray(g, dtype=float)
-        rhs = g.reshape(geom.n_panels, -1)
-        if geom.bounded:
-            # structural one-dim kernel: data must be (and is made exactly)
-            # flux free in the discrete weighted sense
-            flux = geom.weights @ rhs
-            scale = np.abs(rhs).max(axis=0) * geom.weights.sum() + 1e-300
-            bad = np.abs(flux) > FLUX_TOLERANCE * scale
-            if np.any(bad):
-                raise CompatibilityError(
-                    f"cavity boundary data has net flux {flux[bad][0]:.3e}; "
-                    "volume compatibility violated")
-            # constant shift to exact discrete compatibility (O(h^2) data
-            # perturbation, keeps the near-null mode out of the LU solution)
-            rhs = rhs - flux[None, :] / geom.weights.sum()
-        q = sla.lu_solve(self.lu, rhs, check_finite=False)
-        if not np.all(np.isfinite(q)):
-            raise IllPosedProblemError("collocation solve produced non-finite density",
-                                       condition=1.0 / max(self.rcond(), 1e-300))
-        if not geom.bounded:
-            rc = self.rcond()
-            if rc < 1e-13:
-                raise IllPosedProblemError(
-                    f"collocation matrix numerically singular (rcond={rc:.2e})",
-                    condition=1.0 / max(rc, 1e-300))
-        phi = self.S @ q
-        return (q.reshape(g.shape), phi.reshape(g.shape))
-
-
 def solve_neumann(problem: NeumannProblem) -> PotentialSolution:
     """Solve the collocation system for one data vector."""
-    ws = _Workspace(_Assembly(problem.meshes, problem.shapes))
-    q, phi = ws.solve(problem.boundary_data)
+    asm = _Assembly(problem.meshes, problem.shapes)
+    q, phi = asm.solve(problem.boundary_data)
     return PotentialSolution(density=q, meshes=problem.meshes,
                              boundary_potential=phi,
                              boundary_data=problem.boundary_data,
-                             geometry=ws.geom, condition=1.0 / max(ws.rcond(), 1e-300))
+                             geometry=asm.geom, condition=1.0 / max(asm.rcond(), 1e-300))
 
 
 def evaluate(solution: PotentialSolution, points):
@@ -533,9 +608,8 @@ def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
     exact while the tangential part comes from the representation.
     """
     geom = solution.geometry
-    _, _, grad = _blocked(geom.points, geom, want_single=False,
-                          want_double=False, want_grad=True)
-    g = np.einsum('mnk,n->mk', grad, solution.density)
+    _, _, g = _blocked(geom.points, geom, want_single=False, want_double=False,
+                       density=solution.density)
     if not impose_data:
         return g
     normal_part = np.einsum('mk,mk->m', g, geom.normals)
@@ -583,12 +657,12 @@ def basis_potentials(config: Configuration, level: int, directions=None,
     meshes = configuration_meshes(config, level, wall_level)
     if directions is None:
         directions = canonical_directions(config)
-    ws = _Workspace(_Assembly(meshes, _surfaces(config)))
+    asm = _Assembly(meshes, _surfaces(config))
     G = _direction_data(config, meshes, directions)
-    Q, Phi = ws.solve(G)
+    Q, Phi = asm.solve(G)
     return [PotentialSolution(density=Q[:, j], meshes=meshes,
                               boundary_potential=Phi[:, j], boundary_data=G[:, j],
-                              geometry=ws.geom)
+                              geometry=asm.geom)
             for j in range(len(directions))]
 
 
@@ -597,8 +671,9 @@ class AddedMassMatrix:
     """Gram matrix of the basis potential gradients, scaled by the liquid
     density.  ``asymmetry`` is the relative reciprocity defect before
     symmetrization; ``eigenvalues`` the spectrum after.  ``assembly``
-    holds the collocation matrices it was computed from, the ``base`` from
-    which added_mass assembles a nearby configuration."""
+    holds the collocation system it was computed from (matrices and
+    factorization), the ``base`` from which added_mass assembles a nearby
+    configuration."""
 
     matrix: np.ndarray
     directions: tuple
@@ -613,45 +688,46 @@ class AddedMassMatrix:
         return float(self.eigenvalues[-1] / self.eigenvalues[0])
 
 
-def _gram(ws, config, meshes, directions, liquid_density, want_condition=False):
-    G = _direction_data(config, meshes, directions)
-    _, Phi = ws.solve(G)
-    raw = -liquid_density * (Phi.T * ws.geom.weights[None, :]) @ G
+def _gram(asm, config, directions, liquid_density, want_condition=False):
+    G = _direction_data(config, asm.meshes, directions)
+    _, Phi = asm.solve(G)
+    raw = -liquid_density * (Phi.T * asm.weights[None, :]) @ G
     scale = np.abs(raw).max() + 1e-300
     asym = float(np.abs(raw - raw.T).max() / scale)
     A = 0.5 * (raw + raw.T)
     eig = np.linalg.eigvalsh(A)
     if eig[0] <= 0.0:
         raise DiscretizationError(
-            f"added-mass matrix not positive definite at level {meshes[0].level}; "
+            f"added-mass matrix not positive definite at level {asm.meshes[0].level}; "
             f"eigenvalues {eig}", eigenvalues=eig)
-    cond = 1.0 / max(ws.rcond(), 1e-300) if want_condition else None
+    cond = 1.0 / max(asm.rcond(), 1e-300) if want_condition else None
     return AddedMassMatrix(matrix=A, directions=tuple(map(np.asarray, directions)),
                            liquid_density=liquid_density, asymmetry=asym,
                            eigenvalues=eig, collocation_condition=cond,
-                           assembly=ws.assembly)
+                           assembly=asm)
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
                directions=None, wall_level=None, want_condition: bool = False,
-               base: AddedMassMatrix | None = None) -> AddedMassMatrix:
+               base: AddedMassMatrix | None = None, meshes=None) -> AddedMassMatrix:
     """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
     panels (Green reduction of the volume Gram integral), symmetrized.
 
     With ``base``, an added-mass matrix of the same bubbles and domain at
     the same levels, the meshes, panel data and collocation blocks of
     surfaces that did not change are taken from its assembly instead of
-    rebuilt.
+    rebuilt.  ``meshes``, when given, are the configuration's meshes as
+    configuration_meshes (or, with ``base``, base.assembly.meshes_for)
+    builds them.
     """
     surfaces = _surfaces(config)
-    if base is None:
-        meshes = configuration_meshes(config, level, wall_level)
-    else:
-        meshes = base.assembly.meshes_for(surfaces, level, wall_level)
+    if meshes is None:
+        meshes = (configuration_meshes(config, level, wall_level) if base is None
+                  else base.assembly.meshes_for(surfaces, level, wall_level))
     if directions is None:
         directions = canonical_directions(config)
-    ws = _Workspace(_Assembly(meshes, surfaces, None if base is None else base.assembly))
-    return _gram(ws, config, meshes, directions, liquid_density, want_condition)
+    asm = _Assembly(meshes, surfaces, None if base is None else base.assembly)
+    return _gram(asm, config, directions, liquid_density, want_condition)
 
 
 def added_mass_jacobian(config: Configuration, level: int,
@@ -671,22 +747,45 @@ def added_mass_jacobian(config: Configuration, level: int,
     Center derivatives of a single unbounded bubble vanish identically
     (the discretization is exactly translation invariant) and are skipped.
     Steps that leave the admissible set fall back to one-sided differences
-    with a warning.
+    with a warning.  The admissibility check of a side reads the base's
+    meshes of the bubbles the side does not move, and, when the check runs
+    at the assembly level, the side's own mesh of the bubble it moves.
     """
     from .shapes import check_admissible  # local import to keep module load light
 
-    def kinetic(cfg, A=None):
+    def kinetic(cfg, A=None, meshes=None):
         """A_red at cfg (assembled from ``base`` unless given) and B A_red B^T."""
         B = None if basis is None else basis(cfg)
         if A is None:
             A = added_mass(cfg, level, liquid_density, wall_level=wall_level, base=base,
-                           directions=None if B is None else list(B.T))
+                           directions=None if B is None else list(B.T), meshes=meshes)
         return A, A.matrix if B is None else B @ A.matrix @ B.T
 
     base, K0 = kinetic(config, base)  # from scratch when no base is given
     q0 = pack_params(config)
     p = len(q0)
     dA = np.zeros((p, p, p))
+    nb = config.n_bubbles
+    check_level = min(level, 2)
+    own_level = check_level == level
+    base_check = (base.assembly.meshes[:nb] if own_level
+                  else tuple(surface_mesh(b, check_level) for b in config.bubbles))
+
+    def side(q):
+        """Kinetic matrix at the side q, or None if q is not admissible."""
+        try:
+            cfg = config_from_params(config, q)
+        except DegenerateShapeError:
+            return None
+        meshes = base.assembly.meshes_for(_surfaces(cfg), level, wall_level)
+        if own_level:
+            check = meshes[:nb]
+        else:
+            check = tuple(mesh if _change(old, new) == "same" else None
+                          for old, new, mesh in zip(config.bubbles, cfg.bubbles, base_check))
+        if not check_admissible(cfg, check_level, meshes=check).ok:
+            return None
+        return kinetic(cfg, meshes=meshes)[1]
 
     def column(k):
         h = step * (1.0 + abs(q0[k]))
@@ -694,13 +793,7 @@ def added_mass_jacobian(config: Configuration, level: int,
         for sgn in (+1.0, -1.0):
             q = q0.copy()
             q[k] += sgn * h
-            try:
-                cfg = config_from_params(config, q)
-            except DegenerateShapeError:
-                cfg = None
-            if cfg is not None and not check_admissible(cfg, min(level, 2)).ok:
-                cfg = None
-            sides.append(None if cfg is None else kinetic(cfg)[1])
+            sides.append(side(q))
         Kp, Km = sides
         if Kp is None and Km is None:
             raise DiscretizationError(

@@ -94,6 +94,35 @@ class TestRun:
         assert diag["gram_condition"] >= 1.0
         assert "n_rhs" in diag["stats"]
 
+    def test_poisoned_rhs_calls_reach_diagnostics(self, tmp_path, monkeypatch):
+        from bubbledyn import dynamics
+        from bubbledyn.errors import DiscretizationError
+        doc = equilibrium_doc()
+        doc["bubbles"][0]["velocity"] = {"center": [0.1, 0.0, 0.0], "radius": 0.05}
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", "--scenario", path, "--out", str(tmp_path / "clean")]) == 0
+        clean = json.loads((tmp_path / "clean" / "diagnostics.json").read_text())
+        assert clean["stats"]["n_poisoned"] == 0
+        assert clean["stats"]["last_poison"] is None
+        plain, calls = dynamics._acceleration, []
+
+        def fails_once(*args, **kw):
+            calls.append(1)
+            if len(calls) == 3:  # a trial stage inside the first step
+                raise DiscretizationError("added-mass matrix not positive definite")
+            return plain(*args, **kw)
+
+        monkeypatch.setattr(dynamics, "_acceleration", fails_once)
+        out = tmp_path / "poisoned"
+        assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["termination"] == "completed"
+        # the failed call and the later stages of its step, which inherit
+        # its NaN; the text is the failure's, not that of the NaN stages
+        assert diag["stats"]["n_poisoned"] >= 1
+        assert diag["stats"]["last_poison"] == (
+            "DiscretizationError: added-mass matrix not positive definite")
+
     def test_run_determinism_bit_identical(self, tmp_path):
         doc = equilibrium_doc()
         doc["bubbles"][0]["velocity"] = {"center": [0.1, 0.0, 0.0], "radius": 0.05}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bubbledyn import dynamics as dyn
-from bubbledyn.errors import BubbleDynError, CompatibilityError
+from bubbledyn.errors import BubbleDynError, CompatibilityError, IllPosedProblemError
 from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
                                  _surfaces, _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, basis_potentials,
@@ -227,9 +227,8 @@ class TestAddedMass:
 
 def _exact_gradients(solution, pts):
     from bubbledyn.potential import _blocked
-    _, _, grad = _blocked(pts, solution.geometry, want_single=False,
-                          want_double=False, want_grad=True)
-    g = np.einsum('mnk,n->mk', grad, solution.density)
+    _, _, g = _blocked(pts, solution.geometry, want_single=False,
+                       want_double=False, density=solution.density)
     return None, None, g
 
 
@@ -315,7 +314,8 @@ class TestBlockReuse:
         mesh = (wall_mesh(CavitySphere(center=center, radius=radius), 2) if wall
                 else surface_mesh(SphereParams(center=center, radius=radius), 2))
         A, S = _self_blocks(surface_panels(mesh))
-        A_unit, S_unit = _unit_sphere_blocks(2, wall)
+        unit = _unit_sphere_blocks(2, wall)
+        A_unit, S_unit = unit.A, unit.S
         assert not A_unit.flags.writeable and not S_unit.flags.writeable
         assert rel_diff(A_unit, A) <= 1e-13
         assert rel_diff(radius * S_unit, S) <= 1e-13
@@ -405,7 +405,7 @@ class TestBlockReuse:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert all(r[0] is results[0][0] and r[1] is results[0][1] for r in results)
+        assert all(r is results[0] for r in results)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1"])
     def test_invalid_thread_count_rejected(self, monkeypatch, value):
@@ -438,6 +438,209 @@ class TestBlockReuse:
         # summation order differs from the loop: equal to a few ulps
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.all(G[off:] == 0.0)
+
+
+def three_bubbles_in_cavity(check_level=1):
+    """Two ellipsoids whose point-cloud gap at ``check_level`` (1 or 2),
+    0.028, a 3e-2 FD step closes on one side, and a sphere, in a spherical
+    cavity."""
+    return Configuration(
+        bubbles=(EllipsoidParams(center=[-0.9, 0.1, 0.0],
+                                 shape_matrix=[[0.6, 0.05, 0.0], [0.05, 0.5, 0.02],
+                                               [0.0, 0.02, 0.45]]),
+                 EllipsoidParams(center=[{1: 0.58, 2: 0.42}[check_level], 0.0, 0.1],
+                                 shape_matrix=[[0.5, 0.0, 0.03], [0.0, 0.55, 0.0],
+                                               [0.03, 0.0, 0.4]]),
+                 SphereParams(center=[0.0, 1.3, 0.0], radius=0.45)),
+        domain=CavitySphere(center=np.zeros(3), radius=2.1))
+
+
+class TestSideAdmissibility:
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_reports_match_a_check_from_scratch(self, monkeypatch, level):
+        # every FD side's report equals the one check_admissible gives when
+        # it builds all meshes itself; at level 1 the check reads the base's
+        # meshes and the side's own, at level 3 (checked at 2) the base's
+        # level-2 meshes and a new one for the moved bubble
+        import bubbledyn.potential as pot_mod
+        import bubbledyn.shapes as shapes_mod
+        config = three_bubbles_in_cavity(min(level, 2))
+        basis = dyn._basis_matrix
+        base = None
+        if level == 3:
+            # the assembly level only decides the check meshes here: the
+            # added mass itself is taken at level 0
+            plain = pot_mod.added_mass
+            monkeypatch.setattr(pot_mod, "added_mass",
+                                lambda cfg, lvl, rho, base=None, meshes=None, **kw:
+                                plain(cfg, 0, rho, **kw))
+            base = plain(config, 0, directions=list(basis(config).T))
+        real = shapes_mod.check_admissible
+        seen = []
+
+        def recording(cfg, lvl=2, meshes=None):
+            report = real(cfg, lvl, meshes=meshes)
+            seen.append((report, real(cfg, lvl), meshes))
+            return report
+
+        monkeypatch.setattr(shapes_mod, "check_admissible", recording)
+        with pytest.warns(UserWarning, match="one-sided"):
+            added_mass_jacobian(config, level, step=3e-2, basis=basis, base=base)
+        assert len(seen) == 2 * config.dim
+        assert sum(not report.ok for report, _, _ in seen) == 4
+        for report, scratch, meshes in seen:
+            assert report == scratch
+            given = sum(m is not None for m in meshes)
+            assert given == (3 if level == 1 else 2)
+
+
+class TestLoneSphereFactorization:
+    """A lone sphere's collocation matrix is the unit-sphere A itself, and
+    every lone sphere of a level shares one LU of it."""
+
+    @staticmethod
+    def count_lu(monkeypatch):
+        """Empty unit-sphere cache; returns the list every lu_factor call
+        appends its matrix size to."""
+        import bubbledyn.potential as pot_mod
+        calls = []
+        real = pot_mod.sla
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def lu_factor(self, a, **kw):
+                calls.append(len(a))
+                return real.lu_factor(a, **kw)
+
+        monkeypatch.setattr(pot_mod, "sla", Counting())
+        monkeypatch.setattr(pot_mod, "_UNIT_SPHERE_BLOCKS", {})
+        return calls
+
+    def test_run_factors_once_per_level(self, monkeypatch):
+        import bubbledyn.potential as pot_mod
+        from bubbledyn.scenario import scenario_from_dict
+        calls = self.count_lu(monkeypatch)
+        assemblies = []
+        for name in ("added_mass", "solve_neumann"):
+            plain = getattr(pot_mod, name)
+            monkeypatch.setattr(pot_mod, name, lambda *a, _plain=plain, **kw:
+                                assemblies.append(1) or _plain(*a, **kw))
+
+        def doc(centers, level):
+            bubble = {"velocity": {"center": [0.05, 0.0, 0.0], "radius": 0.02},
+                      "gas": {"K": 1.0, "gamma": 1.4}, "mass": 4 * np.pi / 3}
+            return {"liquid": {"density": 1.0, "p_infinity": 1.0},
+                    "domain": {"type": "unbounded"},
+                    "bubbles": [{"shape": {"type": "sphere", "center": c, "radius": 1.0},
+                                 **bubble} for c in centers],
+                    "solver": {"mesh_level": level, "residual_cadence": 2},
+                    "time": {"t_end": 0.04, "output_dt": 0.02}}
+
+        # lone spheres at two levels: every added mass, FD side, energy
+        # sample and boundary-residual solve shares one LU per level
+        for level in (1, 0):
+            traj = dyn.integrate(scenario_from_dict(doc([[0.0, 0.0, 0.0]], level)))
+            assert traj.termination == "completed"
+        assert calls == [80, 20]
+        assert len(assemblies) > 20
+        # a sphere pair still factors every assembly once
+        del calls[:], assemblies[:]
+        dyn.integrate(scenario_from_dict(doc([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0]], 0)))
+        assert len(calls) == len(assemblies) > 17
+        assert set(calls) == {40}
+
+    def test_results_match_a_freshly_factored_copy(self, monkeypatch):
+        import bubbledyn.potential as pot_mod
+        config = Configuration(bubbles=(SphereParams(center=[0.2, -0.1, 0.3],
+                                                     radius=1.3),))
+        meshes = configuration_meshes(config, 2)
+        g = meshes[0].quad_normals[:, 1] + 0.5
+        problem = NeumannProblem(meshes=meshes, boundary_data=g, shapes=_surfaces(config))
+
+        def results():
+            mass = added_mass(config, 2, want_condition=True)
+            sol = solve_neumann(problem)
+            return (mass.matrix, sol.density, sol.boundary_potential,
+                    added_mass_jacobian(config, 2, base=mass),
+                    mass.collocation_condition, sol.condition)
+
+        shared = results()
+        unit = _unit_sphere_blocks(2, False)
+        assert added_mass(config, 2).assembly.factorization() is unit.factorization()
+
+        def fresh(self):
+            assert self is unit
+            return pot_mod._Factorization(np.array(self.A))
+
+        monkeypatch.setattr(pot_mod._UnitSphere, "factorization", fresh)
+        got = results()
+        for a, b in zip(got[:4], shared[:4]):
+            assert np.array_equal(a, b)
+        # the condition estimate (LAPACK gecon) can move in the last bit
+        # between two calls on equal inputs, as BLAS threading varies
+        assert got[4:] == pytest.approx(shared[4:], rel=1e-14)
+
+    def test_shared_arrays_read_only_and_no_panel_data(self, monkeypatch):
+        import bubbledyn.potential as pot_mod
+        config = Configuration(bubbles=(SphereParams(center=np.ones(3), radius=0.8),))
+        unit = _unit_sphere_blocks(1, False)
+        unit.factorization()
+        built = []
+        plain = pot_mod.surface_panels
+        monkeypatch.setattr(pot_mod, "surface_panels",
+                            lambda mesh: built.append(mesh) or plain(mesh))
+        asm = added_mass(config, 1).assembly
+        assert asm.A is unit.A
+        assert not built  # no block of a lone sphere reads panel data
+        assert asm.geom.meshes == asm.meshes and len(built) == 1
+        lu, piv = asm.factorization().lu
+        for a in (lu, piv, asm.A, asm.S):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_checks_run_on_the_shared_factorization(self, monkeypatch):
+        import bubbledyn.potential as pot_mod
+        config = unit_sphere_config()
+        mesh = configuration_meshes(config, 1)[0]
+        g = np.ones(mesh.n_panels)
+        g[3] = np.nan
+        with pytest.raises(IllPosedProblemError, match="non-finite"):
+            solve_neumann(NeumannProblem(meshes=(mesh,), boundary_data=g,
+                                         shapes=_surfaces(config)))
+        monkeypatch.setattr(pot_mod._Factorization, "rcond", lambda self: 1e-16)
+        with pytest.raises(IllPosedProblemError, match="singular"):
+            added_mass(config, 1)
+
+    def test_factored_once_under_threads(self, monkeypatch):
+        # first use from eight threads released at once, with frequent
+        # switches: a check-then-act race would factor the unit A more
+        # than once
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+        calls = self.count_lu(monkeypatch)
+        mesh = surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), 1)
+        assemblies = [_Assembly((mesh,), (SphereParams(center=np.full(3, 0.1 * k),
+                                                       radius=1.0 + 0.1 * k),))
+                      for k in range(8)]
+        start = threading.Barrier(8)
+
+        def factor(asm):
+            start.wait(timeout=60)
+            return asm.factorization()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(factor, assemblies, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [80]
+        assert all(r is results[0] for r in results)
 
 
 def _reference_panel_blocks(x, mesh, want_single, want_double, want_grad=False):
@@ -506,10 +709,14 @@ class TestPanelData:
         h = mesh.edge_length()
         # on the panels, a hundredth of a panel off them, and far away
         x = np.concatenate([pts, pts + 1e-2 * h * nrm, pts[::7] + 20.0 * nrm[::7]])
-        got = _panel_blocks(x, surface_panels(mesh), True, True, want_grad=True)
+        density = np.random.default_rng(7).normal(size=mesh.n_panels)
+        S, K, grad = _panel_blocks(x, surface_panels(mesh), True, True, density=density)
         ref = _reference_panel_blocks(x, mesh, True, True, want_grad=True)
-        for g, r in zip(got, ref):
-            assert rel_diff(g, r) <= 1e-14
+        assert rel_diff(S, ref[0]) <= 1e-14
+        assert rel_diff(K, ref[1]) <= 1e-14
+        # the gradient comes contracted with the density: contract the
+        # reference tensor with the same density
+        assert rel_diff(grad, np.einsum('mnk,n->mk', ref[2], density)) <= 1e-13
         # the single outputs alone take the same path
         S, K, grad = _panel_blocks(x, surface_panels(mesh), True, False)
         assert K is None and grad is None
