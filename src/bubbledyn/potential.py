@@ -61,7 +61,6 @@ both only for the bubble it moves.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import warnings
@@ -410,16 +409,18 @@ class _Assembly:
         self.meshes = tuple(base.meshes[k] if changes[k] == "same" else meshes[k]
                             for k in range(n))
         self.bounded = any(m.closure < 0 for m in self.meshes)
+        self.weights = np.concatenate([m.quad_weights for m in self.meshes])
         self._lu = None
         self._unit = None
+        self._panels = self._geom = None
         if n == 1 and isinstance(self.surfaces[0], SphereParams):
             self._unit = _unit_sphere_blocks(self.meshes[0].level, False)
             self.A = self._unit.A
             self.S = self.surfaces[0].radius * self._unit.S
             self.S.setflags(write=False)
             return
-        self.panels = parts = tuple(base.panels[k] if changes[k] == "same"
-                                    else surface_panels(meshes[k]) for k in range(n))
+        self._panels = parts = tuple(base.panels[k] if changes[k] == "same"
+                                     else surface_panels(meshes[k]) for k in range(n))
         offsets = np.cumsum([0] + [m.n_panels for m in self.meshes])
         blocks = [slice(offsets[k], offsets[k + 1]) for k in range(n)]
         if base is None:
@@ -454,21 +455,21 @@ class _Assembly:
         S.setflags(write=False)
         self.A, self.S = A, S
 
-    @functools.cached_property
+    @property
     def panels(self):
-        """Panel data of each surface.  Assigned with the blocks; only a
-        lone sphere, whose blocks read none, builds it here."""
-        return tuple(surface_panels(m) for m in self.meshes)
+        """Panel data of each surface.  Built with the blocks; only a lone
+        sphere, whose blocks read none, builds it here on first use."""
+        # threads asking at once may each build it: equal data
+        if self._panels is None:
+            self._panels = tuple(surface_panels(m) for m in self.meshes)
+        return self._panels
 
-    @functools.cached_property
+    @property
     def geom(self) -> PanelGeometry:
         """All surfaces' panel data joined, built on first use."""
-        return join_panels(self.panels)
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Patch quadrature weights of all collocation points."""
-        return np.concatenate([m.quad_weights for m in self.meshes])
+        if self._geom is None:
+            self._geom = join_panels(self.panels)
+        return self._geom
 
     def factorization(self) -> _Factorization:
         if self._lu is None:
@@ -709,21 +710,20 @@ def _gram(asm, config, directions, liquid_density, want_condition=False):
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
                directions=None, wall_level=None, want_condition: bool = False,
-               base: AddedMassMatrix | None = None, meshes=None) -> AddedMassMatrix:
+               base: AddedMassMatrix | None = None) -> AddedMassMatrix:
     """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
     panels (Green reduction of the volume Gram integral), symmetrized.
 
     With ``base``, an added-mass matrix of the same bubbles and domain at
     the same levels, the meshes, panel data and collocation blocks of
     surfaces that did not change are taken from its assembly instead of
-    rebuilt.  ``meshes``, when given, are the configuration's meshes as
-    configuration_meshes (or, with ``base``, base.assembly.meshes_for)
-    builds them.
+    rebuilt.
     """
     surfaces = _surfaces(config)
-    if meshes is None:
-        meshes = (configuration_meshes(config, level, wall_level) if base is None
-                  else base.assembly.meshes_for(surfaces, level, wall_level))
+    if base is None:
+        meshes = configuration_meshes(config, level, wall_level)
+    else:
+        meshes = base.assembly.meshes_for(surfaces, level, wall_level)
     if directions is None:
         directions = canonical_directions(config)
     asm = _Assembly(meshes, surfaces, None if base is None else base.assembly)
@@ -747,45 +747,22 @@ def added_mass_jacobian(config: Configuration, level: int,
     Center derivatives of a single unbounded bubble vanish identically
     (the discretization is exactly translation invariant) and are skipped.
     Steps that leave the admissible set fall back to one-sided differences
-    with a warning.  The admissibility check of a side reads the base's
-    meshes of the bubbles the side does not move, and, when the check runs
-    at the assembly level, the side's own mesh of the bubble it moves.
+    with a warning.
     """
     from .shapes import check_admissible  # local import to keep module load light
 
-    def kinetic(cfg, A=None, meshes=None):
+    def kinetic(cfg, A=None):
         """A_red at cfg (assembled from ``base`` unless given) and B A_red B^T."""
         B = None if basis is None else basis(cfg)
         if A is None:
             A = added_mass(cfg, level, liquid_density, wall_level=wall_level, base=base,
-                           directions=None if B is None else list(B.T), meshes=meshes)
+                           directions=None if B is None else list(B.T))
         return A, A.matrix if B is None else B @ A.matrix @ B.T
 
     base, K0 = kinetic(config, base)  # from scratch when no base is given
     q0 = pack_params(config)
     p = len(q0)
     dA = np.zeros((p, p, p))
-    nb = config.n_bubbles
-    check_level = min(level, 2)
-    own_level = check_level == level
-    base_check = (base.assembly.meshes[:nb] if own_level
-                  else tuple(surface_mesh(b, check_level) for b in config.bubbles))
-
-    def side(q):
-        """Kinetic matrix at the side q, or None if q is not admissible."""
-        try:
-            cfg = config_from_params(config, q)
-        except DegenerateShapeError:
-            return None
-        meshes = base.assembly.meshes_for(_surfaces(cfg), level, wall_level)
-        if own_level:
-            check = meshes[:nb]
-        else:
-            check = tuple(mesh if _change(old, new) == "same" else None
-                          for old, new, mesh in zip(config.bubbles, cfg.bubbles, base_check))
-        if not check_admissible(cfg, check_level, meshes=check).ok:
-            return None
-        return kinetic(cfg, meshes=meshes)[1]
 
     def column(k):
         h = step * (1.0 + abs(q0[k]))
@@ -793,7 +770,13 @@ def added_mass_jacobian(config: Configuration, level: int,
         for sgn in (+1.0, -1.0):
             q = q0.copy()
             q[k] += sgn * h
-            sides.append(side(q))
+            try:
+                cfg = config_from_params(config, q)
+            except DegenerateShapeError:
+                cfg = None
+            if cfg is not None and not check_admissible(cfg, min(level, 2)).ok:
+                cfg = None
+            sides.append(None if cfg is None else kinetic(cfg)[1])
         Kp, Km = sides
         if Kp is None and Km is None:
             raise DiscretizationError(

@@ -399,11 +399,9 @@ class SurfaceMesh:
                          np.linalg.norm(p2 - p1, axis=1).max(),
                          np.linalg.norm(p0 - p2, axis=1).max()))
 
-    @functools.cached_property
     def covering_radius(self) -> float:
         """Every surface point lies within this distance of a quadrature
-        point (panel corners bound their flat triangles by convexity);
-        computed on first use and kept with the mesh."""
+        point (panel corners bound their flat triangles by convexity)."""
         p0, p1, p2 = self.triangle_corners()
         return float(max(np.linalg.norm(p - self.quad_points, axis=1).max()
                          for p in (p0, p1, p2)))
@@ -662,20 +660,18 @@ class AdmissibilityReport:
         return self.ok
 
 
-def _pair_gap(b1: ShapeParams, b2: ShapeParams, level: int = 2,
-              meshes=(None, None)) -> float:
+def _pair_gap(b1: ShapeParams, b2: ShapeParams, level: int = 2) -> float:
     """Lower bound on the surface-surface distance of two bubbles.
 
     Sphere-sphere is exact; any pair involving an ellipsoid uses mesh point
     clouds minus an edge-length safety margin (conservative: may flag
-    near-misses, never misses an overlap by more than the margin).
-    ``meshes`` may hold the bubbles' meshes at ``level``; None entries are
-    built."""
+    near-misses, never misses an overlap by more than the margin)."""
     if isinstance(b1, SphereParams) and isinstance(b2, SphereParams):
         return float(np.linalg.norm(b1.center - b2.center) - b1.radius - b2.radius)
-    m1, m2 = (surface_mesh(b, level) if m is None else m for b, m in zip((b1, b2), meshes))
+    m1 = surface_mesh(b1, level)
+    m2 = surface_mesh(b2, level)
     d = np.linalg.norm(m1.quad_points[:, None, :] - m2.quad_points[None, :, :], axis=2)
-    margin = m1.covering_radius + m2.covering_radius
+    margin = m1.covering_radius() + m2.covering_radius()
     gap = float(d.min() - margin)
     # centers inside the other bubble mean full overlap regardless of clouds
     if _contains_point(b1, b2.center) or _contains_point(b2, b1.center):
@@ -690,19 +686,18 @@ def _contains_point(shape: ShapeParams, x) -> bool:
     return bool(np.linalg.norm(y) < 1.0)
 
 
-def _wall_gap(domain: Domain, bubble: ShapeParams, level: int = 2, mesh=None) -> float:
-    """Lower bound on the bubble-wall clearance (negative if outside/touching).
-    ``mesh`` may hold the bubble's mesh at ``level``; it is built if None."""
+def _wall_gap(domain: Domain, bubble: ShapeParams, level: int = 2) -> float:
+    """Lower bound on the bubble-wall clearance (negative if outside/touching)."""
     if isinstance(domain, CavitySphere):
         if isinstance(bubble, SphereParams):
             return float(domain.radius - np.linalg.norm(bubble.center - domain.center)
                          - bubble.radius)
-        mesh = surface_mesh(bubble, level) if mesh is None else mesh
+        mesh = surface_mesh(bubble, level)
         d = np.linalg.norm(mesh.quad_points - domain.center, axis=1)
         return float(domain.radius - d.max())
     if isinstance(domain, CavityMesh):
         wall = wall_mesh(domain, level)
-        mesh = surface_mesh(bubble, level) if mesh is None else mesh
+        mesh = surface_mesh(bubble, level)
         # inside test via winding: total wall solid angle from the center is
         # -4pi for interior points (inward normals)
         omega = _solid_angles_from(wall.vertices, wall.triangles,
@@ -711,32 +706,24 @@ def _wall_gap(domain: Domain, bubble: ShapeParams, level: int = 2, mesh=None) ->
             return float(-bubble.bounding_radius())
         d = np.linalg.norm(wall.quad_points[:, None, :] - mesh.quad_points[None, :, :],
                            axis=2)
-        return float(d.min() - wall.covering_radius - mesh.covering_radius)
+        return float(d.min() - wall.covering_radius() - mesh.covering_radius())
     return np.inf
 
 
-def check_admissible(config: Configuration, level: int = 2,
-                     meshes=None) -> AdmissibilityReport:
-    """Pairwise disjointness and cavity containment with reported gaps.
-
-    ``meshes``, one entry per bubble, may hold the bubbles' meshes at
-    ``level`` (those that ``surface_mesh`` builds); the point-cloud gaps
-    read them instead of building them, and None entries are built."""
+def check_admissible(config: Configuration, level: int = 2) -> AdmissibilityReport:
+    """Pairwise disjointness and cavity containment with reported gaps."""
     violations = []
     gaps = [np.inf]
     nb = config.n_bubbles
-    if meshes is None:
-        meshes = (None,) * nb
     for i in range(nb):
         for j in range(i + 1, nb):
-            gap = _pair_gap(config.bubbles[i], config.bubbles[j], level,
-                            (meshes[i], meshes[j]))
+            gap = _pair_gap(config.bubbles[i], config.bubbles[j], level)
             gaps.append(gap)
             if gap <= 0.0:
                 violations.append(Violation(kind="overlap", pair=(i, j), gap=gap))
     if config.bounded:
         for i in range(nb):
-            gap = _wall_gap(config.domain, config.bubbles[i], level, meshes[i])
+            gap = _wall_gap(config.domain, config.bubbles[i], level)
             gaps.append(gap)
             if gap <= 0.0:
                 violations.append(Violation(kind="outside-cavity", pair=(i, -1), gap=gap))

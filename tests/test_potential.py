@@ -440,60 +440,6 @@ class TestBlockReuse:
         assert np.all(G[off:] == 0.0)
 
 
-def three_bubbles_in_cavity(check_level=1):
-    """Two ellipsoids whose point-cloud gap at ``check_level`` (1 or 2),
-    0.028, a 3e-2 FD step closes on one side, and a sphere, in a spherical
-    cavity."""
-    return Configuration(
-        bubbles=(EllipsoidParams(center=[-0.9, 0.1, 0.0],
-                                 shape_matrix=[[0.6, 0.05, 0.0], [0.05, 0.5, 0.02],
-                                               [0.0, 0.02, 0.45]]),
-                 EllipsoidParams(center=[{1: 0.58, 2: 0.42}[check_level], 0.0, 0.1],
-                                 shape_matrix=[[0.5, 0.0, 0.03], [0.0, 0.55, 0.0],
-                                               [0.03, 0.0, 0.4]]),
-                 SphereParams(center=[0.0, 1.3, 0.0], radius=0.45)),
-        domain=CavitySphere(center=np.zeros(3), radius=2.1))
-
-
-class TestSideAdmissibility:
-    @pytest.mark.parametrize("level", [1, 3])
-    def test_reports_match_a_check_from_scratch(self, monkeypatch, level):
-        # every FD side's report equals the one check_admissible gives when
-        # it builds all meshes itself; at level 1 the check reads the base's
-        # meshes and the side's own, at level 3 (checked at 2) the base's
-        # level-2 meshes and a new one for the moved bubble
-        import bubbledyn.potential as pot_mod
-        import bubbledyn.shapes as shapes_mod
-        config = three_bubbles_in_cavity(min(level, 2))
-        basis = dyn._basis_matrix
-        base = None
-        if level == 3:
-            # the assembly level only decides the check meshes here: the
-            # added mass itself is taken at level 0
-            plain = pot_mod.added_mass
-            monkeypatch.setattr(pot_mod, "added_mass",
-                                lambda cfg, lvl, rho, base=None, meshes=None, **kw:
-                                plain(cfg, 0, rho, **kw))
-            base = plain(config, 0, directions=list(basis(config).T))
-        real = shapes_mod.check_admissible
-        seen = []
-
-        def recording(cfg, lvl=2, meshes=None):
-            report = real(cfg, lvl, meshes=meshes)
-            seen.append((report, real(cfg, lvl), meshes))
-            return report
-
-        monkeypatch.setattr(shapes_mod, "check_admissible", recording)
-        with pytest.warns(UserWarning, match="one-sided"):
-            added_mass_jacobian(config, level, step=3e-2, basis=basis, base=base)
-        assert len(seen) == 2 * config.dim
-        assert sum(not report.ok for report, _, _ in seen) == 4
-        for report, scratch, meshes in seen:
-            assert report == scratch
-            given = sum(m is not None for m in meshes)
-            assert given == (3 if level == 1 else 2)
-
-
 class TestLoneSphereFactorization:
     """A lone sphere's collocation matrix is the unit-sphere A itself, and
     every lone sphere of a level shares one LU of it."""
