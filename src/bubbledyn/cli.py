@@ -3,7 +3,6 @@ convergence studies.
 
 Verbs:
     bubbledyn run         --scenario s.json [--out DIR] [--residual-cadence N]
-                          [--translation-coefficient resolved|paper]
     bubbledyn check       --scenario s.json
     bubbledyn convergence --scenario s.json --levels 1,2,3 [--out DIR]
 
@@ -20,18 +19,15 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from . import dynamics as dyn
 from . import gas as gas_mod
-from . import potential as pot
 from .errors import BubbleDynError
-from .reference import minnaert_frequency
 from .scenario import ScenarioError, parse_scenario, scenario_to_dict
 from .shapes import (SphereParams, check_admissible, measures, pack_params,
-                     pack_tangents, volume_gradient)
+                     pack_tangents)
 
 
 def _fmt(x) -> str:
@@ -79,11 +75,7 @@ def write_trajectory_csv(path, scenario, traj):
 
 
 def _gram_diagnostics(scenario):
-    config = scenario.configuration()
-    basis = dyn.constraint_basis(config)
-    A = pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
-                       directions=basis.directions(),
-                       wall_level=scenario.wall_level, want_condition=True)
+    _, A, _ = dyn._extended_added_mass(scenario, scenario.configuration())
     return {
         "gram_condition": A.condition,
         "gram_eigenvalues": [float(e) for e in A.eigenvalues],
@@ -113,15 +105,16 @@ def cmd_run(args) -> int:
                                 f"got {args.residual_cadence}")
         scenario = dataclasses.replace(scenario,
                                        residual_cadence=args.residual_cadence)
-    if args.translation_coefficient is not None:
-        name = {"resolved": "resolved", "paper": "paper_printed",
-                "paper_printed": "paper_printed"}[args.translation_coefficient]
-        scenario = dataclasses.replace(scenario, translation_coefficient=name)
-    report = check_admissible(scenario.configuration(),
-                              min(scenario.mesh_level, 2))
+    state = scenario.initial_state()
+    report = check_admissible(state.config, min(scenario.mesh_level, 2))
     if not report.ok:
         raise ScenarioError(f"bubbles: initial configuration inadmissible: "
                             f"{[dataclasses.asdict(v) for v in report.violations]}")
+    if scenario.domain_is_bounded:
+        flux, ok = dyn.volume_flux(state.config, state.packed()[1])
+        if not ok:
+            raise ScenarioError(f"bubbles: initial velocity violates the cavity volume "
+                                f"constraint (net volume flux {flux:.3e})")
     os.makedirs(args.out, exist_ok=True)
     extra = _gram_diagnostics(scenario)
     traj = dyn.integrate(scenario)
@@ -150,11 +143,8 @@ def cmd_check(args) -> int:
             print(f"admissibility: VIOLATION {v.kind} pair={v.pair} gap={v.gap:.6g}")
 
     if scenario.domain_is_bounded:
-        ell = volume_gradient(config)
-        qd = pack_tangents(tuple(b.velocity for b in scenario.bubbles))
-        flux = float(ell @ qd)
-        scale = np.linalg.norm(ell) * max(np.linalg.norm(qd), 1e-300)
-        if abs(flux) <= max(dyn.CONSTRAINT_TOLERANCE * scale, 1e-13):
+        flux, ok = dyn.volume_flux(config, scenario.initial_state().packed()[1])
+        if ok:
             print("cavity volume constraint: satisfied")
         else:
             print(f"cavity volume constraint: VIOLATED (net volume flux {flux:.6g}; "
@@ -164,17 +154,13 @@ def cmd_check(args) -> int:
     for i, spec in enumerate(scenario.bubbles):
         p_b = gas_mod.bubble_pressure(spec.gas, measures(spec.shape).volume)
         if scenario.p_infinity > 0:
+            periods.append(dyn.minnaert_period(scenario, spec.gas))
             r_eq = gas_mod.equilibrium_radius(spec.gas, scenario.p_infinity)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                om = minnaert_frequency(spec.gas, scenario.p_infinity,
-                                        scenario.liquid_density, r_eq)
-            periods.append(2 * np.pi / om)
             at_eq = abs(p_b - scenario.p_infinity) < 1e-9 * scenario.p_infinity
             print(f"bubble {i}: pressure {p_b:.6g}"
                   + (" (at equilibrium)" if at_eq else
                      f" (equilibrium radius {r_eq:.6g})")
-                  + f", Minnaert period {2 * np.pi / om:.6g}")
+                  + f", Minnaert period {periods[-1]:.6g}")
         else:
             print(f"bubble {i}: pressure {p_b:.6g} (no far-field pressure; "
                   "no Minnaert estimate)")
@@ -194,10 +180,7 @@ def cmd_convergence(args) -> int:
         s = dataclasses.replace(scenario, mesh_level=level,
                                 wall_level=None if scenario.wall_level is None
                                 else max(scenario.wall_level, level))
-        config = s.configuration()
-        basis = dyn.constraint_basis(config)
-        A = pot.added_mass(config, level, s.liquid_density,
-                           directions=basis.directions(), wall_level=s.wall_level)
+        _, A, _ = dyn._extended_added_mass(s, s.configuration())
         traj = dyn.integrate(s)
         state = traj.states[-1]
         acc = dyn.eom_rhs(s, traj.states[0])
@@ -254,9 +237,6 @@ def build_parser():
     run.add_argument("--out", default=".")
     run.add_argument("--residual-cadence", type=int, default=None,
                      help="sample the boundary residual every N output rows")
-    run.add_argument("--translation-coefficient",
-                     choices=["resolved", "paper", "paper_printed"], default=None,
-                     help="coefficient variant used by reference comparisons")
     run.set_defaults(func=cmd_run)
 
     check = sub.add_parser("check", help="validate and preflight a scenario")

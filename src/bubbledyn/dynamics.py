@@ -23,10 +23,9 @@ from . import potential as pot
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError, UnsupportedConfigurationError)
 from .reference import minnaert_frequency
-from .shapes import (Configuration, EllipsoidParams, SphereParams,
-                     check_admissible, config_from_params, pack_params,
-                     pack_tangents, tangents_from_vector, volume_gradient,
-                     volume_hessian)
+from .shapes import (Configuration, SphereParams, check_admissible,
+                     config_from_params, pack_params, pack_tangents,
+                     tangents_from_vector, volume_gradient, volume_hessian)
 
 # velocity-constraint tolerance for cavity initial data (relative)
 CONSTRAINT_TOLERANCE = 1e-9
@@ -88,13 +87,12 @@ def constraint_basis(config: Configuration) -> ConstraintBasis:
 # scenario-facing kinetic assembly
 
 
-def _extended_added_mass(scenario, config, want_condition=False):
+def _extended_added_mass(scenario, config):
     """Constraint basis, reduced Gram matrix, and its ambient extension."""
     basis = constraint_basis(config)
     A_red = pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
                            directions=basis.directions(),
-                           wall_level=scenario.wall_level,
-                           want_condition=want_condition)
+                           wall_level=scenario.wall_level)
     B = basis.matrix
     A_hat = B @ A_red.matrix @ B.T
     return basis, A_red, A_hat
@@ -117,9 +115,9 @@ def _ahat_jacobian(scenario, config, base=None):
                                    base=base)
 
 
-def _acceleration(scenario, config, qdot, want_aux=False):
+def _acceleration(scenario, config, qdot):
     """Flat acceleration vector from the (constrained) Euler-Lagrange
-    equations; optionally returns the assembled operators."""
+    equations."""
     basis, A_red, A_hat = _extended_added_mass(scenario, config)
     dA = _ahat_jacobian(scenario, config, A_red)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
@@ -138,10 +136,17 @@ def _acceleration(scenario, config, qdot, want_aux=False):
         rhs = B.T @ force - A_red.matrix @ (B.T @ qdd0)
         a = np.linalg.solve(A_red.matrix, rhs)
         qddot = B @ a + qdd0
-    if want_aux:
-        return qddot, {"basis": basis, "A_red": A_red, "A_hat": A_hat,
-                       "potential_energy": pe, "jacobian": dA}
     return qddot
+
+
+def volume_flux(config, qdot):
+    """Net volume flux l . qdot of a packed velocity (l the volume
+    gradient) and whether it is zero within CONSTRAINT_TOLERANCE relative
+    to |l| |qdot|, the cavity's volume constraint."""
+    ell = volume_gradient(config)
+    flux = float(ell @ qdot)
+    scale = np.linalg.norm(ell) * np.linalg.norm(qdot) + 1e-300
+    return flux, abs(flux) <= max(CONSTRAINT_TOLERANCE * scale, 1e-13)
 
 
 def eom_rhs(scenario, state: State):
@@ -151,11 +156,8 @@ def eom_rhs(scenario, state: State):
     report = check_admissible(config, min(scenario.mesh_level, 2))
     if not report.ok:
         raise BubbleDynError(f"state not admissible: {report.violations}")
-    if scenario.domain_is_bounded:
-        ell = volume_gradient(config)
-        scale = np.linalg.norm(ell) * np.linalg.norm(qd) + 1e-300
-        if abs(ell @ qd) > max(CONSTRAINT_TOLERANCE * scale, 1e-13):
-            raise CompatibilityError("velocity violates the cavity volume constraint")
+    if scenario.domain_is_bounded and not volume_flux(config, qd)[1]:
+        raise CompatibilityError("velocity violates the cavity volume constraint")
     qdd = _acceleration(scenario, config, qd)
     return tangents_from_vector(config, qdd)
 
@@ -210,19 +212,22 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
 
 
+def minnaert_period(scenario, gas) -> float:
+    """Minnaert period of a bubble of ``gas`` about its equilibrium radius
+    under the scenario's far-field pressure, which must be > 0."""
+    r_eq = gas_mod.equilibrium_radius(gas, scenario.p_infinity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        om = minnaert_frequency(gas, scenario.p_infinity, scenario.liquid_density, r_eq)
+    return 2.0 * np.pi / om
+
+
 def characteristic_period(scenario) -> float:
-    """Smallest Minnaert period over the bubbles (equilibrium radii from
-    the gas laws); integration time scale estimate."""
-    periods = []
-    for b in scenario.bubbles:
-        if scenario.p_infinity > 0:
-            r_eq = gas_mod.equilibrium_radius(b.gas, scenario.p_infinity)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                om = minnaert_frequency(b.gas, scenario.p_infinity,
-                                        scenario.liquid_density, r_eq)
-            periods.append(2.0 * np.pi / om)
-    return min(periods) if periods else 1.0
+    """Smallest Minnaert period over the bubbles (1 without far-field
+    pressure); integration time scale estimate."""
+    if not scenario.p_infinity > 0:
+        return 1.0
+    return min(minnaert_period(scenario, b.gas) for b in scenario.bubbles)
 
 
 def _collision_threshold(scenario, s1, s2=None) -> float:
@@ -258,12 +263,10 @@ def integrate(scenario) -> Trajectory:
         raise BubbleDynError(f"initial configuration inadmissible: {report.violations}")
     q0, qd0 = state0.packed()
     if scenario.domain_is_bounded:
-        ell = volume_gradient(config0)
-        scale = np.linalg.norm(ell) * np.linalg.norm(qd0) + 1e-300
-        if abs(ell @ qd0) > max(CONSTRAINT_TOLERANCE * scale, 1e-13):
+        flux, ok = volume_flux(config0, qd0)
+        if not ok:
             raise CompatibilityError(
-                "initial velocity violates the cavity volume constraint "
-                f"(flux {ell @ qd0:.3e})")
+                f"initial velocity violates the cavity volume constraint (flux {flux:.3e})")
 
     p = config0.dim
     sizes0 = np.array([_bubble_size(b) for b in config0.bubbles])
@@ -302,21 +305,12 @@ def integrate(scenario) -> Trajectory:
 
     def ev_degenerate(t, y):
         q, _ = split(y)
-        vals = []
-        i = 0
-        for b0, s0 in zip(config0.bubbles, sizes0):
-            if isinstance(b0, SphereParams):
-                size = q[i + 3]
-                i += 4
-            else:
-                try:
-                    size = np.linalg.eigvalsh(
-                        EllipsoidParams.unpack(q[i:i + 9]).shape_matrix)[0]
-                except DegenerateShapeError:
-                    size = 0.0
-                i += 9
-            vals.append(size - DEGENERACY_FRACTION * s0)
-        return min(vals)
+        try:
+            config = config_from_params(config0, q)
+        except DegenerateShapeError:
+            return -1.0
+        return min(_bubble_size(b) - DEGENERACY_FRACTION * s0
+                   for b, s0 in zip(config.bubbles, sizes0))
     ev_degenerate.terminal = True
 
     h0 = min(1e-3 * characteristic_period(scenario), 0.1 * scenario.t_end)

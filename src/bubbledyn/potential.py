@@ -681,15 +681,20 @@ class AddedMassMatrix:
     liquid_density: float
     asymmetry: float
     eigenvalues: np.ndarray
-    collocation_condition: float | None = None
-    assembly: _Assembly | None = field(default=None, repr=False, compare=False)
+    assembly: _Assembly = field(repr=False, compare=False)
 
     @property
     def condition(self) -> float:
         return float(self.eigenvalues[-1] / self.eigenvalues[0])
 
+    @property
+    def collocation_condition(self) -> float:
+        """1-norm condition estimate of the collocation matrix; the
+        estimate is computed once per factorization."""
+        return 1.0 / max(self.assembly.rcond(), 1e-300)
 
-def _gram(asm, config, directions, liquid_density, want_condition=False):
+
+def _gram(asm, config, directions, liquid_density):
     G = _direction_data(config, asm.meshes, directions)
     _, Phi = asm.solve(G)
     raw = -liquid_density * (Phi.T * asm.weights[None, :]) @ G
@@ -701,15 +706,13 @@ def _gram(asm, config, directions, liquid_density, want_condition=False):
         raise DiscretizationError(
             f"added-mass matrix not positive definite at level {asm.meshes[0].level}; "
             f"eigenvalues {eig}", eigenvalues=eig)
-    cond = 1.0 / max(asm.rcond(), 1e-300) if want_condition else None
     return AddedMassMatrix(matrix=A, directions=tuple(map(np.asarray, directions)),
                            liquid_density=liquid_density, asymmetry=asym,
-                           eigenvalues=eig, collocation_condition=cond,
-                           assembly=asm)
+                           eigenvalues=eig, assembly=asm)
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
-               directions=None, wall_level=None, want_condition: bool = False,
+               directions=None, wall_level=None,
                base: AddedMassMatrix | None = None) -> AddedMassMatrix:
     """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
     panels (Green reduction of the volume Gram integral), symmetrized.
@@ -727,7 +730,7 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
     if directions is None:
         directions = canonical_directions(config)
     asm = _Assembly(meshes, surfaces, None if base is None else base.assembly)
-    return _gram(asm, config, directions, liquid_density, want_condition)
+    return _gram(asm, config, directions, liquid_density)
 
 
 def added_mass_jacobian(config: Configuration, level: int,

@@ -18,8 +18,6 @@ from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
 
 SCHEMA_VERSION = 1
 
-TRANSLATION_COEFFICIENTS = ("resolved", "paper_printed")
-
 
 class ScenarioError(BubbleDynError, ValueError):
     """Scenario document failed to parse or validate."""
@@ -48,7 +46,6 @@ class Scenario:
     residual_cadence: int = 0
     t_end: float = 1.0
     output_dt: float = 0.05
-    translation_coefficient: str = "resolved"
 
     @property
     def domain_is_bounded(self) -> bool:
@@ -199,11 +196,6 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
     _expect(residual_cadence >= 0, "solver.residual_cadence",
             f"must be >= 0, got {residual_cadence}")
     timing = _get(doc, "time", "document", dict)
-    comparison = _get(doc, "comparison", "document", dict, default={})
-    coeff = _get(comparison, "translation_coefficient", "comparison", str,
-                 default="resolved")
-    _expect(coeff in TRANSLATION_COEFFICIENTS, "comparison.translation_coefficient",
-            f"must be one of {TRANSLATION_COEFFICIENTS}")
     return Scenario(
         liquid_density=density, p_infinity=p_inf, surface_tension=sigma,
         domain=domain, bubbles=bubbles, mesh_level=mesh_level,
@@ -215,8 +207,7 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
                                        default=0.02, positive=True),
         residual_cadence=residual_cadence,
         t_end=_number(timing, "t_end", "time", positive=True),
-        output_dt=_number(timing, "output_dt", "time", positive=True),
-        translation_coefficient=coeff)
+        output_dt=_number(timing, "output_dt", "time", positive=True))
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -278,5 +269,4 @@ def scenario_to_dict(s: Scenario) -> dict:
                    "collision_gap_fraction": s.collision_gap_fraction,
                    "residual_cadence": s.residual_cadence},
         "time": {"t_end": s.t_end, "output_dt": s.output_dt},
-        "comparison": {"translation_coefficient": s.translation_coefficient},
     }

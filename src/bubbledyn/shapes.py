@@ -568,14 +568,16 @@ def _ellipsoid_area(semi_axes) -> float:
 
 
 def _fd_gradient(fun, q0, rel_step=MEASURE_FD_STEP):
-    g = np.empty_like(q0)
+    """Central differences of ``fun`` (scalar or array valued) at ``q0``;
+    entry or row i is the derivative along slot i."""
+    rows = []
     for i in range(len(q0)):
         h = rel_step * (1.0 + abs(q0[i]))
         qp, qm = q0.copy(), q0.copy()
         qp[i] += h
         qm[i] -= h
-        g[i] = (fun(qp) - fun(qm)) / (2.0 * h)
-    return g
+        rows.append((fun(qp) - fun(qm)) / (2.0 * h))
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -625,17 +627,8 @@ def volume_gradient(config: Configuration) -> np.ndarray:
 def volume_hessian(config: Configuration) -> np.ndarray:
     """Hessian of the total bubble volume, by central differences of the
     analytic gradient (block diagonal over bubbles)."""
-    p = config.dim
-    H = np.zeros((p, p))
-    q0 = pack_params(config)
-    for i in range(p):
-        h = MEASURE_FD_STEP * (1.0 + abs(q0[i]))
-        qp, qm = q0.copy(), q0.copy()
-        qp[i] += h
-        qm[i] -= h
-        gp = volume_gradient(config_from_params(config, qp))
-        gm = volume_gradient(config_from_params(config, qm))
-        H[i] = (gp - gm) / (2.0 * h)
+    H = _fd_gradient(lambda q: volume_gradient(config_from_params(config, q)),
+                     pack_params(config))
     return 0.5 * (H + H.T)
 
 

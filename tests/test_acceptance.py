@@ -77,7 +77,7 @@ def test_criterion_2_added_mass():
     scale; SPD with condition number logged."""
     r, rho = 1.0, 1.3
     config = Configuration(bubbles=(SphereParams(center=np.zeros(3), radius=r),))
-    A = pot.added_mass(config, level=3, liquid_density=rho, want_condition=True)
+    A = pot.added_mass(config, level=3, liquid_density=rho)
     want = rho * np.array([2 * np.pi / 3] * 3 + [4 * np.pi]) * r ** 3
     rel = np.abs(np.diag(A.matrix) - want) / want
     off = np.max(np.abs(A.matrix - np.diag(np.diag(A.matrix))))

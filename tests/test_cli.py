@@ -46,8 +46,12 @@ class TestScenarioParsing:
                                     [0.0, 0.0, -0.05]]},
             "gas": {"kind": "polytropic", "K": 2.0, "gamma": 1.0},
             "mass": 0.7})
-        s1 = scenario_from_dict(doc)
-        canon = scenario_to_dict(s1)
+        # a document with the retired comparison block still parses to the
+        # same scenario, and the block is not written back
+        legacy = {**doc, "comparison": {"translation_coefficient": "paper_printed"}}
+        canon = scenario_to_dict(scenario_from_dict(doc))
+        assert "comparison" not in canon
+        assert scenario_to_dict(scenario_from_dict(legacy)) == canon
         # through actual JSON text, as the canonicalizer promises
         s2 = scenario_from_dict(json.loads(json.dumps(canon)))
         assert scenario_to_dict(s2) == canon
@@ -180,8 +184,13 @@ class TestRun:
                     "radius": 3.0})
         doc["bubbles"][0]["velocity"]["radius"] = 0.4
         path = write_scenario(tmp_path, doc)
-        assert main(["run", "--scenario", path, "--out", str(tmp_path)]) != 0
-        assert "constraint" in capsys.readouterr().err
+        out = tmp_path / "out"
+        # a validation failure anchored at the bubbles, raised before any
+        # output directory or assembly
+        assert main(["run", "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bubbles" in err and "constraint" in err
+        assert not out.exists()
 
 
 class TestCheck:

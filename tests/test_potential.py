@@ -183,7 +183,7 @@ class TestAddedMass:
         config = Configuration(bubbles=(
             SphereParams(center=np.zeros(3), radius=1.0),
             EllipsoidParams(center=[4.0, 0, 0], shape_matrix=np.diag([1.0, 1.0, 1.5]))))
-        A = added_mass(config, level=1, want_condition=True)
+        A = added_mass(config, level=1)
         assert A.eigenvalues[0] > 0
         assert A.collocation_condition is not None
         assert A.condition >= 1.0
@@ -506,7 +506,7 @@ class TestLoneSphereFactorization:
         problem = NeumannProblem(meshes=meshes, boundary_data=g, shapes=_surfaces(config))
 
         def results():
-            mass = added_mass(config, 2, want_condition=True)
+            mass = added_mass(config, 2)
             sol = solve_neumann(problem)
             return (mass.matrix, sol.density, sol.boundary_potential,
                     added_mass_jacobian(config, 2, base=mass),

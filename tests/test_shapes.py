@@ -8,7 +8,8 @@ from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
                               EllipsoidTangent, SphereParams, SphereTangent,
                               check_admissible, config_from_params, measures,
                               normal_velocity, pack_params, surface_mesh,
-                              tangent_like, volume_gradient, wall_mesh)
+                              tangent_like, volume_gradient, volume_hessian,
+                              wall_mesh)
 
 
 def mesh_volume(mesh):
@@ -220,6 +221,26 @@ class TestMeasures:
         me = measures(EllipsoidParams(center=np.zeros(3), shape_matrix=r * np.eye(3)))
         assert me.volume == pytest.approx(ms.volume, rel=1e-12)
         assert me.area == pytest.approx(ms.area, rel=1e-9)
+
+    def test_volume_hessian_closed_forms(self):
+        # V = 4 pi r^3 / 3 for the sphere, (4 pi / 3) det S for the ellipsoid
+        # S = [[a, x, 0], [x, b, 0], [0, 0, c]] at x = 0; slots (cx, cy, cz, r)
+        # and (cx, cy, cz, s11, s12, s13, s22, s23, s33), no cross-bubble terms
+        r, a, b, c = 0.7, 1.1, 0.9, 1.3
+        config = Configuration(bubbles=(
+            SphereParams(center=[-3.0, 0.0, 0.0], radius=r),
+            EllipsoidParams(center=[3.0, 0.5, 0.0], shape_matrix=np.diag([a, b, c]))))
+        want = np.zeros((13, 13))
+        want[3, 3] = 8 * np.pi * r
+        s11, s12, s13, s22, s23, s33 = range(7, 13)
+        k = 4 * np.pi / 3
+        for i, j, v in ((s11, s22, k * c), (s11, s33, k * b), (s22, s33, k * a)):
+            want[i, j] = want[j, i] = v
+        want[s12, s12] = -2 * k * c
+        want[s13, s13] = -2 * k * b
+        want[s23, s23] = -2 * k * a
+        np.testing.assert_allclose(volume_hessian(config), want, rtol=0,
+                                   atol=1e-8 * np.abs(want).max())
 
 
 class TestAdmissibility:
