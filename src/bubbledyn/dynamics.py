@@ -103,12 +103,13 @@ def _basis_matrix(config):
 
 
 def _ahat_jacobian(scenario, config, base=None):
-    """Central-difference Jacobian of the extended kinetic matrix
-    B A_red B^T, assembled from ``base`` (A_red at ``config``) when given.
+    """Parameter Jacobian of the extended kinetic matrix B A_red B^T, from
+    ``base`` (A_red at ``config``) when given: exact along centres and
+    sphere radii, central differences along ellipsoid matrix slots.
 
-    Cavity mode differentiates the basis-extended matrix so the smooth
-    Householder construction is part of the differentiated map; unbounded
-    mode has B = I."""
+    Cavity mode differentiates the basis-extended matrix, which depends on
+    the configuration through the projector B B^T; unbounded mode has
+    B = I."""
     return pot.added_mass_jacobian(config, scenario.mesh_level, scenario.liquid_density,
                                    step=scenario.fd_step, wall_level=scenario.wall_level,
                                    basis=_basis_matrix if config.bounded else None,
@@ -272,27 +273,38 @@ def integrate(scenario) -> Trajectory:
     sizes0 = np.array([_bubble_size(b) for b in config0.bubbles])
     n_rhs = [0]
     poisoned = {"n": 0, "last": None}
+    # the state and acceleration of the first RHS call, which the t = 0
+    # sample (the same bytes) reuses
+    first = {}
     t_wall = time.time()
 
     def split(y):
         return y[:p], y[p:]
 
+    def poison(reason=None):
+        """NaN for an invalid trial state, so that the controller backs off;
+        counted, and the reason kept when there is one."""
+        poisoned["n"] += 1
+        if reason is not None:
+            poisoned["last"] = reason
+        return np.full(2 * p, np.nan)
+
     def rhs(t, y):
         n_rhs[0] += 1
         if not np.all(np.isfinite(y)):
             # a later stage of a step that an earlier poisoned call spoiled
-            poisoned["n"] += 1
-            return np.full(2 * p, np.nan)
+            return poison()
         q, qd = split(y)
         try:
             config = config_from_params(config0, q)
+            report = check_admissible(config, min(scenario.mesh_level, 2))
+            if not report.ok:
+                return poison(f"state not admissible: {report.violations}")
             qdd = _acceleration(scenario, config, qd)
         except (DegenerateShapeError, DiscretizationError, np.linalg.LinAlgError) as exc:
-            # invalid trial state: poison the step so the controller backs
-            # off, and count it
-            poisoned["n"] += 1
-            poisoned["last"] = f"{type(exc).__name__}: {exc}"
-            return np.full(2 * p, np.nan)
+            return poison(f"{type(exc).__name__}: {exc}")
+        if not first:
+            first.update(y=y.tobytes(), qdd=qdd)
         return np.concatenate([qd, qdd])
 
     def ev_collision(t, y):
@@ -349,7 +361,10 @@ def integrate(scenario) -> Trajectory:
         if imp is not None:
             imp.append(kelvin_impulse(state))
         if cadence and k % cadence == 0:
-            qdd = _acceleration(scenario, config, qd)
+            if first and y.tobytes() == first["y"]:
+                qdd = first["qdd"]
+            else:
+                qdd = _acceleration(scenario, config, qd)
             residuals[k] = boundary_residual(scenario, state,
                                              tangents_from_vector(config, qdd))
     stats = {"n_steps": len(sol.t) - 1, "n_rhs": n_rhs[0],

@@ -41,10 +41,10 @@ reused wherever it is exactly the same:
   level and orientation, with S times the radius; the unit pair is
   computed once per (level, orientation) and kept read-only.
 * A configuration that differs from an assembled base in some bubbles (an
-  FD side of the added-mass Jacobian moves one) copies the base and
-  recomputes only the rows and columns of those bubbles, and not even
-  their self-blocks when they only translated.  Blocks between unchanged
-  surfaces, the wall-wall block among them, are never rebuilt.
+  FD side of the added-mass Jacobian changes one ellipsoid's shape)
+  copies the base and recomputes only the rows and columns of those
+  bubbles.  Blocks between unchanged surfaces, the wall-wall block among
+  them, are never rebuilt.
 * A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
   factorization is kept with the unit pair and serves every lone sphere
   of the level: one factorization per level in a one-sphere run.
@@ -56,7 +56,17 @@ computed once per surface, when its PanelGeometry is built, leaving point-
 panel products to each block.  An assembly keeps one PanelGeometry per
 surface; a configuration assembled from a base takes the mesh and the
 PanelGeometry of every unchanged surface from it, so an FD side builds
-both only for the bubble it moves.
+both only for the bubble it changes.
+
+Added-mass Jacobian.  The reduced equations of motion need the parameter
+derivatives of the added mass.  Along a bubble translation or a sphere
+radius they are exact derivatives of the discrete operator: only the
+moved bubble's blocks change, by directional derivatives of the
+flat-panel integrals (the solid angle's is the edge form of van Oosterom
+and Strackee, IEEE TBME 30, 1983), so the derivative of the Gram matrix
+needs the base assembly and its LU and no other.  Only the six matrix
+slots of an ellipsoid are central differences, each side assembled from
+the base.
 """
 
 from __future__ import annotations
@@ -73,9 +83,10 @@ from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError, IllPosedProblemError)
 from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
                      SphereParams, config_from_params, normal_velocity_basis,
-                     pack_params, surface_mesh, wall_mesh)
+                     pack_params, surface_mesh, volume_gradient, volume_hessian,
+                     wall_mesh)
 
-# relative FD step for the added-mass parameter Jacobian
+# relative FD step for the ellipsoid matrix-slot columns of the added-mass Jacobian
 JACOBIAN_FD_STEP = 1e-4
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
@@ -122,7 +133,7 @@ def _frozen(a):
 _PER_PANEL = {"points": 0, "normals": 0, "weights": 0, "lift": 0, "corners": 1,
               "corner_sq": 1, "corner_dots": 1, "detv": 0, "cross_sum": 0,
               "unit_normal": 0, "plane_offset": 0, "edge_length": 1,
-              "edge_normal": 1, "edge_offset": 1}
+              "edge_normal": 1, "edge_offset": 1, "edge_vector": 1, "edge_cross": 1}
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,8 @@ class PanelGeometry:
     edge_length: np.ndarray   # (3, N) lengths of edges p0p1, p1p2, p2p0
     edge_normal: np.ndarray   # (3, N, 3) in-plane edge normals mhat = eh x nh
     edge_offset: np.ndarray   # (3, N) a . mhat, a the edge's first corner
+    edge_vector: np.ndarray   # (3, N, 3) b - a, the edge a -> b
+    edge_cross: np.ndarray    # (3, N, 3) a x b
     offsets: np.ndarray       # surface block offsets, len(meshes) + 1
     closures: np.ndarray      # per-surface Gauss row-sum values
     bounded: bool
@@ -178,7 +191,8 @@ def surface_panels(mesh) -> PanelGeometry:
     p0, p1, p2 = corners
     cross12 = _cross(p1 - p0, p2 - p0)
     nh = cross12 / np.linalg.norm(cross12, axis=1)[:, None]
-    c01, c12, c20 = _cross(corners, ends)
+    edge_cross = _cross(corners, ends)
+    c01, c12, c20 = edge_cross
     edges = ends - corners
     length = np.linalg.norm(edges, axis=2)
     mhat = _cross(edges / length[:, :, None], nh)
@@ -188,7 +202,7 @@ def surface_panels(mesh) -> PanelGeometry:
         corner_sq=_dot(corners, corners), corner_dots=_dot(corners, ends),
         detv=_dot(p0, c12), cross_sum=c12 + c20 + c01, unit_normal=nh,
         plane_offset=_dot(p0, nh), edge_length=length, edge_normal=mhat,
-        edge_offset=_dot(corners, mhat))
+        edge_offset=_dot(corners, mhat), edge_vector=edges, edge_cross=edge_cross)
     return PanelGeometry(meshes=(mesh,), offsets=_frozen([0, mesh.n_panels]),
                          closures=_frozen([mesh.closure]), bounded=mesh.closure < 0,
                          **{k: _frozen(v) for k, v in arrays.items()})
@@ -207,7 +221,8 @@ def join_panels(parts) -> PanelGeometry:
                          bounded=any(p.bounded for p in parts), **arrays)
 
 
-def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None):
+def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
+                  directions=None):
     """Exact flat-panel integrals from points ``x`` over all panels.
 
     Returns (S, K, grad) where S holds integrals of G = -1/(4 pi |x-y|)
@@ -218,6 +233,14 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
     (M, N, 3) tensor is formed.  Unwanted outputs are None.  The
     panel-only terms come precomputed with ``geom``; what is left is
     point-panel products and elementwise work.
+
+    With ``directions``, an (n, M, 3) array of per-point vector fields V,
+    two more outputs follow, each (n, M, N): the directional derivatives
+    d_V S and d_V K of the blocks as every point x_m moves along V_m.  The
+    single layer's is omega V.nh - sum_e L_e V.mhat_e; the solid angle's
+    is the edge (Biot-Savart) sum over edges a -> b of
+    f_e V.((a - x) x (b - x)), f_e = (l_a + l_b) / (l_a l_b (l_a l_b + d_ab)),
+    with d_ab = (a - x).(b - x).
     """
     p0, p1, p2 = geom.corners
     x = np.asarray(x, dtype=float)
@@ -241,8 +264,8 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
 
     K = omega * (geom.lift[None] / (4.0 * np.pi)) if want_double else None
 
-    S = grad = None
-    if want_single or density is not None:
+    S = grad = dS = dK = None
+    if want_single or density is not None or directions is not None:
         nh = geom.unit_normal
         if want_single:
             I = np.zeros((M, N))
@@ -251,8 +274,11 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
             # c carries the density and the lifted kernel constant
             c = (np.asarray(density, dtype=float) * (-geom.lift / (4.0 * np.pi)))[:, None]
             grad = omega @ (c * nh)
-        for (la, lb), le, mhat, am in zip(((l0, l1), (l1, l2), (l2, l0)), geom.edge_length,
-                                          geom.edge_normal, geom.edge_offset):
+        if directions is not None:
+            Ls, fs = [], []
+        for (la, lb), dab, le, mhat, am, edge, ab in zip(
+                ((l0, l1), (l1, l2), (l2, l0)), (d01, d12, d20), geom.edge_length,
+                geom.edge_normal, geom.edge_offset, geom.edge_vector, geom.edge_cross):
             # stable symmetric form of the edge log integral of 1/|x-y|
             ssum = la + lb
             L = np.log((ssum + le[None]) / np.maximum(ssum - le[None], 1e-300))
@@ -261,11 +287,42 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
                 I -= d * L
             if density is not None:
                 grad -= L @ (c * mhat)
+            if directions is not None:
+                lab = la * lb
+                Ls.append(L)
+                fs.append(ssum / (lab * (lab + dab)))
         if want_single:
             h = x @ nh.T - geom.plane_offset[None]
             I += h * omega
             S = I * (-geom.lift[None] / (4.0 * np.pi))
+        if directions is not None:
+            dS, dK = _directional(x, geom, omega, np.hstack(Ls), np.hstack(fs),
+                                  np.asarray(directions, dtype=float))
+            return S, K, grad, dS, dK
     return S, K, grad
+
+
+def _directional(x, geom, omega, L, f, V):
+    """d_V S and d_V K of _panel_blocks from the point-panel terms omega,
+    L and f (the three edges' side by side, (M, 3N)), one direction at a
+    time so that the (M, N) temporaries stay in cache.  Per direction, one
+    product with [nh, mhat_e] gives V.nh and V.mhat_e, and one with
+    [a x b; -(b - a)] gives V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a)
+    for the three edges."""
+    M, N = omega.shape
+    normals = np.concatenate([geom.unit_normal.T, *geom.edge_normal.transpose(0, 2, 1)],
+                             axis=1)
+    crosses = np.concatenate([np.vstack([ab.T, -edge.T]) for ab, edge
+                              in zip(geom.edge_cross, geom.edge_vector)], axis=1)
+    dS = np.empty((len(V), M, N))
+    dK = np.empty_like(dS)
+    for v, dS_v, dK_v in zip(V, dS, dK):
+        vn = v @ normals
+        dS_v[...] = omega * vn[:, :N] - (L * vn[:, N:]).reshape(M, 3, N).sum(axis=1)
+        dK_v[...] = (f * (np.hstack([v, _cross(v, x)]) @ crosses)).reshape(M, 3, N).sum(axis=1)
+    dS *= -geom.lift / (4.0 * np.pi)
+    dK *= geom.lift / (4.0 * np.pi)
+    return dS, dK
 
 
 def _blocked(x, geom, **kw):
@@ -273,9 +330,12 @@ def _blocked(x, geom, **kw):
     M = len(x)
     if M <= _ROW_BLOCK:
         return _panel_blocks(x, geom, **kw)
-    outs = [_panel_blocks(x[i:i + _ROW_BLOCK], geom, **kw)
+    V = kw.pop("directions", None)
+    outs = [_panel_blocks(x[i:i + _ROW_BLOCK], geom, **kw,
+                          **({} if V is None else {"directions": V[:, i:i + _ROW_BLOCK]}))
             for i in range(0, M, _ROW_BLOCK)]
-    return tuple(None if parts[0] is None else np.concatenate(parts)
+    # rows are the second-to-last axis of every output
+    return tuple(None if parts[0] is None else np.concatenate(parts, axis=parts[0].ndim - 2)
                  for parts in zip(*outs))
 
 
@@ -363,19 +423,16 @@ def _unit_sphere_blocks(level: int, wall: bool) -> _UnitSphere:
     return unit
 
 
-def _change(old, new) -> str:
-    """How surface ``new`` differs from ``old``: 'same', 'moved' (a bubble
-    translated, shape unchanged) or 'changed'.  None stands for a surface
-    of unknown shape and always counts as changed."""
+def _same(old, new) -> bool:
+    """Whether surface ``new`` is surface ``old``: the same object, or
+    bubbles of one family with equal parameters.  None stands for a
+    surface of unknown shape and never counts as the same."""
     if old is None or new is None:
-        return "changed"
+        return False
     if old is new:
-        return "same"
-    if type(old) is type(new) and isinstance(old, (SphereParams, EllipsoidParams)):
-        a, b = old.pack(), new.pack()
-        if np.array_equal(a[3:], b[3:]):
-            return "same" if np.array_equal(a[:3], b[:3]) else "moved"
-    return "changed"
+        return True
+    return (type(old) is type(new) and isinstance(old, (SphereParams, EllipsoidParams))
+            and np.array_equal(old.pack(), new.pack()))
 
 
 class _Assembly:
@@ -389,7 +446,7 @@ class _Assembly:
     surface that did not change keeps the base's mesh and panel data (the
     mesh passed for it is not used), the blocks between such surfaces are
     copied, and only the rows and columns of changed surfaces are
-    recomputed; a bubble that only moved keeps its self-blocks.
+    recomputed.
 
     A lone sphere (one surface, a spherical bubble) is its unit sphere's
     self-blocks: A is the cached unit-sphere A itself, S is r S_unit, and
@@ -402,12 +459,9 @@ class _Assembly:
         meshes = tuple(meshes)
         n = len(meshes)
         self.surfaces = tuple(surfaces) if surfaces is not None else (None,) * n
-        if base is None:
-            changes = ["changed"] * n
-        else:
-            changes = [_change(old, new) for old, new in zip(base.surfaces, self.surfaces)]
-        self.meshes = tuple(base.meshes[k] if changes[k] == "same" else meshes[k]
-                            for k in range(n))
+        same = ([False] * n if base is None
+                else [_same(old, new) for old, new in zip(base.surfaces, self.surfaces)])
+        self.meshes = tuple(base.meshes[k] if same[k] else meshes[k] for k in range(n))
         self.bounded = any(m.closure < 0 for m in self.meshes)
         self.weights = np.concatenate([m.quad_weights for m in self.meshes])
         self._lu = None
@@ -419,8 +473,8 @@ class _Assembly:
             self.S = self.surfaces[0].radius * self._unit.S
             self.S.setflags(write=False)
             return
-        self._panels = parts = tuple(base.panels[k] if changes[k] == "same"
-                                     else surface_panels(meshes[k]) for k in range(n))
+        self._panels = parts = tuple(base.panels[k] if same[k] else surface_panels(meshes[k])
+                                     for k in range(n))
         offsets = np.cumsum([0] + [m.n_panels for m in self.meshes])
         blocks = [slice(offsets[k], offsets[k + 1]) for k in range(n)]
         if base is None:
@@ -430,7 +484,7 @@ class _Assembly:
             A, S = base.A.copy(), base.S.copy()
         for a in range(n):
             for b in range(n):
-                if a == b or (changes[a] == "same" and changes[b] == "same"):
+                if a == b or (same[a] and same[b]):
                     continue
                 # points of a over panels of b: S block (a, b), and the
                 # double-layer integrals whose weighted transpose is block (b, a)
@@ -440,7 +494,7 @@ class _Assembly:
                 A[blocks[b], blocks[a]] = (
                     K_ab.T * (parts[a].weights[None, :] / parts[b].weights[:, None]))
         for k in range(n):
-            if changes[k] != "changed":
+            if same[k]:
                 continue
             blk = blocks[k]
             shape = self.surfaces[k]
@@ -516,7 +570,7 @@ class _Assembly:
     def meshes_for(self, surfaces, level, wall_level=None):
         """Meshes of ``surfaces`` (a nearby configuration's): this
         assembly's own where a surface is unchanged, new ones elsewhere."""
-        return tuple(mesh if _change(old, new) == "same" else _mesh(new, level, wall_level)
+        return tuple(mesh if _same(old, new) else _mesh(new, level, wall_level)
                      for old, new, mesh in zip(self.surfaces, surfaces, self.meshes))
 
 
@@ -674,7 +728,9 @@ class AddedMassMatrix:
     symmetrization; ``eigenvalues`` the spectrum after.  ``assembly``
     holds the collocation system it was computed from (matrices and
     factorization), the ``base`` from which added_mass assembles a nearby
-    configuration."""
+    configuration; ``data``, ``density`` and ``potential`` are the
+    directions' boundary data, densities and boundary potentials, one
+    column per direction (read-only)."""
 
     matrix: np.ndarray
     directions: tuple
@@ -682,6 +738,9 @@ class AddedMassMatrix:
     asymmetry: float
     eigenvalues: np.ndarray
     assembly: _Assembly = field(repr=False, compare=False)
+    data: np.ndarray = field(repr=False, compare=False)
+    density: np.ndarray = field(repr=False, compare=False)
+    potential: np.ndarray = field(repr=False, compare=False)
 
     @property
     def condition(self) -> float:
@@ -696,7 +755,7 @@ class AddedMassMatrix:
 
 def _gram(asm, config, directions, liquid_density):
     G = _direction_data(config, asm.meshes, directions)
-    _, Phi = asm.solve(G)
+    Q, Phi = asm.solve(G)
     raw = -liquid_density * (Phi.T * asm.weights[None, :]) @ G
     scale = np.abs(raw).max() + 1e-300
     asym = float(np.abs(raw - raw.T).max() / scale)
@@ -708,7 +767,9 @@ def _gram(asm, config, directions, liquid_density):
             f"eigenvalues {eig}", eigenvalues=eig)
     return AddedMassMatrix(matrix=A, directions=tuple(map(np.asarray, directions)),
                            liquid_density=liquid_density, asymmetry=asym,
-                           eigenvalues=eig, assembly=asm)
+                           eigenvalues=eig, assembly=asm,
+                           **{name: _frozen(a) for name, a in
+                              (("data", G), ("density", Q), ("potential", Phi))})
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
@@ -733,24 +794,159 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
     return _gram(asm, config, directions, liquid_density)
 
 
+def _projector(config, slots):
+    """The projector P = I - l l^T / |l|^2 onto the volume-preserving
+    velocities (l the volume gradient), I in unbounded liquid, and its
+    derivatives along the parameter slots ``slots`` from the volume
+    Hessian, (len(slots), p, p), or None where P is constant."""
+    p = config.dim
+    if not config.bounded:
+        return np.eye(p), None
+    ell = volume_gradient(config)
+    n2 = ell @ ell
+    L = np.outer(ell, ell) / n2
+    dP = []
+    for dl in volume_hessian(config)[:, slots].T:
+        dP.append(2.0 * (dl @ ell) / n2 * L - (np.outer(dl, ell) + np.outer(ell, dl)) / n2)
+    return np.eye(p) - L, np.array(dP)
+
+
+def _exact_slots(config):
+    """Packed parameter slots of every bubble centre and sphere radius."""
+    return [sl.start + j for b, sl in zip(config.bubbles, config.slices())
+            for j in range(4 if isinstance(b, SphereParams) else 3)]
+
+
+def _center_and_radius_columns(config, base):
+    """Exact derivatives of the kinetic matrix along _exact_slots(config),
+    from the added mass ``base`` at ``config``; returns (n_slots, p, p).
+
+    The kinetic matrix is K = sym(-rho (S X)^T W G P) with X = M^-1 G P,
+    M = 1/2 I + K' and S the assembled matrices, W the quadrature weights,
+    G the canonical direction data and P = B B^T the projector onto the
+    volume-preserving velocities (I in unbounded liquid), B the base's
+    directions; G P is flux free at every configuration, so the constant
+    potential that the cavity system leaves undetermined never shows.
+    Along a slot, with the base LU,
+
+        dX = M^-1 (G dP - dM X),
+        dK = sym(-rho [(dS X + S dX)^T W G P + (S X)^T dW G P
+                       + (S X)^T W G dP]),
+
+    with no flux shift on the derivative solve: its data is not flux free,
+    and shifting it would bias dK.  G itself does not change along these
+    slots.  Only the moved bubble's rows and columns of M and S change,
+    and dM X and dS X are formed block by block from the directional
+    derivatives of the cross blocks (_panel_blocks ``directions``):
+
+    * translating bubble k along axis e: +d_e where k owns the points,
+      -d_e where it owns the panels; self-blocks and weights are fixed;
+    * the radius r of sphere k: d_V with V = (x - c)/r where k owns the
+      points; where it owns the panels, the scaling laws of the panel
+      integrals about c (degree 1 for S, 0 for the solid angle) give
+      dS = (S - d_{x-c} S)/r and dK = -d_{x-c} K/r; the self-blocks give
+      dS_kk = S_kk/r, dM_kk = 0; and the weights dw_k = 2 w_k/r, which
+      enter the weighted transpose in M and the Gram matrix.
+    """
+    asm, rho = base.assembly, base.liquid_density
+    p, nb = config.dim, config.n_bubbles
+    slots = _exact_slots(config)
+    P, dP = _projector(config, slots)
+    B = np.column_stack(base.directions)
+    if not np.allclose(B @ B.T, P, rtol=0.0, atol=1e-12):
+        raise ValueError("the base's directions must be an orthonormal basis of the "
+                         "volume-preserving velocities")
+    # G P, X and S X from the base's solution for G B
+    GP, X, Phi = base.data @ B.T, base.density @ B.T, base.potential @ B.T
+    index = {slot: t for t, slot in enumerate(slots)}
+    w = asm.weights
+    offsets = np.cumsum([0] + [m.n_panels for m in asm.meshes])
+    blocks = [slice(offsets[k], offsets[k + 1]) for k in range(len(asm.meshes))]
+    dSX = np.zeros((len(slots), len(w), p))
+    dMX = np.zeros_like(dSX)
+    dw = np.zeros((len(slots), len(w)))
+    for k, (bubble, sl) in enumerate(zip(config.bubbles, config.slices())):
+        if isinstance(bubble, SphereParams):
+            t, blk, r = index[sl.start + 3], blocks[k], bubble.radius
+            dSX[t, blk] = asm.S[blk, blk] @ X[blk] / r
+            dw[t, blk] = 2.0 * w[blk] / r
+
+    # each ordered pair of surfaces (a, b) with a bubble among them: the
+    # derivatives of the block of a's points over b's panels along the
+    # three axes (a's translations, and b's with the sign flipped) and the
+    # radial fields of the spheres.  A lone surface has no such pair (and
+    # a lone sphere no panel data).
+    parts = asm.panels if len(asm.meshes) > 1 else ()
+    for a, b in ((a, b) for a in range(len(parts)) for b in range(len(parts)) if a != b):
+        x = parts[a].points
+        fields = [np.broadcast_to(e, x.shape) for e in np.eye(3)]
+        uses = []  # (slot, field, sign, sphere radius for a radius slot)
+        for k, sign in ((a, 1.0), (b, -1.0)):
+            if k >= nb:
+                continue
+            bubble, start = config.bubbles[k], config.slices()[k].start
+            uses += [(start + j, j, sign, None) for j in range(3)]
+            if isinstance(bubble, SphereParams):
+                uses.append((start + 3, len(fields), sign, bubble.radius))
+                # a sphere's points move along its normals (x - c)/r
+                fields.append(asm.meshes[k].quad_normals if k == a else x - bubble.center)
+        Da, Db = blocks[a], blocks[b]
+        _, _, _, dS, dK = _blocked(x, parts[b], want_single=False, want_double=False,
+                                   directions=np.stack(fields))
+        dS_X = dS @ X[Db]
+        dK_X = (dK.transpose(0, 2, 1) @ (w[Da, None] * X[Da])) / w[Db, None]
+        for slot, i, sign, r in uses:
+            t = index[slot]
+            if r is not None and sign < 0:
+                # the radius of sphere b, whose panels scale about its centre
+                dSX[t, Da] += (asm.S[Da, Db] @ X[Db] - dS_X[i]) / r
+                dMX[t, Db] -= dK_X[i] / r
+            else:
+                dSX[t, Da] += sign * dS_X[i]
+                dMX[t, Db] += sign * dK_X[i]
+            if r is not None:
+                # w_a (a's radius) or 1 / w_b (b's) in the weighted transpose
+                dMX[t, Db] += sign * 2.0 / r * (asm.A[Db, Da] @ X[Da])
+
+    GdP = None
+    if dP is not None:
+        GdP = _direction_data(config, asm.meshes, canonical_directions(config))[None] @ dP
+    rhs = -dMX if GdP is None else GdP - dMX
+    dPhi = dSX
+    if rhs.any():  # a lone unbounded bubble's is zero
+        dX = sla.lu_solve(asm.factorization().lu,
+                          rhs.transpose(1, 0, 2).reshape(len(w), -1), check_finite=False)
+        if not np.all(np.isfinite(dX)):
+            raise IllPosedProblemError("added-mass Jacobian solve produced non-finite values")
+        dPhi = dSX + (asm.S @ dX).reshape(len(w), len(slots), p).transpose(1, 0, 2)
+    raw = dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)
+    if GdP is not None:
+        raw += Phi.T @ (w[:, None] * GdP)
+    raw *= -rho
+    return 0.5 * (raw + raw.transpose(0, 2, 1))
+
+
 def added_mass_jacobian(config: Configuration, level: int,
                         liquid_density: float = 1.0, step: float = JACOBIAN_FD_STEP,
                         wall_level=None, basis=None,
                         base: AddedMassMatrix | None = None) -> np.ndarray:
-    """Central-difference parameter Jacobian of the kinetic matrix
-    B A_red B^T, shape (p, p, p) with the first index the differentiated
-    parameter.
+    """Parameter Jacobian of the kinetic matrix B A_red B^T, shape
+    (p, p, p) with the first index the differentiated parameter.
 
     ``basis(config)`` gives B, a (p, m) matrix whose columns are the
     directions of the reduced added mass A_red; by default B = I and the
-    kinetic matrix is the canonical added mass.  ``base`` is A_red at
-    ``config`` (computed here when not given): every FD side assembles from
-    it, and a one-sided difference reuses it.
+    kinetic matrix is the canonical added mass.  B must be an orthonormal
+    basis of the volume-preserving velocities in a cavity (as
+    dynamics.constraint_basis gives) and of all velocities in unbounded
+    liquid.  ``base`` is A_red at ``config`` (computed here when not given).
 
-    Center derivatives of a single unbounded bubble vanish identically
-    (the discretization is exactly translation invariant) and are skipped.
-    Steps that leave the admissible set fall back to one-sided differences
-    with a warning.
+    The columns of every bubble centre and every sphere radius are exact
+    derivatives of the discrete kinetic matrix, from the base assembly and
+    its LU alone (_center_and_radius_columns).  The six matrix slots of an
+    ellipsoid are central differences with step ``step * (1 + |q_k|)``,
+    every side assembled from ``base``; a step that leaves the admissible
+    set falls back to a one-sided difference, which reuses ``base``, with a
+    warning.
     """
     from .shapes import check_admissible  # local import to keep module load light
 
@@ -766,6 +962,9 @@ def added_mass_jacobian(config: Configuration, level: int,
     q0 = pack_params(config)
     p = len(q0)
     dA = np.zeros((p, p, p))
+    exact = _exact_slots(config)
+    dA[exact] = _center_and_radius_columns(config, base)
+    matrix_slots = [k for k in range(p) if k not in exact]
 
     def column(k):
         h = step * (1.0 + abs(q0[k]))
@@ -790,8 +989,6 @@ def added_mass_jacobian(config: Configuration, level: int,
             return (Kp - K0) / h if Km is None else (K0 - Km) / h
         return (Kp - Km) / (2.0 * h)
 
-    skip_centers = config.n_bubbles == 1 and not config.bounded
-    params = [k for k in range(p) if not (skip_centers and k < 3)]
-    for k, col in zip(params, _map_workers(column, params)):
+    for k, col in zip(matrix_slots, _map_workers(column, matrix_slots)):
         dA[k] = col
     return dA

@@ -257,10 +257,6 @@ def tangent_like(shape: ShapeParams, q) -> TangentVector:
     return EllipsoidTangent(center=q[:3], shape_matrix=Sd)
 
 
-def zero_tangent(shape: ShapeParams) -> TangentVector:
-    return tangent_like(shape, np.zeros(shape.dim))
-
-
 # ---------------------------------------------------------------------------
 # fluid domain
 
@@ -625,10 +621,23 @@ def volume_gradient(config: Configuration) -> np.ndarray:
 
 
 def volume_hessian(config: Configuration) -> np.ndarray:
-    """Hessian of the total bubble volume, by central differences of the
-    analytic gradient (block diagonal over bubbles)."""
-    H = _fd_gradient(lambda q: volume_gradient(config_from_params(config, q)),
-                     pack_params(config))
+    """Hessian of the total bubble volume, in closed form (block diagonal
+    over bubbles): 8 pi r in a sphere's radius slot; for an ellipsoid, the
+    rate of its gradient vol S^-1_ij (doubled off the diagonal) along slot
+    E, vol (tr(S^-1 E) S^-1 - S^-1 E S^-1)_ij."""
+    H = np.zeros((config.dim, config.dim))
+    for b, sl in zip(config.bubbles, config.slices()):
+        if isinstance(b, SphereParams):
+            H[sl.start + 3, sl.start + 3] = 8.0 * np.pi * b.radius
+            continue
+        Sinv = np.linalg.inv(b.shape_matrix)
+        vol = 4.0 * np.pi * np.linalg.det(b.shape_matrix) / 3.0
+        for n, (k, l) in enumerate(_SYM_INDEX):
+            E = np.zeros((3, 3))
+            E[k, l] = E[l, k] = 1.0  # slot (k, l) moves S_kl and S_lk
+            dgrad = vol * (np.trace(Sinv @ E) * Sinv - Sinv @ E @ Sinv)
+            for m, (i, j) in enumerate(_SYM_INDEX):
+                H[sl.start + 3 + m, sl.start + 3 + n] = dgrad[i, j] * (1.0 if i == j else 2.0)
     return 0.5 * (H + H.T)
 
 

@@ -183,6 +183,56 @@ class TestIntegrate:
                - traj.states[-1].config.bubbles[0].center[0] - 2.0)
         assert gap > 0  # stopped before actual contact
 
+    def test_inadmissible_trial_stages_are_poisoned(self, monkeypatch):
+        # spheres closing fast with a collision threshold of 1e-6 of a
+        # radius: RK trial stages overshoot into overlap before the event
+        # stops the run.  Each such stage is poisoned before any
+        # acceleration is computed, counted and named
+        doc = {
+            "liquid": {"density": 1.0, "p_infinity": 1.0},
+            "domain": {"type": "unbounded"},
+            "bubbles": [
+                {"shape": {"type": "sphere", "center": [sign * 1.3, 0, 0], "radius": 1.0},
+                 "velocity": {"center": [-sign * 0.8, 0, 0], "radius": 0.0},
+                 "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS}
+                for sign in (-1.0, 1.0)],
+            "solver": {"mesh_level": 0, "collision_gap_fraction": 1e-6,
+                       "rel_tol": 1e-3, "abs_tol": 1e-3},
+            "time": {"t_end": 5.0, "output_dt": 1.0}}
+        gaps = []
+        plain = dynamics._acceleration
+
+        def recording(scenario, config, qdot):
+            b0, b1 = config.bubbles
+            gaps.append(np.linalg.norm(b1.center - b0.center) - b0.radius - b1.radius)
+            return plain(scenario, config, qdot)
+
+        monkeypatch.setattr(dynamics, "_acceleration", recording)
+        traj = integrate(scenario_from_dict(doc))
+        assert traj.termination == "collision"
+        assert traj.stats["n_poisoned"] > 0
+        assert "not admissible" in traj.stats["last_poison"]
+        assert "overlap" in traj.stats["last_poison"]
+        assert min(gaps) > 0.0
+
+    def test_first_sample_reuses_first_rhs(self, monkeypatch):
+        # the dense output at t = 0 is the initial state bit for bit, so the
+        # t = 0 residual sample takes the first RHS call's acceleration
+        s = scenario_from_dict(sphere_doc(radius=1.1, vc=(0.1, 0, 0), vr=0.05, level=0,
+                                          t_end=0.4, output_dt=0.2, residual_cadence=1))
+        calls = []
+        plain = dynamics._acceleration
+        monkeypatch.setattr(dynamics, "_acceleration",
+                            lambda *a: calls.append(1) or plain(*a))
+        traj = integrate(s)
+        assert traj.stats["n_poisoned"] == 0
+        assert len(calls) == traj.stats["n_rhs"] + len(traj.times) - 1
+        state = traj.states[0]
+        assert np.array_equal(np.concatenate(state.packed()),
+                              np.concatenate(s.initial_state().packed()))
+        fresh = boundary_residual(s, state, eom_rhs(s, state))
+        assert traj.boundary_residuals[0] == fresh
+
     def test_collapse_hits_degeneracy_event(self):
         # gas mass for equilibrium at r = 1 but started at r = 2.5 with a
         # strong inward velocity: violent collapse

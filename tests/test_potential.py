@@ -252,9 +252,9 @@ class TestAddedMassJacobian:
         r = 1.2
         config = Configuration(bubbles=(SphereParams(center=np.zeros(3), radius=r),))
         dA = added_mass_jacobian(config, level=2)
-        # discrete scaling identity dA/dr = 3 A / r holds to FD accuracy
+        # discrete scaling identity dA/dr = 3 A / r, exact up to roundoff
         A = added_mass(config, level=2).matrix
-        assert np.allclose(dA[3], 3.0 * A / r, rtol=1e-5, atol=1e-8)
+        assert np.allclose(dA[3], 3.0 * A / r, rtol=1e-12, atol=1e-14)
         # analytic target 12 pi r^2 within BEM tolerance
         assert dA[3][3, 3] == pytest.approx(12 * np.pi * r ** 2, rel=0.02)
 
@@ -282,8 +282,55 @@ class TestAddedMassJacobian:
         dA = added_mass_jacobian(config, level=1)
         for axis in range(3):
             combo = dA[axis] + dA[4 + axis]
-            assert np.max(np.abs(combo)) < 1e-6 * np.max(np.abs(dA[axis]) + 1e-30) \
-                or np.max(np.abs(combo)) < 1e-8
+            assert np.max(np.abs(combo)) <= 1e-12 * np.max(np.abs(dA[axis]))
+
+    @pytest.mark.parametrize("n_bubbles", [2, 3])
+    def test_translation_and_scaling_identities(self, n_bubbles):
+        # A is invariant under a common translation and homogeneous of
+        # degree 3 under scaling about the origin, exactly so in the
+        # discretization: sum_k dA/dc_k = 0 and sum_i q_i dA/dq_i = 3 A
+        config = Configuration(bubbles=tuple(
+            SphereParams(center=c, radius=r) for c, r in
+            zip(([0.2, -0.1, 0.3], [2.8, 0.4, -0.2], [0.5, 2.6, 0.7])[:n_bubbles],
+                (1.0, 0.8, 0.7)[:n_bubbles])))
+        A = added_mass(config, 1)
+        dA = added_mass_jacobian(config, 1, base=A)
+        scale = np.max(np.abs(A.matrix))
+        for axis in range(3):
+            total = sum(dA[4 * k + axis] for k in range(n_bubbles))
+            assert np.max(np.abs(total)) <= 1e-12 * scale
+        euler = np.einsum('i,ijk->jk', pack_params(config), dA)
+        assert np.max(np.abs(euler - 3.0 * A.matrix)) <= 1e-12 * scale
+
+    def test_basis_must_span_the_admissible_velocities(self):
+        # the exact columns differentiate B B^T = P: a basis missing a
+        # direction would give wrong ones, so it is refused
+        config = Configuration(bubbles=(
+            SphereParams(center=np.zeros(3), radius=1.0),
+            SphereParams(center=[3.0, 0, 0], radius=1.0)))
+        with pytest.raises(ValueError, match="orthonormal basis"):
+            added_mass_jacobian(config, 1, basis=lambda cfg: np.eye(8)[:, :7])
+
+    def test_two_sphere_pulsation_coupling(self):
+        # A_{r1 r2} -> 4 pi rho a1^2 a2^2 / d for d >> a (Bjerknes 1906),
+        # closer as d / a grows; its centre derivatives, from the exact
+        # translation columns, give the secondary Bjerknes force: in-phase
+        # pulsations attract (dA_{r1r2}/dc_1x > 0 > dA_{r1r2}/dc_2x)
+        rho, a1, a2 = 1.3, 1.0, 0.8
+        errors = []
+        for ratio in (3.0, 6.0, 12.0):
+            d = ratio * a1
+            config = Configuration(bubbles=(SphereParams(center=np.zeros(3), radius=a1),
+                                            SphereParams(center=[d, 0.0, 0.0], radius=a2)))
+            A = added_mass(config, 1, liquid_density=rho)
+            dA = added_mass_jacobian(config, 1, liquid_density=rho, base=A)
+            coupling = 4.0 * np.pi * rho * a1 ** 2 * a2 ** 2 / d
+            errors.append(abs(A.matrix[3, 7] / coupling - 1.0))
+            assert dA[0][3, 7] > 0.0 > dA[4][3, 7]
+        assert errors[0] > errors[1] > errors[2]
+        # at d = 12 a the force has the magnitude 4 pi rho a1^2 a2^2 / d^2
+        assert dA[0][3, 7] == pytest.approx(coupling / d, rel=1e-5)
+        assert -dA[4][3, 7] == pytest.approx(coupling / d, rel=1e-5)
 
 
 def rel_diff(a, b):
@@ -305,6 +352,21 @@ def ellipsoid_pair():
         EllipsoidParams(center=[1.3, 0.1, 0.0],
                         shape_matrix=[[0.7, 0.0, 0.03], [0.0, 0.75, 0.0],
                                       [0.03, 0.0, 0.6]])))
+
+
+def sphere_and_ellipsoid_in_cavity():
+    return Configuration(
+        bubbles=(SphereParams(center=[-0.8, 0.0, 0.1], radius=0.5),
+                 EllipsoidParams(center=[0.9, 0.0, 0.0],
+                                 shape_matrix=[[0.6, 0.05, 0.0], [0.05, 0.5, 0.02],
+                                               [0.0, 0.02, 0.4]])),
+        domain=CavitySphere(center=np.zeros(3), radius=2.5))
+
+
+def exact_slots(config):
+    """Packed slots of every bubble centre and sphere radius."""
+    return [sl.start + j for b, sl in zip(config.bubbles, config.slices())
+            for j in range(4 if isinstance(b, SphereParams) else 3)]
 
 
 class TestBlockReuse:
@@ -339,8 +401,15 @@ class TestBlockReuse:
 
     @pytest.mark.parametrize("make_config, basis",
                              [(sphere_pair_in_cavity, dyn._basis_matrix),
-                              (ellipsoid_pair, None)])
+                              (ellipsoid_pair, None),
+                              (sphere_and_ellipsoid_in_cavity, dyn._basis_matrix)])
     def test_jacobian_matches_plain_central_differences(self, make_config, basis):
+        # the centre and sphere-radius columns are exact: a plain central
+        # difference of step h misses them by O(h^2), 4x less per halving.
+        # The ellipsoid matrix slots are central differences of step 1e-4
+        # themselves: one of step h differs from them by c (h^2 - 1e-8), a
+        # ratio (16 - 1) / (4 - 1) = 5 between h = 4e-4 and 2e-4, and by
+        # nothing but roundoff at h = 1e-4
         config = make_config()
         dA = added_mass_jacobian(config, 1, basis=basis)
         q0 = pack_params(config)
@@ -350,20 +419,42 @@ class TestBlockReuse:
             B = np.eye(len(q)) if basis is None else basis(cfg)
             return B @ added_mass(cfg, 1, directions=list(B.T)).matrix @ B.T
 
-        ref = np.zeros_like(dA)
-        for k in range(len(q0)):
-            h = 1e-4 * (1.0 + abs(q0[k]))
-            e = np.zeros_like(q0)
-            e[k] = h
-            ref[k] = (kinetic(q0 + e) - kinetic(q0 - e)) / (2.0 * h)
-        assert rel_diff(dA, ref) <= 1e-9
+        def central(step):
+            ref = np.zeros_like(dA)
+            for k in range(len(q0)):
+                e = np.zeros_like(q0)
+                e[k] = step * (1.0 + abs(q0[k]))
+                ref[k] = (kinetic(q0 + e) - kinetic(q0 - e)) / (2.0 * e[k])
+            return ref
+
+        def column_errors(ref):
+            return np.abs(dA - ref).reshape(len(q0), -1).max(axis=1)
+
+        scale = np.max(np.abs(dA))
+        coarse, fine = column_errors(central(4e-4)), column_errors(central(2e-4))
+        exact = exact_slots(config)
+        checked = [k for k in range(len(q0)) if coarse[k] > 1e-8 * scale]
+        assert any(k in exact for k in checked)
+        for k in checked:
+            low, high = (3.0, 5.0) if k in exact else (4.5, 5.5)
+            assert low <= coarse[k] / fine[k] <= high, k
+        ref = central(1e-4)
+        assert rel_diff(dA, ref) <= 2e-7
+        matrix_slots = [k for k in range(len(q0)) if k not in exact]
+        if matrix_slots:
+            assert rel_diff(dA[matrix_slots], ref[matrix_slots]) <= 1e-9
 
     def test_one_sided_columns_reuse_the_base(self, monkeypatch):
-        # gap 5e-3 < FD step: the steps closing it leave the admissible set
+        # ellipsoids 5e-3 apart (as the level-1 admissibility check measures
+        # the gap), less than the FD step: the matrix-slot steps that close
+        # the gap leave the admissible set
         import bubbledyn.potential as pot_mod
+        from bubbledyn.shapes import _pair_gap
         config = Configuration(bubbles=(
-            SphereParams(center=np.zeros(3), radius=1.0),
-            SphereParams(center=[2.005, 0.0, 0.0], radius=1.0)))
+            EllipsoidParams(center=np.zeros(3), shape_matrix=np.diag([1.0, 0.8, 0.9])),
+            EllipsoidParams(center=[2.5117, 0.0, 0.0],
+                            shape_matrix=np.diag([0.9, 1.0, 0.85]))))
+        assert 0.0 < _pair_gap(*config.bubbles, level=1) < 1e-2
         base = added_mass(config, 1)
         calls = []
         plain = pot_mod.added_mass
@@ -371,15 +462,17 @@ class TestBlockReuse:
                             lambda *a, **kw: calls.append(1) or plain(*a, **kw))
         with pytest.warns(UserWarning, match="one-sided") as caught:
             dA = added_mass_jacobian(config, 1, step=1e-2, base=base)
-        # slots cx and r of bubble 0 (+ side), cx (- side) and r (+ side) of bubble 1
-        assert sum("one-sided" in str(w.message) for w in caught) == 4
-        assert len(calls) == 2 * 8 - 4
+        # the + sides of s11 of both bubbles and of s22 of bubble 1; the
+        # other 2 * 12 - 3 sides assemble from the base, the centre columns
+        # are exact and assemble nothing
+        assert sum("one-sided" in str(w.message) for w in caught) == 3
+        assert len(calls) == 2 * 12 - 3
         q0 = pack_params(config)
-        h = 1e-2 * (1.0 + abs(q0[4]))
+        h = 1e-2 * (1.0 + abs(q0[3]))
         q = q0.copy()
-        q[4] += h
+        q[3] -= h  # the admissible side of s11 of bubble 0
         side = plain(config_from_params(config, q), 1).matrix
-        assert rel_diff(dA[4], (side - base.matrix) / h) <= 1e-9
+        assert rel_diff(dA[3], (base.matrix - side) / h) <= 1e-9
 
     def test_threads_bit_identical(self, monkeypatch):
         for config, basis in ((sphere_pair_in_cavity(), dyn._basis_matrix),
@@ -418,12 +511,7 @@ class TestBlockReuse:
         assert thread_count() == 2
 
     def test_direction_data_matches_per_direction_loop(self):
-        config = Configuration(
-            bubbles=(SphereParams(center=[-0.8, 0.0, 0.1], radius=0.5),
-                     EllipsoidParams(center=[0.9, 0.0, 0.0],
-                                     shape_matrix=[[0.6, 0.05, 0.0], [0.05, 0.5, 0.02],
-                                                   [0.0, 0.02, 0.4]])),
-            domain=CavitySphere(center=np.zeros(3), radius=2.5))
+        config = sphere_and_ellipsoid_in_cavity()
         meshes = configuration_meshes(config, 1)
         directions = list(np.random.default_rng(3).normal(size=(5, config.dim)))
         G = _direction_data(config, meshes, directions)
@@ -491,10 +579,14 @@ class TestLoneSphereFactorization:
             assert traj.termination == "completed"
         assert calls == [80, 20]
         assert len(assemblies) > 20
-        # a sphere pair still factors every assembly once
+        # a sphere pair still factors every assembly once, and assembles once
+        # per RHS (its Jacobian is exact): n_rhs assemblies, one per energy
+        # sample (t = 0, 0.02, 0.04), and the t = 0.04 residual sample's
+        # acceleration and three Neumann solves at each of the two residual
+        # samples (the t = 0 sample reuses the first RHS's acceleration)
         del calls[:], assemblies[:]
-        dyn.integrate(scenario_from_dict(doc([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0]], 0)))
-        assert len(calls) == len(assemblies) > 17
+        traj = dyn.integrate(scenario_from_dict(doc([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0]], 0)))
+        assert len(calls) == len(assemblies) == traj.stats["n_rhs"] + 3 + 1 + 2 * 3
         assert set(calls) == {40}
 
     def test_results_match_a_freshly_factored_copy(self, monkeypatch):
@@ -754,8 +846,8 @@ class TestPanelData:
 
     def test_one_rhs_builds_panels_once_per_new_surface(self, monkeypatch):
         # two spheres in a cavity at level 1: the base configuration builds
-        # the meshes and panel data of its three surfaces, each of the 16 FD
-        # sides only those of the bubble it moves
+        # the meshes and panel data of its three surfaces; the Jacobian,
+        # exact in every centre and radius, builds none
         import os
         import bubbledyn.potential as pot_mod
         from bubbledyn.scenario import parse_scenario
@@ -779,6 +871,6 @@ class TestPanelData:
             monkeypatch.setattr(pot_mod, name, counted(name))
         dyn._acceleration(scenario, config, qd)
         assert config.dim == 8
-        assert len(calls["surface_panels"]) == 3 + 2 * 8
-        assert len(calls["surface_mesh"]) == 2 + 2 * 8
+        assert len(calls["surface_panels"]) == 3 + 0
+        assert len(calls["surface_mesh"]) == 2 + 0
         assert len(calls["wall_mesh"]) == 1
