@@ -4,8 +4,7 @@ Euler-Lagrange dynamics on the shape parameters."""
 
 __version__ = "0.1.0"
 
-from .dynamics import (ConstraintBasis, State, Trajectory, boundary_residual,
-                       constraint_basis, eom_rhs, integrate)
+from .dynamics import State, Trajectory, boundary_residual, eom_rhs, integrate
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError, IllPosedProblemError,
                      UnsupportedConfigurationError)
@@ -17,10 +16,10 @@ from .potential import (AddedMassMatrix, NeumannProblem, PotentialSolution,
 from .reference import (SingleBubbleState, analytic_potential, closed_form_rhs,
                         integrate_single, minnaert_frequency)
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_from_dict
-from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
-                     EllipsoidTangent, SphereParams, SphereTangent,
-                     SurfaceMesh, Unbounded, check_admissible, measures,
-                     normal_velocity, surface_mesh)
+from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis,
+                     EllipsoidParams, EllipsoidTangent, SphereParams,
+                     SphereTangent, SurfaceMesh, Unbounded, check_admissible,
+                     constraint_basis, measures, normal_velocity, surface_mesh)
 
 __all__ = [
     "AddedMassMatrix", "BubbleDynError", "BubbleGasState", "CavityMesh",

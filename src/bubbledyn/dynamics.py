@@ -21,11 +21,12 @@ from scipy.integrate import solve_ivp
 from . import gas as gas_mod
 from . import potential as pot
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
-                     DiscretizationError, UnsupportedConfigurationError)
+                     DiscretizationError)
 from .reference import minnaert_frequency
 from .shapes import (Configuration, SphereParams, check_admissible,
-                     config_from_params, pack_params, pack_tangents,
-                     tangents_from_vector, volume_gradient, volume_hessian)
+                     config_from_params, constraint_basis, pack_params,
+                     pack_tangents, tangents_from_vector, volume_gradient,
+                     volume_hessian)
 
 # velocity-constraint tolerance for cavity initial data (relative)
 CONSTRAINT_TOLERANCE = 1e-9
@@ -43,46 +44,6 @@ class State:
         return pack_params(self.config), pack_tangents(self.velocity)
 
 
-@dataclass(frozen=True)
-class ConstraintBasis:
-    """Orthonormal basis of the admissible velocity subspace.
-
-    Unbounded: the identity.  Cavity: the kernel of the volume-flux
-    covector l(mdot) = sum_k dvol_k . mdot_k, built from the Householder
-    reflection mapping l/|l| to -e_p (smooth on the admissible set because
-    the last covector slot is always positive)."""
-
-    matrix: np.ndarray          # (p, n_free)
-    flux_covector: np.ndarray | None
-
-    @property
-    def constrained(self) -> bool:
-        return self.flux_covector is not None
-
-    @property
-    def n_free(self) -> int:
-        return self.matrix.shape[1]
-
-    def directions(self):
-        return [np.ascontiguousarray(c) for c in self.matrix.T]
-
-
-def constraint_basis(config: Configuration) -> ConstraintBasis:
-    p = config.dim
-    if not config.bounded:
-        return ConstraintBasis(matrix=np.eye(p), flux_covector=None)
-    ell = volume_gradient(config)
-    norm = np.linalg.norm(ell)
-    if norm < 1e-14:
-        raise UnsupportedConfigurationError(
-            "volume-flux covector vanishes; constrained dynamics undefined")
-    u = ell / norm
-    v = u.copy()
-    v[-1] += 1.0
-    H = np.eye(p) - 2.0 * np.outer(v, v) / (v @ v)
-    return ConstraintBasis(matrix=H[:, :p - 1], flux_covector=ell)
-
-
 # ---------------------------------------------------------------------------
 # scenario-facing kinetic assembly
 
@@ -98,10 +59,6 @@ def _extended_added_mass(scenario, config):
     return basis, A_red, A_hat
 
 
-def _basis_matrix(config):
-    return constraint_basis(config).matrix
-
-
 def _ahat_jacobian(scenario, config, base=None):
     """Parameter Jacobian of the extended kinetic matrix B A_red B^T, from
     ``base`` (A_red at ``config``) when given: exact along centres and
@@ -112,7 +69,6 @@ def _ahat_jacobian(scenario, config, base=None):
     B = I."""
     return pot.added_mass_jacobian(config, scenario.mesh_level, scenario.liquid_density,
                                    step=scenario.fd_step, wall_level=scenario.wall_level,
-                                   basis=_basis_matrix if config.bounded else None,
                                    base=base)
 
 
@@ -173,16 +129,12 @@ def _bubble_size(shape) -> float:
     return float(shape.semi_axes()[0])
 
 
-def kinetic_energy(scenario, config, qdot) -> float:
-    _, _, A_hat = _extended_added_mass(scenario, config)
-    return 0.5 * float(qdot @ A_hat @ qdot)
-
-
 def energies(scenario, state: State):
     """(kinetic, potential, total) of a state, at the scenario mesh level."""
     q, qd = state.packed()
     config = config_from_params(state.config, q)
-    ke = kinetic_energy(scenario, config, qd)
+    _, _, A_hat = _extended_added_mass(scenario, config)
+    ke = 0.5 * float(qd @ A_hat @ qd)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
                                   config).U
@@ -412,8 +364,7 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
 
     def solve_at(cfg, msh, qda):
         g = pot._direction_data(cfg, msh, [qda])[:, 0]
-        return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g,
-                                                    shapes=pot._surfaces(cfg)))
+        return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
 
     def solve_shifted(qa, qda):
         cfg = config_from_params(config, qa)

@@ -33,7 +33,8 @@ points of surface a over the panels of surface b; block (a, b) of
 1/2 I + K' is the weighted transpose of the double-layer integrals from
 the points of b over the panels of a.  Either block depends on surfaces a
 and b alone, so the assembly is built block by block and a block is
-reused wherever it is exactly the same:
+reused wherever it is exactly the same.  Which shape lies behind a
+surface, the assembly reads from its mesh (SurfaceMesh.shape):
 
 * Own-surface blocks are invariant under translation, and under scaling
   except for S, which scales with the length.  A sphere's (or spherical
@@ -47,7 +48,8 @@ reused wherever it is exactly the same:
   them, are never rebuilt.
 * A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
   factorization is kept with the unit pair and serves every lone sphere
-  of the level: one factorization per level in a one-sphere run.
+  of the level, in a run or in a single solve_neumann: one factorization
+  per level in a one-sphere run.
 
 Every block integrates over the panels of one surface, and the terms of
 the flat-panel integrals that depend on those panels alone (corner dots
@@ -71,7 +73,6 @@ the base.
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -79,43 +80,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
+from .errors import (CompatibilityError, DegenerateShapeError,
                      DiscretizationError, IllPosedProblemError)
 from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
-                     SphereParams, config_from_params, normal_velocity_basis,
-                     pack_params, surface_mesh, volume_gradient, volume_hessian,
-                     wall_mesh)
+                     SphereParams, config_from_params, constraint_basis,
+                     normal_velocity_basis, pack_params, surface_mesh,
+                     volume_gradient, volume_hessian, wall_mesh)
 
 # relative FD step for the ellipsoid matrix-slot columns of the added-mass Jacobian
 JACOBIAN_FD_STEP = 1e-4
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
 _ROW_BLOCK = 2048
-
-
-def thread_count() -> int:
-    """Worker cap from BUBBLEDYN_THREADS (default 1, sequential).  Jacobian
-    columns are independent and evaluated on a thread pool when the cap
-    allows; the heavy kernels (BLAS, LAPACK, ufuncs) release the GIL.
-    Anything but an integer >= 1 raises BubbleDynError."""
-    raw = os.environ.get("BUBBLEDYN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise BubbleDynError(f"BUBBLEDYN_THREADS must be an integer >= 1, got {raw!r}")
-    return n
-
-
-def _map_workers(fn, items):
-    """Map preserving order, threaded when BUBBLEDYN_THREADS > 1."""
-    n = min(thread_count(), len(items))
-    if n <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +400,8 @@ def _unit_sphere_blocks(level: int, wall: bool) -> _UnitSphere:
 
 
 def _same(old, new) -> bool:
-    """Whether surface ``new`` is surface ``old``: the same object, or
-    bubbles of one family with equal parameters.  None stands for a
-    surface of unknown shape and never counts as the same."""
-    if old is None or new is None:
-        return False
+    """Whether shape ``new`` is shape ``old``: the same object, or bubbles
+    of one family with equal parameters."""
     if old is new:
         return True
     return (type(old) is type(new) and isinstance(old, (SphereParams, EllipsoidParams))
@@ -440,13 +413,12 @@ class _Assembly:
     (1/2 I + K', S), built block by block, the panel data of each surface,
     and the LU factorization of 1/2 I + K', built by the first solve.
 
-    ``surfaces`` names the shape behind each mesh (bubble parameters, the
-    cavity domain, or None when unknown).  With ``base``, an assembly of
-    the same surfaces at the same levels at another configuration, a
-    surface that did not change keeps the base's mesh and panel data (the
-    mesh passed for it is not used), the blocks between such surfaces are
-    copied, and only the rows and columns of changed surfaces are
-    recomputed.
+    The shape behind each surface is its mesh's ``shape``.  With ``base``,
+    an assembly of the same surfaces at the same levels at another
+    configuration, a surface whose shape did not change keeps the base's
+    mesh and panel data (the mesh passed for it is not used), the blocks
+    between such surfaces are copied, and only the rows and columns of
+    changed surfaces are recomputed.
 
     A lone sphere (one surface, a spherical bubble) is its unit sphere's
     self-blocks: A is the cached unit-sphere A itself, S is r S_unit, and
@@ -455,22 +427,21 @@ class _Assembly:
     built only on request.  Everything is read-only once built.
     """
 
-    def __init__(self, meshes, surfaces=None, base=None):
+    def __init__(self, meshes, base=None):
         meshes = tuple(meshes)
         n = len(meshes)
-        self.surfaces = tuple(surfaces) if surfaces is not None else (None,) * n
         same = ([False] * n if base is None
-                else [_same(old, new) for old, new in zip(base.surfaces, self.surfaces)])
+                else [_same(old.shape, new.shape) for old, new in zip(base.meshes, meshes)])
         self.meshes = tuple(base.meshes[k] if same[k] else meshes[k] for k in range(n))
         self.bounded = any(m.closure < 0 for m in self.meshes)
         self.weights = np.concatenate([m.quad_weights for m in self.meshes])
         self._lu = None
         self._unit = None
         self._panels = self._geom = None
-        if n == 1 and isinstance(self.surfaces[0], SphereParams):
+        if n == 1 and isinstance(self.meshes[0].shape, SphereParams):
             self._unit = _unit_sphere_blocks(self.meshes[0].level, False)
             self.A = self._unit.A
-            self.S = self.surfaces[0].radius * self._unit.S
+            self.S = self.meshes[0].shape.radius * self._unit.S
             self.S.setflags(write=False)
             return
         self._panels = parts = tuple(base.panels[k] if same[k] else surface_panels(meshes[k])
@@ -497,7 +468,7 @@ class _Assembly:
             if same[k]:
                 continue
             blk = blocks[k]
-            shape = self.surfaces[k]
+            shape = self.meshes[k].shape
             if isinstance(shape, (SphereParams, CavitySphere)):
                 unit = _unit_sphere_blocks(self.meshes[k].level,
                                            isinstance(shape, CavitySphere))
@@ -567,11 +538,11 @@ class _Assembly:
         phi = self.S @ q
         return (q.reshape(g.shape), phi.reshape(g.shape))
 
-    def meshes_for(self, surfaces, level, wall_level=None):
-        """Meshes of ``surfaces`` (a nearby configuration's): this
-        assembly's own where a surface is unchanged, new ones elsewhere."""
-        return tuple(mesh if _same(old, new) else _mesh(new, level, wall_level)
-                     for old, new, mesh in zip(self.surfaces, surfaces, self.meshes))
+    def meshes_for(self, config, level, wall_level=None):
+        """Meshes of ``config``, a configuration near this assembly's: this
+        assembly's own where a shape is unchanged, new ones elsewhere."""
+        return tuple(mesh if _same(mesh.shape, new) else _mesh(new, level, wall_level)
+                     for new, mesh in zip(_surfaces(config), self.meshes))
 
 
 def _surfaces(config: Configuration):
@@ -586,21 +557,13 @@ def _surfaces(config: Configuration):
 @dataclass(frozen=True)
 class NeumannProblem:
     """Neumann data (normal velocity at the collocation points) on the
-    union of bubble surfaces plus, in cavity mode, the wall (data 0).
-    ``shapes``, when given, names the shape behind each mesh (bubble
-    parameters or the cavity domain) so that the solver can reuse the
-    self-blocks it knows for them."""
+    union of bubble surfaces plus, in cavity mode, the wall (data 0)."""
 
     meshes: tuple
     boundary_data: np.ndarray
-    shapes: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "meshes", tuple(self.meshes))
-        if self.shapes is not None:
-            object.__setattr__(self, "shapes", tuple(self.shapes))
-            if len(self.shapes) != len(self.meshes):
-                raise ValueError(f"{len(self.shapes)} shapes for {len(self.meshes)} meshes")
         g = np.asarray(self.boundary_data, dtype=float)
         object.__setattr__(self, "boundary_data", g)
         n = sum(m.n_panels for m in self.meshes)
@@ -622,7 +585,7 @@ class PotentialSolution:
 
 def solve_neumann(problem: NeumannProblem) -> PotentialSolution:
     """Solve the collocation system for one data vector."""
-    asm = _Assembly(problem.meshes, problem.shapes)
+    asm = _Assembly(problem.meshes)
     q, phi = asm.solve(problem.boundary_data)
     return PotentialSolution(density=q, meshes=problem.meshes,
                              boundary_potential=phi,
@@ -712,7 +675,7 @@ def basis_potentials(config: Configuration, level: int, directions=None,
     meshes = configuration_meshes(config, level, wall_level)
     if directions is None:
         directions = canonical_directions(config)
-    asm = _Assembly(meshes, _surfaces(config))
+    asm = _Assembly(meshes)
     G = _direction_data(config, meshes, directions)
     Q, Phi = asm.solve(G)
     return [PotentialSolution(density=Q[:, j], meshes=meshes,
@@ -783,14 +746,13 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
     surfaces that did not change are taken from its assembly instead of
     rebuilt.
     """
-    surfaces = _surfaces(config)
     if base is None:
         meshes = configuration_meshes(config, level, wall_level)
     else:
-        meshes = base.assembly.meshes_for(surfaces, level, wall_level)
+        meshes = base.assembly.meshes_for(config, level, wall_level)
     if directions is None:
         directions = canonical_directions(config)
-    asm = _Assembly(meshes, surfaces, None if base is None else base.assembly)
+    asm = _Assembly(meshes, None if base is None else base.assembly)
     return _gram(asm, config, directions, liquid_density)
 
 
@@ -928,17 +890,16 @@ def _center_and_radius_columns(config, base):
 
 def added_mass_jacobian(config: Configuration, level: int,
                         liquid_density: float = 1.0, step: float = JACOBIAN_FD_STEP,
-                        wall_level=None, basis=None,
-                        base: AddedMassMatrix | None = None) -> np.ndarray:
+                        wall_level=None, base: AddedMassMatrix | None = None) -> np.ndarray:
     """Parameter Jacobian of the kinetic matrix B A_red B^T, shape
     (p, p, p) with the first index the differentiated parameter.
 
-    ``basis(config)`` gives B, a (p, m) matrix whose columns are the
-    directions of the reduced added mass A_red; by default B = I and the
-    kinetic matrix is the canonical added mass.  B must be an orthonormal
-    basis of the volume-preserving velocities in a cavity (as
-    dynamics.constraint_basis gives) and of all velocities in unbounded
-    liquid.  ``base`` is A_red at ``config`` (computed here when not given).
+    In a cavity B is shapes.constraint_basis(config).matrix, an
+    orthonormal basis of the volume-preserving velocities; in unbounded
+    liquid B = I and the kinetic matrix is the canonical added mass.  A_red
+    is the added mass along the columns of B.  ``base`` is A_red at
+    ``config`` (computed here when not given); its directions must be an
+    orthonormal basis of the same velocities.
 
     The columns of every bubble centre and every sphere radius are exact
     derivatives of the discrete kinetic matrix, from the base assembly and
@@ -952,7 +913,7 @@ def added_mass_jacobian(config: Configuration, level: int,
 
     def kinetic(cfg, A=None):
         """A_red at cfg (assembled from ``base`` unless given) and B A_red B^T."""
-        B = None if basis is None else basis(cfg)
+        B = constraint_basis(cfg).matrix if cfg.bounded else None
         if A is None:
             A = added_mass(cfg, level, liquid_density, wall_level=wall_level, base=base,
                            directions=None if B is None else list(B.T))
@@ -964,9 +925,7 @@ def added_mass_jacobian(config: Configuration, level: int,
     dA = np.zeros((p, p, p))
     exact = _exact_slots(config)
     dA[exact] = _center_and_radius_columns(config, base)
-    matrix_slots = [k for k in range(p) if k not in exact]
-
-    def column(k):
+    for k in [j for j in range(p) if j not in exact]:
         h = step * (1.0 + abs(q0[k]))
         sides = []
         for sgn in (+1.0, -1.0):
@@ -986,9 +945,7 @@ def added_mass_jacobian(config: Configuration, level: int,
         if Kp is None or Km is None:
             warnings.warn(f"one-sided difference for added-mass Jacobian entry {k}: "
                           "central step leaves the admissible set")
-            return (Kp - K0) / h if Km is None else (K0 - Km) / h
-        return (Kp - Km) / (2.0 * h)
-
-    for k, col in zip(matrix_slots, _map_workers(column, matrix_slots)):
-        dA[k] = col
+            dA[k] = (Kp - K0) / h if Km is None else (K0 - Km) / h
+        else:
+            dA[k] = (Kp - Km) / (2.0 * h)
     return dA

@@ -1,5 +1,6 @@
 """Admissible bubble shape families (spheres, ellipsoids), their surface
-meshes, normal-velocity covectors and geometric measures.
+meshes, normal-velocity covectors and geometric measures, and the basis of
+the admissible (in a cavity, volume-preserving) velocities.
 
 All meshes are affine images of one fixed reference icosphere per refinement
 level, so every derived quantity varies smoothly with the shape parameters
@@ -28,7 +29,7 @@ from typing import Union
 import numpy as np
 from scipy.special import ellipeinc, ellipkinc
 
-from .errors import DegenerateShapeError
+from .errors import DegenerateShapeError, UnsupportedConfigurationError
 
 # eigenvalue ratio below which an ellipsoid matrix is rejected as degenerate
 DEGENERACY_RATIO = 1e-10
@@ -366,7 +367,8 @@ class SurfaceMesh:
     based), for ingested wall meshes they fall back to the flat values.
     ``closure`` is the Gauss-identity value of the own-surface double-layer
     row sum: +1/2 for bubbles, -1/2 for cavity walls (normals point into
-    the fluid on both).
+    the fluid on both).  ``shape`` is the shape the mesh was built from:
+    the bubble parameters, or the cavity domain of a wall.
     """
 
     vertices: np.ndarray
@@ -379,6 +381,7 @@ class SurfaceMesh:
     quad_weights: np.ndarray
     level: int
     closure: float
+    shape: ShapeParams | Domain
 
     @property
     def n_panels(self) -> int:
@@ -441,7 +444,8 @@ def surface_mesh(shape: ShapeParams, level: int) -> SurfaceMesh:
     centroid, area, normal = _flat_data(verts, ref_faces)
     return SurfaceMesh(vertices=verts, triangles=ref_faces, centroid=centroid,
                        area=area, normal=normal, quad_points=qpts,
-                       quad_normals=qnrm, quad_weights=qw, level=level, closure=0.5)
+                       quad_normals=qnrm, quad_weights=qw, level=level, closure=0.5,
+                       shape=shape)
 
 
 def wall_mesh(domain: Domain, level: int) -> SurfaceMesh:
@@ -458,7 +462,7 @@ def wall_mesh(domain: Domain, level: int) -> SurfaceMesh:
                            quad_points=domain.center + domain.radius * ydir,
                            quad_normals=-ydir,
                            quad_weights=omega * domain.radius ** 2,
-                           level=level, closure=-0.5)
+                           level=level, closure=-0.5, shape=domain)
     if isinstance(domain, CavityMesh):
         verts, faces = domain.vertices, domain.triangles
         p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
@@ -476,7 +480,7 @@ def wall_mesh(domain: Domain, level: int) -> SurfaceMesh:
         return SurfaceMesh(vertices=verts, triangles=faces, centroid=centroid,
                            area=area, normal=normal, quad_points=centroid,
                            quad_normals=normal, quad_weights=area,
-                           level=-1, closure=-0.5)
+                           level=-1, closure=-0.5, shape=domain)
     raise TypeError("unbounded domain has no wall mesh")
 
 
@@ -639,6 +643,46 @@ def volume_hessian(config: Configuration) -> np.ndarray:
             for m, (i, j) in enumerate(_SYM_INDEX):
                 H[sl.start + 3 + m, sl.start + 3 + n] = dgrad[i, j] * (1.0 if i == j else 2.0)
     return 0.5 * (H + H.T)
+
+
+@dataclass(frozen=True)
+class ConstraintBasis:
+    """Orthonormal basis of the admissible velocity subspace.
+
+    Unbounded: the identity.  Cavity: the kernel of the volume-flux
+    covector l(mdot) = sum_k dvol_k . mdot_k, built from the Householder
+    reflection mapping l/|l| to -e_p (smooth on the admissible set because
+    the last covector slot is always positive)."""
+
+    matrix: np.ndarray          # (p, n_free)
+    flux_covector: np.ndarray | None
+
+    @property
+    def constrained(self) -> bool:
+        return self.flux_covector is not None
+
+    @property
+    def n_free(self) -> int:
+        return self.matrix.shape[1]
+
+    def directions(self):
+        return [np.ascontiguousarray(c) for c in self.matrix.T]
+
+
+def constraint_basis(config: Configuration) -> ConstraintBasis:
+    p = config.dim
+    if not config.bounded:
+        return ConstraintBasis(matrix=np.eye(p), flux_covector=None)
+    ell = volume_gradient(config)
+    norm = np.linalg.norm(ell)
+    if norm < 1e-14:
+        raise UnsupportedConfigurationError(
+            "volume-flux covector vanishes; constrained dynamics undefined")
+    u = ell / norm
+    v = u.copy()
+    v[-1] += 1.0
+    H = np.eye(p) - 2.0 * np.outer(v, v) / (v @ v)
+    return ConstraintBasis(matrix=H[:, :p - 1], flux_covector=ell)
 
 
 # ---------------------------------------------------------------------------

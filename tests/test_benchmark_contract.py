@@ -1,24 +1,43 @@
-"""The benchmark's tracer (perfbench/tracing.py) wraps bubbledyn functions
-by module and attribute name.  Every name it lists must exist, so that a
-rename fails here, in milliseconds, rather than in a traced benchmark run.
-The tracer is read as data: its TARGETS literal, not its code."""
+"""The benchmark (perfbench/) reaches into bubbledyn by name: its tracer
+wraps functions by module and attribute, and its child process counts
+warnings by a phrase of their text.  Every name and phrase it relies on
+must still be there, so that a rename fails here, in milliseconds, rather
+than in a benchmark run.  The benchmark's files are read as data (their
+literals), not run."""
 
 import ast
 import importlib
+import inspect
 import os
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
+CHILD = os.path.join(PERFBENCH, "child.py")
+
+# what tracing.install rebinds besides TARGETS: the LU routines potential
+# calls through its scipy.linalg alias, and the integrator dynamics hands
+# the RHS to (module, name as the module calls it)
+HOOKS = (("bubbledyn.potential", "sla.lu_factor"),
+         ("bubbledyn.potential", "sla.lu_solve"),
+         ("bubbledyn.dynamics", "solve_ivp"))
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
 
 
 def _targets():
-    with open(TRACING) as fh:
-        module = ast.parse(fh.read())
-    for node in module.body:
+    for node in _parse(TRACING).body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None)
                                              for t in node.targets] == ["TARGETS"]:
             return ast.literal_eval(node.value)
     raise AssertionError(f"no TARGETS assignment in {TRACING}")
+
+
+def _called_names(tree):
+    return {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
 
 def test_every_traced_function_exists():
@@ -27,3 +46,34 @@ def test_every_traced_function_exists():
     missing = [f"{mod}.{attr}" for mod, attr, _span in targets
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert not missing
+
+
+def test_every_rebound_hook_exists_and_is_called_by_that_name():
+    for modname, dotted in HOOKS:
+        module = importlib.import_module(modname)
+        obj = module
+        for name in dotted.split("."):
+            obj = getattr(obj, name, None)
+        assert callable(obj), f"{modname}.{dotted}"
+        # a call under another name (a direct import) would bypass the hook
+        leaf = dotted.rpartition(".")[2]
+        calls = {name for name in _called_names(ast.parse(inspect.getsource(module)))
+                 if name.rpartition(".")[2] == leaf}
+        assert calls == {dotted}, (modname, calls)
+
+
+def test_one_sided_warning_keeps_the_counted_phrase():
+    # child.py counts the warnings whose text contains a phrase:
+    # `"<phrase>" in str(w.message)`
+    phrases = [node.left.value for node in ast.walk(_parse(CHILD))
+               if isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+               and isinstance(node.ops[0], ast.In)]
+    assert phrases
+    from bubbledyn import potential
+    function = ast.parse(inspect.getsource(potential.added_mass_jacobian))
+    texts = ["".join(part.value for part in ast.walk(call.args[0])
+                     if isinstance(part, ast.Constant) and isinstance(part.value, str))
+             for call in ast.walk(function)
+             if isinstance(call, ast.Call) and ast.unparse(call.func) == "warnings.warn"]
+    for phrase in phrases:
+        assert any(phrase in text for text in texts), phrase

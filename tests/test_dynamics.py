@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bubbledyn import dynamics
+from bubbledyn import dynamics, shapes
 from bubbledyn.dynamics import (boundary_residual, constraint_basis,
                                 eom_rhs, integrate, kelvin_impulse)
 from bubbledyn.errors import (BubbleDynError, CompatibilityError,
@@ -78,7 +78,7 @@ class TestConstraintBasis:
         config = Configuration(
             bubbles=(SphereParams(center=np.zeros(3), radius=1.0),),
             domain=CavitySphere(center=np.zeros(3), radius=2.0))
-        monkeypatch.setattr(dynamics, "volume_gradient", lambda c: np.zeros(4))
+        monkeypatch.setattr(shapes, "volume_gradient", lambda c: np.zeros(4))
         with pytest.raises(UnsupportedConfigurationError):
             constraint_basis(config)
 

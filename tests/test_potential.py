@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from bubbledyn import dynamics as dyn
-from bubbledyn.errors import BubbleDynError, CompatibilityError, IllPosedProblemError
+from bubbledyn.errors import CompatibilityError, IllPosedProblemError
 from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
-                                 _surfaces, _unit_sphere_blocks, added_mass,
+                                 _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, basis_potentials,
                                  configuration_meshes, evaluate, solve_neumann,
-                                 surface_gradient, surface_panels, thread_count,
-                                 NeumannProblem)
+                                 surface_gradient, surface_panels, NeumannProblem)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
                               SphereParams, config_from_params, normal_velocity,
                               pack_params, surface_mesh, tangents_from_vector,
@@ -303,13 +302,14 @@ class TestAddedMassJacobian:
         assert np.max(np.abs(euler - 3.0 * A.matrix)) <= 1e-12 * scale
 
     def test_basis_must_span_the_admissible_velocities(self):
-        # the exact columns differentiate B B^T = P: a basis missing a
-        # direction would give wrong ones, so it is refused
+        # the exact columns differentiate B B^T = P: a base whose directions
+        # miss one would give wrong ones, so it is refused
         config = Configuration(bubbles=(
             SphereParams(center=np.zeros(3), radius=1.0),
             SphereParams(center=[3.0, 0, 0], radius=1.0)))
+        base = added_mass(config, 1, directions=list(np.eye(8)[:7]))
         with pytest.raises(ValueError, match="orthonormal basis"):
-            added_mass_jacobian(config, 1, basis=lambda cfg: np.eye(8)[:, :7])
+            added_mass_jacobian(config, 1, base=base)
 
     def test_two_sphere_pulsation_coupling(self):
         # A_{r1 r2} -> 4 pi rho a1^2 a2^2 / d for d >> a (Bjerknes 1906),
@@ -386,24 +386,22 @@ class TestBlockReuse:
     @pytest.mark.parametrize("slot", [0, 3])  # a center slot, a shape slot
     def test_update_from_base_matches_scratch(self, make_config, slot):
         config = make_config()
-        base = _Assembly(configuration_meshes(config, 1), _surfaces(config))
+        base = _Assembly(configuration_meshes(config, 1))
         q = pack_params(config)
         q[config.slices()[1].start + slot] += 1e-3
         moved = config_from_params(config, q)
         meshes = configuration_meshes(moved, 1)
-        updated = _Assembly(meshes, _surfaces(moved), base)
-        scratch = _Assembly(meshes, _surfaces(moved))
+        updated = _Assembly(meshes, base)
+        scratch = _Assembly(meshes)
         assert rel_diff(updated.A, scratch.A) <= 1e-12
         assert rel_diff(updated.S, scratch.S) <= 1e-12
         # blocks between unchanged surfaces are copied from the base
         first = base.geom.block(0)
         assert np.array_equal(updated.A[first, first], base.A[first, first])
 
-    @pytest.mark.parametrize("make_config, basis",
-                             [(sphere_pair_in_cavity, dyn._basis_matrix),
-                              (ellipsoid_pair, None),
-                              (sphere_and_ellipsoid_in_cavity, dyn._basis_matrix)])
-    def test_jacobian_matches_plain_central_differences(self, make_config, basis):
+    @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity, ellipsoid_pair,
+                                             sphere_and_ellipsoid_in_cavity])
+    def test_jacobian_matches_plain_central_differences(self, make_config):
         # the centre and sphere-radius columns are exact: a plain central
         # difference of step h misses them by O(h^2), 4x less per halving.
         # The ellipsoid matrix slots are central differences of step 1e-4
@@ -411,12 +409,12 @@ class TestBlockReuse:
         # ratio (16 - 1) / (4 - 1) = 5 between h = 4e-4 and 2e-4, and by
         # nothing but roundoff at h = 1e-4
         config = make_config()
-        dA = added_mass_jacobian(config, 1, basis=basis)
+        dA = added_mass_jacobian(config, 1)
         q0 = pack_params(config)
 
         def kinetic(q):
             cfg = config_from_params(config, q)
-            B = np.eye(len(q)) if basis is None else basis(cfg)
+            B = dyn.constraint_basis(cfg).matrix
             return B @ added_mass(cfg, 1, directions=list(B.T)).matrix @ B.T
 
         def central(step):
@@ -474,15 +472,6 @@ class TestBlockReuse:
         side = plain(config_from_params(config, q), 1).matrix
         assert rel_diff(dA[3], (base.matrix - side) / h) <= 1e-9
 
-    def test_threads_bit_identical(self, monkeypatch):
-        for config, basis in ((sphere_pair_in_cavity(), dyn._basis_matrix),
-                              (ellipsoid_pair(), None)):
-            monkeypatch.setenv("BUBBLEDYN_THREADS", "1")
-            sequential = added_mass_jacobian(config, 1, basis=basis)
-            monkeypatch.setenv("BUBBLEDYN_THREADS", "2")
-            threaded = added_mass_jacobian(config, 1, basis=basis)
-            assert np.array_equal(threaded, sequential)
-
     def test_unit_sphere_pair_built_once_under_threads(self, monkeypatch):
         # more workers than cores and frequent switches: a check-then-act
         # race would build the pair twice and hand out distinct arrays
@@ -499,16 +488,6 @@ class TestBlockReuse:
         finally:
             sys.setswitchinterval(interval)
         assert all(r is results[0] for r in results)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
-    def test_invalid_thread_count_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("BUBBLEDYN_THREADS", value)
-        with pytest.raises(BubbleDynError, match="BUBBLEDYN_THREADS"):
-            thread_count()
-
-    def test_thread_count_read(self, monkeypatch):
-        monkeypatch.setenv("BUBBLEDYN_THREADS", "2")
-        assert thread_count() == 2
 
     def test_direction_data_matches_per_direction_loop(self):
         config = sphere_and_ellipsoid_in_cavity()
@@ -573,10 +552,13 @@ class TestLoneSphereFactorization:
                     "time": {"t_end": 0.04, "output_dt": 0.02}}
 
         # lone spheres at two levels: every added mass, FD side, energy
-        # sample and boundary-residual solve shares one LU per level
+        # sample and boundary-residual solve shares one LU per level, and so
+        # does a solve given only another sphere's mesh
         for level in (1, 0):
             traj = dyn.integrate(scenario_from_dict(doc([[0.0, 0.0, 0.0]], level)))
             assert traj.termination == "completed"
+            mesh = surface_mesh(SphereParams(center=[0.4, -0.2, 1.0], radius=0.6), level)
+            solve_neumann(NeumannProblem(meshes=(mesh,), boundary_data=np.ones(mesh.n_panels)))
         assert calls == [80, 20]
         assert len(assemblies) > 20
         # a sphere pair still factors every assembly once, and assembles once
@@ -595,7 +577,7 @@ class TestLoneSphereFactorization:
                                                      radius=1.3),))
         meshes = configuration_meshes(config, 2)
         g = meshes[0].quad_normals[:, 1] + 0.5
-        problem = NeumannProblem(meshes=meshes, boundary_data=g, shapes=_surfaces(config))
+        problem = NeumannProblem(meshes=meshes, boundary_data=g)
 
         def results():
             mass = added_mass(config, 2)
@@ -646,8 +628,7 @@ class TestLoneSphereFactorization:
         g = np.ones(mesh.n_panels)
         g[3] = np.nan
         with pytest.raises(IllPosedProblemError, match="non-finite"):
-            solve_neumann(NeumannProblem(meshes=(mesh,), boundary_data=g,
-                                         shapes=_surfaces(config)))
+            solve_neumann(NeumannProblem(meshes=(mesh,), boundary_data=g))
         monkeypatch.setattr(pot_mod._Factorization, "rcond", lambda self: 1e-16)
         with pytest.raises(IllPosedProblemError, match="singular"):
             added_mass(config, 1)
@@ -660,9 +641,8 @@ class TestLoneSphereFactorization:
         import threading
         from concurrent.futures import ThreadPoolExecutor
         calls = self.count_lu(monkeypatch)
-        mesh = surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), 1)
-        assemblies = [_Assembly((mesh,), (SphereParams(center=np.full(3, 0.1 * k),
-                                                       radius=1.0 + 0.1 * k),))
+        assemblies = [_Assembly((surface_mesh(SphereParams(center=np.full(3, 0.1 * k),
+                                                           radius=1.0 + 0.1 * k), 1),))
                       for k in range(8)]
         start = threading.Barrier(8)
 
@@ -790,7 +770,8 @@ class TestPanelData:
 
     def test_fd_side_shares_unchanged_meshes_and_panels(self):
         def mass(cfg, base=None):
-            return added_mass(cfg, 1, directions=list(dyn._basis_matrix(cfg).T), base=base)
+            return added_mass(cfg, 1, directions=list(dyn.constraint_basis(cfg).matrix.T),
+                              base=base)
 
         config = sphere_pair_in_cavity()
         base = mass(config)
@@ -809,40 +790,6 @@ class TestPanelData:
         scratch = mass(moved).assembly
         assert rel_diff(side.A, scratch.A) <= 1e-12
         assert rel_diff(side.S, scratch.S) <= 1e-12
-
-    @pytest.mark.parametrize("bounded", [False, True])
-    def test_solve_neumann_with_shapes_matches_without(self, bounded):
-        config = sphere_pair_in_cavity()
-        if not bounded:
-            config = Configuration(bubbles=config.bubbles)
-        meshes = configuration_meshes(config, 1)
-        direction = np.random.default_rng(5).normal(size=config.dim)
-        direction[[3, 7]] = 0.0  # translations only: flux free
-        g = _direction_data(config, meshes, [direction])[:, 0]
-        plain = solve_neumann(NeumannProblem(meshes=meshes, boundary_data=g))
-        shaped = solve_neumann(NeumannProblem(meshes=meshes, boundary_data=g,
-                                              shapes=_surfaces(config)))
-        # the sphere and wall self-blocks now come from the unit pairs
-        known, unknown = _Assembly(meshes, _surfaces(config)), _Assembly(meshes)
-        assert rel_diff(known.A, unknown.A) <= 1e-13
-        assert rel_diff(known.S, unknown.S) <= 1e-13
-        grad_shaped, grad_plain = surface_gradient(shaped), surface_gradient(plain)
-        if bounded:
-            # the cavity system is singular up to roundoff (condition ~1e8):
-            # its solution carries the blocks' 1e-15 differences amplified
-            assert plain.condition > 1e7
-            assert rel_diff(grad_shaped, grad_plain) <= 1e-9
-        else:
-            assert rel_diff(shaped.density, plain.density) <= 1e-12
-            assert rel_diff(shaped.boundary_potential, plain.boundary_potential) <= 1e-12
-            assert rel_diff(grad_shaped, grad_plain) <= 1e-12
-
-    def test_shapes_must_match_meshes(self):
-        config = sphere_pair_in_cavity()
-        meshes = configuration_meshes(config, 1)
-        with pytest.raises(ValueError, match="shapes"):
-            NeumannProblem(meshes=meshes, shapes=config.bubbles,
-                           boundary_data=np.zeros(sum(m.n_panels for m in meshes)))
 
     def test_one_rhs_builds_panels_once_per_new_surface(self, monkeypatch):
         # two spheres in a cavity at level 1: the base configuration builds
