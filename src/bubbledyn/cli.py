@@ -75,7 +75,7 @@ def write_trajectory_csv(path, scenario, traj):
 
 
 def _gram_diagnostics(scenario):
-    _, A, _ = dyn._extended_added_mass(scenario, scenario.configuration())
+    A = dyn._extended_added_mass(scenario, scenario.configuration())
     return {
         "gram_condition": A.condition,
         "gram_eigenvalues": [float(e) for e in A.eigenvalues],
@@ -180,7 +180,7 @@ def cmd_convergence(args) -> int:
         s = dataclasses.replace(scenario, mesh_level=level,
                                 wall_level=None if scenario.wall_level is None
                                 else max(scenario.wall_level, level))
-        _, A, _ = dyn._extended_added_mass(s, s.configuration())
+        A = dyn._extended_added_mass(s, s.configuration())
         traj = dyn.integrate(s)
         state = traj.states[-1]
         acc = dyn.eom_rhs(s, traj.states[0])

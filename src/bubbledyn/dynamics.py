@@ -49,49 +49,45 @@ class State:
 
 
 def _extended_added_mass(scenario, config):
-    """Constraint basis, reduced Gram matrix, and its ambient extension."""
-    basis = constraint_basis(config)
-    A_red = pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
-                           directions=basis.directions(),
-                           wall_level=scenario.wall_level)
-    B = basis.matrix
-    A_hat = B @ A_red.matrix @ B.T
-    return basis, A_red, A_hat
+    """Added mass at the scenario's levels along the constraint basis of
+    ``config`` (its ``basis``), with the ambient extension B A B^T as its
+    ``kinetic`` matrix."""
+    return pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
+                          scenario.wall_level)
 
 
 def _ahat_jacobian(scenario, config, base=None):
-    """Parameter Jacobian of the extended kinetic matrix B A_red B^T, from
-    ``base`` (A_red at ``config``) when given: exact along centres and
-    sphere radii, central differences along ellipsoid matrix slots.
+    """Parameter Jacobian of the extended kinetic matrix B A B^T, from
+    ``base`` (the added mass at ``config``) when given: exact along centres
+    and sphere radii, central differences along ellipsoid matrix slots.
 
     Cavity mode differentiates the basis-extended matrix, which depends on
     the configuration through the projector B B^T; unbounded mode has
     B = I."""
     return pot.added_mass_jacobian(config, scenario.mesh_level, scenario.liquid_density,
-                                   step=scenario.fd_step, wall_level=scenario.wall_level,
-                                   base=base)
+                                   scenario.wall_level, base)
 
 
 def _acceleration(scenario, config, qdot):
     """Flat acceleration vector from the (constrained) Euler-Lagrange
     equations."""
-    basis, A_red, A_hat = _extended_added_mass(scenario, config)
-    dA = _ahat_jacobian(scenario, config, A_red)
+    A = _extended_added_mass(scenario, config)
+    dA = _ahat_jacobian(scenario, config, A)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
                                   config)
     coriolis = (np.einsum('kij,k,j->i', dA, qdot, qdot)
                 - 0.5 * np.einsum('ijk,j,k->i', dA, qdot, qdot))
     force = -coriolis - pe.dU_dm
-    if not basis.constrained:
-        qddot = np.linalg.solve(A_hat, force)
+    if not A.basis.constrained:
+        qddot = np.linalg.solve(A.kinetic, force)
     else:
-        grad = basis.flux_covector
+        grad = A.basis.flux_covector
         hess = volume_hessian(config)
         qdd0 = -(qdot @ hess @ qdot) / (grad @ grad) * grad
-        B = basis.matrix
-        rhs = B.T @ force - A_red.matrix @ (B.T @ qdd0)
-        a = np.linalg.solve(A_red.matrix, rhs)
+        B = A.basis.matrix
+        rhs = B.T @ force - A.matrix @ (B.T @ qdd0)
+        a = np.linalg.solve(A.matrix, rhs)
         qddot = B @ a + qdd0
     return qddot
 
@@ -133,8 +129,7 @@ def energies(scenario, state: State):
     """(kinetic, potential, total) of a state, at the scenario mesh level."""
     q, qd = state.packed()
     config = config_from_params(state.config, q)
-    _, _, A_hat = _extended_added_mass(scenario, config)
-    ke = 0.5 * float(qd @ A_hat @ qd)
+    ke = 0.5 * float(qd @ _extended_added_mass(scenario, config).kinetic @ qd)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
                                   config).U
@@ -343,7 +338,8 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     The time derivative of the potential is a centred difference along the
     trajectory direction (shape and data moved together, which carries the
     acceleration contribution), evaluated at the frozen collocation points
-    through exact panel integrals.
+    through exact panel integrals.  Its time step ``eps`` defaults to
+    potential.JACOBIAN_FD_STEP scaled by |q| and |q'|.
 
     In a cavity the residual has a roundoff floor of about 1e-7 relative:
     the centred difference divides the difference of two solutions of the
@@ -355,7 +351,8 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     config = config_from_params(state.config, q)
     rho = scenario.liquid_density
     if eps is None:
-        eps = scenario.fd_step * (1.0 + np.max(np.abs(q))) / max(1.0, np.max(np.abs(qd)))
+        eps = (pot.JACOBIAN_FD_STEP * (1.0 + np.max(np.abs(q)))
+               / max(1.0, np.max(np.abs(qd))))
 
     meshes = pot.configuration_meshes(config, scenario.mesh_level,
                                       scenario.wall_level)
@@ -363,7 +360,7 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     geom_pts = np.concatenate([m.quad_points for m in bubble_meshes])
 
     def solve_at(cfg, msh, qda):
-        g = pot._direction_data(cfg, msh, [qda])[:, 0]
+        g = pot._direction_data(cfg, msh, qda[:, None])[:, 0]
         return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
 
     def solve_shifted(qa, qda):
@@ -389,7 +386,7 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     pressure_scale = max(scenario.p_infinity, np.max(np.abs(pe.bubble_pressures)))
 
     # canonical-direction data over the bubble panels
-    G = pot._direction_data(config, bubble_meshes, pot.canonical_directions(config))
+    G = pot._direction_data(config, bubble_meshes, np.eye(config.dim))
     weights = np.concatenate([m.quad_weights for m in bubble_meshes])
     offsets = np.cumsum([0] + [m.n_panels for m in bubble_meshes])
     resid = np.zeros(config.dim)

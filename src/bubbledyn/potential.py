@@ -60,15 +60,17 @@ surface; a configuration assembled from a base takes the mesh and the
 PanelGeometry of every unchanged surface from it, so an FD side builds
 both only for the bubble it changes.
 
-Added-mass Jacobian.  The reduced equations of motion need the parameter
-derivatives of the added mass.  Along a bubble translation or a sphere
-radius they are exact derivatives of the discrete operator: only the
-moved bubble's blocks change, by directional derivatives of the
-flat-panel integrals (the solid angle's is the edge form of van Oosterom
-and Strackee, IEEE TBME 30, 1983), so the derivative of the Gram matrix
-needs the base assembly and its LU and no other.  Only the six matrix
-slots of an ellipsoid are central differences, each side assembled from
-the base.
+Added mass and its Jacobian.  The added mass is taken along the basis B
+of the admissible velocities that the configuration fixes
+(shapes.constraint_basis; B = I in unbounded liquid), and the reduced
+equations of motion need the parameter derivatives of its kinetic matrix
+B A B^T.  Along a bubble translation or a sphere radius they are exact
+derivatives of the discrete operator: only the moved bubble's blocks
+change, by directional derivatives of the flat-panel integrals (the solid
+angle's is the edge form of van Oosterom and Strackee, IEEE TBME 30,
+1983), so the derivative needs the base assembly and its LU and no other.
+Only the six matrix slots of an ellipsoid are central differences, each
+side assembled from the base.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ import scipy.linalg as sla
 
 from .errors import (CompatibilityError, DegenerateShapeError,
                      DiscretizationError, IllPosedProblemError)
-from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
-                     SphereParams, config_from_params, constraint_basis,
+from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis,
+                     EllipsoidParams, SphereParams, config_from_params, constraint_basis,
                      normal_velocity_basis, pack_params, surface_mesh,
                      volume_gradient, volume_hessian, wall_mesh)
 
@@ -136,16 +138,10 @@ class PanelGeometry:
     edge_offset: np.ndarray   # (3, N) a . mhat, a the edge's first corner
     edge_vector: np.ndarray   # (3, N, 3) b - a, the edge a -> b
     edge_cross: np.ndarray    # (3, N, 3) a x b
-    offsets: np.ndarray       # surface block offsets, len(meshes) + 1
-    closures: np.ndarray      # per-surface Gauss row-sum values
-    bounded: bool
 
     @property
     def n_panels(self) -> int:
         return len(self.weights)
-
-    def block(self, k) -> slice:
-        return slice(self.offsets[k], self.offsets[k + 1])
 
 
 def _cross(a, b):
@@ -179,9 +175,7 @@ def surface_panels(mesh) -> PanelGeometry:
         detv=_dot(p0, c12), cross_sum=c12 + c20 + c01, unit_normal=nh,
         plane_offset=_dot(p0, nh), edge_length=length, edge_normal=mhat,
         edge_offset=_dot(corners, mhat), edge_vector=edges, edge_cross=edge_cross)
-    return PanelGeometry(meshes=(mesh,), offsets=_frozen([0, mesh.n_panels]),
-                         closures=_frozen([mesh.closure]), bounded=mesh.closure < 0,
-                         **{k: _frozen(v) for k, v in arrays.items()})
+    return PanelGeometry(meshes=(mesh,), **{k: _frozen(v) for k, v in arrays.items()})
 
 
 def join_panels(parts) -> PanelGeometry:
@@ -191,10 +185,7 @@ def join_panels(parts) -> PanelGeometry:
         return parts[0]
     arrays = {name: _frozen(np.concatenate([getattr(p, name) for p in parts], axis=axis))
               for name, axis in _PER_PANEL.items()}
-    return PanelGeometry(meshes=sum((p.meshes for p in parts), ()),
-                         offsets=_frozen(np.cumsum([0] + [p.n_panels for p in parts])),
-                         closures=_frozen(np.concatenate([p.closures for p in parts])),
-                         bounded=any(p.bounded for p in parts), **arrays)
+    return PanelGeometry(meshes=sum((p.meshes for p in parts), ()), **arrays)
 
 
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
@@ -651,52 +642,45 @@ def configuration_meshes(config: Configuration, level: int, wall_level=None):
 
 
 def _direction_data(config, meshes, directions):
-    """Boundary data matrix (N, n_dirs) for packed tangent directions: the
-    block-diagonal normal-velocity basis of the bubbles times the direction
-    matrix, zero on the wall."""
+    """Boundary data matrix (N, n) for the packed tangent directions that
+    are the columns of ``directions`` (p, n): the block-diagonal
+    normal-velocity basis of the bubbles times ``directions``, zero on the
+    wall."""
     basis = sla.block_diag(*(normal_velocity_basis(b, m.quad_points, m.quad_normals)
                              for b, m in zip(config.bubbles, meshes)))
-    G = np.zeros((sum(m.n_panels for m in meshes), len(directions)))
-    G[:len(basis)] = basis @ np.column_stack(directions)
+    G = np.zeros((sum(m.n_panels for m in meshes), directions.shape[1]))
+    G[:len(basis)] = basis @ directions
     return G
 
 
-def canonical_directions(config: Configuration):
-    return list(np.eye(config.dim))
-
-
-def basis_potentials(config: Configuration, level: int, directions=None,
-                     wall_level=None):
-    """One PotentialSolution per tangent direction (canonical by default).
-
-    In cavity mode the caller must pass directions spanning the constraint
-    hyperplane; incompatible directions raise CompatibilityError.
-    """
+def basis_potentials(config: Configuration, level: int, wall_level=None):
+    """One PotentialSolution per column of shapes.constraint_basis(config):
+    per packed parameter in unbounded liquid, per volume-preserving basis
+    velocity (p - 1 of them) in a cavity."""
     meshes = configuration_meshes(config, level, wall_level)
-    if directions is None:
-        directions = canonical_directions(config)
     asm = _Assembly(meshes)
-    G = _direction_data(config, meshes, directions)
+    G = _direction_data(config, meshes, constraint_basis(config).matrix)
     Q, Phi = asm.solve(G)
     return [PotentialSolution(density=Q[:, j], meshes=meshes,
                               boundary_potential=Phi[:, j], boundary_data=G[:, j],
                               geometry=asm.geom)
-            for j in range(len(directions))]
+            for j in range(G.shape[1])]
 
 
 @dataclass(frozen=True)
 class AddedMassMatrix:
-    """Gram matrix of the basis potential gradients, scaled by the liquid
-    density.  ``asymmetry`` is the relative reciprocity defect before
-    symmetrization; ``eigenvalues`` the spectrum after.  ``assembly``
-    holds the collocation system it was computed from (matrices and
-    factorization), the ``base`` from which added_mass assembles a nearby
-    configuration; ``data``, ``density`` and ``potential`` are the
-    directions' boundary data, densities and boundary potentials, one
-    column per direction (read-only)."""
+    """Gram matrix of the basis potential gradients along the columns of
+    ``basis`` (shapes.constraint_basis of the configuration), scaled by
+    the liquid density.  ``asymmetry`` is the relative reciprocity defect
+    before symmetrization; ``eigenvalues`` the spectrum after.
+    ``assembly`` holds the collocation system it was computed from
+    (matrices and factorization), the ``base`` from which added_mass
+    assembles a nearby configuration; ``data``, ``density`` and
+    ``potential`` are the basis velocities' boundary data, densities and
+    boundary potentials, one column per basis column (read-only)."""
 
     matrix: np.ndarray
-    directions: tuple
+    basis: ConstraintBasis
     liquid_density: float
     asymmetry: float
     eigenvalues: np.ndarray
@@ -715,9 +699,16 @@ class AddedMassMatrix:
         estimate is computed once per factorization."""
         return 1.0 / max(self.assembly.rcond(), 1e-300)
 
+    @property
+    def kinetic(self) -> np.ndarray:
+        """The kinetic matrix over all packed velocities: B A B^T with B
+        the basis matrix, ``matrix`` itself in unbounded liquid (B = I)."""
+        B = self.basis.matrix
+        return B @ self.matrix @ B.T if self.basis.constrained else self.matrix
 
-def _gram(asm, config, directions, liquid_density):
-    G = _direction_data(config, asm.meshes, directions)
+
+def _gram(asm, config, basis, liquid_density):
+    G = _direction_data(config, asm.meshes, basis.matrix)
     Q, Phi = asm.solve(G)
     raw = -liquid_density * (Phi.T * asm.weights[None, :]) @ G
     scale = np.abs(raw).max() + 1e-300
@@ -728,7 +719,7 @@ def _gram(asm, config, directions, liquid_density):
         raise DiscretizationError(
             f"added-mass matrix not positive definite at level {asm.meshes[0].level}; "
             f"eigenvalues {eig}", eigenvalues=eig)
-    return AddedMassMatrix(matrix=A, directions=tuple(map(np.asarray, directions)),
+    return AddedMassMatrix(matrix=A, basis=basis,
                            liquid_density=liquid_density, asymmetry=asym,
                            eigenvalues=eig, assembly=asm,
                            **{name: _frozen(a) for name, a in
@@ -736,10 +727,13 @@ def _gram(asm, config, directions, liquid_density):
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
-               directions=None, wall_level=None,
-               base: AddedMassMatrix | None = None) -> AddedMassMatrix:
+               wall_level=None, base: AddedMassMatrix | None = None) -> AddedMassMatrix:
     """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
-    panels (Green reduction of the volume Gram integral), symmetrized.
+    panels (Green reduction of the volume Gram integral), symmetrized,
+    with i and j running over the columns of shapes.constraint_basis(config):
+    the packed parameters in unbounded liquid, an orthonormal basis of the
+    volume-preserving velocities in a cavity.  ``kinetic`` is the matrix
+    over all packed velocities.
 
     With ``base``, an added-mass matrix of the same bubbles and domain at
     the same levels, the meshes, panel data and collocation blocks of
@@ -750,27 +744,24 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
         meshes = configuration_meshes(config, level, wall_level)
     else:
         meshes = base.assembly.meshes_for(config, level, wall_level)
-    if directions is None:
-        directions = canonical_directions(config)
     asm = _Assembly(meshes, None if base is None else base.assembly)
-    return _gram(asm, config, directions, liquid_density)
+    return _gram(asm, config, constraint_basis(config), liquid_density)
 
 
-def _projector(config, slots):
-    """The projector P = I - l l^T / |l|^2 onto the volume-preserving
-    velocities (l the volume gradient), I in unbounded liquid, and its
-    derivatives along the parameter slots ``slots`` from the volume
-    Hessian, (len(slots), p, p), or None where P is constant."""
-    p = config.dim
+def _projector_derivatives(config, slots):
+    """Derivatives of the projector P = I - l l^T / |l|^2 onto the
+    volume-preserving velocities (l the volume gradient) along the
+    parameter slots ``slots``, from the volume Hessian, (len(slots), p, p);
+    None in unbounded liquid, where P = I."""
     if not config.bounded:
-        return np.eye(p), None
+        return None
     ell = volume_gradient(config)
     n2 = ell @ ell
     L = np.outer(ell, ell) / n2
     dP = []
     for dl in volume_hessian(config)[:, slots].T:
         dP.append(2.0 * (dl @ ell) / n2 * L - (np.outer(dl, ell) + np.outer(ell, dl)) / n2)
-    return np.eye(p) - L, np.array(dP)
+    return np.array(dP)
 
 
 def _exact_slots(config):
@@ -787,7 +778,7 @@ def _center_and_radius_columns(config, base):
     M = 1/2 I + K' and S the assembled matrices, W the quadrature weights,
     G the canonical direction data and P = B B^T the projector onto the
     volume-preserving velocities (I in unbounded liquid), B the base's
-    directions; G P is flux free at every configuration, so the constant
+    basis matrix; G P is flux free at every configuration, so the constant
     potential that the cavity system leaves undetermined never shows.
     Along a slot, with the base LU,
 
@@ -813,11 +804,8 @@ def _center_and_radius_columns(config, base):
     asm, rho = base.assembly, base.liquid_density
     p, nb = config.dim, config.n_bubbles
     slots = _exact_slots(config)
-    P, dP = _projector(config, slots)
-    B = np.column_stack(base.directions)
-    if not np.allclose(B @ B.T, P, rtol=0.0, atol=1e-12):
-        raise ValueError("the base's directions must be an orthonormal basis of the "
-                         "volume-preserving velocities")
+    dP = _projector_derivatives(config, slots)
+    B = base.basis.matrix
     # G P, X and S X from the base's solution for G B
     GP, X, Phi = base.data @ B.T, base.density @ B.T, base.potential @ B.T
     index = {slot: t for t, slot in enumerate(slots)}
@@ -872,7 +860,7 @@ def _center_and_radius_columns(config, base):
 
     GdP = None
     if dP is not None:
-        GdP = _direction_data(config, asm.meshes, canonical_directions(config))[None] @ dP
+        GdP = _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
     rhs = -dMX if GdP is None else GdP - dMX
     dPhi = dSX
     if rhs.any():  # a lone unbounded bubble's is zero
@@ -889,44 +877,33 @@ def _center_and_radius_columns(config, base):
 
 
 def added_mass_jacobian(config: Configuration, level: int,
-                        liquid_density: float = 1.0, step: float = JACOBIAN_FD_STEP,
-                        wall_level=None, base: AddedMassMatrix | None = None) -> np.ndarray:
-    """Parameter Jacobian of the kinetic matrix B A_red B^T, shape
-    (p, p, p) with the first index the differentiated parameter.
-
-    In a cavity B is shapes.constraint_basis(config).matrix, an
-    orthonormal basis of the volume-preserving velocities; in unbounded
-    liquid B = I and the kinetic matrix is the canonical added mass.  A_red
-    is the added mass along the columns of B.  ``base`` is A_red at
-    ``config`` (computed here when not given); its directions must be an
-    orthonormal basis of the same velocities.
+                        liquid_density: float = 1.0, wall_level=None,
+                        base: AddedMassMatrix | None = None) -> np.ndarray:
+    """Parameter Jacobian of the kinetic matrix (AddedMassMatrix.kinetic,
+    B A B^T with B the constraint basis), shape (p, p, p) with the first
+    index the differentiated parameter.  ``base`` is added_mass at
+    ``config``, computed here when not given.
 
     The columns of every bubble centre and every sphere radius are exact
     derivatives of the discrete kinetic matrix, from the base assembly and
     its LU alone (_center_and_radius_columns).  The six matrix slots of an
-    ellipsoid are central differences with step ``step * (1 + |q_k|)``,
-    every side assembled from ``base``; a step that leaves the admissible
-    set falls back to a one-sided difference, which reuses ``base``, with a
-    warning.
+    ellipsoid are central differences with step
+    ``JACOBIAN_FD_STEP * (1 + |q_k|)``, every side assembled from
+    ``base``; a step that leaves the admissible set falls back to a
+    one-sided difference, which reuses ``base``, with a warning.
     """
     from .shapes import check_admissible  # local import to keep module load light
 
-    def kinetic(cfg, A=None):
-        """A_red at cfg (assembled from ``base`` unless given) and B A_red B^T."""
-        B = constraint_basis(cfg).matrix if cfg.bounded else None
-        if A is None:
-            A = added_mass(cfg, level, liquid_density, wall_level=wall_level, base=base,
-                           directions=None if B is None else list(B.T))
-        return A, A.matrix if B is None else B @ A.matrix @ B.T
-
-    base, K0 = kinetic(config, base)  # from scratch when no base is given
+    if base is None:
+        base = added_mass(config, level, liquid_density, wall_level)
+    K0 = base.kinetic
     q0 = pack_params(config)
     p = len(q0)
     dA = np.zeros((p, p, p))
     exact = _exact_slots(config)
     dA[exact] = _center_and_radius_columns(config, base)
     for k in [j for j in range(p) if j not in exact]:
-        h = step * (1.0 + abs(q0[k]))
+        h = JACOBIAN_FD_STEP * (1.0 + abs(q0[k]))
         sides = []
         for sgn in (+1.0, -1.0):
             q = q0.copy()
@@ -937,7 +914,8 @@ def added_mass_jacobian(config: Configuration, level: int,
                 cfg = None
             if cfg is not None and not check_admissible(cfg, min(level, 2)).ok:
                 cfg = None
-            sides.append(None if cfg is None else kinetic(cfg)[1])
+            sides.append(None if cfg is None else
+                         added_mass(cfg, level, liquid_density, wall_level, base).kinetic)
         Kp, Km = sides
         if Kp is None and Km is None:
             raise DiscretizationError(

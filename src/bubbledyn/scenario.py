@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,6 @@ class Scenario:
     bubbles: tuple
     mesh_level: int = 2
     wall_level: int | None = None
-    fd_step: float = 1e-4
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     collision_gap_fraction: float = 0.02
@@ -76,10 +76,24 @@ def _get(d, key, path, typ=None, default=_expect):
     return val
 
 
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite number: not a boolean, NaN or infinity
+    (which Python's json reads), nor an integer beyond the float range."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _integer(d, key, path, default=_expect):
+    val = _get(d, key, path, default=default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ScenarioError(f"{path}.{key}: expected an integer, got {val!r}")
+    return val
+
+
 def _number(d, key, path, default=_expect, positive=False, nonnegative=False):
     val = _get(d, key, path, default=default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ScenarioError(f"{path}.{key}: expected a number")
+    if not _finite(val):
+        raise ScenarioError(f"{path}.{key}: expected a finite number, got {val!r}")
     val = float(val)
     if positive and not val > 0:
         raise ScenarioError(f"{path}.{key}: must be > 0, got {val}")
@@ -90,17 +104,18 @@ def _number(d, key, path, default=_expect, positive=False, nonnegative=False):
 
 def _vector3(d, key, path, default=_expect):
     val = _get(d, key, path, default=default)
-    if not (isinstance(val, list) and len(val) == 3
-            and all(isinstance(x, (int, float)) for x in val)):
-        raise ScenarioError(f"{path}.{key}: expected a list of 3 numbers")
+    if not (isinstance(val, list) and len(val) == 3 and all(map(_finite, val))):
+        raise ScenarioError(f"{path}.{key}: expected a list of 3 finite numbers")
     return np.array(val, dtype=float)
 
 
 def _matrix3(val, path):
-    arr = np.asarray(val, dtype=float) if isinstance(val, list) else None
-    if arr is None or arr.shape != (3, 3):
-        raise ScenarioError(f"{path}: expected a 3x3 matrix (list of 3 rows of 3)")
-    return arr
+    if not (isinstance(val, list) and len(val) == 3
+            and all(isinstance(row, list) and len(row) == 3 and all(map(_finite, row))
+                    for row in val)):
+        raise ScenarioError(f"{path}: expected a 3x3 matrix (list of 3 rows of 3 "
+                            "finite numbers)")
+    return np.array(val, dtype=float)
 
 
 def _parse_domain(d, path, base_dir):
@@ -171,7 +186,7 @@ def _parse_bubble(d, path):
 def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("document root: expected a JSON object")
-    version = _get(doc, "schema_version", "document", int, default=SCHEMA_VERSION)
+    version = _integer(doc, "schema_version", "document", default=SCHEMA_VERSION)
     _expect(version == SCHEMA_VERSION, "schema_version",
             f"unsupported version {version} (this build reads {SCHEMA_VERSION})")
     liquid = _get(doc, "liquid", "document", dict)
@@ -186,13 +201,13 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
     bubbles = tuple(_parse_bubble(b, f"bubbles[{i}]")
                     for i, b in enumerate(bubbles_doc))
     solver = _get(doc, "solver", "document", dict, default={})
-    mesh_level = _get(solver, "mesh_level", "solver", int, default=2)
+    mesh_level = _integer(solver, "mesh_level", "solver", default=2)
     _expect(0 <= mesh_level <= 6, "solver.mesh_level", "must be in [0, 6]")
     wall_level = _get(solver, "wall_level", "solver", default=None)
     if wall_level is not None:
-        _expect(isinstance(wall_level, int) and 0 <= wall_level <= 6,
-                "solver.wall_level", "must be an integer in [0, 6]")
-    residual_cadence = _get(solver, "residual_cadence", "solver", int, default=0)
+        wall_level = _integer(solver, "wall_level", "solver")
+        _expect(0 <= wall_level <= 6, "solver.wall_level", "must be an integer in [0, 6]")
+    residual_cadence = _integer(solver, "residual_cadence", "solver", default=0)
     _expect(residual_cadence >= 0, "solver.residual_cadence",
             f"must be >= 0, got {residual_cadence}")
     timing = _get(doc, "time", "document", dict)
@@ -200,7 +215,6 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
         liquid_density=density, p_infinity=p_inf, surface_tension=sigma,
         domain=domain, bubbles=bubbles, mesh_level=mesh_level,
         wall_level=wall_level,
-        fd_step=_number(solver, "fd_step", "solver", default=1e-4, positive=True),
         rel_tol=_number(solver, "rel_tol", "solver", default=1e-8, positive=True),
         abs_tol=_number(solver, "abs_tol", "solver", default=1e-10, positive=True),
         collision_gap_fraction=_number(solver, "collision_gap_fraction", "solver",
@@ -265,7 +279,7 @@ def scenario_to_dict(s: Scenario) -> dict:
              "mass": b.gas.mass}
             for b in s.bubbles],
         "solver": {"mesh_level": s.mesh_level, "wall_level": s.wall_level,
-                   "fd_step": s.fd_step, "rel_tol": s.rel_tol, "abs_tol": s.abs_tol,
+                   "rel_tol": s.rel_tol, "abs_tol": s.abs_tol,
                    "collision_gap_fraction": s.collision_gap_fraction,
                    "residual_cadence": s.residual_cadence},
         "time": {"t_end": s.t_end, "output_dt": s.output_dt},

@@ -654,19 +654,12 @@ class ConstraintBasis:
     reflection mapping l/|l| to -e_p (smooth on the admissible set because
     the last covector slot is always positive)."""
 
-    matrix: np.ndarray          # (p, n_free)
+    matrix: np.ndarray          # (p, p) unbounded, (p, p - 1) in a cavity
     flux_covector: np.ndarray | None
 
     @property
     def constrained(self) -> bool:
         return self.flux_covector is not None
-
-    @property
-    def n_free(self) -> int:
-        return self.matrix.shape[1]
-
-    def directions(self):
-        return [np.ascontiguousarray(c) for c in self.matrix.T]
 
 
 def constraint_basis(config: Configuration) -> ConstraintBasis:

@@ -1,7 +1,8 @@
 """The benchmark (perfbench/) reaches into bubbledyn by name: its tracer
-wraps functions by module and attribute, and its child process counts
-warnings by a phrase of their text.  Every name and phrase it relies on
-must still be there, so that a rename fails here, in milliseconds, rather
+wraps functions by module and attribute, its child process counts
+warnings by a phrase of their text, and its workloads write solver
+settings by key.  Every name, phrase and key it relies on must still be
+there, so that a rename or a removal fails here, in milliseconds, rather
 than in a benchmark run.  The benchmark's files are read as data (their
 literals), not run."""
 
@@ -14,6 +15,8 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "perfbench")
 TRACING = os.path.join(PERFBENCH, "tracing.py")
 CHILD = os.path.join(PERFBENCH, "child.py")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
+SCENARIO = os.path.join(os.path.dirname(PERFBENCH), "scenarios", "single_bubble.json")
 
 # what tracing.install rebinds besides TARGETS: the LU routines potential
 # calls through its scipy.linalg alias, and the integrator dynamics hands
@@ -77,3 +80,17 @@ def test_one_sided_warning_keeps_the_counted_phrase():
              if isinstance(call, ast.Call) and ast.unparse(call.func) == "warnings.warn"]
     for phrase in phrases:
         assert any(phrase in text for text in texts), phrase
+
+
+def test_every_workload_solver_key_is_read_back():
+    # a key the scenario parser no longer reads would be dropped silently
+    # (unknown keys are ignored): every key a workload writes in its
+    # `solver` dict (the third argument of _doc) must be one that
+    # scenario_to_dict writes back
+    from bubbledyn.scenario import parse_scenario, scenario_to_dict
+    solvers = [call.args[2] for call in ast.walk(_parse(WORKLOADS))
+               if isinstance(call, ast.Call) and ast.unparse(call.func) == "_doc"]
+    assert solvers and all(isinstance(d, ast.Dict) for d in solvers)
+    written = {ast.literal_eval(key) for d in solvers for key in d.keys}
+    assert written
+    assert written <= set(scenario_to_dict(parse_scenario(SCENARIO))["solver"])

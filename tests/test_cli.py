@@ -46,11 +46,12 @@ class TestScenarioParsing:
                                     [0.0, 0.0, -0.05]]},
             "gas": {"kind": "polytropic", "K": 2.0, "gamma": 1.0},
             "mass": 0.7})
-        # a document with the retired comparison block still parses to the
-        # same scenario, and the block is not written back
-        legacy = {**doc, "comparison": {"translation_coefficient": "paper_printed"}}
+        # a document with the retired comparison block and fd_step solver
+        # key still parses to the same scenario, and neither is written back
+        legacy = {**doc, "comparison": {"translation_coefficient": "paper_printed"},
+                  "solver": {**doc["solver"], "fd_step": 1e-4}}
         canon = scenario_to_dict(scenario_from_dict(doc))
-        assert "comparison" not in canon
+        assert "comparison" not in canon and "fd_step" not in canon["solver"]
         assert scenario_to_dict(scenario_from_dict(legacy)) == canon
         # through actual JSON text, as the canonicalizer promises
         s2 = scenario_from_dict(json.loads(json.dumps(canon)))
@@ -78,6 +79,40 @@ class TestScenarioParsing:
         doc = equilibrium_doc(domain={"type": "torus"})
         with pytest.raises(ScenarioError, match="domain.type"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("liquid.p_infinity", lambda d: d["liquid"].update(p_infinity=float("nan"))),
+        ("liquid.density", lambda d: d["liquid"].update(density=float("inf"))),
+        ("document.surface_tension", lambda d: d.update(surface_tension=float("nan"))),
+        ("time.t_end", lambda d: d["time"].update(t_end=float("inf"))),
+        ("bubbles[0].mass", lambda d: d["bubbles"][0].update(mass=float("inf"))),
+        ("bubbles[0].shape.center",
+         lambda d: d["bubbles"][0]["shape"].update(center=[float("nan"), 0.0, 0.0])),
+        ("bubbles[0].velocity.center",
+         lambda d: d["bubbles"][0]["velocity"].update(center=[float("inf"), 0.0, 0.0])),
+        ("bubbles[0].shape.center",
+         lambda d: d["bubbles"][0]["shape"].update(center=[True, 0.0, 0.0])),
+        ("bubbles[0].velocity.matrix", lambda d: d["bubbles"][0].update(
+            shape={"type": "ellipsoid", "center": [0.0, 0.0, 0.0],
+                   "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            velocity={"matrix": [[float("inf"), 0.0, 0.0], [0.0, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0]]})),
+        ("solver.mesh_level", lambda d: d["solver"].update(mesh_level=True)),
+        ("solver.wall_level", lambda d: d["solver"].update(wall_level=True)),
+        ("solver.residual_cadence", lambda d: d["solver"].update(residual_cadence=True)),
+        ("document.schema_version", lambda d: d.update(schema_version=True)),
+    ], ids=["p_infinity-nan", "density-inf", "surface_tension-nan", "t_end-inf", "mass-inf",
+            "center-nan", "velocity_center-inf", "center-true", "velocity_matrix-inf",
+            "mesh_level-true", "wall_level-true", "residual_cadence-true",
+            "schema_version-true"])
+    def test_non_finite_and_boolean_values_rejected(self, tmp_path, capsys, field, edit):
+        # Python's json reads NaN and Infinity, and True is an int: each
+        # must fail validation at its field, so the command exits 2
+        doc = equilibrium_doc()
+        edit(doc)
+        path = write_scenario(tmp_path, doc)
+        assert main(["check", "--scenario", path]) == 2
+        assert f"scenario error: {field}:" in capsys.readouterr().err
 
 
 class TestRun:

@@ -314,7 +314,7 @@ class TestIntegrate:
 
         def momentum(y):
             cfg = config_from_params(config0, y[:p])
-            return _extended_added_mass(s, cfg)[2] @ y[p:]
+            return _extended_added_mass(s, cfg).kinetic @ y[p:]
 
         def dL_dq(y):
             q, qd = y[:p], y[p:]
@@ -325,7 +325,7 @@ class TestIntegrate:
                     qs = q.copy()
                     qs[k] += sgn
                     cfg = config_from_params(config0, qs)
-                    T = 0.5 * qd @ _extended_added_mass(s, cfg)[2] @ qd
+                    T = 0.5 * qd @ _extended_added_mass(s, cfg).kinetic @ qd
                     U = gas_mod.potential_energy([b.gas for b in s.bubbles],
                                                  s.p_infinity, s.surface_tension,
                                                  cfg).U

@@ -9,9 +9,9 @@ from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
                                  configuration_meshes, evaluate, solve_neumann,
                                  surface_gradient, surface_panels, NeumannProblem)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
-                              SphereParams, config_from_params, normal_velocity,
-                              pack_params, surface_mesh, tangents_from_vector,
-                              wall_mesh)
+                              SphereParams, config_from_params, constraint_basis,
+                              normal_velocity, pack_params, surface_mesh,
+                              tangents_from_vector, wall_mesh)
 
 
 def unit_sphere_config():
@@ -104,13 +104,15 @@ class TestSolveNeumann:
         config = Configuration(
             bubbles=(SphereParams(center=np.zeros(3), radius=1.0),),
             domain=CavitySphere(center=np.zeros(3), radius=b))
-        directions = [np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]),
-                      np.array([0, 0, 1.0, 0])]
-        A = added_mass(config, level=2, liquid_density=1.0, directions=directions)
+        # a lone sphere's volume-preserving velocities are its translations
+        A = added_mass(config, level=2, liquid_density=1.0)
+        B = constraint_basis(config).matrix
+        assert np.array_equal(B, np.eye(4)[:, :3])
         exact = (2 * np.pi / 3) * (b ** 3 + 2.0) / (b ** 3 - 1.0)
         assert np.allclose(np.diag(A.matrix), exact, rtol=5e-3)
         off = A.matrix - np.diag(np.diag(A.matrix))
         assert np.max(np.abs(off)) < 1e-3 * exact
+        assert np.array_equal(A.kinetic, B @ A.matrix @ B.T)
 
 
 class TestBasisPotentials:
@@ -138,13 +140,19 @@ class TestBasisPotentials:
         # translation couplings decay much faster
         assert np.max(np.abs(A.matrix[:3, 4:7])) < 1e-3
 
-    def test_cavity_radius_direction_alone_rejected(self):
-        config = Configuration(
-            bubbles=(SphereParams(center=np.zeros(3), radius=1.0),),
-            domain=CavitySphere(center=np.zeros(3), radius=2.0))
-        with pytest.raises(CompatibilityError):
-            basis_potentials(config, level=1,
-                             directions=[np.array([0.0, 0, 0, 1.0])])
+    def test_cavity_solutions_span_the_volume_preserving_velocities(self):
+        config = sphere_pair_in_cavity()
+        sols = basis_potentials(config, level=1)
+        assert len(sols) == config.dim - 1
+        w = np.concatenate([m.quad_weights for m in sols[0].meshes])
+        data = np.column_stack([s.boundary_data for s in sols])
+        assert np.all(np.abs(w @ data) <= 1e-8 * np.abs(data).max(axis=0) * w.sum())
+        # their Gram matrix is the added mass
+        phi = np.column_stack([s.boundary_potential for s in sols])
+        raw = -(phi.T * w) @ data
+        A = added_mass(config, 1)
+        assert np.allclose(0.5 * (raw + raw.T), A.matrix, rtol=0.0,
+                           atol=1e-13 * np.abs(A.matrix).max())
 
 
 class TestAddedMass:
@@ -158,6 +166,7 @@ class TestAddedMass:
         assert np.max(np.abs(off)) < 0.01 * np.max(want)
         assert A.eigenvalues[0] > 0
         assert A.asymmetry < 0.02
+        assert A.kinetic is A.matrix
 
     def test_scaling_cubes(self):
         config1 = Configuration(bubbles=(SphereParams(center=[0.2, 0, 0], radius=1.0),))
@@ -301,16 +310,6 @@ class TestAddedMassJacobian:
         euler = np.einsum('i,ijk->jk', pack_params(config), dA)
         assert np.max(np.abs(euler - 3.0 * A.matrix)) <= 1e-12 * scale
 
-    def test_basis_must_span_the_admissible_velocities(self):
-        # the exact columns differentiate B B^T = P: a base whose directions
-        # miss one would give wrong ones, so it is refused
-        config = Configuration(bubbles=(
-            SphereParams(center=np.zeros(3), radius=1.0),
-            SphereParams(center=[3.0, 0, 0], radius=1.0)))
-        base = added_mass(config, 1, directions=list(np.eye(8)[:7]))
-        with pytest.raises(ValueError, match="orthonormal basis"):
-            added_mass_jacobian(config, 1, base=base)
-
     def test_two_sphere_pulsation_coupling(self):
         # A_{r1 r2} -> 4 pi rho a1^2 a2^2 / d for d >> a (Bjerknes 1906),
         # closer as d / a grows; its centre derivatives, from the exact
@@ -396,7 +395,7 @@ class TestBlockReuse:
         assert rel_diff(updated.A, scratch.A) <= 1e-12
         assert rel_diff(updated.S, scratch.S) <= 1e-12
         # blocks between unchanged surfaces are copied from the base
-        first = base.geom.block(0)
+        first = slice(0, base.meshes[0].n_panels)
         assert np.array_equal(updated.A[first, first], base.A[first, first])
 
     @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity, ellipsoid_pair,
@@ -413,9 +412,7 @@ class TestBlockReuse:
         q0 = pack_params(config)
 
         def kinetic(q):
-            cfg = config_from_params(config, q)
-            B = dyn.constraint_basis(cfg).matrix
-            return B @ added_mass(cfg, 1, directions=list(B.T)).matrix @ B.T
+            return added_mass(config_from_params(config, q), 1).kinetic
 
         def central(step):
             ref = np.zeros_like(dA)
@@ -458,8 +455,9 @@ class TestBlockReuse:
         plain = pot_mod.added_mass
         monkeypatch.setattr(pot_mod, "added_mass",
                             lambda *a, **kw: calls.append(1) or plain(*a, **kw))
+        monkeypatch.setattr(pot_mod, "JACOBIAN_FD_STEP", 1e-2)
         with pytest.warns(UserWarning, match="one-sided") as caught:
-            dA = added_mass_jacobian(config, 1, step=1e-2, base=base)
+            dA = added_mass_jacobian(config, 1, base=base)
         # the + sides of s11 of both bubbles and of s22 of bubble 1; the
         # other 2 * 12 - 3 sides assemble from the base, the centre columns
         # are exact and assemble nothing
@@ -492,10 +490,10 @@ class TestBlockReuse:
     def test_direction_data_matches_per_direction_loop(self):
         config = sphere_and_ellipsoid_in_cavity()
         meshes = configuration_meshes(config, 1)
-        directions = list(np.random.default_rng(3).normal(size=(5, config.dim)))
+        directions = np.random.default_rng(3).normal(size=(config.dim, 5))
         G = _direction_data(config, meshes, directions)
         ref = np.zeros_like(G)
-        for j, d in enumerate(directions):
+        for j, d in enumerate(directions.T):
             off = 0
             for shape, tan, mesh in zip(config.bubbles,
                                         tangents_from_vector(config, d), meshes):
@@ -746,9 +744,10 @@ class TestPanelData:
         parts = [surface_panels(m) for m in configuration_meshes(config, 1)]
         joined = join_panels(parts)
         assert joined.meshes == tuple(p.meshes[0] for p in parts)
-        assert joined.bounded and not parts[0].bounded and parts[2].bounded
+        offsets = np.cumsum([0] + [p.n_panels for p in parts])
+        assert joined.n_panels == offsets[-1]
         for k, part in enumerate(parts):
-            blk = joined.block(k)
+            blk = slice(offsets[k], offsets[k + 1])
             assert np.array_equal(joined.edge_normal[:, blk], part.edge_normal)
             assert np.array_equal(joined.corners[:, blk], part.corners)
             assert np.array_equal(joined.points[blk], part.points)
@@ -769,16 +768,12 @@ class TestPanelData:
         assert meshes[0].quad_points.flags.writeable
 
     def test_fd_side_shares_unchanged_meshes_and_panels(self):
-        def mass(cfg, base=None):
-            return added_mass(cfg, 1, directions=list(dyn.constraint_basis(cfg).matrix.T),
-                              base=base)
-
         config = sphere_pair_in_cavity()
-        base = mass(config)
+        base = added_mass(config, 1)
         q = pack_params(config)
         q[config.slices()[1].start] += 1e-3  # bubble 1 moves
         moved = config_from_params(config, q)
-        side = mass(moved, base).assembly
+        side = added_mass(moved, 1, base=base).assembly
         for k in (0, 2):  # bubble 0 and the wall
             assert side.meshes[k] is base.assembly.meshes[k]
             assert side.panels[k] is base.assembly.panels[k]
@@ -787,7 +782,7 @@ class TestPanelData:
         assert side.panels[1].meshes[0] is side.meshes[1]
         assert np.array_equal(side.meshes[1].vertices,
                               configuration_meshes(moved, 1)[1].vertices)
-        scratch = mass(moved).assembly
+        scratch = added_mass(moved, 1).assembly
         assert rel_diff(side.A, scratch.A) <= 1e-12
         assert rel_diff(side.S, scratch.S) <= 1e-12
 
