@@ -24,9 +24,9 @@ from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError)
 from .reference import minnaert_frequency
 from .shapes import (Configuration, SphereParams, check_admissible,
-                     config_from_params, constraint_basis, pack_params,
-                     pack_tangents, tangents_from_vector, volume_gradient,
-                     volume_hessian)
+                     config_from_params, constraint_basis, fd_gradient,
+                     pack_params, pack_tangents, tangents_from_vector,
+                     volume_gradient, volume_hessian)
 
 # velocity-constraint tolerance for cavity initial data (relative)
 CONSTRAINT_TOLERANCE = 1e-9
@@ -56,23 +56,23 @@ def _extended_added_mass(scenario, config):
                           scenario.wall_level)
 
 
-def _ahat_jacobian(scenario, config, base=None):
-    """Parameter Jacobian of the extended kinetic matrix B A B^T, from
-    ``base`` (the added mass at ``config``) when given: exact along centres
-    and sphere radii, central differences along ellipsoid matrix slots.
+def _ahat_jacobian(A):
+    """Parameter Jacobian of the extended kinetic matrix B A B^T of the
+    added mass ``A``: exact along centres and sphere radii, central
+    differences along ellipsoid matrix slots, whose inadmissible sides
+    raise (integrate poisons the trial state).
 
     Cavity mode differentiates the basis-extended matrix, which depends on
     the configuration through the projector B B^T; unbounded mode has
     B = I."""
-    return pot.added_mass_jacobian(config, scenario.mesh_level, scenario.liquid_density,
-                                   scenario.wall_level, base)
+    return pot.added_mass_jacobian(A)
 
 
 def _acceleration(scenario, config, qdot):
     """Flat acceleration vector from the (constrained) Euler-Lagrange
     equations."""
     A = _extended_added_mass(scenario, config)
-    dA = _ahat_jacobian(scenario, config, A)
+    dA = _ahat_jacobian(A)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
                                   config)
@@ -104,8 +104,7 @@ def volume_flux(config, qdot):
 
 def eom_rhs(scenario, state: State):
     """Acceleration tangent vector per bubble for the given state."""
-    q, qd = state.packed()
-    config = config_from_params(state.config, q)
+    config, qd = state.config, pack_tangents(state.velocity)
     report = check_admissible(config, min(scenario.mesh_level, 2))
     if not report.ok:
         raise BubbleDynError(f"state not admissible: {report.violations}")
@@ -127,8 +126,7 @@ def _bubble_size(shape) -> float:
 
 def energies(scenario, state: State):
     """(kinetic, potential, total) of a state, at the scenario mesh level."""
-    q, qd = state.packed()
-    config = config_from_params(state.config, q)
+    config, qd = state.config, pack_tangents(state.velocity)
     ke = 0.5 * float(qd @ _extended_added_mass(scenario, config).kinetic @ qd)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
@@ -348,7 +346,7 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     """
     q, qd = state.packed()
     qdd = pack_tangents(acceleration)
-    config = config_from_params(state.config, q)
+    config = state.config
     rho = scenario.liquid_density
     if eps is None:
         eps = (pot.JACOBIAN_FD_STEP * (1.0 + np.max(np.abs(q)))
@@ -363,17 +361,14 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
         g = pot._direction_data(cfg, msh, qda[:, None])[:, 0]
         return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
 
-    def solve_shifted(qa, qda):
-        cfg = config_from_params(config, qa)
-        return solve_at(cfg, pot.configuration_meshes(cfg, scenario.mesh_level,
-                                                      scenario.wall_level), qda)
+    def phi_at(s):
+        # potential at the frozen points, time s[0] along the trajectory
+        cfg = config_from_params(config, q + s[0] * qd)
+        msh = pot.configuration_meshes(cfg, scenario.mesh_level, scenario.wall_level)
+        return pot.boundary_potential_at(solve_at(cfg, msh, qd + s[0] * qdd), geom_pts)
 
     sol0 = solve_at(config, meshes, qd)
-    sol_p = solve_shifted(q + eps * qd, qd + eps * qdd)
-    sol_m = solve_shifted(q - eps * qd, qd - eps * qdd)
-    phi_p = pot.boundary_potential_at(sol_p, geom_pts)
-    phi_m = pot.boundary_potential_at(sol_m, geom_pts)
-    dphi_dt = (phi_p - phi_m) / (2.0 * eps)
+    dphi_dt = fd_gradient(phi_at, np.zeros(1), eps)[0]
 
     nb_panels = sum(m.n_panels for m in bubble_meshes)
     grad = pot.surface_gradient(sol0)[:nb_panels]

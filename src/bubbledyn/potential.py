@@ -69,24 +69,23 @@ derivatives of the discrete operator: only the moved bubble's blocks
 change, by directional derivatives of the flat-panel integrals (the solid
 angle's is the edge form of van Oosterom and Strackee, IEEE TBME 30,
 1983), so the derivative needs the base assembly and its LU and no other.
-Only the six matrix slots of an ellipsoid are central differences, each
-side assembled from the base.
+Only the six matrix slots of an ellipsoid are central differences
+(shapes.fd_gradient), each side assembled from the base; a side outside
+the admissible set raises.  The Jacobian takes the added mass alone.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (CompatibilityError, DegenerateShapeError,
-                     DiscretizationError, IllPosedProblemError)
+from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
 from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis,
                      EllipsoidParams, SphereParams, config_from_params, constraint_basis,
-                     normal_velocity_basis, pack_params, surface_mesh,
+                     fd_gradient, normal_velocity_basis, pack_params, surface_mesh,
                      volume_gradient, volume_hessian, wall_mesh)
 
 # relative FD step for the ellipsoid matrix-slot columns of the added-mass Jacobian
@@ -670,12 +669,12 @@ def basis_potentials(config: Configuration, level: int, wall_level=None):
 @dataclass(frozen=True)
 class AddedMassMatrix:
     """Gram matrix of the basis potential gradients along the columns of
-    ``basis`` (shapes.constraint_basis of the configuration), scaled by
-    the liquid density.  ``asymmetry`` is the relative reciprocity defect
+    ``basis`` (shapes.constraint_basis of ``config``), scaled by the
+    liquid density.  ``asymmetry`` is the relative reciprocity defect
     before symmetrization; ``eigenvalues`` the spectrum after.
     ``assembly`` holds the collocation system it was computed from
-    (matrices and factorization), the ``base`` from which added_mass
-    assembles a nearby configuration; ``data``, ``density`` and
+    (meshes, matrices and factorization), the ``base`` from which
+    added_mass assembles a nearby configuration; ``data``, ``density`` and
     ``potential`` are the basis velocities' boundary data, densities and
     boundary potentials, one column per basis column (read-only)."""
 
@@ -684,6 +683,7 @@ class AddedMassMatrix:
     liquid_density: float
     asymmetry: float
     eigenvalues: np.ndarray
+    config: Configuration = field(repr=False, compare=False)
     assembly: _Assembly = field(repr=False, compare=False)
     data: np.ndarray = field(repr=False, compare=False)
     density: np.ndarray = field(repr=False, compare=False)
@@ -721,7 +721,7 @@ def _gram(asm, config, basis, liquid_density):
             f"eigenvalues {eig}", eigenvalues=eig)
     return AddedMassMatrix(matrix=A, basis=basis,
                            liquid_density=liquid_density, asymmetry=asym,
-                           eigenvalues=eig, assembly=asm,
+                           eigenvalues=eig, config=config, assembly=asm,
                            **{name: _frozen(a) for name, a in
                               (("data", G), ("density", Q), ("potential", Phi))})
 
@@ -770,15 +770,15 @@ def _exact_slots(config):
             for j in range(4 if isinstance(b, SphereParams) else 3)]
 
 
-def _center_and_radius_columns(config, base):
-    """Exact derivatives of the kinetic matrix along _exact_slots(config),
-    from the added mass ``base`` at ``config``; returns (n_slots, p, p).
+def _center_and_radius_columns(mass):
+    """Exact derivatives of the kinetic matrix of the added mass ``mass``
+    along _exact_slots(mass.config); returns (n_slots, p, p).
 
     The kinetic matrix is K = sym(-rho (S X)^T W G P) with X = M^-1 G P,
     M = 1/2 I + K' and S the assembled matrices, W the quadrature weights,
     G the canonical direction data and P = B B^T the projector onto the
-    volume-preserving velocities (I in unbounded liquid), B the base's
-    basis matrix; G P is flux free at every configuration, so the constant
+    volume-preserving velocities (I in unbounded liquid), B the basis
+    matrix; G P is flux free at every configuration, so the constant
     potential that the cavity system leaves undetermined never shows.
     Along a slot, with the base LU,
 
@@ -801,13 +801,13 @@ def _center_and_radius_columns(config, base):
       dS_kk = S_kk/r, dM_kk = 0; and the weights dw_k = 2 w_k/r, which
       enter the weighted transpose in M and the Gram matrix.
     """
-    asm, rho = base.assembly, base.liquid_density
+    config, asm, rho = mass.config, mass.assembly, mass.liquid_density
     p, nb = config.dim, config.n_bubbles
     slots = _exact_slots(config)
     dP = _projector_derivatives(config, slots)
-    B = base.basis.matrix
-    # G P, X and S X from the base's solution for G B
-    GP, X, Phi = base.data @ B.T, base.density @ B.T, base.potential @ B.T
+    B = mass.basis.matrix
+    # G P, X and S X from the solution for G B
+    GP, X, Phi = mass.data @ B.T, mass.density @ B.T, mass.potential @ B.T
     index = {slot: t for t, slot in enumerate(slots)}
     w = asm.weights
     offsets = np.cumsum([0] + [m.n_panels for m in asm.meshes])
@@ -876,54 +876,41 @@ def _center_and_radius_columns(config, base):
     return 0.5 * (raw + raw.transpose(0, 2, 1))
 
 
-def added_mass_jacobian(config: Configuration, level: int,
-                        liquid_density: float = 1.0, wall_level=None,
-                        base: AddedMassMatrix | None = None) -> np.ndarray:
-    """Parameter Jacobian of the kinetic matrix (AddedMassMatrix.kinetic,
-    B A B^T with B the constraint basis), shape (p, p, p) with the first
-    index the differentiated parameter.  ``base`` is added_mass at
-    ``config``, computed here when not given.
+def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
+    """Parameter Jacobian of the kinetic matrix of ``mass``
+    (AddedMassMatrix.kinetic), shape (p, p, p) with the first index the
+    differentiated parameter, at the configuration, level and liquid
+    density of ``mass``.
 
     The columns of every bubble centre and every sphere radius are exact
-    derivatives of the discrete kinetic matrix, from the base assembly and
-    its LU alone (_center_and_radius_columns).  The six matrix slots of an
-    ellipsoid are central differences with step
-    ``JACOBIAN_FD_STEP * (1 + |q_k|)``, every side assembled from
-    ``base``; a step that leaves the admissible set falls back to a
-    one-sided difference, which reuses ``base``, with a warning.
+    derivatives of the discrete kinetic matrix, from the assembly of
+    ``mass`` and its LU alone (_center_and_radius_columns).  The six matrix
+    slots of an ellipsoid are central differences (shapes.fd_gradient)
+    with step ``JACOBIAN_FD_STEP * (1 + |q_k|)``, every side assembled from
+    ``mass``.  A degenerate side raises DegenerateShapeError and an
+    inadmissible one DiscretizationError: the state is closer to contact
+    than the step, and the caller rejects it.
     """
     from .shapes import check_admissible  # local import to keep module load light
 
-    if base is None:
-        base = added_mass(config, level, liquid_density, wall_level)
-    K0 = base.kinetic
+    config, level = mass.config, mass.assembly.meshes[0].level
     q0 = pack_params(config)
     p = len(q0)
     dA = np.zeros((p, p, p))
     exact = _exact_slots(config)
-    dA[exact] = _center_and_radius_columns(config, base)
-    for k in [j for j in range(p) if j not in exact]:
-        h = JACOBIAN_FD_STEP * (1.0 + abs(q0[k]))
-        sides = []
-        for sgn in (+1.0, -1.0):
-            q = q0.copy()
-            q[k] += sgn * h
-            try:
-                cfg = config_from_params(config, q)
-            except DegenerateShapeError:
-                cfg = None
-            if cfg is not None and not check_admissible(cfg, min(level, 2)).ok:
-                cfg = None
-            sides.append(None if cfg is None else
-                         added_mass(cfg, level, liquid_density, wall_level, base).kinetic)
-        Kp, Km = sides
-        if Kp is None and Km is None:
-            raise DiscretizationError(
-                f"cannot take FD step in parameter {k}: both sides inadmissible")
-        if Kp is None or Km is None:
-            warnings.warn(f"one-sided difference for added-mass Jacobian entry {k}: "
-                          "central step leaves the admissible set")
-            dA[k] = (Kp - K0) / h if Km is None else (K0 - Km) / h
-        else:
-            dA[k] = (Kp - Km) / (2.0 * h)
+    dA[exact] = _center_and_radius_columns(mass)
+    slots = [k for k in range(p) if k not in exact]
+
+    def kinetic(values):
+        q = q0.copy()
+        q[slots] = values
+        cfg = config_from_params(config, q)
+        report = check_admissible(cfg, min(level, 2))
+        if not report.ok:
+            raise DiscretizationError(f"FD side outside the admissible set: "
+                                      f"{report.violations}")
+        return added_mass(cfg, level, mass.liquid_density, base=mass).kinetic
+
+    if slots:
+        dA[slots] = fd_gradient(kinetic, q0[slots], JACOBIAN_FD_STEP)
     return dA

@@ -135,8 +135,16 @@ def _parse_domain(d, path, base_dir):
             except (OSError, ValueError) as exc:
                 raise ScenarioError(f"{path}.path: cannot load OFF mesh: {exc}")
         if "vertices" in d and "triangles" in d:
-            return CavityMesh(vertices=np.asarray(d["vertices"], dtype=float),
-                              triangles=np.asarray(d["triangles"], dtype=np.int64))
+            for key in ("vertices", "triangles"):
+                rows = d[key]
+                _expect(isinstance(rows, list) and all(
+                    isinstance(row, list) and all(map(_finite, row)) for row in rows),
+                    f"{path}.{key}", "expected a list of rows of finite numbers")
+            try:
+                return CavityMesh(vertices=d["vertices"], triangles=d["triangles"])
+            except ValueError as exc:
+                # the message starts with the field's name
+                raise ScenarioError(f"{path}.{exc}") from None
         raise ScenarioError(f"{path}: cavity_mesh needs 'path' or inline "
                             "'vertices' and 'triangles'")
     raise ScenarioError(f"{path}.type: unknown domain type {kind!r}")

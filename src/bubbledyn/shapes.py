@@ -290,8 +290,30 @@ class CavityMesh:
     path: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
+        """Finite (n, 3) vertices and integer-valued (m, 3) triangles with
+        indices in [0, n); a ValueError otherwise, its message led by the
+        field's name."""
+        verts = _rows_of_three("vertices", self.vertices)
+        tris = _rows_of_three("triangles", self.triangles)
+        if np.any(tris != np.round(tris)):
+            raise ValueError("triangles: vertex indices must be integers")
+        if tris.min() < 0 or tris.max() >= len(verts):
+            raise ValueError(f"triangles: vertex indices must lie in [0, {len(verts)})")
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "triangles", tris.astype(np.int64))
+
+
+def _rows_of_three(name, rows) -> np.ndarray:
+    """``rows`` as a float (k, 3) array, k > 0, of finite numbers."""
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected rows of 3 numbers") from None
+    if a.ndim != 2 or a.shape[1] != 3 or not len(a):
+        raise ValueError(f"{name}: expected rows of 3 numbers, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name}: entries must be finite")
+    return a
 
 
 Domain = Union[Unbounded, CavitySphere, CavityMesh]
@@ -494,17 +516,23 @@ def load_off(path: str) -> CavityMesh:
                 tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise ValueError(f"{path}: not an ASCII OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4  # skip edge count
-    verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
+    pos = 1
+
+    def take(n):
+        nonlocal pos
+        if n < 0 or pos + n > len(tokens):
+            raise ValueError(f"{path}: OFF file ends early or has a negative count")
+        pos += n
+        return tokens[pos - n:pos]
+
+    nv, nf, _ = (int(t) for t in take(3))  # the edge count is not used
+    verts = np.array(take(3 * nv), dtype=float).reshape(nv, 3)
     faces = []
     for _ in range(nf):
-        cnt = int(tokens[pos])
+        cnt = int(take(1)[0])
         if cnt != 3:
             raise ValueError(f"{path}: only triangle faces supported, got {cnt}-gon")
-        faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
-        pos += 1 + cnt
+        faces.append([int(t) for t in take(3)])
     return CavityMesh(vertices=verts, triangles=np.array(faces, dtype=np.int64), path=path)
 
 
@@ -567,9 +595,10 @@ def _ellipsoid_area(semi_axes) -> float:
                  * (E * sin_phi ** 2 + F * cos_phi ** 2))
 
 
-def _fd_gradient(fun, q0, rel_step=MEASURE_FD_STEP):
-    """Central differences of ``fun`` (scalar or array valued) at ``q0``;
-    entry or row i is the derivative along slot i."""
+def fd_gradient(fun, q0, rel_step):
+    """Central differences of ``fun`` (scalar or array valued) at ``q0``,
+    the package's one finite-difference routine; entry or row i is the
+    derivative along slot i, with step ``rel_step * (1 + |q0[i]|)``."""
     rows = []
     for i in range(len(q0)):
         h = rel_step * (1.0 + abs(q0[i]))
@@ -614,7 +643,7 @@ def measures(shape: ShapeParams) -> Measures:
 
     q0 = shape.pack()
     darea = np.zeros(9)
-    darea[3:] = _fd_gradient(lambda q: area_of(np.concatenate([q0[:3], q[3:]])), q0)[3:]
+    darea[3:] = fd_gradient(lambda m: area_of(np.r_[q0[:3], m]), q0[3:], MEASURE_FD_STEP)
     return Measures(volume=vol, area=_ellipsoid_area(shape.semi_axes()),
                     d_volume_dm=dvol, d_area_dm=darea)
 

@@ -1,9 +1,8 @@
 """The benchmark (perfbench/) reaches into bubbledyn by name: its tracer
-wraps functions by module and attribute, its child process counts
-warnings by a phrase of their text, and its workloads write solver
-settings by key.  Every name, phrase and key it relies on must still be
-there, so that a rename or a removal fails here, in milliseconds, rather
-than in a benchmark run.  The benchmark's files are read as data (their
+wraps functions by module and attribute, and its workloads write solver
+settings by key.  Every name and key it relies on must still be there,
+so that a rename or a removal fails here, in milliseconds, rather than in
+a benchmark run.  The benchmark's files are read as data (their
 literals), not run."""
 
 import ast
@@ -14,7 +13,6 @@ import os
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 TRACING = os.path.join(PERFBENCH, "tracing.py")
-CHILD = os.path.join(PERFBENCH, "child.py")
 WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 SCENARIO = os.path.join(os.path.dirname(PERFBENCH), "scenarios", "single_bubble.json")
 
@@ -63,23 +61,6 @@ def test_every_rebound_hook_exists_and_is_called_by_that_name():
         calls = {name for name in _called_names(ast.parse(inspect.getsource(module)))
                  if name.rpartition(".")[2] == leaf}
         assert calls == {dotted}, (modname, calls)
-
-
-def test_one_sided_warning_keeps_the_counted_phrase():
-    # child.py counts the warnings whose text contains a phrase:
-    # `"<phrase>" in str(w.message)`
-    phrases = [node.left.value for node in ast.walk(_parse(CHILD))
-               if isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
-               and isinstance(node.ops[0], ast.In)]
-    assert phrases
-    from bubbledyn import potential
-    function = ast.parse(inspect.getsource(potential.added_mass_jacobian))
-    texts = ["".join(part.value for part in ast.walk(call.args[0])
-                     if isinstance(part, ast.Constant) and isinstance(part.value, str))
-             for call in ast.walk(function)
-             if isinstance(call, ast.Call) and ast.unparse(call.func) == "warnings.warn"]
-    for phrase in phrases:
-        assert any(phrase in text for text in texts), phrase
 
 
 def test_every_workload_solver_key_is_read_back():

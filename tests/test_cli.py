@@ -337,6 +337,41 @@ class TestDegenerateWall:
             wall_mesh(CavityMesh(vertices=verts, triangles=tris), 1)
 
 
+OCTAHEDRON_VERTICES = [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0],
+                       [-3.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, -3.0]]
+OCTAHEDRON_TRIANGLES = [[0, 1, 2], [0, 2, 4], [0, 4, 5], [0, 5, 1],
+                        [3, 2, 1], [3, 4, 2], [3, 5, 4], [3, 1, 5]]
+
+
+class TestCavityMeshValidation:
+    @pytest.mark.parametrize("field, edit", [
+        ("domain.vertices", lambda v, t: v[2].__setitem__(2, float("nan"))),
+        ("domain.triangles", lambda v, t: t[1].__setitem__(2, 4.7)),
+        ("domain.triangles", lambda v, t: t[1].__setitem__(2, 99)),
+        ("domain.triangles", lambda v, t: t[1].append(3)),
+    ], ids=["vertex-nan", "index-fractional", "index-out-of-range", "rows-ragged"])
+    def test_inline_wall_rejected_at_its_field(self, tmp_path, capsys, field, edit):
+        # each fault must fail validation at its field, so the command exits 2
+        vertices = [list(v) for v in OCTAHEDRON_VERTICES]
+        triangles = [list(t) for t in OCTAHEDRON_TRIANGLES]
+        edit(vertices, triangles)
+        doc = equilibrium_doc(domain={"type": "cavity_mesh", "vertices": vertices,
+                                      "triangles": triangles})
+        path = write_scenario(tmp_path, doc)
+        assert main(["check", "--scenario", path]) == 2
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+
+    def test_truncated_off_file_rejected_at_path(self, tmp_path, capsys):
+        lines = ["OFF", "6 8 0", *(" ".join(map(repr, v)) for v in OCTAHEDRON_VERTICES),
+                 *(f"3 {a} {b} {c}" for a, b, c in OCTAHEDRON_TRIANGLES)]
+        wall = tmp_path / "wall.off"
+        wall.write_text("\n".join(lines[:-2]) + "\n")  # the last two faces are missing
+        doc = equilibrium_doc(domain={"type": "cavity_mesh", "path": "wall.off"})
+        path = write_scenario(tmp_path, doc)
+        assert main(["check", "--scenario", path]) == 2
+        assert "scenario error: domain.path: cannot load OFF mesh" in capsys.readouterr().err
+
+
 class TestOffIngestion:
     def test_cavity_mesh_from_off_file(self, tmp_path):
         # icosphere wall, written as OFF, used as the cavity boundary

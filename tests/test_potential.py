@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubbledyn import dynamics as dyn
-from bubbledyn.errors import CompatibilityError, IllPosedProblemError
+from bubbledyn.errors import (CompatibilityError, DiscretizationError,
+                              IllPosedProblemError)
 from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
                                  _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, basis_potentials,
                                  configuration_meshes, evaluate, solve_neumann,
                                  surface_gradient, surface_panels, NeumannProblem)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
-                              SphereParams, config_from_params, constraint_basis,
-                              normal_velocity, pack_params, surface_mesh,
-                              tangents_from_vector, wall_mesh)
+                              SphereParams, Unbounded, config_from_params,
+                              constraint_basis, normal_velocity, pack_params,
+                              surface_mesh, tangents_from_vector, wall_mesh)
 
 
 def unit_sphere_config():
@@ -259,7 +262,7 @@ class TestAddedMassJacobian:
     def test_radial_derivative(self):
         r = 1.2
         config = Configuration(bubbles=(SphereParams(center=np.zeros(3), radius=r),))
-        dA = added_mass_jacobian(config, level=2)
+        dA = added_mass_jacobian(added_mass(config, 2))
         # discrete scaling identity dA/dr = 3 A / r, exact up to roundoff
         A = added_mass(config, level=2).matrix
         assert np.allclose(dA[3], 3.0 * A / r, rtol=1e-12, atol=1e-14)
@@ -268,14 +271,14 @@ class TestAddedMassJacobian:
 
     def test_center_derivatives_vanish_single_bubble(self):
         config = unit_sphere_config()
-        dA = added_mass_jacobian(config, level=1)
+        dA = added_mass_jacobian(added_mass(config, 1))
         assert np.all(dA[:3] == 0.0)
 
     def test_two_bubble_center_derivative_nonzero(self):
         config = Configuration(bubbles=(
             SphereParams(center=np.zeros(3), radius=1.0),
             SphereParams(center=[3.0, 0, 0], radius=1.0)))
-        dA = added_mass_jacobian(config, level=1)
+        dA = added_mass_jacobian(added_mass(config, 1))
         # moving bubble 1 toward bubble 2 changes the interaction blocks
         assert np.max(np.abs(dA[0])) > 1e-4
         # every slice is exactly symmetric (post-symmetrization)
@@ -287,7 +290,7 @@ class TestAddedMassJacobian:
         config = Configuration(bubbles=(
             SphereParams(center=np.zeros(3), radius=1.0),
             SphereParams(center=[3.0, 0, 0], radius=1.0)))
-        dA = added_mass_jacobian(config, level=1)
+        dA = added_mass_jacobian(added_mass(config, 1))
         for axis in range(3):
             combo = dA[axis] + dA[4 + axis]
             assert np.max(np.abs(combo)) <= 1e-12 * np.max(np.abs(dA[axis]))
@@ -302,7 +305,7 @@ class TestAddedMassJacobian:
             zip(([0.2, -0.1, 0.3], [2.8, 0.4, -0.2], [0.5, 2.6, 0.7])[:n_bubbles],
                 (1.0, 0.8, 0.7)[:n_bubbles])))
         A = added_mass(config, 1)
-        dA = added_mass_jacobian(config, 1, base=A)
+        dA = added_mass_jacobian(A)
         scale = np.max(np.abs(A.matrix))
         for axis in range(3):
             total = sum(dA[4 * k + axis] for k in range(n_bubbles))
@@ -322,7 +325,7 @@ class TestAddedMassJacobian:
             config = Configuration(bubbles=(SphereParams(center=np.zeros(3), radius=a1),
                                             SphereParams(center=[d, 0.0, 0.0], radius=a2)))
             A = added_mass(config, 1, liquid_density=rho)
-            dA = added_mass_jacobian(config, 1, liquid_density=rho, base=A)
+            dA = added_mass_jacobian(A)
             coupling = 4.0 * np.pi * rho * a1 ** 2 * a2 ** 2 / d
             errors.append(abs(A.matrix[3, 7] / coupling - 1.0))
             assert dA[0][3, 7] > 0.0 > dA[4][3, 7]
@@ -408,7 +411,7 @@ class TestBlockReuse:
         # ratio (16 - 1) / (4 - 1) = 5 between h = 4e-4 and 2e-4, and by
         # nothing but roundoff at h = 1e-4
         config = make_config()
-        dA = added_mass_jacobian(config, 1)
+        dA = added_mass_jacobian(added_mass(config, 1))
         q0 = pack_params(config)
 
         def kinetic(q):
@@ -439,10 +442,11 @@ class TestBlockReuse:
         if matrix_slots:
             assert rel_diff(dA[matrix_slots], ref[matrix_slots]) <= 1e-9
 
-    def test_one_sided_columns_reuse_the_base(self, monkeypatch):
+    def test_inadmissible_fd_side_raises(self, monkeypatch):
         # ellipsoids 5e-3 apart (as the level-1 admissibility check measures
         # the gap), less than the FD step: the matrix-slot steps that close
-        # the gap leave the admissible set
+        # the gap leave the admissible set, and the Jacobian refuses the
+        # state instead of differencing on one side
         import bubbledyn.potential as pot_mod
         from bubbledyn.shapes import _pair_gap
         config = Configuration(bubbles=(
@@ -451,24 +455,9 @@ class TestBlockReuse:
                             shape_matrix=np.diag([0.9, 1.0, 0.85]))))
         assert 0.0 < _pair_gap(*config.bubbles, level=1) < 1e-2
         base = added_mass(config, 1)
-        calls = []
-        plain = pot_mod.added_mass
-        monkeypatch.setattr(pot_mod, "added_mass",
-                            lambda *a, **kw: calls.append(1) or plain(*a, **kw))
         monkeypatch.setattr(pot_mod, "JACOBIAN_FD_STEP", 1e-2)
-        with pytest.warns(UserWarning, match="one-sided") as caught:
-            dA = added_mass_jacobian(config, 1, base=base)
-        # the + sides of s11 of both bubbles and of s22 of bubble 1; the
-        # other 2 * 12 - 3 sides assemble from the base, the centre columns
-        # are exact and assemble nothing
-        assert sum("one-sided" in str(w.message) for w in caught) == 3
-        assert len(calls) == 2 * 12 - 3
-        q0 = pack_params(config)
-        h = 1e-2 * (1.0 + abs(q0[3]))
-        q = q0.copy()
-        q[3] -= h  # the admissible side of s11 of bubble 0
-        side = plain(config_from_params(config, q), 1).matrix
-        assert rel_diff(dA[3], (base.matrix - side) / h) <= 1e-9
+        with pytest.raises(DiscretizationError, match="admissible set"):
+            added_mass_jacobian(base)
 
     def test_unit_sphere_pair_built_once_under_threads(self, monkeypatch):
         # more workers than cores and frequent switches: a check-then-act
@@ -581,7 +570,7 @@ class TestLoneSphereFactorization:
             mass = added_mass(config, 2)
             sol = solve_neumann(problem)
             return (mass.matrix, sol.density, sol.boundary_potential,
-                    added_mass_jacobian(config, 2, base=mass),
+                    added_mass_jacobian(mass),
                     mass.collocation_condition, sol.condition)
 
         shared = results()
@@ -816,3 +805,73 @@ class TestPanelData:
         assert len(calls["surface_panels"]) == 3 + 0
         assert len(calls["surface_mesh"]) == 2 + 0
         assert len(calls["wall_mesh"]) == 1
+
+
+def jittered_sphere_and_ellipsoid(seed, cavity):
+    """A sphere and a non-spherical ellipsoid at level-1 distances, jittered
+    by ``seed``, unbounded or in a spherical cavity."""
+    rng = np.random.default_rng(seed)
+    sphere = SphereParams(center=np.array([-0.9, 0.0, 0.1]) + rng.uniform(-0.1, 0.1, 3),
+                          radius=0.5 * (1.0 + rng.uniform(-0.1, 0.1)))
+    S = np.diag(np.array([0.6, 0.5, 0.4]) * (1.0 + rng.uniform(-0.1, 0.1, 3)))
+    S[0, 1] = S[1, 0] = rng.uniform(-0.05, 0.05)
+    S[1, 2] = S[2, 1] = rng.uniform(-0.02, 0.02)
+    ellipsoid = EllipsoidParams(center=np.array([0.9, 0.0, 0.0]) + rng.uniform(-0.1, 0.1, 3),
+                                shape_matrix=S)
+    domain = CavitySphere(center=np.zeros(3), radius=2.5) if cavity else Unbounded()
+    return Configuration(bubbles=(sphere, ellipsoid), domain=domain), rng
+
+
+class TestMetamorphic:
+    """Symmetries that the discrete kinetic matrix and its Jacobian keep up
+    to roundoff, on a sphere + ellipsoid pair at level 1.  Each bound sits
+    15x or more above the largest error seen over 40 seeds; the cavity
+    system (condition about 1e8) and the FD columns (step 1e-4) carry more
+    roundoff than the unbounded exact columns."""
+
+    # (kinetic, exact columns, FD columns), relative to the largest entry
+    PERMUTATION_BOUNDS = {False: (1e-14, 1e-14, 1e-10), True: (1e-10, 1e-10, 1e-7)}
+    # (kinetic, whole Jacobian)
+    TRANSLATION_BOUNDS = {False: (1e-14, 1e-11), True: (1e-10, 1e-7)}
+
+    @pytest.mark.parametrize("cavity", [False, True])
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2 ** 30 - 1))
+    def test_permutation_equivariance(self, cavity, seed):
+        # swapping the bubbles permutes the packed slots: sphere 0-3 and
+        # ellipsoid 4-12 become ellipsoid 0-8 and sphere 9-12
+        config, _ = jittered_sphere_and_ellipsoid(seed, cavity)
+        swapped = Configuration(bubbles=config.bubbles[::-1], domain=config.domain)
+        mass, mass_swapped = added_mass(config, 1), added_mass(swapped, 1)
+        perm = np.r_[4:13, 0:4]
+        kinetic = mass.kinetic[np.ix_(perm, perm)]
+        dA = added_mass_jacobian(mass)[np.ix_(perm, perm, perm)]
+        dA_swapped = added_mass_jacobian(mass_swapped)
+        exact, fd = exact_slots(swapped), list(range(3, 9))
+        bound_kinetic, bound_exact, bound_fd = self.PERMUTATION_BOUNDS[cavity]
+        assert rel_diff(mass_swapped.kinetic, kinetic) <= bound_kinetic
+        assert rel_diff(dA_swapped[exact], dA[exact]) <= bound_exact
+        assert rel_diff(dA_swapped[fd], dA[fd]) <= bound_fd
+
+    @pytest.mark.parametrize("cavity", [False, True])
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2 ** 30 - 1))
+    def test_translation_invariance(self, cavity, seed):
+        # moving every surface (the wall too) by d changes neither the
+        # kinetic matrix nor its Jacobian; unbounded, the derivative along
+        # a common translation of the bubbles vanishes
+        config, rng = jittered_sphere_and_ellipsoid(seed, cavity)
+        d = rng.uniform(-1.0, 1.0, 3)
+        q = pack_params(config)
+        for sl in config.slices():
+            q[sl.start:sl.start + 3] += d
+        domain = CavitySphere(center=d, radius=2.5) if cavity else config.domain
+        moved = config_from_params(Configuration(config.bubbles, domain), q)
+        mass, mass_moved = added_mass(config, 1), added_mass(moved, 1)
+        dA, dA_moved = added_mass_jacobian(mass), added_mass_jacobian(mass_moved)
+        bound_kinetic, bound_jacobian = self.TRANSLATION_BOUNDS[cavity]
+        assert rel_diff(mass_moved.kinetic, mass.kinetic) <= bound_kinetic
+        assert rel_diff(dA_moved, dA) <= bound_jacobian
+        if not cavity:
+            common = dA[0:3] + dA[4:7]
+            assert np.max(np.abs(common)) <= 1e-14 * np.max(np.abs(dA))
