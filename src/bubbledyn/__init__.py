@@ -17,17 +17,17 @@ from .reference import (SingleBubbleState, analytic_potential, closed_form_rhs,
                         integrate_single, minnaert_frequency)
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_from_dict
 from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis,
-                     EllipsoidParams, EllipsoidTangent, SphereParams,
-                     SphereTangent, SurfaceMesh, Unbounded, check_admissible,
-                     constraint_basis, measures, normal_velocity, surface_mesh)
+                     EllipsoidParams, SphereParams, SurfaceMesh, Unbounded,
+                     check_admissible, constraint_basis, measures,
+                     normal_velocity, surface_mesh)
 
 __all__ = [
     "AddedMassMatrix", "BubbleDynError", "BubbleGasState", "CavityMesh",
     "CavitySphere", "CompatibilityError", "Configuration", "ConstraintBasis",
     "DegenerateShapeError", "DiscretizationError", "EllipsoidParams",
-    "EllipsoidTangent", "GasLaw", "IllPosedProblemError", "NeumannProblem",
-    "PotentialSolution", "Scenario", "ScenarioError", "SingleBubbleState",
-    "SphereParams", "SphereTangent", "State", "SurfaceMesh", "Trajectory",
+    "GasLaw", "IllPosedProblemError", "NeumannProblem", "PotentialSolution",
+    "Scenario", "ScenarioError", "SingleBubbleState", "SphereParams",
+    "State", "SurfaceMesh", "Trajectory",
     "Unbounded", "UnsupportedConfigurationError", "added_mass",
     "added_mass_jacobian", "analytic_potential", "basis_potentials",
     "boundary_residual", "check_admissible", "closed_form_rhs",

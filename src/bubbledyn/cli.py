@@ -25,9 +25,9 @@ import numpy as np
 from . import dynamics as dyn
 from . import gas as gas_mod
 from .errors import BubbleDynError
-from .scenario import ScenarioError, parse_scenario, scenario_to_dict
-from .shapes import (SphereParams, check_admissible, measures, pack_params,
-                     pack_tangents)
+from .scenario import (MAX_MESH_LEVEL, ScenarioError, parse_scenario,
+                       scenario_to_dict)
+from .shapes import SphereParams, check_admissible, measures, pack_params
 
 
 def _fmt(x) -> str:
@@ -57,8 +57,7 @@ def write_trajectory_csv(path, scenario, traj):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for k, state in enumerate(traj.states):
-            q = pack_params(state.config)
-            qd = pack_tangents(state.velocity)
+            q, qd = state.packed()
             row = [_fmt(traj.times[k])]
             for sl in state.config.slices():
                 row += [_fmt(v) for v in q[sl]]
@@ -220,10 +219,14 @@ def cmd_convergence(args) -> int:
 
 def _parse_levels(text):
     try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
+        levels = [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad levels list {text!r}; "
-                                         "expected e.g. 1,2,3")
+        levels = []
+    if not levels or not all(0 <= lv <= MAX_MESH_LEVEL for lv in levels):
+        raise argparse.ArgumentTypeError(
+            f"bad levels list {text!r}; expected levels in [0, {MAX_MESH_LEVEL}], "
+            "e.g. 1,2,3")
+    return levels
 
 
 def build_parser():

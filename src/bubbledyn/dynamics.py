@@ -25,8 +25,7 @@ from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
 from .reference import minnaert_frequency
 from .shapes import (Configuration, SphereParams, check_admissible,
                      config_from_params, constraint_basis, fd_gradient,
-                     pack_params, pack_tangents, tangents_from_vector,
-                     volume_gradient, volume_hessian)
+                     pack_params, surface_gaps, volume_gradient, volume_hessian)
 
 # velocity-constraint tolerance for cavity initial data (relative)
 CONSTRAINT_TOLERANCE = 1e-9
@@ -36,12 +35,15 @@ DEGENERACY_FRACTION = 0.02
 
 @dataclass(frozen=True)
 class State:
+    """A configuration and its velocity: the packed (p,) parameter rates,
+    in the slots of pack_params(config)."""
+
     config: Configuration
-    velocity: tuple          # TangentVector per bubble
+    velocity: np.ndarray
     time: float = 0.0
 
     def packed(self):
-        return pack_params(self.config), pack_tangents(self.velocity)
+        return pack_params(self.config), self.velocity
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +105,14 @@ def volume_flux(config, qdot):
 
 
 def eom_rhs(scenario, state: State):
-    """Acceleration tangent vector per bubble for the given state."""
-    config, qd = state.config, pack_tangents(state.velocity)
+    """Packed (p,) acceleration of the given state, in its velocity's slots."""
+    config, qd = state.config, state.velocity
     report = check_admissible(config, min(scenario.mesh_level, 2))
     if not report.ok:
         raise BubbleDynError(f"state not admissible: {report.violations}")
     if scenario.domain_is_bounded and not volume_flux(config, qd)[1]:
         raise CompatibilityError("velocity violates the cavity volume constraint")
-    qdd = _acceleration(scenario, config, qd)
-    return tangents_from_vector(config, qdd)
+    return _acceleration(scenario, config, qd)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def _bubble_size(shape) -> float:
 
 def energies(scenario, state: State):
     """(kinetic, potential, total) of a state, at the scenario mesh level."""
-    config, qd = state.config, pack_tangents(state.velocity)
+    config, qd = state.config, state.velocity
     ke = 0.5 * float(qd @ _extended_added_mass(scenario, config).kinetic @ qd)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
@@ -142,7 +143,7 @@ def kelvin_impulse(state: State):
     shape = config.bubbles[0]
     if not isinstance(shape, SphereParams):
         return None
-    return shape.radius ** 3 * np.asarray(state.velocity[0].center)
+    return shape.radius ** 3 * state.velocity[:3]
 
 
 @dataclass(frozen=True)
@@ -183,19 +184,10 @@ def _collision_threshold(scenario, s1, s2=None) -> float:
 
 def _gap_margin(scenario, config) -> float:
     """Smallest (gap - threshold) over bubble pairs and walls."""
-    from .shapes import _pair_gap, _wall_gap  # internal helpers
-
     worst = np.inf
-    nb = config.n_bubbles
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            gap = _pair_gap(config.bubbles[i], config.bubbles[j], level=1)
-            worst = min(worst, gap - _collision_threshold(
-                scenario, config.bubbles[i], config.bubbles[j]))
-    if config.bounded:
-        for i in range(nb):
-            gap = _wall_gap(config.domain, config.bubbles[i], level=1)
-            worst = min(worst, gap - _collision_threshold(scenario, config.bubbles[i]))
+    for (i, j), gap in surface_gaps(config, level=1):
+        other = None if j == -1 else config.bubbles[j]
+        worst = min(worst, gap - _collision_threshold(scenario, config.bubbles[i], other))
     return float(worst)
 
 
@@ -299,8 +291,7 @@ def integrate(scenario) -> Trajectory:
         y = sol.sol(t)
         q, qd = split(y)
         config = config_from_params(config0, q)
-        state = State(config=config, velocity=tangents_from_vector(config, qd),
-                      time=float(t))
+        state = State(config=config, velocity=qd, time=float(t))
         states.append(state)
         ke[k], pe[k], _ = energies(scenario, state)
         if imp is not None:
@@ -310,8 +301,7 @@ def integrate(scenario) -> Trajectory:
                 qdd = first["qdd"]
             else:
                 qdd = _acceleration(scenario, config, qd)
-            residuals[k] = boundary_residual(scenario, state,
-                                             tangents_from_vector(config, qdd))
+            residuals[k] = boundary_residual(scenario, state, qdd)
     stats = {"n_steps": len(sol.t) - 1, "n_rhs": n_rhs[0],
              "n_poisoned": poisoned["n"], "last_poison": poisoned["last"],
              "wall_time": time.time() - t_wall, "t_final": float(t_final),
@@ -331,7 +321,8 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     """Residual of the relaxed interface condition: the pressure field
     reconstructed from the unsteady Bernoulli equation, integrated against
     the normal-velocity covector directions over each bubble, normalized
-    by p_infinity times the bubble area.
+    by p_infinity times the bubble area.  ``acceleration`` is the packed
+    (p,) acceleration of ``state``, as eom_rhs returns it.
 
     The time derivative of the potential is a centred difference along the
     trajectory direction (shape and data moved together, which carries the
@@ -345,7 +336,6 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     a perturbation of q by 1e-15 relative moves it by 2e-8 to 5e-7.
     """
     q, qd = state.packed()
-    qdd = pack_tangents(acceleration)
     config = state.config
     rho = scenario.liquid_density
     if eps is None:
@@ -365,7 +355,8 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
         # potential at the frozen points, time s[0] along the trajectory
         cfg = config_from_params(config, q + s[0] * qd)
         msh = pot.configuration_meshes(cfg, scenario.mesh_level, scenario.wall_level)
-        return pot.boundary_potential_at(solve_at(cfg, msh, qd + s[0] * qdd), geom_pts)
+        return pot.boundary_potential_at(solve_at(cfg, msh, qd + s[0] * acceleration),
+                                         geom_pts)
 
     sol0 = solve_at(config, meshes, qd)
     dphi_dt = fd_gradient(phi_at, np.zeros(1), eps)[0]

@@ -641,7 +641,7 @@ def configuration_meshes(config: Configuration, level: int, wall_level=None):
 
 
 def _direction_data(config, meshes, directions):
-    """Boundary data matrix (N, n) for the packed tangent directions that
+    """Boundary data matrix (N, n) for the packed velocity directions that
     are the columns of ``directions`` (p, n): the block-diagonal
     normal-velocity basis of the bubbles times ``directions``, zero on the
     wall."""

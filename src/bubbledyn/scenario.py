@@ -14,10 +14,12 @@ from .dynamics import State
 from .errors import BubbleDynError
 from .gas import BubbleGasState, GasLaw
 from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
-                     EllipsoidTangent, SphereParams, SphereTangent, Unbounded,
-                     load_off)
+                     SphereParams, Unbounded, load_off, symmetric_matrix,
+                     symmetric_slots)
 
 SCHEMA_VERSION = 1
+# finest mesh_level, wall_level and convergence level a document may ask for
+MAX_MESH_LEVEL = 6
 
 
 class ScenarioError(BubbleDynError, ValueError):
@@ -26,8 +28,11 @@ class ScenarioError(BubbleDynError, ValueError):
 
 @dataclass(frozen=True)
 class BubbleSpec:
+    """A bubble's shape, its gas and its velocity: the packed parameter
+    rates, in the slots of ``shape.pack()``."""
+
     shape: object             # SphereParams | EllipsoidParams
-    velocity: object          # matching TangentVector
+    velocity: np.ndarray
     gas: BubbleGasState
 
 
@@ -57,7 +62,7 @@ class Scenario:
 
     def initial_state(self) -> State:
         return State(config=self.configuration(),
-                     velocity=tuple(b.velocity for b in self.bubbles), time=0.0)
+                     velocity=np.concatenate([b.velocity for b in self.bubbles]))
 
 
 def _expect(cond, path, message):
@@ -159,26 +164,26 @@ def _parse_bubble(d, path):
             shape = SphereParams(center=_vector3(shape_d, "center", f"{path}.shape"),
                                  radius=_number(shape_d, "radius", f"{path}.shape",
                                                 positive=True))
-            velocity = SphereTangent(
-                center=_vector3(vel_d, "center", f"{path}.velocity",
-                                default=[0.0, 0.0, 0.0]),
-                radius=_number(vel_d, "radius", f"{path}.velocity", default=0.0))
         elif kind == "ellipsoid":
             shape = EllipsoidParams(
                 center=_vector3(shape_d, "center", f"{path}.shape"),
                 shape_matrix=_matrix3(_get(shape_d, "matrix", f"{path}.shape"),
                                       f"{path}.shape.matrix"))
-            rate = vel_d.get("matrix", [[0.0] * 3] * 3)
-            velocity = EllipsoidTangent(
-                center=_vector3(vel_d, "center", f"{path}.velocity",
-                                default=[0.0, 0.0, 0.0]),
-                shape_matrix=_matrix3(rate, f"{path}.velocity.matrix"))
         else:
             raise ScenarioError(f"{path}.shape.type: unknown shape type {kind!r}")
     except BubbleDynError as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"{path}.shape: {exc}")
+    velocity = _vector3(vel_d, "center", f"{path}.velocity", default=[0.0, 0.0, 0.0])
+    if kind == "sphere":
+        velocity = np.append(velocity, _number(vel_d, "radius", f"{path}.velocity",
+                                               default=0.0))
+    else:
+        rate = _matrix3(vel_d.get("matrix", [[0.0] * 3] * 3), f"{path}.velocity.matrix")
+        _expect(np.linalg.norm(rate - rate.T) <= 1e-8 * max(1.0, np.linalg.norm(rate)),
+                f"{path}.velocity.matrix", "must be symmetric")
+        velocity = np.append(velocity, symmetric_slots(0.5 * (rate + rate.T)))
     gas_d = _get(d, "gas", path, dict)
     gas_kind = _get(gas_d, "kind", f"{path}.gas", str, default="polytropic")
     _expect(gas_kind == "polytropic", f"{path}.gas.kind",
@@ -210,11 +215,13 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
                     for i, b in enumerate(bubbles_doc))
     solver = _get(doc, "solver", "document", dict, default={})
     mesh_level = _integer(solver, "mesh_level", "solver", default=2)
-    _expect(0 <= mesh_level <= 6, "solver.mesh_level", "must be in [0, 6]")
+    _expect(0 <= mesh_level <= MAX_MESH_LEVEL, "solver.mesh_level",
+            f"must be in [0, {MAX_MESH_LEVEL}]")
     wall_level = _get(solver, "wall_level", "solver", default=None)
     if wall_level is not None:
         wall_level = _integer(solver, "wall_level", "solver")
-        _expect(0 <= wall_level <= 6, "solver.wall_level", "must be an integer in [0, 6]")
+        _expect(0 <= wall_level <= MAX_MESH_LEVEL, "solver.wall_level",
+                f"must be an integer in [0, {MAX_MESH_LEVEL}]")
     residual_cadence = _integer(solver, "residual_cadence", "solver", default=0)
     _expect(residual_cadence >= 0, "solver.residual_cadence",
             f"must be >= 0, got {residual_cadence}")
@@ -251,11 +258,11 @@ def _shape_to_dict(shape):
             "matrix": [list(row) for row in shape.shape_matrix]}
 
 
-def _velocity_to_dict(vel):
-    if isinstance(vel, SphereTangent):
-        return {"center": list(vel.center), "radius": vel.radius}
-    return {"center": list(vel.center),
-            "matrix": [list(row) for row in vel.shape_matrix]}
+def _velocity_to_dict(shape, vel):
+    if isinstance(shape, SphereParams):
+        return {"center": list(vel[:3]), "radius": float(vel[3])}
+    return {"center": list(vel[:3]),
+            "matrix": [list(row) for row in symmetric_matrix(vel[3:])]}
 
 
 def _domain_to_dict(domain):
@@ -282,7 +289,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "domain": _domain_to_dict(s.domain),
         "bubbles": [
             {"shape": _shape_to_dict(b.shape),
-             "velocity": _velocity_to_dict(b.velocity),
+             "velocity": _velocity_to_dict(b.shape, b.velocity),
              "gas": {"kind": "polytropic", "K": b.gas.law.K, "gamma": b.gas.law.gamma},
              "mass": b.gas.mass}
             for b in s.bubbles],

@@ -9,14 +9,14 @@ and finite differences across nearby parameter values are well defined.
 Parameter packing convention (used throughout the package):
     sphere     -> (cx, cy, cz, r)                       4 slots
     ellipsoid  -> (cx, cy, cz, s11, s12, s13, s22, s23, s33)   9 slots
-Off-diagonal tangent slots hold the matrix entry itself; the corresponding
-symmetric perturbation matrix carries the entry in both (i,j) and (j,i).
+A velocity or acceleration is the packed vector of parameter rates in the
+same slots.  An off-diagonal slot holds the matrix entry itself, so its
+unit rate moves both (i, j) and (j, i) (symmetric_matrix).
 
 Adding a shape family means providing a params dataclass (dim, pack,
-unpack, bounding_radius, validation in __post_init__), a matching tangent
-type, and branches in surface_mesh (map the reference icosphere, supply
-on-surface quadrature data), normal_velocity, normal_velocity_basis,
-measures and tangent_like.
+unpack, bounding_radius, validation in __post_init__) and branches in
+surface_mesh (map the reference icosphere, supply on-surface quadrature
+data), normal_velocity, normal_velocity_basis and measures.
 Everything downstream works on packed vectors and meshes.
 """
 
@@ -38,6 +38,20 @@ MEASURE_FD_STEP = 1e-5
 _MAX_LEVEL = 7
 
 _SYM_INDEX = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+_SYM_ROWS, _SYM_COLS = np.array(_SYM_INDEX).T
+
+
+def symmetric_matrix(slots) -> np.ndarray:
+    """Symmetric 3x3 matrix from its six slots (s11, s12, s13, s22, s23, s33)."""
+    M = np.empty((3, 3))
+    M[_SYM_ROWS, _SYM_COLS] = slots
+    M[_SYM_COLS, _SYM_ROWS] = slots
+    return M
+
+
+def symmetric_slots(M) -> np.ndarray:
+    """The six slots (upper triangle) of a symmetric 3x3 matrix."""
+    return np.asarray(M, dtype=float)[_SYM_ROWS, _SYM_COLS]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +141,7 @@ def _reference_quadrature(level: int):
 
 
 # ---------------------------------------------------------------------------
-# shape parameters and tangent vectors
+# shape parameters
 
 
 @dataclass(frozen=True)
@@ -187,17 +201,12 @@ class EllipsoidParams:
         return 9
 
     def pack(self) -> np.ndarray:
-        S = self.shape_matrix
-        return np.concatenate([self.center, [S[i, j] for i, j in _SYM_INDEX]])
+        return np.concatenate([self.center, symmetric_slots(self.shape_matrix)])
 
     @staticmethod
     def unpack(q) -> "EllipsoidParams":
         q = np.asarray(q, dtype=float)
-        S = np.empty((3, 3))
-        for val, (i, j) in zip(q[3:], _SYM_INDEX):
-            S[i, j] = val
-            S[j, i] = val
-        return EllipsoidParams(center=q[:3], shape_matrix=S)
+        return EllipsoidParams(center=q[:3], shape_matrix=symmetric_matrix(q[3:]))
 
     def semi_axes(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.shape_matrix)
@@ -207,55 +216,6 @@ class EllipsoidParams:
 
 
 ShapeParams = Union[SphereParams, EllipsoidParams]
-
-
-@dataclass(frozen=True)
-class SphereTangent:
-    """Tangent (center rate, radius rate) to the sphere family."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "radius", float(self.radius))
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.center, [self.radius]])
-
-
-@dataclass(frozen=True)
-class EllipsoidTangent:
-    """Tangent (center rate, symmetric matrix rate) to the ellipsoid family."""
-
-    center: np.ndarray
-    shape_matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        Sd = np.asarray(self.shape_matrix, dtype=float)
-        if np.linalg.norm(Sd - Sd.T) > 1e-8 * max(1.0, np.linalg.norm(Sd)):
-            raise DegenerateShapeError("tangent matrix must be symmetric")
-        object.__setattr__(self, "shape_matrix", 0.5 * (Sd + Sd.T))
-
-    def pack(self) -> np.ndarray:
-        Sd = self.shape_matrix
-        return np.concatenate([self.center, [Sd[i, j] for i, j in _SYM_INDEX]])
-
-
-TangentVector = Union[SphereTangent, EllipsoidTangent]
-
-
-def tangent_like(shape: ShapeParams, q) -> TangentVector:
-    """Build the tangent vector of ``shape``'s family from packed slots."""
-    q = np.asarray(q, dtype=float)
-    if isinstance(shape, SphereParams):
-        return SphereTangent(center=q[:3], radius=q[3])
-    Sd = np.zeros((3, 3))
-    for val, (i, j) in zip(q[3:], _SYM_INDEX):
-        Sd[i, j] = val
-        Sd[j, i] = val
-    return EllipsoidTangent(center=q[:3], shape_matrix=Sd)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +323,6 @@ def config_from_params(config: Configuration, q) -> Configuration:
     for b, sl in zip(config.bubbles, config.slices()):
         bubbles.append(type(b).unpack(q[sl]))
     return Configuration(bubbles=tuple(bubbles), domain=config.domain)
-
-
-def pack_tangents(tangents) -> np.ndarray:
-    return np.concatenate([t.pack() for t in tangents])
-
-
-def tangents_from_vector(config: Configuration, qdot):
-    qdot = np.asarray(qdot, dtype=float)
-    return tuple(tangent_like(b, qdot[sl]) for b, sl in zip(config.bubbles, config.slices()))
 
 
 # ---------------------------------------------------------------------------
@@ -540,29 +491,30 @@ def load_off(path: str) -> CavityMesh:
 # normal velocity
 
 
-def normal_velocity(shape: ShapeParams, mdot: TangentVector, x, n):
-    """Normal speed of the surface point ``x`` induced by the parameter
-    velocity ``mdot``: c'.n + r' for spheres, c'.n + S' S^-1 (x-c).n for
-    ellipsoids.  Accepts single points or (M, 3) arrays."""
+def normal_velocity(shape: ShapeParams, mdot, x, n):
+    """Normal speed of the surface point ``x`` induced by the packed
+    parameter velocity ``mdot``: c'.n + r' for spheres, c'.n + S' S^-1
+    (x-c).n for ellipsoids, S' = symmetric_matrix(mdot[3:]).  Accepts
+    single points or (M, 3) arrays."""
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     n = np.atleast_2d(n)
     if isinstance(shape, SphereParams):
-        out = n @ mdot.center + mdot.radius
+        out = n @ mdot[:3] + mdot[3]
     else:
         Sinv = np.linalg.inv(shape.shape_matrix)
-        rel = (x - shape.center) @ Sinv.T @ mdot.shape_matrix.T
-        out = n @ mdot.center + np.einsum('ij,ij->i', rel, n)
+        rel = (x - shape.center) @ Sinv.T @ symmetric_matrix(mdot[3:]).T
+        out = n @ mdot[:3] + np.einsum('ij,ij->i', rel, n)
     return out[0] if single else out
 
 
 def normal_velocity_basis(shape: ShapeParams, x, n) -> np.ndarray:
     """(M, dim) matrix whose column j is the normal velocity at the points
-    ``x`` (normals ``n``) of the packed unit tangent e_j; normal_velocity
-    is linear in the tangent, so it equals this matrix times the packed
-    tangent."""
+    ``x`` (normals ``n``) of the unit parameter rate e_j; normal_velocity
+    is linear in the packed velocity, so it equals this matrix times that
+    velocity."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = np.atleast_2d(np.asarray(n, dtype=float))
     if isinstance(shape, SphereParams):
@@ -778,22 +730,26 @@ def _wall_gap(domain: Domain, bubble: ShapeParams, level: int = 2) -> float:
     return np.inf
 
 
+def surface_gaps(config: Configuration, level: int = 2):
+    """Yield (pair, gap) for every bubble pair (i, j), i < j, then, in a
+    cavity, for every bubble and the wall, pair (i, -1)."""
+    nb = config.n_bubbles
+    for i in range(nb):
+        for j in range(i + 1, nb):
+            yield (i, j), _pair_gap(config.bubbles[i], config.bubbles[j], level)
+    if config.bounded:
+        for i in range(nb):
+            yield (i, -1), _wall_gap(config.domain, config.bubbles[i], level)
+
+
 def check_admissible(config: Configuration, level: int = 2) -> AdmissibilityReport:
     """Pairwise disjointness and cavity containment with reported gaps."""
     violations = []
     gaps = [np.inf]
-    nb = config.n_bubbles
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            gap = _pair_gap(config.bubbles[i], config.bubbles[j], level)
-            gaps.append(gap)
-            if gap <= 0.0:
-                violations.append(Violation(kind="overlap", pair=(i, j), gap=gap))
-    if config.bounded:
-        for i in range(nb):
-            gap = _wall_gap(config.domain, config.bubbles[i], level)
-            gaps.append(gap)
-            if gap <= 0.0:
-                violations.append(Violation(kind="outside-cavity", pair=(i, -1), gap=gap))
+    for pair, gap in surface_gaps(config, level):
+        gaps.append(gap)
+        if gap <= 0.0:
+            kind = "outside-cavity" if pair[1] == -1 else "overlap"
+            violations.append(Violation(kind=kind, pair=pair, gap=gap))
     return AdmissibilityReport(ok=not violations, violations=tuple(violations),
                                min_gap=float(min(gaps)))

@@ -1,5 +1,7 @@
 import csv
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -97,14 +99,18 @@ class TestScenarioParsing:
                    "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
             velocity={"matrix": [[float("inf"), 0.0, 0.0], [0.0, 0.0, 0.0],
                                  [0.0, 0.0, 0.0]]})),
+        ("bubbles[0].velocity.matrix", lambda d: d["bubbles"][0].update(
+            shape={"type": "ellipsoid", "center": [0.0, 0.0, 0.0],
+                   "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            velocity={"matrix": [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]})),
         ("solver.mesh_level", lambda d: d["solver"].update(mesh_level=True)),
         ("solver.wall_level", lambda d: d["solver"].update(wall_level=True)),
         ("solver.residual_cadence", lambda d: d["solver"].update(residual_cadence=True)),
         ("document.schema_version", lambda d: d.update(schema_version=True)),
     ], ids=["p_infinity-nan", "density-inf", "surface_tension-nan", "t_end-inf", "mass-inf",
             "center-nan", "velocity_center-inf", "center-true", "velocity_matrix-inf",
-            "mesh_level-true", "wall_level-true", "residual_cadence-true",
-            "schema_version-true"])
+            "velocity_matrix-asymmetric", "mesh_level-true", "wall_level-true",
+            "residual_cadence-true", "schema_version-true"])
     def test_non_finite_and_boolean_values_rejected(self, tmp_path, capsys, field, edit):
         # Python's json reads NaN and Infinity, and True is an int: each
         # must fail validation at its field, so the command exits 2
@@ -276,6 +282,27 @@ class TestConvergence:
         path = write_scenario(tmp_path, doc)
         assert main(["convergence", "--scenario", path, "--levels", "1"]) == 0
         assert "warning" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("levels", ["", ",", "-1", "7", "9"])
+    def test_bad_levels_rejected(self, tmp_path, capsys, levels):
+        # an empty list, or a level outside the scenario's [0, 6], is a usage
+        # error before any assembly
+        path = write_scenario(tmp_path, equilibrium_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--scenario", path, "--levels", levels])
+        assert exc.value.code == 2
+        assert "--levels" in capsys.readouterr().err
+
+
+def test_readme_scenario_example_is_valid(tmp_path, capsys):
+    # the documented scenario format: README's one JSON block parses and
+    # passes `bubbledyn check`
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    doc = json.loads(blocks[0])
+    scenario_from_dict(doc)
+    assert main(["check", "--scenario", write_scenario(tmp_path, doc)]) == 0
 
 
 class TestRuntimeEvents:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bubbledyn import dynamics as dyn
 from bubbledyn.errors import (CompatibilityError, DiscretizationError,
                               IllPosedProblemError)
+from bubbledyn.gas import BubbleGasState, GasLaw, potential_energy
 from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
                                  _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, basis_potentials,
@@ -14,7 +15,7 @@ from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
                               SphereParams, Unbounded, config_from_params,
                               constraint_basis, normal_velocity, pack_params,
-                              surface_mesh, tangents_from_vector, wall_mesh)
+                              surface_mesh, wall_mesh)
 
 
 def unit_sphere_config():
@@ -484,10 +485,9 @@ class TestBlockReuse:
         ref = np.zeros_like(G)
         for j, d in enumerate(directions.T):
             off = 0
-            for shape, tan, mesh in zip(config.bubbles,
-                                        tangents_from_vector(config, d), meshes):
+            for shape, sl, mesh in zip(config.bubbles, config.slices(), meshes):
                 ref[off:off + mesh.n_panels, j] = normal_velocity(
-                    shape, tan, mesh.quad_points, mesh.quad_normals)
+                    shape, d[sl], mesh.quad_points, mesh.quad_normals)
                 off += mesh.n_panels
         # summation order differs from the loop: equal to a few ulps
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -875,3 +875,48 @@ class TestMetamorphic:
         if not cavity:
             common = dA[0:3] + dA[4:7]
             assert np.max(np.abs(common)) <= 1e-14 * np.max(np.abs(dA))
+
+
+class TestLambShapeMode:
+    """Lamb's n = 2 shape oscillation (Rayleigh 1879; Lamb, Hydrodynamics
+    section 275) as a static oracle for the ellipsoid family.  Along
+    S = R (I + eps D), D = diag(1, -1, 0) or its off-diagonal rotation, the
+    stiffness is 12 sigma * 16 pi R^2 / 45 and the modal added mass
+    16 pi rho R^5 / 45, so omega^2 = 12 sigma / (rho R^3)."""
+
+    R, SIGMA, GAMMA = 1.0, 0.3, 1.4
+
+    @pytest.mark.parametrize("mode", [
+        [0, 0, 0, 1.0, 0, 0, -1.0, 0, 0],     # s11 = -s22
+        [0, 0, 0, 0, 1.0, 0, 0, 0, 0],        # s12
+    ], ids=["diagonal", "off-diagonal"])
+    def test_n2_mode(self, mode):
+        R, sigma = self.R, self.SIGMA
+        v = R * np.array(mode)
+        q0 = np.array([0, 0, 0, R, 0, 0, R, 0, R])
+        # gas at rest with the surface tension: p_B = p_inf + 2 sigma / R
+        mass = (1.0 + 2 * sigma / R) ** (1 / self.GAMMA) * 4 * np.pi * R ** 3 / 3
+        gas = [BubbleGasState(mass=mass, law=GasLaw(K=1.0, gamma=self.GAMMA))]
+
+        def config(eps):
+            return Configuration((EllipsoidParams.unpack(q0 + eps * v),))
+
+        def modal_force(eps):
+            return potential_energy(gas, 1.0, sigma, config(eps)).dU_dm @ v
+
+        h = 1e-4
+        stiffness = (modal_force(h) - modal_force(-h)) / (2 * h)
+        exact_stiffness = 12 * sigma * 16 * np.pi * R ** 2 / 45
+        assert abs(stiffness - exact_stiffness) < 1e-6
+
+        exact_mass = 16 * np.pi * R ** 5 / 45
+        m1, m2, m3 = (v @ added_mass(config(0.0), level).kinetic @ v
+                      for level in (1, 2, 3))
+        errs = [exact_mass - m for m in (m1, m2, m3)]
+        # O(h^2): the error falls about 4x per level
+        assert 3.0 <= errs[0] / errs[1] <= 5.0
+        assert 3.0 <= errs[1] / errs[2] <= 5.0
+        richardson = (4 * m3 - m2) / 3
+        assert abs(richardson - exact_mass) < 2e-3
+        omega2 = stiffness / richardson
+        assert abs(omega2 / (12 * sigma / R ** 3) - 1) < 2e-3
