@@ -31,6 +31,8 @@ from .shapes import (Configuration, SphereParams, check_admissible,
 CONSTRAINT_TOLERANCE = 1e-9
 # shape sizes below this fraction of their initial value stop the run
 DEGENERACY_FRACTION = 0.02
+# relative time step of boundary_residual's centred difference of the potential
+RESIDUAL_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,10 @@ def _extended_added_mass(scenario, config):
 
 def _ahat_jacobian(A):
     """Parameter Jacobian of the extended kinetic matrix B A B^T of the
-    added mass ``A``: exact along centres and sphere radii, central
-    differences along ellipsoid matrix slots, whose inadmissible sides
-    raise (integrate poisons the trial state).
+    added mass ``A``, solved with its LU alone: exact along centres and
+    sphere radii; along ellipsoid matrix slots from central differences of
+    the collocation system, whose inadmissible sides raise (integrate
+    poisons the trial state).
 
     Cavity mode differentiates the basis-extended matrix, which depends on
     the configuration through the projector B B^T; unbounded mode has
@@ -328,7 +331,7 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     trajectory direction (shape and data moved together, which carries the
     acceleration contribution), evaluated at the frozen collocation points
     through exact panel integrals.  Its time step ``eps`` defaults to
-    potential.JACOBIAN_FD_STEP scaled by |q| and |q'|.
+    RESIDUAL_FD_STEP scaled by |q| and |q'|.
 
     In a cavity the residual has a roundoff floor of about 1e-7 relative:
     the centred difference divides the difference of two solutions of the
@@ -339,7 +342,7 @@ def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
     config = state.config
     rho = scenario.liquid_density
     if eps is None:
-        eps = (pot.JACOBIAN_FD_STEP * (1.0 + np.max(np.abs(q)))
+        eps = (RESIDUAL_FD_STEP * (1.0 + np.max(np.abs(q)))
                / max(1.0, np.max(np.abs(qd))))
 
     meshes = pot.configuration_meshes(config, scenario.mesh_level,

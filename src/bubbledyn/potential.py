@@ -32,20 +32,14 @@ matrices into blocks.  Block (a, b) of S holds the integrals from the
 points of surface a over the panels of surface b; block (a, b) of
 1/2 I + K' is the weighted transpose of the double-layer integrals from
 the points of b over the panels of a.  Either block depends on surfaces a
-and b alone, so the assembly is built block by block and a block is
-reused wherever it is exactly the same.  Which shape lies behind a
-surface, the assembly reads from its mesh (SurfaceMesh.shape):
+and b alone, so the assembly is built block by block.  Which shape lies
+behind a surface, the assembly reads from its mesh (SurfaceMesh.shape):
 
 * Own-surface blocks are invariant under translation, and under scaling
   except for S, which scales with the length.  A sphere's (or spherical
   wall's) self-blocks are therefore those of the unit sphere of the same
   level and orientation, with S times the radius; the unit pair is
   computed once per (level, orientation) and kept read-only.
-* A configuration that differs from an assembled base in some bubbles (an
-  FD side of the added-mass Jacobian changes one ellipsoid's shape)
-  copies the base and recomputes only the rows and columns of those
-  bubbles.  Blocks between unchanged surfaces, the wall-wall block among
-  them, are never rebuilt.
 * A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
   factorization is kept with the unit pair and serves every lone sphere
   of the level, in a run or in a single solve_neumann: one factorization
@@ -56,22 +50,23 @@ the flat-panel integrals that depend on those panels alone (corner dots
 and crosses, unit normals, edge lengths and in-plane edge normals) are
 computed once per surface, when its PanelGeometry is built, leaving point-
 panel products to each block.  An assembly keeps one PanelGeometry per
-surface; a configuration assembled from a base takes the mesh and the
-PanelGeometry of every unchanged surface from it, so an FD side builds
-both only for the bubble it changes.
+surface.
 
 Added mass and its Jacobian.  The added mass is taken along the basis B
 of the admissible velocities that the configuration fixes
 (shapes.constraint_basis; B = I in unbounded liquid), and the reduced
 equations of motion need the parameter derivatives of its kinetic matrix
-B A B^T.  Along a bubble translation or a sphere radius they are exact
-derivatives of the discrete operator: only the moved bubble's blocks
-change, by directional derivatives of the flat-panel integrals (the solid
-angle's is the edge form of van Oosterom and Strackee, IEEE TBME 30,
-1983), so the derivative needs the base assembly and its LU and no other.
-Only the six matrix slots of an ellipsoid are central differences
-(shapes.fd_gradient), each side assembled from the base; a side outside
-the admissible set raises.  The Jacobian takes the added mass alone.
+B A B^T.  Every column comes from one formula: the rates of the
+collocation matrices, the weights and the direction data along the slot,
+applied to the base solution and solved with the base LU, so an
+equations-of-motion call factors one matrix.  Along a bubble translation
+or a sphere radius the rates are exact derivatives of the discrete
+operator: only the moved bubble's blocks change, by directional
+derivatives of the flat-panel integrals (the solid angle's is the edge
+form of van Oosterom and Strackee, IEEE TBME 30, 1983).  Along the six
+matrix slots of an ellipsoid they are central differences
+(shapes.fd_gradient) of the collocation system; a side outside the
+admissible set raises.  The Jacobian takes the added mass alone.
 """
 
 from __future__ import annotations
@@ -83,13 +78,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
-from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis,
-                     EllipsoidParams, SphereParams, config_from_params, constraint_basis,
-                     fd_gradient, normal_velocity_basis, pack_params, surface_mesh,
-                     volume_gradient, volume_hessian, wall_mesh)
+from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis, SphereParams,
+                     config_from_params, constraint_basis, fd_gradient, normal_velocity_basis,
+                     pack_params, surface_mesh, volume_gradient, volume_hessian, wall_mesh)
 
-# relative FD step for the ellipsoid matrix-slot columns of the added-mass Jacobian
-JACOBIAN_FD_STEP = 1e-4
+# relative FD step for the ellipsoid matrix-slot rates of the added-mass Jacobian
+JACOBIAN_FD_STEP = 1e-5
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
 _ROW_BLOCK = 2048
@@ -389,26 +383,11 @@ def _unit_sphere_blocks(level: int, wall: bool) -> _UnitSphere:
     return unit
 
 
-def _same(old, new) -> bool:
-    """Whether shape ``new`` is shape ``old``: the same object, or bubbles
-    of one family with equal parameters."""
-    if old is new:
-        return True
-    return (type(old) is type(new) and isinstance(old, (SphereParams, EllipsoidParams))
-            and np.array_equal(old.pack(), new.pack()))
-
-
 class _Assembly:
     """Collocation system of one set of surfaces: the matrices
     (1/2 I + K', S), built block by block, the panel data of each surface,
-    and the LU factorization of 1/2 I + K', built by the first solve.
-
-    The shape behind each surface is its mesh's ``shape``.  With ``base``,
-    an assembly of the same surfaces at the same levels at another
-    configuration, a surface whose shape did not change keeps the base's
-    mesh and panel data (the mesh passed for it is not used), the blocks
-    between such surfaces are copied, and only the rows and columns of
-    changed surfaces are recomputed.
+    and the LU factorization of 1/2 I + K', built by the first solve.  The
+    shape behind each surface is its mesh's ``shape``.
 
     A lone sphere (one surface, a spherical bubble) is its unit sphere's
     self-blocks: A is the cached unit-sphere A itself, S is r S_unit, and
@@ -417,35 +396,28 @@ class _Assembly:
     built only on request.  Everything is read-only once built.
     """
 
-    def __init__(self, meshes, base=None):
-        meshes = tuple(meshes)
+    def __init__(self, meshes):
+        self.meshes = meshes = tuple(meshes)
         n = len(meshes)
-        same = ([False] * n if base is None
-                else [_same(old.shape, new.shape) for old, new in zip(base.meshes, meshes)])
-        self.meshes = tuple(base.meshes[k] if same[k] else meshes[k] for k in range(n))
-        self.bounded = any(m.closure < 0 for m in self.meshes)
-        self.weights = np.concatenate([m.quad_weights for m in self.meshes])
+        self.bounded = any(m.closure < 0 for m in meshes)
+        self.weights = np.concatenate([m.quad_weights for m in meshes])
         self._lu = None
         self._unit = None
         self._panels = self._geom = None
-        if n == 1 and isinstance(self.meshes[0].shape, SphereParams):
-            self._unit = _unit_sphere_blocks(self.meshes[0].level, False)
+        if n == 1 and isinstance(meshes[0].shape, SphereParams):
+            self._unit = _unit_sphere_blocks(meshes[0].level, False)
             self.A = self._unit.A
-            self.S = self.meshes[0].shape.radius * self._unit.S
+            self.S = meshes[0].shape.radius * self._unit.S
             self.S.setflags(write=False)
             return
-        self._panels = parts = tuple(base.panels[k] if same[k] else surface_panels(meshes[k])
-                                     for k in range(n))
-        offsets = np.cumsum([0] + [m.n_panels for m in self.meshes])
+        self._panels = parts = tuple(surface_panels(m) for m in meshes)
+        offsets = np.cumsum([0] + [m.n_panels for m in meshes])
         blocks = [slice(offsets[k], offsets[k + 1]) for k in range(n)]
-        if base is None:
-            A = np.empty((offsets[-1], offsets[-1]))
-            S = np.empty_like(A)
-        else:
-            A, S = base.A.copy(), base.S.copy()
+        A = np.empty((offsets[-1], offsets[-1]))
+        S = np.empty_like(A)
         for a in range(n):
             for b in range(n):
-                if a == b or (same[a] and same[b]):
+                if a == b:
                     continue
                 # points of a over panels of b: S block (a, b), and the
                 # double-layer integrals whose weighted transpose is block (b, a)
@@ -454,18 +426,14 @@ class _Assembly:
                 S[blocks[a], blocks[b]] = S_ab
                 A[blocks[b], blocks[a]] = (
                     K_ab.T * (parts[a].weights[None, :] / parts[b].weights[:, None]))
-        for k in range(n):
-            if same[k]:
-                continue
-            blk = blocks[k]
-            shape = self.meshes[k].shape
+        for mesh, part, blk in zip(meshes, parts, blocks):
+            shape = mesh.shape
             if isinstance(shape, (SphereParams, CavitySphere)):
-                unit = _unit_sphere_blocks(self.meshes[k].level,
-                                           isinstance(shape, CavitySphere))
+                unit = _unit_sphere_blocks(mesh.level, isinstance(shape, CavitySphere))
                 A[blk, blk] = unit.A
                 S[blk, blk] = shape.radius * unit.S
             else:
-                A[blk, blk], S[blk, blk] = _self_blocks(parts[k])
+                A[blk, blk], S[blk, blk] = _self_blocks(part)
         A.setflags(write=False)
         S.setflags(write=False)
         self.A, self.S = A, S
@@ -527,12 +495,6 @@ class _Assembly:
                     condition=1.0 / max(rc, 1e-300))
         phi = self.S @ q
         return (q.reshape(g.shape), phi.reshape(g.shape))
-
-    def meshes_for(self, config, level, wall_level=None):
-        """Meshes of ``config``, a configuration near this assembly's: this
-        assembly's own where a shape is unchanged, new ones elsewhere."""
-        return tuple(mesh if _same(mesh.shape, new) else _mesh(new, level, wall_level)
-                     for new, mesh in zip(_surfaces(config), self.meshes))
 
 
 def _surfaces(config: Configuration):
@@ -673,10 +635,10 @@ class AddedMassMatrix:
     liquid density.  ``asymmetry`` is the relative reciprocity defect
     before symmetrization; ``eigenvalues`` the spectrum after.
     ``assembly`` holds the collocation system it was computed from
-    (meshes, matrices and factorization), the ``base`` from which
-    added_mass assembles a nearby configuration; ``data``, ``density`` and
-    ``potential`` are the basis velocities' boundary data, densities and
-    boundary potentials, one column per basis column (read-only)."""
+    (meshes, matrices and factorization), whose LU added_mass_jacobian
+    reuses; ``data``, ``density`` and ``potential`` are the basis
+    velocities' boundary data, densities and boundary potentials, one
+    column per basis column (read-only)."""
 
     matrix: np.ndarray
     basis: ConstraintBasis
@@ -695,8 +657,10 @@ class AddedMassMatrix:
 
     @property
     def collocation_condition(self) -> float:
-        """1-norm condition estimate of the collocation matrix; the
-        estimate is computed once per factorization."""
+        """Condition of the collocation matrix in the 1-norm, as LAPACK's
+        estimate (gecon) from the LU factors: an estimate, not the exact
+        condition number, which can differ in its last bits between runs
+        on equal inputs.  It is computed once per factorization."""
         return 1.0 / max(self.assembly.rcond(), 1e-300)
 
     @property
@@ -707,7 +671,17 @@ class AddedMassMatrix:
         return B @ self.matrix @ B.T if self.basis.constrained else self.matrix
 
 
-def _gram(asm, config, basis, liquid_density):
+def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
+               wall_level=None) -> AddedMassMatrix:
+    """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
+    panels (Green reduction of the volume Gram integral), symmetrized,
+    with i and j running over the columns of shapes.constraint_basis(config):
+    the packed parameters in unbounded liquid, an orthonormal basis of the
+    volume-preserving velocities in a cavity.  ``kinetic`` is the matrix
+    over all packed velocities.
+    """
+    asm = _Assembly(configuration_meshes(config, level, wall_level))
+    basis = constraint_basis(config)
     G = _direction_data(config, asm.meshes, basis.matrix)
     Q, Phi = asm.solve(G)
     raw = -liquid_density * (Phi.T * asm.weights[None, :]) @ G
@@ -717,7 +691,7 @@ def _gram(asm, config, basis, liquid_density):
     eig = np.linalg.eigvalsh(A)
     if eig[0] <= 0.0:
         raise DiscretizationError(
-            f"added-mass matrix not positive definite at level {asm.meshes[0].level}; "
+            f"added-mass matrix not positive definite at level {level}; "
             f"eigenvalues {eig}", eigenvalues=eig)
     return AddedMassMatrix(matrix=A, basis=basis,
                            liquid_density=liquid_density, asymmetry=asym,
@@ -726,53 +700,62 @@ def _gram(asm, config, basis, liquid_density):
                               (("data", G), ("density", Q), ("potential", Phi))})
 
 
-def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
-               wall_level=None, base: AddedMassMatrix | None = None) -> AddedMassMatrix:
-    """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
-    panels (Green reduction of the volume Gram integral), symmetrized,
-    with i and j running over the columns of shapes.constraint_basis(config):
-    the packed parameters in unbounded liquid, an orthonormal basis of the
-    volume-preserving velocities in a cavity.  ``kinetic`` is the matrix
-    over all packed velocities.
-
-    With ``base``, an added-mass matrix of the same bubbles and domain at
-    the same levels, the meshes, panel data and collocation blocks of
-    surfaces that did not change are taken from its assembly instead of
-    rebuilt.
-    """
-    if base is None:
-        meshes = configuration_meshes(config, level, wall_level)
-    else:
-        meshes = base.assembly.meshes_for(config, level, wall_level)
-    asm = _Assembly(meshes, None if base is None else base.assembly)
-    return _gram(asm, config, constraint_basis(config), liquid_density)
-
-
-def _projector_derivatives(config, slots):
+def _projector_derivatives(config):
     """Derivatives of the projector P = I - l l^T / |l|^2 onto the
-    volume-preserving velocities (l the volume gradient) along the
-    parameter slots ``slots``, from the volume Hessian, (len(slots), p, p);
-    None in unbounded liquid, where P = I."""
+    volume-preserving velocities (l the volume gradient) along every
+    parameter slot, from the volume Hessian, (p, p, p); None in unbounded
+    liquid, where P = I."""
     if not config.bounded:
         return None
     ell = volume_gradient(config)
     n2 = ell @ ell
     L = np.outer(ell, ell) / n2
     dP = []
-    for dl in volume_hessian(config)[:, slots].T:
+    for dl in volume_hessian(config).T:
         dP.append(2.0 * (dl @ ell) / n2 * L - (np.outer(dl, ell) + np.outer(ell, dl)) / n2)
     return np.array(dP)
 
 
-def _exact_slots(config):
-    """Packed parameter slots of every bubble centre and sphere radius."""
-    return [sl.start + j for b, sl in zip(config.bubbles, config.slices())
-            for j in range(4 if isinstance(b, SphereParams) else 3)]
+def _matrix_slot_rates(mass, X, slots):
+    """Rates along the ellipsoid matrix slots ``slots`` of the collocation
+    system of ``mass`` with the densities X held fixed: of S X, of
+    (1/2 I + K') X, of the direction data G (N, p) and of the weights,
+    each with the slots first.  They are central differences
+    (shapes.fd_gradient, step JACOBIAN_FD_STEP * (1 + |q_k|)) between side
+    configurations, each assembled but not factored; a side meshes its
+    bubbles afresh and keeps the base's wall mesh, since the wall never
+    moves.  A degenerate side raises DegenerateShapeError and an
+    inadmissible one DiscretizationError: the state is closer to contact
+    than the step, and the caller rejects it."""
+    from .shapes import check_admissible  # local import to keep module load light
+
+    config, asm = mass.config, mass.assembly
+    level, wall = asm.meshes[0].level, asm.meshes[config.n_bubbles:]
+    q0 = pack_params(config)
+    p = len(q0)
+
+    def system(values):
+        q = q0.copy()
+        q[slots] = values
+        cfg = config_from_params(config, q)
+        report = check_admissible(cfg, min(level, 2))
+        if not report.ok:
+            raise DiscretizationError(f"FD side outside the admissible set: "
+                                      f"{report.violations}")
+        meshes = tuple(surface_mesh(b, level) for b in cfg.bubbles) + wall
+        side = _Assembly(meshes)
+        return np.hstack([side.S @ X, side.A @ X, _direction_data(cfg, meshes, np.eye(p)),
+                          side.weights[:, None]])
+
+    rates = fd_gradient(system, q0[slots], JACOBIAN_FD_STEP)
+    return rates[..., :p], rates[..., p:2 * p], rates[..., 2 * p:3 * p], rates[..., 3 * p]
 
 
-def _center_and_radius_columns(mass):
-    """Exact derivatives of the kinetic matrix of the added mass ``mass``
-    along _exact_slots(mass.config); returns (n_slots, p, p).
+def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
+    """Parameter Jacobian of the kinetic matrix of ``mass``
+    (AddedMassMatrix.kinetic), shape (p, p, p) with the first index the
+    differentiated parameter, at the configuration, level and liquid
+    density of ``mass``.
 
     The kinetic matrix is K = sym(-rho (S X)^T W G P) with X = M^-1 G P,
     M = 1/2 I + K' and S the assembled matrices, W the quadrature weights,
@@ -780,16 +763,16 @@ def _center_and_radius_columns(mass):
     volume-preserving velocities (I in unbounded liquid), B the basis
     matrix; G P is flux free at every configuration, so the constant
     potential that the cavity system leaves undetermined never shows.
-    Along a slot, with the base LU,
+    Along every slot, with the LU of ``mass`` and no other,
 
-        dX = M^-1 (G dP - dM X),
+        dX = M^-1 (dG P + G dP - dM X),
         dK = sym(-rho [(dS X + S dX)^T W G P + (S X)^T dW G P
-                       + (S X)^T W G dP]),
+                       + (S X)^T W (dG P + G dP)]),
 
     with no flux shift on the derivative solve: its data is not flux free,
-    and shifting it would bias dK.  G itself does not change along these
-    slots.  Only the moved bubble's rows and columns of M and S change,
-    and dM X and dS X are formed block by block from the directional
+    and shifting it would bias dK.  Along the centres and sphere radii,
+    only the moved bubble's rows and columns of M and S change, G does
+    not, and dM X and dS X are formed block by block from the directional
     derivatives of the cross blocks (_panel_blocks ``directions``):
 
     * translating bubble k along axis e: +d_e where k owns the points,
@@ -800,26 +783,30 @@ def _center_and_radius_columns(mass):
       dS = (S - d_{x-c} S)/r and dK = -d_{x-c} K/r; the self-blocks give
       dS_kk = S_kk/r, dM_kk = 0; and the weights dw_k = 2 w_k/r, which
       enter the weighted transpose in M and the Gram matrix.
+
+    Along the six matrix slots of an ellipsoid, dS X, dM X, dG and dW are
+    central differences (_matrix_slot_rates); only they carry dG.
     """
     config, asm, rho = mass.config, mass.assembly, mass.liquid_density
     p, nb = config.dim, config.n_bubbles
-    slots = _exact_slots(config)
-    dP = _projector_derivatives(config, slots)
+    dP = _projector_derivatives(config)
     B = mass.basis.matrix
     # G P, X and S X from the solution for G B
     GP, X, Phi = mass.data @ B.T, mass.density @ B.T, mass.potential @ B.T
-    index = {slot: t for t, slot in enumerate(slots)}
     w = asm.weights
     offsets = np.cumsum([0] + [m.n_panels for m in asm.meshes])
     blocks = [slice(offsets[k], offsets[k + 1]) for k in range(len(asm.meshes))]
-    dSX = np.zeros((len(slots), len(w), p))
+    dSX = np.zeros((p, len(w), p))
     dMX = np.zeros_like(dSX)
-    dw = np.zeros((len(slots), len(w)))
+    dw = np.zeros((p, len(w)))
+    matrix = []  # the ellipsoid matrix slots
     for k, (bubble, sl) in enumerate(zip(config.bubbles, config.slices())):
         if isinstance(bubble, SphereParams):
-            t, blk, r = index[sl.start + 3], blocks[k], bubble.radius
+            t, blk, r = sl.start + 3, blocks[k], bubble.radius
             dSX[t, blk] = asm.S[blk, blk] @ X[blk] / r
             dw[t, blk] = 2.0 * w[blk] / r
+        else:
+            matrix += range(sl.start + 3, sl.stop)
 
     # each ordered pair of surfaces (a, b) with a bubble among them: the
     # derivatives of the block of a's points over b's panels along the
@@ -845,8 +832,7 @@ def _center_and_radius_columns(mass):
                                    directions=np.stack(fields))
         dS_X = dS @ X[Db]
         dK_X = (dK.transpose(0, 2, 1) @ (w[Da, None] * X[Da])) / w[Db, None]
-        for slot, i, sign, r in uses:
-            t = index[slot]
+        for t, i, sign, r in uses:
             if r is not None and sign < 0:
                 # the radius of sphere b, whose panels scale about its centre
                 dSX[t, Da] += (asm.S[Da, Db] @ X[Db] - dS_X[i]) / r
@@ -858,59 +844,26 @@ def _center_and_radius_columns(mass):
                 # w_a (a's radius) or 1 / w_b (b's) in the weighted transpose
                 dMX[t, Db] += sign * 2.0 / r * (asm.A[Db, Da] @ X[Da])
 
+    if matrix:
+        dSX[matrix], dMX[matrix], dG, dw[matrix] = _matrix_slot_rates(mass, X, matrix)
+        dGP = dG @ B @ B.T
     GdP = None
     if dP is not None:
         GdP = _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
     rhs = -dMX if GdP is None else GdP - dMX
+    if matrix:
+        rhs[matrix] += dGP
     dPhi = dSX
-    if rhs.any():  # a lone unbounded bubble's is zero
+    if rhs.any():  # a lone unbounded sphere's is zero
         dX = sla.lu_solve(asm.factorization().lu,
                           rhs.transpose(1, 0, 2).reshape(len(w), -1), check_finite=False)
         if not np.all(np.isfinite(dX)):
             raise IllPosedProblemError("added-mass Jacobian solve produced non-finite values")
-        dPhi = dSX + (asm.S @ dX).reshape(len(w), len(slots), p).transpose(1, 0, 2)
+        dPhi = dSX + (asm.S @ dX).reshape(len(w), p, p).transpose(1, 0, 2)
     raw = dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)
     if GdP is not None:
         raw += Phi.T @ (w[:, None] * GdP)
+    if matrix:
+        raw[matrix] += Phi.T @ (w[:, None] * dGP)
     raw *= -rho
     return 0.5 * (raw + raw.transpose(0, 2, 1))
-
-
-def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
-    """Parameter Jacobian of the kinetic matrix of ``mass``
-    (AddedMassMatrix.kinetic), shape (p, p, p) with the first index the
-    differentiated parameter, at the configuration, level and liquid
-    density of ``mass``.
-
-    The columns of every bubble centre and every sphere radius are exact
-    derivatives of the discrete kinetic matrix, from the assembly of
-    ``mass`` and its LU alone (_center_and_radius_columns).  The six matrix
-    slots of an ellipsoid are central differences (shapes.fd_gradient)
-    with step ``JACOBIAN_FD_STEP * (1 + |q_k|)``, every side assembled from
-    ``mass``.  A degenerate side raises DegenerateShapeError and an
-    inadmissible one DiscretizationError: the state is closer to contact
-    than the step, and the caller rejects it.
-    """
-    from .shapes import check_admissible  # local import to keep module load light
-
-    config, level = mass.config, mass.assembly.meshes[0].level
-    q0 = pack_params(config)
-    p = len(q0)
-    dA = np.zeros((p, p, p))
-    exact = _exact_slots(config)
-    dA[exact] = _center_and_radius_columns(mass)
-    slots = [k for k in range(p) if k not in exact]
-
-    def kinetic(values):
-        q = q0.copy()
-        q[slots] = values
-        cfg = config_from_params(config, q)
-        report = check_admissible(cfg, min(level, 2))
-        if not report.ok:
-            raise DiscretizationError(f"FD side outside the admissible set: "
-                                      f"{report.violations}")
-        return added_mass(cfg, level, mass.liquid_density, base=mass).kinetic
-
-    if slots:
-        dA[slots] = fd_gradient(kinetic, q0[slots], JACOBIAN_FD_STEP)
-    return dA

@@ -296,23 +296,28 @@ class TestAddedMassJacobian:
             combo = dA[axis] + dA[4 + axis]
             assert np.max(np.abs(combo)) <= 1e-12 * np.max(np.abs(dA[axis]))
 
-    @pytest.mark.parametrize("n_bubbles", [2, 3])
+    @pytest.mark.parametrize("n_bubbles", [2, 3, "ellipsoid_pair"])
     def test_translation_and_scaling_identities(self, n_bubbles):
         # A is invariant under a common translation and homogeneous of
         # degree 3 under scaling about the origin, exactly so in the
-        # discretization: sum_k dA/dc_k = 0 and sum_i q_i dA/dq_i = 3 A
-        config = Configuration(bubbles=tuple(
-            SphereParams(center=c, radius=r) for c, r in
-            zip(([0.2, -0.1, 0.3], [2.8, 0.4, -0.2], [0.5, 2.6, 0.7])[:n_bubbles],
-                (1.0, 0.8, 0.7)[:n_bubbles])))
+        # discretization: sum_k dA/dc_k = 0 and sum_i q_i dA/dq_i = 3 A.
+        # The centre and radius columns are exact; the ellipsoid matrix
+        # slots carry the O(h^2) error of their central differences
+        if n_bubbles == "ellipsoid_pair":
+            config, euler_bound = ellipsoid_pair(), 2e-9
+        else:
+            config, euler_bound = Configuration(bubbles=tuple(
+                SphereParams(center=c, radius=r) for c, r in
+                zip(([0.2, -0.1, 0.3], [2.8, 0.4, -0.2], [0.5, 2.6, 0.7])[:n_bubbles],
+                    (1.0, 0.8, 0.7)[:n_bubbles]))), 1e-12
         A = added_mass(config, 1)
         dA = added_mass_jacobian(A)
         scale = np.max(np.abs(A.matrix))
         for axis in range(3):
-            total = sum(dA[4 * k + axis] for k in range(n_bubbles))
+            total = sum(dA[sl.start + axis] for sl in config.slices())
             assert np.max(np.abs(total)) <= 1e-12 * scale
         euler = np.einsum('i,ijk->jk', pack_params(config), dA)
-        assert np.max(np.abs(euler - 3.0 * A.matrix)) <= 1e-12 * scale
+        assert np.max(np.abs(euler - 3.0 * A.matrix)) <= euler_bound * scale
 
     def test_two_sphere_pulsation_coupling(self):
         # A_{r1 r2} -> 4 pi rho a1^2 a2^2 / d for d >> a (Bjerknes 1906),
@@ -385,32 +390,14 @@ class TestBlockReuse:
         assert rel_diff(A_unit, A) <= 1e-13
         assert rel_diff(radius * S_unit, S) <= 1e-13
 
-    @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity, ellipsoid_pair])
-    @pytest.mark.parametrize("slot", [0, 3])  # a center slot, a shape slot
-    def test_update_from_base_matches_scratch(self, make_config, slot):
-        config = make_config()
-        base = _Assembly(configuration_meshes(config, 1))
-        q = pack_params(config)
-        q[config.slices()[1].start + slot] += 1e-3
-        moved = config_from_params(config, q)
-        meshes = configuration_meshes(moved, 1)
-        updated = _Assembly(meshes, base)
-        scratch = _Assembly(meshes)
-        assert rel_diff(updated.A, scratch.A) <= 1e-12
-        assert rel_diff(updated.S, scratch.S) <= 1e-12
-        # blocks between unchanged surfaces are copied from the base
-        first = slice(0, base.meshes[0].n_panels)
-        assert np.array_equal(updated.A[first, first], base.A[first, first])
-
     @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity, ellipsoid_pair,
                                              sphere_and_ellipsoid_in_cavity])
     def test_jacobian_matches_plain_central_differences(self, make_config):
-        # the centre and sphere-radius columns are exact: a plain central
-        # difference of step h misses them by O(h^2), 4x less per halving.
-        # The ellipsoid matrix slots are central differences of step 1e-4
-        # themselves: one of step h differs from them by c (h^2 - 1e-8), a
-        # ratio (16 - 1) / (4 - 1) = 5 between h = 4e-4 and 2e-4, and by
-        # nothing but roundoff at h = 1e-4
+        # a plain central difference of step h misses every column by
+        # O(h^2), 4x less per halving: the centre and sphere-radius columns
+        # are exact, and the ellipsoid matrix slots difference the
+        # collocation blocks at a step (1e-5) whose own error lies below
+        # both of the steps compared here
         config = make_config()
         dA = added_mass_jacobian(added_mass(config, 1))
         q0 = pack_params(config)
@@ -434,14 +421,18 @@ class TestBlockReuse:
         exact = exact_slots(config)
         checked = [k for k in range(len(q0)) if coarse[k] > 1e-8 * scale]
         assert any(k in exact for k in checked)
+        if len(exact) < len(q0):
+            assert any(k not in exact for k in checked)
         for k in checked:
-            low, high = (3.0, 5.0) if k in exact else (4.5, 5.5)
-            assert low <= coarse[k] / fine[k] <= high, k
-        ref = central(1e-4)
-        assert rel_diff(dA, ref) <= 2e-7
-        matrix_slots = [k for k in range(len(q0)) if k not in exact]
-        if matrix_slots:
-            assert rel_diff(dA[matrix_slots], ref[matrix_slots]) <= 1e-9
+            assert 3.0 <= coarse[k] / fine[k] <= 5.0, k
+        assert rel_diff(dA, central(1e-4)) <= 2e-7
+
+    def test_jacobian_factors_only_the_base(self, monkeypatch):
+        # the matrix-slot sides are assembled, never factored: the added
+        # mass and its whole Jacobian make one LU between them
+        calls = TestLoneSphereFactorization.count_lu(monkeypatch)
+        added_mass_jacobian(added_mass(ellipsoid_pair(), 1))
+        assert calls == [160]
 
     def test_inadmissible_fd_side_raises(self, monkeypatch):
         # ellipsoids 5e-3 apart (as the level-1 admissibility check measures
@@ -756,25 +747,6 @@ class TestPanelData:
         # the mesh's own arrays stay as they were
         assert meshes[0].quad_points.flags.writeable
 
-    def test_fd_side_shares_unchanged_meshes_and_panels(self):
-        config = sphere_pair_in_cavity()
-        base = added_mass(config, 1)
-        q = pack_params(config)
-        q[config.slices()[1].start] += 1e-3  # bubble 1 moves
-        moved = config_from_params(config, q)
-        side = added_mass(moved, 1, base=base).assembly
-        for k in (0, 2):  # bubble 0 and the wall
-            assert side.meshes[k] is base.assembly.meshes[k]
-            assert side.panels[k] is base.assembly.panels[k]
-        assert side.meshes[1] is not base.assembly.meshes[1]
-        assert side.panels[1] is not base.assembly.panels[1]
-        assert side.panels[1].meshes[0] is side.meshes[1]
-        assert np.array_equal(side.meshes[1].vertices,
-                              configuration_meshes(moved, 1)[1].vertices)
-        scratch = added_mass(moved, 1).assembly
-        assert rel_diff(side.A, scratch.A) <= 1e-12
-        assert rel_diff(side.S, scratch.S) <= 1e-12
-
     def test_one_rhs_builds_panels_once_per_new_surface(self, monkeypatch):
         # two spheres in a cavity at level 1: the base configuration builds
         # the meshes and panel data of its three surfaces; the Jacobian,
@@ -824,10 +796,13 @@ def jittered_sphere_and_ellipsoid(seed, cavity):
 
 class TestMetamorphic:
     """Symmetries that the discrete kinetic matrix and its Jacobian keep up
-    to roundoff, on a sphere + ellipsoid pair at level 1.  Each bound sits
-    15x or more above the largest error seen over 40 seeds; the cavity
-    system (condition about 1e8) and the FD columns (step 1e-4) carry more
-    roundoff than the unbounded exact columns."""
+    to roundoff, on a sphere + ellipsoid pair at level 1.  The bounds on
+    the kinetic matrix and the exact columns sit 15x or more above the
+    largest error seen over 40 seeds; the cavity system (condition about
+    1e8) carries more roundoff than the unbounded one.  The FD columns
+    (step 1e-5) carry the most: over 200 seeds their largest errors were
+    3.6e-11 and 3.2e-8 under permutation, and those of the whole Jacobian
+    under translation 4.9e-12 and 2.0e-8, 2x to 5x inside the bounds."""
 
     # (kinetic, exact columns, FD columns), relative to the largest entry
     PERMUTATION_BOUNDS = {False: (1e-14, 1e-14, 1e-10), True: (1e-10, 1e-10, 1e-7)}
