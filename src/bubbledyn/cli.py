@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import gas as gas_mod
+from . import potential as pot
 from .errors import BubbleDynError
 from .scenario import (MAX_MESH_LEVEL, ScenarioError, parse_scenario,
                        scenario_to_dict)
@@ -74,7 +75,8 @@ def write_trajectory_csv(path, scenario, traj):
 
 
 def _gram_diagnostics(scenario):
-    A = dyn._extended_added_mass(scenario, scenario.configuration())
+    A = pot.added_mass(scenario.configuration(), scenario.mesh_level,
+                       scenario.liquid_density, scenario.wall_level)
     return {
         "gram_condition": A.condition,
         "gram_eigenvalues": [float(e) for e in A.eigenvalues],
@@ -179,7 +181,7 @@ def cmd_convergence(args) -> int:
         s = dataclasses.replace(scenario, mesh_level=level,
                                 wall_level=None if scenario.wall_level is None
                                 else max(scenario.wall_level, level))
-        A = dyn._extended_added_mass(s, s.configuration())
+        A = pot.added_mass(s.configuration(), s.mesh_level, s.liquid_density, s.wall_level)
         traj = dyn.integrate(s)
         state = traj.states[-1]
         acc = dyn.eom_rhs(s, traj.states[0])

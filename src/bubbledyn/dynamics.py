@@ -52,20 +52,10 @@ class State:
 # scenario-facing kinetic assembly
 
 
-def _extended_added_mass(scenario, config):
-    """Added mass at the scenario's levels along the constraint basis of
-    ``config`` (its ``basis``), with the ambient extension B A B^T as its
-    ``kinetic`` matrix."""
-    return pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
-                          scenario.wall_level)
-
-
 def _ahat_jacobian(A):
     """Parameter Jacobian of the extended kinetic matrix B A B^T of the
-    added mass ``A``, solved with its LU alone: exact along centres and
-    sphere radii; along ellipsoid matrix slots from central differences of
-    the collocation system, whose inadmissible sides raise (integrate
-    poisons the trial state).
+    added mass ``A``, exact in every column and solved with its LU alone
+    (potential.added_mass_jacobian).
 
     Cavity mode differentiates the basis-extended matrix, which depends on
     the configuration through the projector B B^T; unbounded mode has
@@ -76,7 +66,8 @@ def _ahat_jacobian(A):
 def _acceleration(scenario, config, qdot):
     """Flat acceleration vector from the (constrained) Euler-Lagrange
     equations."""
-    A = _extended_added_mass(scenario, config)
+    A = pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
+                       scenario.wall_level)
     dA = _ahat_jacobian(A)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
@@ -131,7 +122,9 @@ def _bubble_size(shape) -> float:
 def energies(scenario, state: State):
     """(kinetic, potential, total) of a state, at the scenario mesh level."""
     config, qd = state.config, state.velocity
-    ke = 0.5 * float(qd @ _extended_added_mass(scenario, config).kinetic @ qd)
+    A = pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
+                       scenario.wall_level)
+    ke = 0.5 * float(qd @ A.kinetic @ qd)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
                                   config).U

@@ -59,14 +59,15 @@ equations of motion need the parameter derivatives of its kinetic matrix
 B A B^T.  Every column comes from one formula: the rates of the
 collocation matrices, the weights and the direction data along the slot,
 applied to the base solution and solved with the base LU, so an
-equations-of-motion call factors one matrix.  Along a bubble translation
-or a sphere radius the rates are exact derivatives of the discrete
-operator: only the moved bubble's blocks change, by directional
-derivatives of the flat-panel integrals (the solid angle's is the edge
-form of van Oosterom and Strackee, IEEE TBME 30, 1983).  Along the six
-matrix slots of an ellipsoid they are central differences
-(shapes.fd_gradient) of the collocation system; a side outside the
-admissible set raises.  The Jacobian takes the added mass alone.
+equations-of-motion call assembles and factors one matrix.  Along every
+slot the rates are exact derivatives of the discrete operator: only the
+moved bubble's blocks change, by the rates of the flat-panel integrals as
+the collocation points move (the solid angle's in the edge form of van
+Oosterom and Strackee, IEEE TBME 30, 1983) and as the panel corners move
+(their per-corner gradients, from the same edge terms).  A translation
+moves a bubble rigidly, a sphere radius scales it, and an ellipsoid
+matrix slot deforms it, moving its points and corners alike.  The
+Jacobian takes the added mass alone and builds no mesh.
 """
 
 from __future__ import annotations
@@ -79,11 +80,9 @@ import scipy.linalg as sla
 
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
 from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis, SphereParams,
-                     config_from_params, constraint_basis, fd_gradient, normal_velocity_basis,
-                     pack_params, surface_mesh, volume_gradient, volume_hessian, wall_mesh)
+                     constraint_basis, normal_velocity_basis, surface_mesh, symmetric_matrix,
+                     volume_gradient, volume_hessian, wall_mesh)
 
-# relative FD step for the ellipsoid matrix-slot rates of the added-mass Jacobian
-JACOBIAN_FD_STEP = 1e-5
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
 _ROW_BLOCK = 2048
@@ -182,7 +181,7 @@ def join_panels(parts) -> PanelGeometry:
 
 
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
-                  directions=None):
+                  directions=None, corners=None):
     """Exact flat-panel integrals from points ``x`` over all panels.
 
     Returns (S, K, grad) where S holds integrals of G = -1/(4 pi |x-y|)
@@ -194,13 +193,17 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
     panel-only terms come precomputed with ``geom``; what is left is
     point-panel products and elementwise work.
 
-    With ``directions``, an (n, M, 3) array of per-point vector fields V,
-    two more outputs follow, each (n, M, N): the directional derivatives
-    d_V S and d_V K of the blocks as every point x_m moves along V_m.  The
-    single layer's is omega V.nh - sum_e L_e V.mhat_e; the solid angle's
-    is the edge (Biot-Savart) sum over edges a -> b of
+    With ``directions``, an (n, M, 3) array of per-point velocities, and
+    optionally ``corners``, an (n', 3, N, 3) array of per-corner velocities
+    (rate, corner, panel, axis), two more outputs follow, each
+    (n + n', M, N):
+    the rates of S and K, first as every point x_m moves along its
+    direction (the panels fixed), then as every panel corner moves with
+    its velocity (the points fixed), the lift held in both.  The single
+    layer's point rate is omega V.nh - sum_e L_e V.mhat_e; the solid
+    angle's is the edge (Biot-Savart) sum over edges a -> b of
     f_e V.((a - x) x (b - x)), f_e = (l_a + l_b) / (l_a l_b (l_a l_b + d_ab)),
-    with d_ab = (a - x).(b - x).
+    with d_ab = (a - x).(b - x).  The corner rates are in _corner_rates.
     """
     p0, p1, p2 = geom.corners
     x = np.asarray(x, dtype=float)
@@ -224,7 +227,7 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
 
     K = omega * (geom.lift[None] / (4.0 * np.pi)) if want_double else None
 
-    S = grad = dS = dK = None
+    S = grad = None
     if want_single or density is not None or directions is not None:
         nh = geom.unit_normal
         if want_single:
@@ -235,7 +238,7 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
             c = (np.asarray(density, dtype=float) * (-geom.lift / (4.0 * np.pi)))[:, None]
             grad = omega @ (c * nh)
         if directions is not None:
-            Ls, fs = [], []
+            Ls, fs, edges = [], [], []
         for (la, lb), dab, le, mhat, am, edge, ab in zip(
                 ((l0, l1), (l1, l2), (l2, l0)), (d01, d12, d20), geom.edge_length,
                 geom.edge_normal, geom.edge_offset, geom.edge_vector, geom.edge_cross):
@@ -251,38 +254,120 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
                 lab = la * lb
                 Ls.append(L)
                 fs.append(ssum / (lab * (lab + dab)))
+            if corners is not None:
+                De = lab + dab
+                ga, gb = 1.0 / (la * De), 1.0 / (lb * De)
+                d = x @ mhat.T - am[None]
+                dl = d * le[None]
+                edges.append((ga, gb, d * ssum / De, dl * ga, dl * gb))
         if want_single:
             h = x @ nh.T - geom.plane_offset[None]
             I += h * omega
             S = I * (-geom.lift[None] / (4.0 * np.pi))
         if directions is not None:
-            dS, dK = _directional(x, geom, omega, np.hstack(Ls), np.hstack(fs),
-                                  np.asarray(directions, dtype=float))
+            V = np.asarray(directions, dtype=float)
+            L, f = np.hstack(Ls), np.hstack(fs)
+            n = len(V)
+            dS = np.empty((n + (0 if corners is None else len(corners)), M, N))
+            dK = np.empty_like(dS)
+            _directional(x, geom, omega, L, f, V, dS[:n], dK[:n])
+            if corners is not None:
+                _corner_rates(x, geom, omega, L, *(np.hstack(e) for e in zip(*edges)),
+                              np.asarray(corners, dtype=float), dS[n:], dK[n:])
             return S, K, grad, dS, dK
     return S, K, grad
 
 
-def _directional(x, geom, omega, L, f, V):
-    """d_V S and d_V K of _panel_blocks from the point-panel terms omega,
-    L and f (the three edges' side by side, (M, 3N)), one direction at a
-    time so that the (M, N) temporaries stay in cache.  Per direction, one
-    product with [nh, mhat_e] gives V.nh and V.mhat_e, and one with
-    [a x b; -(b - a)] gives V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a)
-    for the three edges."""
+def _directional(x, geom, omega, L, f, V, dS, dK):
+    """d_V S and d_V K of _panel_blocks, written into dS and dK (n, M, N),
+    from the point-panel terms omega, L and f (the three edges' side by
+    side, (M, 3N)), one direction at a time so that the (M, N) temporaries
+    stay in cache.  Per direction, one product with [nh, mhat_e] gives
+    V.nh and V.mhat_e, and one with [a x b; -(b - a)] gives
+    V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a) for the three
+    edges."""
     M, N = omega.shape
     normals = np.concatenate([geom.unit_normal.T, *geom.edge_normal.transpose(0, 2, 1)],
                              axis=1)
     crosses = np.concatenate([np.vstack([ab.T, -edge.T]) for ab, edge
                               in zip(geom.edge_cross, geom.edge_vector)], axis=1)
-    dS = np.empty((len(V), M, N))
-    dK = np.empty_like(dS)
     for v, dS_v, dK_v in zip(V, dS, dK):
         vn = v @ normals
         dS_v[...] = omega * vn[:, :N] - (L * vn[:, N:]).reshape(M, 3, N).sum(axis=1)
         dK_v[...] = (f * (np.hstack([v, _cross(v, x)]) @ crosses)).reshape(M, 3, N).sum(axis=1)
     dS *= -geom.lift / (4.0 * np.pi)
     dK *= geom.lift / (4.0 * np.pi)
-    return dS, dK
+
+
+def _corner_rates(x, geom, omega, L, ga, gb, P, Qa, Qb, W, dS, dK):
+    """Rates of S and K of _panel_blocks, written into dS and dK (n, M, N),
+    as the panel corners move with the velocities W (n, 3, N, 3), the
+    points x and the lift fixed.  The point-panel terms come from the
+    assembly, (M, 3N) with the three edges a -> b side by side: L_e,
+    g_a = 1 / (l_a D_e), g_b = 1 / (l_b D_e), P = d_e (l_a + l_b) / D_e,
+    Q_a = d_e l_e g_a and Q_b = d_e l_e g_b, with D_e = l_a l_b + d_ab and
+    d_e = (x - a).mhat_e.
+
+    Each term of the integrals is explicit in the corners, and the rates
+    follow by the chain rule (Wilton et al., IEEE TAP 32, 1984; Graglia,
+    IEEE TAP 41, 1993).  The solid angle's is the flux through the strips
+    that the moving edges sweep: along edge a -> b it is
+    -(g_a W_a + g_b W_b).((a - x) x (b - x)), where g_a and g_b are the
+    integrals of (1 - s) / |R|^3 and s / |R|^3 along the edge (f_e of the
+    point rate is their sum).  The single layer's closed form
+    h omega - sum_e d_e L_e differentiates term by term: h = (x - p0).nh
+    and d_e through the rates of the corners, the unit normal and the edge
+    normals, and L_e = log((s + l_e) / (s - l_e)), s = l_a + l_b, through
+    (s dl_e - l_e ds) / D_e, since s^2 - l_e^2 = 2 D_e: with
+    y_a = (x - a).W_a and y_b = (x - b).W_b, dl_a = -y_a / l_a and
+    d_e dL_e = P dl_e + Q_a y_a + Q_b y_b.  Every term is affine in x, one
+    product of [x, 1] per term and rate serving all points; the per-panel
+    factors are formed for all n rates at once."""
+    M, N = omega.shape
+    p0, p1, p2 = geom.corners
+    nh, length = geom.unit_normal, geom.edge_length
+    eh = geom.edge_vector / length[:, :, None]
+    ends = W[:, [1, 2, 0]]  # the velocities of each edge's end b
+    dD = ends - W
+    dle = _dot(eh, dD)
+    dcross = _cross(W[:, 1] - W[:, 0], p2 - p0) + _cross(p1 - p0, W[:, 2] - W[:, 0])
+    dnh = (dcross - nh * _dot(nh, dcross)[..., None]) / _dot(_cross(p1 - p0, p2 - p0),
+                                                             nh)[:, None]
+    dmhat = (_cross((dD - eh * dle[..., None]) / length[:, :, None], nh)
+             + _cross(eh, dnh[:, None]))
+    # each term is [x, 1].[u, -c] with (u, c) per panel, in order: dh,
+    # y_a, y_b, dd_e, and -W_a.((a - x) x (b - x)) and the same along W_b,
+    # the cross product being a x b - x x D for the edge D = b - a
+    terms = [(dnh, _dot(p0, dnh) + _dot(W[:, 0], nh)),
+             (W, _dot(geom.corners, W)), (ends, _dot(geom.corners[[1, 2, 0]], ends)),
+             (dmhat, _dot(geom.corners, dmhat) + _dot(W, geom.edge_normal)),
+             (_cross(geom.edge_vector, W), _dot(W, geom.edge_cross)),
+             (_cross(geom.edge_vector, ends), _dot(ends, geom.edge_cross))]
+    terms = [np.concatenate([u, -c[..., None]], axis=-1).reshape(len(W), -1, 4)
+             for u, c in terms]
+    x1 = np.hstack([x, np.ones((M, 1))])
+    h = x @ nh.T - geom.plane_offset[None]
+    # the (M, 3N) arrays are the bulk of the work: each rate reuses the
+    # same six, and every product is taken in place
+    dh, ya, yb, dd, yca, ycb = (np.empty((M, u.shape[1])) for u in terms)
+    for t, (dle_t, dS_t, dK_t) in enumerate(zip(dle.reshape(len(W), -1), dS, dK)):
+        for u, out in zip(terms, (dh, ya, yb, dd, yca, ycb)):
+            np.matmul(x1, u[t].T, out=out)
+        yca *= ga
+        ycb *= gb
+        yca += ycb
+        dOmega = yca.reshape(M, 3, N).sum(axis=1)
+        dd *= L
+        ya *= Qa
+        yb *= Qb
+        dd += ya
+        dd += yb
+        np.multiply(P, dle_t, out=ya)
+        dd += ya
+        dh *= omega
+        dh += h * dOmega - dd.reshape(M, 3, N).sum(axis=1)
+        np.multiply(dh, -geom.lift / (4.0 * np.pi), out=dS_t)
+        np.multiply(dOmega, geom.lift / (4.0 * np.pi), out=dK_t)
 
 
 def _blocked(x, geom, **kw):
@@ -290,13 +375,26 @@ def _blocked(x, geom, **kw):
     M = len(x)
     if M <= _ROW_BLOCK:
         return _panel_blocks(x, geom, **kw)
-    V = kw.pop("directions", None)
-    outs = [_panel_blocks(x[i:i + _ROW_BLOCK], geom, **kw,
-                          **({} if V is None else {"directions": V[:, i:i + _ROW_BLOCK]}))
-            for i in range(0, M, _ROW_BLOCK)]
-    # rows are the second-to-last axis of every output
-    return tuple(None if parts[0] is None else np.concatenate(parts, axis=parts[0].ndim - 2)
+    outs = [_panel_blocks(x[i:i + _ROW_BLOCK], geom, **kw) for i in range(0, M, _ROW_BLOCK)]
+    return tuple(None if parts[0] is None else np.concatenate(parts, axis=0)
                  for parts in zip(*outs))
+
+
+def _rate_blocks(x, geom, directions, corners=None):
+    """The rates (dS, dK) of _panel_blocks along ``directions`` and
+    ``corners``, yielded as (rows, dS, dK) for blocks of at most
+    _ROW_BLOCK^2 / (n N) rows, so that no (n, M, N) rate is formed whole
+    when the caller contracts each block before taking the next: the
+    point velocities split with the rows, and the corner velocities, which
+    belong to the panels, go whole to every block."""
+    V = np.asarray(directions, dtype=float)
+    n = len(V) + (0 if corners is None else len(corners))
+    step = max(1, _ROW_BLOCK ** 2 // (n * geom.n_panels))
+    for i in range(0, len(x), step):
+        rows = slice(i, i + step)
+        _, _, _, dS, dK = _panel_blocks(x[rows], geom, False, False, directions=V[:, rows],
+                                        corners=corners)
+        yield rows, dS, dK
 
 
 def _self_blocks(panels: PanelGeometry):
@@ -716,39 +814,75 @@ def _projector_derivatives(config):
     return np.array(dP)
 
 
-def _matrix_slot_rates(mass, X, slots):
-    """Rates along the ellipsoid matrix slots ``slots`` of the collocation
-    system of ``mass`` with the densities X held fixed: of S X, of
-    (1/2 I + K') X, of the direction data G (N, p) and of the weights,
-    each with the slots first.  They are central differences
-    (shapes.fd_gradient, step JACOBIAN_FD_STEP * (1 + |q_k|)) between side
-    configurations, each assembled but not factored; a side meshes its
-    bubbles afresh and keeps the base's wall mesh, since the wall never
-    moves.  A degenerate side raises DegenerateShapeError and an
-    inadmissible one DiscretizationError: the state is closer to contact
-    than the step, and the caller rejects it."""
-    from .shapes import check_admissible  # local import to keep module load light
+# the unit slot matrices E of an ellipsoid's six matrix slots
+_SLOT_MATRICES = np.array([symmetric_matrix(e) for e in np.eye(6)])
 
-    config, asm = mass.config, mass.assembly
-    level, wall = asm.meshes[0].level, asm.meshes[config.n_bubbles:]
-    q0 = pack_params(config)
-    p = len(q0)
 
-    def system(values):
-        q = q0.copy()
-        q[slots] = values
-        cfg = config_from_params(config, q)
-        report = check_admissible(cfg, min(level, 2))
-        if not report.ok:
-            raise DiscretizationError(f"FD side outside the admissible set: "
-                                      f"{report.violations}")
-        meshes = tuple(surface_mesh(b, level) for b in cfg.bubbles) + wall
-        side = _Assembly(meshes)
-        return np.hstack([side.S @ X, side.A @ X, _direction_data(cfg, meshes, np.eye(p)),
-                          side.weights[:, None]])
+@dataclass(frozen=True)
+class _SlotMotion:
+    """How an ellipsoid's surface moves along its six matrix slots: the
+    slot E = _SLOT_MATRICES[t] takes S to S + E, and every point of the
+    surface c + S y (the reference direction y = S^-1 (x - c) fixed) moves
+    by E y.  Each field has the slots first."""
 
-    rates = fd_gradient(system, q0[slots], JACOBIAN_FD_STEP)
-    return rates[..., :p], rates[..., p:2 * p], rates[..., 2 * p:3 * p], rates[..., 3 * p]
+    points: np.ndarray      # (6, N, 3) collocation-point velocities
+    corners: np.ndarray     # (6, 3, N, 3) panel-corner velocities
+    normals: np.ndarray     # (6, N, 3) rates of the unit normals
+    weights: np.ndarray     # (6, N) log-rates of the patch weights
+    area: np.ndarray        # (6, N) log-rates of the flat panel areas
+
+    @property
+    def lift(self):
+        """Log-rates of the lift, patch weight / flat area."""
+        return self.weights - self.area
+
+
+def _slot_motion(bubble, panels: PanelGeometry) -> _SlotMotion:
+    """_SlotMotion of the ellipsoid ``bubble`` with panel data ``panels``.
+
+    A normal of the image surface is S^-1 u for the normal u of the
+    reference surface, so with S^-1 E n the stretch of a unit normal n,
+    n moves by -(I - n n^T) S^-1 E n and the length |S^-1 u|, which
+    scales the patch weights det(S) |S^-1 u| omega, by -n.S^-1 E n
+    relative to itself.  A flat panel's area obeys the same law with its
+    flat normal nh in place of n."""
+    c, E = bubble.center, _SLOT_MATRICES
+    Sinv = np.linalg.inv(bubble.shape_matrix)
+    trace = np.einsum('ij,tji->t', Sinv, E)[:, None]
+    n, nh = panels.normals, panels.unit_normal
+    stretch = n @ E @ Sinv
+    along = _dot(stretch, n)
+    return _SlotMotion(points=((panels.points - c) @ Sinv) @ E,
+                       corners=((panels.corners - c) @ Sinv)[None] @ E[:, None],
+                       normals=n * along[..., None] - stretch,
+                       weights=trace - along, area=trace - _dot(nh @ E @ Sinv, nh))
+
+
+def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
+    """Rates of an ellipsoid's own block 1/2 I + K' (the point kernel of
+    _self_blocks) along its matrix slots, applied to X: (6, N, p).
+
+    Off the diagonal the block is g_ab w_b with the adjoint kernel
+    g_ab = (x_a - x_b).n_a / (4 pi r_ab^3), differentiated entry by entry;
+    the Gauss closure makes the diagonal 1/2 + closure - sum_j g_ja w_j,
+    whose rate is minus the weighted column sum of the off-diagonal
+    rates."""
+    pts, n, w = panels.points, panels.normals, panels.weights
+    dx = pts[:, None, :] - pts[None, :, :]
+    r = np.linalg.norm(dx, axis=2)
+    np.fill_diagonal(r, 1.0)
+    r3 = 4.0 * np.pi * r ** 3
+    g = np.einsum('abk,ak->ab', dx, n) / r3
+    np.fill_diagonal(g, 0.0)
+    out = np.empty((len(motion.points),) + X.shape)
+    for v, dn, rho, o in zip(motion.points, motion.normals, motion.weights, out):
+        ddx = v[:, None, :] - v[None, :, :]
+        dg = ((np.einsum('abk,ak->ab', ddx, n) + np.einsum('abk,ak->ab', dx, dn)) / r3
+              - 3.0 * g * np.einsum('abk,abk->ab', dx, ddx) / r ** 2)
+        np.fill_diagonal(dg, 0.0)
+        dw = rho * w
+        o[...] = dg @ (w[:, None] * X) + g @ (dw[:, None] * X) - (w @ dg + dw @ g)[:, None] * X
+    return out
 
 
 def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
@@ -770,22 +904,30 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
                        + (S X)^T W (dG P + G dP)]),
 
     with no flux shift on the derivative solve: its data is not flux free,
-    and shifting it would bias dK.  Along the centres and sphere radii,
-    only the moved bubble's rows and columns of M and S change, G does
-    not, and dM X and dS X are formed block by block from the directional
-    derivatives of the cross blocks (_panel_blocks ``directions``):
+    and shifting it would bias dK.  Every rate is an exact derivative of
+    the discrete operator; only the moved bubble's rows and columns of M
+    and S change, and dM X and dS X are formed block by block from the
+    rates of the cross blocks (_panel_blocks ``directions`` and
+    ``corners``):
 
     * translating bubble k along axis e: +d_e where k owns the points,
-      -d_e where it owns the panels; self-blocks and weights are fixed;
+      -d_e where it owns the panels; self-blocks, weights and G are fixed;
     * the radius r of sphere k: d_V with V = (x - c)/r where k owns the
       points; where it owns the panels, the scaling laws of the panel
       integrals about c (degree 1 for S, 0 for the solid angle) give
       dS = (S - d_{x-c} S)/r and dK = -d_{x-c} K/r; the self-blocks give
       dS_kk = S_kk/r, dM_kk = 0; and the weights dw_k = 2 w_k/r, which
-      enter the weighted transpose in M and the Gram matrix.
+      enter the weighted transpose in M and the Gram matrix;
+    * the matrix slot E of ellipsoid k (_SlotMotion): points and panel
+      corners move by E y; where k owns the points, d_{E y} and the
+      weights' rate in the weighted transpose; where it owns the panels,
+      the corner rates, the lift's rate in S and the flat area's in the
+      weighted transpose (the panel weight cancels there); its S
+      self-block with points and corners moving together, its point-kernel
+      M self-block entry by entry (_own_double_layer_rates); and
+      dG from the normals' rate alone, since y is fixed.
 
-    Along the six matrix slots of an ellipsoid, dS X, dM X, dG and dW are
-    central differences (_matrix_slot_rates); only they carry dG.
+    No mesh is built and no matrix assembled.
     """
     config, asm, rho = mass.config, mass.assembly, mass.liquid_density
     p, nb = config.dim, config.n_bubbles
@@ -799,20 +941,35 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
     dSX = np.zeros((p, len(w), p))
     dMX = np.zeros_like(dSX)
     dw = np.zeros((p, len(w)))
+    dG = np.zeros_like(dSX)
     matrix = []  # the ellipsoid matrix slots
+    motions, slots = {}, {}  # per ellipsoid: its _SlotMotion and its matrix slots
     for k, (bubble, sl) in enumerate(zip(config.bubbles, config.slices())):
+        blk = blocks[k]
         if isinstance(bubble, SphereParams):
-            t, blk, r = sl.start + 3, blocks[k], bubble.radius
+            t, r = sl.start + 3, bubble.radius
             dSX[t, blk] = asm.S[blk, blk] @ X[blk] / r
             dw[t, blk] = 2.0 * w[blk] / r
-        else:
-            matrix += range(sl.start + 3, sl.stop)
+            continue
+        t = slots[k] = slice(sl.start + 3, sl.stop)
+        matrix += range(t.start, t.stop)
+        part = asm.panels[k]
+        mo = motions[k] = _slot_motion(bubble, part)
+        # points and corners move together: the sum of their rates
+        dSX[t, blk] = asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
+        for rows, dS, _ in _rate_blocks(part.points, part, mo.points, mo.corners):
+            dSX[t, blk][:, rows] += (dS[:6] + dS[6:]) @ X[blk]
+        dMX[t, blk] = _own_double_layer_rates(part, mo, X[blk])
+        dw[t, blk] = mo.weights * w[blk]
+        for i, dn in enumerate(mo.normals):
+            dG[t.start + i, blk, sl] = normal_velocity_basis(bubble, part.points, dn)
 
     # each ordered pair of surfaces (a, b) with a bubble among them: the
     # derivatives of the block of a's points over b's panels along the
-    # three axes (a's translations, and b's with the sign flipped) and the
-    # radial fields of the spheres.  A lone surface has no such pair (and
-    # a lone sphere no panel data).
+    # three axes (a's translations, and b's with the sign flipped), the
+    # radial fields of the spheres and the matrix slots of the ellipsoids
+    # (a's as point velocities, b's as corner velocities).  A lone surface
+    # has no such pair (and a lone sphere no panel data).
     parts = asm.panels if len(asm.meshes) > 1 else ()
     for a, b in ((a, b) for a in range(len(parts)) for b in range(len(parts)) if a != b):
         x = parts[a].points
@@ -827,11 +984,19 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
                 uses.append((start + 3, len(fields), sign, bubble.radius))
                 # a sphere's points move along its normals (x - c)/r
                 fields.append(asm.meshes[k].quad_normals if k == a else x - bubble.center)
+            elif k == a:
+                uses += [(start + 3 + i, len(fields) + i, sign, None) for i in range(6)]
+                fields += list(motions[a].points)
         Da, Db = blocks[a], blocks[b]
-        _, _, _, dS, dK = _blocked(x, parts[b], want_single=False, want_double=False,
-                                   directions=np.stack(fields))
-        dS_X = dS @ X[Db]
-        dK_X = (dK.transpose(0, 2, 1) @ (w[Da, None] * X[Da])) / w[Db, None]
+        # the rates block by block, each applied to X before the next
+        # (dK^T to the weighted X of a's points)
+        dS_X, dK_X, wX = [], 0.0, w[Da, None] * X[Da]
+        for rows, dS, dK in _rate_blocks(x, parts[b], np.stack(fields),
+                                         motions[b].corners if b in motions else None):
+            dS_X.append(dS @ X[Db])
+            dK_X = dK_X + dK.transpose(0, 2, 1) @ wX[rows]
+        dS_X = np.concatenate(dS_X, axis=1)
+        dK_X /= w[Db, None]
         for t, i, sign, r in uses:
             if r is not None and sign < 0:
                 # the radius of sphere b, whose panels scale about its centre
@@ -843,10 +1008,17 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
             if r is not None:
                 # w_a (a's radius) or 1 / w_b (b's) in the weighted transpose
                 dMX[t, Db] += sign * 2.0 / r * (asm.A[Db, Da] @ X[Da])
+        if a in motions:
+            # w_a in the weighted transpose
+            dMX[slots[a], Db] += asm.A[Db, Da] @ (motions[a].weights[:, :, None] * X[Da])
+        if b in motions:
+            # b's corners; its lift in S, and lift / w_b = 1 / area in M
+            t, n, mo = slots[b], len(fields), motions[b]
+            dSX[t, Da] += dS_X[n:] + asm.S[Da, Db] @ (mo.lift[:, :, None] * X[Db])
+            dMX[t, Db] += dK_X[n:] - mo.area[:, :, None] * (asm.A[Db, Da] @ X[Da])
 
     if matrix:
-        dSX[matrix], dMX[matrix], dG, dw[matrix] = _matrix_slot_rates(mass, X, matrix)
-        dGP = dG @ B @ B.T
+        dGP = dG[matrix] @ B @ B.T
     GdP = None
     if dP is not None:
         GdP = _direction_data(config, asm.meshes, np.eye(p))[None] @ dP

@@ -293,7 +293,7 @@ class TestIntegrate:
         # d/dt(dL/dqdot) - dL/dq by finite differences on the dense solution,
         # with L = 1/2 qd' A(q) qd - U(q) evaluated through the same
         # discrete operators the solver uses
-        from bubbledyn.dynamics import _extended_added_mass
+        from bubbledyn.potential import added_mass
         from bubbledyn import gas as gas_mod
         from scipy.integrate import solve_ivp
         from bubbledyn.dynamics import _acceleration
@@ -313,7 +313,8 @@ class TestIntegrate:
 
         def momentum(y):
             cfg = config_from_params(config0, y[:p])
-            return _extended_added_mass(s, cfg).kinetic @ y[p:]
+            return added_mass(cfg, s.mesh_level, s.liquid_density,
+                              s.wall_level).kinetic @ y[p:]
 
         def dL_dq(y):
             q, qd = y[:p], y[p:]
@@ -324,7 +325,8 @@ class TestIntegrate:
                     qs = q.copy()
                     qs[k] += sgn
                     cfg = config_from_params(config0, qs)
-                    T = 0.5 * qd @ _extended_added_mass(s, cfg).kinetic @ qd
+                    A = added_mass(cfg, s.mesh_level, s.liquid_density, s.wall_level)
+                    T = 0.5 * qd @ A.kinetic @ qd
                     U = gas_mod.potential_energy([b.gas for b in s.bubbles],
                                                  s.p_infinity, s.surface_tension,
                                                  cfg).U
