@@ -63,11 +63,18 @@ equations-of-motion call assembles and factors one matrix.  Along every
 slot the rates are exact derivatives of the discrete operator: only the
 moved bubble's blocks change, by the rates of the flat-panel integrals as
 the collocation points move (the solid angle's in the edge form of van
-Oosterom and Strackee, IEEE TBME 30, 1983) and as the panel corners move
-(their per-corner gradients, from the same edge terms).  A translation
-moves a bubble rigidly, a sphere radius scales it, and an ellipsoid
-matrix slot deforms it, moving its points and corners alike.  The
-Jacobian takes the added mass alone and builds no mesh.
+Oosterom and Strackee, IEEE TBME 30, 1983) and as the panels deform
+(Wilton et al., IEEE TAP 32, 1984; Graglia, IEEE TAP 41, 1993).  A
+translation moves a bubble rigidly, a sphere radius scales it, and an
+ellipsoid matrix slot deforms it, moving its points and corners alike by
+one linear map.  The rates come contracted with the densities: no rate
+block is formed per slot.  The single layer's point rates are the
+gradient of S X, a panel's deformation by the linear map G its
+symmetric tensor T (G : T), and the solid angle's rates the moments of
+its edge terms over the points, so each block takes one kernel pass
+plus products whose width grows with the number of parameters, not with
+the number of slots.  The Jacobian takes the added mass alone and builds
+no mesh.
 """
 
 from __future__ import annotations
@@ -86,6 +93,9 @@ from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis, S
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
 _ROW_BLOCK = 2048
+# the components (k, l), k <= l, of a symmetric 3x3 tensor, in the order
+# of shapes.symmetric_matrix's slots
+_PAIRS = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +190,54 @@ def join_panels(parts) -> PanelGeometry:
     return PanelGeometry(meshes=sum((p.meshes for p in parts), ()), **arrays)
 
 
+def _add_products(out, term, factors, X):
+    """out (M, c, p) += term @ (factors[:, u, None] X) for every column u
+    of the (K, c) factors, with the (M, K) term and the columns X (K, p):
+    one product of width p per component, which a multithreaded BLAS
+    keeps on one thread at level 1's sizes (README, Threads)."""
+    out += np.matmul(term, factors.T[:, :, None] * X).transpose(1, 0, 2)
+
+
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
-                  directions=None, corners=None):
+                  tensor=None, moments=None, degree=1):
     """Exact flat-panel integrals from points ``x`` over all panels.
 
     Returns (S, K, grad) where S holds integrals of G = -1/(4 pi |x-y|)
     (lifted to the patch measure), K integrals of the double-layer kernel
     d/dn(y) G (the signed solid angle / 4 pi, lifted), and grad, when a
-    ``density`` is given, the x-gradient of the single-layer potential
-    S @ density, contracted with the density panel by panel so that no
-    (M, N, 3) tensor is formed.  Unwanted outputs are None.  The
-    panel-only terms come precomputed with ``geom``; what is left is
-    point-panel products and elementwise work.
+    ``density`` (N, p) is given, the x-gradient of the single-layer
+    potential S @ density, contracted with the density panel by panel so
+    that no (M, N, 3) tensor is formed: (M, 3, p).  Unwanted outputs are
+    None.  The panel-only terms come precomputed with ``geom``; what is
+    left is point-panel products and elementwise work.
 
-    With ``directions``, an (n, M, 3) array of per-point velocities, and
-    optionally ``corners``, an (n', 3, N, 3) array of per-corner velocities
-    (rate, corner, panel, axis), two more outputs follow, each
-    (n + n', M, N):
-    the rates of S and K, first as every point x_m moves along its
-    direction (the panels fixed), then as every panel corner moves with
-    its velocity (the points fixed), the lift held in both.  The single
-    layer's point rate is omega V.nh - sum_e L_e V.mhat_e; the solid
-    angle's is the edge (Biot-Savart) sum over edges a -> b of
-    f_e V.((a - x) x (b - x)), f_e = (l_a + l_b) / (l_a l_b (l_a l_b + d_ab)),
-    with d_ab = (a - x).(b - x).  The corner rates are in _corner_rates.
+    With ``tensor`` or ``moments`` two more outputs follow, the terms of
+    the blocks' rates as the points and panels move, contracted on the
+    way so that no rate block (M, N) is formed per motion:
+
+    * T, (M, 6, p), for a ``tensor`` (N, p): sum_n T(x_m, n) tensor_n with
+      the lifted kernel factor, T_kl on _PAIRS.  Deformed about x by the
+      linear map G (its corners moving by G (y - x)), a panel's integral
+      of 1/|x - y| changes by G : T with the symmetric tensor
+          T = h omega nh nh^T + h (nh g^T + g nh^T)
+              - sum_e d_e L_e mhat_e mhat_e^T + sum_e (l_b - l_a) sym(eh_e mhat_e^T),
+      g = -sum_e L_e mhat_e, h = (x - p0).nh, d_e = (x - a).mhat_e, eh_e
+      the unit edge a -> b and l_a, l_b the distances from x to its ends
+      (trace T = the integral itself).
+    * F, (3, N, J, p) for ``moments`` Y (M, p): per edge and panel, the
+      sums over the points of f_e m_j(x) Y, with the monomials
+      m = (1, x_k) and, for ``degree`` 2, x_k x_l on _PAIRS (J = 4 or 10),
+      where f_e = (l_a + l_b) / (l_a l_b (l_a l_b + d_ab)) and
+      d_ab = (a - x).(b - x).  A point moving along V changes the solid
+      angle by the edge (Biot-Savart) sum over edges a -> b of
+      f_e V.((a - x) x (b - x)), and
+      V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a), so for affine
+      fields V the rates of Y^T K are F contracted with per-panel
+      coefficients.  With a ``tensor`` too (the panels deform), F is
+      followed by Fa, the same sums (J = 4) of g_a = 1 / (l_a D_e),
+      D_e = l_a l_b + d_ab; the corners a and b moving by W_a and W_b
+      change the solid angle by -(g_a W_a + g_b W_b).((a - x) x (b - x))
+      along the edge, and g_a + g_b = f_e.
     """
     p0, p1, p2 = geom.corners
     x = np.asarray(x, dtype=float)
@@ -227,174 +261,86 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
 
     K = omega * (geom.lift[None] / (4.0 * np.pi)) if want_double else None
 
-    S = grad = None
-    if want_single or density is not None or directions is not None:
+    S = grad = T = F = Fa = None
+    rates = tensor is not None or moments is not None
+    if want_single or density is not None or rates:
         nh = geom.unit_normal
+        scale = -geom.lift / (4.0 * np.pi)
         if want_single:
             I = np.zeros((M, N))
         if density is not None:
             # grad_x of the panel integral is omega nh - sum_e L_e mhat_e;
             # c carries the density and the lifted kernel constant
-            c = (np.asarray(density, dtype=float) * (-geom.lift / (4.0 * np.pi)))[:, None]
-            grad = omega @ (c * nh)
-        if directions is not None:
-            Ls, fs, edges = [], [], []
-        for (la, lb), dab, le, mhat, am, edge, ab in zip(
+            c = np.asarray(density, dtype=float) * scale[:, None]
+            grad = np.zeros((M, 3, c.shape[1]))
+            _add_products(grad, omega, nh, c)
+        if tensor is not None:
+            # the terms of T with their per-panel factors on _PAIRS, each
+            # applied as soon as it is formed: h omega here, and h L_e,
+            # d_e L_e and l_b - l_a per edge
+            k, l = _PAIRS.T
+            h = x @ nh.T - geom.plane_offset[None]
+            Xs = np.asarray(tensor, dtype=float) * scale[:, None]
+            T = np.zeros((M, 6, Xs.shape[1]))
+            _add_products(T, h * omega, nh[:, k] * nh[:, l], Xs)
+        if moments is not None:
+            Y = np.asarray(moments, dtype=float)
+            mono = [np.ones(M), *x.T]
+            if degree == 2:
+                mono += [x[:, k] * x[:, l] for k, l in _PAIRS]
+            mono = np.stack(mono, axis=1)
+            F = np.zeros((3, N, len(mono.T), Y.shape[1]))
+            if tensor is not None:
+                Fa = np.zeros((3, N, 4, Y.shape[1]))
+        for e, ((la, lb), dab, le, mhat, am, edge) in enumerate(zip(
                 ((l0, l1), (l1, l2), (l2, l0)), (d01, d12, d20), geom.edge_length,
-                geom.edge_normal, geom.edge_offset, geom.edge_vector, geom.edge_cross):
+                geom.edge_normal, geom.edge_offset, geom.edge_vector)):
             # stable symmetric form of the edge log integral of 1/|x-y|
             ssum = la + lb
             L = np.log((ssum + le[None]) / np.maximum(ssum - le[None], 1e-300))
-            if want_single:
+            if want_single or tensor is not None:
                 d = x @ mhat.T - am[None]
+            if want_single:
                 I -= d * L
             if density is not None:
-                grad -= L @ (c * mhat)
-            if directions is not None:
-                lab = la * lb
-                Ls.append(L)
-                fs.append(ssum / (lab * (lab + dab)))
-            if corners is not None:
-                De = lab + dab
-                ga, gb = 1.0 / (la * De), 1.0 / (lb * De)
-                d = x @ mhat.T - am[None]
-                dl = d * le[None]
-                edges.append((ga, gb, d * ssum / De, dl * ga, dl * gb))
+                _add_products(grad, L, -mhat, c)
+            if tensor is not None:
+                eh = edge / le[:, None]
+                _add_products(T, h * L, -(nh[:, k] * mhat[:, l] + mhat[:, k] * nh[:, l]), Xs)
+                _add_products(T, d * L, -mhat[:, k] * mhat[:, l], Xs)
+                _add_products(T, lb - la, 0.5 * (eh[:, k] * mhat[:, l] + eh[:, l] * mhat[:, k]),
+                              Xs)
+            if moments is not None:
+                # 1 / (l_a l_b D_e), times l_a + l_b for f_e and l_b for g_a
+                inv = la * lb
+                inv *= inv + dab
+                np.divide(1.0, inv, out=inv)
+                _add_products(F[e], (ssum * inv).T, mono, Y)
+                if tensor is not None:
+                    _add_products(Fa[e], (lb * inv).T, mono[:, :4], Y)
         if want_single:
             h = x @ nh.T - geom.plane_offset[None]
             I += h * omega
             S = I * (-geom.lift[None] / (4.0 * np.pi))
-        if directions is not None:
-            V = np.asarray(directions, dtype=float)
-            L, f = np.hstack(Ls), np.hstack(fs)
-            n = len(V)
-            dS = np.empty((n + (0 if corners is None else len(corners)), M, N))
-            dK = np.empty_like(dS)
-            _directional(x, geom, omega, L, f, V, dS[:n], dK[:n])
-            if corners is not None:
-                _corner_rates(x, geom, omega, L, *(np.hstack(e) for e in zip(*edges)),
-                              np.asarray(corners, dtype=float), dS[n:], dK[n:])
-            return S, K, grad, dS, dK
-    return S, K, grad
+    return (S, K, grad, T, F, Fa) if rates else (S, K, grad)
 
 
-def _directional(x, geom, omega, L, f, V, dS, dK):
-    """d_V S and d_V K of _panel_blocks, written into dS and dK (n, M, N),
-    from the point-panel terms omega, L and f (the three edges' side by
-    side, (M, 3N)), one direction at a time so that the (M, N) temporaries
-    stay in cache.  Per direction, one product with [nh, mhat_e] gives
-    V.nh and V.mhat_e, and one with [a x b; -(b - a)] gives
-    V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a) for the three
-    edges."""
-    M, N = omega.shape
-    normals = np.concatenate([geom.unit_normal.T, *geom.edge_normal.transpose(0, 2, 1)],
-                             axis=1)
-    crosses = np.concatenate([np.vstack([ab.T, -edge.T]) for ab, edge
-                              in zip(geom.edge_cross, geom.edge_vector)], axis=1)
-    for v, dS_v, dK_v in zip(V, dS, dK):
-        vn = v @ normals
-        dS_v[...] = omega * vn[:, :N] - (L * vn[:, N:]).reshape(M, 3, N).sum(axis=1)
-        dK_v[...] = (f * (np.hstack([v, _cross(v, x)]) @ crosses)).reshape(M, 3, N).sum(axis=1)
-    dS *= -geom.lift / (4.0 * np.pi)
-    dK *= geom.lift / (4.0 * np.pi)
-
-
-def _corner_rates(x, geom, omega, L, ga, gb, P, Qa, Qb, W, dS, dK):
-    """Rates of S and K of _panel_blocks, written into dS and dK (n, M, N),
-    as the panel corners move with the velocities W (n, 3, N, 3), the
-    points x and the lift fixed.  The point-panel terms come from the
-    assembly, (M, 3N) with the three edges a -> b side by side: L_e,
-    g_a = 1 / (l_a D_e), g_b = 1 / (l_b D_e), P = d_e (l_a + l_b) / D_e,
-    Q_a = d_e l_e g_a and Q_b = d_e l_e g_b, with D_e = l_a l_b + d_ab and
-    d_e = (x - a).mhat_e.
-
-    Each term of the integrals is explicit in the corners, and the rates
-    follow by the chain rule (Wilton et al., IEEE TAP 32, 1984; Graglia,
-    IEEE TAP 41, 1993).  The solid angle's is the flux through the strips
-    that the moving edges sweep: along edge a -> b it is
-    -(g_a W_a + g_b W_b).((a - x) x (b - x)), where g_a and g_b are the
-    integrals of (1 - s) / |R|^3 and s / |R|^3 along the edge (f_e of the
-    point rate is their sum).  The single layer's closed form
-    h omega - sum_e d_e L_e differentiates term by term: h = (x - p0).nh
-    and d_e through the rates of the corners, the unit normal and the edge
-    normals, and L_e = log((s + l_e) / (s - l_e)), s = l_a + l_b, through
-    (s dl_e - l_e ds) / D_e, since s^2 - l_e^2 = 2 D_e: with
-    y_a = (x - a).W_a and y_b = (x - b).W_b, dl_a = -y_a / l_a and
-    d_e dL_e = P dl_e + Q_a y_a + Q_b y_b.  Every term is affine in x, one
-    product of [x, 1] per term and rate serving all points; the per-panel
-    factors are formed for all n rates at once."""
-    M, N = omega.shape
-    p0, p1, p2 = geom.corners
-    nh, length = geom.unit_normal, geom.edge_length
-    eh = geom.edge_vector / length[:, :, None]
-    ends = W[:, [1, 2, 0]]  # the velocities of each edge's end b
-    dD = ends - W
-    dle = _dot(eh, dD)
-    dcross = _cross(W[:, 1] - W[:, 0], p2 - p0) + _cross(p1 - p0, W[:, 2] - W[:, 0])
-    dnh = (dcross - nh * _dot(nh, dcross)[..., None]) / _dot(_cross(p1 - p0, p2 - p0),
-                                                             nh)[:, None]
-    dmhat = (_cross((dD - eh * dle[..., None]) / length[:, :, None], nh)
-             + _cross(eh, dnh[:, None]))
-    # each term is [x, 1].[u, -c] with (u, c) per panel, in order: dh,
-    # y_a, y_b, dd_e, and -W_a.((a - x) x (b - x)) and the same along W_b,
-    # the cross product being a x b - x x D for the edge D = b - a
-    terms = [(dnh, _dot(p0, dnh) + _dot(W[:, 0], nh)),
-             (W, _dot(geom.corners, W)), (ends, _dot(geom.corners[[1, 2, 0]], ends)),
-             (dmhat, _dot(geom.corners, dmhat) + _dot(W, geom.edge_normal)),
-             (_cross(geom.edge_vector, W), _dot(W, geom.edge_cross)),
-             (_cross(geom.edge_vector, ends), _dot(ends, geom.edge_cross))]
-    terms = [np.concatenate([u, -c[..., None]], axis=-1).reshape(len(W), -1, 4)
-             for u, c in terms]
-    x1 = np.hstack([x, np.ones((M, 1))])
-    h = x @ nh.T - geom.plane_offset[None]
-    # the (M, 3N) arrays are the bulk of the work: each rate reuses the
-    # same six, and every product is taken in place
-    dh, ya, yb, dd, yca, ycb = (np.empty((M, u.shape[1])) for u in terms)
-    for t, (dle_t, dS_t, dK_t) in enumerate(zip(dle.reshape(len(W), -1), dS, dK)):
-        for u, out in zip(terms, (dh, ya, yb, dd, yca, ycb)):
-            np.matmul(x1, u[t].T, out=out)
-        yca *= ga
-        ycb *= gb
-        yca += ycb
-        dOmega = yca.reshape(M, 3, N).sum(axis=1)
-        dd *= L
-        ya *= Qa
-        yb *= Qb
-        dd += ya
-        dd += yb
-        np.multiply(P, dle_t, out=ya)
-        dd += ya
-        dh *= omega
-        dh += h * dOmega - dd.reshape(M, 3, N).sum(axis=1)
-        np.multiply(dh, -geom.lift / (4.0 * np.pi), out=dS_t)
-        np.multiply(dOmega, geom.lift / (4.0 * np.pi), out=dK_t)
-
-
-def _blocked(x, geom, **kw):
-    """Row-blocked wrapper around _panel_blocks to bound peak memory."""
+def _blocked(x, geom, moments=None, **kw):
+    """Row-blocked wrapper around _panel_blocks to bound peak memory: the
+    outputs of the points (S, K, grad, T) are stacked by rows, and the
+    moments, sums over the points, added up.  With rate terms a block
+    holds about twenty (rows, N) arrays, so it has at most
+    _ROW_BLOCK^2 / (16 N) rows."""
     M = len(x)
-    if M <= _ROW_BLOCK:
-        return _panel_blocks(x, geom, **kw)
-    outs = [_panel_blocks(x[i:i + _ROW_BLOCK], geom, **kw) for i in range(0, M, _ROW_BLOCK)]
-    return tuple(None if parts[0] is None else np.concatenate(parts, axis=0)
-                 for parts in zip(*outs))
-
-
-def _rate_blocks(x, geom, directions, corners=None):
-    """The rates (dS, dK) of _panel_blocks along ``directions`` and
-    ``corners``, yielded as (rows, dS, dK) for blocks of at most
-    _ROW_BLOCK^2 / (n N) rows, so that no (n, M, N) rate is formed whole
-    when the caller contracts each block before taking the next: the
-    point velocities split with the rows, and the corner velocities, which
-    belong to the panels, go whole to every block."""
-    V = np.asarray(directions, dtype=float)
-    n = len(V) + (0 if corners is None else len(corners))
-    step = max(1, _ROW_BLOCK ** 2 // (n * geom.n_panels))
-    for i in range(0, len(x), step):
-        rows = slice(i, i + step)
-        _, _, _, dS, dK = _panel_blocks(x[rows], geom, False, False, directions=V[:, rows],
-                                        corners=corners)
-        yield rows, dS, dK
+    rates = moments is not None or kw.get("tensor") is not None
+    step = max(1, _ROW_BLOCK ** 2 // (16 * geom.n_panels)) if rates else _ROW_BLOCK
+    if M <= step:
+        return _panel_blocks(x, geom, moments=moments, **kw)
+    outs = [_panel_blocks(x[i:i + step], geom,
+                          moments=None if moments is None else moments[i:i + step], **kw)
+            for i in range(0, M, step)]
+    return tuple(None if parts[0] is None else sum(parts) if k >= 4
+                 else np.concatenate(parts, axis=0) for k, parts in enumerate(zip(*outs)))
 
 
 def _self_blocks(panels: PanelGeometry):
@@ -677,7 +623,8 @@ def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
     """
     geom = solution.geometry
     _, _, g = _blocked(geom.points, geom, want_single=False, want_double=False,
-                       density=solution.density)
+                       density=solution.density[:, None])
+    g = g[:, :, 0]
     if not impose_data:
         return g
     normal_part = np.einsum('mk,mk->m', g, geom.normals)
@@ -823,10 +770,10 @@ class _SlotMotion:
     """How an ellipsoid's surface moves along its six matrix slots: the
     slot E = _SLOT_MATRICES[t] takes S to S + E, and every point of the
     surface c + S y (the reference direction y = S^-1 (x - c) fixed) moves
-    by E y.  Each field has the slots first."""
+    by E y = G (x - c), G = E S^-1, its panel corners alike.  Each field
+    has the slots first."""
 
-    points: np.ndarray      # (6, N, 3) collocation-point velocities
-    corners: np.ndarray     # (6, 3, N, 3) panel-corner velocities
+    maps: np.ndarray        # (6, 3, 3) the linear maps G = E S^-1
     normals: np.ndarray     # (6, N, 3) rates of the unit normals
     weights: np.ndarray     # (6, N) log-rates of the patch weights
     area: np.ndarray        # (6, N) log-rates of the flat panel areas
@@ -846,16 +793,83 @@ def _slot_motion(bubble, panels: PanelGeometry) -> _SlotMotion:
     scales the patch weights det(S) |S^-1 u| omega, by -n.S^-1 E n
     relative to itself.  A flat panel's area obeys the same law with its
     flat normal nh in place of n."""
-    c, E = bubble.center, _SLOT_MATRICES
-    Sinv = np.linalg.inv(bubble.shape_matrix)
-    trace = np.einsum('ij,tji->t', Sinv, E)[:, None]
+    G = _SLOT_MATRICES @ np.linalg.inv(bubble.shape_matrix)
+    trace = np.trace(G, axis1=1, axis2=2)[:, None]
     n, nh = panels.normals, panels.unit_normal
-    stretch = n @ E @ Sinv
+    stretch = n @ G
     along = _dot(stretch, n)
-    return _SlotMotion(points=((panels.points - c) @ Sinv) @ E,
-                       corners=((panels.corners - c) @ Sinv)[None] @ E[:, None],
-                       normals=n * along[..., None] - stretch,
-                       weights=trace - along, area=trace - _dot(nh @ E @ Sinv, nh))
+    return _SlotMotion(maps=G, normals=n * along[..., None] - stretch,
+                       weights=trace - along, area=trace - _dot(nh @ G, nh))
+
+
+def _pair_sum(Q):
+    """The components of the (..., 3, 3) tensors Q on _PAIRS, each
+    off-diagonal one plus its transpose: G : T = _pair_sum(G) . T[_PAIRS]
+    for a symmetric T."""
+    k, l = _PAIRS.T
+    return np.where(k == l, Q[..., k, l], Q[..., k, l] + Q[..., l, k])
+
+
+def _edge_coefficients(A, v, geom):
+    """Coefficients of V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a)
+    on the monomials of _panel_blocks ``moments`` (1, x_k, then x_k x_l on
+    _PAIRS) for the affine point fields V = A x + v, (n, 3, 3) and
+    (n, 3): (n, 3, N, 10) by field, edge a -> b and panel.  The quadratic
+    part is -x^T Q x with the rows Q_l = (b - a) x A e_l."""
+    ab, D = geom.edge_cross, geom.edge_vector
+    const = (ab @ v.T).transpose(2, 0, 1)
+    linear = ab @ A[:, None] - _cross(D, v[:, None, None])
+    Q = _cross(D[:, :, None], A.transpose(0, 2, 1)[:, None, None])
+    return np.concatenate([const[..., None], linear, -_pair_sum(Q)], axis=-1)
+
+
+def _along(V, grad):
+    """V . grad point by point: (n, M, 3) and (M, 3, p) to (n, M, p)."""
+    return (V.transpose(1, 0, 2) @ grad).transpose(1, 0, 2)
+
+
+def _on_panels(C, F):
+    """Coefficients (n, 3, N, J) on moments (3, N, J, p), summed over the
+    edges and monomials panel by panel: (n, N, p)."""
+    n, _, N, J = C.shape
+    return (C.transpose(2, 0, 1, 3).reshape(N, n, 3 * J)
+            @ F.transpose(1, 0, 2, 3).reshape(N, 3 * J, -1)).transpose(1, 0, 2)
+
+
+def _block_rates(x, geom, X, Y, A, v, corners=None):
+    """Rates of S X and of K^T Y for the block of the points ``x`` over the
+    panels ``geom``, X (N, p) the panels' densities and Y (M, p) the
+    points' weighted densities: (n, M, p) and (n, N, p), one per motion,
+    the lift held.  First the affine point fields V = A x + v (A and v
+    (n', 3, 3) and (n', 3)) with the panels fixed; then, with
+    ``corners`` = (G, c), the panels deforming by the linear maps G (six,
+    their corners y moving by G (y - c)) with the points fixed.
+
+    Everything comes from one _panel_blocks pass, contracted on the way:
+    d_V (S X) = V . grad(S X); a deformation is G about each point x plus
+    the shift G (x - c), so d_G (S X) = G : T - grad(S X) . G (x - c);
+    and the rates of K^T Y are the moments F (Fa) contracted with the
+    coefficients of the edge terms: _edge_coefficients for the point
+    fields, and for the panels the same coefficients of the constant
+    vectors u = G (y - c) of each edge's ends, on the moments of g_a and
+    g_b = f_e - g_a, negated."""
+    C = _edge_coefficients(A, v, geom)
+    degree = 2 if C[..., 4:].any() else 1  # x_k x_l only for A not a multiple of I
+    _, _, grad, T, F, Fa = _blocked(x, geom, want_single=False, want_double=False,
+                                    density=X, tensor=None if corners is None else X,
+                                    moments=Y, degree=degree)
+    dS = [_along(x @ A.transpose(0, 2, 1) + v[:, None], grad)]
+    dK = [_on_panels(C[..., :F.shape[2]], F)]
+    if corners is not None:
+        G, c = corners
+        dS.append(np.tensordot(_pair_sum(G), T, axes=(1, 1))
+                  - _along((x - c) @ G.transpose(0, 2, 1), grad))
+        u = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
+        ab, D = geom.edge_cross, geom.edge_vector
+        Ca, Cb = (np.concatenate([_dot(ue, ab)[..., None], -_cross(D, ue)], axis=-1)
+                  for ue in (u, u[:, [1, 2, 0]]))
+        dK.append(-_on_panels(Ca - Cb, Fa) - _on_panels(Cb, F[:, :, :4]))
+    return (np.concatenate(dS), np.concatenate(dK) * (geom.lift / (4.0 * np.pi))[:, None])
 
 
 def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
@@ -863,26 +877,39 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
     _self_blocks) along its matrix slots, applied to X: (6, N, p).
 
     Off the diagonal the block is g_ab w_b with the adjoint kernel
-    g_ab = (x_a - x_b).n_a / (4 pi r_ab^3), differentiated entry by entry;
-    the Gauss closure makes the diagonal 1/2 + closure - sum_j g_ja w_j,
-    whose rate is minus the weighted column sum of the off-diagonal
-    rates."""
+    g_ab = (x_a - x_b).n_a R_ab, R_ab = 1 / (4 pi r_ab^3), differentiated
+    entry by entry; the Gauss closure makes the diagonal
+    1/2 + closure - sum_j g_ja w_j, whose rate is minus the weighted column
+    sum of the off-diagonal rates.  Along a slot the points move by
+    G (x - c) and the normals by dn, so with d = x_a - x_b
+        dg_ab = (n_a^T G + dn_a^T) d R_ab - (d^T G d) H_ab,
+    H_ab = 3 g_ab / r_ab^2: the products of the three matrices d_l R and
+    the six d_k d_l H (on _PAIRS) with Y = w X, and their weighted column
+    sums, serve all six slots."""
     pts, n, w = panels.points, panels.normals, panels.weights
-    dx = pts[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(dx, axis=2)
-    np.fill_diagonal(r, 1.0)
-    r3 = 4.0 * np.pi * r ** 3
-    g = np.einsum('abk,ak->ab', dx, n) / r3
+    N = len(w)
+    d = pts.T[:, :, None] - pts.T[:, None, :]
+    r2 = np.einsum('kab,kab->ab', d, d)
+    np.fill_diagonal(r2, 1.0)
+    R = 1.0 / (4.0 * np.pi * r2 ** 1.5)
+    g = np.einsum('kab,ak->ab', d, n) * R
     np.fill_diagonal(g, 0.0)
-    out = np.empty((len(motion.points),) + X.shape)
-    for v, dn, rho, o in zip(motion.points, motion.normals, motion.weights, out):
-        ddx = v[:, None, :] - v[None, :, :]
-        dg = ((np.einsum('abk,ak->ab', ddx, n) + np.einsum('abk,ak->ab', dx, dn)) / r3
-              - 3.0 * g * np.einsum('abk,abk->ab', dx, ddx) / r ** 2)
-        np.fill_diagonal(dg, 0.0)
-        dw = rho * w
-        o[...] = dg @ (w[:, None] * X) + g @ (dw[:, None] * X) - (w @ dg + dw @ g)[:, None] * X
-    return out
+    np.fill_diagonal(R, 0.0)
+    H = 3.0 * g / r2
+    ddH = np.empty((6, N, N))
+    for out, (k, l) in zip(ddH, _PAIRS):
+        np.multiply(d[k], d[l], out=out)
+        out *= H
+    dR = np.multiply(d, R, out=d)
+    G, dw = motion.maps, motion.weights * w
+    c = n @ G + motion.normals  # (6, N, 3), the factors of d_l R by slot
+    Y = w[:, None] * X
+    RY, HY = dR @ Y, ddH @ Y
+    dgY = ((c.transpose(0, 2, 1)[..., None] * RY).sum(axis=1)
+           - np.tensordot(_pair_sum(G), HY, axes=(1, 0)))
+    # w^T dg
+    wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - _pair_sum(G) @ (w @ ddH)
+    return dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
 
 
 def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
@@ -906,9 +933,11 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
     with no flux shift on the derivative solve: its data is not flux free,
     and shifting it would bias dK.  Every rate is an exact derivative of
     the discrete operator; only the moved bubble's rows and columns of M
-    and S change, and dM X and dS X are formed block by block from the
-    rates of the cross blocks (_panel_blocks ``directions`` and
-    ``corners``):
+    and S change, and dM X and dS X come block by block, already applied
+    to X: one _panel_blocks pass per ordered pair of surfaces with a
+    bubble among them gives the rates of the cross block along every
+    slot at once (_block_rates), and one more per ellipsoid its own S
+    block's:
 
     * translating bubble k along axis e: +d_e where k owns the points,
       -d_e where it owns the panels; self-blocks, weights and G are fixed;
@@ -919,13 +948,14 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
       dS_kk = S_kk/r, dM_kk = 0; and the weights dw_k = 2 w_k/r, which
       enter the weighted transpose in M and the Gram matrix;
     * the matrix slot E of ellipsoid k (_SlotMotion): points and panel
-      corners move by E y; where k owns the points, d_{E y} and the
-      weights' rate in the weighted transpose; where it owns the panels,
-      the corner rates, the lift's rate in S and the flat area's in the
-      weighted transpose (the panel weight cancels there); its S
-      self-block with points and corners moving together, its point-kernel
-      M self-block entry by entry (_own_double_layer_rates); and
-      dG from the normals' rate alone, since y is fixed.
+      corners move by G (x - c), G = E S^-1; where k owns the points,
+      d_{G (x - c)} and the weights' rate in the weighted transpose; where
+      it owns the panels, the panels' deformation, the lift's rate in S
+      and the flat area's in the weighted transpose (the panel weight
+      cancels there); its S self-block with points and corners moving
+      together, G : T (_panel_blocks ``tensor``); its point-kernel M
+      self-block entry by entry (_own_double_layer_rates); and dG from
+      the normals' rate alone, since y is fixed.
 
     No mesh is built and no matrix assembled.
     """
@@ -955,10 +985,11 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
         matrix += range(t.start, t.stop)
         part = asm.panels[k]
         mo = motions[k] = _slot_motion(bubble, part)
-        # points and corners move together: the sum of their rates
-        dSX[t, blk] = asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
-        for rows, dS, _ in _rate_blocks(part.points, part, mo.points, mo.corners):
-            dSX[t, blk][:, rows] += (dS[:6] + dS[6:]) @ X[blk]
+        # points and corners move together: the lift's rate and G : T
+        _, _, _, T, _, _ = _blocked(part.points, part, want_single=False, want_double=False,
+                                    tensor=X[blk])
+        dSX[t, blk] = (asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
+                       + np.tensordot(_pair_sum(mo.maps), T, axes=(1, 1)))
         dMX[t, blk] = _own_double_layer_rates(part, mo, X[blk])
         dw[t, blk] = mo.weights * w[blk]
         for i, dn in enumerate(mo.normals):
@@ -972,8 +1003,8 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
     # has no such pair (and a lone sphere no panel data).
     parts = asm.panels if len(asm.meshes) > 1 else ()
     for a, b in ((a, b) for a in range(len(parts)) for b in range(len(parts)) if a != b):
-        x = parts[a].points
-        fields = [np.broadcast_to(e, x.shape) for e in np.eye(3)]
+        # the affine point fields A x + v: the three axes, then per bubble
+        fields = [(np.zeros((3, 3)), e) for e in np.eye(3)]
         uses = []  # (slot, field, sign, sphere radius for a radius slot)
         for k, sign in ((a, 1.0), (b, -1.0)):
             if k >= nb:
@@ -982,20 +1013,17 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
             uses += [(start + j, j, sign, None) for j in range(3)]
             if isinstance(bubble, SphereParams):
                 uses.append((start + 3, len(fields), sign, bubble.radius))
-                # a sphere's points move along its normals (x - c)/r
-                fields.append(asm.meshes[k].quad_normals if k == a else x - bubble.center)
+                # a's sphere moves its points along (x - c)/r; the scaling
+                # law of b's panels takes the rates along x - c
+                s = 1.0 / bubble.radius if k == a else 1.0
+                fields.append((s * np.eye(3), -s * bubble.center))
             elif k == a:
                 uses += [(start + 3 + i, len(fields) + i, sign, None) for i in range(6)]
-                fields += list(motions[a].points)
+                fields += [(G, -G @ bubble.center) for G in motions[a].maps]
         Da, Db = blocks[a], blocks[b]
-        # the rates block by block, each applied to X before the next
-        # (dK^T to the weighted X of a's points)
-        dS_X, dK_X, wX = [], 0.0, w[Da, None] * X[Da]
-        for rows, dS, dK in _rate_blocks(x, parts[b], np.stack(fields),
-                                         motions[b].corners if b in motions else None):
-            dS_X.append(dS @ X[Db])
-            dK_X = dK_X + dK.transpose(0, 2, 1) @ wX[rows]
-        dS_X = np.concatenate(dS_X, axis=1)
+        corners = (motions[b].maps, config.bubbles[b].center) if b in motions else None
+        dS_X, dK_X = _block_rates(parts[a].points, parts[b], X[Db], w[Da, None] * X[Da],
+                                  *map(np.array, zip(*fields)), corners)
         dK_X /= w[Db, None]
         for t, i, sign, r in uses:
             if r is not None and sign < 0:

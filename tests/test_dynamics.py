@@ -162,6 +162,32 @@ class TestIntegrate:
         assert imp is not None
         assert np.max(np.abs(imp - imp[0])) < 1e-7 * np.linalg.norm(imp[0])
 
+    def test_deforming_ellipsoid_pair_conserves_energy(self):
+        # two ellipsoids deforming along every matrix slot, with surface
+        # tension, at level 1: the equations of motion conserve
+        # E = 1/2 q'A q' + U exactly only when every column of dA is the
+        # derivative of A, since dE/dt = 1/2 sum_k q'_k q'^T (dA_k - D_k) q'
+        # for the columns D_k the run uses.  The drift stays below 1e-11 of
+        # the initial kinetic energy; transposing the linear map E S^-1 of
+        # one off-diagonal matrix slot drifts by 4e-6
+        bubbles = []
+        for sign, S, rate in (
+                (-1.0, [[1.0, 0.04, 0.0], [0.04, 0.9, 0.02], [0.0, 0.02, 0.85]],
+                 [[0.2, 0.1, 0.0], [0.1, -0.15, 0.05], [0.0, 0.05, -0.05]]),
+                (1.0, [[0.9, 0.0, 0.03], [0.0, 1.0, -0.02], [0.03, -0.02, 0.95]],
+                 [[-0.1, 0.0, 0.08], [0.0, 0.15, -0.1], [0.08, -0.1, 0.05]])):
+            bubbles.append({"shape": {"type": "ellipsoid", "center": [1.5 * sign, 0.1 * sign, 0],
+                                      "matrix": S},
+                            "velocity": {"center": [-0.1 * sign, 0, 0.05], "matrix": rate},
+                            "gas": {"K": 1.0, "gamma": 1.4}, "mass": 0.9 * R_EQ_MASS})
+        doc = sphere_doc(level=1, t_end=0.05, output_dt=0.0125, rel_tol=1e-10,
+                         abs_tol=1e-12)
+        doc.update(bubbles=bubbles, surface_tension=0.05)
+        traj = integrate(scenario_from_dict(doc))
+        assert traj.termination == "completed"
+        E = traj.total_energy
+        assert np.max(np.abs(E - E[0])) <= 1e-9 * traj.kinetic[0]
+
     def test_collision_event_stops_run(self):
         doc = {
             "liquid": {"density": 1.0, "p_infinity": 1.0},

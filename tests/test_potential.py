@@ -240,36 +240,45 @@ class TestAddedMass:
 def _exact_gradients(solution, pts):
     from bubbledyn.potential import _blocked
     _, _, g = _blocked(pts, solution.geometry, want_single=False,
-                       want_double=False, density=solution.density)
-    return None, None, g
+                       want_double=False, density=solution.density[:, None])
+    return None, None, g[:, :, 0]
 
 
 class TestBlockedAssembly:
     def test_row_blocking_matches_unblocked(self, monkeypatch):
         # force the memory-bounded row-block path and compare
         import bubbledyn.potential as pot_mod
-        from bubbledyn.potential import _rate_blocks, _slot_motion
+        from bubbledyn.potential import _blocked
         sol_ref = dipole_solution(level=1)
-        # the rates of one ellipsoid's points over the other's panels as
-        # the points and the panel corners move along the matrix slots:
-        # the point velocities split with the rows, the corner velocities
-        # belong to the panels and go whole to every block (here of one row)
+        # the contracted rate terms of one ellipsoid's points over the
+        # other's panels: the outputs of the points (grad, T) split with
+        # the rows, and the moments (F, Fa), sums over the points, add up
+        # over the blocks (here of one row each)
         config = ellipsoid_pair()
         a, b = (surface_panels(surface_mesh(e, 1)) for e in config.bubbles)
-        motion = (a.points, b, _slot_motion(config.bubbles[0], a).points,
-                  _slot_motion(config.bubbles[1], b).corners)
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(b.n_panels, 4)), rng.normal(size=(a.n_panels, 4))
+        plain, rows = pot_mod._panel_blocks, []
 
-        def joined_rates():
-            blocks = list(_rate_blocks(*motion))
-            _, dS, dK = zip(*blocks)
-            return len(blocks), [np.concatenate(rate, axis=1) for rate in (dS, dK)]
+        def counted(x, *args, **kwargs):
+            rows.append(len(x))
+            return plain(x, *args, **kwargs)
 
-        n_ref, rates_ref = joined_rates()
+        def rate_terms():
+            rows.clear()
+            return _blocked(a.points, b, want_single=False, want_double=False, density=X,
+                            tensor=X, moments=Y, degree=2)[2:]
+
+        monkeypatch.setattr(pot_mod, "_panel_blocks", counted)
+        terms_ref = rate_terms()
+        assert rows == [a.n_panels]
         monkeypatch.setattr(pot_mod, "_ROW_BLOCK", 17)
-        n_blk, rates_blk = joined_rates()
-        assert (n_ref, n_blk) == (1, a.n_panels)
-        for blk, ref in zip(rates_blk, rates_ref):
-            assert blk.shape == (12, a.n_panels, b.n_panels)
+        terms_blk = rate_terms()
+        assert rows == [1] * a.n_panels
+        shapes = [(a.n_panels, 3, 4), (a.n_panels, 6, 4), (3, b.n_panels, 10, 4),
+                  (3, b.n_panels, 4, 4)]
+        for blk, ref, shape in zip(terms_blk, terms_ref, shapes):
+            assert blk.shape == ref.shape == shape
             assert rel_diff(blk, ref) <= 1e-13
         sol_blk = dipole_solution(level=1)
         assert np.allclose(sol_blk.density, sol_ref.density, rtol=0, atol=1e-14)
@@ -456,6 +465,25 @@ class TestBlockReuse:
         calls = TestLoneSphereFactorization.count_lu(monkeypatch)
         added_mass_jacobian(added_mass(ellipsoid_pair(), 1))
         assert calls == [160]
+
+    @pytest.mark.parametrize("make_config, passes", [(ellipsoid_pair, 4),
+                                                     (sphere_pair_in_cavity, 6)])
+    def test_jacobian_makes_one_kernel_pass_per_block(self, monkeypatch, make_config, passes):
+        # the rates come contracted from one _panel_blocks pass per ordered
+        # pair of surfaces with a bubble among them, and one per ellipsoid
+        # self-block, whatever the number of slots: 2 + 2 for two
+        # ellipsoids, 6 + 0 for two spheres and a wall
+        import bubbledyn.potential as pot_mod
+        mass = added_mass(make_config(), 1)
+        plain, calls = pot_mod._panel_blocks, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(pot_mod, "_panel_blocks", counted)
+        added_mass_jacobian(mass)
+        assert len(calls) == passes
 
     def test_jacobian_builds_no_mesh_or_assembly(self, monkeypatch):
         # ellipsoids 5e-3 apart (as the level-1 admissibility check
@@ -728,6 +756,77 @@ def _reference_panel_blocks(x, mesh, want_single, want_double, want_grad=False):
     return S, K, grad
 
 
+def _per_field_rates(x, geom, V, W):
+    """The rates of the blocks S and K of _panel_blocks, one (M, N) pair per
+    motion, as the per-field formulas gave them before the rates came
+    contracted: first as the points move along the velocities V
+    (n, M, 3), the panels fixed, then as the panel corners move with the
+    velocities W (n', 3, N, 3) (rate, corner, panel, axis), the points
+    fixed; the lift held in both.
+
+    The single layer's point rate is omega V.nh - sum_e L_e V.mhat_e, the
+    solid angle's the edge (Biot-Savart) sum over edges a -> b of
+    f_e V.((a - x) x (b - x)), f_e = (l_a + l_b) / (l_a l_b D_e),
+    D_e = l_a l_b + (a - x).(b - x).  Along the corner velocities the
+    solid angle moves by -(g_a W_a + g_b W_b).((a - x) x (b - x)) per edge,
+    g_a = 1 / (l_a D_e) and g_b = 1 / (l_b D_e), and the single layer's
+    closed form h omega - sum_e d_e L_e differentiates term by term:
+    h = (x - p0).nh and d_e = (x - a).mhat_e through the rates of the
+    corners, the unit normal and the edge normals, and
+    L_e = log((s + l_e) / (s - l_e)), s = l_a + l_b, through
+    d_e dL_e = P dl_e + Q_a y_a + Q_b y_b with dl_e the rate of the edge
+    length, P = d_e s / D_e, Q_a = d_e l_e g_a, Q_b = d_e l_e g_b,
+    y_a = (x - a).W_a and y_b = (x - b).W_b."""
+    from bubbledyn.potential import _cross, _dot, _panel_blocks
+    _, K, _ = _panel_blocks(x, geom, False, True)
+    omega = K / (geom.lift / (4.0 * np.pi))
+    ends = geom.corners[[1, 2, 0]]
+    la = np.linalg.norm(x[:, None, None] - geom.corners.transpose(1, 0, 2)[None], axis=3)
+    la = la.transpose(2, 0, 1)                     # (3, M, N) from x to each corner
+    lb = la[[1, 2, 0]]
+    dab = np.einsum('emnk,emnk->emn', geom.corners[:, None] - x[None, :, None],
+                    ends[:, None] - x[None, :, None])
+    De = la * lb + dab
+    le = geom.edge_length[:, None]
+    L = np.log((la + lb + le) / (la + lb - le))
+    ga, gb = 1.0 / (la * De), 1.0 / (lb * De)
+    d = np.einsum('mk,enk->emn', x, geom.edge_normal) - geom.edge_offset[:, None]
+    h = x @ geom.unit_normal.T - geom.plane_offset[None]
+    nh, mhat = geom.unit_normal, geom.edge_normal
+    # (a - x) x (b - x) per edge, point and panel
+    R = _cross(geom.corners[:, None] - x[None, :, None], ends[:, None] - x[None, :, None])
+    dS, dK = [], []
+    for v in V:
+        dS.append(omega * (v @ nh.T) - np.einsum('emn,emn->mn', L, v @ mhat.transpose(0, 2, 1)))
+        dK.append(np.einsum('emn,emn->mn', ga + gb, np.einsum('mk,emnk->emn', v, R)))
+    p0, p1, p2 = geom.corners
+    length = geom.edge_length
+    eh = geom.edge_vector / length[:, :, None]
+    for w in W:
+        wb = w[[1, 2, 0]]
+        dD = wb - w
+        dle = _dot(eh, dD)
+        dcross = _cross(w[1] - w[0], p2 - p0) + _cross(p1 - p0, w[2] - w[0])
+        dnh = (dcross - nh * _dot(nh, dcross)[:, None]) / _dot(_cross(p1 - p0, p2 - p0),
+                                                              nh)[:, None]
+        dmhat = _cross((dD - eh * dle[..., None]) / length[:, :, None], nh) + _cross(eh, dnh)
+        dOmega = -np.einsum('emnk,emnk->mn',
+                            ga[..., None] * w[:, None] + gb[..., None] * wb[:, None], R)
+        dh = x @ dnh.T - (_dot(p0, dnh) + _dot(w[0], nh))[None]
+        ya = np.einsum('emnk,enk->emn', x[None, :, None] - geom.corners[:, None], w)
+        yb = np.einsum('emnk,enk->emn', x[None, :, None] - ends[:, None], wb)
+        dd = (np.einsum('mk,enk->emn', x, dmhat)
+              - (_dot(geom.corners, dmhat) + _dot(w, mhat))[:, None])
+        s = la + lb
+        dL_d = (d * s / De) * dle[:, None] + d * le * ga * ya + d * le * gb * yb
+        dI = dh * omega + h * dOmega - (dd * L + dL_d).sum(axis=0)
+        dS.append(dI)
+        dK.append(dOmega)
+    dS = np.array(dS) * (-geom.lift / (4.0 * np.pi))
+    dK = np.array(dK) * (geom.lift / (4.0 * np.pi))
+    return dS, dK
+
+
 SURFACES = {
     "sphere": lambda: surface_mesh(SphereParams(center=[0.3, -0.2, 0.1], radius=0.7), 2),
     "ellipsoid": lambda: surface_mesh(ellipsoid_pair().bubbles[0], 2),
@@ -744,51 +843,73 @@ class TestPanelData:
         h = mesh.edge_length()
         # on the panels, a hundredth of a panel off them, and far away
         x = np.concatenate([pts, pts + 1e-2 * h * nrm, pts[::7] + 20.0 * nrm[::7]])
-        density = np.random.default_rng(7).normal(size=mesh.n_panels)
+        density = np.random.default_rng(7).normal(size=(mesh.n_panels, 1))
         S, K, grad = _panel_blocks(x, surface_panels(mesh), True, True, density=density)
         ref = _reference_panel_blocks(x, mesh, True, True, want_grad=True)
         assert rel_diff(S, ref[0]) <= 1e-14
         assert rel_diff(K, ref[1]) <= 1e-14
         # the gradient comes contracted with the density: contract the
         # reference tensor with the same density
-        assert rel_diff(grad, np.einsum('mnk,n->mk', ref[2], density)) <= 1e-13
+        assert rel_diff(grad, np.einsum('mnk,np->mkp', ref[2], density)) <= 1e-13
         # the single outputs alone take the same path
         S, K, grad = _panel_blocks(x, surface_panels(mesh), True, False)
         assert K is None and grad is None
         assert rel_diff(S, ref[0]) <= 1e-14
 
-    def test_panel_rates_match_central_differences(self):
-        # the rates of the blocks as the points move (directions) and as
-        # the panel corners move (corners, with the lift held), against
-        # central differences of the blocks of moved points and of moved
-        # mesh vertices (a mesh's panel lift reads its stored flat areas,
-        # which a moved copy keeps); the points sit on the panels' own
-        # surface and a tenth of a panel off it
-        import dataclasses
-        from bubbledyn.potential import _panel_blocks
+    @staticmethod
+    def block_motions(seed):
+        """An ellipsoid's panels, points on them and a tenth of a panel off
+        them, densities X and Y, two affine point fields A x + v and two
+        linear maps G about a centre c for the panel corners."""
         mesh = surface_mesh(ellipsoid_pair().bubbles[0], 1)
         x = np.concatenate([mesh.quad_points,
                             mesh.quad_points + 0.1 * mesh.edge_length() * mesh.quad_normals])
-        rng = np.random.default_rng(11)
-        V = rng.normal(size=(2,) + x.shape)
-        Wv = rng.normal(size=(2,) + mesh.vertices.shape)
-        W = Wv[:, mesh.triangles.T]
-        _, _, _, dS, dK = _panel_blocks(x, surface_panels(mesh), False, False,
-                                        directions=V, corners=W)
+        rng = np.random.default_rng(seed)
+        X, Y = rng.normal(size=(mesh.n_panels, 3)), rng.normal(size=(len(x), 3))
+        A, v, G = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 3))
+        return mesh, x, X, Y, A, v, (G, mesh.shape.center + rng.normal(scale=0.1, size=3))
+
+    def test_panel_rates_match_central_differences(self):
+        # the contracted rates of S X and K^T Y as the points move along
+        # affine fields and as the panel corners move by linear maps (the
+        # lift held), against central differences of the blocks of moved
+        # points and of moved mesh vertices (a mesh's panel lift reads its
+        # stored flat areas, which a moved copy keeps)
+        import dataclasses
+        from bubbledyn.potential import _block_rates, _panel_blocks
+        mesh, x, X, Y, A, v, (G, c) = self.block_motions(11)
+        dSX, dKY = _block_rates(x, surface_panels(mesh), X, Y, A, v, (G, c))
+        assert dSX.shape == (4, len(x), 3) and dKY.shape == (4, mesh.n_panels, 3)
         h = 1e-6
 
-        def blocks(x, vertices):
+        def contracted(x, vertices):
             moved = dataclasses.replace(mesh, vertices=vertices)
-            return np.array(_panel_blocks(x, surface_panels(moved), True, True)[:2])
+            S, K, _ = _panel_blocks(x, surface_panels(moved), True, True)
+            return S @ X, K.T @ Y
 
         for i in range(2):
-            point = (blocks(x + h * V[i], mesh.vertices)
-                     - blocks(x - h * V[i], mesh.vertices)) / (2 * h)
-            corner = (blocks(x, mesh.vertices + h * Wv[i])
-                      - blocks(x, mesh.vertices - h * Wv[i])) / (2 * h)
+            V = x @ A[i].T + v[i]
+            W = (mesh.vertices - c) @ G[i].T
+            point = [(p - m) / (2 * h) for p, m in zip(contracted(x + h * V, mesh.vertices),
+                                                       contracted(x - h * V, mesh.vertices))]
+            corner = [(p - m) / (2 * h) for p, m in zip(contracted(x, mesh.vertices + h * W),
+                                                        contracted(x, mesh.vertices - h * W))]
             for k, ref in ((i, point), (2 + i, corner)):
-                assert rel_diff(dS[k], ref[0]) <= 1e-7
-                assert rel_diff(dK[k], ref[1]) <= 1e-7
+                assert rel_diff(dSX[k], ref[0]) <= 1e-7
+                assert rel_diff(dKY[k], ref[1]) <= 1e-7
+
+    def test_contracted_rates_match_per_field_formula(self):
+        # the tensor T and the edge moments against the per-field rate
+        # blocks, each applied to the densities afterwards
+        from bubbledyn.potential import _block_rates
+        mesh, x, X, Y, A, v, (G, c) = self.block_motions(12)
+        geom = surface_panels(mesh)
+        dSX, dKY = _block_rates(x, geom, X, Y, A, v, (G, c))
+        V = x @ A.transpose(0, 2, 1) + v[:, None]
+        W = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
+        dS, dK = _per_field_rates(x, geom, V, W)
+        assert rel_diff(dSX, dS @ X) <= 1e-12
+        assert rel_diff(dKY, dK.transpose(0, 2, 1) @ Y) <= 1e-12
 
     def test_joined_panels_concatenate_the_surfaces(self):
         from bubbledyn.potential import join_panels
@@ -868,7 +989,8 @@ def jittered_sphere_and_ellipsoid(seed, cavity):
 
 class TestMetamorphic:
     """Symmetries that the discrete kinetic matrix and its Jacobian keep up
-    to roundoff, on a sphere + ellipsoid pair at level 1.  Every bound sits
+    to roundoff, on a sphere + ellipsoid pair at level 1 (on two or three
+    spheres for the scaling law).  Every bound sits
     15x or more above the largest error seen over 500 seeds with one BLAS
     thread and 500 with the library's default; the cavity system
     (condition 2e7 to 4e8) carries more roundoff than the unbounded one,
@@ -921,6 +1043,39 @@ class TestMetamorphic:
         if not cavity:
             common = dA[0:3] + dA[4:7]
             assert np.max(np.abs(common)) <= 1e-14 * np.max(np.abs(dA))
+
+    # (kinetic, Jacobian), relative to the largest entry; the largest
+    # errors over 600 seeds were 1.5e-15 and 1.2e-15 unbounded, 2.4e-11
+    # and 1.0e-10 in the cavity
+    SCALING_BOUNDS = {False: (3e-14, 3e-14), True: (5e-10, 2e-9)}
+
+    @pytest.mark.parametrize("cavity", [False, True])
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2 ** 30 - 1), st.floats(0.3, 3.0))
+    def test_sphere_scaling(self, cavity, seed, lam):
+        # scaling every centre and radius of two or three spheres by lam
+        # (and the cavity wall with them) scales every mesh exactly, so the
+        # kinetic matrix is homogeneous of degree 3 in the parameters and
+        # its Jacobian of degree 2: A(lam q) = lam^3 A(q) and
+        # dA(lam q) = lam^2 dA(q), to roundoff
+        rng = np.random.default_rng(seed)
+        spots = ([-1.1, 0.0, 0.0], [1.1, 0.0, 0.0], [0.0, 1.2, 0.3])[:rng.integers(2, 4)]
+        centres = [np.array(c) + rng.uniform(-0.1, 0.1, 3) for c in spots]
+        radii = 0.5 * (1.0 + rng.uniform(-0.1, 0.1, len(centres)))
+        wall = rng.uniform(-0.1, 0.1, 3)
+
+        def config(scale):
+            bubbles = tuple(SphereParams(center=scale * c, radius=scale * r)
+                            for c, r in zip(centres, radii))
+            domain = (CavitySphere(center=scale * wall, radius=scale * 3.0) if cavity
+                      else Unbounded())
+            return Configuration(bubbles=bubbles, domain=domain)
+
+        mass, mass_scaled = added_mass(config(1.0), 1), added_mass(config(lam), 1)
+        bound_kinetic, bound_jacobian = self.SCALING_BOUNDS[cavity]
+        assert rel_diff(mass_scaled.kinetic, lam ** 3 * mass.kinetic) <= bound_kinetic
+        assert rel_diff(added_mass_jacobian(mass_scaled),
+                        lam ** 2 * added_mass_jacobian(mass)) <= bound_jacobian
 
     def test_icosahedral_rotation_equivariance(self):
         # a rotation R of the icosahedral group maps the reference
