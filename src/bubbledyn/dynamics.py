@@ -23,16 +23,14 @@ from . import potential as pot
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError)
 from .reference import minnaert_frequency
-from .shapes import (Configuration, SphereParams, check_admissible,
-                     config_from_params, constraint_basis, fd_gradient,
-                     pack_params, surface_gaps, volume_gradient, volume_hessian)
+from .shapes import (Configuration, SphereParams, check_admissible, config_from_params,
+                     pack_params, surface_gaps, symmetric_matrix, volume_gradient,
+                     volume_hessian)
 
 # velocity-constraint tolerance for cavity initial data (relative)
 CONSTRAINT_TOLERANCE = 1e-9
 # shape sizes below this fraction of their initial value stop the run
 DEGENERACY_FRACTION = 0.02
-# relative time step of boundary_residual's centred difference of the potential
-RESIDUAL_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -313,71 +311,64 @@ def integrate(scenario) -> Trajectory:
 # a-posteriori interface-condition residual
 
 
-def boundary_residual(scenario, state: State, acceleration, eps=None) -> float:
+def _potential_rate(mass, velocity, acceleration):
+    """Time derivative of the potential at the bubbles' collocation points
+    held fixed, (n,), and its gradient there with the normal part the
+    imposed data, (n, 3), for the packed ``velocity`` and ``acceleration``
+    at the configuration of the added mass ``mass``.  With the density
+    x = X q' (X = mass.density B^T), the potential at the points moving
+    with the bubbles is (S X) q', whose rate is sum_t q'_t d_t(S X) q'
+    + (S X) q'' (potential._potential_rates); the frozen points see that
+    minus V . grad(S x), V = c' + L (x - c) the points' velocity (L = r'/r I
+    for a sphere, S' S^-1 for an ellipsoid)."""
+    config, geom, B = mass.config, mass.assembly.geom, mass.basis.matrix
+    n = sum(m.n_panels for m in mass.assembly.meshes[:config.n_bubbles])
+    dPhi = pot._potential_rates(mass)[0][:, :n]
+    moving = velocity @ (dPhi @ velocity) + (mass.potential @ B.T)[:n] @ acceleration
+    V = []
+    for bubble, sl, mesh in zip(config.bubbles, config.slices(), mass.assembly.meshes):
+        rate = velocity[sl]
+        L = (rate[3] / bubble.radius * np.eye(3) if isinstance(bubble, SphereParams)
+             else symmetric_matrix(rate[3:]) @ np.linalg.inv(bubble.shape_matrix))
+        V.append(rate[:3] + (mesh.quad_points - bubble.center) @ L.T)
+    u = B.T @ velocity
+    _, _, grad = pot._blocked(geom.points[:n], geom, want_single=False, want_double=False,
+                              density=(mass.density @ u)[:, None])
+    grad, normals = grad[:, :, 0], geom.normals[:n]
+    imposed = grad + (mass.data[:n] @ u - np.einsum('mk,mk->m', grad, normals))[:, None] * normals
+    return moving - np.einsum('mk,mk->m', np.concatenate(V), grad), imposed
+
+
+def boundary_residual(scenario, state: State, acceleration) -> float:
     """Residual of the relaxed interface condition: the pressure field
     reconstructed from the unsteady Bernoulli equation, integrated against
     the normal-velocity covector directions over each bubble, normalized
-    by p_infinity times the bubble area.  ``acceleration`` is the packed
-    (p,) acceleration of ``state``, as eom_rhs returns it.
+    by the pressure scale (p_infinity or the largest bubble pressure) times
+    the bubble area.  ``acceleration`` is the packed (p,) acceleration of
+    ``state``, as eom_rhs returns it.
 
-    The time derivative of the potential is a centred difference along the
-    trajectory direction (shape and data moved together, which carries the
-    acceleration contribution), evaluated at the frozen collocation points
-    through exact panel integrals.  Its time step ``eps`` defaults to
-    RESIDUAL_FD_STEP scaled by |q| and |q'|.
-
-    In a cavity the residual has a roundoff floor of about 1e-7 relative:
-    the centred difference divides the difference of two solutions of the
-    collocation system (condition about 1.6e8 for two spheres) by 2 eps, so
-    a perturbation of q by 1e-15 relative moves it by 2e-8 to 5e-7.
+    The potential's time derivative is exact (_potential_rate), from one
+    added mass of the state.  In a cavity it holds an undetermined
+    constant, which the projection onto the volume-preserving velocities
+    annihilates; the bubbles' mean area then divides all integrals alike.
     """
-    q, qd = state.packed()
-    config = state.config
-    rho = scenario.liquid_density
-    if eps is None:
-        eps = (RESIDUAL_FD_STEP * (1.0 + np.max(np.abs(q)))
-               / max(1.0, np.max(np.abs(qd))))
-
-    meshes = pot.configuration_meshes(config, scenario.mesh_level,
-                                      scenario.wall_level)
-    bubble_meshes = meshes[:config.n_bubbles]
-    geom_pts = np.concatenate([m.quad_points for m in bubble_meshes])
-
-    def solve_at(cfg, msh, qda):
-        g = pot._direction_data(cfg, msh, qda[:, None])[:, 0]
-        return pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
-
-    def phi_at(s):
-        # potential at the frozen points, time s[0] along the trajectory
-        cfg = config_from_params(config, q + s[0] * qd)
-        msh = pot.configuration_meshes(cfg, scenario.mesh_level, scenario.wall_level)
-        return pot.boundary_potential_at(solve_at(cfg, msh, qd + s[0] * acceleration),
-                                         geom_pts)
-
-    sol0 = solve_at(config, meshes, qd)
-    dphi_dt = fd_gradient(phi_at, np.zeros(1), eps)[0]
-
-    nb_panels = sum(m.n_panels for m in bubble_meshes)
-    grad = pot.surface_gradient(sol0)[:nb_panels]
-    speed2 = np.einsum('ik,ik->i', grad, grad)
-    p_minus_inf = -rho * (dphi_dt + 0.5 * speed2)
-
+    config, rho = state.config, scenario.liquid_density
+    mass = pot.added_mass(config, scenario.mesh_level, rho, scenario.wall_level)
+    dphi_dt, grad = _potential_rate(mass, state.velocity, acceleration)
     pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
                                   scenario.p_infinity, scenario.surface_tension,
                                   config)
     pressure_scale = max(scenario.p_infinity, np.max(np.abs(pe.bubble_pressures)))
 
-    # canonical-direction data over the bubble panels
-    G = pot._direction_data(config, bubble_meshes, np.eye(config.dim))
-    weights = np.concatenate([m.quad_weights for m in bubble_meshes])
-    offsets = np.cumsum([0] + [m.n_panels for m in bubble_meshes])
-    resid = np.zeros(config.dim)
-    for k, sl in enumerate(config.slices()):
-        rows = slice(offsets[k], offsets[k + 1])
-        p_gap = (p_minus_inf[rows]
-                 - (pe.bubble_pressures[k] - scenario.p_infinity))
-        area = weights[rows].sum()
-        resid[sl] = (G[rows, sl].T @ (p_gap * weights[rows])) / (pressure_scale * area)
+    meshes = mass.assembly.meshes[:config.n_bubbles]
+    p_excess = np.repeat(pe.bubble_pressures - scenario.p_infinity, [m.n_panels for m in meshes])
+    p_gap = -rho * (dphi_dt + 0.5 * np.einsum('ik,ik->i', grad, grad)) - p_excess
+    # the basis velocities' data: the canonical directions' (block diagonal
+    # over the bubbles) in unbounded liquid, their projection in a cavity
+    resid = mass.data[:len(p_gap)].T @ (p_gap * mass.assembly.weights[:len(p_gap)])
+    areas = np.array([m.quad_weights.sum() for m in meshes])
     if scenario.domain_is_bounded:
-        resid = constraint_basis(config).matrix.T @ resid
-    return float(np.max(np.abs(resid)))
+        resid /= areas.mean()
+    else:
+        resid /= np.repeat(areas, [b.dim for b in config.bubbles])
+    return float(np.max(np.abs(resid))) / pressure_scale

@@ -74,7 +74,8 @@ symmetric tensor T (G : T), and the solid angle's rates the moments of
 its edge terms over the points, so each block takes one kernel pass
 plus products whose width grows with the number of parameters, not with
 the number of slots.  The Jacobian takes the added mass alone and builds
-no mesh.
+no mesh.  It contracts the rates of the basis potentials, which also
+give the boundary residual's exact time derivative of the potential.
 """
 
 from __future__ import annotations
@@ -912,32 +913,27 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
     return dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
 
 
-def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
-    """Parameter Jacobian of the kinetic matrix of ``mass``
-    (AddedMassMatrix.kinetic), shape (p, p, p) with the first index the
-    differentiated parameter, at the configuration, level and liquid
-    density of ``mass``.
-
-    The kinetic matrix is K = sym(-rho (S X)^T W G P) with X = M^-1 G P,
-    M = 1/2 I + K' and S the assembled matrices, W the quadrature weights,
-    G the canonical direction data and P = B B^T the projector onto the
+def _potential_rates(mass: AddedMassMatrix):
+    """Rates along every parameter slot of the basis potentials S X of
+    ``mass`` at its collocation points, which move with the bubbles, and of
+    the data the Gram matrix weighs them with: (dPhi, dw, GdP, matrix, dGP),
+    d(S X) (p, N, p), the weights' (p, N), G dP (None in unbounded liquid)
+    and dG P along the ellipsoid matrix slots ``matrix`` (None if none).
+    Here X = M^-1 G P, M = 1/2 I + K' and S the assembled matrices, G the
+    canonical direction data and P = B B^T the projector onto the
     volume-preserving velocities (I in unbounded liquid), B the basis
-    matrix; G P is flux free at every configuration, so the constant
-    potential that the cavity system leaves undetermined never shows.
-    Along every slot, with the LU of ``mass`` and no other,
+    matrix.  Along every slot, with the LU of ``mass`` and no other,
 
-        dX = M^-1 (dG P + G dP - dM X),
-        dK = sym(-rho [(dS X + S dX)^T W G P + (S X)^T dW G P
-                       + (S X)^T W (dG P + G dP)]),
+        dX = M^-1 (dG P + G dP - dM X),    d(S X) = dS X + S dX,
 
     with no flux shift on the derivative solve: its data is not flux free,
-    and shifting it would bias dK.  Every rate is an exact derivative of
-    the discrete operator; only the moved bubble's rows and columns of M
-    and S change, and dM X and dS X come block by block, already applied
-    to X: one _panel_blocks pass per ordered pair of surfaces with a
-    bubble among them gives the rates of the cross block along every
-    slot at once (_block_rates), and one more per ellipsoid its own S
-    block's:
+    and shifting it would bias the rates.  Every rate is an exact
+    derivative of the discrete operator; only the moved bubble's rows and
+    columns of M and S change, and dM X and dS X come block by block,
+    already applied to X: one _panel_blocks pass per ordered pair of
+    surfaces with a bubble among them gives the rates of the cross block
+    along every slot at once (_block_rates), and one more per ellipsoid
+    its own S block's:
 
     * translating bubble k along axis e: +d_e where k owns the points,
       -d_e where it owns the panels; self-blocks, weights and G are fixed;
@@ -959,12 +955,11 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
 
     No mesh is built and no matrix assembled.
     """
-    config, asm, rho = mass.config, mass.assembly, mass.liquid_density
+    config, asm = mass.config, mass.assembly
     p, nb = config.dim, config.n_bubbles
     dP = _projector_derivatives(config)
     B = mass.basis.matrix
-    # G P, X and S X from the solution for G B
-    GP, X, Phi = mass.data @ B.T, mass.density @ B.T, mass.potential @ B.T
+    X = mass.density @ B.T  # from the solution for G B
     w = asm.weights
     offsets = np.cumsum([0] + [m.n_panels for m in asm.meshes])
     blocks = [slice(offsets[k], offsets[k + 1]) for k in range(len(asm.meshes))]
@@ -1045,11 +1040,8 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
             dSX[t, Da] += dS_X[n:] + asm.S[Da, Db] @ (mo.lift[:, :, None] * X[Db])
             dMX[t, Db] += dK_X[n:] - mo.area[:, :, None] * (asm.A[Db, Da] @ X[Da])
 
-    if matrix:
-        dGP = dG[matrix] @ B @ B.T
-    GdP = None
-    if dP is not None:
-        GdP = _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
+    dGP = dG[matrix] @ B @ B.T if matrix else None
+    GdP = None if dP is None else _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
     rhs = -dMX if GdP is None else GdP - dMX
     if matrix:
         rhs[matrix] += dGP
@@ -1060,10 +1052,26 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
         if not np.all(np.isfinite(dX)):
             raise IllPosedProblemError("added-mass Jacobian solve produced non-finite values")
         dPhi = dSX + (asm.S @ dX).reshape(len(w), p, p).transpose(1, 0, 2)
+    return dPhi, dw, GdP, matrix, dGP
+
+
+def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
+    """Parameter Jacobian of the kinetic matrix K = sym(-rho (S X)^T W G P)
+    of ``mass`` (AddedMassMatrix.kinetic; W the quadrature weights, the
+    rest as in _potential_rates), shape (p, p, p) with the first index the
+    differentiated parameter: along every slot
+
+        dK = sym(-rho [d(S X)^T W G P + (S X)^T dW G P + (S X)^T W (dG P + G dP)]).
+
+    G P is flux free at every configuration, so the constant potential
+    that the cavity system leaves undetermined never shows."""
+    dPhi, dw, GdP, matrix, dGP = _potential_rates(mass)
+    B, w = mass.basis.matrix, mass.assembly.weights
+    GP, Phi = mass.data @ B.T, mass.potential @ B.T
     raw = dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)
     if GdP is not None:
         raw += Phi.T @ (w[:, None] * GdP)
     if matrix:
         raw[matrix] += Phi.T @ (w[:, None] * dGP)
-    raw *= -rho
+    raw *= -mass.liquid_density
     return 0.5 * (raw + raw.transpose(0, 2, 1))

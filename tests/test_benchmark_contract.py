@@ -2,8 +2,8 @@
 wraps functions by module and attribute, and its workloads write solver
 settings by key.  Every name and key it relies on must still be there,
 so that a rename or a removal fails here, in milliseconds, rather than in
-a benchmark run.  The benchmark's files are read as data (their
-literals), not run."""
+a benchmark run; so must every option it passes to `bubbledyn run`.  The
+benchmark's files are read as data (their literals), not run."""
 
 import ast
 import importlib
@@ -75,3 +75,19 @@ def test_every_workload_solver_key_is_read_back():
     written = {ast.literal_eval(key) for d in solvers for key in d.keys}
     assert written
     assert written <= set(scenario_to_dict(parse_scenario(SCENARIO))["solver"])
+
+
+def test_every_workload_run_args_parse():
+    # the benchmark times the boundary residual through each workload's
+    # `--residual-cadence` (the second argument of Workload); an option
+    # that `bubbledyn run` no longer takes would fail every run
+    from bubbledyn.cli import build_parser
+    extras = [ast.literal_eval(call.args[1]) for call in ast.walk(_parse(WORKLOADS))
+              if isinstance(call, ast.Call) and ast.unparse(call.func) == "Workload"]
+    assert extras
+    for extra in extras:
+        try:
+            args = build_parser().parse_args(["run", "--scenario", SCENARIO, *extra])
+        except SystemExit:
+            raise AssertionError(f"`bubbledyn run` rejects {extra}") from None
+        assert args.residual_cadence is not None, extra

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from bubbledyn import dynamics, shapes
-from bubbledyn.dynamics import (boundary_residual, constraint_basis,
-                                eom_rhs, integrate, kelvin_impulse)
+from bubbledyn import dynamics, potential as pot, shapes
+from bubbledyn.dynamics import boundary_residual, eom_rhs, integrate, kelvin_impulse
 from bubbledyn.errors import (BubbleDynError, CompatibilityError,
                               UnsupportedConfigurationError)
 from bubbledyn.reference import SingleBubbleState, closed_form_rhs
 from bubbledyn.scenario import scenario_from_dict
-from bubbledyn.shapes import (CavitySphere, Configuration, SphereParams,
-                              config_from_params, pack_params)
+from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams, SphereParams,
+                              config_from_params, constraint_basis, pack_params,
+                              volume_hessian)
 
 R_EQ_MASS = 4 * np.pi / 3  # gas mass giving r_eq = 1 for K=1, gamma=1.4, p_inf=1
 
@@ -27,18 +27,21 @@ def sphere_doc(radius=1.0, vc=(0.0, 0.0, 0.0), vr=0.0, level=1, t_end=1.0,
         "time": {"t_end": t_end, "output_dt": output_dt}}
 
 
-def cavity_doc(level=1, t_end=0.2, rel_tol=1e-9, abs_tol=1e-11, vr=0.25):
-    r = 0.8
+def cavity_doc(level=1, t_end=0.2, rel_tol=1e-9, abs_tol=1e-11, vr=0.25,
+               radii=(0.8, 0.8)):
+    """Two spheres on the x axis in a cavity of radius 4, the gas of each
+    in equilibrium at r = 0.8 and the radial rates volume preserving."""
+    r1, r2 = radii
     return {
         "liquid": {"density": 1.0, "p_infinity": 1.0},
         "domain": {"type": "cavity_sphere", "center": [0, 0, 0], "radius": 4.0},
         "bubbles": [
-            {"shape": {"type": "sphere", "center": [-1.4, 0, 0], "radius": r},
+            {"shape": {"type": "sphere", "center": [-1.4, 0, 0], "radius": r1},
              "velocity": {"center": [0, 0, 0], "radius": vr},
-             "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS * r ** 3},
-            {"shape": {"type": "sphere", "center": [1.4, 0, 0], "radius": r},
-             "velocity": {"center": [0, 0, 0], "radius": -vr},
-             "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS * r ** 3}],
+             "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS * 0.8 ** 3},
+            {"shape": {"type": "sphere", "center": [1.4, 0, 0], "radius": r2},
+             "velocity": {"center": [0, 0, 0], "radius": -vr * (r1 / r2) ** 2},
+             "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS * 0.8 ** 3}],
         "solver": {"mesh_level": level, "wall_level": level,
                    "rel_tol": rel_tol, "abs_tol": abs_tol},
         "time": {"t_end": t_end, "output_dt": t_end / 4}}
@@ -387,9 +390,111 @@ class TestBoundaryResidual:
         bad = boundary_residual(s, state, 2 * acc)
         assert bad > 2.0 * good
 
+    def test_cavity_residual_ignores_the_constant_of_the_potential(self, monkeypatch):
+        # the cavity leaves d(phi)/dt an undetermined constant; with unequal
+        # radii a per-bubble area divisor would let it through (0.258 here,
+        # against 2.3e-4 for equal radii)
+        def residual(radii):
+            s = scenario_from_dict(cavity_doc(radii=radii))
+            state = s.initial_state()
+            return boundary_residual(s, state, eom_rhs(s, state))
+
+        equal, unequal = residual((0.8, 0.8)), residual((0.784, 0.816))
+        assert unequal < 2.0 * equal
+        plain = dynamics._potential_rate
+
+        def shifted(*args):
+            dphi_dt, grad = plain(*args)
+            return dphi_dt + 1.0, grad
+
+        monkeypatch.setattr(dynamics, "_potential_rate", shifted)
+        assert abs(residual((0.784, 0.816)) - unequal) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(950, 954))
+    def test_cavity_residual_is_stable_under_roundoff(self, seed):
+        # the cavity pair of the benchmark (jitter drawn in the same order);
+        # q perturbed by 1e-15 relative moves the residual by roundoff only
+        rng = np.random.default_rng([seed, 0])
+        r1, r2 = 0.8 * (1.0 + rng.uniform(-0.02, 0.02, 2))
+        doc = cavity_doc(vr=0.25 * (1.0 + rng.uniform(-0.05, 0.05)), radii=(r1, r2))
+        for bubble in doc["bubbles"]:
+            bubble["shape"]["center"] = (np.array(bubble["shape"]["center"])
+                                         + rng.uniform(-0.05, 0.05, 3)).tolist()
+        s = scenario_from_dict(doc)
+        state = s.initial_state()
+        acc = eom_rhs(s, state)
+        q, qd = state.packed()
+        base = boundary_residual(s, state, acc)
+        for sign in (1.0, -1.0):
+            jitter = 1.0 + sign * 1e-15 * rng.choice([-1.0, 1.0], len(q))
+            moved = dynamics.State(config=config_from_params(state.config, q * jitter),
+                                   velocity=qd)
+            assert abs(boundary_residual(s, moved, acc) - base) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["sphere", "ellipsoid_pair", "cavity"])
+    def test_potential_rate_matches_richardson(self, case):
+        config, qd, qdd = _motion(case)
+        mass = pot.added_mass(config, 1, 1.0, 1)
+        exact, _ = dynamics._potential_rate(mass, qd, qdd)
+        reference = _frozen_potential_rate(config, qd, qdd, level=1)
+        if config.bounded:
+            # the potential's constant is undetermined in a cavity
+            w = np.concatenate([m.quad_weights for m in mass.assembly.meshes[:-1]])
+            exact, reference = (v - (w @ v) / w.sum() for v in (exact, reference))
+        err = np.abs(exact - reference).max() / np.abs(exact).max()
+        assert err < (1e-7 if config.bounded else 1e-10)
+
     def test_kelvin_impulse_only_for_single_unbounded_sphere(self):
         s = scenario_from_dict(cavity_doc())
         assert kelvin_impulse(s.initial_state()) is None
         s2 = scenario_from_dict(sphere_doc(vc=(0.5, 0, 0)))
         imp = kelvin_impulse(s2.initial_state())
         assert np.allclose(imp, [0.5, 0, 0])
+
+
+def _motion(case):
+    """A configuration with a velocity and an acceleration (volume
+    preserving to second order in a cavity)."""
+    rng = np.random.default_rng(3)
+    S1 = np.array([[1.0, 0.05, 0.0], [0.05, 0.9, 0.02], [0.0, 0.02, 0.85]])
+    S2 = np.array([[0.9, -0.03, 0.01], [-0.03, 1.0, 0.0], [0.01, 0.0, 0.95]])
+    if case == "sphere":
+        config = Configuration(bubbles=(SphereParams(center=[0.1, -0.2, 0.05], radius=1.1),))
+        return config, np.array([0.2, -0.1, 0.05, 0.15]), np.array([0.3, 0.1, -0.2, -0.4])
+    if case == "ellipsoid_pair":
+        config = Configuration(bubbles=(
+            EllipsoidParams(center=[-1.5, 0.0, 0.1], shape_matrix=S1),
+            EllipsoidParams(center=[1.5, 0.1, 0.0], shape_matrix=S2)))
+        return config, rng.uniform(-0.1, 0.1, 18), rng.uniform(-0.2, 0.2, 18)
+    config = Configuration(bubbles=(
+        SphereParams(center=[-1.3, 0.1, 0.0], radius=0.8),
+        EllipsoidParams(center=[1.4, 0.0, -0.1], shape_matrix=0.8 * S1)),
+        domain=CavitySphere(center=np.zeros(3), radius=4.0))
+    basis = constraint_basis(config)
+    B, ell = basis.matrix, basis.flux_covector
+    qd = B @ rng.uniform(-0.1, 0.1, B.shape[1])
+    qdd = (B @ rng.uniform(-0.2, 0.2, B.shape[1])
+           - (qd @ volume_hessian(config) @ qd) / (ell @ ell) * ell)
+    return config, qd, qdd
+
+
+def _frozen_potential_rate(config, qd, qdd, level, h=1e-3):
+    """Time derivative of the potential at the configuration's bubble
+    collocation points, held fixed, along q + t q' with the velocity
+    q' + t q'': Richardson extrapolation of centred differences, each side
+    a fresh Neumann solve on the moved meshes."""
+    q = pack_params(config)
+    meshes = pot.configuration_meshes(config, level, level)
+    points = np.concatenate([m.quad_points for m in meshes[:config.n_bubbles]])
+
+    def phi(t):
+        moved = config_from_params(config, q + t * qd)
+        msh = pot.configuration_meshes(moved, level, level)
+        g = pot._direction_data(moved, msh, (qd + t * qdd)[:, None])[:, 0]
+        sol = pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
+        return pot.boundary_potential_at(sol, points)
+
+    def centred(step):
+        return (phi(step) - phi(-step)) / (2.0 * step)
+
+    return (4.0 * centred(h / 2) - centred(h)) / 3.0

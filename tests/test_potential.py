@@ -596,9 +596,9 @@ class TestLoneSphereFactorization:
                     "solver": {"mesh_level": level, "residual_cadence": 2},
                     "time": {"t_end": 0.04, "output_dt": 0.02}}
 
-        # lone spheres at two levels: every added mass, FD side, energy
-        # sample and boundary-residual solve shares one LU per level, and so
-        # does a solve given only another sphere's mesh
+        # lone spheres at two levels: every added mass, energy sample and
+        # boundary-residual sample shares one LU per level, and so does a
+        # solve given only another sphere's mesh
         for level in (1, 0):
             traj = dyn.integrate(scenario_from_dict(doc([[0.0, 0.0, 0.0]], level)))
             assert traj.termination == "completed"
@@ -608,12 +608,12 @@ class TestLoneSphereFactorization:
         assert len(assemblies) > 20
         # a sphere pair still factors every assembly once, and assembles once
         # per RHS (its Jacobian is exact): n_rhs assemblies, one per energy
-        # sample (t = 0, 0.02, 0.04), and the t = 0.04 residual sample's
-        # acceleration and three Neumann solves at each of the two residual
+        # sample (t = 0, 0.02, 0.04), the t = 0.04 residual sample's
+        # acceleration and one added mass at each of the two residual
         # samples (the t = 0 sample reuses the first RHS's acceleration)
         del calls[:], assemblies[:]
         traj = dyn.integrate(scenario_from_dict(doc([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0]], 0)))
-        assert len(calls) == len(assemblies) == traj.stats["n_rhs"] + 3 + 1 + 2 * 3
+        assert len(calls) == len(assemblies) == traj.stats["n_rhs"] + 3 + 1 + 2
         assert set(calls) == {40}
 
     def test_results_match_a_freshly_factored_copy(self, monkeypatch):
