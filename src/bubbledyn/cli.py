@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from . import _blas
 from . import dynamics as dyn
 from . import gas as gas_mod
 from . import potential as pot
@@ -259,7 +260,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _blas.single_thread():
+            return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

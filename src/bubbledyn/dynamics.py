@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import _blas
 from . import gas as gas_mod
 from . import potential as pot
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
@@ -185,9 +186,12 @@ def _gap_margin(scenario, config) -> float:
     return float(worst)
 
 
+@_blas.single_thread()
 def integrate(scenario) -> Trajectory:
     """Integrate the reduced system with the adaptive Dormand-Prince 5(4)
-    pair, sampling by dense interpolation at the scenario output cadence."""
+    pair, sampling by dense interpolation at the scenario output cadence.
+    Runs with one thread in every loaded OpenBLAS (_blas.single_thread);
+    stats["blas_threads"] records the counts in force."""
     state0 = scenario.initial_state()
     config0 = state0.config
     report = check_admissible(config0, min(scenario.mesh_level, 2))
@@ -299,7 +303,7 @@ def integrate(scenario) -> Trajectory:
     stats = {"n_steps": len(sol.t) - 1, "n_rhs": n_rhs[0],
              "n_poisoned": poisoned["n"], "last_poison": poisoned["last"],
              "wall_time": time.time() - t_wall, "t_final": float(t_final),
-             "solver_message": str(sol.message)}
+             "solver_message": str(sol.message), "blas_threads": _blas.thread_counts()}
     return Trajectory(times=times, states=tuple(states), kinetic=ke, potential=pe,
                       total_energy=ke + pe,
                       impulse=np.array(imp) if imp is not None else None,

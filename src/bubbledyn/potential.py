@@ -86,6 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from . import _blas
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
 from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis, SphereParams,
                      constraint_basis, normal_velocity_basis, surface_mesh, symmetric_matrix,
@@ -194,8 +195,8 @@ def join_panels(parts) -> PanelGeometry:
 def _add_products(out, term, factors, X):
     """out (M, c, p) += term @ (factors[:, u, None] X) for every column u
     of the (K, c) factors, with the (M, K) term and the columns X (K, p):
-    one product of width p per component, which a multithreaded BLAS
-    keeps on one thread at level 1's sizes (README, Threads)."""
+    one product of width p per component, on the solver's one BLAS thread
+    (README, Threads)."""
     out += np.matmul(term, factors.T[:, :, None] * X).transpose(1, 0, 2)
 
 
@@ -370,11 +371,15 @@ def _self_blocks(panels: PanelGeometry):
 class _Factorization:
     """LU factorization of a collocation matrix with the matrix's 1-norm;
     the reciprocal condition estimate is computed on first request and
-    kept.  The LU arrays are read-only."""
+    kept.  The LU arrays are read-only.  The LU is factored on one BLAS
+    thread wherever it is asked for (inside dynamics.integrate or not), so
+    that a lone sphere's, shared by every later call, has the same bits
+    whoever first asked."""
 
     def __init__(self, A):
         try:
-            lu, piv = sla.lu_factor(A, check_finite=False)
+            with _blas.single_thread():
+                lu, piv = sla.lu_factor(A, check_finite=False)
         except (ValueError, sla.LinAlgError) as exc:
             raise IllPosedProblemError(f"collocation matrix factorization failed: {exc}")
         lu.setflags(write=False)

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bubbledyn
 from bubbledyn.cli import main
 from bubbledyn.scenario import (ScenarioError, parse_scenario,
                                 scenario_from_dict, scenario_to_dict)
@@ -138,6 +142,7 @@ class TestRun:
         assert diag["termination"] == "completed"
         assert diag["gram_condition"] >= 1.0
         assert "n_rhs" in diag["stats"]
+        assert "blas_threads" in diag["stats"]
 
     def test_poisoned_rhs_calls_reach_diagnostics(self, tmp_path, monkeypatch):
         from bubbledyn import dynamics
@@ -177,6 +182,23 @@ class TestRun:
         assert main(["run", "--scenario", path, "--out", str(out2)]) == 0
         assert (out1 / "trajectory.csv").read_text() == \
             (out2 / "trajectory.csv").read_text()
+
+    def test_equal_runs_write_equal_diagnostics(self, tmp_path):
+        # two processes, so that nothing one run caches serves the other;
+        # the wall time is the one field allowed to differ
+        root = pathlib.Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "scenarios" / "single_bubble.json").read_text())
+        doc["time"]["t_end"] = 0.5
+        path = write_scenario(tmp_path, doc)
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bubbledyn.__file__).parents[1])}
+        texts = []
+        for name in ("a", "b"):
+            subprocess.run([sys.executable, "-m", "bubbledyn.cli", "run", "--scenario",
+                            path, "--out", str(tmp_path / name)],
+                           env=env, check=True, capture_output=True)
+            text = (tmp_path / name / "diagnostics.json").read_text()
+            texts.append([line for line in text.splitlines() if '"wall_time":' not in line])
+        assert texts[0] == texts[1]
 
     def test_validation_failure_exits_nonzero(self, tmp_path, capsys):
         doc = equilibrium_doc()

@@ -1,7 +1,16 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from bubbledyn import dynamics, potential as pot, shapes
+import bubbledyn
+from bubbledyn import _blas, dynamics, potential as pot, shapes
+from bubbledyn.cli import write_trajectory_csv
 from bubbledyn.dynamics import boundary_residual, eom_rhs, integrate, kelvin_impulse
 from bubbledyn.errors import (BubbleDynError, CompatibilityError,
                               UnsupportedConfigurationError)
@@ -372,6 +381,104 @@ class TestIntegrate:
             resid = dmom - dL_dq(sol.sol(t))
             scale = np.linalg.norm(momentum(sol.sol(t))) + 1.0
             assert np.max(np.abs(resid)) < 1e-4 * scale
+
+
+@pytest.fixture
+def blas_counts():
+    """Every OpenBLAS found set to 2 threads, so that both the cap and its
+    undoing show whatever the environment chose; the counts the test found
+    come back afterwards.  Yields the counts on entry to the code under test."""
+    if not _blas.libraries():
+        pytest.skip("no OpenBLAS loaded: the thread cap has nothing to set")
+    before = _blas.thread_counts()
+    for _, put in _blas.libraries().values():
+        put(2)
+    yield _blas.thread_counts()
+    for name, (_, put) in _blas.libraries().items():
+        put(before[name])
+
+
+class TestBlasThreads:
+    def test_every_rhs_runs_on_one_thread_and_the_counts_come_back(
+            self, blas_counts, monkeypatch):
+        seen, plain = [], dynamics._acceleration
+        monkeypatch.setattr(dynamics, "_acceleration",
+                            lambda *a: seen.append(_blas.thread_counts()) or plain(*a))
+        traj = integrate(scenario_from_dict(sphere_doc(vr=0.05, level=0, t_end=0.2,
+                                                       output_dt=0.1)))
+        ones = dict.fromkeys(blas_counts, 1)
+        assert len(seen) == traj.stats["n_rhs"]
+        assert all(counts == ones for counts in seen)
+        assert traj.stats["blas_threads"] == ones
+        assert _blas.thread_counts() == blas_counts
+
+    def test_counts_come_back_after_a_run_that_raises(self, blas_counts):
+        doc = sphere_doc()
+        doc["bubbles"].append(
+            {"shape": {"type": "sphere", "center": [1.5, 0, 0], "radius": 1.0},
+             "velocity": {"center": [0, 0, 0], "radius": 0.0},
+             "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS})
+        with pytest.raises(BubbleDynError, match="initial configuration inadmissible"):
+            integrate(scenario_from_dict(doc))
+        assert _blas.thread_counts() == blas_counts
+
+    def test_nested_entries_restore_at_the_outermost_exit(self, blas_counts):
+        ones = dict.fromkeys(blas_counts, 1)
+        with _blas.single_thread():
+            with _blas.single_thread():
+                assert _blas.thread_counts() == ones
+            assert _blas.thread_counts() == ones
+        assert _blas.thread_counts() == blas_counts
+
+    def test_concurrent_entries_share_one_scope(self, blas_counts):
+        # threads entering and leaving, some nested, switched as often as
+        # the interpreter allows: inside, one thread; after the last exit,
+        # the counts on entry
+        ones = dict.fromkeys(blas_counts, 1)
+        wrong = []
+
+        def worker():
+            for k in range(200):
+                with _blas.single_thread():
+                    if k % 3 == 0:
+                        with _blas.single_thread():
+                            pass
+                    if _blas.thread_counts() != ones:
+                        wrong.append(k)
+
+        workers = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not wrong
+        assert _blas.thread_counts() == blas_counts
+
+    def test_trajectory_does_not_depend_on_the_blas_thread_count(self, blas_counts,
+                                                                 tmp_path):
+        # the same run in this process (2 BLAS threads on entry) and in a
+        # fresh one started with OPENBLAS_NUM_THREADS=1: every time, state
+        # and energy bit for bit (the CSV round-trips each double)
+        root = pathlib.Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "scenarios" / "two_bubble_cavity.json").read_text())
+        doc["time"]["t_end"] = 0.02
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        s = scenario_from_dict(doc)
+        write_trajectory_csv(tmp_path / "here.csv", s, integrate(s))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(pathlib.Path(bubbledyn.__file__).parents[1])}
+        subprocess.run([sys.executable, "-m", "bubbledyn.cli", "run", "--scenario",
+                        str(path), "--out", str(tmp_path / "fresh")],
+                       env=env, check=True, capture_output=True)
+        assert (tmp_path / "here.csv").read_text() == \
+            (tmp_path / "fresh" / "trajectory.csv").read_text()
 
 
 class TestBoundaryResidual:
