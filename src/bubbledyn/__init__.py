@@ -10,9 +10,8 @@ from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      UnsupportedConfigurationError)
 from .gas import (BubbleGasState, GasLaw, equilibrium_radius, free_energy,
                   potential_energy, pressure)
-from .potential import (AddedMassMatrix, NeumannProblem, PotentialSolution,
-                        added_mass, added_mass_jacobian, basis_potentials,
-                        evaluate, solve_neumann)
+from .potential import (AddedMassMatrix, PotentialSolution, added_mass,
+                        added_mass_jacobian, evaluate, solve_neumann)
 from .reference import (SingleBubbleState, analytic_potential, closed_form_rhs,
                         integrate_single, minnaert_frequency)
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_from_dict
@@ -25,11 +24,11 @@ __all__ = [
     "AddedMassMatrix", "BubbleDynError", "BubbleGasState", "CavityMesh",
     "CavitySphere", "CompatibilityError", "Configuration", "ConstraintBasis",
     "DegenerateShapeError", "DiscretizationError", "EllipsoidParams",
-    "GasLaw", "IllPosedProblemError", "NeumannProblem", "PotentialSolution",
+    "GasLaw", "IllPosedProblemError", "PotentialSolution",
     "Scenario", "ScenarioError", "SingleBubbleState", "SphereParams",
     "State", "SurfaceMesh", "Trajectory",
     "Unbounded", "UnsupportedConfigurationError", "added_mass",
-    "added_mass_jacobian", "analytic_potential", "basis_potentials",
+    "added_mass_jacobian", "analytic_potential",
     "boundary_residual", "check_admissible", "closed_form_rhs",
     "constraint_basis", "eom_rhs", "equilibrium_radius", "evaluate",
     "free_energy", "integrate", "integrate_single", "measures",

@@ -25,7 +25,6 @@ import numpy as np
 from . import _blas
 from . import dynamics as dyn
 from . import gas as gas_mod
-from . import potential as pot
 from .errors import BubbleDynError
 from .scenario import (MAX_MESH_LEVEL, ScenarioError, parse_scenario,
                        scenario_to_dict)
@@ -76,8 +75,7 @@ def write_trajectory_csv(path, scenario, traj):
 
 
 def _gram_diagnostics(scenario):
-    A = pot.added_mass(scenario.configuration(), scenario.mesh_level,
-                       scenario.liquid_density, scenario.wall_level)
+    A = dyn.mass_at(scenario, scenario.configuration())
     return {
         "gram_condition": A.condition,
         "gram_eigenvalues": [float(e) for e in A.eigenvalues],
@@ -182,14 +180,15 @@ def cmd_convergence(args) -> int:
         s = dataclasses.replace(scenario, mesh_level=level,
                                 wall_level=None if scenario.wall_level is None
                                 else max(scenario.wall_level, level))
-        A = pot.added_mass(s.configuration(), s.mesh_level, s.liquid_density, s.wall_level)
         traj = dyn.integrate(s)
-        state = traj.states[-1]
-        acc = dyn.eom_rhs(s, traj.states[0])
-        resid = dyn.boundary_residual(s, traj.states[0], acc)
+        # the initial state, admissible (integrate checked it): its one
+        # added mass gives the diagonal, the acceleration and the residual
+        start = traj.states[0]
+        A = dyn.mass_at(s, start.config)
+        resid = dyn.boundary_residual(s, start, A, dyn._acceleration(s, A, start.velocity))
         rows.append({"level": level,
                      "added_mass_diag": np.diag(A.matrix).copy(),
-                     "endpoint": pack_params(state.config),
+                     "endpoint": pack_params(traj.states[-1].config),
                      "t_final": traj.stats["t_final"],
                      "residual": resid})
     finest = rows[-1]

@@ -51,6 +51,20 @@ class State:
 # scenario-facing kinetic assembly
 
 
+def mass_at(scenario, config) -> pot.AddedMassMatrix:
+    """The added mass of ``config`` at the scenario's mesh levels and liquid
+    density: the one assembly of a state, which its acceleration, energies
+    and boundary residual all read."""
+    return pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
+                          scenario.wall_level)
+
+
+def _potential_energy(scenario, config):
+    """gas.potential_energy of the scenario's bubbles at ``config``."""
+    return gas_mod.potential_energy([b.gas for b in scenario.bubbles], scenario.p_infinity,
+                                    scenario.surface_tension, config)
+
+
 def _ahat_jacobian(A):
     """Parameter Jacobian of the extended kinetic matrix B A B^T of the
     added mass ``A``, exact in every column and solved with its LU alone
@@ -58,19 +72,17 @@ def _ahat_jacobian(A):
 
     Cavity mode differentiates the basis-extended matrix, which depends on
     the configuration through the projector B B^T; unbounded mode has
-    B = I."""
+    B = I.  A named pass-through so that the benchmark's tracer
+    (perfbench/tracing.py) can time the Jacobian by this name."""
     return pot.added_mass_jacobian(A)
 
 
-def _acceleration(scenario, config, qdot):
+def _acceleration(scenario, A, qdot):
     """Flat acceleration vector from the (constrained) Euler-Lagrange
-    equations."""
-    A = pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
-                       scenario.wall_level)
+    equations, at the configuration of the added mass ``A``."""
+    config = A.config
     dA = _ahat_jacobian(A)
-    pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
-                                  scenario.p_infinity, scenario.surface_tension,
-                                  config)
+    pe = _potential_energy(scenario, config)
     coriolis = (np.einsum('kij,k,j->i', dA, qdot, qdot)
                 - 0.5 * np.einsum('ijk,j,k->i', dA, qdot, qdot))
     force = -coriolis - pe.dU_dm
@@ -105,7 +117,7 @@ def eom_rhs(scenario, state: State):
         raise BubbleDynError(f"state not admissible: {report.violations}")
     if scenario.domain_is_bounded and not volume_flux(config, qd)[1]:
         raise CompatibilityError("velocity violates the cavity volume constraint")
-    return _acceleration(scenario, config, qd)
+    return _acceleration(scenario, mass_at(scenario, config), qd)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +130,12 @@ def _bubble_size(shape) -> float:
     return float(shape.semi_axes()[0])
 
 
-def energies(scenario, state: State):
-    """(kinetic, potential, total) of a state, at the scenario mesh level."""
-    config, qd = state.config, state.velocity
-    A = pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
-                       scenario.wall_level)
-    ke = 0.5 * float(qd @ A.kinetic @ qd)
-    pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
-                                  scenario.p_infinity, scenario.surface_tension,
-                                  config).U
+def energies(scenario, state: State, mass):
+    """(kinetic, potential, total) of a state with its added mass ``mass``
+    (mass_at)."""
+    qd = state.velocity
+    ke = 0.5 * float(qd @ mass.kinetic @ qd)
+    pe = _potential_energy(scenario, state.config).U
     return ke, pe, ke + pe
 
 
@@ -208,9 +217,6 @@ def integrate(scenario) -> Trajectory:
     sizes0 = np.array([_bubble_size(b) for b in config0.bubbles])
     n_rhs = [0]
     poisoned = {"n": 0, "last": None}
-    # the state and acceleration of the first RHS call, which the t = 0
-    # sample (the same bytes) reuses
-    first = {}
     t_wall = time.time()
 
     def split(y):
@@ -235,11 +241,9 @@ def integrate(scenario) -> Trajectory:
             report = check_admissible(config, min(scenario.mesh_level, 2))
             if not report.ok:
                 return poison(f"state not admissible: {report.violations}")
-            qdd = _acceleration(scenario, config, qd)
+            qdd = _acceleration(scenario, mass_at(scenario, config), qd)
         except (DegenerateShapeError, DiscretizationError, np.linalg.LinAlgError) as exc:
             return poison(f"{type(exc).__name__}: {exc}")
-        if not first:
-            first.update(y=y.tobytes(), qdd=qdd)
         return np.concatenate([qd, qdd])
 
     def ev_collision(t, y):
@@ -291,15 +295,13 @@ def integrate(scenario) -> Trajectory:
         config = config_from_params(config0, q)
         state = State(config=config, velocity=qd, time=float(t))
         states.append(state)
-        ke[k], pe[k], _ = energies(scenario, state)
+        mass = mass_at(scenario, config)
+        ke[k], pe[k], _ = energies(scenario, state, mass)
         if imp is not None:
             imp.append(kelvin_impulse(state))
         if cadence and k % cadence == 0:
-            if first and y.tobytes() == first["y"]:
-                qdd = first["qdd"]
-            else:
-                qdd = _acceleration(scenario, config, qd)
-            residuals[k] = boundary_residual(scenario, state, qdd)
+            residuals[k] = boundary_residual(scenario, state, mass,
+                                             _acceleration(scenario, mass, qd))
     stats = {"n_steps": len(sol.t) - 1, "n_rhs": n_rhs[0],
              "n_poisoned": poisoned["n"], "last_poison": poisoned["last"],
              "wall_time": time.time() - t_wall, "t_final": float(t_final),
@@ -327,7 +329,7 @@ def _potential_rate(mass, velocity, acceleration):
     for a sphere, S' S^-1 for an ellipsoid)."""
     config, geom, B = mass.config, mass.assembly.geom, mass.basis.matrix
     n = sum(m.n_panels for m in mass.assembly.meshes[:config.n_bubbles])
-    dPhi = pot._potential_rates(mass)[0][:, :n]
+    dPhi = mass.rates[0][:, :n]
     moving = velocity @ (dPhi @ velocity) + (mass.potential @ B.T)[:n] @ acceleration
     V = []
     for bubble, sl, mesh in zip(config.bubbles, config.slices(), mass.assembly.meshes):
@@ -343,25 +345,22 @@ def _potential_rate(mass, velocity, acceleration):
     return moving - np.einsum('mk,mk->m', np.concatenate(V), grad), imposed
 
 
-def boundary_residual(scenario, state: State, acceleration) -> float:
+def boundary_residual(scenario, state: State, mass, acceleration) -> float:
     """Residual of the relaxed interface condition: the pressure field
     reconstructed from the unsteady Bernoulli equation, integrated against
     the normal-velocity covector directions over each bubble, normalized
     by the pressure scale (p_infinity or the largest bubble pressure) times
-    the bubble area.  ``acceleration`` is the packed (p,) acceleration of
-    ``state``, as eom_rhs returns it.
+    the bubble area.  ``mass`` is the added mass of ``state`` (mass_at), and
+    ``acceleration`` its packed (p,) acceleration, as eom_rhs returns it.
 
-    The potential's time derivative is exact (_potential_rate), from one
-    added mass of the state.  In a cavity it holds an undetermined
+    The potential's time derivative is exact (_potential_rate), from the
+    rates that ``mass`` keeps for the Jacobian.  In a cavity it holds an undetermined
     constant, which the projection onto the volume-preserving velocities
     annihilates; the bubbles' mean area then divides all integrals alike.
     """
     config, rho = state.config, scenario.liquid_density
-    mass = pot.added_mass(config, scenario.mesh_level, rho, scenario.wall_level)
     dphi_dt, grad = _potential_rate(mass, state.velocity, acceleration)
-    pe = gas_mod.potential_energy([b.gas for b in scenario.bubbles],
-                                  scenario.p_infinity, scenario.surface_tension,
-                                  config)
+    pe = _potential_energy(scenario, config)
     pressure_scale = max(scenario.p_infinity, np.max(np.abs(pe.bubble_pressures)))
 
     meshes = mass.assembly.meshes[:config.n_bubbles]

@@ -42,8 +42,8 @@ behind a surface, the assembly reads from its mesh (SurfaceMesh.shape):
   computed once per (level, orientation) and kept read-only.
 * A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
   factorization is kept with the unit pair and serves every lone sphere
-  of the level, in a run or in a single solve_neumann: one factorization
-  per level in a one-sphere run.
+  of the level, whether its added mass or a solve_neumann asks: one
+  factorization per level in a one-sphere run.
 
 Every block integrates over the panels of one surface, and the terms of
 the flat-panel integrals that depend on those panels alone (corner dots
@@ -74,14 +74,20 @@ symmetric tensor T (G : T), and the solid angle's rates the moments of
 its edge terms over the points, so each block takes one kernel pass
 plus products whose width grows with the number of parameters, not with
 the number of slots.  The Jacobian takes the added mass alone and builds
-no mesh.  It contracts the rates of the basis potentials, which also
-give the boundary residual's exact time derivative of the potential.
+no mesh.  It contracts the rates of the basis potentials, which the
+added mass keeps once built (AddedMassMatrix.rates), so that the boundary
+residual's exact time derivative of the potential reads the same rates.
+
+One public solve, solve_neumann, takes arbitrary data on given meshes;
+the added mass solves for the basis velocities' data itself and keeps
+the densities and boundary potentials.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -553,24 +559,7 @@ def _surfaces(config: Configuration):
 
 
 # ---------------------------------------------------------------------------
-# problems and solutions
-
-
-@dataclass(frozen=True)
-class NeumannProblem:
-    """Neumann data (normal velocity at the collocation points) on the
-    union of bubble surfaces plus, in cavity mode, the wall (data 0)."""
-
-    meshes: tuple
-    boundary_data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "meshes", tuple(self.meshes))
-        g = np.asarray(self.boundary_data, dtype=float)
-        object.__setattr__(self, "boundary_data", g)
-        n = sum(m.n_panels for m in self.meshes)
-        if g.shape != (n,):
-            raise ValueError(f"boundary data length {g.shape} != panel count {n}")
+# solutions for arbitrary data
 
 
 @dataclass(frozen=True)
@@ -585,14 +574,20 @@ class PotentialSolution:
     condition: float | None = None
 
 
-def solve_neumann(problem: NeumannProblem) -> PotentialSolution:
-    """Solve the collocation system for one data vector."""
-    asm = _Assembly(problem.meshes)
-    q, phi = asm.solve(problem.boundary_data)
-    return PotentialSolution(density=q, meshes=problem.meshes,
-                             boundary_potential=phi,
-                             boundary_data=problem.boundary_data,
-                             geometry=asm.geom, condition=1.0 / max(asm.rcond(), 1e-300))
+def solve_neumann(meshes, boundary_data) -> PotentialSolution:
+    """Solve the collocation system of the surfaces ``meshes`` (the bubbles,
+    then the wall in cavity mode) for one data vector: the normal velocity
+    at their collocation points, one entry per panel."""
+    meshes = tuple(meshes)
+    g = np.asarray(boundary_data, dtype=float)
+    n = sum(m.n_panels for m in meshes)
+    if g.shape != (n,):
+        raise ValueError(f"boundary data length {g.shape} != panel count {n}")
+    asm = _Assembly(meshes)
+    q, phi = asm.solve(g)
+    return PotentialSolution(density=q, meshes=meshes, boundary_potential=phi,
+                             boundary_data=g, geometry=asm.geom,
+                             condition=1.0 / max(asm.rcond(), 1e-300))
 
 
 def evaluate(solution: PotentialSolution, points):
@@ -665,20 +660,6 @@ def _direction_data(config, meshes, directions):
     return G
 
 
-def basis_potentials(config: Configuration, level: int, wall_level=None):
-    """One PotentialSolution per column of shapes.constraint_basis(config):
-    per packed parameter in unbounded liquid, per volume-preserving basis
-    velocity (p - 1 of them) in a cavity."""
-    meshes = configuration_meshes(config, level, wall_level)
-    asm = _Assembly(meshes)
-    G = _direction_data(config, meshes, constraint_basis(config).matrix)
-    Q, Phi = asm.solve(G)
-    return [PotentialSolution(density=Q[:, j], meshes=meshes,
-                              boundary_potential=Phi[:, j], boundary_data=G[:, j],
-                              geometry=asm.geom)
-            for j in range(G.shape[1])]
-
-
 @dataclass(frozen=True)
 class AddedMassMatrix:
     """Gram matrix of the basis potential gradients along the columns of
@@ -686,10 +667,10 @@ class AddedMassMatrix:
     liquid density.  ``asymmetry`` is the relative reciprocity defect
     before symmetrization; ``eigenvalues`` the spectrum after.
     ``assembly`` holds the collocation system it was computed from
-    (meshes, matrices and factorization), whose LU added_mass_jacobian
-    reuses; ``data``, ``density`` and ``potential`` are the basis
-    velocities' boundary data, densities and boundary potentials, one
-    column per basis column (read-only)."""
+    (meshes, matrices and factorization), whose LU the rates reuse;
+    ``data``, ``density`` and ``potential`` are the basis velocities'
+    boundary data, densities and boundary potentials, one column per
+    basis column (read-only)."""
 
     matrix: np.ndarray
     basis: ConstraintBasis
@@ -720,6 +701,16 @@ class AddedMassMatrix:
         the basis matrix, ``matrix`` itself in unbounded liquid (B = I)."""
         B = self.basis.matrix
         return B @ self.matrix @ B.T if self.basis.constrained else self.matrix
+
+    @cached_property
+    def rates(self):
+        """The rates of the basis potentials and of the data the Gram
+        matrix weighs them with, along every parameter slot
+        (_potential_rates; its arrays read-only), built on first use and
+        kept, as the assembly keeps its LU: the Jacobian and the boundary
+        residual of one state share them."""
+        return tuple(_frozen(r) if isinstance(r, np.ndarray) else r
+                     for r in _potential_rates(self))
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
@@ -1070,7 +1061,7 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
 
     G P is flux free at every configuration, so the constant potential
     that the cavity system leaves undetermined never shows."""
-    dPhi, dw, GdP, matrix, dGP = _potential_rates(mass)
+    dPhi, dw, GdP, matrix, dGP = mass.rates
     B, w = mass.basis.matrix, mass.assembly.weights
     GP, Phi = mass.data @ B.T, mass.potential @ B.T
     raw = dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)

@@ -53,10 +53,8 @@ def test_criterion_1_bem_accuracy():
     t0 = time.time()
     mesh = surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), 3)
     assert mesh.n_panels == 1280
-    sol_mono = pot.solve_neumann(pot.NeumannProblem(
-        meshes=(mesh,), boundary_data=np.ones(mesh.n_panels)))
-    sol_dip = pot.solve_neumann(pot.NeumannProblem(
-        meshes=(mesh,), boundary_data=mesh.quad_normals[:, 0]))
+    sol_mono = pot.solve_neumann((mesh,), np.ones(mesh.n_panels))
+    sol_dip = pot.solve_neumann((mesh,), mesh.quad_normals[:, 0])
     runtime = time.time() - t0
     w = sol_mono.geometry.weights
     err_mono = np.sqrt(np.sum((sol_mono.boundary_potential + 1.0) ** 2 * w)
@@ -325,7 +323,7 @@ def test_criterion_9_boundary_residual_refinement():
         s = scenario_from_dict(doc)
         state = s.initial_state()
         acc = dyn.eom_rhs(s, state)
-        residuals.append(dyn.boundary_residual(s, state, acc))
+        residuals.append(dyn.boundary_residual(s, state, dyn.mass_at(s, state.config), acc))
     assert residuals[0] > residuals[1] > residuals[2]
     report(9, "boundary residual", "levels 1,2,3 -> " +
            ", ".join(f"{r_:.3e}" for r_ in residuals))

@@ -239,10 +239,10 @@ class TestIntegrate:
         gaps = []
         plain = dynamics._acceleration
 
-        def recording(scenario, config, qdot):
-            b0, b1 = config.bubbles
+        def recording(scenario, mass, qdot):
+            b0, b1 = mass.config.bubbles
             gaps.append(np.linalg.norm(b1.center - b0.center) - b0.radius - b1.radius)
-            return plain(scenario, config, qdot)
+            return plain(scenario, mass, qdot)
 
         monkeypatch.setattr(dynamics, "_acceleration", recording)
         traj = integrate(scenario_from_dict(doc))
@@ -252,22 +252,35 @@ class TestIntegrate:
         assert "overlap" in traj.stats["last_poison"]
         assert min(gaps) > 0.0
 
-    def test_first_sample_reuses_first_rhs(self, monkeypatch):
-        # the dense output at t = 0 is the initial state bit for bit, so the
-        # t = 0 residual sample takes the first RHS call's acceleration
+    def test_one_added_mass_per_state(self, monkeypatch):
+        # every RHS call and every output row assembles its state once; a
+        # residual sample's acceleration and residual share the row's
+        # added mass and the rates its Jacobian built
         s = scenario_from_dict(sphere_doc(radius=1.1, vc=(0.1, 0, 0), vr=0.05, level=0,
                                           t_end=0.4, output_dt=0.2, residual_cadence=1))
-        calls = []
-        plain = dynamics._acceleration
-        monkeypatch.setattr(dynamics, "_acceleration",
-                            lambda *a: calls.append(1) or plain(*a))
+        calls = {"added_mass": 0, "_potential_rates": 0}
+
+        def counted(name, plain):
+            def wrapper(*args):
+                calls[name] += 1
+                return plain(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pot, name, counted(name, getattr(pot, name)))
         traj = integrate(s)
+        samples = np.count_nonzero(~np.isnan(traj.boundary_residuals))
         assert traj.stats["n_poisoned"] == 0
-        assert len(calls) == traj.stats["n_rhs"] + len(traj.times) - 1
+        assert samples == len(traj.times) == 3
+        assert calls["added_mass"] == traj.stats["n_rhs"] + len(traj.times)
+        assert calls["_potential_rates"] == traj.stats["n_rhs"] + samples
+        # the dense output at t = 0 is the initial state bit for bit, and so
+        # is its residual
         state = traj.states[0]
         assert np.array_equal(np.concatenate(state.packed()),
                               np.concatenate(s.initial_state().packed()))
-        fresh = boundary_residual(s, state, eom_rhs(s, state))
+        fresh = boundary_residual(s, state, dynamics.mass_at(s, state.config),
+                                  eom_rhs(s, state))
         assert traj.boundary_residuals[0] == fresh
 
     def test_collapse_hits_degeneracy_event(self):
@@ -343,7 +356,7 @@ class TestIntegrate:
 
         def rhs(t, y):
             cfg = config_from_params(config0, y[:p])
-            return np.concatenate([y[p:], _acceleration(s, cfg, y[p:])])
+            return np.concatenate([y[p:], _acceleration(s, dynamics.mass_at(s, cfg), y[p:])])
 
         q0, qd0 = s.initial_state().packed()
         sol = solve_ivp(rhs, (0, 0.6), np.concatenate([q0, qd0]), method="RK45",
@@ -381,6 +394,47 @@ class TestIntegrate:
             resid = dmom - dL_dq(sol.sol(t))
             scale = np.linalg.norm(momentum(sol.sol(t))) + 1.0
             assert np.max(np.abs(resid)) < 1e-4 * scale
+
+
+class TestLambShapeModeDynamics:
+    """Lamb's n = 2 shape oscillation (Rayleigh 1879; Lamb, Hydrodynamics
+    section 275), run: an ellipsoid S = R (I + eps diag(1, -1, 0)) released
+    at rest, its gas in equilibrium with the surface tension, oscillates in
+    s11 - s22 with the period 2 pi sqrt(m / k) of its modal added mass m
+    and stiffness k = 12 sigma * 16 pi R^2 / 45 along that mode
+    (test_potential.TestLambShapeMode).  With Lamb's m = 16 pi rho R^5 / 45,
+    omega^2 = 12 sigma / (rho R^3); the level-1 m falls short of it."""
+
+    R, SIGMA, GAMMA, EPS = 1.0, 0.3, 1.4, 0.01
+
+    def test_period_matches_the_static_prediction(self):
+        R, sigma = self.R, self.SIGMA
+        mode = R * np.array([0, 0, 0, 1.0, 0, 0, -1.0, 0, 0])
+        sphere = Configuration((EllipsoidParams(center=np.zeros(3), shape_matrix=R * np.eye(3)),))
+        m1 = mode @ pot.added_mass(sphere, 1).kinetic @ mode
+        period = 2 * np.pi * np.sqrt(m1 / (12 * sigma * 16 * np.pi * R ** 2 / 45))
+        shape = R * (np.eye(3) + self.EPS * np.diag([1.0, -1.0, 0.0]))
+        gas_mass = (1.0 + 2 * sigma / R) ** (1 / self.GAMMA) * 4 * np.pi * R ** 3 / 3
+        doc = {"liquid": {"density": 1.0, "p_infinity": 1.0}, "surface_tension": sigma,
+               "domain": {"type": "unbounded"},
+               "bubbles": [{"shape": {"type": "ellipsoid", "center": [0, 0, 0],
+                                      "matrix": shape.tolist()},
+                            "velocity": {"center": [0, 0, 0], "matrix": [[0.0] * 3] * 3},
+                            "gas": {"K": 1.0, "gamma": self.GAMMA}, "mass": gas_mass}],
+               "solver": {"mesh_level": 1, "rel_tol": 1e-6},
+               "time": {"t_end": 1.2 * period, "output_dt": period / 100}}
+        traj = integrate(scenario_from_dict(doc))
+        assert traj.termination == "completed"
+        t = traj.times
+        d = np.array([st.config.bubbles[0].shape_matrix[0, 0]
+                      - st.config.bubbles[0].shape_matrix[1, 1] for st in traj.states])
+        k = np.flatnonzero(np.sign(d[:-1]) != np.sign(d[1:]))
+        crossings = t[k] - d[k] * (t[k + 1] - t[k]) / (d[k + 1] - d[k])
+        assert len(crossings) == 2  # at T/4 and 3T/4
+        measured = 2.0 * (crossings[1] - crossings[0])
+        assert abs(measured / period - 1.0) < 1e-3
+        lamb = 2 * np.pi / np.sqrt(12 * sigma / R ** 3)
+        assert abs(measured / lamb - 1.0) < 0.08
 
 
 @pytest.fixture
@@ -486,15 +540,16 @@ class TestBoundaryResidual:
         s = scenario_from_dict(sphere_doc(radius=1.0, level=1))
         state = s.initial_state()
         acc = eom_rhs(s, state)
-        assert boundary_residual(s, state, acc) < 1e-6
+        assert boundary_residual(s, state, dynamics.mass_at(s, state.config), acc) < 1e-6
 
     def test_wrong_acceleration_has_larger_residual(self):
         s = scenario_from_dict(sphere_doc(radius=1.1, vc=(0.2, 0, 0), vr=0.3,
                                           level=1))
         state = s.initial_state()
         acc = eom_rhs(s, state)
-        good = boundary_residual(s, state, acc)
-        bad = boundary_residual(s, state, 2 * acc)
+        mass = dynamics.mass_at(s, state.config)
+        good = boundary_residual(s, state, mass, acc)
+        bad = boundary_residual(s, state, mass, 2 * acc)
         assert bad > 2.0 * good
 
     def test_cavity_residual_ignores_the_constant_of_the_potential(self, monkeypatch):
@@ -504,7 +559,8 @@ class TestBoundaryResidual:
         def residual(radii):
             s = scenario_from_dict(cavity_doc(radii=radii))
             state = s.initial_state()
-            return boundary_residual(s, state, eom_rhs(s, state))
+            return boundary_residual(s, state, dynamics.mass_at(s, state.config),
+                                     eom_rhs(s, state))
 
         equal, unequal = residual((0.8, 0.8)), residual((0.784, 0.816))
         assert unequal < 2.0 * equal
@@ -531,12 +587,13 @@ class TestBoundaryResidual:
         state = s.initial_state()
         acc = eom_rhs(s, state)
         q, qd = state.packed()
-        base = boundary_residual(s, state, acc)
+        base = boundary_residual(s, state, dynamics.mass_at(s, state.config), acc)
         for sign in (1.0, -1.0):
             jitter = 1.0 + sign * 1e-15 * rng.choice([-1.0, 1.0], len(q))
             moved = dynamics.State(config=config_from_params(state.config, q * jitter),
                                    velocity=qd)
-            assert abs(boundary_residual(s, moved, acc) - base) <= 1e-12
+            mass = dynamics.mass_at(s, moved.config)
+            assert abs(boundary_residual(s, moved, mass, acc) - base) <= 1e-12
 
     @pytest.mark.parametrize("case", ["sphere", "ellipsoid_pair", "cavity"])
     def test_potential_rate_matches_richardson(self, case):
@@ -598,7 +655,7 @@ def _frozen_potential_rate(config, qd, qdd, level, h=1e-3):
         moved = config_from_params(config, q + t * qd)
         msh = pot.configuration_meshes(moved, level, level)
         g = pot._direction_data(moved, msh, (qd + t * qdd)[:, None])[:, 0]
-        sol = pot.solve_neumann(pot.NeumannProblem(meshes=msh, boundary_data=g))
+        sol = pot.solve_neumann(msh, g)
         return pot.boundary_potential_at(sol, points)
 
     def centred(step):

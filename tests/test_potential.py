@@ -8,9 +8,8 @@ from bubbledyn.errors import CompatibilityError, IllPosedProblemError
 from bubbledyn.gas import BubbleGasState, GasLaw, potential_energy
 from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
                                  _unit_sphere_blocks, added_mass,
-                                 added_mass_jacobian, basis_potentials,
-                                 configuration_meshes, evaluate, solve_neumann,
-                                 surface_gradient, surface_panels, NeumannProblem)
+                                 added_mass_jacobian, configuration_meshes, evaluate,
+                                 solve_neumann, surface_gradient, surface_panels)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
                               SphereParams, Unbounded, config_from_params,
                               constraint_basis, normal_velocity, pack_params,
@@ -24,14 +23,12 @@ def unit_sphere_config():
 
 def monopole_solution(level=2):
     mesh = surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level)
-    problem = NeumannProblem(meshes=(mesh,), boundary_data=np.ones(mesh.n_panels))
-    return solve_neumann(problem)
+    return solve_neumann((mesh,), np.ones(mesh.n_panels))
 
 
 def dipole_solution(level=2, axis=0):
     mesh = surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level)
-    problem = NeumannProblem(meshes=(mesh,), boundary_data=mesh.quad_normals[:, axis])
-    return solve_neumann(problem)
+    return solve_neumann((mesh,), mesh.quad_normals[:, axis])
 
 
 def rel_l2(values, reference, weights):
@@ -100,7 +97,22 @@ class TestSolveNeumann:
         g = np.zeros(n)
         g[:meshes[0].n_panels] = 1.0  # pure pulsation: net flux 4 pi r^2
         with pytest.raises(CompatibilityError):
-            solve_neumann(NeumannProblem(meshes=meshes, boundary_data=g))
+            solve_neumann(meshes, g)
+
+    @pytest.mark.parametrize("cavity", [False, True], ids=["unbounded", "cavity"])
+    def test_data_of_another_length_rejected(self, cavity):
+        # one entry per panel of every surface, the wall's included
+        domain = CavitySphere(center=np.zeros(3), radius=2.0) if cavity else Unbounded()
+        config = Configuration(bubbles=(SphereParams(center=np.zeros(3), radius=1.0),),
+                               domain=domain)
+        meshes = configuration_meshes(config, 1)
+        n = sum(m.n_panels for m in meshes)
+        bad = [np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))]
+        if cavity:
+            bad.append(np.zeros(meshes[0].n_panels))  # the bubble's panels alone
+        for g in bad:
+            with pytest.raises(ValueError, match="panel count"):
+                solve_neumann(meshes, g)
 
     def test_cavity_translation_added_mass(self):
         # sphere a=1 in concentric cavity b=2, translation: Lamb's value
@@ -121,13 +133,13 @@ class TestSolveNeumann:
 
 class TestBasisPotentials:
     def test_single_sphere_four_solutions(self):
-        sols = basis_potentials(unit_sphere_config(), level=1)
-        assert len(sols) == 4
+        mass = added_mass(unit_sphere_config(), level=1)
+        assert mass.data.shape[1] == mass.density.shape[1] == mass.potential.shape[1] == 4
         # radius direction: the monopole
-        assert np.max(np.abs(sols[3].density - 1.0)) < 1e-10
+        assert np.max(np.abs(mass.density[:, 3] - 1.0)) < 1e-10
         # center directions carry data n.e_i
-        mesh = sols[0].meshes[0]
-        assert np.allclose(sols[0].boundary_data, mesh.quad_normals[:, 0])
+        mesh = mass.assembly.meshes[0]
+        assert np.allclose(mass.data[:, 0], mesh.quad_normals[:, 0])
 
     def test_well_separated_spheres_decouple(self):
         d = 40.0
@@ -146,15 +158,13 @@ class TestBasisPotentials:
 
     def test_cavity_solutions_span_the_volume_preserving_velocities(self):
         config = sphere_pair_in_cavity()
-        sols = basis_potentials(config, level=1)
-        assert len(sols) == config.dim - 1
-        w = np.concatenate([m.quad_weights for m in sols[0].meshes])
-        data = np.column_stack([s.boundary_data for s in sols])
+        A = added_mass(config, 1)
+        data, phi = A.data, A.potential
+        assert data.shape[1] == phi.shape[1] == config.dim - 1
+        w = np.concatenate([m.quad_weights for m in A.assembly.meshes])
         assert np.all(np.abs(w @ data) <= 1e-8 * np.abs(data).max(axis=0) * w.sum())
         # their Gram matrix is the added mass
-        phi = np.column_stack([s.boundary_potential for s in sols])
         raw = -(phi.T * w) @ data
-        A = added_mass(config, 1)
         assert np.allclose(0.5 * (raw + raw.T), A.matrix, rtol=0.0,
                            atol=1e-13 * np.abs(A.matrix).max())
 
@@ -603,17 +613,15 @@ class TestLoneSphereFactorization:
             traj = dyn.integrate(scenario_from_dict(doc([[0.0, 0.0, 0.0]], level)))
             assert traj.termination == "completed"
             mesh = surface_mesh(SphereParams(center=[0.4, -0.2, 1.0], radius=0.6), level)
-            solve_neumann(NeumannProblem(meshes=(mesh,), boundary_data=np.ones(mesh.n_panels)))
+            solve_neumann((mesh,), np.ones(mesh.n_panels))
         assert calls == [80, 20]
         assert len(assemblies) > 20
         # a sphere pair still factors every assembly once, and assembles once
-        # per RHS (its Jacobian is exact): n_rhs assemblies, one per energy
-        # sample (t = 0, 0.02, 0.04), the t = 0.04 residual sample's
-        # acceleration and one added mass at each of the two residual
-        # samples (the t = 0 sample reuses the first RHS's acceleration)
+        # per RHS (its Jacobian is exact) and once per output row (t = 0,
+        # 0.02, 0.04), whose energies, acceleration and residual share it
         del calls[:], assemblies[:]
         traj = dyn.integrate(scenario_from_dict(doc([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0]], 0)))
-        assert len(calls) == len(assemblies) == traj.stats["n_rhs"] + 3 + 1 + 2
+        assert len(calls) == len(assemblies) == traj.stats["n_rhs"] + 3
         assert set(calls) == {40}
 
     def test_results_match_a_freshly_factored_copy(self, monkeypatch):
@@ -622,11 +630,10 @@ class TestLoneSphereFactorization:
                                                      radius=1.3),))
         meshes = configuration_meshes(config, 2)
         g = meshes[0].quad_normals[:, 1] + 0.5
-        problem = NeumannProblem(meshes=meshes, boundary_data=g)
 
         def results():
             mass = added_mass(config, 2)
-            sol = solve_neumann(problem)
+            sol = solve_neumann(meshes, g)
             return (mass.matrix, sol.density, sol.boundary_potential,
                     added_mass_jacobian(mass),
                     mass.collocation_condition, sol.condition)
@@ -673,7 +680,7 @@ class TestLoneSphereFactorization:
         g = np.ones(mesh.n_panels)
         g[3] = np.nan
         with pytest.raises(IllPosedProblemError, match="non-finite"):
-            solve_neumann(NeumannProblem(meshes=(mesh,), boundary_data=g))
+            solve_neumann((mesh,), g)
         monkeypatch.setattr(pot_mod._Factorization, "rcond", lambda self: 1e-16)
         with pytest.raises(IllPosedProblemError, match="singular"):
             added_mass(config, 1)
@@ -965,7 +972,7 @@ class TestPanelData:
 
         for name in calls:
             monkeypatch.setattr(pot_mod, name, counted(name))
-        dyn._acceleration(scenario, config, qd)
+        dyn._acceleration(scenario, dyn.mass_at(scenario, config), qd)
         assert config.dim == 8
         assert len(calls["surface_panels"]) == 3 + 0
         assert len(calls["surface_mesh"]) == 2 + 0
