@@ -16,11 +16,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _blas
 from . import gas as gas_mod
 from . import potential as pot
+from ._stepper import solve_ivp
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError)
 from .reference import minnaert_frequency
@@ -198,7 +198,11 @@ def _gap_margin(scenario, config) -> float:
 @_blas.single_thread()
 def integrate(scenario) -> Trajectory:
     """Integrate the reduced system with the adaptive Dormand-Prince 5(4)
-    pair, sampling by dense interpolation at the scenario output cadence.
+    pair (_stepper: scipy RK45's steps and controller, bit for bit), stopped
+    by the collision and degeneracy events, sampling by dense interpolation
+    at the scenario output cadence.  A poisoned RHS call (NaN) makes the
+    controller reject the trial step and shrink it; stats["n_rejected"]
+    counts the rejected trials, so that n_rhs = 1 + 6 (n_steps + n_rejected).
     Runs with one thread in every loaded OpenBLAS (_blas.single_thread);
     stats["blas_threads"] records the counts in force."""
     state0 = scenario.initial_state()
@@ -252,7 +256,6 @@ def integrate(scenario) -> Trajectory:
             return _gap_margin(scenario, config_from_params(config0, q))
         except DegenerateShapeError:
             return -1.0
-    ev_collision.terminal = True
 
     def ev_degenerate(t, y):
         q, _ = split(y)
@@ -262,12 +265,10 @@ def integrate(scenario) -> Trajectory:
             return -1.0
         return min(_bubble_size(b) - DEGENERACY_FRACTION * s0
                    for b, s0 in zip(config.bubbles, sizes0))
-    ev_degenerate.terminal = True
 
     h0 = min(1e-3 * characteristic_period(scenario), 0.1 * scenario.t_end)
     sol = solve_ivp(rhs, (0.0, scenario.t_end), np.concatenate([q0, qd0]),
-                    method="RK45", rtol=scenario.rel_tol, atol=scenario.abs_tol,
-                    first_step=h0, dense_output=True,
+                    rtol=scenario.rel_tol, atol=scenario.abs_tol, first_step=h0,
                     events=[ev_collision, ev_degenerate])
 
     if sol.status == 1:
@@ -302,7 +303,7 @@ def integrate(scenario) -> Trajectory:
         if cadence and k % cadence == 0:
             residuals[k] = boundary_residual(scenario, state, mass,
                                              _acceleration(scenario, mass, qd))
-    stats = {"n_steps": len(sol.t) - 1, "n_rhs": n_rhs[0],
+    stats = {"n_steps": len(sol.t) - 1, "n_rejected": sol.n_rejected, "n_rhs": n_rhs[0],
              "n_poisoned": poisoned["n"], "last_poison": poisoned["last"],
              "wall_time": time.time() - t_wall, "t_final": float(t_final),
              "solver_message": str(sol.message), "blas_threads": _blas.thread_counts()}

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .gas import BubbleGasState, bubble_pressure, free_energy
 
@@ -139,7 +138,11 @@ def integrate_single(state0: SingleBubbleState, gas: BubbleGasState,
                      coefficient: str = "resolved", rtol: float = 1e-10,
                      atol: float = 1e-12, t_eval=None):
     """Integrate the closed-form model; returns the scipy solution object
-    with dense output (state layout: cx, cy, cz, r, vcx, vcy, vcz, vr)."""
+    with dense output (state layout: cx, cy, cz, r, vcx, vcy, vcz, vr).
+    The oracle stays on scipy's integrator, independent of the solver's
+    own stepper; it imports scipy.integrate here, so that importing the
+    package does not."""
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         s = SingleBubbleState.unpack(y)

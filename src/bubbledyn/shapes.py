@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import ellipeinc, ellipkinc
 
 from .errors import DegenerateShapeError, UnsupportedConfigurationError
 
@@ -530,21 +529,43 @@ def normal_velocity_basis(shape: ShapeParams, x, n) -> np.ndarray:
 # measures
 
 
+def _carlson_rf_rd(x, y, z):
+    """Carlson's symmetric elliptic integrals R_F(x, y, z) and R_D(x, y, z)
+    for x, y, z > 0 (Carlson, Numer. Algorithms 10, 1995).  One duplication
+    sequence serves both; once the arguments agree to 1e-3 relative, each
+    is summed by its fifth-order Taylor series, whose truncation error is
+    then below 1e-18."""
+    tail, weight = 0.0, 1.0
+    while max(x, y, z) - min(x, y, z) > 1e-3 * min(x, y, z):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        tail += weight / (sz * (z + lam))
+        weight /= 4.0
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+    mean = (x + y + z) / 3.0
+    X, Y = 1.0 - x / mean, 1.0 - y / mean
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
+    mean = (x + y + 3.0 * z) / 5.0
+    X, Y = 1.0 - x / mean, 1.0 - y / mean
+    Z = -(X + Y) / 3.0
+    e2, e3 = X * Y - 6.0 * Z * Z, (3.0 * X * Y - 8.0 * Z * Z) * Z
+    e4, e5 = 3.0 * (X * Y - Z * Z) * Z * Z, X * Y * Z ** 3
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, 3.0 * tail + weight * series / (mean * np.sqrt(mean))
+
+
 def _ellipsoid_area(semi_axes) -> float:
-    """Surface area of a triaxial ellipsoid (Legendre form)."""
-    c, b, a = np.sort(np.asarray(semi_axes, dtype=float))  # a >= b >= c
-    if (a - c) <= 1e-9 * a:
-        r = (a + b + c) / 3.0
-        return 4.0 * np.pi * r * r
-    cos_phi = np.clip(c / a, -1.0, 1.0)
-    phi = np.arccos(cos_phi)
-    sin_phi = np.sin(phi)
-    m = (a * a * (b * b - c * c)) / (b * b * (a * a - c * c))
-    F = ellipkinc(phi, m)
-    E = ellipeinc(phi, m)
-    return float(2.0 * np.pi * c * c
-                 + (2.0 * np.pi * a * b / sin_phi)
-                 * (E * sin_phi ** 2 + F * cos_phi ** 2))
+    """Surface area of an ellipsoid, 4 pi abc R_G(a^-2, b^-2, c^-2), with
+    2 R_G(x, y, z) = z R_F - (x - z)(y - z) R_D / 3 + sqrt(xy / z) (DLMF
+    19.21.10) and z the middle argument, so that no term is negative."""
+    a, b, c = np.sort(np.asarray(semi_axes, dtype=float))
+    x, z, y = 1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c)
+    rf, rd = _carlson_rf_rd(x, y, z)
+    rg = 0.5 * (z * rf - (x - z) * (y - z) * rd / 3.0 + np.sqrt(x * y / z))
+    return float(4.0 * np.pi * a * b * c * rg)
 
 
 def fd_gradient(fun, q0, rel_step):

@@ -18,7 +18,9 @@ SCENARIO = os.path.join(os.path.dirname(PERFBENCH), "scenarios", "single_bubble.
 
 # what tracing.install rebinds besides TARGETS: the LU routines potential
 # calls through its scipy.linalg alias, and the integrator dynamics hands
-# the RHS to (module, name as the module calls it)
+# the RHS to, the package's own stepper (_stepper.solve_ivp), which takes
+# the RHS first as scipy's solve_ivp does (module, name as the module
+# calls it)
 HOOKS = (("bubbledyn.potential", "sla.lu_factor"),
          ("bubbledyn.potential", "sla.lu_solve"),
          ("bubbledyn.dynamics", "solve_ivp"))

@@ -40,6 +40,19 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def test_solver_imports_no_scipy_integrate_or_special():
+    # numpy and scipy.linalg are the solver's whole import graph: the
+    # stepper and the ellipsoid area are the package's own, and the
+    # reference oracle imports scipy.integrate only when it runs
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bubbledyn.__file__).parents[1])}
+    code = ("import sys, bubbledyn.cli, bubbledyn.reference; "
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.special', "
+            "'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == []
+
+
 class TestScenarioParsing:
     def test_round_trip_is_identical(self):
         doc = equilibrium_doc()
@@ -142,6 +155,7 @@ class TestRun:
         assert diag["termination"] == "completed"
         assert diag["gram_condition"] >= 1.0
         assert "n_rhs" in diag["stats"]
+        assert "n_rejected" in diag["stats"]
         assert "blas_threads" in diag["stats"]
 
     def test_poisoned_rhs_calls_reach_diagnostics(self, tmp_path, monkeypatch):
@@ -172,6 +186,10 @@ class TestRun:
         assert diag["stats"]["n_poisoned"] >= 1
         assert diag["stats"]["last_poison"] == (
             "DiscretizationError: added-mass matrix not positive definite")
+        # the poisoned trial step is rejected; every trial costs six calls
+        stats = diag["stats"]
+        assert stats["n_rejected"] >= 1
+        assert stats["n_rhs"] == 1 + 6 * (stats["n_steps"] + stats["n_rejected"])
 
     def test_run_determinism_bit_identical(self, tmp_path):
         doc = equilibrium_doc()

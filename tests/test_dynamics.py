@@ -251,6 +251,10 @@ class TestIntegrate:
         assert "not admissible" in traj.stats["last_poison"]
         assert "overlap" in traj.stats["last_poison"]
         assert min(gaps) > 0.0
+        # each poisoned trial step is rejected, and every trial costs six calls
+        stats = traj.stats
+        assert stats["n_rejected"] > 0
+        assert stats["n_rhs"] == 1 + 6 * (stats["n_steps"] + stats["n_rejected"])
 
     def test_one_added_mass_per_state(self, monkeypatch):
         # every RHS call and every output row assembles its state once; a

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from bubbledyn.errors import DegenerateShapeError
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
-                              SphereParams, check_admissible, config_from_params,
+                              SphereParams, _ellipsoid_area, check_admissible,
+                              config_from_params,
                               measures, normal_velocity, pack_params,
                               surface_mesh, symmetric_slots, volume_gradient,
                               volume_hessian, wall_mesh)
@@ -26,6 +27,25 @@ def oblate_area(a, c):
     e = np.sqrt(1.0 - (c / a) ** 2)
     return (2.0 * np.pi * a * a
             + np.pi * c * c / e * np.log((1.0 + e) / (1.0 - e)))
+
+
+def legendre_area(semi_axes):
+    # independent oracle: the Legendre form with scipy's incomplete elliptic
+    # integrals, the package's formula before Carlson's
+    from scipy.special import ellipeinc, ellipkinc
+    c, b, a = np.sort(np.asarray(semi_axes, dtype=float))  # a >= b >= c
+    if (a - c) <= 1e-9 * a:
+        r = (a + b + c) / 3.0
+        return 4.0 * np.pi * r * r
+    cos_phi = np.clip(c / a, -1.0, 1.0)
+    phi = np.arccos(cos_phi)
+    sin_phi = np.sin(phi)
+    m = (a * a * (b * b - c * c)) / (b * b * (a * a - c * c))
+    F = ellipkinc(phi, m)
+    E = ellipeinc(phi, m)
+    return float(2.0 * np.pi * c * c
+                 + (2.0 * np.pi * a * b / sin_phi)
+                 * (E * sin_phi ** 2 + F * cos_phi ** 2))
 
 
 class TestSurfaceMesh:
@@ -193,6 +213,19 @@ class TestMeasures:
         m = measures(EllipsoidParams(center=np.zeros(3),
                                      shape_matrix=np.diag([2.0, 2.0, 1.0])))
         assert m.area == pytest.approx(oblate_area(2.0, 1.0), rel=1e-12)
+
+    def test_carlson_area_matches_legendre_form(self):
+        rng = np.random.default_rng(17)
+        axes = [(3.0, 2.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 0.5), (5.0, 0.2, 0.2),
+                (4.0, 4.0, 0.05), (1.0, 1.0, 1.0), *rng.uniform(0.05, 5.0, (200, 3))]
+        for aniso in 10.0 ** np.arange(-12, 0):
+            for pattern in ((1, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0.5, -1)):
+                axes.append(1.3 * (1.0 + aniso * np.array(pattern)))
+        for semi_axes in axes:
+            assert _ellipsoid_area(semi_axes) == pytest.approx(legendre_area(semi_axes),
+                                                               rel=1e-14, abs=0)
+        # symmetric in the axes
+        assert _ellipsoid_area((1.0, 2.0, 3.0)) == _ellipsoid_area((3.0, 1.0, 2.0))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
