@@ -106,7 +106,7 @@ def cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario,
                                        residual_cadence=args.residual_cadence)
     state = scenario.initial_state()
-    report = check_admissible(state.config, min(scenario.mesh_level, 2))
+    report = check_admissible(state.config, scenario.admissibility_level)
     if not report.ok:
         raise ScenarioError(f"bubbles: initial configuration inadmissible: "
                             f"{[dataclasses.asdict(v) for v in report.violations]}")
@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
           f"{'bounded' if scenario.domain_is_bounded else 'unbounded'}, "
           f"mesh level {scenario.mesh_level}")
 
-    report = check_admissible(config, min(scenario.mesh_level, 2))
+    report = check_admissible(config, scenario.admissibility_level)
     if report.ok:
         print(f"admissibility: ok (minimum gap {report.min_gap:.6g})")
     else:

@@ -112,7 +112,7 @@ def volume_flux(config, qdot):
 def eom_rhs(scenario, state: State):
     """Packed (p,) acceleration of the given state, in its velocity's slots."""
     config, qd = state.config, state.velocity
-    report = check_admissible(config, min(scenario.mesh_level, 2))
+    report = check_admissible(config, scenario.admissibility_level)
     if not report.ok:
         raise BubbleDynError(f"state not admissible: {report.violations}")
     if scenario.domain_is_bounded and not volume_flux(config, qd)[1]:
@@ -207,7 +207,7 @@ def integrate(scenario) -> Trajectory:
     stats["blas_threads"] records the counts in force."""
     state0 = scenario.initial_state()
     config0 = state0.config
-    report = check_admissible(config0, min(scenario.mesh_level, 2))
+    report = check_admissible(config0, scenario.admissibility_level)
     if not report.ok:
         raise BubbleDynError(f"initial configuration inadmissible: {report.violations}")
     q0, qd0 = state0.packed()
@@ -242,7 +242,7 @@ def integrate(scenario) -> Trajectory:
         q, qd = split(y)
         try:
             config = config_from_params(config0, q)
-            report = check_admissible(config, min(scenario.mesh_level, 2))
+            report = check_admissible(config, scenario.admissibility_level)
             if not report.ok:
                 return poison(f"state not admissible: {report.violations}")
             qdd = _acceleration(scenario, mass_at(scenario, config), qd)

@@ -94,16 +94,13 @@ import scipy.linalg as sla
 
 from . import _blas
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
-from .shapes import (CavityMesh, CavitySphere, Configuration, ConstraintBasis, SphereParams,
-                     constraint_basis, normal_velocity_basis, surface_mesh, symmetric_matrix,
-                     volume_gradient, volume_hessian, wall_mesh)
+from .shapes import (SLOT_MATRICES, SLOTS, CavityMesh, CavitySphere, Configuration,
+                     ConstraintBasis, SphereParams, constraint_basis, normal_velocity_basis,
+                     slot_sum, surface_mesh, volume_gradient, volume_hessian, wall_mesh)
 
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
 _ROW_BLOCK = 2048
-# the components (k, l), k <= l, of a symmetric 3x3 tensor, in the order
-# of shapes.symmetric_matrix's slots
-_PAIRS = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
     way so that no rate block (M, N) is formed per motion:
 
     * T, (M, 6, p), for a ``tensor`` (N, p): sum_n T(x_m, n) tensor_n with
-      the lifted kernel factor, T_kl on _PAIRS.  Deformed about x by the
+      the lifted kernel factor, T_kl on SLOTS.  Deformed about x by the
       linear map G (its corners moving by G (y - x)), a panel's integral
       of 1/|x - y| changes by G : T with the symmetric tensor
           T = h omega nh nh^T + h (nh g^T + g nh^T)
@@ -234,7 +231,7 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
       (trace T = the integral itself).
     * F, (3, N, J, p) for ``moments`` Y (M, p): per edge and panel, the
       sums over the points of f_e m_j(x) Y, with the monomials
-      m = (1, x_k) and, for ``degree`` 2, x_k x_l on _PAIRS (J = 4 or 10),
+      m = (1, x_k) and, for ``degree`` 2, x_k x_l on SLOTS (J = 4 or 10),
       where f_e = (l_a + l_b) / (l_a l_b (l_a l_b + d_ab)) and
       d_ab = (a - x).(b - x).  A point moving along V changes the solid
       angle by the edge (Biot-Savart) sum over edges a -> b of
@@ -283,10 +280,10 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
             grad = np.zeros((M, 3, c.shape[1]))
             _add_products(grad, omega, nh, c)
         if tensor is not None:
-            # the terms of T with their per-panel factors on _PAIRS, each
+            # the terms of T with their per-panel factors on SLOTS, each
             # applied as soon as it is formed: h omega here, and h L_e,
             # d_e L_e and l_b - l_a per edge
-            k, l = _PAIRS.T
+            k, l = SLOTS.T
             h = x @ nh.T - geom.plane_offset[None]
             Xs = np.asarray(tensor, dtype=float) * scale[:, None]
             T = np.zeros((M, 6, Xs.shape[1]))
@@ -295,7 +292,7 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
             Y = np.asarray(moments, dtype=float)
             mono = [np.ones(M), *x.T]
             if degree == 2:
-                mono += [x[:, k] * x[:, l] for k, l in _PAIRS]
+                mono += [x[:, k] * x[:, l] for k, l in SLOTS]
             mono = np.stack(mono, axis=1)
             F = np.zeros((3, N, len(mono.T), Y.shape[1]))
             if tensor is not None:
@@ -758,14 +755,10 @@ def _projector_derivatives(config):
     return np.array(dP)
 
 
-# the unit slot matrices E of an ellipsoid's six matrix slots
-_SLOT_MATRICES = np.array([symmetric_matrix(e) for e in np.eye(6)])
-
-
 @dataclass(frozen=True)
 class _SlotMotion:
     """How an ellipsoid's surface moves along its six matrix slots: the
-    slot E = _SLOT_MATRICES[t] takes S to S + E, and every point of the
+    slot E = SLOT_MATRICES[t] takes S to S + E, and every point of the
     surface c + S y (the reference direction y = S^-1 (x - c) fixed) moves
     by E y = G (x - c), G = E S^-1, its panel corners alike.  Each field
     has the slots first."""
@@ -790,7 +783,7 @@ def _slot_motion(bubble, panels: PanelGeometry) -> _SlotMotion:
     scales the patch weights det(S) |S^-1 u| omega, by -n.S^-1 E n
     relative to itself.  A flat panel's area obeys the same law with its
     flat normal nh in place of n."""
-    G = _SLOT_MATRICES @ np.linalg.inv(bubble.shape_matrix)
+    G = SLOT_MATRICES @ np.linalg.inv(bubble.shape_matrix)
     trace = np.trace(G, axis1=1, axis2=2)[:, None]
     n, nh = panels.normals, panels.unit_normal
     stretch = n @ G
@@ -799,25 +792,17 @@ def _slot_motion(bubble, panels: PanelGeometry) -> _SlotMotion:
                        weights=trace - along, area=trace - _dot(nh @ G, nh))
 
 
-def _pair_sum(Q):
-    """The components of the (..., 3, 3) tensors Q on _PAIRS, each
-    off-diagonal one plus its transpose: G : T = _pair_sum(G) . T[_PAIRS]
-    for a symmetric T."""
-    k, l = _PAIRS.T
-    return np.where(k == l, Q[..., k, l], Q[..., k, l] + Q[..., l, k])
-
-
 def _edge_coefficients(A, v, geom):
     """Coefficients of V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a)
     on the monomials of _panel_blocks ``moments`` (1, x_k, then x_k x_l on
-    _PAIRS) for the affine point fields V = A x + v, (n, 3, 3) and
+    SLOTS) for the affine point fields V = A x + v, (n, 3, 3) and
     (n, 3): (n, 3, N, 10) by field, edge a -> b and panel.  The quadratic
     part is -x^T Q x with the rows Q_l = (b - a) x A e_l."""
     ab, D = geom.edge_cross, geom.edge_vector
     const = (ab @ v.T).transpose(2, 0, 1)
     linear = ab @ A[:, None] - _cross(D, v[:, None, None])
     Q = _cross(D[:, :, None], A.transpose(0, 2, 1)[:, None, None])
-    return np.concatenate([const[..., None], linear, -_pair_sum(Q)], axis=-1)
+    return np.concatenate([const[..., None], linear, -slot_sum(Q)], axis=-1)
 
 
 def _along(V, grad):
@@ -859,7 +844,7 @@ def _block_rates(x, geom, X, Y, A, v, corners=None):
     dK = [_on_panels(C[..., :F.shape[2]], F)]
     if corners is not None:
         G, c = corners
-        dS.append(np.tensordot(_pair_sum(G), T, axes=(1, 1))
+        dS.append(np.tensordot(slot_sum(G), T, axes=(1, 1))
                   - _along((x - c) @ G.transpose(0, 2, 1), grad))
         u = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
         ab, D = geom.edge_cross, geom.edge_vector
@@ -881,7 +866,7 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
     G (x - c) and the normals by dn, so with d = x_a - x_b
         dg_ab = (n_a^T G + dn_a^T) d R_ab - (d^T G d) H_ab,
     H_ab = 3 g_ab / r_ab^2: the products of the three matrices d_l R and
-    the six d_k d_l H (on _PAIRS) with Y = w X, and their weighted column
+    the six d_k d_l H (on SLOTS) with Y = w X, and their weighted column
     sums, serve all six slots."""
     pts, n, w = panels.points, panels.normals, panels.weights
     N = len(w)
@@ -894,7 +879,7 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
     np.fill_diagonal(R, 0.0)
     H = 3.0 * g / r2
     ddH = np.empty((6, N, N))
-    for out, (k, l) in zip(ddH, _PAIRS):
+    for out, (k, l) in zip(ddH, SLOTS):
         np.multiply(d[k], d[l], out=out)
         out *= H
     dR = np.multiply(d, R, out=d)
@@ -903,9 +888,9 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
     Y = w[:, None] * X
     RY, HY = dR @ Y, ddH @ Y
     dgY = ((c.transpose(0, 2, 1)[..., None] * RY).sum(axis=1)
-           - np.tensordot(_pair_sum(G), HY, axes=(1, 0)))
+           - np.tensordot(slot_sum(G), HY, axes=(1, 0)))
     # w^T dg
-    wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - _pair_sum(G) @ (w @ ddH)
+    wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - slot_sum(G) @ (w @ ddH)
     return dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
 
 
@@ -980,7 +965,7 @@ def _potential_rates(mass: AddedMassMatrix):
         _, _, _, T, _, _ = _blocked(part.points, part, want_single=False, want_double=False,
                                     tensor=X[blk])
         dSX[t, blk] = (asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
-                       + np.tensordot(_pair_sum(mo.maps), T, axes=(1, 1)))
+                       + np.tensordot(slot_sum(mo.maps), T, axes=(1, 1)))
         dMX[t, blk] = _own_double_layer_rates(part, mo, X[blk])
         dw[t, blk] = mo.weights * w[blk]
         for i, dn in enumerate(mo.normals):

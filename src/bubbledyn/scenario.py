@@ -56,6 +56,11 @@ class Scenario:
     def domain_is_bounded(self) -> bool:
         return not isinstance(self.domain, Unbounded)
 
+    @property
+    def admissibility_level(self) -> int:
+        """Mesh level of the admissibility checks: the solver's, at most 2."""
+        return min(self.mesh_level, 2)
+
     def configuration(self) -> Configuration:
         return Configuration(bubbles=tuple(b.shape for b in self.bubbles),
                              domain=self.domain)

@@ -3,21 +3,27 @@ meshes, normal-velocity covectors and geometric measures, and the basis of
 the admissible (in a cavity, volume-preserving) velocities.
 
 All meshes are affine images of one fixed reference icosphere per refinement
-level, so every derived quantity varies smoothly with the shape parameters
-and finite differences across nearby parameter values are well defined.
+level, so the panel count and connectivity depend only on the level and
+every derived quantity is a smooth function of the shape parameters, whose
+rates the package takes in closed form.
 
 Parameter packing convention (used throughout the package):
     sphere     -> (cx, cy, cz, r)                       4 slots
     ellipsoid  -> (cx, cy, cz, s11, s12, s13, s22, s23, s33)   9 slots
 A velocity or acceleration is the packed vector of parameter rates in the
 same slots.  An off-diagonal slot holds the matrix entry itself, so its
-unit rate moves both (i, j) and (j, i) (symmetric_matrix).
+unit rate moves both (i, j) and (j, i) (SLOT_MATRICES), and the slot
+gradient of a function of the matrix is slot_sum of its matrix gradient.
 
 Adding a shape family means providing a params dataclass (dim, pack,
 unpack, bounding_radius, validation in __post_init__) and branches in
 surface_mesh (map the reference icosphere, supply on-surface quadrature
-data), normal_velocity, normal_velocity_basis and measures.
-Everything downstream works on packed vectors and meshes.
+data), normal_velocity, normal_velocity_basis, measures (volume, area and
+their exact slot gradients) and volume_hessian; the Jacobian of the
+equations of motion also needs the exact rates of the family's surface
+along its slots (potential._slot_motion and potential._potential_rates)
+and of the points' velocity field (dynamics._potential_rate).
+Everything else downstream works on packed vectors and meshes.
 """
 
 from __future__ import annotations
@@ -32,12 +38,11 @@ from .errors import DegenerateShapeError, UnsupportedConfigurationError
 
 # eigenvalue ratio below which an ellipsoid matrix is rejected as degenerate
 DEGENERACY_RATIO = 1e-10
-# relative step for finite-difference measure gradients (central differences)
-MEASURE_FD_STEP = 1e-5
 _MAX_LEVEL = 7
 
-_SYM_INDEX = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-_SYM_ROWS, _SYM_COLS = np.array(_SYM_INDEX).T
+# the slots (i, j), i <= j, of a symmetric 3x3 matrix, in packing order
+SLOTS = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
+_SYM_ROWS, _SYM_COLS = SLOTS.T
 
 
 def symmetric_matrix(slots) -> np.ndarray:
@@ -51,6 +56,19 @@ def symmetric_matrix(slots) -> np.ndarray:
 def symmetric_slots(M) -> np.ndarray:
     """The six slots (upper triangle) of a symmetric 3x3 matrix."""
     return np.asarray(M, dtype=float)[_SYM_ROWS, _SYM_COLS]
+
+
+# the unit matrices E of the six slots: slot (i, j) moves S_ij and S_ji
+SLOT_MATRICES = np.array([symmetric_matrix(e) for e in np.eye(6)])
+
+
+def slot_sum(Q) -> np.ndarray:
+    """The (..., 3, 3) tensors Q on the six slots, each off-diagonal entry
+    plus its transpose, (..., 6): Q : T = slot_sum(Q) @ symmetric_slots(T)
+    for a symmetric T, so slot_sum of a matrix gradient is the gradient
+    in the slots."""
+    k, l = _SYM_ROWS, _SYM_COLS
+    return np.where(k == l, Q[..., k, l], Q[..., k, l] + Q[..., l, k])
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +537,8 @@ def normal_velocity_basis(shape: ShapeParams, x, n) -> np.ndarray:
     if isinstance(shape, SphereParams):
         return np.column_stack([n, np.ones(len(n))])
     u = (x - shape.center) @ np.linalg.inv(shape.shape_matrix).T
-    # slot (i, j) perturbs S_ij and S_ji: n_i u_j + n_j u_i (once on the diagonal)
-    cols = [n[:, i] * u[:, j] + (n[:, j] * u[:, i] if i != j else 0.0)
-            for i, j in _SYM_INDEX]
-    return np.column_stack([n, *cols])
+    # the normal speed along a matrix rate E is n . E u = (n u^T) : E
+    return np.column_stack([n, slot_sum(n[:, :, None] * u[:, None, :])])
 
 
 # ---------------------------------------------------------------------------
@@ -568,18 +584,17 @@ def _ellipsoid_area(semi_axes) -> float:
     return float(4.0 * np.pi * a * b * c * rg)
 
 
-def fd_gradient(fun, q0, rel_step):
-    """Central differences of ``fun`` (scalar or array valued) at ``q0``,
-    the package's one finite-difference routine; entry or row i is the
-    derivative along slot i, with step ``rel_step * (1 + |q0[i]|)``."""
-    rows = []
-    for i in range(len(q0)):
-        h = rel_step * (1.0 + abs(q0[i]))
-        qp, qm = q0.copy(), q0.copy()
-        qp[i] += h
-        qm[i] -= h
-        rows.append((fun(qp) - fun(qm)) / (2.0 * h))
-    return np.array(rows)
+def _ellipsoid_area_gradient(semi_axes) -> np.ndarray:
+    """Partial derivatives dA/da_i of _ellipsoid_area in the semi-axes,
+    (2 pi / 3) a_j a_k (u_j (d_i + d_k) + u_k (d_i + d_j)) over the cyclic
+    (i, j, k), with u = a^-2 and d_m = u_m R_D(u_n, u_p, u_m) (DLMF
+    19.21.12): a sum of positive terms, so thin ellipsoids lose nothing to
+    cancellation."""
+    a = np.asarray(semi_axes, dtype=float)
+    u = 1.0 / (a * a)
+    d = np.array([u[m] * _carlson_rf_rd(u[m - 2], u[m - 1], u[m])[1] for m in range(3)])
+    j, k = [1, 2, 0], [2, 0, 1]
+    return 2.0 * np.pi / 3.0 * a[j] * a[k] * (u[j] * (d + d[k]) + u[k] * (d + d[j]))
 
 
 @dataclass(frozen=True)
@@ -591,11 +606,11 @@ class Measures:
 
 
 def measures(shape: ShapeParams) -> Measures:
-    """Volume, area and their packed parameter gradients.
-
-    Sphere gradients are analytic.  Ellipsoid volume gradient is analytic
-    ((4pi/3) det S against S^-1, off-diagonal slots doubled); the area
-    gradient uses central differences with relative step 1e-5.
+    """Volume, area and their packed parameter gradients, all in closed
+    form.  An ellipsoid's volume (4 pi / 3) det S has the matrix gradient
+    vol S^-1; its area, a function of the semi-axes (the eigenvalues of S,
+    S = V diag(a) V^T), has V diag(dA/da) V^T; slot_sum takes each to the
+    slots.
     """
     if isinstance(shape, SphereParams):
         r = shape.radius
@@ -604,21 +619,11 @@ def measures(shape: ShapeParams) -> Measures:
         return Measures(volume=4.0 * np.pi * r ** 3 / 3.0, area=4.0 * np.pi * r * r,
                         d_volume_dm=dvol, d_area_dm=darea)
     S = shape.shape_matrix
-    det = np.linalg.det(S)
-    Sinv = np.linalg.inv(S)
-    vol = 4.0 * np.pi * det / 3.0
-    dvol = np.zeros(9)
-    for k, (i, j) in enumerate(_SYM_INDEX):
-        dvol[3 + k] = vol * Sinv[i, j] * (1.0 if i == j else 2.0)
-
-    def area_of(q):
-        return _ellipsoid_area(EllipsoidParams.unpack(q).semi_axes())
-
-    q0 = shape.pack()
-    darea = np.zeros(9)
-    darea[3:] = fd_gradient(lambda m: area_of(np.r_[q0[:3], m]), q0[3:], MEASURE_FD_STEP)
-    return Measures(volume=vol, area=_ellipsoid_area(shape.semi_axes()),
-                    d_volume_dm=dvol, d_area_dm=darea)
+    vol = 4.0 * np.pi * np.linalg.det(S) / 3.0
+    a, V = np.linalg.eigh(S)
+    dvol = np.r_[np.zeros(3), slot_sum(vol * np.linalg.inv(S))]
+    darea = np.r_[np.zeros(3), slot_sum((V * _ellipsoid_area_gradient(a)) @ V.T)]
+    return Measures(volume=vol, area=_ellipsoid_area(a), d_volume_dm=dvol, d_area_dm=darea)
 
 
 def volume_gradient(config: Configuration) -> np.ndarray:
@@ -629,8 +634,8 @@ def volume_gradient(config: Configuration) -> np.ndarray:
 def volume_hessian(config: Configuration) -> np.ndarray:
     """Hessian of the total bubble volume, in closed form (block diagonal
     over bubbles): 8 pi r in a sphere's radius slot; for an ellipsoid, the
-    rate of its gradient vol S^-1_ij (doubled off the diagonal) along slot
-    E, vol (tr(S^-1 E) S^-1 - S^-1 E S^-1)_ij."""
+    slot_sum of the rate of its matrix gradient vol S^-1 along each slot
+    matrix E, vol (tr(S^-1 E) S^-1 - S^-1 E S^-1)."""
     H = np.zeros((config.dim, config.dim))
     for b, sl in zip(config.bubbles, config.slices()):
         if isinstance(b, SphereParams):
@@ -638,12 +643,10 @@ def volume_hessian(config: Configuration) -> np.ndarray:
             continue
         Sinv = np.linalg.inv(b.shape_matrix)
         vol = 4.0 * np.pi * np.linalg.det(b.shape_matrix) / 3.0
-        for n, (k, l) in enumerate(_SYM_INDEX):
-            E = np.zeros((3, 3))
-            E[k, l] = E[l, k] = 1.0  # slot (k, l) moves S_kl and S_lk
-            dgrad = vol * (np.trace(Sinv @ E) * Sinv - Sinv @ E @ Sinv)
-            for m, (i, j) in enumerate(_SYM_INDEX):
-                H[sl.start + 3 + m, sl.start + 3 + n] = dgrad[i, j] * (1.0 if i == j else 2.0)
+        SE = Sinv @ SLOT_MATRICES
+        dgrad = vol * (np.trace(SE, axis1=1, axis2=2)[:, None, None] * Sinv - SE @ Sinv)
+        rows = slice(sl.start + 3, sl.stop)
+        H[rows, rows] = slot_sum(dgrad).T
     return 0.5 * (H + H.T)
 
 

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubbledyn.errors import DegenerateShapeError
-from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
-                              SphereParams, _ellipsoid_area, check_admissible,
-                              config_from_params,
-                              measures, normal_velocity, pack_params,
-                              surface_mesh, symmetric_slots, volume_gradient,
+from bubbledyn.shapes import (SLOT_MATRICES, CavitySphere, Configuration,
+                              EllipsoidParams, SphereParams, _ellipsoid_area,
+                              check_admissible, config_from_params, measures,
+                              normal_velocity, pack_params, slot_sum, surface_mesh,
+                              symmetric_matrix, symmetric_slots, volume_gradient,
                               volume_hessian, wall_mesh)
 
 
@@ -27,6 +27,26 @@ def oblate_area(a, c):
     e = np.sqrt(1.0 - (c / a) ** 2)
     return (2.0 * np.pi * a * a
             + np.pi * c * c / e * np.log((1.0 + e) / (1.0 - e)))
+
+
+def random_rotation(rng):
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    return Q * np.sign(np.diag(R))
+
+
+def richardson_area_gradient(S, step):
+    # Richardson-extrapolated central differences of the area in the six
+    # slots of S: (4 D(h/2) - D(h)) / 3, truncation error O(h^4)
+    q0 = symmetric_slots(S)
+
+    def central(k, h):
+        qp, qm = q0.copy(), q0.copy()
+        qp[k] += h
+        qm[k] -= h
+        return (_ellipsoid_area(np.linalg.eigvalsh(symmetric_matrix(qp)))
+                - _ellipsoid_area(np.linalg.eigvalsh(symmetric_matrix(qm)))) / (2 * h)
+
+    return np.array([(4 * central(k, step / 2) - central(k, step)) / 3 for k in range(6)])
 
 
 def legendre_area(semi_axes):
@@ -246,6 +266,57 @@ class TestMeasures:
             assert dvol == pytest.approx(m.d_volume_dm[k], rel=1e-6, abs=1e-9)
             assert darea == pytest.approx(m.d_area_dm[k], rel=1e-4, abs=1e-7)
 
+    def test_thin_ellipsoid_area_gradient(self):
+        # a step-based gradient leaves the SPD cone here; the exact one
+        # meets the thin-disk asymptote 2 pi c (2 ln(2/c) - 1) of dA/dc,
+        # itself accurate to 2.5e-11 at c = 5e-6
+        c = 5e-6
+        m = measures(EllipsoidParams(center=np.zeros(3), shape_matrix=np.diag([1.0, 1.0, c])))
+        assert m.d_area_dm[8] == pytest.approx(2 * np.pi * c * (2 * np.log(2 / c) - 1),
+                                               rel=1e-9, abs=0)
+
+    def test_area_gradient_matches_richardson_differences(self):
+        rng = np.random.default_rng(11)
+        matrices = []
+        for _ in range(10):
+            B = rng.normal(size=(3, 3))
+            matrices.append(B @ B.T + 0.3 * np.eye(3))
+        # near-degenerate axes: nearly equal pairs and triples, thin and long
+        for axes in ((1.0, 1.0 + 1e-7, 1.3), (0.8, 0.8, 0.8 + 1e-9), (1.0, 1.0, 0.05),
+                     (0.05, 0.05, 1.0), (2.0, 1.0, 0.1), (1.0, 1.0, 1.0)):
+            R = random_rotation(rng)
+            matrices.append(R @ np.diag(axes) @ R.T)
+        for S in matrices:
+            S = 0.5 * (S + S.T)
+            step = 2e-4 * np.linalg.eigvalsh(S)[0]
+            got = measures(EllipsoidParams(center=np.zeros(3), shape_matrix=S)).d_area_dm
+            want = richardson_area_gradient(S, step)
+            assert np.all(got[:3] == 0.0)
+            np.testing.assert_allclose(got[3:], want, rtol=1e-9,
+                                       atol=1e-9 * np.abs(want).max())
+
+    def test_area_gradient_sphere_limit(self):
+        r = 1.37
+        m = measures(EllipsoidParams(center=np.zeros(3), shape_matrix=r * np.eye(3)))
+        diagonal, off_diagonal = m.d_area_dm[[3, 6, 8]], m.d_area_dm[[4, 5, 7]]
+        np.testing.assert_allclose(diagonal, 8 * np.pi * r / 3, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(off_diagonal, 0.0, rtol=0, atol=1e-14 * 8 * np.pi * r / 3)
+
+    def test_area_gradient_rotation_covariance(self):
+        # A(R S R^T) = A(S), so the rate of A at R S R^T along R E R^T is
+        # its rate at S along E for every symmetric E
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            B = rng.normal(size=(3, 3))
+            S = B @ B.T + 0.2 * np.eye(3)
+            R = random_rotation(rng)
+            g = measures(EllipsoidParams(center=np.zeros(3), shape_matrix=S)).d_area_dm[3:]
+            g_rot = measures(EllipsoidParams(center=np.zeros(3),
+                                             shape_matrix=R @ S @ R.T)).d_area_dm[3:]
+            for E in (symmetric_matrix(rng.normal(size=6)) for _ in range(4)):
+                assert g_rot @ symmetric_slots(R @ E @ R.T) == pytest.approx(
+                    g @ symmetric_slots(E), rel=1e-12, abs=1e-12 * np.abs(g).max())
+
     def test_sphere_limit_of_ellipsoid_family(self):
         r = 1.37
         ms = measures(SphereParams(center=np.zeros(3), radius=r))
@@ -272,6 +343,25 @@ class TestMeasures:
         want[s23, s23] = -2 * k * a
         np.testing.assert_allclose(volume_hessian(config), want, rtol=0,
                                    atol=1e-8 * np.abs(want).max())
+
+
+class TestSlots:
+    def test_slot_sum_contracts_with_symmetric_tensors(self):
+        # G : T = slot_sum(G) . (slots of T) for any G and symmetric T, the
+        # contraction the added-mass rates apply to batches of tensors
+        rng = np.random.default_rng(23)
+        G = rng.normal(size=(4, 5, 3, 3))
+        T = rng.normal(size=(3, 3))
+        T = T + T.T
+        np.testing.assert_allclose(slot_sum(G) @ symmetric_slots(T),
+                                   np.sum(G * T, axis=(-2, -1)), rtol=1e-13, atol=1e-13)
+
+    def test_slot_matrices_are_the_unit_slot_rates(self):
+        m = np.random.default_rng(29).normal(size=6)
+        np.testing.assert_array_equal(np.tensordot(m, SLOT_MATRICES, axes=1),
+                                      symmetric_matrix(m))
+        np.testing.assert_array_equal(slot_sum(SLOT_MATRICES),
+                                      np.diag([1.0, 2.0, 2.0, 1.0, 2.0, 1.0]))
 
 
 class TestAdmissibility:
