@@ -28,7 +28,7 @@ from . import gas as gas_mod
 from .errors import BubbleDynError
 from .scenario import (MAX_MESH_LEVEL, ScenarioError, parse_scenario,
                        scenario_to_dict)
-from .shapes import SphereParams, check_admissible, measures, pack_params
+from .shapes import SLOTS, SphereParams, check_admissible, measures, pack_params
 
 
 def _fmt(x) -> str:
@@ -37,17 +37,12 @@ def _fmt(x) -> str:
 
 
 def _bubble_columns(scenario):
+    """Per bubble its parameters (pack_params order) and then their rates."""
     cols = []
     for i, spec in enumerate(scenario.bubbles):
-        tag = f"b{i}"
-        if isinstance(spec.shape, SphereParams):
-            cols += [f"{tag}_{c}" for c in
-                     ("cx", "cy", "cz", "r", "vcx", "vcy", "vcz", "vr")]
-        else:
-            cols += [f"{tag}_{c}" for c in
-                     ("cx", "cy", "cz", "s11", "s12", "s13", "s22", "s23", "s33",
-                      "vcx", "vcy", "vcz", "vs11", "vs12", "vs13", "vs22",
-                      "vs23", "vs33")]
+        params = ["cx", "cy", "cz"] + (["r"] if isinstance(spec.shape, SphereParams)
+                                       else [f"s{k + 1}{l + 1}" for k, l in SLOTS])
+        cols += [f"b{i}_{c}" for c in params + ["v" + c for c in params]]
     return cols
 
 

@@ -41,7 +41,6 @@ class State:
 
     config: Configuration
     velocity: np.ndarray
-    time: float = 0.0
 
     def packed(self):
         return pack_params(self.config), self.velocity
@@ -294,7 +293,7 @@ def integrate(scenario) -> Trajectory:
         y = sol.sol(t)
         q, qd = split(y)
         config = config_from_params(config0, q)
-        state = State(config=config, velocity=qd, time=float(t))
+        state = State(config=config, velocity=qd)
         states.append(state)
         mass = mass_at(scenario, config)
         ke[k], pe[k], _ = energies(scenario, state, mass)
@@ -329,7 +328,7 @@ def _potential_rate(mass, velocity, acceleration):
     minus V . grad(S x), V = c' + L (x - c) the points' velocity (L = r'/r I
     for a sphere, S' S^-1 for an ellipsoid)."""
     config, geom, B = mass.config, mass.assembly.geom, mass.basis.matrix
-    n = sum(m.n_panels for m in mass.assembly.meshes[:config.n_bubbles])
+    n = mass.assembly.blocks[config.n_bubbles - 1].stop
     dPhi = mass.rates[0][:, :n]
     moving = velocity @ (dPhi @ velocity) + (mass.potential @ B.T)[:n] @ acceleration
     V = []

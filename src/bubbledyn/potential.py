@@ -78,9 +78,12 @@ no mesh.  It contracts the rates of the basis potentials, which the
 added mass keeps once built (AddedMassMatrix.rates), so that the boundary
 residual's exact time derivative of the potential reads the same rates.
 
-One public solve, solve_neumann, takes arbitrary data on given meshes;
-the added mass solves for the basis velocities' data itself and keeps
-the densities and boundary potentials.
+Every solve returns a PotentialSolution: the data, the densities and the
+boundary potentials, with the assembly that solved for them.
+solve_neumann takes arbitrary data on given meshes; the added mass is the
+solution for the basis velocities' data with their Gram matrix added.
+evaluate reads a solution off the surfaces through the same exact panel
+integrals, so it holds next to them.
 """
 
 from __future__ import annotations
@@ -442,7 +445,8 @@ class _Assembly:
     and the LU factorization of 1/2 I + K', built by the first solve.  The
     shape behind each surface is its mesh's ``shape``.
 
-    A lone sphere (one surface, a spherical bubble) is its unit sphere's
+    ``blocks`` holds each surface's slice of the rows and columns.  A lone
+    sphere (one surface, a spherical bubble) is its unit sphere's
     self-blocks: A is the cached unit-sphere A itself, S is r S_unit, and
     the factorization is the one the cache keeps for that A, so a run
     factors it once per level.  Its panel data, which no block reads, is
@@ -454,6 +458,8 @@ class _Assembly:
         n = len(meshes)
         self.bounded = any(m.closure < 0 for m in meshes)
         self.weights = np.concatenate([m.quad_weights for m in meshes])
+        offsets = np.cumsum([0] + [m.n_panels for m in meshes])
+        self.blocks = blocks = tuple(slice(offsets[k], offsets[k + 1]) for k in range(n))
         self._lu = None
         self._unit = None
         self._panels = self._geom = None
@@ -464,8 +470,6 @@ class _Assembly:
             self.S.setflags(write=False)
             return
         self._panels = parts = tuple(surface_panels(m) for m in meshes)
-        offsets = np.cumsum([0] + [m.n_panels for m in meshes])
-        blocks = [slice(offsets[k], offsets[k + 1]) for k in range(n)]
         A = np.empty((offsets[-1], offsets[-1]))
         S = np.empty_like(A)
         for a in range(n):
@@ -516,9 +520,8 @@ class _Assembly:
     def rcond(self) -> float:
         return self.factorization().rcond()
 
-    def solve(self, g):
-        """Solve for one or more data vectors (columns of g); returns the
-        densities and the boundary potentials."""
+    def solve(self, g) -> PotentialSolution:
+        """Solve for one or more data vectors (columns of g)."""
         lu = self.factorization()
         g = np.asarray(g, dtype=float)
         rhs = g.reshape(len(self.A), -1)
@@ -547,7 +550,7 @@ class _Assembly:
                     f"collocation matrix numerically singular (rcond={rc:.2e})",
                     condition=1.0 / max(rc, 1e-300))
         phi = self.S @ q
-        return (q.reshape(g.shape), phi.reshape(g.shape))
+        return PotentialSolution(self, *(_frozen(a.reshape(g.shape)) for a in (g, q, phi)))
 
 
 def _surfaces(config: Configuration):
@@ -559,16 +562,27 @@ def _surfaces(config: Configuration):
 # solutions for arbitrary data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSolution:
-    """Single-layer density with cached boundary values of the potential."""
+    """The result of a collocation solve: the Neumann ``data`` at the
+    collocation points, the single-layer ``density`` and the boundary
+    ``potential`` S density, one column per data vector (1-D for one
+    vector, read-only), and the ``assembly`` they were solved with
+    (meshes, matrices and factorization)."""
 
-    density: np.ndarray
-    meshes: tuple
-    boundary_potential: np.ndarray
-    boundary_data: np.ndarray
-    geometry: PanelGeometry
-    condition: float | None = None
+    assembly: _Assembly = field(repr=False)
+    data: np.ndarray = field(repr=False)
+    density: np.ndarray = field(repr=False)
+    potential: np.ndarray = field(repr=False)
+
+    @property
+    def collocation_condition(self) -> float:
+        """Condition of the collocation matrix in the 1-norm, as LAPACK's
+        estimate (gecon) from the LU factors: an estimate, not the exact
+        condition number, which can differ in its last bits between runs
+        on equal inputs.  It is computed once per factorization, on the
+        first request."""
+        return 1.0 / max(self.assembly.rcond(), 1e-300)
 
 
 def solve_neumann(meshes, boundary_data) -> PotentialSolution:
@@ -580,34 +594,25 @@ def solve_neumann(meshes, boundary_data) -> PotentialSolution:
     n = sum(m.n_panels for m in meshes)
     if g.shape != (n,):
         raise ValueError(f"boundary data length {g.shape} != panel count {n}")
-    asm = _Assembly(meshes)
-    q, phi = asm.solve(g)
-    return PotentialSolution(density=q, meshes=meshes, boundary_potential=phi,
-                             boundary_data=g, geometry=asm.geom,
-                             condition=1.0 / max(asm.rcond(), 1e-300))
+    return _Assembly(meshes).solve(g)
 
 
 def evaluate(solution: PotentialSolution, points):
-    """Potential and gradient at field points by direct kernel summation.
-
-    Accuracy degrades within about one panel diameter of a surface; use
-    boundary_potential / surface_gradient for on-surface values.
-    """
+    """Potential and gradient at field points, from the exact flat-panel
+    integrals of the density: (M,) and (M, 3), with a trailing column axis
+    for a solution of several data vectors.  Exact for the discrete
+    density at any distance; on the surfaces, surface_gradient imposes the
+    normal data."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    geom = solution.geometry
-    qw = solution.density * geom.weights
-    dx = pts[:, None, :] - geom.points[None, :, :]
-    r = np.linalg.norm(dx, axis=2)
-    phi = (-1.0 / (4.0 * np.pi)) * (qw / r).sum(axis=1)
-    grad = (dx / (4.0 * np.pi * r ** 3)[:, :, None] * qw[None, :, None]).sum(axis=1)
-    return phi, grad
+    q = solution.density
+    S, _, grad = _blocked(pts, solution.assembly.geom, want_single=True, want_double=False,
+                          density=q.reshape(len(q), -1))
+    return S @ q, grad.reshape(len(pts), 3, *q.shape[1:])
 
 
 def boundary_potential_at(solution: PotentialSolution, points):
-    """Potential at points on or near the surfaces via exact panel integrals."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    S, _, _ = _blocked(pts, solution.geometry, want_single=True, want_double=False)
-    return S @ solution.density
+    """Potential at points on or near the surfaces (evaluate)."""
+    return evaluate(solution, points)[0]
 
 
 def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
@@ -619,14 +624,14 @@ def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
     Neumann data, which it approximates, keeping the boundary condition
     exact while the tangential part comes from the representation.
     """
-    geom = solution.geometry
+    geom = solution.assembly.geom
     _, _, g = _blocked(geom.points, geom, want_single=False, want_double=False,
                        density=solution.density[:, None])
     g = g[:, :, 0]
     if not impose_data:
         return g
     normal_part = np.einsum('mk,mk->m', g, geom.normals)
-    return g + (solution.boundary_data - normal_part)[:, None] * geom.normals
+    return g + (solution.data - normal_part)[:, None] * geom.normals
 
 
 # ---------------------------------------------------------------------------
@@ -657,40 +662,25 @@ def _direction_data(config, meshes, directions):
     return G
 
 
-@dataclass(frozen=True)
-class AddedMassMatrix:
+@dataclass(frozen=True, eq=False)
+class AddedMassMatrix(PotentialSolution):
     """Gram matrix of the basis potential gradients along the columns of
     ``basis`` (shapes.constraint_basis of ``config``), scaled by the
-    liquid density.  ``asymmetry`` is the relative reciprocity defect
-    before symmetrization; ``eigenvalues`` the spectrum after.
-    ``assembly`` holds the collocation system it was computed from
-    (meshes, matrices and factorization), whose LU the rates reuse;
-    ``data``, ``density`` and ``potential`` are the basis velocities'
-    boundary data, densities and boundary potentials, one column per
-    basis column (read-only)."""
+    liquid density: the solution for the basis velocities' data, one
+    column per basis column, with its Gram fields.  ``asymmetry`` is the
+    relative reciprocity defect before symmetrization; ``eigenvalues``
+    the spectrum after."""
 
     matrix: np.ndarray
     basis: ConstraintBasis
     liquid_density: float
     asymmetry: float
     eigenvalues: np.ndarray
-    config: Configuration = field(repr=False, compare=False)
-    assembly: _Assembly = field(repr=False, compare=False)
-    data: np.ndarray = field(repr=False, compare=False)
-    density: np.ndarray = field(repr=False, compare=False)
-    potential: np.ndarray = field(repr=False, compare=False)
+    config: Configuration = field(repr=False)
 
     @property
     def condition(self) -> float:
         return float(self.eigenvalues[-1] / self.eigenvalues[0])
-
-    @property
-    def collocation_condition(self) -> float:
-        """Condition of the collocation matrix in the 1-norm, as LAPACK's
-        estimate (gecon) from the LU factors: an estimate, not the exact
-        condition number, which can differ in its last bits between runs
-        on equal inputs.  It is computed once per factorization."""
-        return 1.0 / max(self.assembly.rcond(), 1e-300)
 
     @property
     def kinetic(self) -> np.ndarray:
@@ -722,8 +712,8 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
     asm = _Assembly(configuration_meshes(config, level, wall_level))
     basis = constraint_basis(config)
     G = _direction_data(config, asm.meshes, basis.matrix)
-    Q, Phi = asm.solve(G)
-    raw = -liquid_density * (Phi.T * asm.weights[None, :]) @ G
+    sol = asm.solve(G)
+    raw = -liquid_density * (sol.potential.T * asm.weights[None, :]) @ sol.data
     scale = np.abs(raw).max() + 1e-300
     asym = float(np.abs(raw - raw.T).max() / scale)
     A = 0.5 * (raw + raw.T)
@@ -732,11 +722,9 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
         raise DiscretizationError(
             f"added-mass matrix not positive definite at level {level}; "
             f"eigenvalues {eig}", eigenvalues=eig)
-    return AddedMassMatrix(matrix=A, basis=basis,
+    return AddedMassMatrix(asm, sol.data, sol.density, sol.potential, matrix=A, basis=basis,
                            liquid_density=liquid_density, asymmetry=asym,
-                           eigenvalues=eig, config=config, assembly=asm,
-                           **{name: _frozen(a) for name, a in
-                              (("data", G), ("density", Q), ("potential", Phi))})
+                           eigenvalues=eig, config=config)
 
 
 def _projector_derivatives(config):
@@ -897,15 +885,15 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
 def _potential_rates(mass: AddedMassMatrix):
     """Rates along every parameter slot of the basis potentials S X of
     ``mass`` at its collocation points, which move with the bubbles, and of
-    the data the Gram matrix weighs them with: (dPhi, dw, GdP, matrix, dGP),
-    d(S X) (p, N, p), the weights' (p, N), G dP (None in unbounded liquid)
-    and dG P along the ellipsoid matrix slots ``matrix`` (None if none).
+    the data the Gram matrix weighs them with: (dPhi, dw, dGP), d(S X)
+    (p, N, p), the weights' (p, N) and d(G P) = dG P + G dP (p, N, p), None
+    where both vanish (spheres in unbounded liquid).
     Here X = M^-1 G P, M = 1/2 I + K' and S the assembled matrices, G the
     canonical direction data and P = B B^T the projector onto the
     volume-preserving velocities (I in unbounded liquid), B the basis
     matrix.  Along every slot, with the LU of ``mass`` and no other,
 
-        dX = M^-1 (dG P + G dP - dM X),    d(S X) = dS X + S dX,
+        dX = M^-1 (d(G P) - dM X),    d(S X) = dS X + S dX,
 
     with no flux shift on the derivative solve: its data is not flux free,
     and shifting it would bias the rates.  Every rate is an exact
@@ -941,14 +929,11 @@ def _potential_rates(mass: AddedMassMatrix):
     dP = _projector_derivatives(config)
     B = mass.basis.matrix
     X = mass.density @ B.T  # from the solution for G B
-    w = asm.weights
-    offsets = np.cumsum([0] + [m.n_panels for m in asm.meshes])
-    blocks = [slice(offsets[k], offsets[k + 1]) for k in range(len(asm.meshes))]
+    w, blocks = asm.weights, asm.blocks
     dSX = np.zeros((p, len(w), p))
     dMX = np.zeros_like(dSX)
     dw = np.zeros((p, len(w)))
     dG = np.zeros_like(dSX)
-    matrix = []  # the ellipsoid matrix slots
     motions, slots = {}, {}  # per ellipsoid: its _SlotMotion and its matrix slots
     for k, (bubble, sl) in enumerate(zip(config.bubbles, config.slices())):
         blk = blocks[k]
@@ -958,7 +943,6 @@ def _potential_rates(mass: AddedMassMatrix):
             dw[t, blk] = 2.0 * w[blk] / r
             continue
         t = slots[k] = slice(sl.start + 3, sl.stop)
-        matrix += range(t.start, t.stop)
         part = asm.panels[k]
         mo = motions[k] = _slot_motion(bubble, part)
         # points and corners move together: the lift's rate and G : T
@@ -1021,11 +1005,10 @@ def _potential_rates(mass: AddedMassMatrix):
             dSX[t, Da] += dS_X[n:] + asm.S[Da, Db] @ (mo.lift[:, :, None] * X[Db])
             dMX[t, Db] += dK_X[n:] - mo.area[:, :, None] * (asm.A[Db, Da] @ X[Da])
 
-    dGP = dG[matrix] @ B @ B.T if matrix else None
-    GdP = None if dP is None else _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
-    rhs = -dMX if GdP is None else GdP - dMX
-    if matrix:
-        rhs[matrix] += dGP
+    dGP = None if dP is None else _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
+    if motions:
+        dGP = dG @ B @ B.T if dGP is None else dGP + dG @ B @ B.T
+    rhs = -dMX if dGP is None else dGP - dMX
     dPhi = dSX
     if rhs.any():  # a lone unbounded sphere's is zero
         dX = sla.lu_solve(asm.factorization().lu,
@@ -1033,7 +1016,7 @@ def _potential_rates(mass: AddedMassMatrix):
         if not np.all(np.isfinite(dX)):
             raise IllPosedProblemError("added-mass Jacobian solve produced non-finite values")
         dPhi = dSX + (asm.S @ dX).reshape(len(w), p, p).transpose(1, 0, 2)
-    return dPhi, dw, GdP, matrix, dGP
+    return dPhi, dw, dGP
 
 
 def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
@@ -1042,17 +1025,15 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
     rest as in _potential_rates), shape (p, p, p) with the first index the
     differentiated parameter: along every slot
 
-        dK = sym(-rho [d(S X)^T W G P + (S X)^T dW G P + (S X)^T W (dG P + G dP)]).
+        dK = sym(-rho [d(S X)^T W G P + (S X)^T dW G P + (S X)^T W d(G P)]).
 
     G P is flux free at every configuration, so the constant potential
     that the cavity system leaves undetermined never shows."""
-    dPhi, dw, GdP, matrix, dGP = mass.rates
+    dPhi, dw, dGP = mass.rates
     B, w = mass.basis.matrix, mass.assembly.weights
     GP, Phi = mass.data @ B.T, mass.potential @ B.T
     raw = dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)
-    if GdP is not None:
-        raw += Phi.T @ (w[:, None] * GdP)
-    if matrix:
-        raw[matrix] += Phi.T @ (w[:, None] * dGP)
+    if dGP is not None:
+        raw += Phi.T @ (w[:, None] * dGP)
     raw *= -mass.liquid_density
     return 0.5 * (raw + raw.transpose(0, 2, 1))

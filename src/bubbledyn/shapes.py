@@ -700,9 +700,6 @@ class AdmissibilityReport:
     violations: tuple
     min_gap: float
 
-    def __bool__(self):
-        return self.ok
-
 
 def _pair_gap(b1: ShapeParams, b2: ShapeParams, level: int = 2) -> float:
     """Lower bound on the surface-surface distance of two bubbles.

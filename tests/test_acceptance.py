@@ -56,11 +56,11 @@ def test_criterion_1_bem_accuracy():
     sol_mono = pot.solve_neumann((mesh,), np.ones(mesh.n_panels))
     sol_dip = pot.solve_neumann((mesh,), mesh.quad_normals[:, 0])
     runtime = time.time() - t0
-    w = sol_mono.geometry.weights
-    err_mono = np.sqrt(np.sum((sol_mono.boundary_potential + 1.0) ** 2 * w)
+    w = sol_mono.assembly.weights
+    err_mono = np.sqrt(np.sum((sol_mono.potential + 1.0) ** 2 * w)
                        / np.sum(w))
     ref_dip = -0.5 * mesh.quad_normals[:, 0]
-    err_dip = np.sqrt(np.sum((sol_dip.boundary_potential - ref_dip) ** 2 * w)
+    err_dip = np.sqrt(np.sum((sol_dip.potential - ref_dip) ** 2 * w)
                       / np.sum(ref_dip ** 2 * w))
     assert err_mono < 0.02
     assert err_dip < 0.02

@@ -53,6 +53,16 @@ def test_solver_imports_no_scipy_integrate_or_special():
     assert out.stdout.split() == []
 
 
+def test_public_names_resolve():
+    # every name the package exports is importable from it
+    assert len(set(bubbledyn.__all__)) == len(bubbledyn.__all__)
+    for name in bubbledyn.__all__:
+        assert getattr(bubbledyn, name, None) is not None, name
+    namespace = {}
+    exec("from bubbledyn import *", namespace)
+    assert set(bubbledyn.__all__) <= set(namespace)
+
+
 class TestScenarioParsing:
     def test_round_trip_is_identical(self):
         doc = equilibrium_doc()
@@ -343,6 +353,36 @@ def test_readme_scenario_example_is_valid(tmp_path, capsys):
     doc = json.loads(blocks[0])
     scenario_from_dict(doc)
     assert main(["check", "--scenario", write_scenario(tmp_path, doc)]) == 0
+
+
+def test_csv_header_is_readme_column_list(tmp_path):
+    # the full trajectory.csv header of a sphere plus an ellipsoid, against
+    # README's list: the sphere's columns, the ellipsoid's parameters
+    # followed by their v-prefixed rates, then the energy, impulse and
+    # residual columns
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split("CSV columns:", 1)[1].split("\n\n", 1)[0].split())
+    sphere = re.search(r"\(sphere: `([^`]*)`", text).group(1).split()
+    ellipsoid = re.search(r"ellipsoid: `([^`]*)` plus `v`-prefixed rates", text).group(1).split()
+    energies = re.search(r"then `(energy_[^`]*)`", text).group(1).split()
+    assert "`impulse_x/y/z`" in text and "`boundary_residual`" in text
+    want = (["t"] + [f"b0_{c}" for c in sphere]
+            + [f"b1_{c}" for c in ellipsoid + ["v" + c for c in ellipsoid]]
+            + energies + ["impulse_x", "impulse_y", "impulse_z", "boundary_residual"])
+    doc = equilibrium_doc(time={"t_end": 0.01, "output_dt": 0.01})
+    doc["bubbles"][0]["shape"]["center"] = [-2.0, 0.0, 0.0]
+    doc["bubbles"].append({
+        "shape": {"type": "ellipsoid", "center": [2.0, 0.0, 0.0],
+                  "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.1]]},
+        "velocity": {"center": [0.0, 0.0, 0.0],
+                     "matrix": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+        "gas": {"kind": "polytropic", "K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS})
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+    with open(out / "trajectory.csv") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    assert header == want
+    assert len(want) == 1 + 8 + 18 + 7
 
 
 class TestRuntimeEvents:

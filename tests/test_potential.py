@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from bubbledyn import dynamics as dyn
 from bubbledyn.errors import CompatibilityError, IllPosedProblemError
 from bubbledyn.gas import BubbleGasState, GasLaw, potential_energy
-from bubbledyn.potential import (_Assembly, _direction_data, _self_blocks,
-                                 _unit_sphere_blocks, added_mass,
+from bubbledyn.potential import (PotentialSolution, _Assembly, _direction_data,
+                                 _self_blocks, _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, configuration_meshes, evaluate,
                                  solve_neumann, surface_gradient, surface_panels)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
@@ -42,8 +42,8 @@ class TestSolveNeumann:
         sol = monopole_solution(level=2)
         # pulsation of the unit sphere: exact constant density 1, phi = -1/|x|
         assert np.max(np.abs(sol.density - 1.0)) < 1e-10
-        w = sol.geometry.weights
-        assert rel_l2(sol.boundary_potential, -np.ones_like(w), w) < 0.01
+        w = sol.assembly.weights
+        assert rel_l2(sol.potential, -np.ones_like(w), w) < 0.01
 
     def test_monopole_exterior_values(self):
         sol = monopole_solution(level=2)
@@ -52,11 +52,28 @@ class TestSolveNeumann:
         assert grad[0, 0] == pytest.approx(0.25, rel=2e-3)
         assert np.allclose(grad[0, 1:], 0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_monopole_near_surface_values(self, level):
+        # a tenth of the longest panel edge off the unit sphere, where a
+        # point sum over the collocation points is off by over 300% in the
+        # gradient: the exact panel integrals of the discrete density
+        mesh = surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level)
+        sol = solve_neumann((mesh,), np.ones(mesh.n_panels))
+        h = surface_panels(mesh).edge_length.max()
+        x = mesh.quad_points * (1.0 + 0.1 * h)
+        r = np.linalg.norm(x, axis=1)
+        phi, grad = evaluate(sol, x)
+        assert phi.shape == r.shape and grad.shape == x.shape
+        exact_grad = x / r[:, None] ** 3
+        assert np.abs(phi + 1.0 / r).max() <= 0.01 * np.abs(1.0 / r).max()
+        assert (np.linalg.norm(grad - exact_grad, axis=1).max()
+                <= 0.1 * np.linalg.norm(exact_grad, axis=1).max())
+
     def test_dipole_boundary_values(self):
         sol = dipole_solution(level=3)
-        ref = -0.5 * sol.geometry.normals[:, 0]
-        w = sol.geometry.weights
-        err = np.sqrt(np.sum((sol.boundary_potential - ref) ** 2 * w)
+        ref = -0.5 * sol.assembly.geom.normals[:, 0]
+        w = sol.assembly.weights
+        err = np.sqrt(np.sum((sol.potential - ref) ** 2 * w)
                       / np.sum(ref ** 2 * w))
         assert err < 0.02
 
@@ -67,7 +84,7 @@ class TestSolveNeumann:
 
     def test_far_field_decay(self):
         sol = monopole_solution(level=1)
-        mass = np.sum(sol.density * sol.geometry.weights) / (4 * np.pi)
+        mass = np.sum(sol.density * sol.assembly.weights) / (4 * np.pi)
         x = np.array([[1e3, 0.0, 0.0]])
         phi, _ = evaluate(sol, x)
         assert abs(phi[0]) <= mass / (1e3 - 1.0)
@@ -81,9 +98,9 @@ class TestSolveNeumann:
         for level in (1, 2, 3):
             sol = dipole_solution(level=level)
             grad = surface_gradient(sol, impose_data=False)
-            got = np.einsum('ik,ik->i', grad, sol.geometry.normals)
-            w = sol.geometry.weights
-            errs.append(np.sqrt(np.sum((got - sol.boundary_data) ** 2 * w)
+            got = np.einsum('ik,ik->i', grad, sol.assembly.geom.normals)
+            w = sol.assembly.weights
+            errs.append(np.sqrt(np.sum((got - sol.data) ** 2 * w)
                                 / np.sum(w)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[1] < 0.05
@@ -129,6 +146,67 @@ class TestSolveNeumann:
         off = A.matrix - np.diag(np.diag(A.matrix))
         assert np.max(np.abs(off)) < 1e-3 * exact
         assert np.array_equal(A.kinetic, B @ A.matrix @ B.T)
+
+
+class TestPotentialSolution:
+    @pytest.mark.parametrize("cavity", [False, True], ids=["unbounded", "cavity"])
+    def test_added_mass_is_the_solution_of_its_data(self, cavity):
+        # one solve path: every column of the added mass is the solution
+        # solve_neumann gives for that column's data.  In a cavity the
+        # solutions agree up to the near-null mode (the equilibrium density
+        # e, smallest singular value ~1e-8), which roundoff excites
+        # differently in one solve and in a batch of them; e and S e are
+        # projected out of the differences
+        config = sphere_pair_in_cavity()
+        if not cavity:
+            config = Configuration(bubbles=config.bubbles)
+        mass = added_mass(config, 1)
+        assert isinstance(mass, PotentialSolution)
+        assert mass.data.shape == mass.density.shape == mass.potential.shape
+        for a in (mass.data, mass.density, mass.potential):
+            assert not a.flags.writeable
+        asm = mass.assembly
+        modes = (None, None)
+        if cavity:
+            e = np.linalg.svd(asm.A)[2][-1]
+            modes = (e, asm.S @ e)
+        for j in range(mass.data.shape[1]):
+            sol = solve_neumann(asm.meshes, mass.data[:, j])
+            assert np.array_equal(sol.data, mass.data[:, j])
+            for got, want, mode in zip((sol.density, sol.potential),
+                                       (mass.density[:, j], mass.potential[:, j]), modes):
+                diff = got - want
+                if mode is not None:
+                    diff -= mode * (mode @ diff) / (mode @ mode)
+                assert np.abs(diff).max() <= 1e-13 * np.abs(want).max()
+
+    def test_condition_estimated_on_request(self, monkeypatch):
+        # a cavity solve skips the singularity check, so it runs no
+        # condition estimate until collocation_condition is read
+        import bubbledyn.potential as pot_mod
+        config = sphere_pair_in_cavity()
+        meshes = configuration_meshes(config, 1)
+        g = _direction_data(config, meshes, constraint_basis(config).matrix)[:, 0]
+        calls = []
+        plain = pot_mod._Factorization.rcond
+        monkeypatch.setattr(pot_mod._Factorization, "rcond",
+                            lambda self: calls.append(1) or plain(self))
+        sol = solve_neumann(meshes, g)
+        assert calls == []
+        assert sol.collocation_condition > 1.0
+        assert calls == [1]
+
+    def test_collocation_condition_is_the_matrix_estimate(self):
+        # the 1-norm estimate of 1/2 I + K' (a lower bound, within a small
+        # factor here), not the Gram condition of the added mass
+        mass = added_mass(unit_sphere_config(), 1)
+        exact = np.linalg.cond(mass.assembly.A, 1)
+        assert exact / 3.0 <= mass.collocation_condition <= exact * (1.0 + 1e-12)
+        assert abs(mass.condition - mass.collocation_condition) > 1.0
+        mesh = mass.assembly.meshes[0]
+        sol = solve_neumann((mesh,), np.ones(mesh.n_panels))
+        assert sol.collocation_condition == pytest.approx(mass.collocation_condition,
+                                                          rel=1e-12)
 
 
 class TestBasisPotentials:
@@ -214,7 +292,7 @@ class TestAddedMass:
         # volume Gram integral of the monopole field over a large ball minus
         # the bubble, against the boundary-reduced entry (radial, radial)
         sol = monopole_solution(level=2)
-        geom = sol.geometry
+        geom = sol.assembly.geom
         rng = np.random.default_rng(42)
         n, R_out, r_in = 4000, 12.0, 1.02
         # importance sampling: radius pdf p(r) ~ 1/r^2 on [r_in, R_out]
@@ -231,7 +309,7 @@ class TestAddedMass:
         mass = np.sum(sol.density * geom.weights) / (4 * np.pi)
         tail = 4 * np.pi * mass ** 2 / R_out          # exact monopole tail
         inner = 4 * np.pi * mass ** 2 * (1 / 1.0 - 1 / r_in)  # skipped shell
-        boundary_value = -np.sum(sol.boundary_potential * sol.boundary_data
+        boundary_value = -np.sum(sol.potential * sol.data
                                  * geom.weights)
         assert integral + tail + inner == pytest.approx(boundary_value, rel=0.05)
 
@@ -249,7 +327,7 @@ class TestAddedMass:
 
 def _exact_gradients(solution, pts):
     from bubbledyn.potential import _blocked
-    _, _, g = _blocked(pts, solution.geometry, want_single=False,
+    _, _, g = _blocked(pts, solution.assembly.geom, want_single=False,
                        want_double=False, density=solution.density[:, None])
     return None, None, g[:, :, 0]
 
@@ -292,7 +370,7 @@ class TestBlockedAssembly:
             assert rel_diff(blk, ref) <= 1e-13
         sol_blk = dipole_solution(level=1)
         assert np.allclose(sol_blk.density, sol_ref.density, rtol=0, atol=1e-14)
-        assert np.allclose(sol_blk.boundary_potential, sol_ref.boundary_potential,
+        assert np.allclose(sol_blk.potential, sol_ref.potential,
                            rtol=0, atol=1e-14)
         grad_ref = surface_gradient(sol_ref)
         grad_blk = surface_gradient(sol_blk)
@@ -634,9 +712,9 @@ class TestLoneSphereFactorization:
         def results():
             mass = added_mass(config, 2)
             sol = solve_neumann(meshes, g)
-            return (mass.matrix, sol.density, sol.boundary_potential,
+            return (mass.matrix, sol.density, sol.potential,
                     added_mass_jacobian(mass),
-                    mass.collocation_condition, sol.condition)
+                    mass.collocation_condition, sol.collocation_condition)
 
         shared = results()
         unit = _unit_sphere_blocks(2, False)
