@@ -327,7 +327,7 @@ def _potential_rate(mass, velocity, acceleration):
     + (S X) q'' (potential._potential_rates); the frozen points see that
     minus V . grad(S x), V = c' + L (x - c) the points' velocity (L = r'/r I
     for a sphere, S' S^-1 for an ellipsoid)."""
-    config, geom, B = mass.config, mass.assembly.geom, mass.basis.matrix
+    config, B = mass.config, mass.basis.matrix
     n = mass.assembly.blocks[config.n_bubbles - 1].stop
     dPhi = mass.rates[0][:, :n]
     moving = velocity @ (dPhi @ velocity) + (mass.potential @ B.T)[:n] @ acceleration
@@ -338,11 +338,9 @@ def _potential_rate(mass, velocity, acceleration):
              else symmetric_matrix(rate[3:]) @ np.linalg.inv(bubble.shape_matrix))
         V.append(rate[:3] + (mesh.quad_points - bubble.center) @ L.T)
     u = B.T @ velocity
-    _, _, grad = pot._blocked(geom.points[:n], geom, want_single=False, want_double=False,
-                              density=(mass.density @ u)[:, None])
-    grad, normals = grad[:, :, 0], geom.normals[:n]
-    imposed = grad + (mass.data[:n] @ u - np.einsum('mk,mk->m', grad, normals))[:, None] * normals
-    return moving - np.einsum('mk,mk->m', np.concatenate(V), grad), imposed
+    grad, imposed = pot._surface_gradients(mass.assembly, (mass.density @ u)[:, None],
+                                           (mass.data[:n] @ u)[:, None], config.n_bubbles)
+    return moving - np.einsum('mk,mk->m', np.concatenate(V), grad[:, :, 0]), imposed[:, :, 0]
 
 
 def boundary_residual(scenario, state: State, mass, acceleration) -> float:

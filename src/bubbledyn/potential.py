@@ -50,7 +50,7 @@ the flat-panel integrals that depend on those panels alone (corner dots
 and crosses, unit normals, edge lengths and in-plane edge normals) are
 computed once per surface, when its PanelGeometry is built, leaving point-
 panel products to each block.  An assembly keeps one PanelGeometry per
-surface.
+surface, the only panel format; no other module calls the panel integrals.
 
 Added mass and its Jacobian.  The added mass is taken along the basis B
 of the admissible velocities that the configuration fixes
@@ -83,7 +83,9 @@ boundary potentials, with the assembly that solved for them.
 solve_neumann takes arbitrary data on given meshes; the added mass is the
 solution for the basis velocities' data with their Gram matrix added.
 evaluate reads a solution off the surfaces through the same exact panel
-integrals, so it holds next to them.
+integrals, one pass per surface (_field), so it holds next to them;
+surface_gradient and the boundary residual impose the normal data on that
+pass by one formula (_surface_gradients).
 """
 
 from __future__ import annotations
@@ -117,21 +119,14 @@ def _frozen(a):
     return view
 
 
-# fields of PanelGeometry that hold one entry per panel, with the panel axis
-_PER_PANEL = {"points": 0, "normals": 0, "weights": 0, "lift": 0, "corners": 1,
-              "corner_sq": 1, "corner_dots": 1, "detv": 0, "cross_sum": 0,
-              "unit_normal": 0, "plane_offset": 0, "edge_length": 1,
-              "edge_normal": 1, "edge_offset": 1, "edge_vector": 1, "edge_cross": 1}
-
-
 @dataclass(frozen=True)
 class PanelGeometry:
-    """Panel data of one or more surfaces: the collocation quadrature and
-    every term of the flat-panel integrals that depends on the panels
-    alone.  Built eagerly and read-only; a multi-surface geometry is the
-    concatenation of its surfaces' (see join_panels)."""
+    """Panel data of one surface: the collocation quadrature, the Gauss
+    closure of its own double-layer rows, and every term of the flat-panel
+    integrals that depends on the panels alone.  Built eagerly and
+    read-only."""
 
-    meshes: tuple
+    closure: float            # mesh.closure: +1/2 on a bubble, -1/2 on a wall
     points: np.ndarray        # (N, 3) collocation points on the true surfaces
     normals: np.ndarray       # (N, 3) surface normals, into the fluid
     weights: np.ndarray       # (N,) patch quadrature weights
@@ -185,17 +180,7 @@ def surface_panels(mesh) -> PanelGeometry:
         detv=_dot(p0, c12), cross_sum=c12 + c20 + c01, unit_normal=nh,
         plane_offset=_dot(p0, nh), edge_length=length, edge_normal=mhat,
         edge_offset=_dot(corners, mhat), edge_vector=edges, edge_cross=edge_cross)
-    return PanelGeometry(meshes=(mesh,), **{k: _frozen(v) for k, v in arrays.items()})
-
-
-def join_panels(parts) -> PanelGeometry:
-    """Concatenation of per-surface panel data, in surface order."""
-    parts = tuple(parts)
-    if len(parts) == 1:
-        return parts[0]
-    arrays = {name: _frozen(np.concatenate([getattr(p, name) for p in parts], axis=axis))
-              for name, axis in _PER_PANEL.items()}
-    return PanelGeometry(meshes=sum((p.meshes for p in parts), ()), **arrays)
+    return PanelGeometry(closure=mesh.closure, **{k: _frozen(v) for k, v in arrays.items()})
 
 
 def _add_products(out, term, factors, X):
@@ -368,7 +353,7 @@ def _self_blocks(panels: PanelGeometry):
     K = np.einsum('ijk,jk->ij', -dx, panels.normals) / (4.0 * np.pi * r ** 3)
     K *= w[None, :]
     np.fill_diagonal(K, 0.0)
-    np.fill_diagonal(K, panels.meshes[0].closure - K.sum(axis=1))
+    np.fill_diagonal(K, panels.closure - K.sum(axis=1))
     A = K.T * (w[None, :] / w[:, None])
     A[np.diag_indices_from(A)] += 0.5
     return A, S
@@ -462,14 +447,13 @@ class _Assembly:
         self.blocks = blocks = tuple(slice(offsets[k], offsets[k + 1]) for k in range(n))
         self._lu = None
         self._unit = None
-        self._panels = self._geom = None
         if n == 1 and isinstance(meshes[0].shape, SphereParams):
             self._unit = _unit_sphere_blocks(meshes[0].level, False)
             self.A = self._unit.A
             self.S = meshes[0].shape.radius * self._unit.S
             self.S.setflags(write=False)
             return
-        self._panels = parts = tuple(surface_panels(m) for m in meshes)
+        self.panels = parts = tuple(surface_panels(m) for m in meshes)
         A = np.empty((offsets[-1], offsets[-1]))
         S = np.empty_like(A)
         for a in range(n):
@@ -495,21 +479,12 @@ class _Assembly:
         S.setflags(write=False)
         self.A, self.S = A, S
 
-    @property
+    @cached_property
     def panels(self):
         """Panel data of each surface.  Built with the blocks; only a lone
         sphere, whose blocks read none, builds it here on first use."""
         # threads asking at once may each build it: equal data
-        if self._panels is None:
-            self._panels = tuple(surface_panels(m) for m in self.meshes)
-        return self._panels
-
-    @property
-    def geom(self) -> PanelGeometry:
-        """All surfaces' panel data joined, built on first use."""
-        if self._geom is None:
-            self._geom = join_panels(self.panels)
-        return self._geom
+        return tuple(surface_panels(m) for m in self.meshes)
 
     def factorization(self) -> _Factorization:
         if self._lu is None:
@@ -597,17 +572,43 @@ def solve_neumann(meshes, boundary_data) -> PotentialSolution:
     return _Assembly(meshes).solve(g)
 
 
+def _field(asm: _Assembly, points, density, potential=False):
+    """Single-layer potential of the densities (N, p) on the surfaces of
+    ``asm`` at ``points`` (M, 3), (M, p) (None unless ``potential``), and
+    its gradient (M, 3, p): one panel pass per surface, summed."""
+    phi = grad = 0.0
+    for part, blk in zip(asm.panels, asm.blocks):
+        S, _, g = _blocked(points, part, want_single=potential, want_double=False,
+                           density=density[blk])
+        grad = grad + g
+        phi = phi + S @ density[blk] if potential else None
+    return phi, grad
+
+
+def _surface_gradients(asm: _Assembly, density, data, surfaces=None):
+    """Fluid-side gradient (n, 3, p) of the single-layer potential of the
+    densities (N, p) at the collocation points of the first ``surfaces``
+    surfaces of ``asm`` (all by default): raw, and with its normal part
+    replaced by the Neumann ``data`` (n, p) there, which it approximates."""
+    parts = asm.panels[:surfaces]
+    normals = np.concatenate([part.normals for part in parts])
+    _, raw = _field(asm, np.concatenate([part.points for part in parts]), density)
+    normal_part = np.einsum('mkp,mk->mp', raw, normals)
+    return raw, raw + (data - normal_part)[:, None] * normals[:, :, None]
+
+
 def evaluate(solution: PotentialSolution, points):
-    """Potential and gradient at field points, from the exact flat-panel
-    integrals of the density: (M,) and (M, 3), with a trailing column axis
-    for a solution of several data vectors.  Exact for the discrete
-    density at any distance; on the surfaces, surface_gradient imposes the
-    normal data."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """Potential and gradient at field points ``points`` (M, 3), from the
+    exact flat-panel integrals of the density: (M,) and (M, 3), with a
+    trailing column axis for a solution of several data vectors.  Exact
+    for the discrete density at any distance; on the surfaces,
+    surface_gradient imposes the normal data."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
+        raise ValueError(f"points must be an (M, 3) array of finite numbers, got {pts.shape}")
     q = solution.density
-    S, _, grad = _blocked(pts, solution.assembly.geom, want_single=True, want_double=False,
-                          density=q.reshape(len(q), -1))
-    return S @ q, grad.reshape(len(pts), 3, *q.shape[1:])
+    phi, grad = _field(solution.assembly, pts, q.reshape(len(q), -1), potential=True)
+    return phi.reshape(len(pts), *q.shape[1:]), grad.reshape(len(pts), 3, *q.shape[1:])
 
 
 def boundary_potential_at(solution: PotentialSolution, points):
@@ -616,7 +617,8 @@ def boundary_potential_at(solution: PotentialSolution, points):
 
 
 def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
-    """Fluid-side gradient of the potential at the collocation points.
+    """Fluid-side gradient of the potential at the collocation points:
+    (N, 3), or (N, 3, p) for a solution of p data vectors.
 
     Exact flat-panel gradients capture the single-layer jump because the
     curved collocation points sit on the fluid side of the panel planes.
@@ -624,14 +626,11 @@ def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
     Neumann data, which it approximates, keeping the boundary condition
     exact while the tangential part comes from the representation.
     """
-    geom = solution.assembly.geom
-    _, _, g = _blocked(geom.points, geom, want_single=False, want_double=False,
-                       density=solution.density[:, None])
-    g = g[:, :, 0]
-    if not impose_data:
-        return g
-    normal_part = np.einsum('mk,mk->m', g, geom.normals)
-    return g + (solution.data - normal_part)[:, None] * geom.normals
+    q = solution.density
+    cols = q.reshape(len(q), -1)
+    raw, imposed = _surface_gradients(solution.assembly, cols,
+                                      solution.data.reshape(cols.shape))
+    return (imposed if impose_data else raw).reshape(len(q), 3, *q.shape[1:])
 
 
 # ---------------------------------------------------------------------------

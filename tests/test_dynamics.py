@@ -15,7 +15,7 @@ from bubbledyn.dynamics import boundary_residual, eom_rhs, integrate, kelvin_imp
 from bubbledyn.errors import (BubbleDynError, CompatibilityError,
                               UnsupportedConfigurationError)
 from bubbledyn.reference import SingleBubbleState, closed_form_rhs
-from bubbledyn.scenario import scenario_from_dict
+from bubbledyn.scenario import parse_scenario, scenario_from_dict
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams, SphereParams,
                               config_from_params, constraint_basis, pack_params,
                               volume_hessian)
@@ -576,6 +576,25 @@ class TestBoundaryResidual:
 
         monkeypatch.setattr(dynamics, "_potential_rate", shifted)
         assert abs(residual((0.784, 0.816)) - unequal) <= 1e-12
+
+    def test_residual_passes_see_one_surface_at_a_time(self, monkeypatch):
+        # the residual's field pass runs surface by surface, as the
+        # assembly does: no kernel call sees the panels of several surfaces
+        s = parse_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                        "two_bubble_cavity.json"))
+        state = s.initial_state()
+        mass = dynamics.mass_at(s, state.config)
+        acc = dynamics._acceleration(s, mass, state.velocity)
+        plain, seen = pot._panel_blocks, []
+
+        def counted(x, geom, *args, **kwargs):
+            seen.append(geom.n_panels)
+            return plain(x, geom, *args, **kwargs)
+
+        monkeypatch.setattr(pot, "_panel_blocks", counted)
+        boundary_residual(s, state, mass, acc)
+        assert [m.n_panels for m in mass.assembly.meshes] == [80, 80, 80]
+        assert seen and max(seen) <= 80
 
     @pytest.mark.parametrize("seed", range(950, 954))
     def test_cavity_residual_is_stable_under_roundoff(self, seed):

@@ -71,7 +71,7 @@ class TestSolveNeumann:
 
     def test_dipole_boundary_values(self):
         sol = dipole_solution(level=3)
-        ref = -0.5 * sol.assembly.geom.normals[:, 0]
+        ref = -0.5 * sol.assembly.meshes[0].quad_normals[:, 0]
         w = sol.assembly.weights
         err = np.sqrt(np.sum((sol.potential - ref) ** 2 * w)
                       / np.sum(ref ** 2 * w))
@@ -98,7 +98,7 @@ class TestSolveNeumann:
         for level in (1, 2, 3):
             sol = dipole_solution(level=level)
             grad = surface_gradient(sol, impose_data=False)
-            got = np.einsum('ik,ik->i', grad, sol.assembly.geom.normals)
+            got = np.einsum('ik,ik->i', grad, sol.assembly.meshes[0].quad_normals)
             w = sol.assembly.weights
             errs.append(np.sqrt(np.sum((got - sol.data) ** 2 * w)
                                 / np.sum(w)))
@@ -130,6 +130,17 @@ class TestSolveNeumann:
         for g in bad:
             with pytest.raises(ValueError, match="panel count"):
                 solve_neumann(meshes, g)
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((4, 2)), np.zeros((2, 2, 3)), np.array([2.0, 0.0, 0.0]),
+        np.array([[2.0, np.nan, 0.0]]), [[2.0, 0.0, np.inf], [0.0, 2.0, 0.0]]],
+        ids=["two-columns", "three-axes", "one-axis", "nan", "inf"])
+    def test_evaluate_rejects_points_of_another_form(self, points):
+        # the caller's points: an (M, 3) array of finite numbers, or a
+        # ValueError that names them (not a matmul error, not a NaN result)
+        sol = monopole_solution(level=1)
+        with pytest.raises(ValueError, match="points"):
+            evaluate(sol, points)
 
     def test_cavity_translation_added_mass(self):
         # sphere a=1 in concentric cavity b=2, translation: Lamb's value
@@ -207,6 +218,30 @@ class TestPotentialSolution:
         sol = solve_neumann((mesh,), np.ones(mesh.n_panels))
         assert sol.collocation_condition == pytest.approx(mass.collocation_condition,
                                                           rel=1e-12)
+
+
+    @pytest.mark.parametrize("impose_data", [True, False])
+    def test_surface_gradient_of_every_column(self, impose_data):
+        # an added mass is a solution of p data vectors: its surface
+        # gradient is (N, 3, p), each column that of the one-vector solve
+        # (unbounded liquid, where batched and single solves agree to
+        # roundoff; a cavity's near-null mode differs between them)
+        config = Configuration(bubbles=(
+            SphereParams(center=np.zeros(3), radius=1.0),
+            SphereParams(center=[3.0, 0.2, 0.0], radius=0.8)))
+        mass = added_mass(config, 1)
+        n, p = mass.data.shape
+        grad = surface_gradient(mass, impose_data=impose_data)
+        assert grad.shape == (n, 3, p)
+        normals = np.concatenate([m.quad_normals for m in mass.assembly.meshes])
+        for j in range(p):
+            want = surface_gradient(solve_neumann(mass.assembly.meshes, mass.data[:, j]),
+                                    impose_data=impose_data)
+            assert want.shape == (n, 3)
+            assert np.abs(grad[:, :, j] - want).max() <= 1e-13 * np.abs(want).max()
+            if impose_data:
+                normal = np.einsum('mk,mk->m', grad[:, :, j], normals)
+                assert np.abs(normal - mass.data[:, j]).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestBasisPotentials:
@@ -292,7 +327,7 @@ class TestAddedMass:
         # volume Gram integral of the monopole field over a large ball minus
         # the bubble, against the boundary-reduced entry (radial, radial)
         sol = monopole_solution(level=2)
-        geom = sol.assembly.geom
+        w = sol.assembly.weights
         rng = np.random.default_rng(42)
         n, R_out, r_in = 4000, 12.0, 1.02
         # importance sampling: radius pdf p(r) ~ 1/r^2 on [r_in, R_out]
@@ -302,15 +337,14 @@ class TestAddedMass:
         zdir = rng.normal(size=(n, 3))
         zdir /= np.linalg.norm(zdir, axis=1)[:, None]
         pts = r[:, None] * zdir
-        _, _, grads = _exact_gradients(sol, pts)
+        _, grads = evaluate(sol, pts)
         f = np.einsum('ik,ik->i', grads, grads)
         pnorm = (1.0 / r ** 2) / (1.0 / r_in - 1.0 / R_out)
         integral = np.mean(f * r ** 2 * 4 * np.pi / pnorm)
-        mass = np.sum(sol.density * geom.weights) / (4 * np.pi)
+        mass = np.sum(sol.density * w) / (4 * np.pi)
         tail = 4 * np.pi * mass ** 2 / R_out          # exact monopole tail
         inner = 4 * np.pi * mass ** 2 * (1 / 1.0 - 1 / r_in)  # skipped shell
-        boundary_value = -np.sum(sol.potential * sol.data
-                                 * geom.weights)
+        boundary_value = -np.sum(sol.potential * sol.data * w)
         assert integral + tail + inner == pytest.approx(boundary_value, rel=0.05)
 
     def test_mesh_convergence_order(self):
@@ -323,13 +357,6 @@ class TestAddedMass:
         # order >= 1 in edge length (halved per level)
         assert errs[0] / errs[1] > 2.0
         assert errs[1] / errs[2] > 2.0
-
-
-def _exact_gradients(solution, pts):
-    from bubbledyn.potential import _blocked
-    _, _, g = _blocked(pts, solution.assembly.geom, want_single=False,
-                       want_double=False, density=solution.density[:, None])
-    return None, None, g[:, :, 0]
 
 
 class TestBlockedAssembly:
@@ -744,7 +771,7 @@ class TestLoneSphereFactorization:
         asm = added_mass(config, 1).assembly
         assert asm.A is unit.A
         assert not built  # no block of a lone sphere reads panel data
-        assert asm.geom.meshes == asm.meshes and len(built) == 1
+        assert len(asm.panels) == 1 and len(built) == 1 and built[0] is asm.meshes[0]
         lu, piv = asm.factorization().lu
         for a in (lu, piv, asm.A, asm.S):
             assert not a.flags.writeable
@@ -996,26 +1023,11 @@ class TestPanelData:
         assert rel_diff(dSX, dS @ X) <= 1e-12
         assert rel_diff(dKY, dK.transpose(0, 2, 1) @ Y) <= 1e-12
 
-    def test_joined_panels_concatenate_the_surfaces(self):
-        from bubbledyn.potential import join_panels
-        config = sphere_pair_in_cavity()
-        parts = [surface_panels(m) for m in configuration_meshes(config, 1)]
-        joined = join_panels(parts)
-        assert joined.meshes == tuple(p.meshes[0] for p in parts)
-        offsets = np.cumsum([0] + [p.n_panels for p in parts])
-        assert joined.n_panels == offsets[-1]
-        for k, part in enumerate(parts):
-            blk = slice(offsets[k], offsets[k + 1])
-            assert np.array_equal(joined.edge_normal[:, blk], part.edge_normal)
-            assert np.array_equal(joined.corners[:, blk], part.corners)
-            assert np.array_equal(joined.points[blk], part.points)
-        assert join_panels(parts[:1]) is parts[0]
-
     def test_panel_arrays_read_only(self):
-        from bubbledyn.potential import join_panels
         meshes = configuration_meshes(sphere_pair_in_cavity(), 1)
-        for geom in (surface_panels(meshes[0]),
-                     join_panels([surface_panels(m) for m in meshes])):
+        for mesh in meshes:
+            geom = surface_panels(mesh)
+            assert geom.closure == mesh.closure
             arrays = [v for v in vars(geom).values() if isinstance(v, np.ndarray)]
             assert len(arrays) >= 16
             for a in arrays:
@@ -1024,6 +1036,22 @@ class TestPanelData:
                     a[...] = 0.0
         # the mesh's own arrays stay as they were
         assert meshes[0].quad_points.flags.writeable
+
+    def test_only_potential_calls_the_panel_kernel(self):
+        # one module owns the panel integrals: the rest of the package asks
+        # potential for fields and blocks, and never calls the kernel itself
+        import ast
+        import pathlib
+        import bubbledyn
+        kernel = {"_blocked", "_panel_blocks"}
+        calls = {}
+        for path in pathlib.Path(bubbledyn.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            calls[path.stem] = {ast.unparse(node.func).rpartition(".")[2]
+                                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert kernel <= calls.pop("potential")
+        assert calls and not {name: names & kernel for name, names in calls.items()
+                              if names & kernel}
 
     def test_one_rhs_builds_panels_once_per_new_surface(self, monkeypatch):
         # two spheres in a cavity at level 1: the base configuration builds
