@@ -6,12 +6,12 @@ It follows ``scipy.integrate.solve_ivp(method="RK45", dense_output=True)``
 operation for operation: the same tableau and Shampine's dense-output
 matrix, the same stage order, the same controller (RMS error norm, safety
 0.9, step factors 0.2-10, no growth right after a rejection, a NaN error
-norm shrinks the step by 0.2), the same interpolant choice at step
-boundaries and the same Brent root search for events.  A run therefore
-takes the same steps, makes the same RHS calls and interpolates the same
-values to the last bit, without loading scipy.integrate (and, through it,
-scipy.special, scipy.optimize and scipy.sparse).  It integrates forward in
-time, and every event is terminal.
+norm shrinks the step by 0.2) and the same interpolant choice at step
+boundaries.  A run takes the same steps, makes the same RHS calls and
+interpolates the same values to the last bit, without loading
+scipy.integrate.  Events are found by bisection on the dense output, so
+a terminal event's time may differ from scipy's in its last bits.  It
+integrates forward in time, and every event is terminal.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / 5          # -1 / (order of the error estimator + 1)
 ROOT_TOL = 4 * EPS               # absolute and relative, of an event's time
-ROOT_MAX_ITERATIONS = 100
 
 C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 A = np.array([
@@ -105,48 +104,23 @@ def _rk_step(fun, t, y, f, h, K):
     return y_new, f_new
 
 
-def _brentq(f, xa, xb):
-    """A root of ``f`` between xa and xb, where it changes sign, by Brent's
-    method (Algorithms for Minimization without Derivatives, 1973, ch. 4)
-    in the steps of scipy.optimize.brentq, to within 4 eps (1 + |root|)."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(ROOT_MAX_ITERATIONS):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (ROOT_TOL + ROOT_TOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _bisect(f, a, b):
+    """A root of ``f`` between a < b, where it changes sign, to within
+    ROOT_TOL (1 + |root|): an end where f is zero, or a halved bracket's midpoint."""
+    fa = f(a)
+    if fa == 0:
+        return a
+    if f(b) == 0:
+        return b
+    while True:
+        m = a + (b - a) / 2
+        if b - a <= ROOT_TOL * (1 + abs(m)):
+            return m
+        fm = f(m)
+        if np.signbit(fm) == np.signbit(fa):
+            a, fa = m, fm
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(
-        f"event root search did not converge in {ROOT_MAX_ITERATIONS} iterations")
+            b = m
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, first_step, events=()):
@@ -209,7 +183,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, first_step, events=()):
             active = [i for i, (a, b) in enumerate(zip(g, g_new))
                       if a <= 0 <= b or a >= 0 >= b]
             if active:
-                roots = [_brentq(lambda s: events[i](s, step(s)), t_old, t) for i in active]
+                roots = [_bisect(lambda s: events[i](s, step(s)), t_old, t) for i in active]
                 first = min(range(len(active)), key=roots.__getitem__)
                 t = roots[first]
                 t_events[active[first]].append(t)

@@ -105,6 +105,10 @@ def cmd_run(args) -> int:
     if not report.ok:
         raise ScenarioError(f"bubbles: initial configuration inadmissible: "
                             f"{[dataclasses.asdict(v) for v in report.violations]}")
+    margin = dyn.collision_margin(scenario, state.config)
+    if not margin > 0:
+        raise ScenarioError(f"bubbles: initial configuration inside the collision "
+                            f"threshold (smallest gap less threshold {margin:.3e})")
     if scenario.domain_is_bounded:
         flux, ok = dyn.volume_flux(state.config, state.packed()[1])
         if not ok:
@@ -136,6 +140,10 @@ def cmd_check(args) -> int:
     else:
         for v in report.violations:
             print(f"admissibility: VIOLATION {v.kind} pair={v.pair} gap={v.gap:.6g}")
+    margin = dyn.collision_margin(scenario, config)
+    if np.isfinite(margin):
+        print(f"collision margin: {'ok' if margin > 0 else 'VIOLATION'} (smallest gap "
+              f"less threshold {margin:.6g}; a run must start above 0)")
 
     if scenario.domain_is_bounded:
         flux, ok = dyn.volume_flux(config, scenario.initial_state().packed()[1])

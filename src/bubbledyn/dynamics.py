@@ -12,7 +12,6 @@ acceleration-level constraint satisfied exactly.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import gas as gas_mod
 from . import potential as pot
 from ._stepper import solve_ivp
 from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
-                     DiscretizationError)
+                     DiscretizationError, IllPosedProblemError)
 from .reference import minnaert_frequency
 from .shapes import (Configuration, SphereParams, check_admissible, config_from_params,
                      pack_params, surface_gaps, symmetric_matrix, volume_gradient,
@@ -166,10 +165,8 @@ def minnaert_period(scenario, gas) -> float:
     """Minnaert period of a bubble of ``gas`` about its equilibrium radius
     under the scenario's far-field pressure, which must be > 0."""
     r_eq = gas_mod.equilibrium_radius(gas, scenario.p_infinity)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        om = minnaert_frequency(gas, scenario.p_infinity, scenario.liquid_density, r_eq)
-    return 2.0 * np.pi / om
+    return 2.0 * np.pi / minnaert_frequency(gas, scenario.p_infinity,
+                                            scenario.liquid_density, r_eq)
 
 
 def characteristic_period(scenario) -> float:
@@ -185,8 +182,9 @@ def _collision_threshold(scenario, s1, s2=None) -> float:
     return scenario.collision_gap_fraction * size
 
 
-def _gap_margin(scenario, config) -> float:
-    """Smallest (gap - threshold) over bubble pairs and walls."""
+def collision_margin(scenario, config) -> float:
+    """Smallest (gap - threshold) over bubble pairs and walls: the collision
+    event's value, which a run must start above."""
     worst = np.inf
     for (i, j), gap in surface_gaps(config, level=1):
         other = None if j == -1 else config.bubbles[j]
@@ -209,6 +207,10 @@ def integrate(scenario) -> Trajectory:
     report = check_admissible(config0, scenario.admissibility_level)
     if not report.ok:
         raise BubbleDynError(f"initial configuration inadmissible: {report.violations}")
+    margin = collision_margin(scenario, config0)
+    if not margin > 0:
+        raise BubbleDynError(f"initial configuration inside the collision threshold "
+                             f"(smallest gap less threshold {margin:.3e})")
     q0, qd0 = state0.packed()
     if scenario.domain_is_bounded:
         flux, ok = volume_flux(config0, qd0)
@@ -245,14 +247,15 @@ def integrate(scenario) -> Trajectory:
             if not report.ok:
                 return poison(f"state not admissible: {report.violations}")
             qdd = _acceleration(scenario, mass_at(scenario, config), qd)
-        except (DegenerateShapeError, DiscretizationError, np.linalg.LinAlgError) as exc:
+        except (DegenerateShapeError, DiscretizationError, IllPosedProblemError,
+                np.linalg.LinAlgError) as exc:
             return poison(f"{type(exc).__name__}: {exc}")
         return np.concatenate([qd, qdd])
 
     def ev_collision(t, y):
         q, _ = split(y)
         try:
-            return _gap_margin(scenario, config_from_params(config0, q))
+            return collision_margin(scenario, config_from_params(config0, q))
         except DegenerateShapeError:
             return -1.0
 

@@ -165,9 +165,8 @@ def surface_panels(mesh) -> PanelGeometry:
     """Panel data of one surface."""
     corners = np.stack(mesh.triangle_corners())
     ends = corners[[1, 2, 0]]          # edges p0p1, p1p2, p2p0 run corners -> ends
-    p0, p1, p2 = corners
-    cross12 = _cross(p1 - p0, p2 - p0)
-    nh = cross12 / np.linalg.norm(cross12, axis=1)[:, None]
+    p0 = corners[0]
+    nh = mesh.normal
     edge_cross = _cross(corners, ends)
     c01, c12, c20 = edge_cross
     edges = ends - corners

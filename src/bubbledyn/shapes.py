@@ -171,8 +171,8 @@ class SphereParams:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.center.shape != (3,):
-            raise DegenerateShapeError("sphere center must be a 3-vector")
+        if self.center.shape != (3,) or not np.isfinite(self.center).all():
+            raise DegenerateShapeError("sphere center must be a finite 3-vector")
         if not np.isfinite(self.radius) or self.radius <= 0.0:
             raise DegenerateShapeError(f"sphere radius must be > 0, got {self.radius}")
 
@@ -202,8 +202,9 @@ class EllipsoidParams:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         S = np.asarray(self.shape_matrix, dtype=float)
-        if self.center.shape != (3,) or S.shape != (3, 3):
-            raise DegenerateShapeError("ellipsoid needs 3-vector center and 3x3 matrix")
+        if (self.center.shape != (3,) or S.shape != (3, 3)
+                or not (np.isfinite(self.center).all() and np.isfinite(S).all())):
+            raise DegenerateShapeError("ellipsoid needs finite 3-vector center and 3x3 matrix")
         asym = np.linalg.norm(S - S.T)
         if asym > 1e-8 * max(1.0, np.linalg.norm(S)):
             raise DegenerateShapeError(f"shape matrix not symmetric (|S - S^T| = {asym:.2e})")
@@ -254,8 +255,10 @@ class CavitySphere:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0.0:
-            raise DegenerateShapeError("cavity radius must be > 0")
+        if self.center.shape != (3,) or not np.isfinite(self.center).all():
+            raise DegenerateShapeError("cavity center must be a finite 3-vector")
+        if not np.isfinite(self.radius) or self.radius <= 0.0:
+            raise DegenerateShapeError(f"cavity radius must be > 0, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -735,7 +738,7 @@ def _wall_gap(domain: Domain, bubble: ShapeParams, level: int = 2) -> float:
                          - bubble.radius)
         mesh = surface_mesh(bubble, level)
         d = np.linalg.norm(mesh.quad_points - domain.center, axis=1)
-        return float(domain.radius - d.max())
+        return float(domain.radius - d.max() - mesh.covering_radius())
     if isinstance(domain, CavityMesh):
         wall = wall_mesh(domain, level)
         mesh = surface_mesh(bubble, level)

@@ -284,6 +284,26 @@ class TestRun:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("speed", [0.3, -0.3], ids=["separating", "approaching"])
+    def test_start_inside_the_collision_threshold_exits_2(self, tmp_path, capsys, speed):
+        doc = equilibrium_doc(time={"t_end": 0.01, "output_dt": 0.005})
+        doc["bubbles"] = [dict(doc["bubbles"][0],
+                               shape={"type": "sphere", "center": [sign * 1.005, 0.0, 0.0],
+                                      "radius": 1.0},
+                               velocity={"center": [sign * speed, 0.0, 0.0], "radius": 0.0})
+                          for sign in (-1.0, 1.0)]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bubbles" in err and "collision threshold" in err
+        assert not out.exists()
+        # check names the margin: the gap 0.01 less the threshold 0.02
+        assert main(["check", "--scenario", path]) == 0
+        assert "collision margin: VIOLATION (smallest gap less threshold -0.01;" in (
+            capsys.readouterr().out)
+
+
 class TestCheck:
     def test_reports_minnaert_and_equilibrium(self, tmp_path, capsys):
         path = write_scenario(tmp_path, equilibrium_doc())

@@ -12,7 +12,7 @@ import bubbledyn
 from bubbledyn import _blas, dynamics, potential as pot, shapes
 from bubbledyn.cli import write_trajectory_csv
 from bubbledyn.dynamics import boundary_residual, eom_rhs, integrate, kelvin_impulse
-from bubbledyn.errors import (BubbleDynError, CompatibilityError,
+from bubbledyn.errors import (BubbleDynError, CompatibilityError, IllPosedProblemError,
                               UnsupportedConfigurationError)
 from bubbledyn.reference import SingleBubbleState, closed_form_rhs
 from bubbledyn.scenario import parse_scenario, scenario_from_dict
@@ -54,6 +54,22 @@ def cavity_doc(level=1, t_end=0.2, rel_tol=1e-9, abs_tol=1e-11, vr=0.25,
         "solver": {"mesh_level": level, "wall_level": level,
                    "rel_tol": rel_tol, "abs_tol": abs_tol},
         "time": {"t_end": t_end, "output_dt": t_end / 4}}
+
+
+def close_pair_doc(speed):
+    """Two unit spheres 0.01 apart, inside the default collision threshold
+    (0.02), each moving away from the other at ``speed`` (towards it when
+    negative)."""
+    return {
+        "liquid": {"density": 1.0, "p_infinity": 1.0},
+        "domain": {"type": "unbounded"},
+        "bubbles": [
+            {"shape": {"type": "sphere", "center": [sign * 1.005, 0, 0], "radius": 1.0},
+             "velocity": {"center": [sign * speed, 0, 0], "radius": 0.0},
+             "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS}
+            for sign in (-1.0, 1.0)],
+        "solver": {"mesh_level": 0},
+        "time": {"t_end": 0.01, "output_dt": 0.005}}
 
 
 class TestConstraintBasis:
@@ -255,6 +271,30 @@ class TestIntegrate:
         stats = traj.stats
         assert stats["n_rejected"] > 0
         assert stats["n_rhs"] == 1 + 6 * (stats["n_steps"] + stats["n_rejected"])
+
+    @pytest.mark.parametrize("speed", [0.3, -0.3], ids=["separating", "approaching"])
+    def test_start_inside_the_collision_threshold_raises(self, speed):
+        # the collision event fires on a sign change only: a separating pair
+        # would end in a "collision" as its gap grows out through the
+        # threshold, an approaching one would step ever smaller toward contact
+        with pytest.raises(BubbleDynError, match="collision threshold"):
+            integrate(scenario_from_dict(close_pair_doc(speed)))
+
+    def test_ill_posed_trial_solve_is_poisoned(self, monkeypatch):
+        calls, plain = [0], dynamics.mass_at
+
+        def failing(scenario, config):
+            calls[0] += 1
+            if calls[0] == 3:                  # a stage of the first trial step
+                raise IllPosedProblemError("collocation solve produced non-finite density")
+            return plain(scenario, config)
+
+        monkeypatch.setattr(dynamics, "mass_at", failing)
+        traj = integrate(scenario_from_dict(sphere_doc(vr=0.05, level=0, t_end=0.2,
+                                                       output_dt=0.1)))
+        assert traj.termination == "completed"
+        assert traj.stats["n_poisoned"] >= 1
+        assert traj.stats["last_poison"].startswith("IllPosedProblemError:")
 
     def test_one_added_mass_per_state(self, monkeypatch):
         # every RHS call and every output row assembles its state once; a

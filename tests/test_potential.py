@@ -986,16 +986,19 @@ class TestPanelData:
         # affine fields and as the panel corners move by linear maps (the
         # lift held), against central differences of the blocks of moved
         # points and of moved mesh vertices (a mesh's panel lift reads its
-        # stored flat areas, which a moved copy keeps)
+        # stored flat areas, which a moved copy keeps; its flat normals
+        # move with the vertices)
         import dataclasses
         from bubbledyn.potential import _block_rates, _panel_blocks
+        from bubbledyn.shapes import _flat_data
         mesh, x, X, Y, A, v, (G, c) = self.block_motions(11)
         dSX, dKY = _block_rates(x, surface_panels(mesh), X, Y, A, v, (G, c))
         assert dSX.shape == (4, len(x), 3) and dKY.shape == (4, mesh.n_panels, 3)
         h = 1e-6
 
         def contracted(x, vertices):
-            moved = dataclasses.replace(mesh, vertices=vertices)
+            moved = dataclasses.replace(mesh, vertices=vertices,
+                                        normal=_flat_data(vertices, mesh.triangles)[2])
             S, K, _ = _panel_blocks(x, surface_panels(moved), True, True)
             return S @ X, K.T @ Y
 

@@ -7,9 +7,10 @@ from bubbledyn.errors import DegenerateShapeError
 from bubbledyn.shapes import (SLOT_MATRICES, CavitySphere, Configuration,
                               EllipsoidParams, SphereParams, _ellipsoid_area,
                               check_admissible, config_from_params, measures,
-                              normal_velocity, pack_params, slot_sum, surface_mesh,
-                              symmetric_matrix, symmetric_slots, volume_gradient,
-                              volume_hessian, wall_mesh)
+                              normal_velocity, pack_params, reference_icosphere,
+                              slot_sum, surface_mesh, symmetric_matrix,
+                              symmetric_slots, volume_gradient, volume_hessian,
+                              wall_mesh)
 
 
 def mesh_volume(mesh):
@@ -409,6 +410,30 @@ class TestAdmissibility:
             EllipsoidParams(center=[1.9, 0, 0], shape_matrix=np.eye(3))))
         assert not check_admissible(close).ok
 
+    @pytest.mark.parametrize("x, level", [(1.05, 1), (1.001, 2)])
+    def test_ellipsoid_tip_through_spherical_wall(self, x, level):
+        # the tip at x + 1 lies 0.05 (0.001) outside the wall of radius 2
+        config = Configuration(
+            bubbles=(EllipsoidParams(center=[x, 0, 0], shape_matrix=np.diag([1, 0.5, 0.5])),),
+            domain=CavitySphere(center=np.zeros(3), radius=2.0))
+        report = check_admissible(config, level)
+        assert not report.ok
+        assert report.violations[0].kind == "outside-cavity"
+
+    def test_ellipsoid_wall_gap_is_a_lower_bound(self):
+        rng = np.random.default_rng(31)
+        sphere = reference_icosphere(5)[0]
+        wall = CavitySphere(center=[0.2, -0.1, 0.3], radius=3.0)
+        for _ in range(4):
+            Q = random_rotation(rng)
+            S = Q @ np.diag(rng.uniform(0.4, 1.2, 3)) @ Q.T
+            center = wall.center + rng.uniform(-0.8, 0.8, 3)
+            farthest = np.linalg.norm(center + sphere @ S - wall.center, axis=1).max()
+            config = Configuration(bubbles=(EllipsoidParams(center=center, shape_matrix=S),),
+                                   domain=wall)
+            for level in (1, 2):
+                assert check_admissible(config, level).min_gap <= wall.radius - farthest
+
 
 class TestParams:
     def test_degenerate_rejected(self):
@@ -419,6 +444,19 @@ class TestParams:
         with pytest.raises(DegenerateShapeError):
             EllipsoidParams(center=np.zeros(3),
                             shape_matrix=np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: SphereParams(center=[np.nan, 0, 0], radius=1.0),
+        lambda: EllipsoidParams(center=[np.inf, 0, 0], shape_matrix=np.eye(3)),
+        lambda: EllipsoidParams(center=np.zeros(3), shape_matrix=np.full((3, 3), np.nan)),
+        lambda: CavitySphere(center=np.zeros(3), radius=np.nan),
+        lambda: CavitySphere(center=np.zeros(3), radius=np.inf),
+        lambda: CavitySphere(center=[0.0, 0.0], radius=1.0),
+    ], ids=["sphere-nan-center", "ellipsoid-inf-center", "ellipsoid-nan-matrix",
+            "cavity-nan-radius", "cavity-inf-radius", "cavity-2-vector-center"])
+    def test_non_finite_or_malformed_parameters_rejected(self, make):
+        with pytest.raises(DegenerateShapeError):
+            make()
 
     def test_pack_roundtrip(self):
         config = Configuration(bubbles=(

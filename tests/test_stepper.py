@@ -5,7 +5,7 @@ times, on the closed-form single-bubble model over one Minnaert period."""
 import numpy as np
 import pytest
 
-from bubbledyn._stepper import TOO_SMALL_STEP, _brentq, solve_ivp
+from bubbledyn._stepper import TOO_SMALL_STEP, _bisect, solve_ivp
 from bubbledyn.gas import BubbleGasState, GasLaw
 from bubbledyn.reference import SingleBubbleState, closed_form_rhs, minnaert_frequency
 
@@ -14,6 +14,7 @@ PERIOD = 2 * np.pi / minnaert_frequency(GAS, 1.0, 1.0, 1.0)
 Y0 = SingleBubbleState(c=[0.1, -0.2, 0.3], c_dot=[0.2, 0.05, -0.1],
                        r=1.3, r_dot=0.1).pack()
 TOL = {"rtol": 1e-7, "atol": 1e-9, "first_step": 1e-3 * PERIOD}
+EPS = np.finfo(float).eps
 
 
 def bubble(t, y):
@@ -98,17 +99,34 @@ def test_terminal_event_time_matches_brentq():
     assert abs(shrunk(a.t[-1], a.sol(a.t[-1]))) < 1e-12
 
 
-def test_brentq_port_matches_scipy():
+def test_bisection_roots_match_brentq():
     from scipy.optimize import brentq
-    eps = np.finfo(float).eps
     for f, lo, hi in ((lambda x: np.cos(x) - x, 0.0, 1.0),
                       (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
                       (lambda x: np.exp(x) - 1e-3, -10.0, 0.0),
                       (lambda x: np.tanh(20 * (x - 0.3)), 0.0, 1.0)):
-        assert _brentq(f, lo, hi) == brentq(f, lo, hi, xtol=4 * eps, rtol=4 * eps)
-    # a triple root defeats both within their 100 iterations
-    for search in (_brentq, lambda *a: brentq(*a, xtol=4 * eps, rtol=4 * eps)):
-        with pytest.raises(RuntimeError):
-            search(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            search(lambda x: 1.0 + x * x, -1.0, 1.0)
+        x = _bisect(f, lo, hi)
+        assert abs(x - brentq(f, lo, hi, xtol=4 * EPS, rtol=4 * EPS)) <= 4 * EPS * (1 + abs(x))
+
+
+def test_bisection_converges_on_a_triple_root():
+    # Brent's method (and scipy's brentq) do not converge here in 100 iterations
+    x = _bisect(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
+    assert abs(x - 0.3) <= 4 * EPS * (1 + 0.3)
+    assert _bisect(lambda x: x - 0.25, 0.0, 0.25) == 0.25     # an exact zero at an end
+
+
+def test_triple_root_event_stops_where_the_simple_root_does():
+    def simple(t, y):
+        return y[3] - 1.1
+
+    def cubed(t, y):
+        return (y[3] - 1.1) ** 3
+
+    stops = []
+    for event in (simple, cubed):
+        res = solve_ivp(bubble, (0.0, PERIOD), Y0, events=[event], **TOL)
+        assert res.status == 1 and len(res.t_events[0]) == 1
+        stops.append(res.t[-1])
+    assert 0 < stops[0] < 0.5 * PERIOD
+    assert stops[1] == stops[0]
