@@ -95,9 +95,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import _blas
+from . import _lapack as sla
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
 from .shapes import (SLOT_MATRICES, SLOTS, CavityMesh, CavitySphere, Configuration,
                      ConstraintBasis, SphereParams, constraint_basis, normal_velocity_basis,
@@ -359,18 +359,19 @@ def _self_blocks(panels: PanelGeometry):
 
 
 class _Factorization:
-    """LU factorization of a collocation matrix with the matrix's 1-norm;
-    the reciprocal condition estimate is computed on first request and
-    kept.  The LU arrays are read-only.  The LU is factored on one BLAS
-    thread wherever it is asked for (inside dynamics.integrate or not), so
-    that a lone sphere's, shared by every later call, has the same bits
-    whoever first asked."""
+    """LU factorization of a collocation matrix with the matrix's 1-norm,
+    by numpy's own OpenBLAS (sla is _lapack, not scipy.linalg); the
+    reciprocal condition estimate is computed on first request and kept.
+    An exactly zero pivot raises IllPosedProblemError.  The LU arrays are
+    read-only.  The LU is factored on one BLAS thread wherever it is asked
+    for (inside dynamics.integrate or not), so that a lone sphere's, shared
+    by every later call, has the same bits whoever first asked."""
 
     def __init__(self, A):
         try:
             with _blas.single_thread():
-                lu, piv = sla.lu_factor(A, check_finite=False)
-        except (ValueError, sla.LinAlgError) as exc:
+                lu, piv = sla.lu_factor(A)
+        except (ValueError, np.linalg.LinAlgError) as exc:
             raise IllPosedProblemError(f"collocation matrix factorization failed: {exc}")
         lu.setflags(write=False)
         piv.setflags(write=False)
@@ -381,9 +382,7 @@ class _Factorization:
     def rcond(self) -> float:
         # threads asking at once may each compute it: the same value
         if self._rcond is None:
-            gecon = sla.get_lapack_funcs(("gecon",), (self.lu[0],))[0]
-            rc, _ = gecon(self.lu[0], self.anorm, norm="1")
-            self._rcond = float(rc)
+            self._rcond = sla.rcond(self.lu[0], self.anorm)
         return self._rcond
 
 
@@ -513,7 +512,7 @@ class _Assembly:
             # constant shift to exact discrete compatibility (O(h^2) data
             # perturbation, keeps the near-null mode out of the LU solution)
             rhs = rhs - flux[None, :] / w.sum()
-        q = sla.lu_solve(lu.lu, rhs, check_finite=False)
+        q = sla.lu_solve(lu.lu, rhs)
         if not np.all(np.isfinite(q)):
             raise IllPosedProblemError("collocation solve produced non-finite density",
                                        condition=1.0 / max(lu.rcond(), 1e-300))
@@ -653,10 +652,12 @@ def _direction_data(config, meshes, directions):
     are the columns of ``directions`` (p, n): the block-diagonal
     normal-velocity basis of the bubbles times ``directions``, zero on the
     wall."""
-    basis = sla.block_diag(*(normal_velocity_basis(b, m.quad_points, m.quad_normals)
-                             for b, m in zip(config.bubbles, meshes)))
     G = np.zeros((sum(m.n_panels for m in meshes), directions.shape[1]))
-    G[:len(basis)] = basis @ directions
+    row = col = 0
+    for b, m in zip(config.bubbles, meshes):
+        block = normal_velocity_basis(b, m.quad_points, m.quad_normals)
+        G[row:row + block.shape[0]] = block @ directions[col:col + block.shape[1]]
+        row, col = row + block.shape[0], col + block.shape[1]
     return G
 
 
@@ -1010,7 +1011,7 @@ def _potential_rates(mass: AddedMassMatrix):
     dPhi = dSX
     if rhs.any():  # a lone unbounded sphere's is zero
         dX = sla.lu_solve(asm.factorization().lu,
-                          rhs.transpose(1, 0, 2).reshape(len(w), -1), check_finite=False)
+                          rhs.transpose(1, 0, 2).reshape(len(w), -1))
         if not np.all(np.isfinite(dX)):
             raise IllPosedProblemError("added-mass Jacobian solve produced non-finite values")
         dPhi = dSX + (asm.S @ dX).reshape(len(w), p, p).transpose(1, 0, 2)

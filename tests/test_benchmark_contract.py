@@ -17,7 +17,8 @@ WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 SCENARIO = os.path.join(os.path.dirname(PERFBENCH), "scenarios", "single_bubble.json")
 
 # what tracing.install rebinds besides TARGETS: the LU routines potential
-# calls through its scipy.linalg alias, and the integrator dynamics hands
+# calls through its alias ``sla`` (the package's _lapack, which keeps
+# scipy.linalg's lu_factor / lu_solve names), and the integrator dynamics hands
 # the RHS to, the package's own stepper (_stepper.solve_ivp), which takes
 # the RHS first as scipy's solve_ivp does (module, name as the module
 # calls it)

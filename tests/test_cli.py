@@ -40,17 +40,30 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
-def test_solver_imports_no_scipy_integrate_or_special():
-    # numpy and scipy.linalg are the solver's whole import graph: the
-    # stepper and the ellipsoid area are the package's own, and the
-    # reference oracle imports scipy.integrate only when it runs
+def test_solver_imports_no_scipy():
+    # numpy is the solver's whole import graph: the stepper, the ellipsoid
+    # area and the LAPACK routines (from numpy's own OpenBLAS) are the
+    # package's own, and the reference oracle imports scipy.integrate only
+    # when it runs
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bubbledyn.__file__).parents[1])}
     code = ("import sys, bubbledyn.cli, bubbledyn.reference; "
-            "print(' '.join(m for m in ('scipy.integrate', 'scipy.special', "
-            "'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.split() == []
+
+
+def test_run_loads_one_openblas(tmp_path):
+    # a run's process maps numpy's OpenBLAS and no other (skipped where
+    # none is found: numpy on another BLAS, or no /proc)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bubbledyn.__file__).parents[1])}
+    subprocess.run([sys.executable, "-m", "bubbledyn.cli", "run", "--scenario",
+                    write_scenario(tmp_path, equilibrium_doc()), "--out", str(tmp_path / "out")],
+                   env=env, check=True, capture_output=True)
+    threads = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["stats"]["blas_threads"]
+    if not threads:
+        pytest.skip("no OpenBLAS found in the process")
+    assert len(threads) == 1
 
 
 def test_public_names_resolve():

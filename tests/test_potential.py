@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bubbledyn
 from bubbledyn import dynamics as dyn
 from bubbledyn.errors import CompatibilityError, IllPosedProblemError
 from bubbledyn.gas import BubbleGasState, GasLaw, potential_energy
@@ -816,6 +822,79 @@ class TestLoneSphereFactorization:
             sys.setswitchinterval(interval)
         assert calls == [80]
         assert all(r is results[0] for r in results)
+
+
+class TestLapack:
+    """The LU, solve and condition estimate come from numpy's own OpenBLAS
+    (bubbledyn._lapack), or from scipy.linalg.lapack where numpy has none;
+    scipy.linalg is the oracle for both."""
+
+    @pytest.fixture(params=["default", "scipy.linalg.lapack"])
+    def lapack(self, request, monkeypatch):
+        from bubbledyn import _lapack
+        if request.param != "default":
+            monkeypatch.setattr(_lapack, "provider", _lapack.scipy_lapack)
+        return _lapack
+
+    def test_matches_scipy_linalg_on_an_ellipsoid_pair(self, lapack):
+        import scipy.linalg
+        from bubbledyn import _blas
+        mass = added_mass(ellipsoid_pair(), 1)
+        A, b = mass.assembly.A, mass.data
+        anorm = np.abs(A).sum(axis=0).max()
+        with _blas.single_thread():
+            lu, piv = lapack.lu_factor(A)
+            ref = scipy.linalg.lu_factor(A)
+        x, want = lapack.lu_solve((lu, piv), b), scipy.linalg.lu_solve(ref, b)
+        assert b.shape[1] == len(mass.matrix) and x.shape == b.shape
+        assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+        gecon = scipy.linalg.get_lapack_funcs(("gecon",), (ref[0],))[0]
+        rcond = gecon(ref[0], anorm, norm="1")[0]
+        assert abs(lapack.rcond(lu, anorm) - rcond) <= 1e-12 * rcond
+        np.testing.assert_array_equal(piv, ref[1])
+        column = lapack.lu_solve((lu, piv), b[:, 0])
+        assert column.shape == (len(A),)
+        assert np.abs(column - want[:, 0]).max() <= 1e-13 * np.abs(want[:, 0]).max()
+
+    def test_malformed_operands_rejected(self, lapack):
+        lu, piv = lapack.lu_factor(np.eye(3) + 0.1)
+        for b in (np.ones(4), np.ones((2, 3))):
+            with pytest.raises(ValueError):
+                lapack.lu_solve((lu, piv), b)
+
+    def test_numpy_openblas_chosen_after_scipy(self):
+        # the solver's LU of a fixed matrix comes from numpy's OpenBLAS, not
+        # the scipy.linalg.lapack fallback, and has the same bits whether or
+        # not scipy.linalg (with its own OpenBLAS) was imported first
+        code = ("import hashlib; {}import numpy as np; "
+                "from bubbledyn import _blas, _lapack; "
+                "from bubbledyn.potential import _Factorization; "
+                "A = np.random.default_rng(7).standard_normal((160, 160)); "
+                "lu, piv = _Factorization(A).lu; "
+                "print(bool(_blas.mapped()), "
+                "getattr(_lapack.provider().getrf, '__module__', None) == 'bubbledyn._lapack', "
+                "hashlib.sha256(lu.tobytes() + piv.tobytes()).hexdigest())")
+        outs = [_run_python(code.format(first)).split()
+                for first in ("", "import scipy.linalg; ")]
+        if outs[0][0] != "True":
+            pytest.skip("no OpenBLAS found in the process")
+        assert [out[1] for out in outs] == ["True", "True"]
+        assert outs[0][2] == outs[1][2]
+
+    def test_exactly_singular_matrix_is_ill_posed(self):
+        from bubbledyn.potential import _Factorization
+        A = np.eye(4)
+        A[3] = A[2]
+        with pytest.raises(IllPosedProblemError, match="exactly singular"):
+            _Factorization(A)
+
+
+def _run_python(code):
+    """stdout of ``python -c code`` in a fresh process that imports this
+    checkout's bubbledyn."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bubbledyn.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def _reference_panel_blocks(x, mesh, want_single, want_double, want_grad=False):
