@@ -12,6 +12,11 @@ where scipy's OpenBLAS was loaded first, and its threads are the ones
 ``_blas.single_thread`` sets.  Where numpy links another LAPACK (MKL,
 Accelerate) or /proc/self/maps cannot be read, the same three routines
 come from scipy.linalg.lapack, imported only then.
+
+dgecon gets work arrays aligned to 64 bytes, so that the estimate of one
+LU has the same bits whatever the heap held before the call.  The
+scipy.linalg.lapack fallback allocates its own work array, and there
+the estimate can still differ in its last bits between calls.
 """
 
 from __future__ import annotations
@@ -41,6 +46,18 @@ class Lapack(NamedTuple):
     getrf: Callable
     getrs: Callable
     gecon: Callable
+
+
+def _aligned(n, dtype):
+    """An empty array of ``n`` items whose data starts on a 64-byte
+    boundary.  OpenBLAS's kernels sum in an order that depends on the
+    alignment of the arrays they are given: with dgecon's work array as
+    the heap left it, the estimate for one LU moved in its last bit from
+    call to call."""
+    size = n * np.dtype(dtype).itemsize
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype)
 
 
 def _openblas(lib, prefix, suffix, fint) -> Lapack:
@@ -91,7 +108,7 @@ def _openblas(lib, prefix, suffix, fint) -> Lapack:
     def gecon(lu, anorm):
         lu, n = square(lu)
         rcond, info = ctypes.c_double(), fint()
-        work, iwork = np.empty(4 * n), np.empty(n, dtype=fint)
+        work, iwork = _aligned(4 * n, np.float64), _aligned(n, fint)
         dgecon(b"1", ref(fint(n)), lu.ctypes.data, ref(fint(max(1, n))),
                ref(ctypes.c_double(anorm)), ref(rcond), work.ctypes.data,
                iwork.ctypes.data, ref(info), 1)

@@ -340,10 +340,8 @@ def _potential_rate(mass, velocity, acceleration):
         L = (rate[3] / bubble.radius * np.eye(3) if isinstance(bubble, SphereParams)
              else symmetric_matrix(rate[3:]) @ np.linalg.inv(bubble.shape_matrix))
         V.append(rate[:3] + (mesh.quad_points - bubble.center) @ L.T)
-    u = B.T @ velocity
-    grad, imposed = pot._surface_gradients(mass.assembly, (mass.density @ u)[:, None],
-                                           (mass.data[:n] @ u)[:, None], config.n_bubbles)
-    return moving - np.einsum('mk,mk->m', np.concatenate(V), grad[:, :, 0]), imposed[:, :, 0]
+    grad, imposed = pot._basis_gradients(mass, B.T @ velocity)
+    return moving - np.einsum('mk,mk->m', np.concatenate(V), grad), imposed
 
 
 def boundary_residual(scenario, state: State, mass, acceleration) -> float:

@@ -44,6 +44,14 @@ behind a surface, the assembly reads from its mesh (SurfaceMesh.shape):
   factorization is kept with the unit pair and serves every lone sphere
   of the level, whether its added mass or a solve_neumann asks: one
   factorization per level in a one-sphere run.
+* A lone sphere's solution for its four parameter rates is the unit
+  sphere's, scaled: the data [n, 1] has the same bits, so the density is
+  the unit's, the potential is the radius times the unit's, and the
+  surface gradient is scale-free.  The unit sphere keeps that basis
+  solution, built by one solve and one gradient pass per level
+  (_UnitSphere.basis), so a lone sphere's added mass, Jacobian and
+  boundary-residual sample take O(N) work and form no N x N array; its
+  assembly holds no S.
 
 Every block integrates over the panels of one surface, and the terms of
 the flat-panel integrals that depend on those panels alone (corner dots
@@ -85,7 +93,8 @@ solution for the basis velocities' data with their Gram matrix added.
 evaluate reads a solution off the surfaces through the same exact panel
 integrals, one pass per surface (_field), so it holds next to them;
 surface_gradient and the boundary residual impose the normal data on that
-pass by one formula (_surface_gradients).
+pass by one formula (_impose), and a lone sphere's residual on the unit
+sphere's gradient (_basis_gradients).
 """
 
 from __future__ import annotations
@@ -93,6 +102,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,24 +396,57 @@ class _Factorization:
         return self._rcond
 
 
+_UNIT_BUBBLE = SphereParams(center=np.zeros(3), radius=1.0)
+
+
+class _UnitBasis(NamedTuple):
+    """The unit sphere's solution for the data of its four parameter
+    rates (centre, then radius), each array (N, 4) or (N, 3, 4) with one
+    column per rate and read-only."""
+
+    data: np.ndarray       # G = [n, 1], the normal velocities
+    density: np.ndarray    # X = A^-1 G
+    potential: np.ndarray  # S X
+    gradient: np.ndarray   # (N, 3, 4) raw fluid-side gradient of S X at the points
+
+
 class _UnitSphere:
     """Read-only self-blocks (A, S) of the unit sphere at the origin at one
-    level and orientation, and the factorization of A, built on first use.
-    A lone sphere's collocation matrix is this A itself."""
+    level and orientation, and the factorization of A and (a bubble's)
+    basis solution, each built on first use.  A lone sphere's collocation
+    matrix is this A itself."""
 
     def __init__(self, level: int, wall: bool):
         unit = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
-                else surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level))
+                else surface_mesh(_UNIT_BUBBLE, level))
+        self.level = level
         self.A, self.S = _self_blocks(surface_panels(unit))
         self.A.setflags(write=False)
         self.S.setflags(write=False)
-        self._lu = None
+        self._lu = self._basis = None
 
     def factorization(self) -> _Factorization:
         with _UNIT_SPHERE_LOCK:
             if self._lu is None:
                 self._lu = _Factorization(self.A)
         return self._lu
+
+    def basis(self) -> _UnitBasis:
+        """The basis solution of a bubble, built on first use by one solve
+        and one gradient pass over the unit's panel data, which is built
+        again here rather than kept.  It is built on one BLAS thread, as
+        the LU is, so that it has the same bits whoever first asked."""
+        lu = self.factorization()
+        with _UNIT_SPHERE_LOCK:
+            if self._basis is None:
+                panels = surface_panels(surface_mesh(_UNIT_BUBBLE, self.level))
+                G = normal_velocity_basis(_UNIT_BUBBLE, panels.points, panels.normals)
+                with _blas.single_thread():
+                    X = sla.lu_solve(lu.lu, G)
+                    _, _, grad = _blocked(panels.points, panels, want_single=False,
+                                          want_double=False, density=X)
+                    self._basis = _UnitBasis(*map(_frozen, (G, X, self.S @ X, grad)))
+        return self._basis
 
 
 _UNIT_SPHERE_BLOCKS = {}
@@ -429,11 +472,13 @@ class _Assembly:
     shape behind each surface is its mesh's ``shape``.
 
     ``blocks`` holds each surface's slice of the rows and columns.  A lone
-    sphere (one surface, a spherical bubble) is its unit sphere's
-    self-blocks: A is the cached unit-sphere A itself, S is r S_unit, and
-    the factorization is the one the cache keeps for that A, so a run
-    factors it once per level.  Its panel data, which no block reads, is
-    built only on request.  Everything is read-only once built.
+    sphere (one surface, a spherical bubble) is its unit sphere scaled by
+    the radius r: A is the cached unit-sphere A itself, and the
+    factorization is the one the cache keeps for that A, so a run factors
+    it once per level.  It holds no S (r S_unit): a solve forms
+    r (S_unit q), and its basis solution (basis_solution) is the unit's,
+    the potential times r.  Its panel data, which nothing of its own
+    reads, is built only on request.  Everything is read-only once built.
     """
 
     def __init__(self, meshes):
@@ -448,8 +493,6 @@ class _Assembly:
         if n == 1 and isinstance(meshes[0].shape, SphereParams):
             self._unit = _unit_sphere_blocks(meshes[0].level, False)
             self.A = self._unit.A
-            self.S = meshes[0].shape.radius * self._unit.S
-            self.S.setflags(write=False)
             return
         self.panels = parts = tuple(surface_panels(m) for m in meshes)
         A = np.empty((offsets[-1], offsets[-1]))
@@ -493,6 +536,20 @@ class _Assembly:
     def rcond(self) -> float:
         return self.factorization().rcond()
 
+    def _check(self, q):
+        """Raise IllPosedProblemError for a non-finite density ``q`` or, in
+        unbounded liquid, a numerically singular collocation matrix."""
+        lu = self.factorization()
+        if not np.all(np.isfinite(q)):
+            raise IllPosedProblemError("collocation solve produced non-finite density",
+                                       condition=1.0 / max(lu.rcond(), 1e-300))
+        if not self.bounded:
+            rc = lu.rcond()
+            if rc < 1e-13:
+                raise IllPosedProblemError(
+                    f"collocation matrix numerically singular (rcond={rc:.2e})",
+                    condition=1.0 / max(rc, 1e-300))
+
     def solve(self, g) -> PotentialSolution:
         """Solve for one or more data vectors (columns of g)."""
         lu = self.factorization()
@@ -513,17 +570,24 @@ class _Assembly:
             # perturbation, keeps the near-null mode out of the LU solution)
             rhs = rhs - flux[None, :] / w.sum()
         q = sla.lu_solve(lu.lu, rhs)
-        if not np.all(np.isfinite(q)):
-            raise IllPosedProblemError("collocation solve produced non-finite density",
-                                       condition=1.0 / max(lu.rcond(), 1e-300))
-        if not self.bounded:
-            rc = lu.rcond()
-            if rc < 1e-13:
-                raise IllPosedProblemError(
-                    f"collocation matrix numerically singular (rcond={rc:.2e})",
-                    condition=1.0 / max(rc, 1e-300))
-        phi = self.S @ q
+        self._check(q)
+        phi = (self.S @ q if self._unit is None
+               else self.meshes[0].shape.radius * (self._unit.S @ q))
         return PotentialSolution(self, *(_frozen(a.reshape(g.shape)) for a in (g, q, phi)))
+
+    def basis_solution(self, config, directions) -> PotentialSolution:
+        """The solution for the data of the packed velocity directions of
+        ``config`` that are the columns of ``directions`` (_direction_data).
+        A lone sphere's directions are its own four rates (B = I), whose
+        solution is its unit sphere's (_UnitSphere.basis) with the
+        potential times the radius: the data [n, 1] has the same bits, and
+        so has the density.  It takes no solve and no N x N product."""
+        if self._unit is None:
+            return self.solve(_direction_data(config, self.meshes, directions))
+        unit = self._unit.basis()
+        self._check(unit.density)
+        return PotentialSolution(self, unit.data, unit.density,
+                                 _frozen(self.meshes[0].shape.radius * unit.potential))
 
 
 def _surfaces(config: Configuration):
@@ -552,9 +616,11 @@ class PotentialSolution:
     def collocation_condition(self) -> float:
         """Condition of the collocation matrix in the 1-norm, as LAPACK's
         estimate (gecon) from the LU factors: an estimate, not the exact
-        condition number, which can differ in its last bits between runs
-        on equal inputs.  It is computed once per factorization, on the
-        first request."""
+        condition number.  It is computed once per factorization, on the
+        first request, and repeats to the bit on equal inputs, since
+        gecon's work arrays are aligned (_lapack); where numpy has no
+        OpenBLAS, the scipy.linalg.lapack fallback allocates its own work
+        array, and the estimate can differ in its last bits between runs."""
         return 1.0 / max(self.assembly.rcond(), 1e-300)
 
 
@@ -583,16 +649,38 @@ def _field(asm: _Assembly, points, density, potential=False):
     return phi, grad
 
 
+def _impose(raw, normals, data):
+    """The gradients ``raw`` (n, 3, p) with their normal part replaced by
+    the Neumann ``data`` (n, p), which it approximates."""
+    normal_part = np.einsum('mkp,mk->mp', raw, normals)
+    return raw + (data - normal_part)[:, None] * normals[:, :, None]
+
+
 def _surface_gradients(asm: _Assembly, density, data, surfaces=None):
     """Fluid-side gradient (n, 3, p) of the single-layer potential of the
     densities (N, p) at the collocation points of the first ``surfaces``
     surfaces of ``asm`` (all by default): raw, and with its normal part
-    replaced by the Neumann ``data`` (n, p) there, which it approximates."""
+    the Neumann ``data`` (n, p) there (_impose)."""
     parts = asm.panels[:surfaces]
-    normals = np.concatenate([part.normals for part in parts])
     _, raw = _field(asm, np.concatenate([part.points for part in parts]), density)
-    normal_part = np.einsum('mkp,mk->mp', raw, normals)
-    return raw, raw + (data - normal_part)[:, None] * normals[:, :, None]
+    return raw, _impose(raw, np.concatenate([part.normals for part in parts]), data)
+
+
+def _basis_gradients(mass: AddedMassMatrix, u):
+    """Fluid-side gradient (n, 3) of the potential of the basis velocity
+    ``u`` of ``mass`` (the solution for the data mass.data @ u) at the
+    bubbles' collocation points: raw, and with its normal part that data.
+    A lone sphere's basis potentials are its unit sphere's times the
+    radius, read at points scaled by it, so their gradient is the unit's
+    (_UnitSphere.basis), applied to ``u`` without a panel pass."""
+    asm, nb = mass.assembly, mass.config.n_bubbles
+    data = (mass.data[:asm.blocks[nb - 1].stop] @ u)[:, None]
+    if asm._unit is None:
+        raw, imposed = _surface_gradients(asm, (mass.density @ u)[:, None], data, nb)
+    else:
+        raw = asm._unit.basis().gradient @ u[:, None]
+        imposed = _impose(raw, asm.meshes[0].quad_normals, data)
+    return raw[:, :, 0], imposed[:, :, 0]
 
 
 def evaluate(solution: PotentialSolution, points):
@@ -710,8 +798,7 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
     """
     asm = _Assembly(configuration_meshes(config, level, wall_level))
     basis = constraint_basis(config)
-    G = _direction_data(config, asm.meshes, basis.matrix)
-    sol = asm.solve(G)
+    sol = asm.basis_solution(config, basis.matrix)
     raw = -liquid_density * (sol.potential.T * asm.weights[None, :]) @ sol.data
     scale = np.abs(raw).max() + 1e-300
     asym = float(np.abs(raw - raw.T).max() / scale)
@@ -938,7 +1025,9 @@ def _potential_rates(mass: AddedMassMatrix):
         blk = blocks[k]
         if isinstance(bubble, SphereParams):
             t, r = sl.start + 3, bubble.radius
-            dSX[t, blk] = asm.S[blk, blk] @ X[blk] / r
+            # S_kk X_k, which is the whole potential S X (B = I) of a lone sphere
+            own = mass.potential if asm._unit is not None else asm.S[blk, blk] @ X[blk]
+            dSX[t, blk] = own / r
             dw[t, blk] = 2.0 * w[blk] / r
             continue
         t = slots[k] = slice(sl.start + 3, sl.stop)

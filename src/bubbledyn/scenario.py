@@ -20,6 +20,10 @@ from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
 SCHEMA_VERSION = 1
 # finest mesh_level, wall_level and convergence level a document may ask for
 MAX_MESH_LEVEL = 6
+# most output rows a document may ask for: a run integrates to t_end first
+# and then assembles one added mass per row, floor(t_end / output_dt) + 1
+# of them (one more for a final time off the grid)
+MAX_OUTPUT_ROWS = 10 ** 6
 
 
 class ScenarioError(BubbleDynError, ValueError):
@@ -231,6 +235,11 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
     _expect(residual_cadence >= 0, "solver.residual_cadence",
             f"must be >= 0, got {residual_cadence}")
     timing = _get(doc, "time", "document", dict)
+    t_end = _number(timing, "t_end", "time", positive=True)
+    output_dt = _number(timing, "output_dt", "time", positive=True)
+    _expect(t_end / output_dt <= MAX_OUTPUT_ROWS - 2, "time.output_dt",
+            f"t_end / output_dt = {t_end / output_dt:.3g} asks for more than "
+            f"{MAX_OUTPUT_ROWS} output rows")
     return Scenario(
         liquid_density=density, p_infinity=p_inf, surface_tension=sigma,
         domain=domain, bubbles=bubbles, mesh_level=mesh_level,
@@ -240,8 +249,7 @@ def scenario_from_dict(doc: dict, base_dir: str = ".") -> Scenario:
         collision_gap_fraction=_number(solver, "collision_gap_fraction", "solver",
                                        default=0.02, positive=True),
         residual_cadence=residual_cadence,
-        t_end=_number(timing, "t_end", "time", positive=True),
-        output_dt=_number(timing, "output_dt", "time", positive=True))
+        t_end=t_end, output_dt=output_dt)
 
 
 def parse_scenario(path: str) -> Scenario:

@@ -464,6 +464,36 @@ class TestResidualCadence:
             scenario_from_dict(doc)
 
 
+class TestOutputRows:
+    def test_too_many_output_rows_rejected_before_any_assembly(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a run integrates to t_end first and then assembles one added mass
+        # per output row: a cadence of 1e-12 over 6 time units asks for
+        # 6e12 rows, which the document check refuses at its field, so that
+        # check and run exit 2 before anything is meshed or assembled
+        import bubbledyn.potential as pot_mod
+        from bubbledyn.scenario import MAX_OUTPUT_ROWS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled a scenario that should be refused")
+
+        monkeypatch.setattr(pot_mod, "_Assembly", refuse)
+        for dt in (1e-12, 6.0 / (MAX_OUTPUT_ROWS - 1)):
+            doc = equilibrium_doc(time={"t_end": 6.0, "output_dt": dt})
+            with pytest.raises(ScenarioError, match=r"time\.output_dt"):
+                scenario_from_dict(doc)
+            path = write_scenario(tmp_path, doc)
+            for argv in (["check", "--scenario", path],
+                         ["run", "--scenario", path, "--out", str(tmp_path / "out")]):
+                assert main(argv) == 2
+                assert "time.output_dt" in capsys.readouterr().err
+        # floor(t_end / output_dt) + 1 rows and one for a final time off
+        # the grid: MAX_OUTPUT_ROWS at most
+        largest = scenario_from_dict(equilibrium_doc(
+            time={"t_end": float(MAX_OUTPUT_ROWS - 2), "output_dt": 1.0}))
+        assert largest.t_end / largest.output_dt + 2 == MAX_OUTPUT_ROWS
+
+
 class TestDegenerateWall:
     def test_degenerate_wall_triangles_rejected(self):
         from bubbledyn.errors import DegenerateShapeError
