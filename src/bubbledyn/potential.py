@@ -39,7 +39,11 @@ behind a surface, the assembly reads from its mesh (SurfaceMesh.shape):
   except for S, which scales with the length.  A sphere's (or spherical
   wall's) self-blocks are therefore those of the unit sphere of the same
   level and orientation, with S times the radius; the unit pair is
-  computed once per (level, orientation) and kept read-only.
+  computed once per (level, orientation) and kept read-only.  They are
+  invariant under the 60 rotations that map the icosphere onto itself
+  (shapes.icosphere_symmetry), so their rows are computed at one panel
+  per orbit (22 of 1280 at level 3) and the others filled in by the
+  rotations' panel permutations (_self_blocks).
 * A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
   factorization is kept with the unit pair and serves every lone sphere
   of the level, whether its added mass or a solve_neumann asks: one
@@ -48,10 +52,10 @@ behind a surface, the assembly reads from its mesh (SurfaceMesh.shape):
   sphere's, scaled: the data [n, 1] has the same bits, so the density is
   the unit's, the potential is the radius times the unit's, and the
   surface gradient is scale-free.  The unit sphere keeps that basis
-  solution, built by one solve and one gradient pass per level
-  (_UnitSphere.basis), so a lone sphere's added mass, Jacobian and
-  boundary-residual sample take O(N) work and form no N x N array; its
-  assembly holds no S.
+  solution, built by one solve and one gradient pass per level, the pass
+  again at one panel per orbit (_UnitSphere.basis), so a lone sphere's
+  added mass, Jacobian and boundary-residual sample take O(N) work and
+  form no N x N array; its assembly holds no S.
 
 Every block integrates over the panels of one surface, and the terms of
 the flat-panel integrals that depend on those panels alone (corner dots
@@ -110,8 +114,9 @@ from . import _blas
 from . import _lapack as sla
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
 from .shapes import (SLOT_MATRICES, SLOTS, CavityMesh, CavitySphere, Configuration,
-                     ConstraintBasis, SphereParams, constraint_basis, normal_velocity_basis,
-                     slot_sum, surface_mesh, volume_gradient, volume_hessian, wall_mesh)
+                     ConstraintBasis, MeshSymmetry, SphereParams, constraint_basis,
+                     icosphere_symmetry, normal_velocity_basis, slot_sum, surface_mesh,
+                     trivial_symmetry, volume_gradient, volume_hessian, wall_mesh)
 
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
@@ -345,24 +350,45 @@ def _blocked(x, geom, moments=None, **kw):
                  else np.concatenate(parts, axis=0) for k, parts in enumerate(zip(*outs)))
 
 
-def _self_blocks(panels: PanelGeometry):
-    """Own-surface blocks (1/2 I + K', S) of one surface, from its panel
-    data.
+def _fill(rows, symmetry: MeshSymmetry):
+    """The (N, N) block invariant under ``symmetry`` whose rows at its
+    representatives are ``rows`` (R, N): row r carried by g is row
+    perm[g, r], its entry c entry perm[g, c], with the one g per row that
+    ``symmetry.element`` names.  Each row is gathered from its
+    representative's, so each entry is written once."""
+    inverse = np.argsort(symmetry.perm, axis=1)  # inverse[g, perm[g, c]] = c
+    return rows.take(inverse[symmetry.element] + rows.shape[1] * symmetry.source[:, None])
 
-    The double-layer block uses the point kernel (whose weighted transpose
-    collapses to the plain adjoint kernel and preserves the sphere's
-    constant-density mode exactly), its diagonal closed by the Gauss row
-    identity.
+
+def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry):
+    """Own-surface blocks (1/2 I + K', S) of one surface, from its panel
+    data and a group of rotations that maps the surface onto itself
+    (shapes.MeshSymmetry).
+
+    The rotation carrying panel i onto panel perm[g, i] carries every
+    point and panel with it, so both blocks are invariant:
+    S[perm_g][:, perm_g] = S, and so is the double layer.  Their rows are
+    computed at one panel per orbit and filled in from those by the
+    permutations (_fill); under the trivial group (shapes.trivial_symmetry)
+    every row is a representative and nothing is filled.  The double-layer
+    block uses the point kernel (whose weighted transpose collapses to the
+    plain adjoint kernel and preserves the sphere's constant-density mode
+    exactly), its diagonal closed by the Gauss row identity.
     """
-    S, _, _ = _blocked(panels.points, panels, want_single=True, want_double=False)
+    reps = symmetry.representatives
     pts, w = panels.points, panels.weights
-    dx = pts[:, None, :] - pts[None, :, :]
+    x = pts[reps]
+    S, _, _ = _blocked(x, panels, want_single=True, want_double=False)
+    dx = x[:, None, :] - pts[None, :, :]
     r = np.linalg.norm(dx, axis=2)
-    np.fill_diagonal(r, 1.0)
+    own = (np.arange(len(reps)), reps)
+    r[own] = 1.0
     K = np.einsum('ijk,jk->ij', -dx, panels.normals) / (4.0 * np.pi * r ** 3)
     K *= w[None, :]
-    np.fill_diagonal(K, 0.0)
-    np.fill_diagonal(K, panels.closure - K.sum(axis=1))
+    K[own] = 0.0
+    K[own] = panels.closure - K.sum(axis=1)
+    if len(reps) < len(pts):
+        S, K = _fill(S, symmetry), _fill(K, symmetry)
     A = K.T * (w[None, :] / w[:, None])
     A[np.diag_indices_from(A)] += 0.5
     return A, S
@@ -414,13 +440,17 @@ class _UnitSphere:
     """Read-only self-blocks (A, S) of the unit sphere at the origin at one
     level and orientation, and the factorization of A and (a bubble's)
     basis solution, each built on first use.  A lone sphere's collocation
-    matrix is this A itself."""
+    matrix is this A itself.  The icosphere's rotation group
+    (shapes.icosphere_symmetry) maps the unit sphere onto itself, so the
+    blocks and the basis gradient take their panel passes at one panel per
+    orbit: 1, 2, 6 and 22 of 20, 80, 320 and 1280 at levels 0-3."""
 
     def __init__(self, level: int, wall: bool):
         unit = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
                 else surface_mesh(_UNIT_BUBBLE, level))
         self.level = level
-        self.A, self.S = _self_blocks(surface_panels(unit))
+        self.symmetry = icosphere_symmetry(level)
+        self.A, self.S = _self_blocks(surface_panels(unit), self.symmetry)
         self.A.setflags(write=False)
         self.S.setflags(write=False)
         self._lu = self._basis = None
@@ -434,17 +464,24 @@ class _UnitSphere:
     def basis(self) -> _UnitBasis:
         """The basis solution of a bubble, built on first use by one solve
         and one gradient pass over the unit's panel data, which is built
-        again here rather than kept.  It is built on one BLAS thread, as
-        the LU is, so that it has the same bits whoever first asked."""
+        again here rather than kept.  The pass is taken at the orbit
+        representatives alone: rotation R carries the data [n, 1] as a
+        vector and a scalar, R^ = diag(R, 1), so the gradient at panel
+        perm[g, r] is R_g grad[r] R^_g^T.  It is built on one BLAS thread,
+        as the LU is, so that it has the same bits whoever first asked."""
         lu = self.factorization()
         with _UNIT_SPHERE_LOCK:
             if self._basis is None:
+                sym = self.symmetry
                 panels = surface_panels(surface_mesh(_UNIT_BUBBLE, self.level))
                 G = normal_velocity_basis(_UNIT_BUBBLE, panels.points, panels.normals)
                 with _blas.single_thread():
                     X = sla.lu_solve(lu.lu, G)
-                    _, _, grad = _blocked(panels.points, panels, want_single=False,
-                                          want_double=False, density=X)
+                    _, _, rows = _blocked(panels.points[sym.representatives], panels,
+                                          want_single=False, want_double=False, density=X)
+                    R = sym.rotations[sym.element]
+                    grad = R @ rows[sym.source]
+                    grad[:, :, :3] = grad[:, :, :3] @ R.transpose(0, 2, 1)
                     self._basis = _UnitBasis(*map(_frozen, (G, X, self.S @ X, grad)))
         return self._basis
 
@@ -515,7 +552,7 @@ class _Assembly:
                 A[blk, blk] = unit.A
                 S[blk, blk] = shape.radius * unit.S
             else:
-                A[blk, blk], S[blk, blk] = _self_blocks(part)
+                A[blk, blk], S[blk, blk] = _self_blocks(part, trivial_symmetry(part.n_panels))
         A.setflags(write=False)
         S.setflags(write=False)
         self.A, self.S = A, S

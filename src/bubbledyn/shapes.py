@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -155,6 +155,77 @@ def _reference_quadrature(level: int):
     omega.setflags(write=False)
     ydir.setflags(write=False)
     return ydir, omega
+
+
+class MeshSymmetry(NamedTuple):
+    """A group of rotations that maps a mesh onto itself, and its action on
+    the panels, all read-only.  Every panel j is
+    perm[element[j], representatives[source[j]]]: one group element per
+    panel, so that a row filled in from its orbit's representative comes
+    from one fixed rotation where several carry the representative onto
+    it (three on an orbit of 20 among 60 rotations)."""
+
+    rotations: np.ndarray        # (G, 3, 3), the identity first
+    perm: np.ndarray             # (G, N): rotation g carries panel i onto perm[g, i]
+    representatives: np.ndarray  # (R,) one panel per orbit, its smallest
+    element: np.ndarray          # (N,) the first g carrying its representative onto j
+    source: np.ndarray           # (N,) index of j's representative in representatives
+
+
+def _mesh_symmetry(rotations, perm) -> MeshSymmetry:
+    """The MeshSymmetry of the group ``rotations`` acting by ``perm``."""
+    orbit_min = perm.min(axis=0)
+    reps, source = np.unique(orbit_min, return_inverse=True)
+    element = np.argmax(perm[:, orbit_min] == np.arange(perm.shape[1]), axis=0)
+    arrays = (rotations, perm, reps, element, source)
+    for a in arrays:
+        a.setflags(write=False)
+    return MeshSymmetry(*arrays)
+
+
+def trivial_symmetry(n_panels: int) -> MeshSymmetry:
+    """The group of the identity alone, for a mesh of ``n_panels`` panels
+    with no symmetry: every panel is its own orbit."""
+    return _mesh_symmetry(np.eye(3)[None], np.arange(n_panels)[None])
+
+
+def _frames(u, v):
+    """Right-handed orthonormal frames (..., 3, 3), by columns: u, the part
+    of v normal to u, and their cross product."""
+    e1 = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    e2 = v - np.sum(v * e1, axis=-1, keepdims=True) * e1
+    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    return np.stack([e1, e2, np.cross(e1, e2)], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def icosphere_symmetry(level: int) -> MeshSymmetry:
+    """The 60 rotations of the icosahedral group, which map the reference
+    icosphere of every level onto itself, and their action on its panels.
+
+    Rotation g = 3 f + k carries corner 0 of face 0 onto corner k of face f
+    and corner 1 onto corner k + 1, so it carries every face i onto some
+    face f with corner 0 on corner s of f (the shift).  Subdivision keeps
+    that action: the corner child k < 3 of i (the child at i's corner k)
+    goes onto child (k + s) mod 3 of f, the centre child onto f's, each
+    with the same shift."""
+    verts, faces = reference_icosphere(0)
+    edges = verts[faces], verts[faces[:, [1, 2, 0]]]
+    frames = _frames(*(e.reshape(-1, 3) for e in edges))
+    rotations = frames @ frames[0].T
+    rotations[0] = np.eye(3)
+    vertex = np.argmax(verts @ rotations.transpose(0, 2, 1) @ verts.T, axis=2)
+    image = vertex[:, faces]                          # (60, 20, 3)
+    keys = (1 << faces).sum(axis=1)                   # a face by its corner set
+    order = np.argsort(keys)
+    perm = order[np.searchsorted(keys[order], (1 << image).sum(axis=2))]
+    shift = np.argmax(faces[perm] == image[..., :1], axis=2)
+    child = np.arange(4)
+    for _ in range(level):
+        moved = np.where(child < 3, (child + shift[..., None]) % 3, 3)
+        perm = (4 * perm[..., None] + moved).reshape(len(perm), -1)
+        shift = np.repeat(shift, 4, axis=1)
+    return _mesh_symmetry(rotations, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +424,10 @@ def config_from_params(config: Configuration, q) -> Configuration:
 class SurfaceMesh:
     """Triangulated bubble or wall surface with solver quadrature data.
 
-    ``centroid``/``area``/``normal`` describe the flat triangles.  The
-    quadrature fields hold the on-surface collocation points, true surface
+    ``centroid``/``area``/``normal`` describe the flat triangles; they are
+    computed from ``vertices`` and ``triangles`` on first read and kept,
+    since the solver reads them of some meshes only.  The quadrature
+    fields hold the on-surface collocation points, true surface
     normals and patch weights used by the boundary-element solver; for
     analytic surfaces the weights are exact patch measures (solid-angle
     based), for ingested wall meshes they fall back to the flat values.
@@ -366,9 +439,6 @@ class SurfaceMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    centroid: np.ndarray
-    area: np.ndarray
-    normal: np.ndarray
     quad_points: np.ndarray
     quad_normals: np.ndarray
     quad_weights: np.ndarray
@@ -379,6 +449,15 @@ class SurfaceMesh:
     @property
     def n_panels(self) -> int:
         return len(self.triangles)
+
+    @functools.cached_property
+    def _flat(self):
+        # threads reading it at once may each compute it: equal data
+        return _flat_data(self.vertices, self.triangles)
+
+    centroid = property(lambda self: self._flat[0])
+    area = property(lambda self: self._flat[1])
+    normal = property(lambda self: self._flat[2])
 
     def triangle_corners(self):
         v, f = self.vertices, self.triangles
@@ -434,9 +513,7 @@ def surface_mesh(shape: ShapeParams, level: int) -> SurfaceMesh:
         qw = omega * np.linalg.det(S) * nrm_len
     else:
         raise TypeError(f"unsupported shape family: {type(shape).__name__}")
-    centroid, area, normal = _flat_data(verts, ref_faces)
-    return SurfaceMesh(vertices=verts, triangles=ref_faces, centroid=centroid,
-                       area=area, normal=normal, quad_points=qpts,
+    return SurfaceMesh(vertices=verts, triangles=ref_faces, quad_points=qpts,
                        quad_normals=qnrm, quad_weights=qw, level=level, closure=0.5,
                        shape=shape)
 
@@ -449,9 +526,7 @@ def wall_mesh(domain: Domain, level: int) -> SurfaceMesh:
         # reversed orientation: flat and quadrature normals point inward
         faces = ref_faces[:, [0, 2, 1]]
         verts = domain.center + domain.radius * ref_verts
-        centroid, area, normal = _flat_data(verts, faces)
-        return SurfaceMesh(vertices=verts, triangles=faces, centroid=centroid,
-                           area=area, normal=normal,
+        return SurfaceMesh(vertices=verts, triangles=faces,
                            quad_points=domain.center + domain.radius * ydir,
                            quad_normals=-ydir,
                            quad_weights=omega * domain.radius ** 2,
@@ -470,8 +545,7 @@ def wall_mesh(domain: Domain, level: int) -> SurfaceMesh:
         if signed_vol > 0.0:
             faces = faces[:, [0, 2, 1]]
             centroid, area, normal = _flat_data(verts, faces)
-        return SurfaceMesh(vertices=verts, triangles=faces, centroid=centroid,
-                           area=area, normal=normal, quad_points=centroid,
+        return SurfaceMesh(vertices=verts, triangles=faces, quad_points=centroid,
                            quad_normals=normal, quad_weights=area,
                            level=-1, closure=-0.5, shape=domain)
     raise TypeError("unbounded domain has no wall mesh")

@@ -1,3 +1,4 @@
+import functools
 import os
 import pathlib
 import subprocess
@@ -18,9 +19,10 @@ from bubbledyn.potential import (AddedMassMatrix, PotentialSolution, _Assembly,
                                  solve_neumann, surface_gradient, surface_panels)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
                               SphereParams, Unbounded, config_from_params,
-                              constraint_basis, normal_velocity, pack_params,
-                              reference_icosphere, surface_mesh, symmetric_matrix,
-                              symmetric_slots, wall_mesh)
+                              constraint_basis, icosphere_symmetry, normal_velocity,
+                              pack_params, reference_icosphere, surface_mesh,
+                              symmetric_matrix, symmetric_slots, trivial_symmetry,
+                              wall_mesh)
 
 
 def unit_sphere_config():
@@ -546,7 +548,7 @@ class TestBlockReuse:
         center, radius = np.array([0.3, -1.2, 0.7]), 1.7
         mesh = (wall_mesh(CavitySphere(center=center, radius=radius), 2) if wall
                 else surface_mesh(SphereParams(center=center, radius=radius), 2))
-        A, S = _self_blocks(surface_panels(mesh))
+        A, S = _self_blocks(surface_panels(mesh), trivial_symmetry(mesh.n_panels))
         unit = _unit_sphere_blocks(2, wall)
         A_unit, S_unit = unit.A, unit.S
         assert not A_unit.flags.writeable and not S_unit.flags.writeable
@@ -741,7 +743,8 @@ class TestLoneSphereFactorization:
         # solve given only another sphere's mesh; the unit sphere's basis
         # solution, one solve and one gradient pass per level (after the
         # pass for the unit's S), serves every added mass and residual
-        # sample, and the other solve reads its S
+        # sample, and the other solve reads its S.  Both passes run over
+        # one panel per orbit of the icosahedral group: 2 at level 1, 1 at 0
         for level in (1, 0):
             traj = dyn.integrate(scenario_from_dict(doc([[0.0, 0.0, 0.0]], level)))
             assert traj.termination == "completed"
@@ -750,7 +753,7 @@ class TestLoneSphereFactorization:
             solve_neumann((mesh,), np.ones(mesh.n_panels))
         assert calls == [80, 20]
         assert solves == [(80, 4), (80, 1), (20, 4), (20, 1)]
-        assert passes == [80, 80, 20, 20]
+        assert passes == [2, 2, 1, 1]
         assert len(assemblies) > 20
         # a sphere pair still factors every assembly once, and assembles once
         # per RHS (its Jacobian is exact) and once per output row (t = 0,
@@ -820,6 +823,7 @@ class TestLoneSphereFactorization:
         assert not hasattr(asm, "S")
         assert mass.data is basis.data and mass.density is basis.density
         assert not built  # nothing of a lone sphere reads panel data
+        assert "_flat" not in vars(asm.meshes[0])  # nor its mesh's flat data
         assert len(asm.panels) == 1 and len(built) == 1 and built[0] is asm.meshes[0]
         lu, piv = asm.factorization().lu
         for a in (lu, piv, asm.A, unit.S, *basis, mass.potential):
@@ -841,23 +845,29 @@ class TestLoneSphereFactorization:
 
     def test_factored_once_under_threads(self, monkeypatch):
         # first use from eight threads released at once, with frequent
-        # switches, half asking for the basis solution first and half for
-        # the LU: a check-then-act race would factor the unit A, or solve
-        # for or pass over its basis, more than once (the first pass builds
-        # the unit's S, with the first assembly)
+        # switches, each assembling its own sphere, then half asking for
+        # the basis solution first and half for the LU: a check-then-act
+        # race would build the unit sphere's symmetry, factor its A, or
+        # solve for or pass over its basis, more than once.  The unit's
+        # two passes (its S, then the basis gradient) run over the two
+        # orbit representatives of level 1
         import sys
         import threading
         from concurrent.futures import ThreadPoolExecutor
-        solves, passes = [], []
+        import bubbledyn.potential as pot_mod
+        import bubbledyn.shapes as shapes_mod
+        solves, passes, symmetries = [], [], []
         calls = self.count_lu(monkeypatch, solves, passes)
-        assemblies = [_Assembly((surface_mesh(SphereParams(center=np.full(3, 0.1 * k),
-                                                           radius=1.0 + 0.1 * k), 1),))
-                      for k in range(8)]
+        build = shapes_mod.icosphere_symmetry.__wrapped__  # uncached
+        monkeypatch.setattr(pot_mod, "icosphere_symmetry",
+                            lambda level: symmetries.append(level) or build(level))
+        meshes = [surface_mesh(SphereParams(center=np.full(3, 0.1 * k), radius=1.0 + 0.1 * k),
+                               1) for k in range(8)]
         start = threading.Barrier(8)
 
         def first_use(k):
-            asm = assemblies[k]
             start.wait(timeout=60)
+            asm = _Assembly((meshes[k],))
             if k % 2:
                 return asm._unit.basis(), asm.factorization()
             lu = asm.factorization()
@@ -870,7 +880,8 @@ class TestLoneSphereFactorization:
                 results = list(pool.map(first_use, range(8), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert calls == [80] and solves == [(80, 4)] and passes == [80, 80]
+        assert symmetries == [1]
+        assert calls == [80] and solves == [(80, 4)] and passes == [2, 2]
         basis, lu = results[0]
         assert all(b is basis and f is lu for b, f in results)
 
@@ -882,7 +893,7 @@ class OwnBlocks(_Assembly):
     def __init__(self, meshes):
         super().__init__(meshes)
         self._unit = None
-        self.A, self.S = _self_blocks(self.panels[0])
+        self.A, self.S = _self_blocks(self.panels[0], trivial_symmetry(len(self.weights)))
 
 
 def general_lone_sphere_mass(config, level, liquid_density=1.0):
@@ -988,6 +999,72 @@ class TestLoneSphereOracle:
         assert solves == [] and passes == []
         n = mass.assembly.meshes[0].n_panels
         assert n == 320 and peak < n * n * 8
+
+
+@functools.lru_cache(maxsize=None)
+def direct_unit_blocks(level, wall):
+    """The unit sphere's panel data and own blocks (A, S) built directly,
+    every row by its own panel pass (the trivial group)."""
+    mesh = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
+            else surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level))
+    panels = surface_panels(mesh)
+    return (panels, *_self_blocks(panels, trivial_symmetry(mesh.n_panels)))
+
+
+class TestUnitSphereSymmetry:
+    """The unit sphere's blocks and basis gradient are computed at one
+    panel per orbit of the icosahedral group and filled in by its
+    permutations; the direct build, every row by its own pass, is the
+    oracle."""
+
+    # the largest invariance defect of the direct S over the 60 rotations,
+    # relative to its largest entry, was 4.4e-15, 1.9e-14 and 8.0e-14 at
+    # levels 1-3 (both orientations), and that of A 4.0e-15: twice that
+    INVARIANCE_BOUNDS = {1: 1e-14, 2: 4e-14, 3: 1.6e-13}
+
+    @pytest.mark.parametrize("wall", [False, True])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_direct_blocks_are_invariant_under_the_group(self, level, wall):
+        _, A, S = direct_unit_blocks(level, wall)
+        for perm in icosphere_symmetry(level).perm:
+            assert rel_diff(S.take(perm, 0).take(perm, 1), S) <= self.INVARIANCE_BOUNDS[level]
+            assert rel_diff(A.take(perm, 0).take(perm, 1), A) <= 1e-14
+        # and the filled blocks agree with the direct ones to the same order
+        unit = _unit_sphere_blocks(level, wall)
+        assert rel_diff(unit.S, S) <= self.INVARIANCE_BOUNDS[level]
+        assert rel_diff(unit.A, A) <= 1e-14
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_basis_matches_a_direct_solve_and_gradient_pass(self, level):
+        # measured: 1.4e-15 (density), 1.3e-15 (potential) and 5.7e-14
+        # (gradient) at level 3
+        from bubbledyn.potential import _blocked
+        panels, A, S = direct_unit_blocks(level, False)
+        basis = _unit_sphere_blocks(level, False).basis()
+        X = np.linalg.solve(A, basis.data)
+        _, _, grad = _blocked(panels.points, panels, want_single=False, want_double=False,
+                              density=X)
+        assert rel_diff(basis.density, X) <= 1e-13
+        assert rel_diff(basis.potential, S @ X) <= 1e-13
+        assert rel_diff(basis.gradient, grad) <= 1e-13
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_lone_sphere_translation_mass_is_isotropic(self, level):
+        # the group acts irreducibly on the translations, so the densities
+        # of the translation data turn as a vector, those of the radius stay
+        # (measured: at most 5.6e-15 relative, level 3), and the translation
+        # block of the added mass is a multiple of I, uncoupled from the
+        # radius (at most 6.6e-16 relative, levels 0-3): all to roundoff
+        sym = icosphere_symmetry(level)
+        X = _unit_sphere_blocks(level, False).basis().density
+        for R, perm in zip(sym.rotations, sym.perm):
+            assert rel_diff(X[perm, :3], X[:, :3] @ R.T) <= 2e-14
+            assert rel_diff(X[perm, 3], X[:, 3]) <= 2e-14
+        M = added_mass(Configuration(bubbles=(SphereParams(center=[0.3, -1.2, 0.7],
+                                                            radius=1.7),)), level).matrix
+        m = np.trace(M[:3, :3]) / 3.0
+        assert np.abs(M[:3, :3] - m * np.eye(3)).max() <= 2e-15 * m
+        assert np.abs(M[:3, 3]).max() <= 2e-15 * M[3, 3]
 
 
 class TestLapack:
@@ -1245,21 +1322,20 @@ class TestPanelData:
         # the contracted rates of S X and K^T Y as the points move along
         # affine fields and as the panel corners move by linear maps (the
         # lift held), against central differences of the blocks of moved
-        # points and of moved mesh vertices (a mesh's panel lift reads its
-        # stored flat areas, which a moved copy keeps; its flat normals
-        # move with the vertices)
+        # points and of moved mesh vertices (a moved mesh's flat areas and
+        # normals move with its vertices; its panel data keeps the lift of
+        # the unmoved mesh)
         import dataclasses
         from bubbledyn.potential import _block_rates, _panel_blocks
-        from bubbledyn.shapes import _flat_data
         mesh, x, X, Y, A, v, (G, c) = self.block_motions(11)
-        dSX, dKY = _block_rates(x, surface_panels(mesh), X, Y, A, v, (G, c))
+        geom = surface_panels(mesh)
+        dSX, dKY = _block_rates(x, geom, X, Y, A, v, (G, c))
         assert dSX.shape == (4, len(x), 3) and dKY.shape == (4, mesh.n_panels, 3)
         h = 1e-6
 
         def contracted(x, vertices):
-            moved = dataclasses.replace(mesh, vertices=vertices,
-                                        normal=_flat_data(vertices, mesh.triangles)[2])
-            S, K, _ = _panel_blocks(x, surface_panels(moved), True, True)
+            moved = surface_panels(dataclasses.replace(mesh, vertices=vertices))
+            S, K, _ = _panel_blocks(x, dataclasses.replace(moved, lift=geom.lift), True, True)
             return S @ X, K.T @ Y
 
         for i in range(2):

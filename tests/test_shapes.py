@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from bubbledyn.errors import DegenerateShapeError
 from bubbledyn.shapes import (SLOT_MATRICES, CavitySphere, Configuration,
                               EllipsoidParams, SphereParams, _ellipsoid_area,
-                              check_admissible, config_from_params, measures,
+                              _reference_quadrature, check_admissible,
+                              config_from_params, icosphere_symmetry, measures,
                               normal_velocity, pack_params, reference_icosphere,
                               slot_sum, surface_mesh, symmetric_matrix,
-                              symmetric_slots, volume_gradient, volume_hessian,
-                              wall_mesh)
+                              symmetric_slots, trivial_symmetry, volume_gradient,
+                              volume_hessian, wall_mesh)
 
 
 def mesh_volume(mesh):
@@ -124,6 +125,39 @@ class TestSurfaceMesh:
         inward = np.einsum('ij,ij->i', wall.centroid, wall.normal)
         assert np.all(inward < 0)
         assert wall.closure == -0.5
+
+
+class TestIcosphereSymmetry:
+    @pytest.mark.parametrize("level, orbits", [(0, 1), (1, 2), (2, 6), (3, 22)])
+    def test_group_and_its_action_on_the_panels(self, level, orbits):
+        sym = icosphere_symmetry(level)
+        R, perm = sym.rotations, sym.perm
+        n = 20 * 4 ** level
+        assert R.shape == (60, 3, 3) and perm.shape == (60, n)
+        assert np.array_equal(R[0], np.eye(3))
+        assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-15
+        assert np.allclose(np.linalg.det(R), 1.0, rtol=0.0, atol=1e-15)
+        assert len(np.unique(np.round(R, 6).reshape(60, -1), axis=0)) == 60
+        assert all(np.array_equal(np.sort(p), np.arange(n)) for p in perm)
+        # rotation g carries the direction of panel i onto that of perm[g, i]
+        ydir = _reference_quadrature(level)[0]
+        assert np.abs(ydir @ R.transpose(0, 2, 1) - ydir[perm]).max() <= 1e-12
+        # one panel per orbit (its smallest), and one group element per
+        # panel, carrying the panel's representative onto it
+        assert len(sym.representatives) == orbits
+        reps = sym.representatives[sym.source]
+        assert np.array_equal(reps, perm.min(axis=0))
+        assert np.array_equal(perm[sym.element, reps], np.arange(n))
+        sizes = np.bincount(sym.source)
+        assert set(sizes) <= {20, 60} and sizes.sum() == n
+        for a in sym:
+            assert not a.flags.writeable
+
+    def test_trivial_group(self):
+        sym = trivial_symmetry(7)
+        assert np.array_equal(sym.representatives, np.arange(7))
+        assert np.array_equal(sym.perm, np.arange(7)[None])
+        assert np.array_equal(sym.rotations, np.eye(3)[None])
 
 
 class TestNormalVelocity:
