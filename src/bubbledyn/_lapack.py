@@ -40,8 +40,10 @@ _FORMS = [(prefix, suffix, ctypes.c_int64 if suffix == "_64_" else ctypes.c_int3
 class Lapack(NamedTuple):
     """dgetrf, dgetrs and dgecon of one provider, called as
     scipy.linalg.lapack calls them: getrf(a) -> (lu, piv, info),
-    getrs(lu, piv, b) -> (x, info), gecon(lu, anorm) -> (rcond, info),
-    with lu in Fortran order, piv zero-based and the 1-norm estimate."""
+    getrs(lu, piv, b, trans=0) -> (x, info), gecon(lu, anorm) ->
+    (rcond, info), with lu in Fortran order, piv zero-based, trans 0 for
+    A x = b and 1 (or 2, the same for real A) for A^T x = b, and the
+    1-norm estimate."""
 
     getrf: Callable
     getrs: Callable
@@ -92,7 +94,9 @@ def _openblas(lib, prefix, suffix, fint) -> Lapack:
         piv -= 1
         return lu, piv, info.value
 
-    def getrs(lu, piv, b):
+    def getrs(lu, piv, b, trans=0):
+        if trans not in (0, 1, 2):
+            raise ValueError(f"trans must be 0, 1 or 2, got {trans!r}")
         lu, n = square(lu)
         ipiv = np.asarray(piv, dtype=fint) + 1
         x = np.array(b, dtype=np.float64, order="F")
@@ -100,7 +104,8 @@ def _openblas(lib, prefix, suffix, fint) -> Lapack:
             raise ValueError(f"LU of order {n} with pivots of shape {ipiv.shape} "
                              f"cannot solve for right-hand sides of shape {x.shape}")
         info = fint()
-        dgetrs(b"N", ref(fint(n)), ref(fint(x.shape[1] if x.ndim == 2 else 1)),
+        dgetrs(b"NTC"[trans:trans + 1], ref(fint(n)),
+               ref(fint(x.shape[1] if x.ndim == 2 else 1)),
                lu.ctypes.data, ref(fint(max(1, n))), ipiv.ctypes.data, x.ctypes.data,
                ref(fint(max(1, n))), ref(info), 1)
         return x, info.value
@@ -166,10 +171,11 @@ def lu_factor(a):
     return lu, piv
 
 
-def lu_solve(lu_and_piv, b):
-    """Solution of A x = b from lu_factor's (lu, piv) of A, shaped as
-    ``b`` (a vector or a matrix of columns)."""
-    x, info = provider().getrs(*lu_and_piv, b)
+def lu_solve(lu_and_piv, b, trans=0):
+    """Solution of A x = b (``trans`` 0) or A^T x = b (1, or 2 as for a
+    complex A^H) from lu_factor's (lu, piv) of A, shaped as ``b`` (a
+    vector or a matrix of columns), as scipy.linalg.lu_solve."""
+    x, info = provider().getrs(*lu_and_piv, b, trans=trans)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x

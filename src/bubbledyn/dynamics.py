@@ -63,26 +63,30 @@ def _potential_energy(scenario, config):
                                     scenario.surface_tension, config)
 
 
-def _ahat_jacobian(A):
-    """Parameter Jacobian of the extended kinetic matrix B A B^T of the
-    added mass ``A``, exact in every column and solved with its LU alone
-    (potential.added_mass_jacobian).
+def _ahat_jacobian(A, qdot):
+    """The contractions of the parameter Jacobian of the extended kinetic
+    matrix B A B^T of the added mass ``A`` with the packed velocity
+    ``qdot`` that the equations of motion read (potential.velocity_rates):
+    (d_q' K) q' and grad_q (1/2 q'^T K q'), exact and solved with its LU
+    alone, with no (p, p, p) tensor formed.
 
     Cavity mode differentiates the basis-extended matrix, which depends on
     the configuration through the projector B B^T; unbounded mode has
     B = I.  A named pass-through so that the benchmark's tracer
-    (perfbench/tracing.py) can time the Jacobian by this name."""
-    return pot.added_mass_jacobian(A)
+    (perfbench/tracing.py) can time the Jacobian's contraction by this
+    name."""
+    return pot.velocity_rates(A, qdot)
 
 
 def _acceleration(scenario, A, qdot):
     """Flat acceleration vector from the (constrained) Euler-Lagrange
-    equations, at the configuration of the added mass ``A``."""
+    equations, at the configuration of the added mass ``A``: the
+    Coriolis force (d_q' K) q' - grad_q (1/2 q'^T K q') from the
+    Jacobian's contractions with the velocity (_ahat_jacobian)."""
     config = A.config
-    dA = _ahat_jacobian(A)
+    rates = _ahat_jacobian(A, qdot)
     pe = _potential_energy(scenario, config)
-    coriolis = (np.einsum('kij,k,j->i', dA, qdot, qdot)
-                - 0.5 * np.einsum('ijk,j,k->i', dA, qdot, qdot))
+    coriolis = rates.tangent - rates.gradient
     force = -coriolis - pe.dU_dm
     if not A.basis.constrained:
         qddot = np.linalg.solve(A.kinetic, force)
@@ -186,7 +190,7 @@ def collision_margin(scenario, config) -> float:
     """Smallest (gap - threshold) over bubble pairs and walls: the collision
     event's value, which a run must start above."""
     worst = np.inf
-    for (i, j), gap in surface_gaps(config, level=1):
+    for (i, j), gap in surface_gaps(config, scenario.admissibility_level):
         other = None if j == -1 else config.bubbles[j]
         worst = min(worst, gap - _collision_threshold(scenario, config.bubbles[i], other))
     return float(worst)
@@ -326,14 +330,15 @@ def _potential_rate(mass, velocity, acceleration):
     imposed data, (n, 3), for the packed ``velocity`` and ``acceleration``
     at the configuration of the added mass ``mass``.  With the density
     x = X q' (X = mass.density B^T), the potential at the points moving
-    with the bubbles is (S X) q', whose rate is sum_t q'_t d_t(S X) q'
-    + (S X) q'' (potential._potential_rates); the frozen points see that
-    minus V . grad(S x), V = c' + L (x - c) the points' velocity (L = r'/r I
-    for a sphere, S' S^-1 for an ellipsoid)."""
+    with the bubbles is (S X) q', whose rate is psi + (S X) q'', with
+    psi = sum_t q'_t d_t(S X) q' the potential of potential.velocity_rates,
+    which the state's acceleration has already taken; the frozen points see
+    that minus V . grad(S x), V = c' + L (x - c) the points' velocity
+    (L = r'/r I for a sphere, S' S^-1 for an ellipsoid)."""
     config, B = mass.config, mass.basis.matrix
     n = mass.assembly.blocks[config.n_bubbles - 1].stop
-    dPhi = mass.rates[0][:, :n]
-    moving = velocity @ (dPhi @ velocity) + (mass.potential @ B.T)[:n] @ acceleration
+    moving = (pot.velocity_rates(mass, velocity).potential[:n]
+              + (mass.potential @ B.T)[:n] @ acceleration)
     V = []
     for bubble, sl, mesh in zip(config.bubbles, config.slices(), mass.assembly.meshes):
         rate = velocity[sl]
@@ -353,7 +358,8 @@ def boundary_residual(scenario, state: State, mass, acceleration) -> float:
     ``acceleration`` its packed (p,) acceleration, as eom_rhs returns it.
 
     The potential's time derivative is exact (_potential_rate), from the
-    rates that ``mass`` keeps for the Jacobian.  In a cavity it holds an undetermined
+    velocity's rates that ``mass`` keeps from the acceleration.  In a
+    cavity it holds an undetermined
     constant, which the projection onto the volume-preserving velocities
     annihilates; the bubbles' mean area then divides all integrals alike.
     """

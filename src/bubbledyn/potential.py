@@ -86,9 +86,17 @@ symmetric tensor T (G : T), and the solid angle's rates the moments of
 its edge terms over the points, so each block takes one kernel pass
 plus products whose width grows with the number of parameters, not with
 the number of slots.  The Jacobian takes the added mass alone and builds
-no mesh.  It contracts the rates of the basis potentials, which the
-added mass keeps once built (AddedMassMatrix.rates), so that the boundary
-residual's exact time derivative of the potential reads the same rates.
+no mesh.
+
+The equations of motion read only two contractions of the Jacobian with
+the velocity v, the tangent (d_v K) v and the gradient
+grad_q (1/2 v^T K v) (velocity_rates), and the boundary residual the
+rate of the potentials along v applied to v.  Those take the same passes
+applied to the one density X v (width one), one solve and one transposed
+solve of one column, and the rows u^T d_v S and z^T d_v M that the passes
+sum in the other order (_Cotangent), so that no (p, N, p) array is
+formed; the added mass keeps them for the last velocity, which a state's
+acceleration and residual share.
 
 Every solve returns a PotentialSolution: the data, the densities and the
 boundary potentials, with the assembly that solved for them.
@@ -205,8 +213,24 @@ def _add_products(out, term, factors, X):
     out += np.matmul(term, factors.T[:, :, None] * X).transpose(1, 0, 2)
 
 
+class _Cotangent(NamedTuple):
+    """Weights that _panel_blocks sums its rate terms against in the other
+    order, over the points where the forward outputs sum over the panels:
+    ``field`` (M, 3) with the gradient terms of ``density``, ``weight``
+    (M,) and ``strain`` (6, on SLOTS) with the tensor terms of ``tensor``,
+    and per panel ``coeffs`` (3, N, J) and ``corner_coeffs`` (3, N, 4) with
+    the moment terms of ``moments`` (F and Fa).  Each pairs with the input
+    named, and None leaves its part out."""
+
+    field: np.ndarray | None = None
+    weight: np.ndarray | None = None
+    strain: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
+    corner_coeffs: np.ndarray | None = None
+
+
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
-                  tensor=None, moments=None, degree=1):
+                  tensor=None, moments=None, degree=1, cotangent=None):
     """Exact flat-panel integrals from points ``x`` over all panels.
 
     Returns (S, K, grad) where S holds integrals of G = -1/(4 pi |x-y|)
@@ -245,6 +269,12 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
       D_e = l_a l_b + d_ab; the corners a and b moving by W_a and W_b
       change the solid angle by -(g_a W_a + g_b W_b).((a - x) x (b - x))
       along the edge, and g_a + g_b = f_e.
+
+    With a ``cotangent`` (_Cotangent) two more follow, the same bilinear
+    forms taken in the other order: per panel (N,), the sum over the points
+    of field . (the grad term) + weight (strain : T), and per point (M,),
+    the sum over the edges and panels of f_e m_j(x) coeffs and
+    g_a m_j(x) corner_coeffs (j < 4).
     """
     p0, p1, p2 = geom.corners
     x = np.asarray(x, dtype=float)
@@ -270,17 +300,30 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
 
     S = grad = T = F = Fa = None
     rates = tensor is not None or moments is not None
+    cot = _Cotangent() if cotangent is None else cotangent
+    panel_sum, point_sum = np.zeros(N), np.zeros(M)
     if want_single or density is not None or rates:
         nh = geom.unit_normal
         scale = -geom.lift / (4.0 * np.pi)
         if want_single:
             I = np.zeros((M, N))
+
+        def gradient_term(term, vectors):
+            _add_products(grad, term, vectors, c)
+            if cot.field is not None:
+                panel_sum[:] += _dot((cot.field.T @ term).T, vectors)
+
+        def tensor_term(term, factors):
+            _add_products(T, term, factors, Xs)
+            if cot.weight is not None:
+                panel_sum[:] += (cot.weight @ term) * (factors @ cot.strain)
+
         if density is not None:
             # grad_x of the panel integral is omega nh - sum_e L_e mhat_e;
             # c carries the density and the lifted kernel constant
             c = np.asarray(density, dtype=float) * scale[:, None]
             grad = np.zeros((M, 3, c.shape[1]))
-            _add_products(grad, omega, nh, c)
+            gradient_term(omega, nh)
         if tensor is not None:
             # the terms of T with their per-panel factors on SLOTS, each
             # applied as soon as it is formed: h omega here, and h L_e,
@@ -289,7 +332,7 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
             h = x @ nh.T - geom.plane_offset[None]
             Xs = np.asarray(tensor, dtype=float) * scale[:, None]
             T = np.zeros((M, 6, Xs.shape[1]))
-            _add_products(T, h * omega, nh[:, k] * nh[:, l], Xs)
+            tensor_term(h * omega, nh[:, k] * nh[:, l])
         if moments is not None:
             Y = np.asarray(moments, dtype=float)
             mono = [np.ones(M), *x.T]
@@ -310,54 +353,72 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
             if want_single:
                 I -= d * L
             if density is not None:
-                _add_products(grad, L, -mhat, c)
+                gradient_term(L, -mhat)
             if tensor is not None:
                 eh = edge / le[:, None]
-                _add_products(T, h * L, -(nh[:, k] * mhat[:, l] + mhat[:, k] * nh[:, l]), Xs)
-                _add_products(T, d * L, -mhat[:, k] * mhat[:, l], Xs)
-                _add_products(T, lb - la, 0.5 * (eh[:, k] * mhat[:, l] + eh[:, l] * mhat[:, k]),
-                              Xs)
+                tensor_term(h * L, -(nh[:, k] * mhat[:, l] + mhat[:, k] * nh[:, l]))
+                tensor_term(d * L, -mhat[:, k] * mhat[:, l])
+                tensor_term(lb - la, 0.5 * (eh[:, k] * mhat[:, l] + eh[:, l] * mhat[:, k]))
             if moments is not None:
                 # 1 / (l_a l_b D_e), times l_a + l_b for f_e and l_b for g_a
                 inv = la * lb
                 inv *= inv + dab
                 np.divide(1.0, inv, out=inv)
-                _add_products(F[e], (ssum * inv).T, mono, Y)
+                f = ssum * inv
+                _add_products(F[e], f.T, mono, Y)
+                if cot.coeffs is not None:
+                    point_sum += _dot(f @ cot.coeffs[e], mono)
                 if tensor is not None:
-                    _add_products(Fa[e], (lb * inv).T, mono[:, :4], Y)
+                    g = lb * inv
+                    _add_products(Fa[e], g.T, mono[:, :4], Y)
+                    if cot.corner_coeffs is not None:
+                        point_sum += _dot(g @ cot.corner_coeffs[e], mono[:, :4])
         if want_single:
             h = x @ nh.T - geom.plane_offset[None]
             I += h * omega
             S = I * (-geom.lift[None] / (4.0 * np.pi))
-    return (S, K, grad, T, F, Fa) if rates else (S, K, grad)
+        panel_sum *= scale
+    if not rates:
+        return S, K, grad
+    return (S, K, grad, T, F, Fa) + (() if cotangent is None else (panel_sum, point_sum))
 
 
-def _blocked(x, geom, moments=None, **kw):
+def _blocked(x, geom, moments=None, cotangent=None, **kw):
     """Row-blocked wrapper around _panel_blocks to bound peak memory: the
-    outputs of the points (S, K, grad, T) are stacked by rows, and the
-    moments, sums over the points, added up.  With rate terms a block
-    holds about twenty (rows, N) arrays, so it has at most
+    outputs of the points (S, K, grad, T, the cotangent's point sums) are
+    stacked by rows, and those of the panels (the moments and the
+    cotangent's panel sums), sums over the points, added up.  With rate
+    terms a block holds about twenty (rows, N) arrays, so it has at most
     _ROW_BLOCK^2 / (16 N) rows."""
     M = len(x)
     rates = moments is not None or kw.get("tensor") is not None
     step = max(1, _ROW_BLOCK ** 2 // (16 * geom.n_panels)) if rates else _ROW_BLOCK
     if M <= step:
-        return _panel_blocks(x, geom, moments=moments, **kw)
-    outs = [_panel_blocks(x[i:i + step], geom,
-                          moments=None if moments is None else moments[i:i + step], **kw)
+        return _panel_blocks(x, geom, moments=moments, cotangent=cotangent, **kw)
+
+    def rows(a, i):
+        return None if a is None else a[i:i + step]
+
+    outs = [_panel_blocks(x[i:i + step], geom, moments=rows(moments, i),
+                          cotangent=None if cotangent is None else cotangent._replace(
+                              field=rows(cotangent.field, i), weight=rows(cotangent.weight, i)),
+                          **kw)
             for i in range(0, M, step)]
-    return tuple(None if parts[0] is None else sum(parts) if k >= 4
+    return tuple(None if parts[0] is None else sum(parts) if k in (4, 5, 6)
                  else np.concatenate(parts, axis=0) for k, parts in enumerate(zip(*outs)))
 
 
-def _fill(rows, symmetry: MeshSymmetry):
-    """The (N, N) block invariant under ``symmetry`` whose rows at its
-    representatives are ``rows`` (R, N): row r carried by g is row
-    perm[g, r], its entry c entry perm[g, c], with the one g per row that
-    ``symmetry.element`` names.  Each row is gathered from its
-    representative's, so each entry is written once."""
+def _fill_index(symmetry: MeshSymmetry):
+    """Flat gather index (N, N) of the blocks invariant under ``symmetry``
+    from their rows at its representatives (R, N): row r carried by g is
+    row perm[g, r], its entry c entry perm[g, c], with the one g per row
+    that ``symmetry.element`` names.  Each row is gathered from its
+    representative's, so each entry is written once; both blocks of a
+    surface share the index."""
     inverse = np.argsort(symmetry.perm, axis=1)  # inverse[g, perm[g, c]] = c
-    return rows.take(inverse[symmetry.element] + rows.shape[1] * symmetry.source[:, None])
+    index = inverse[symmetry.element]
+    index += symmetry.perm.shape[1] * symmetry.source[:, None]
+    return index
 
 
 def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry):
@@ -369,7 +430,7 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry):
     point and panel with it, so both blocks are invariant:
     S[perm_g][:, perm_g] = S, and so is the double layer.  Their rows are
     computed at one panel per orbit and filled in from those by the
-    permutations (_fill); under the trivial group (shapes.trivial_symmetry)
+    permutations (_fill_index); under the trivial group (shapes.trivial_symmetry)
     every row is a representative and nothing is filled.  The double-layer
     block uses the point kernel (whose weighted transpose collapses to the
     plain adjoint kernel and preserves the sphere's constant-density mode
@@ -388,7 +449,8 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry):
     K[own] = 0.0
     K[own] = panels.closure - K.sum(axis=1)
     if len(reps) < len(pts):
-        S, K = _fill(S, symmetry), _fill(K, symmetry)
+        index = _fill_index(symmetry)
+        S, K = S.take(index), K.take(index)
     A = K.T * (w[None, :] / w[:, None])
     A[np.diag_indices_from(A)] += 0.5
     return A, S
@@ -801,6 +863,8 @@ class AddedMassMatrix(PotentialSolution):
     asymmetry: float
     eigenvalues: np.ndarray
     config: Configuration = field(repr=False)
+    # velocity_rates of the last velocity asked
+    _contractions: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def condition(self) -> float:
@@ -812,16 +876,6 @@ class AddedMassMatrix(PotentialSolution):
         the basis matrix, ``matrix`` itself in unbounded liquid (B = I)."""
         B = self.basis.matrix
         return B @ self.matrix @ B.T if self.basis.constrained else self.matrix
-
-    @cached_property
-    def rates(self):
-        """The rates of the basis potentials and of the data the Gram
-        matrix weighs them with, along every parameter slot
-        (_potential_rates; its arrays read-only), built on first use and
-        kept, as the assembly keeps its LU: the Jacobian and the boundary
-        residual of one state share them."""
-        return tuple(_frozen(r) if isinstance(r, np.ndarray) else r
-                     for r in _potential_rates(self))
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
@@ -903,17 +957,31 @@ def _slot_motion(bubble, panels: PanelGeometry) -> _SlotMotion:
                        weights=trace - along, area=trace - _dot(nh @ G, nh))
 
 
-def _edge_coefficients(A, v, geom):
+def _edge_coefficients(A, v, geom, quadratic):
     """Coefficients of V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a)
-    on the monomials of _panel_blocks ``moments`` (1, x_k, then x_k x_l on
-    SLOTS) for the affine point fields V = A x + v, (n, 3, 3) and
-    (n, 3): (n, 3, N, 10) by field, edge a -> b and panel.  The quadratic
-    part is -x^T Q x with the rows Q_l = (b - a) x A e_l."""
+    on the monomials of _panel_blocks ``moments`` (1, x_k, then, if
+    ``quadratic``, x_k x_l on SLOTS) for the affine point fields
+    V = A x + v, (n, 3, 3) and (n, 3): (n, 3, N, 4 or 10) by field, edge
+    a -> b and panel.  The quadratic part is -x^T Q x with the rows
+    Q_l = (b - a) x A e_l, whose slot sums vanish where every A is a
+    multiple of I."""
     ab, D = geom.edge_cross, geom.edge_vector
     const = (ab @ v.T).transpose(2, 0, 1)
     linear = ab @ A[:, None] - _cross(D, v[:, None, None])
+    if not quadratic:
+        return np.concatenate([const[..., None], linear], axis=-1)
     Q = _cross(D[:, :, None], A.transpose(0, 2, 1)[:, None, None])
     return np.concatenate([const[..., None], linear, -slot_sum(Q)], axis=-1)
+
+
+def _corner_coefficients(G, c, geom):
+    """Coefficients (n, 3, N, 4) on the monomials 1, x_k of
+    u.((a - x) x (b - x)) for the constant vectors u = G (y - c) of each
+    edge's ends y = a and y = b, (n, 3, 3) maps G: the pair (Ca, Cb)."""
+    u = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
+    ab, D = geom.edge_cross, geom.edge_vector
+    return tuple(np.concatenate([_dot(ue, ab)[..., None], -_cross(D, ue)], axis=-1)
+                 for ue in (u, u[:, [1, 2, 0]]))
 
 
 def _along(V, grad):
@@ -929,7 +997,7 @@ def _on_panels(C, F):
             @ F.transpose(1, 0, 2, 3).reshape(N, 3 * J, -1)).transpose(1, 0, 2)
 
 
-def _block_rates(x, geom, X, Y, A, v, corners=None):
+def _block_rates(x, geom, X, Y, A, v, corners=None, adjoint=None):
     """Rates of S X and of K^T Y for the block of the points ``x`` over the
     panels ``geom``, X (N, p) the panels' densities and Y (M, p) the
     points' weighted densities: (n, M, p) and (n, N, p), one per motion,
@@ -945,27 +1013,51 @@ def _block_rates(x, geom, X, Y, A, v, corners=None):
     coefficients of the edge terms: _edge_coefficients for the point
     fields, and for the panels the same coefficients of the constant
     vectors u = G (y - c) of each edge's ends, on the moments of g_a and
-    g_b = f_e - g_a, negated."""
-    C = _edge_coefficients(A, v, geom)
-    degree = 2 if C[..., 4:].any() else 1  # x_k x_l only for A not a multiple of I
-    _, _, grad, T, F, Fa = _blocked(x, geom, want_single=False, want_double=False,
-                                    density=X, tensor=None if corners is None else X,
-                                    moments=Y, degree=degree)
+    g_b = f_e - g_a, negated.
+
+    With ``adjoint`` = (u, zeta, kappa, lam) the same pass also gives the
+    transposed rates along the one motion that weighs the point fields by
+    kappa (n',) and the deformations by lam (6,): u^T d S (N,) and
+    d(K^T)^T zeta (M,), for u (M,) on the points and zeta (N,) on the
+    panels.  The motion is one affine field and one map, so the sums over
+    the points take products of width 3 and the moments' of width J."""
+    quadratic = bool(np.any(A != A[:, :1, :1] * np.eye(3)))  # A not a multiple of I
+    C = _edge_coefficients(A, v, geom, quadratic)
+    cotangent = None
+    if adjoint is not None:
+        u, zeta, kappa, lam = adjoint
+        Av, vv = np.tensordot(kappa, A, 1), kappa @ v
+        V = x @ Av.T + vv
+        coeffs = _edge_coefficients(Av[None], vv[None], geom, quadratic)[0]
+        corner_coeffs = strain = None
+        if corners is not None:
+            Gv = np.tensordot(lam, corners[0], 1)
+            V -= (x - corners[1]) @ Gv.T
+            Ca, Cb = (C_[0] for C_ in _corner_coefficients(Gv[None], corners[1], geom))
+            coeffs[..., :4] -= Cb
+            corner_coeffs, strain = Cb - Ca, slot_sum(Gv)
+        lift = zeta * geom.lift / (4.0 * np.pi)
+        cotangent = _Cotangent(field=u[:, None] * V, weight=u, strain=strain,
+                               coeffs=coeffs * lift[:, None],
+                               corner_coeffs=None if corners is None
+                               else corner_coeffs * lift[:, None])
+    out = _blocked(x, geom, want_single=False, want_double=False, density=X,
+                   tensor=None if corners is None else X, moments=Y,
+                   degree=2 if quadratic else 1, cotangent=cotangent)
+    grad, T, F, Fa = out[2:6]
     dS = [_along(x @ A.transpose(0, 2, 1) + v[:, None], grad)]
-    dK = [_on_panels(C[..., :F.shape[2]], F)]
+    dK = [_on_panels(C, F)]
     if corners is not None:
         G, c = corners
         dS.append(np.tensordot(slot_sum(G), T, axes=(1, 1))
                   - _along((x - c) @ G.transpose(0, 2, 1), grad))
-        u = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
-        ab, D = geom.edge_cross, geom.edge_vector
-        Ca, Cb = (np.concatenate([_dot(ue, ab)[..., None], -_cross(D, ue)], axis=-1)
-                  for ue in (u, u[:, [1, 2, 0]]))
+        Ca, Cb = _corner_coefficients(G, c, geom)
         dK.append(-_on_panels(Ca - Cb, Fa) - _on_panels(Cb, F[:, :, :4]))
-    return (np.concatenate(dS), np.concatenate(dK) * (geom.lift / (4.0 * np.pi))[:, None])
+    rates = (np.concatenate(dS), np.concatenate(dK) * (geom.lift / (4.0 * np.pi))[:, None])
+    return rates + tuple(out[6:])
 
 
-def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
+def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, adjoint=None):
     """Rates of an ellipsoid's own block 1/2 I + K' (the point kernel of
     _self_blocks) along its matrix slots, applied to X: (6, N, p).
 
@@ -978,7 +1070,9 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
         dg_ab = (n_a^T G + dn_a^T) d R_ab - (d^T G d) H_ab,
     H_ab = 3 g_ab / r_ab^2: the products of the three matrices d_l R and
     the six d_k d_l H (on SLOTS) with Y = w X, and their weighted column
-    sums, serve all six slots."""
+    sums, serve all six slots.  With ``adjoint`` = (z, s), z (N,) and s
+    the six slots' weights, z^T of the rate along the slots weighted by s
+    follows, (N,): the same matrices contracted with z."""
     pts, n, w = panels.points, panels.normals, panels.weights
     N = len(w)
     d = pts.T[:, :, None] - pts.T[:, None, :]
@@ -1001,34 +1095,34 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X):
     dgY = ((c.transpose(0, 2, 1)[..., None] * RY).sum(axis=1)
            - np.tensordot(slot_sum(G), HY, axes=(1, 0)))
     # w^T dg
-    wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - slot_sum(G) @ (w @ ddH)
-    return dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
+    wH = w @ ddH
+    wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - slot_sum(G) @ wH
+    rates = dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
+    if adjoint is None:
+        return rates
+    z, s = adjoint
+    cs, strain, logw = np.tensordot(s, c, 1).T, s @ slot_sum(G), s @ motion.weights
+    zdg = sum((z * cs[l]) @ dR[l] for l in range(3)) - strain @ (z @ ddH)
+    wdg_s = sum((w * cs[l]) @ dR[l] for l in range(3)) - strain @ wH
+    return rates, w * (zdg + logw * (z @ g)) - z * (wdg_s + (logw * w) @ g)
 
 
-def _potential_rates(mass: AddedMassMatrix):
-    """Rates along every parameter slot of the basis potentials S X of
-    ``mass`` at its collocation points, which move with the bubbles, and of
-    the data the Gram matrix weighs them with: (dPhi, dw, dGP), d(S X)
-    (p, N, p), the weights' (p, N) and d(G P) = dG P + G dP (p, N, p), None
-    where both vanish (spheres in unbounded liquid).
-    Here X = M^-1 G P, M = 1/2 I + K' and S the assembled matrices, G the
-    canonical direction data and P = B B^T the projector onto the
-    volume-preserving velocities (I in unbounded liquid), B the basis
-    matrix.  Along every slot, with the LU of ``mass`` and no other,
+def _slot_rates(mass: AddedMassMatrix, X, SX, adjoint=None):
+    """Rates along every parameter slot of the collocation matrices of
+    ``mass`` applied to the densities X (N, q), and of the weights: (dSX,
+    dMX, dw, motions), dS X and dM X (p, N, q), the weights' (p, N) and the
+    _SlotMotion of each ellipsoid by bubble index.  ``SX`` is S X, read
+    for a lone sphere, which holds no S.
 
-        dX = M^-1 (d(G P) - dM X),    d(S X) = dS X + S dX,
-
-    with no flux shift on the derivative solve: its data is not flux free,
-    and shifting it would bias the rates.  Every rate is an exact
-    derivative of the discrete operator; only the moved bubble's rows and
-    columns of M and S change, and dM X and dS X come block by block,
-    already applied to X: one _panel_blocks pass per ordered pair of
-    surfaces with a bubble among them gives the rates of the cross block
-    along every slot at once (_block_rates), and one more per ellipsoid
-    its own S block's:
+    Every rate is an exact derivative of the discrete operator; only the
+    moved bubble's rows and columns of M = 1/2 I + K' and S change, and
+    dM X and dS X come block by block, already applied to X: one
+    _panel_blocks pass per ordered pair of surfaces with a bubble among
+    them gives the rates of the cross block along every slot at once
+    (_block_rates), and one more per ellipsoid its own S block's:
 
     * translating bubble k along axis e: +d_e where k owns the points,
-      -d_e where it owns the panels; self-blocks, weights and G are fixed;
+      -d_e where it owns the panels; self-blocks and weights are fixed;
     * the radius r of sphere k: d_V with V = (x - c)/r where k owns the
       points; where it owns the panels, the scaling laws of the panel
       integrals about c (degree 1 for S, 0 for the solid angle) give
@@ -1041,44 +1135,54 @@ def _potential_rates(mass: AddedMassMatrix):
       it owns the panels, the panels' deformation, the lift's rate in S
       and the flat area's in the weighted transpose (the panel weight
       cancels there); its S self-block with points and corners moving
-      together, G : T (_panel_blocks ``tensor``); its point-kernel M
-      self-block entry by entry (_own_double_layer_rates); and dG from
-      the normals' rate alone, since y is fixed.
+      together, G : T (_panel_blocks ``tensor``); and its point-kernel M
+      self-block entry by entry (_own_double_layer_rates).
 
-    No mesh is built and no matrix assembled.
-    """
+    With ``adjoint`` = (u, z, v), u and z (N,) and v (p,) a packed
+    velocity, the same passes also give (sT, mT), the rows
+    u^T d_v S and z^T d_v M (N,) with d_v = sum_t v_t d_t (_block_rates
+    ``adjoint``), except a lone sphere's u^T d_v S, which is
+    v_r / r (S^T u) and is left to the caller.  No mesh is built and no
+    matrix assembled."""
     config, asm = mass.config, mass.assembly
     p, nb = config.dim, config.n_bubbles
-    dP = _projector_derivatives(config)
-    B = mass.basis.matrix
-    X = mass.density @ B.T  # from the solution for G B
     w, blocks = asm.weights, asm.blocks
-    dSX = np.zeros((p, len(w), p))
+    dSX = np.zeros((p, len(w), X.shape[1]))
     dMX = np.zeros_like(dSX)
     dw = np.zeros((p, len(w)))
-    dG = np.zeros_like(dSX)
+    if adjoint is not None:
+        u, z, v = adjoint
+        sT, mT = np.zeros(len(w)), np.zeros(len(w))
     motions, slots = {}, {}  # per ellipsoid: its _SlotMotion and its matrix slots
     for k, (bubble, sl) in enumerate(zip(config.bubbles, config.slices())):
         blk = blocks[k]
         if isinstance(bubble, SphereParams):
             t, r = sl.start + 3, bubble.radius
             # S_kk X_k, which is the whole potential S X (B = I) of a lone sphere
-            own = mass.potential if asm._unit is not None else asm.S[blk, blk] @ X[blk]
+            own = SX if asm._unit is not None else asm.S[blk, blk] @ X[blk]
             dSX[t, blk] = own / r
             dw[t, blk] = 2.0 * w[blk] / r
+            if adjoint is not None and asm._unit is None:
+                sT[blk] += v[t] / r * (u[blk] @ asm.S[blk, blk])
             continue
         t = slots[k] = slice(sl.start + 3, sl.stop)
         part = asm.panels[k]
         mo = motions[k] = _slot_motion(bubble, part)
         # points and corners move together: the lift's rate and G : T
-        _, _, _, T, _, _ = _blocked(part.points, part, want_single=False, want_double=False,
-                                    tensor=X[blk])
+        cotangent = None if adjoint is None else _Cotangent(
+            weight=u[blk], strain=slot_sum(np.tensordot(v[t], mo.maps, 1)))
+        out = _blocked(part.points, part, want_single=False, want_double=False,
+                       tensor=X[blk], cotangent=cotangent)
         dSX[t, blk] = (asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
-                       + np.tensordot(slot_sum(mo.maps), T, axes=(1, 1)))
-        dMX[t, blk] = _own_double_layer_rates(part, mo, X[blk])
+                       + np.tensordot(slot_sum(mo.maps), out[3], axes=(1, 1)))
+        own = _own_double_layer_rates(part, mo, X[blk],
+                                      None if adjoint is None else (z[blk], v[t]))
+        if adjoint is not None:
+            own, row = own
+            sT[blk] += out[6] + (v[t] @ mo.lift) * (u[blk] @ asm.S[blk, blk])
+            mT[blk] += row
+        dMX[t, blk] = own
         dw[t, blk] = mo.weights * w[blk]
-        for i, dn in enumerate(mo.normals):
-            dG[t.start + i, blk, sl] = normal_velocity_basis(bubble, part.points, dn)
 
     # each ordered pair of surfaces (a, b) with a bubble among them: the
     # derivatives of the block of a's points over b's panels along the
@@ -1107,8 +1211,18 @@ def _potential_rates(mass: AddedMassMatrix):
                 fields += [(G, -G @ bubble.center) for G in motions[a].maps]
         Da, Db = blocks[a], blocks[b]
         corners = (motions[b].maps, config.bubbles[b].center) if b in motions else None
-        dS_X, dK_X = _block_rates(parts[a].points, parts[b], X[Db], w[Da, None] * X[Da],
-                                  *map(np.array, zip(*fields)), corners)
+        pair_adjoint = None
+        if adjoint is not None:
+            # the fields' weights in d_v: the uses' slot rates, signed, and
+            # over r for b's radius, whose rates are minus d_{x-c} / r
+            kappa = np.zeros(len(fields))
+            for t, i, sign, r in uses:
+                kappa[i] += v[t] * (sign if r is None or sign > 0 else -1.0 / r)
+            pair_adjoint = (u[Da], z[Db] / w[Db], kappa,
+                            None if corners is None else v[slots[b]])
+        dS_X, dK_X, *transposed = _block_rates(
+            parts[a].points, parts[b], X[Db], w[Da, None] * X[Da],
+            *map(np.array, zip(*fields)), corners, pair_adjoint)
         dK_X /= w[Db, None]
         for t, i, sign, r in uses:
             if r is not None and sign < 0:
@@ -1129,6 +1243,57 @@ def _potential_rates(mass: AddedMassMatrix):
             t, n, mo = slots[b], len(fields), motions[b]
             dSX[t, Da] += dS_X[n:] + asm.S[Da, Db] @ (mo.lift[:, :, None] * X[Db])
             dMX[t, Db] += dK_X[n:] - mo.area[:, :, None] * (asm.A[Db, Da] @ X[Da])
+        if adjoint is not None:
+            # the same terms, transposed
+            uS, zA = u[Da] @ asm.S[Da, Db], z[Db] @ asm.A[Db, Da]
+            sT[Db] += transposed[0]
+            mT[Da] += w[Da] * transposed[1]
+            for t, i, sign, r in uses:
+                if r is not None:
+                    mT[Da] += v[t] * sign * 2.0 / r * zA
+                    if sign < 0:
+                        sT[Db] += v[t] / r * uS
+            if a in motions:
+                mT[Da] += (v[slots[a]] @ motions[a].weights) * zA
+            if b in motions:
+                sT[Db] += (v[slots[b]] @ motions[b].lift) * uS
+                mT[Da] -= (z[Db] * (v[slots[b]] @ motions[b].area)) @ asm.A[Db, Da]
+    rates = dSX, dMX, dw, motions
+    return rates if adjoint is None else rates + (sT, mT)
+
+
+def _potential_rates(mass: AddedMassMatrix):
+    """Rates along every parameter slot of the basis potentials S X of
+    ``mass`` at its collocation points, which move with the bubbles, and of
+    the data the Gram matrix weighs them with: (dPhi, dw, dGP), d(S X)
+    (p, N, p), the weights' (p, N) and d(G P) = dG P + G dP (p, N, p), None
+    where both vanish (spheres in unbounded liquid).
+    Here X = M^-1 G P, M = 1/2 I + K' and S the assembled matrices, G the
+    canonical direction data and P = B B^T the projector onto the
+    volume-preserving velocities (I in unbounded liquid), B the basis
+    matrix.  Along every slot, with the LU of ``mass`` and no other,
+
+        dX = M^-1 (d(G P) - dM X),    d(S X) = dS X + S dX,
+
+    with dS X and dM X from _slot_rates, and no flux shift on the
+    derivative solve: its data is not flux free, and shifting it would
+    bias the rates.  G changes only along an ellipsoid's matrix slots,
+    with the normals (y is fixed).  No mesh is built and no matrix
+    assembled.
+    """
+    config, asm = mass.config, mass.assembly
+    p = config.dim
+    dP = _projector_derivatives(config)
+    B = mass.basis.matrix
+    X = mass.density @ B.T  # from the solution for G B
+    dSX, dMX, dw, motions = _slot_rates(mass, X, mass.potential)
+    w = asm.weights
+    dG = np.zeros_like(dSX)
+    for k, mo in motions.items():
+        bubble, sl = config.bubbles[k], config.slices()[k]
+        for i, dn in enumerate(mo.normals):
+            dG[sl.start + 3 + i, asm.blocks[k], sl] = normal_velocity_basis(
+                bubble, asm.panels[k].points, dn)
 
     dGP = None if dP is None else _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
     if motions:
@@ -1153,8 +1318,10 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
         dK = sym(-rho [d(S X)^T W G P + (S X)^T dW G P + (S X)^T W d(G P)]).
 
     G P is flux free at every configuration, so the constant potential
-    that the cavity system leaves undetermined never shows."""
-    dPhi, dw, dGP = mass.rates
+    that the cavity system leaves undetermined never shows.  The equations
+    of motion read only its contractions with the velocity (velocity_rates),
+    which take neither this tensor nor its p^2 right-hand sides."""
+    dPhi, dw, dGP = _potential_rates(mass)
     B, w = mass.basis.matrix, mass.assembly.weights
     GP, Phi = mass.data @ B.T, mass.potential @ B.T
     raw = dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)
@@ -1162,3 +1329,109 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
         raw += Phi.T @ (w[:, None] * dGP)
     raw *= -mass.liquid_density
     return 0.5 * (raw + raw.transpose(0, 2, 1))
+
+
+def _data_rates(mass: AddedMassMatrix, motions, v):
+    """Rates of the basis data G P of ``mass`` (_potential_rates) along
+    every slot t applied to the packed velocity v, gamma_t = d_t(G P) v
+    (p, N), and their sum weighted by v, Gamma = d_v(G P) (N, p), with
+    ``motions`` the ellipsoids' _SlotMotion: G P changes with the
+    projector and the ellipsoids' normals, and G is linear in the
+    normals."""
+    config, asm, B = mass.config, mass.assembly, mass.basis.matrix
+    p, N = config.dim, len(asm.weights)
+    gamma, Gamma = np.zeros((p, N)), np.zeros((N, p))
+    dP = _projector_derivatives(config)
+    if dP is not None:
+        G = _direction_data(config, asm.meshes, np.eye(p))
+        gamma += (G @ (dP @ v).T).T
+        Gamma += G @ np.tensordot(v, dP, 1)
+    P = B @ B.T
+    for k, mo in motions.items():
+        bubble, sl, blk = config.bubbles[k], config.slices()[k], asm.blocks[k]
+        t, pts = slice(sl.start + 3, sl.stop), asm.panels[k].points
+        # the six slots' normal rates, then their sum weighted by v, at once
+        normals = np.concatenate([mo.normals, np.tensordot(v[t], mo.normals, 1)[None]])
+        dG = normal_velocity_basis(bubble, np.tile(pts, (7, 1)), normals.reshape(-1, 3))
+        dG = dG.reshape(7, len(pts), -1) @ P[sl]
+        gamma[t, blk] += dG[:6] @ v
+        Gamma[blk] += dG[6]
+    return gamma, Gamma
+
+
+class VelocityRates(NamedTuple):
+    """The contractions of the rates of an added mass with a packed
+    velocity v that the equations of motion read (velocity_rates): the
+    tangent (d_v K) v and the gradient grad_q (1/2 v^T K v) of the kinetic
+    matrix K, both (p,), and psi = (d_v Phi) v (N,), the rate of the basis
+    potentials Phi = S X at the moving collocation points applied to v
+    twice."""
+
+    tangent: np.ndarray
+    gradient: np.ndarray
+    potential: np.ndarray
+
+
+def _velocity_rates(mass: AddedMassMatrix, velocity) -> VelocityRates:
+    """VelocityRates of ``mass`` and ``velocity`` without the p-wide rates.
+
+    With g = G P v, x = X v, phi = Phi v, u = W g (_potential_rates'
+    notation), d_t S x, d_t M x and the weights' rates come from the rate
+    passes at width one (_slot_rates), and gamma_t = d_t(G P) v
+    (_data_rates).  One transposed solve z = M^-T S^T u serves the
+    gradient,
+
+        c2_t = -rho/2 [u.d_t S x + z.(gamma_t - d_t M x) + phi.(dw_t g)
+                       + (W phi).gamma_t],
+
+    and one solve of one column psi = d_v S x + S M^-1 (gamma_v - d_v M x),
+    d_v = sum_t v_t d_t.  The tangent takes the rows u^T d_v S and
+    z^T d_v M that the same passes sum in the other order:
+
+        c1 = -rho/2 [Gamma^T (z + W phi) + (G P)^T (dw_v phi + W psi)
+                     + (u^T d_v S - z^T d_v M) X + Phi^T (dw_v g + W gamma_v)].
+
+    A lone sphere has no data rates and no rate of M, so it takes neither
+    solve, and its u^T d_v S X is v_r / r u^T Phi: O(N) work."""
+    config, asm = mass.config, mass.assembly
+    B, w, rho = mass.basis.matrix, asm.weights, mass.liquid_density
+    v = np.asarray(velocity, dtype=float)
+    vb = B.T @ v
+    g, x, phi = mass.data @ vb, mass.density @ vb, mass.potential @ vb
+    u, wphi = w * g, w * phi
+    lone = asm._unit is not None
+    z = np.zeros_like(u)
+    if not lone:
+        lu = asm.factorization().lu
+        z = sla.lu_solve(lu, u @ asm.S, trans=1)
+    dSx, dMx, dw, motions, sT, mT = _slot_rates(mass, x[:, None], phi[:, None], (u, z, v))
+    dSx, dMx = dSx[..., 0], dMx[..., 0]
+    gamma, Gamma = _data_rates(mass, motions, v)
+    gradient = dSx @ u + (gamma - dMx) @ z + dw @ (phi * g) + gamma @ wphi
+    psi, dwv, gv = v @ dSx, v @ dw, v @ gamma
+    if lone:
+        rows = v[3] / config.bubbles[0].radius * (u @ mass.potential)
+    else:
+        psi = psi + asm.S @ sla.lu_solve(lu, gv - v @ dMx)
+        rows = (sT - mT) @ mass.density
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(psi))):
+        raise IllPosedProblemError("added-mass rate solve produced non-finite values")
+    tangent = Gamma.T @ (z + wphi) + B @ (
+        (dwv * phi + w * psi) @ mass.data + rows + (dwv * g + w * gv) @ mass.potential)
+    return VelocityRates(*map(_frozen, (-0.5 * rho * tangent, -0.5 * rho * gradient, psi)))
+
+
+def velocity_rates(mass: AddedMassMatrix, velocity) -> VelocityRates:
+    """The contractions of the parameter rates of ``mass`` with the packed
+    ``velocity`` (VelocityRates): what the equations of motion need of the
+    Jacobian, c1 - c2 their Coriolis force, at the cost of rate passes of
+    width one and two solves of one column.  Kept for the last velocity
+    asked, so that a state's acceleration and boundary residual share
+    them."""
+    key = np.asarray(velocity, dtype=float).tobytes()
+    cache = mass._contractions
+    if key not in cache:
+        rates = _velocity_rates(mass, velocity)
+        cache.clear()
+        cache[key] = rates
+    return cache[key]

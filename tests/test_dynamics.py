@@ -280,6 +280,28 @@ class TestIntegrate:
         with pytest.raises(BubbleDynError, match="collision threshold"):
             integrate(scenario_from_dict(close_pair_doc(speed)))
 
+    def test_collision_margin_measures_at_the_admissibility_level(self):
+        # two unit ellipsoids 0.5 apart: the level-1 gap bound subtracts a
+        # covering radius that reads them as overlapping, the level-2 bound
+        # does not, and the collision event agrees with check_admissible
+        doc = {"liquid": {"density": 1.0, "p_infinity": 1.0},
+               "domain": {"type": "unbounded"},
+               "bubbles": [{"shape": {"type": "ellipsoid", "center": [x, 0, 0],
+                                      "matrix": np.eye(3).tolist()},
+                            "velocity": {"center": [0, 0, 0], "matrix": np.zeros((3, 3)).tolist()},
+                            "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS}
+                           for x in (-1.25, 1.25)],
+               "solver": {"mesh_level": 2},
+               "time": {"t_end": 0.01, "output_dt": 0.005}}
+        for level in (1, 2, 3):
+            doc["solver"]["mesh_level"] = level
+            scenario = scenario_from_dict(doc)
+            config = scenario.configuration()
+            report = shapes.check_admissible(config, scenario.admissibility_level)
+            margin = dynamics.collision_margin(scenario, config)
+            assert margin == pytest.approx(report.min_gap - 0.02, abs=1e-15)
+            assert (margin > 0) == (level > 1) == report.ok
+
     def test_ill_posed_trial_solve_is_poisoned(self, monkeypatch):
         calls, plain = [0], dynamics.mass_at
 
@@ -299,10 +321,10 @@ class TestIntegrate:
     def test_one_added_mass_per_state(self, monkeypatch):
         # every RHS call and every output row assembles its state once; a
         # residual sample's acceleration and residual share the row's
-        # added mass and the rates its Jacobian built
+        # added mass and the one rate pass its velocity took
         s = scenario_from_dict(sphere_doc(radius=1.1, vc=(0.1, 0, 0), vr=0.05, level=0,
                                           t_end=0.4, output_dt=0.2, residual_cadence=1))
-        calls = {"added_mass": 0, "_potential_rates": 0}
+        calls = {"added_mass": 0, "_velocity_rates": 0, "_potential_rates": 0}
 
         def counted(name, plain):
             def wrapper(*args):
@@ -317,7 +339,8 @@ class TestIntegrate:
         assert traj.stats["n_poisoned"] == 0
         assert samples == len(traj.times) == 3
         assert calls["added_mass"] == traj.stats["n_rhs"] + len(traj.times)
-        assert calls["_potential_rates"] == traj.stats["n_rhs"] + samples
+        assert calls["_velocity_rates"] == traj.stats["n_rhs"] + samples
+        assert calls["_potential_rates"] == 0
         # the dense output at t = 0 is the initial state bit for bit, and so
         # is its residual
         state = traj.states[0]

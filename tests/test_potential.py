@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bubbledyn
@@ -16,9 +16,10 @@ from bubbledyn.gas import BubbleGasState, GasLaw, potential_energy
 from bubbledyn.potential import (AddedMassMatrix, PotentialSolution, _Assembly,
                                  _direction_data, _self_blocks, _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, configuration_meshes, evaluate,
-                                 solve_neumann, surface_gradient, surface_panels)
+                                 solve_neumann, surface_gradient, surface_panels,
+                                 velocity_rates)
 from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
-                              SphereParams, Unbounded, config_from_params,
+                              SphereParams, Unbounded, check_admissible, config_from_params,
                               constraint_basis, icosphere_symmetry, normal_velocity,
                               pack_params, reference_icosphere, surface_mesh,
                               symmetric_matrix, symmetric_slots, trivial_symmetry,
@@ -374,13 +375,18 @@ class TestBlockedAssembly:
         from bubbledyn.potential import _blocked
         sol_ref = dipole_solution(level=1)
         # the contracted rate terms of one ellipsoid's points over the
-        # other's panels: the outputs of the points (grad, T) split with
-        # the rows, and the moments (F, Fa), sums over the points, add up
-        # over the blocks (here of one row each)
+        # other's panels: the outputs of the points (grad, T, the
+        # cotangent's point sums) split with the rows, and the moments
+        # (F, Fa) and the cotangent's panel sums, sums over the points, add
+        # up over the blocks (here of one row each)
         config = ellipsoid_pair()
         a, b = (surface_panels(surface_mesh(e, 1)) for e in config.bubbles)
         rng = np.random.default_rng(5)
         X, Y = rng.normal(size=(b.n_panels, 4)), rng.normal(size=(a.n_panels, 4))
+        cotangent = pot_mod._Cotangent(
+            field=rng.normal(size=(a.n_panels, 3)), weight=rng.normal(size=a.n_panels),
+            strain=rng.normal(size=6), coeffs=rng.normal(size=(3, b.n_panels, 10)),
+            corner_coeffs=rng.normal(size=(3, b.n_panels, 4)))
         plain, rows = pot_mod._panel_blocks, []
 
         def counted(x, *args, **kwargs):
@@ -390,7 +396,7 @@ class TestBlockedAssembly:
         def rate_terms():
             rows.clear()
             return _blocked(a.points, b, want_single=False, want_double=False, density=X,
-                            tensor=X, moments=Y, degree=2)[2:]
+                            tensor=X, moments=Y, degree=2, cotangent=cotangent)[2:]
 
         monkeypatch.setattr(pot_mod, "_panel_blocks", counted)
         terms_ref = rate_terms()
@@ -399,7 +405,7 @@ class TestBlockedAssembly:
         terms_blk = rate_terms()
         assert rows == [1] * a.n_panels
         shapes = [(a.n_panels, 3, 4), (a.n_panels, 6, 4), (3, b.n_panels, 10, 4),
-                  (3, b.n_panels, 4, 4)]
+                  (3, b.n_panels, 4, 4), (b.n_panels,), (a.n_panels,)]
         for blk, ref, shape in zip(terms_blk, terms_ref, shapes):
             assert blk.shape == ref.shape == shape
             assert rel_diff(blk, ref) <= 1e-13
@@ -675,6 +681,111 @@ class TestBlockReuse:
         assert np.all(G[off:] == 0.0)
 
 
+def admissible_velocity(config, rng):
+    """A random packed velocity of ``config``, volume preserving in a
+    cavity."""
+    v = rng.normal(size=config.dim)
+    if config.bounded:
+        v = constraint_basis(config).matrix @ (constraint_basis(config).matrix.T @ v)
+    return v
+
+
+def jacobian_contractions(mass, v):
+    """(d_v K) v and grad_q (1/2 v^T K v) from the full Jacobian, and psi =
+    sum_t v_t d_t(S X) v from the full rates."""
+    import bubbledyn.potential as pot_mod
+    dA = added_mass_jacobian(mass)
+    dPhi = pot_mod._potential_rates(mass)[0]
+    return (np.einsum('kij,k,j->i', dA, v, v), 0.5 * np.einsum('ijk,j,k->i', dA, v, v),
+            v @ (dPhi @ v))
+
+
+def contraction_errors(mass, v):
+    """Largest errors of the contractions against the full Jacobian's:
+    the Coriolis force c1 - c2, c1 and c2 relative to the largest entry
+    of either, and psi relative to its own."""
+    c1, c2, psi = jacobian_contractions(mass, v)
+    got = velocity_rates(mass, v)
+    scale = max(np.abs(c1).max(), np.abs(c2).max())
+    return (rel_diff(got.tangent - got.gradient, c1 - c2), np.abs(got.tangent - c1).max() / scale,
+            np.abs(got.gradient - c2).max() / scale, rel_diff(got.potential, psi))
+
+
+class TestVelocityRates:
+    """The equations of motion read the Jacobian contracted with the
+    velocity, (d_v K) v and grad_q (1/2 v^T K v), and the boundary residual
+    psi = (d_v Phi) v, from rate passes of width one: they must agree with
+    the einsums of the full Jacobian to roundoff."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 30 - 1), st.sampled_from(["ss", "se", "es", "ee"]),
+           st.integers(0, 1))
+    def test_unbounded_pairs_match_the_full_jacobian(self, seed, kinds, level):
+        rng = np.random.default_rng(seed)
+        bubbles = []
+        for kind, x in zip(kinds, (-1.0, 1.0)):
+            center = np.array([x, 0.0, 0.0]) + rng.uniform(-0.05, 0.05, 3)
+            if kind == "s":
+                bubbles.append(SphereParams(center=center, radius=rng.uniform(0.4, 0.5)))
+            else:
+                S = np.diag(rng.uniform(0.4, 0.5, 3))
+                S[0, 1] = S[1, 0] = rng.uniform(-0.05, 0.05)
+                S[1, 2] = S[2, 1] = rng.uniform(-0.05, 0.05)
+                bubbles.append(EllipsoidParams(center=center, shape_matrix=S))
+        config = Configuration(bubbles=tuple(bubbles))
+        assume(check_admissible(config, level).ok)
+        errors = contraction_errors(added_mass(config, level), admissible_velocity(config, rng))
+        assert max(errors) <= 1e-12, errors
+
+    @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity,
+                                             sphere_and_ellipsoid_in_cavity])
+    def test_cavity_matches_the_full_jacobian(self, make_config):
+        # psi holds the cavity's undetermined constant, which the full
+        # rates solve differently: compare it only up to a constant
+        config = make_config()
+        mass = added_mass(config, 1)
+        v = admissible_velocity(config, np.random.default_rng(5))
+        coriolis, c1, c2, _ = contraction_errors(mass, v)
+        assert max(coriolis, c1, c2) <= 1e-12
+        psi, ref = velocity_rates(mass, v).potential, jacobian_contractions(mass, v)[2]
+        n = mass.assembly.blocks[config.n_bubbles - 1].stop
+        shift = (psi - ref)[:n]
+        assert np.ptp(shift) <= 1e-12 * np.abs(ref[:n]).max()
+
+    def test_lone_sphere_takes_no_solve(self, monkeypatch):
+        config = Configuration(bubbles=(SphereParams(center=[0.1, 0.0, -0.2], radius=1.3),))
+        mass = added_mass(config, 2)
+        v = np.array([0.1, -0.2, 0.05, 0.3])
+        solves = []
+        calls = TestLoneSphereFactorization.count_lu(monkeypatch, solves)
+        got = velocity_rates(mass, v)
+        assert calls == [] and solves == []
+        c1, c2, psi = jacobian_contractions(mass, v)
+        assert rel_diff(got.tangent - got.gradient, c1 - c2) <= 1e-13
+        assert rel_diff(got.potential, psi) <= 1e-13
+        # the radius rate scales K by 3 / r: grad (1/2 v^T K v) = 3/(2r) v^T K v
+        assert got.gradient[3] == pytest.approx(1.5 / 1.3 * v @ mass.kinetic @ v, rel=1e-13)
+
+    @pytest.mark.parametrize("make_config, passes", [(ellipsoid_pair, 4),
+                                                     (sphere_pair_in_cavity, 6)])
+    def test_one_kernel_pass_per_block_and_two_column_solves(self, monkeypatch, make_config,
+                                                           passes):
+        import bubbledyn.potential as pot_mod
+        mass = added_mass(make_config(), 1)
+        v = admissible_velocity(mass.config, np.random.default_rng(2))
+        plain, calls, solves = pot_mod._panel_blocks, [], []
+        monkeypatch.setattr(pot_mod, "_panel_blocks",
+                            lambda *a, **kw: calls.append(1) or plain(*a, **kw))
+        TestLoneSphereFactorization.count_lu(monkeypatch, solves)
+        velocity_rates(mass, v)
+        velocity_rates(mass, v.copy())  # kept for the last velocity
+        assert len(calls) == passes
+        n = len(mass.assembly.weights)
+        assert solves == [(n,), (n,)]
+        velocity_rates(mass, 2.0 * v)
+        assert len(calls) == 2 * passes
+
+
 def numpy_openblas_lapack():
     """Whether the solver's LAPACK is numpy's OpenBLAS (bubbledyn._lapack),
     not the scipy.linalg.lapack fallback."""
@@ -759,7 +870,8 @@ class TestLoneSphereFactorization:
         # per RHS (its Jacobian is exact) and once per output row (t = 0,
         # 0.02, 0.04), whose energies, acceleration and residual share it;
         # each solves for its basis data, and each acceleration (one per
-        # RHS and per residual sample, at t = 0 and 0.04) for the rates.
+        # RHS and per residual sample, at t = 0 and 0.04) makes two solves
+        # of one column for its velocity's rates, one of them transposed.
         # The panel passes: two per assembly for the blocks between the
         # spheres, two per acceleration for their rates, and two per
         # residual sample, one over each sphere's panels
@@ -768,7 +880,7 @@ class TestLoneSphereFactorization:
         n_rhs = traj.stats["n_rhs"]
         assert len(calls) == len(assemblies) == n_rhs + 3
         assert set(calls) == {40}
-        assert len(solves) == len(calls) + n_rhs + 2
+        assert sorted(solves) == [(40,)] * 2 * (n_rhs + 2) + [(40, 8)] * len(calls)
         assert len(passes) == 2 * len(calls) + 2 * (n_rhs + 2) + 2 * 2
 
     def test_results_match_a_freshly_factored_copy(self, monkeypatch):
@@ -1098,6 +1210,19 @@ class TestLapack:
         column = lapack.lu_solve((lu, piv), b[:, 0])
         assert column.shape == (len(A),)
         assert np.abs(column - want[:, 0]).max() <= 1e-13 * np.abs(want[:, 0]).max()
+
+    def test_transposed_solve_matches_numpy(self, lapack):
+        A = np.random.default_rng(4).standard_normal((9, 9)) + 3.0 * np.eye(9)
+        b = np.random.default_rng(5).standard_normal((9, 3))
+        lu_piv = lapack.lu_factor(A)
+        for trans in (1, 2):
+            for rhs in (b, b[:, 0]):
+                want = np.linalg.solve(A.T, rhs)
+                got = lapack.lu_solve(lu_piv, rhs, trans=trans)
+                assert got.shape == rhs.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(lapack.lu_solve(lu_piv, b, trans=0)
+                      - np.linalg.solve(A, b)).max() <= 1e-13 * np.abs(b).max()
 
     def test_malformed_operands_rejected(self, lapack):
         lu, piv = lapack.lu_factor(np.eye(3) + 0.1)
