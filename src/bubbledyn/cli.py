@@ -26,9 +26,9 @@ from . import _blas
 from . import dynamics as dyn
 from . import gas as gas_mod
 from .errors import BubbleDynError
-from .scenario import (MAX_MESH_LEVEL, ScenarioError, parse_scenario,
-                       scenario_to_dict)
-from .shapes import SLOTS, SphereParams, check_admissible, measures, pack_params
+from .scenario import ScenarioError, parse_scenario, scenario_to_dict
+from .shapes import (MAX_MESH_LEVEL, SLOTS, SphereParams, check_admissible, measures,
+                     pack_params)
 
 
 def _fmt(x) -> str:

@@ -24,8 +24,7 @@ from .errors import (BubbleDynError, CompatibilityError, DegenerateShapeError,
                      DiscretizationError, IllPosedProblemError)
 from .reference import minnaert_frequency
 from .shapes import (Configuration, SphereParams, check_admissible, config_from_params,
-                     pack_params, surface_gaps, symmetric_matrix, volume_gradient,
-                     volume_hessian)
+                     pack_params, slot_maps, surface_gaps, volume_gradient, volume_hessian)
 
 # velocity-constraint tolerance for cavity initial data (relative)
 CONSTRAINT_TOLERANCE = 1e-9
@@ -276,6 +275,10 @@ def integrate(scenario) -> Trajectory:
     sol = solve_ivp(rhs, (0.0, scenario.t_end), np.concatenate([q0, qd0]),
                     rtol=scenario.rel_tol, atol=scenario.abs_tol, first_step=h0,
                     events=[ev_collision, ev_degenerate])
+    if len(sol.t) == 1:
+        # not one step, so no state to sample: the initial RHS itself failed
+        raise BubbleDynError(f"no step from the initial state ({sol.message}); "
+                             f"last poisoned RHS: {poisoned['last']}")
 
     if sol.status == 1:
         termination = "collision" if len(sol.t_events[0]) else "degenerate-shape"
@@ -333,8 +336,8 @@ def _potential_rate(mass, velocity, acceleration):
     with the bubbles is (S X) q', whose rate is psi + (S X) q'', with
     psi = sum_t q'_t d_t(S X) q' the potential of potential.velocity_rates,
     which the state's acceleration has already taken; the frozen points see
-    that minus V . grad(S x), V = c' + L (x - c) the points' velocity
-    (L = r'/r I for a sphere, S' S^-1 for an ellipsoid)."""
+    that minus V . grad(S x), V = c' + L (x - c) the points' velocity,
+    L = sum_t q'_t G_t over the bubble's slot maps (shapes.slot_maps)."""
     config, B = mass.config, mass.basis.matrix
     n = mass.assembly.blocks[config.n_bubbles - 1].stop
     moving = (pot.velocity_rates(mass, velocity).potential[:n]
@@ -342,8 +345,7 @@ def _potential_rate(mass, velocity, acceleration):
     V = []
     for bubble, sl, mesh in zip(config.bubbles, config.slices(), mass.assembly.meshes):
         rate = velocity[sl]
-        L = (rate[3] / bubble.radius * np.eye(3) if isinstance(bubble, SphereParams)
-             else symmetric_matrix(rate[3:]) @ np.linalg.inv(bubble.shape_matrix))
+        L = np.tensordot(rate[3:], slot_maps(bubble), 1)
         V.append(rate[:3] + (mesh.quad_points - bubble.center) @ L.T)
     grad, imposed = pot._basis_gradients(mass, B.T @ velocity)
     return moving - np.einsum('mk,mk->m', np.concatenate(V), grad), imposed

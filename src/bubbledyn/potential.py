@@ -77,9 +77,10 @@ moved bubble's blocks change, by the rates of the flat-panel integrals as
 the collocation points move (the solid angle's in the edge form of van
 Oosterom and Strackee, IEEE TBME 30, 1983) and as the panels deform
 (Wilton et al., IEEE TAP 32, 1984; Graglia, IEEE TAP 41, 1993).  A
-translation moves a bubble rigidly, a sphere radius scales it, and an
-ellipsoid matrix slot deforms it, moving its points and corners alike by
-one linear map.  The rates come contracted with the densities: no rate
+translation moves a bubble rigidly; every other slot moves its points and
+corners alike by one linear map G (shapes.slot_maps): I / r for a sphere
+radius, which scales it, and E S^-1 for an ellipsoid matrix slot E, which
+deforms it.  The rates come contracted with the densities: no rate
 block is formed per slot.  The single layer's point rates are the
 gradient of S X, a panel's deformation by the linear map G its
 symmetric tensor T (G : T), and the solid angle's rates the moments of
@@ -121,9 +122,9 @@ import numpy as np
 from . import _blas
 from . import _lapack as sla
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
-from .shapes import (SLOT_MATRICES, SLOTS, CavityMesh, CavitySphere, Configuration,
-                     ConstraintBasis, MeshSymmetry, SphereParams, constraint_basis,
-                     icosphere_symmetry, normal_velocity_basis, slot_sum, surface_mesh,
+from .shapes import (SLOTS, CavityMesh, CavitySphere, Configuration, ConstraintBasis,
+                     MeshSymmetry, SphereParams, constraint_basis, icosphere_symmetry,
+                     normal_velocity_basis, slot_maps, slot_sum, surface_mesh,
                      trivial_symmetry, volume_gradient, volume_hessian, wall_mesh)
 
 # relative net-flux threshold for the cavity compatibility check
@@ -593,7 +594,7 @@ class _Assembly:
             self._unit = _unit_sphere_blocks(meshes[0].level, False)
             self.A = self._unit.A
             return
-        self.panels = parts = tuple(surface_panels(m) for m in meshes)
+        parts = self.panels
         A = np.empty((offsets[-1], offsets[-1]))
         S = np.empty_like(A)
         for a in range(n):
@@ -621,8 +622,9 @@ class _Assembly:
 
     @cached_property
     def panels(self):
-        """Panel data of each surface.  Built with the blocks; only a lone
-        sphere, whose blocks read none, builds it here on first use."""
+        """Panel data of each surface, built on first read: by the blocks'
+        assembly, or for a lone sphere, whose blocks read none, on
+        request."""
         # threads asking at once may each build it: equal data
         return tuple(surface_panels(m) for m in self.meshes)
 
@@ -636,18 +638,24 @@ class _Assembly:
         return self.factorization().rcond()
 
     def _check(self, q):
-        """Raise IllPosedProblemError for a non-finite density ``q`` or, in
-        unbounded liquid, a numerically singular collocation matrix."""
+        """Raise IllPosedProblemError for a non-finite density ``q`` or a
+        numerically singular collocation matrix.  A cavity's matrix has a
+        one-dimensional near-kernel whose rcond falls with refinement (two
+        spheres: 6e-9, 4e-11, 6e-13 at levels 1-3), so the threshold would
+        refuse fine meshes; it is checked only when every surface is at
+        level 0, where the LU no longer resolves the other modes (3e-17,
+        and the Jacobian is off a central difference by its own size)."""
         lu = self.factorization()
         if not np.all(np.isfinite(q)):
             raise IllPosedProblemError("collocation solve produced non-finite density",
                                        condition=1.0 / max(lu.rcond(), 1e-300))
-        if not self.bounded:
-            rc = lu.rcond()
-            if rc < 1e-13:
-                raise IllPosedProblemError(
-                    f"collocation matrix numerically singular (rcond={rc:.2e})",
-                    condition=1.0 / max(rc, 1e-300))
+        if self.bounded and any(m.level != 0 for m in self.meshes):
+            return
+        rc = lu.rcond()
+        if rc < 1e-13:
+            raise IllPosedProblemError(
+                f"collocation matrix numerically singular (rcond={rc:.2e})",
+                condition=1.0 / max(rc, 1e-300))
 
     def solve(self, g) -> PotentialSolution:
         """Solve for one or more data vectors (columns of g)."""
@@ -922,16 +930,17 @@ def _projector_derivatives(config):
 
 @dataclass(frozen=True)
 class _SlotMotion:
-    """How an ellipsoid's surface moves along its six matrix slots: the
-    slot E = SLOT_MATRICES[t] takes S to S + E, and every point of the
-    surface c + S y (the reference direction y = S^-1 (x - c) fixed) moves
-    by E y = G (x - c), G = E S^-1, its panel corners alike.  Each field
-    has the slots first."""
+    """How a bubble's surface moves along its slots after the centre's:
+    every point x and panel corner moves by G (x - c), G the slot's map
+    (shapes.slot_maps).  A sphere's one slot, its radius, scales it about
+    c, G = I / r: its normals stay fixed (None), and its patch weights and
+    flat areas grow at the log-rate 2 / r.  An ellipsoid's six matrix
+    slots deform it (_slot_motion).  Each field has the slots first."""
 
-    maps: np.ndarray        # (6, 3, 3) the linear maps G = E S^-1
-    normals: np.ndarray     # (6, N, 3) rates of the unit normals
-    weights: np.ndarray     # (6, N) log-rates of the patch weights
-    area: np.ndarray        # (6, N) log-rates of the flat panel areas
+    maps: np.ndarray            # (n, 3, 3) the linear maps G
+    normals: np.ndarray | None  # (n, N, 3) rates of the unit normals, None if fixed
+    weights: np.ndarray         # (n, N) log-rates of the patch weights
+    area: np.ndarray            # (n, N) log-rates of the flat panel areas
 
     @property
     def lift(self):
@@ -939,16 +948,21 @@ class _SlotMotion:
         return self.weights - self.area
 
 
-def _slot_motion(bubble, panels: PanelGeometry) -> _SlotMotion:
-    """_SlotMotion of the ellipsoid ``bubble`` with panel data ``panels``.
+def _slot_motion(bubble, asm: _Assembly, k) -> _SlotMotion:
+    """_SlotMotion of ``bubble``, surface k of ``asm``; a sphere's reads no
+    panel data.
 
-    A normal of the image surface is S^-1 u for the normal u of the
-    reference surface, so with S^-1 E n the stretch of a unit normal n,
+    A normal of an ellipsoid's image surface is S^-1 u for the normal u of
+    the reference surface, so with S^-1 E n the stretch of a unit normal n,
     n moves by -(I - n n^T) S^-1 E n and the length |S^-1 u|, which
     scales the patch weights det(S) |S^-1 u| omega, by -n.S^-1 E n
     relative to itself.  A flat panel's area obeys the same law with its
     flat normal nh in place of n."""
-    G = SLOT_MATRICES @ np.linalg.inv(bubble.shape_matrix)
+    G = slot_maps(bubble)
+    if isinstance(bubble, SphereParams):
+        rate = np.full((1, asm.meshes[k].n_panels), 2.0 / bubble.radius)
+        return _SlotMotion(maps=G, normals=None, weights=rate, area=rate)
+    panels = asm.panels[k]
     trace = np.trace(G, axis1=1, axis2=2)[:, None]
     n, nh = panels.normals, panels.unit_normal
     stretch = n @ G
@@ -997,14 +1011,14 @@ def _on_panels(C, F):
             @ F.transpose(1, 0, 2, 3).reshape(N, 3 * J, -1)).transpose(1, 0, 2)
 
 
-def _block_rates(x, geom, X, Y, A, v, corners=None, adjoint=None):
+def _block_rates(x, geom, X, Y, A, v, corners, cotangent):
     """Rates of S X and of K^T Y for the block of the points ``x`` over the
     panels ``geom``, X (N, p) the panels' densities and Y (M, p) the
     points' weighted densities: (n, M, p) and (n, N, p), one per motion,
     the lift held.  First the affine point fields V = A x + v (A and v
     (n', 3, 3) and (n', 3)) with the panels fixed; then, with
-    ``corners`` = (G, c), the panels deforming by the linear maps G (six,
-    their corners y moving by G (y - c)) with the points fixed.
+    ``corners`` = (G, c), the panels deforming by the linear maps G (their
+    corners y moving by G (y - c)) with the points fixed.
 
     Everything comes from one _panel_blocks pass, contracted on the way:
     d_V (S X) = V . grad(S X); a deformation is G about each point x plus
@@ -1015,32 +1029,30 @@ def _block_rates(x, geom, X, Y, A, v, corners=None, adjoint=None):
     vectors u = G (y - c) of each edge's ends, on the moments of g_a and
     g_b = f_e - g_a, negated.
 
-    With ``adjoint`` = (u, zeta, kappa, lam) the same pass also gives the
-    transposed rates along the one motion that weighs the point fields by
-    kappa (n',) and the deformations by lam (6,): u^T d S (N,) and
-    d(K^T)^T zeta (M,), for u (M,) on the points and zeta (N,) on the
-    panels.  The motion is one affine field and one map, so the sums over
-    the points take products of width 3 and the moments' of width J."""
+    The ``cotangent`` = (u, zeta, kappa), u (M,) on the points, zeta (N,)
+    on the panels and kappa (n,) a weight per motion, gives two more
+    outputs from the same pass, the transposed rates along the one motion
+    that kappa weighs: u^T d S (N,) and d(K^T)^T zeta (M,).  That motion
+    is one affine field and one map, so the sums over the points take
+    products of width 3 and the moments' of width J."""
     quadratic = bool(np.any(A != A[:, :1, :1] * np.eye(3)))  # A not a multiple of I
     C = _edge_coefficients(A, v, geom, quadratic)
-    cotangent = None
-    if adjoint is not None:
-        u, zeta, kappa, lam = adjoint
-        Av, vv = np.tensordot(kappa, A, 1), kappa @ v
-        V = x @ Av.T + vv
-        coeffs = _edge_coefficients(Av[None], vv[None], geom, quadratic)[0]
-        corner_coeffs = strain = None
-        if corners is not None:
-            Gv = np.tensordot(lam, corners[0], 1)
-            V -= (x - corners[1]) @ Gv.T
-            Ca, Cb = (C_[0] for C_ in _corner_coefficients(Gv[None], corners[1], geom))
-            coeffs[..., :4] -= Cb
-            corner_coeffs, strain = Cb - Ca, slot_sum(Gv)
-        lift = zeta * geom.lift / (4.0 * np.pi)
-        cotangent = _Cotangent(field=u[:, None] * V, weight=u, strain=strain,
-                               coeffs=coeffs * lift[:, None],
-                               corner_coeffs=None if corners is None
-                               else corner_coeffs * lift[:, None])
+    u, zeta, kappa = cotangent
+    Av, vv = np.tensordot(kappa[:len(A)], A, 1), kappa[:len(A)] @ v
+    V = x @ Av.T + vv
+    coeffs = _edge_coefficients(Av[None], vv[None], geom, quadratic)[0]
+    corner_coeffs = strain = None
+    if corners is not None:
+        Gv = np.tensordot(kappa[len(A):], corners[0], 1)
+        V -= (x - corners[1]) @ Gv.T
+        Ca, Cb = (C_[0] for C_ in _corner_coefficients(Gv[None], corners[1], geom))
+        coeffs[..., :4] -= Cb
+        corner_coeffs, strain = Cb - Ca, slot_sum(Gv)
+    lift = zeta * geom.lift / (4.0 * np.pi)
+    cotangent = _Cotangent(field=u[:, None] * V, weight=u, strain=strain,
+                           coeffs=coeffs * lift[:, None],
+                           corner_coeffs=None if corners is None
+                           else corner_coeffs * lift[:, None])
     out = _blocked(x, geom, want_single=False, want_double=False, density=X,
                    tensor=None if corners is None else X, moments=Y,
                    degree=2 if quadratic else 1, cotangent=cotangent)
@@ -1053,13 +1065,15 @@ def _block_rates(x, geom, X, Y, A, v, corners=None, adjoint=None):
                   - _along((x - c) @ G.transpose(0, 2, 1), grad))
         Ca, Cb = _corner_coefficients(G, c, geom)
         dK.append(-_on_panels(Ca - Cb, Fa) - _on_panels(Cb, F[:, :, :4]))
-    rates = (np.concatenate(dS), np.concatenate(dK) * (geom.lift / (4.0 * np.pi))[:, None])
-    return rates + tuple(out[6:])
+    return (np.concatenate(dS), np.concatenate(dK) * (geom.lift / (4.0 * np.pi))[:, None],
+            *out[6:])
 
 
-def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, adjoint=None):
+def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotangent):
     """Rates of an ellipsoid's own block 1/2 I + K' (the point kernel of
-    _self_blocks) along its matrix slots, applied to X: (6, N, p).
+    _self_blocks) along its matrix slots, applied to X: (6, N, p), and
+    with the ``cotangent`` = (z, s), z (N,) and s the six slots' weights,
+    z^T of the rate along the slots weighted by s, (N,).
 
     Off the diagonal the block is g_ab w_b with the adjoint kernel
     g_ab = (x_a - x_b).n_a R_ab, R_ab = 1 / (4 pi r_ab^3), differentiated
@@ -1070,9 +1084,7 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, adjoi
         dg_ab = (n_a^T G + dn_a^T) d R_ab - (d^T G d) H_ab,
     H_ab = 3 g_ab / r_ab^2: the products of the three matrices d_l R and
     the six d_k d_l H (on SLOTS) with Y = w X, and their weighted column
-    sums, serve all six slots.  With ``adjoint`` = (z, s), z (N,) and s
-    the six slots' weights, z^T of the rate along the slots weighted by s
-    follows, (N,): the same matrices contracted with z."""
+    sums, serve all six slots, and contracted with z, the transposed rate."""
     pts, n, w = panels.points, panels.normals, panels.weights
     N = len(w)
     d = pts.T[:, :, None] - pts.T[:, None, :]
@@ -1098,176 +1110,133 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, adjoi
     wH = w @ ddH
     wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - slot_sum(G) @ wH
     rates = dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
-    if adjoint is None:
-        return rates
-    z, s = adjoint
+    z, s = cotangent
     cs, strain, logw = np.tensordot(s, c, 1).T, s @ slot_sum(G), s @ motion.weights
     zdg = sum((z * cs[l]) @ dR[l] for l in range(3)) - strain @ (z @ ddH)
     wdg_s = sum((w * cs[l]) @ dR[l] for l in range(3)) - strain @ wH
     return rates, w * (zdg + logw * (z @ g)) - z * (wdg_s + (logw * w) @ g)
 
 
-def _slot_rates(mass: AddedMassMatrix, X, SX, adjoint=None):
+def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
     """Rates along every parameter slot of the collocation matrices of
-    ``mass`` applied to the densities X (N, q), and of the weights: (dSX,
-    dMX, dw, motions), dS X and dM X (p, N, q), the weights' (p, N) and the
-    _SlotMotion of each ellipsoid by bubble index.  ``SX`` is S X, read
-    for a lone sphere, which holds no S.
+    ``mass`` applied to the densities X (N, q), and of the weights, with
+    the rows of their rates along one velocity: (dSX, dMX, dw, motions, sT,
+    mT), dS X and dM X (p, N, q), the weights' (p, N), the _SlotMotion of
+    each bubble, and for the ``cotangent`` = (u, z, v), u and z (N,) and v
+    (p,) a packed velocity, the rows u^T d_v S and z^T d_v M (N,) with
+    d_v = sum_t v_t d_t, except a lone sphere's u^T d_v S, which is
+    v_r / r (S^T u) and is left to the caller.  ``SX`` is S X, read for a
+    lone sphere, which holds no S.
 
-    Every rate is an exact derivative of the discrete operator; only the
-    moved bubble's rows and columns of M = 1/2 I + K' and S change, and
-    dM X and dS X come block by block, already applied to X: one
-    _panel_blocks pass per ordered pair of surfaces with a bubble among
-    them gives the rates of the cross block along every slot at once
-    (_block_rates), and one more per ellipsoid its own S block's:
+    Every rate is an exact derivative of the discrete operator.  Only the
+    moved bubble's rows and columns of M = 1/2 I + K' and S change, as its
+    surface moves: rigidly along its translations, and along its other
+    slots by its maps G, points and panel corners alike by G (x - c)
+    (_SlotMotion).  The rates come block by block, already applied to X,
+    and the same passes sum them in the other order for the rows:
 
-    * translating bubble k along axis e: +d_e where k owns the points,
-      -d_e where it owns the panels; self-blocks and weights are fixed;
-    * the radius r of sphere k: d_V with V = (x - c)/r where k owns the
-      points; where it owns the panels, the scaling laws of the panel
-      integrals about c (degree 1 for S, 0 for the solid angle) give
-      dS = (S - d_{x-c} S)/r and dK = -d_{x-c} K/r; the self-blocks give
-      dS_kk = S_kk/r, dM_kk = 0; and the weights dw_k = 2 w_k/r, which
-      enter the weighted transpose in M and the Gram matrix;
-    * the matrix slot E of ellipsoid k (_SlotMotion): points and panel
-      corners move by G (x - c), G = E S^-1; where k owns the points,
-      d_{G (x - c)} and the weights' rate in the weighted transpose; where
-      it owns the panels, the panels' deformation, the lift's rate in S
-      and the flat area's in the weighted transpose (the panel weight
-      cancels there); its S self-block with points and corners moving
-      together, G : T (_panel_blocks ``tensor``); and its point-kernel M
-      self-block entry by entry (_own_double_layer_rates).
+    * a bubble's own blocks: a sphere's scale about its centre, S_kk with
+      r and M_kk not at all; an ellipsoid's S_kk takes G : T (one
+      _panel_blocks pass with a ``tensor``) and the lift's rate, and its
+      point-kernel M_kk is differentiated entry by entry
+      (_own_double_layer_rates);
+    * the block of the points of a over the panels of b, for each ordered
+      pair of surfaces with a bubble among them, along affine fields of
+      a's points and the maps of b's panel corners (_block_rates), one
+      pass for all slots.  One slot-to-field matrix C weighs those
+      motions, forward and in the cotangent: a's slots move its points;
+      b's translations and a sphere b's radius move its panels, which is
+      a's points moving the other way; an ellipsoid b's maps move its
+      panel corners.  A sphere b's panels scale about its centre, so by
+      the scaling laws of the panel integrals (degree 1 for S, 0 for the
+      solid angle) its radius also takes S X / r;
+    * the weights, dw = w times the weights' log-rate, which also enter
+      the weighted transpose in M (a's weights, and b's flat areas, the
+      panel weight cancelling there) and, through the lift, b's panels in
+      S.
 
-    With ``adjoint`` = (u, z, v), u and z (N,) and v (p,) a packed
-    velocity, the same passes also give (sT, mT), the rows
-    u^T d_v S and z^T d_v M (N,) with d_v = sum_t v_t d_t (_block_rates
-    ``adjoint``), except a lone sphere's u^T d_v S, which is
-    v_r / r (S^T u) and is left to the caller.  No mesh is built and no
-    matrix assembled."""
+    No mesh is built and no matrix assembled."""
     config, asm = mass.config, mass.assembly
     p, nb = config.dim, config.n_bubbles
     w, blocks = asm.weights, asm.blocks
+    u, z, v = cotangent
+    lone = asm._unit is not None
     dSX = np.zeros((p, len(w), X.shape[1]))
     dMX = np.zeros_like(dSX)
     dw = np.zeros((p, len(w)))
-    if adjoint is not None:
-        u, z, v = adjoint
-        sT, mT = np.zeros(len(w)), np.zeros(len(w))
-    motions, slots = {}, {}  # per ellipsoid: its _SlotMotion and its matrix slots
-    for k, (bubble, sl) in enumerate(zip(config.bubbles, config.slices())):
+    sT, mT = np.zeros(len(w)), np.zeros(len(w))
+    motions = [_slot_motion(bubble, asm, k) for k, bubble in enumerate(config.bubbles)]
+    slots = [slice(sl.start + 3, sl.stop) for sl in config.slices()]
+    for k, (bubble, mo, t) in enumerate(zip(config.bubbles, motions, slots)):
         blk = blocks[k]
-        if isinstance(bubble, SphereParams):
-            t, r = sl.start + 3, bubble.radius
-            # S_kk X_k, which is the whole potential S X (B = I) of a lone sphere
-            own = SX if asm._unit is not None else asm.S[blk, blk] @ X[blk]
-            dSX[t, blk] = own / r
-            dw[t, blk] = 2.0 * w[blk] / r
-            if adjoint is not None and asm._unit is None:
-                sT[blk] += v[t] / r * (u[blk] @ asm.S[blk, blk])
+        dw[t, blk] = mo.weights * w[blk]
+        if mo.normals is None:
+            # a sphere: S_kk X_k, which is the whole S X (B = I) of a lone sphere
+            dSX[t, blk] = (SX if lone else asm.S[blk, blk] @ X[blk]) / bubble.radius
+            if not lone:
+                sT[blk] += v[t] / bubble.radius * (u[blk] @ asm.S[blk, blk])
             continue
-        t = slots[k] = slice(sl.start + 3, sl.stop)
         part = asm.panels[k]
-        mo = motions[k] = _slot_motion(bubble, part)
         # points and corners move together: the lift's rate and G : T
-        cotangent = None if adjoint is None else _Cotangent(
-            weight=u[blk], strain=slot_sum(np.tensordot(v[t], mo.maps, 1)))
         out = _blocked(part.points, part, want_single=False, want_double=False,
-                       tensor=X[blk], cotangent=cotangent)
+                       tensor=X[blk], cotangent=_Cotangent(
+                           weight=u[blk], strain=slot_sum(np.tensordot(v[t], mo.maps, 1))))
         dSX[t, blk] = (asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
                        + np.tensordot(slot_sum(mo.maps), out[3], axes=(1, 1)))
-        own = _own_double_layer_rates(part, mo, X[blk],
-                                      None if adjoint is None else (z[blk], v[t]))
-        if adjoint is not None:
-            own, row = own
-            sT[blk] += out[6] + (v[t] @ mo.lift) * (u[blk] @ asm.S[blk, blk])
-            mT[blk] += row
-        dMX[t, blk] = own
-        dw[t, blk] = mo.weights * w[blk]
+        sT[blk] += out[6] + (v[t] @ mo.lift) * (u[blk] @ asm.S[blk, blk])
+        dMX[t, blk], row = _own_double_layer_rates(part, mo, X[blk], (z[blk], v[t]))
+        mT[blk] += row
 
-    # each ordered pair of surfaces (a, b) with a bubble among them: the
-    # derivatives of the block of a's points over b's panels along the
-    # three axes (a's translations, and b's with the sign flipped), the
-    # radial fields of the spheres and the matrix slots of the ellipsoids
-    # (a's as point velocities, b's as corner velocities).  A lone surface
-    # has no such pair (and a lone sphere no panel data).
+    # a lone surface has no pair (and a lone sphere no panel data)
     parts = asm.panels if len(asm.meshes) > 1 else ()
     for a, b in ((a, b) for a in range(len(parts)) for b in range(len(parts)) if a != b):
-        # the affine point fields A x + v: the three axes, then per bubble
-        fields = [(np.zeros((3, 3)), e) for e in np.eye(3)]
-        uses = []  # (slot, field, sign, sphere radius for a radius slot)
+        Da, Db = blocks[a], blocks[b]
+        # the fields A x + v (the three axes, then the maps of a's points
+        # and of a sphere b's panels, as a's points moving back), b's
+        # corner maps, and C, the rate of every slot along each
+        A, vs, C, corners = [np.zeros((3, 3, 3))], [np.eye(3)], [np.zeros((p, 3))], None
         for k, sign in ((a, 1.0), (b, -1.0)):
             if k >= nb:
                 continue
-            bubble, start = config.bubbles[k], config.slices()[k].start
-            uses += [(start + j, j, sign, None) for j in range(3)]
-            if isinstance(bubble, SphereParams):
-                uses.append((start + 3, len(fields), sign, bubble.radius))
-                # a's sphere moves its points along (x - c)/r; the scaling
-                # law of b's panels takes the rates along x - c
-                s = 1.0 / bubble.radius if k == a else 1.0
-                fields.append((s * np.eye(3), -s * bubble.center))
-            elif k == a:
-                uses += [(start + 3 + i, len(fields) + i, sign, None) for i in range(6)]
-                fields += [(G, -G @ bubble.center) for G in motions[a].maps]
-        Da, Db = blocks[a], blocks[b]
-        corners = (motions[b].maps, config.bubbles[b].center) if b in motions else None
-        pair_adjoint = None
-        if adjoint is not None:
-            # the fields' weights in d_v: the uses' slot rates, signed, and
-            # over r for b's radius, whose rates are minus d_{x-c} / r
-            kappa = np.zeros(len(fields))
-            for t, i, sign, r in uses:
-                kappa[i] += v[t] * (sign if r is None or sign > 0 else -1.0 / r)
-            pair_adjoint = (u[Da], z[Db] / w[Db], kappa,
-                            None if corners is None else v[slots[b]])
-        dS_X, dK_X, *transposed = _block_rates(
-            parts[a].points, parts[b], X[Db], w[Da, None] * X[Da],
-            *map(np.array, zip(*fields)), corners, pair_adjoint)
-        dK_X /= w[Db, None]
-        for t, i, sign, r in uses:
-            if r is not None and sign < 0:
-                # the radius of sphere b, whose panels scale about its centre
-                dSX[t, Da] += (asm.S[Da, Db] @ X[Db] - dS_X[i]) / r
-                dMX[t, Db] -= dK_X[i] / r
+            mo, c, t = motions[k], config.bubbles[k].center, slots[k]
+            C[0] += sign * np.eye(p)[:, t.start - 3:t.start]
+            if k == b and mo.normals is not None:
+                corners = (mo.maps, c)
+                C.append(np.eye(p)[:, t])
             else:
-                dSX[t, Da] += sign * dS_X[i]
-                dMX[t, Db] += sign * dK_X[i]
-            if r is not None:
-                # w_a (a's radius) or 1 / w_b (b's) in the weighted transpose
-                dMX[t, Db] += sign * 2.0 / r * (asm.A[Db, Da] @ X[Da])
-        if a in motions:
+                A.append(mo.maps)
+                vs.append(-mo.maps @ c)
+                C.append(sign * np.eye(p)[:, t])
+        C = np.hstack(C)
+        dS, dK, sTb, mTa = _block_rates(
+            parts[a].points, parts[b], X[Db], w[Da, None] * X[Da], np.concatenate(A),
+            np.concatenate(vs), corners, (u[Da], z[Db] / w[Db], v @ C))
+        dSX[:, Da] += np.tensordot(C, dS, 1)
+        dMX[:, Db] += np.tensordot(C, dK, 1) / w[Db, None]
+        sT[Db] += sTb
+        mT[Da] += w[Da] * mTa
+        if a < nb:
             # w_a in the weighted transpose
-            dMX[slots[a], Db] += asm.A[Db, Da] @ (motions[a].weights[:, :, None] * X[Da])
-        if b in motions:
-            # b's corners; its lift in S, and lift / w_b = 1 / area in M
-            t, n, mo = slots[b], len(fields), motions[b]
-            dSX[t, Da] += dS_X[n:] + asm.S[Da, Db] @ (mo.lift[:, :, None] * X[Db])
-            dMX[t, Db] += dK_X[n:] - mo.area[:, :, None] * (asm.A[Db, Da] @ X[Da])
-        if adjoint is not None:
-            # the same terms, transposed
-            uS, zA = u[Da] @ asm.S[Da, Db], z[Db] @ asm.A[Db, Da]
-            sT[Db] += transposed[0]
-            mT[Da] += w[Da] * transposed[1]
-            for t, i, sign, r in uses:
-                if r is not None:
-                    mT[Da] += v[t] * sign * 2.0 / r * zA
-                    if sign < 0:
-                        sT[Db] += v[t] / r * uS
-            if a in motions:
-                mT[Da] += (v[slots[a]] @ motions[a].weights) * zA
-            if b in motions:
-                sT[Db] += (v[slots[b]] @ motions[b].lift) * uS
-                mT[Da] -= (z[Db] * (v[slots[b]] @ motions[b].area)) @ asm.A[Db, Da]
-    rates = dSX, dMX, dw, motions
-    return rates if adjoint is None else rates + (sT, mT)
+            mo, t = motions[a], slots[a]
+            dMX[t, Db] += asm.A[Db, Da] @ (mo.weights[:, :, None] * X[Da])
+            mT[Da] += (v[t] @ mo.weights) * (z[Db] @ asm.A[Db, Da])
+        if b < nb:
+            # lift / w_b = 1 / area in M; in S b's lift and, for a sphere,
+            # the scaling law of its panels, S X / r
+            mo, t = motions[b], slots[b]
+            law = mo.lift + (1.0 / config.bubbles[b].radius if mo.normals is None else 0.0)
+            dSX[t, Da] += asm.S[Da, Db] @ (law[:, :, None] * X[Db])
+            dMX[t, Db] -= mo.area[:, :, None] * (asm.A[Db, Da] @ X[Da])
+            sT[Db] += (v[t] @ law) * (u[Da] @ asm.S[Da, Db])
+            mT[Da] -= (z[Db] * (v[t] @ mo.area)) @ asm.A[Db, Da]
+    return dSX, dMX, dw, motions, sT, mT
 
 
 def _potential_rates(mass: AddedMassMatrix):
     """Rates along every parameter slot of the basis potentials S X of
     ``mass`` at its collocation points, which move with the bubbles, and of
     the data the Gram matrix weighs them with: (dPhi, dw, dGP), d(S X)
-    (p, N, p), the weights' (p, N) and d(G P) = dG P + G dP (p, N, p), None
-    where both vanish (spheres in unbounded liquid).
+    (p, N, p), the weights' (p, N) and d(G P) = dG P + G dP (p, N, p).
     Here X = M^-1 G P, M = 1/2 I + K' and S the assembled matrices, G the
     canonical direction data and P = B B^T the projector onto the
     volume-preserving velocities (I in unbounded liquid), B the basis
@@ -1275,8 +1244,8 @@ def _potential_rates(mass: AddedMassMatrix):
 
         dX = M^-1 (d(G P) - dM X),    d(S X) = dS X + S dX,
 
-    with dS X and dM X from _slot_rates, and no flux shift on the
-    derivative solve: its data is not flux free, and shifting it would
+    with dS X and dM X from _slot_rates (its rows, under a zero cotangent,
+    unread), and no flux shift on the derivative solve: its data is not flux free, and shifting it would
     bias the rates.  G changes only along an ellipsoid's matrix slots,
     with the normals (y is fixed).  No mesh is built and no matrix
     assembled.
@@ -1286,19 +1255,21 @@ def _potential_rates(mass: AddedMassMatrix):
     dP = _projector_derivatives(config)
     B = mass.basis.matrix
     X = mass.density @ B.T  # from the solution for G B
-    dSX, dMX, dw, motions = _slot_rates(mass, X, mass.potential)
     w = asm.weights
+    zero = np.zeros(len(w))
+    dSX, dMX, dw, motions, _, _ = _slot_rates(mass, X, mass.potential, (zero, zero, zero[:p]))
     dG = np.zeros_like(dSX)
-    for k, mo in motions.items():
-        bubble, sl = config.bubbles[k], config.slices()[k]
+    for k, (bubble, sl, mo) in enumerate(zip(config.bubbles, config.slices(), motions)):
+        if mo.normals is None:
+            continue
         for i, dn in enumerate(mo.normals):
             dG[sl.start + 3 + i, asm.blocks[k], sl] = normal_velocity_basis(
                 bubble, asm.panels[k].points, dn)
 
-    dGP = None if dP is None else _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
-    if motions:
-        dGP = dG @ B @ B.T if dGP is None else dGP + dG @ B @ B.T
-    rhs = -dMX if dGP is None else dGP - dMX
+    dGP = dG @ B @ B.T
+    if dP is not None:
+        dGP += _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
+    rhs = dGP - dMX
     dPhi = dSX
     if rhs.any():  # a lone unbounded sphere's is zero
         dX = sla.lu_solve(asm.factorization().lu,
@@ -1324,9 +1295,8 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
     dPhi, dw, dGP = _potential_rates(mass)
     B, w = mass.basis.matrix, mass.assembly.weights
     GP, Phi = mass.data @ B.T, mass.potential @ B.T
-    raw = dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)
-    if dGP is not None:
-        raw += Phi.T @ (w[:, None] * dGP)
+    raw = (dPhi.transpose(0, 2, 1) @ (w[:, None] * GP) + Phi.T @ (dw[:, :, None] * GP)
+           + Phi.T @ (w[:, None] * dGP))
     raw *= -mass.liquid_density
     return 0.5 * (raw + raw.transpose(0, 2, 1))
 
@@ -1335,9 +1305,9 @@ def _data_rates(mass: AddedMassMatrix, motions, v):
     """Rates of the basis data G P of ``mass`` (_potential_rates) along
     every slot t applied to the packed velocity v, gamma_t = d_t(G P) v
     (p, N), and their sum weighted by v, Gamma = d_v(G P) (N, p), with
-    ``motions`` the ellipsoids' _SlotMotion: G P changes with the
-    projector and the ellipsoids' normals, and G is linear in the
-    normals."""
+    ``motions`` the bubbles' _SlotMotion: G P changes with the projector
+    and the ellipsoids' normals (a sphere's stay fixed), and G is linear
+    in the normals."""
     config, asm, B = mass.config, mass.assembly, mass.basis.matrix
     p, N = config.dim, len(asm.weights)
     gamma, Gamma = np.zeros((p, N)), np.zeros((N, p))
@@ -1347,9 +1317,10 @@ def _data_rates(mass: AddedMassMatrix, motions, v):
         gamma += (G @ (dP @ v).T).T
         Gamma += G @ np.tensordot(v, dP, 1)
     P = B @ B.T
-    for k, mo in motions.items():
-        bubble, sl, blk = config.bubbles[k], config.slices()[k], asm.blocks[k]
-        t, pts = slice(sl.start + 3, sl.stop), asm.panels[k].points
+    for k, (bubble, sl, mo) in enumerate(zip(config.bubbles, config.slices(), motions)):
+        if mo.normals is None:
+            continue
+        blk, t, pts = asm.blocks[k], slice(sl.start + 3, sl.stop), asm.panels[k].points
         # the six slots' normal rates, then their sum weighted by v, at once
         normals = np.concatenate([mo.normals, np.tensordot(v[t], mo.normals, 1)[None]])
         dG = normal_velocity_basis(bubble, np.tile(pts, (7, 1)), normals.reshape(-1, 3))

@@ -13,13 +13,11 @@ import numpy as np
 from .dynamics import State
 from .errors import BubbleDynError
 from .gas import BubbleGasState, GasLaw
-from .shapes import (CavityMesh, CavitySphere, Configuration, EllipsoidParams,
-                     SphereParams, Unbounded, load_off, symmetric_matrix,
+from .shapes import (MAX_MESH_LEVEL, CavityMesh, CavitySphere, Configuration,
+                     EllipsoidParams, SphereParams, Unbounded, load_off, symmetric_matrix,
                      symmetric_slots)
 
 SCHEMA_VERSION = 1
-# finest mesh_level, wall_level and convergence level a document may ask for
-MAX_MESH_LEVEL = 6
 # most output rows a document may ask for: a run integrates to t_end first
 # and then assembles one added mass per row, floor(t_end / output_dt) + 1
 # of them (one more for a final time off the grid)

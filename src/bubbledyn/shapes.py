@@ -20,9 +20,9 @@ unpack, bounding_radius, validation in __post_init__) and branches in
 surface_mesh (map the reference icosphere, supply on-surface quadrature
 data), normal_velocity, normal_velocity_basis, measures (volume, area and
 their exact slot gradients) and volume_hessian; the Jacobian of the
-equations of motion also needs the exact rates of the family's surface
-along its slots (potential._slot_motion and potential._potential_rates)
-and of the points' velocity field (dynamics._potential_rate).
+equations of motion also needs the linear maps by which the family's
+surface points move along its slots (slot_maps) and the rates of its
+normals, patch weights and flat areas along them (potential._slot_motion).
 Everything else downstream works on packed vectors and meshes.
 """
 
@@ -38,7 +38,9 @@ from .errors import DegenerateShapeError, UnsupportedConfigurationError
 
 # eigenvalue ratio below which an ellipsoid matrix is rejected as degenerate
 DEGENERACY_RATIO = 1e-10
-_MAX_LEVEL = 7
+# finest mesh level: of a reference icosphere, and of the mesh_level,
+# wall_level and convergence levels a scenario may ask for
+MAX_MESH_LEVEL = 6
 
 # the slots (i, j), i <= j, of a symmetric 3x3 matrix, in packing order
 SLOTS = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
@@ -119,8 +121,8 @@ def reference_icosphere(level: int):
     Returns read-only (vertices, triangles); 20 * 4**level triangles, all
     vertices exactly on the unit sphere.  Triangles are oriented outward.
     """
-    if not 0 <= level <= _MAX_LEVEL:
-        raise ValueError(f"level must be in [0, {_MAX_LEVEL}], got {level}")
+    if not 0 <= level <= MAX_MESH_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_MESH_LEVEL}], got {level}")
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
@@ -494,8 +496,6 @@ def surface_mesh(shape: ShapeParams, level: int) -> SurfaceMesh:
     analytic surface, quadrature weights are exact spherical patch measures
     pushed forward by the shape map.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
     ref_verts, ref_faces = reference_icosphere(level)
     ydir, omega = _reference_quadrature(level)
     if isinstance(shape, SphereParams):
@@ -616,6 +616,17 @@ def normal_velocity_basis(shape: ShapeParams, x, n) -> np.ndarray:
     u = (x - shape.center) @ np.linalg.inv(shape.shape_matrix).T
     # the normal speed along a matrix rate E is n . E u = (n u^T) : E
     return np.column_stack([n, slot_sum(n[:, :, None] * u[:, None, :])])
+
+
+def slot_maps(shape: ShapeParams) -> np.ndarray:
+    """The linear maps G (n, 3, 3), one per slot after the centre's, by
+    which every point x of the surface of ``shape`` moves, at G (x - c),
+    along that slot's unit rate: a sphere's radius scales it about its
+    centre, G = I / r, and an ellipsoid's slot E takes S to S + E with the
+    reference direction S^-1 (x - c) fixed, G = E S^-1."""
+    if isinstance(shape, SphereParams):
+        return np.eye(3)[None] / shape.radius
+    return SLOT_MATRICES @ np.linalg.inv(shape.shape_matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,14 @@ class TestIntegrate:
         assert traj.stats["n_poisoned"] >= 1
         assert traj.stats["last_poison"].startswith("IllPosedProblemError:")
 
+    def test_ill_posed_initial_state_raises(self):
+        # a level-0 cavity's collocation matrix is numerically singular, so
+        # every trial from the initial state is poisoned and no step is
+        # taken: the run ends with the reason, not in the output sampling
+        with pytest.raises(BubbleDynError, match="no step from the initial state.*"
+                                                 "numerically singular"):
+            integrate(scenario_from_dict(cavity_doc(level=0, t_end=0.01)))
+
     def test_one_added_mass_per_state(self, monkeypatch):
         # every RHS call and every output row assembles its state once; a
         # residual sample's acceleration and residual share the row's

@@ -201,8 +201,8 @@ class TestPotentialSolution:
                 assert np.abs(diff).max() <= 1e-13 * np.abs(want).max()
 
     def test_condition_estimated_on_request(self, monkeypatch):
-        # a cavity solve skips the singularity check, so it runs no
-        # condition estimate until collocation_condition is read
+        # a cavity solve above level 0 skips the singularity check, so it
+        # runs no condition estimate until collocation_condition is read
         import bubbledyn.potential as pot_mod
         config = sphere_pair_in_cavity()
         meshes = configuration_meshes(config, 1)
@@ -215,6 +215,25 @@ class TestPotentialSolution:
         assert calls == []
         assert sol.collocation_condition > 1.0
         assert calls == [1]
+
+    def test_level_zero_cavity_is_singular(self):
+        # a cavity meshed wholly at level 0 takes the singularity check: its
+        # LU no longer resolves the modes off the near-null one (rcond
+        # 3e-17); with any surface refined the near-kernel is exempt, as its
+        # rcond falls with refinement (6e-9 at level 1, 5e-10 with the
+        # bubbles at level 0 inside a level-1 wall)
+        config = sphere_pair_in_cavity()
+
+        def data(level, wall_level=None):
+            meshes = configuration_meshes(config, level, wall_level)
+            return meshes, _direction_data(config, meshes, constraint_basis(config).matrix)[:, 0]
+
+        for solve in (lambda: solve_neumann(*data(0)), lambda: added_mass(config, 0)):
+            with pytest.raises(IllPosedProblemError, match="numerically singular") as err:
+                solve()
+            assert err.value.condition > 1e13
+        for level, wall_level in ((1, None), (0, 1), (1, 0)):
+            assert solve_neumann(*data(level, wall_level)).collocation_condition < 1e13
 
     def test_collocation_condition_is_the_matrix_estimate(self):
         # the 1-norm estimate of 1/2 I + K' (a lower bound, within a small
@@ -717,11 +736,10 @@ class TestVelocityRates:
     psi = (d_v Phi) v, from rate passes of width one: they must agree with
     the einsums of the full Jacobian to roundoff."""
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 2 ** 30 - 1), st.sampled_from(["ss", "se", "es", "ee"]),
-           st.integers(0, 1))
-    def test_unbounded_pairs_match_the_full_jacobian(self, seed, kinds, level):
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def unbounded_pair(kinds, rng):
+        """Two bubbles about x = -1 and x = 1, spheres ("s") or ellipsoids
+        ("e") of size about 0.45, in unbounded liquid."""
         bubbles = []
         for kind, x in zip(kinds, (-1.0, 1.0)):
             center = np.array([x, 0.0, 0.0]) + rng.uniform(-0.05, 0.05, 3)
@@ -732,10 +750,44 @@ class TestVelocityRates:
                 S[0, 1] = S[1, 0] = rng.uniform(-0.05, 0.05)
                 S[1, 2] = S[2, 1] = rng.uniform(-0.05, 0.05)
                 bubbles.append(EllipsoidParams(center=center, shape_matrix=S))
-        config = Configuration(bubbles=tuple(bubbles))
+        return Configuration(bubbles=tuple(bubbles))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 30 - 1), st.sampled_from(["ss", "se", "es", "ee"]),
+           st.integers(0, 1))
+    def test_unbounded_pairs_match_the_full_jacobian(self, seed, kinds, level):
+        rng = np.random.default_rng(seed)
+        config = self.unbounded_pair(kinds, rng)
         assume(check_admissible(config, level).ok)
         errors = contraction_errors(added_mass(config, level), admissible_velocity(config, rng))
         assert max(errors) <= 1e-12, errors
+
+    @pytest.mark.parametrize("kinds", ["ss", "se", "ee"])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_invariances_hold_without_an_oracle(self, kinds, level):
+        # identities of the exact discrete rates, with no reference
+        # Jacobian: moving every bubble alike moves nothing relative to
+        # the others, so the centre slots' gradients sum to zero per axis
+        # and a common translation has no tangent and no psi; and K is
+        # homogeneous of degree 3 in the packed parameters q, all lengths,
+        # so q . grad(1/2 v^T K v) = 3/2 v^T K v and (d_q K) q = 3 K q
+        for seed in (0, 1):
+            rng = np.random.default_rng([seed, level])
+            config = self.unbounded_pair(kinds, rng)
+            assert check_admissible(config, level).ok
+            mass = added_mass(config, level)
+            K, q, v = mass.kinetic, pack_params(config), rng.normal(size=config.dim)
+            centres = np.concatenate([np.arange(sl.start, sl.start + 3)
+                                      for sl in config.slices()])
+            common = np.zeros(config.dim)
+            common[centres] = np.tile(rng.normal(size=3), config.n_bubbles)
+            got, shifted, scaled = (velocity_rates(mass, u) for u in (v, common, q))
+            scale = np.abs(K).max() * np.abs(v).max() ** 2
+            assert np.abs(got.gradient[centres].reshape(-1, 3).sum(axis=0)).max() <= 1e-13 * scale
+            assert np.abs(shifted.tangent).max() <= 1e-13 * np.abs(K).max()
+            assert np.abs(shifted.potential).max() <= 1e-13 * np.abs(mass.potential).max()
+            assert abs(q @ got.gradient - 1.5 * v @ K @ v) <= 1e-13 * abs(v @ K @ v)
+            assert rel_diff(scaled.tangent, 3.0 * K @ q) <= 1e-13
 
     @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity,
                                              sphere_and_ellipsoid_in_cavity])
@@ -1443,6 +1495,11 @@ class TestPanelData:
         A, v, G = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 3))
         return mesh, x, X, Y, A, v, (G, mesh.shape.center + rng.normal(scale=0.1, size=3))
 
+    @staticmethod
+    def no_cotangent(x, geom):
+        """A zero cotangent of _block_rates for two fields and two maps."""
+        return np.zeros(len(x)), np.zeros(geom.n_panels), np.zeros(4)
+
     def test_panel_rates_match_central_differences(self):
         # the contracted rates of S X and K^T Y as the points move along
         # affine fields and as the panel corners move by linear maps (the
@@ -1454,7 +1511,7 @@ class TestPanelData:
         from bubbledyn.potential import _block_rates, _panel_blocks
         mesh, x, X, Y, A, v, (G, c) = self.block_motions(11)
         geom = surface_panels(mesh)
-        dSX, dKY = _block_rates(x, geom, X, Y, A, v, (G, c))
+        dSX, dKY, _, _ = _block_rates(x, geom, X, Y, A, v, (G, c), self.no_cotangent(x, geom))
         assert dSX.shape == (4, len(x), 3) and dKY.shape == (4, mesh.n_panels, 3)
         h = 1e-6
 
@@ -1480,7 +1537,7 @@ class TestPanelData:
         from bubbledyn.potential import _block_rates
         mesh, x, X, Y, A, v, (G, c) = self.block_motions(12)
         geom = surface_panels(mesh)
-        dSX, dKY = _block_rates(x, geom, X, Y, A, v, (G, c))
+        dSX, dKY, _, _ = _block_rates(x, geom, X, Y, A, v, (G, c), self.no_cotangent(x, geom))
         V = x @ A.transpose(0, 2, 1) + v[:, None]
         W = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
         dS, dK = _per_field_rates(x, geom, V, W)

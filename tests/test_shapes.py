@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubbledyn.errors import DegenerateShapeError
-from bubbledyn.shapes import (SLOT_MATRICES, CavitySphere, Configuration,
+from bubbledyn.shapes import (MAX_MESH_LEVEL, SLOT_MATRICES, CavitySphere, Configuration,
                               EllipsoidParams, SphereParams, _ellipsoid_area,
                               _reference_quadrature, check_admissible,
                               config_from_params, icosphere_symmetry, measures,
@@ -75,6 +75,16 @@ class TestSurfaceMesh:
         mesh = surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), 0)
         assert mesh.n_panels == 20
         assert abs(mesh.area.sum() / (4 * np.pi) - 1) < 0.25
+
+    @pytest.mark.parametrize("level", [-1, MAX_MESH_LEVEL + 1])
+    def test_levels_past_the_one_limit_rejected(self, level):
+        # one constant bounds every mesh level, the scenario's and the
+        # command line's too
+        sphere = SphereParams(center=np.zeros(3), radius=1.0)
+        wall = CavitySphere(center=np.zeros(3), radius=2.0)
+        for build in (lambda: surface_mesh(sphere, level), lambda: wall_mesh(wall, level)):
+            with pytest.raises(ValueError, match=f"level must be in \\[0, {MAX_MESH_LEVEL}\\]"):
+                build()
 
     def test_vertices_exactly_on_sphere(self):
         mesh = surface_mesh(SphereParams(center=[0.3, -1.0, 2.0], radius=2.0), 2)
