@@ -100,20 +100,11 @@ def cmd_run(args) -> int:
                                 f"got {args.residual_cadence}")
         scenario = dataclasses.replace(scenario,
                                        residual_cadence=args.residual_cadence)
-    state = scenario.initial_state()
-    report = check_admissible(state.config, scenario.admissibility_level)
-    if not report.ok:
-        raise ScenarioError(f"bubbles: initial configuration inadmissible: "
-                            f"{[dataclasses.asdict(v) for v in report.violations]}")
-    margin = dyn.collision_margin(scenario, state.config)
-    if not margin > 0:
-        raise ScenarioError(f"bubbles: initial configuration inside the collision "
-                            f"threshold (smallest gap less threshold {margin:.3e})")
-    if scenario.domain_is_bounded:
-        flux, ok = dyn.volume_flux(state.config, state.packed()[1])
-        if not ok:
-            raise ScenarioError(f"bubbles: initial velocity violates the cavity volume "
-                                f"constraint (net volume flux {flux:.3e})")
+    try:
+        dyn.check_start(scenario)
+    except BubbleDynError as exc:
+        # a start fault is the scenario's: refused before any output or assembly
+        raise ScenarioError(f"bubbles: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     extra = _gram_diagnostics(scenario)
     traj = dyn.integrate(scenario)

@@ -78,26 +78,29 @@ def _ahat_jacobian(A, qdot):
 
 
 def _acceleration(scenario, A, qdot):
-    """Flat acceleration vector from the (constrained) Euler-Lagrange
-    equations, at the configuration of the added mass ``A``: the
-    Coriolis force (d_q' K) q' - grad_q (1/2 q'^T K q') from the
-    Jacobian's contractions with the velocity (_ahat_jacobian)."""
+    """Flat acceleration vector from the Euler-Lagrange equations on the
+    admissible velocities, at the configuration of the added mass ``A``,
+    by one solve: q'' = B A^-1 (B^T f - A B^T q''_0) + q''_0, with B the
+    basis of the admissible velocities, f = -(d_q' K) q' + grad_q (1/2
+    q'^T K q') - grad U the force (its Coriolis part from the Jacobian's
+    contractions with the velocity, _ahat_jacobian), and q''_0 the
+    acceleration along the volume gradient that keeps a cavity's net
+    volume flux at zero.  In unbounded liquid B = I and q''_0 = 0, whose
+    products and sums are exact.  It checks no state: ``bubbledyn run``
+    and integrate refuse the same start faults through one check
+    (check_start), and eom_rhs checks the state it is given."""
     config = A.config
     rates = _ahat_jacobian(A, qdot)
     pe = _potential_energy(scenario, config)
     coriolis = rates.tangent - rates.gradient
     force = -coriolis - pe.dU_dm
-    if not A.basis.constrained:
-        qddot = np.linalg.solve(A.kinetic, force)
-    else:
+    B = A.basis.matrix
+    qdd0 = np.zeros(len(qdot))
+    if A.basis.constrained:
         grad = A.basis.flux_covector
-        hess = volume_hessian(config)
-        qdd0 = -(qdot @ hess @ qdot) / (grad @ grad) * grad
-        B = A.basis.matrix
-        rhs = B.T @ force - A.matrix @ (B.T @ qdd0)
-        a = np.linalg.solve(A.matrix, rhs)
-        qddot = B @ a + qdd0
-    return qddot
+        qdd0 = -(qdot @ volume_hessian(config) @ qdot) / (grad @ grad) * grad
+    a = np.linalg.solve(A.matrix, B.T @ force - A.matrix @ (B.T @ qdd0))
+    return B @ a + qdd0
 
 
 def volume_flux(config, qdot):
@@ -110,15 +113,27 @@ def volume_flux(config, qdot):
     return flux, abs(flux) <= max(CONSTRAINT_TOLERANCE * scale, 1e-13)
 
 
-def eom_rhs(scenario, state: State):
-    """Packed (p,) acceleration of the given state, in its velocity's slots."""
-    config, qd = state.config, state.velocity
-    report = check_admissible(config, scenario.admissibility_level)
+def _check_state(scenario, state: State, initial=False):
+    """Raise for a state that a run may not pass through: BubbleDynError
+    for an inadmissible configuration, CompatibilityError for a cavity
+    velocity with net volume flux (volume_flux)."""
+    when = "initial " if initial else ""
+    report = check_admissible(state.config, scenario.admissibility_level)
     if not report.ok:
-        raise BubbleDynError(f"state not admissible: {report.violations}")
-    if scenario.domain_is_bounded and not volume_flux(config, qd)[1]:
-        raise CompatibilityError("velocity violates the cavity volume constraint")
-    return _acceleration(scenario, mass_at(scenario, config), qd)
+        raise BubbleDynError(f"{when}configuration inadmissible: {report.violations}")
+    if scenario.domain_is_bounded:
+        flux, ok = volume_flux(state.config, state.velocity)
+        if not ok:
+            raise CompatibilityError(f"{when}velocity violates the cavity volume "
+                                     f"constraint (net volume flux {flux:.3e})")
+
+
+def eom_rhs(scenario, state: State):
+    """Packed (p,) acceleration of the given state, in its velocity's slots;
+    raises for an inadmissible state or a cavity velocity with net volume
+    flux, as check_start does for the initial state."""
+    _check_state(scenario, state)
+    return _acceleration(scenario, mass_at(scenario, state.config), state.velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +210,37 @@ def collision_margin(scenario, config) -> float:
     return float(worst)
 
 
+def check_start(scenario) -> State:
+    """The scenario's initial state, once it is one a run may start from:
+    admissible and, in a cavity, volume preserving (the state check of
+    eom_rhs), and outside the collision threshold (collision_margin > 0),
+    since the collision event fires on a sign change only.  Raises
+    BubbleDynError, CompatibilityError for the volume flux; integrate and
+    ``bubbledyn run`` refuse the same start faults through it."""
+    state = scenario.initial_state()
+    _check_state(scenario, state, initial=True)
+    margin = collision_margin(scenario, state.config)
+    if not margin > 0:
+        raise BubbleDynError(f"initial configuration inside the collision threshold "
+                             f"(smallest gap less threshold {margin:.3e})")
+    return state
+
+
 @_blas.single_thread()
 def integrate(scenario) -> Trajectory:
     """Integrate the reduced system with the adaptive Dormand-Prince 5(4)
     pair (_stepper: scipy RK45's steps and controller, bit for bit), stopped
     by the collision and degeneracy events, sampling by dense interpolation
-    at the scenario output cadence.  A poisoned RHS call (NaN) makes the
+    at the scenario output cadence.  The initial state must pass
+    check_start, the start check that ``bubbledyn run`` makes too, so both
+    refuse the same start faults.  A poisoned RHS call (NaN) makes the
     controller reject the trial step and shrink it; stats["n_rejected"]
     counts the rejected trials, so that n_rhs = 1 + 6 (n_steps + n_rejected).
     Runs with one thread in every loaded OpenBLAS (_blas.single_thread);
     stats["blas_threads"] records the counts in force."""
-    state0 = scenario.initial_state()
+    state0 = check_start(scenario)
     config0 = state0.config
-    report = check_admissible(config0, scenario.admissibility_level)
-    if not report.ok:
-        raise BubbleDynError(f"initial configuration inadmissible: {report.violations}")
-    margin = collision_margin(scenario, config0)
-    if not margin > 0:
-        raise BubbleDynError(f"initial configuration inside the collision threshold "
-                             f"(smallest gap less threshold {margin:.3e})")
     q0, qd0 = state0.packed()
-    if scenario.domain_is_bounded:
-        flux, ok = volume_flux(config0, qd0)
-        if not ok:
-            raise CompatibilityError(
-                f"initial velocity violates the cavity volume constraint (flux {flux:.3e})")
-
     p = config0.dim
     sizes0 = np.array([_bubble_size(b) for b in config0.bubbles])
     n_rhs = [0]

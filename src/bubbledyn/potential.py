@@ -640,11 +640,12 @@ class _Assembly:
     def _check(self, q):
         """Raise IllPosedProblemError for a non-finite density ``q`` or a
         numerically singular collocation matrix.  A cavity's matrix has a
-        one-dimensional near-kernel whose rcond falls with refinement (two
-        spheres: 6e-9, 4e-11, 6e-13 at levels 1-3), so the threshold would
-        refuse fine meshes; it is checked only when every surface is at
-        level 0, where the LU no longer resolves the other modes (3e-17,
-        and the Jacobian is off a central difference by its own size)."""
+        one-dimensional near-kernel whose rcond falls with refinement (the
+        shipped two_bubble_cavity: 3.1e-9, 1.5e-11, 6.4e-13 at levels 1-3),
+        so the threshold would refuse fine meshes; it is checked only when
+        every surface is at level 0, where the LU no longer resolves the
+        other modes (3e-17, and the Jacobian is off a central difference
+        by its own size)."""
         lu = self.factorization()
         if not np.all(np.isfinite(q)):
             raise IllPosedProblemError("collocation solve produced non-finite density",

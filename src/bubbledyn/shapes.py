@@ -18,7 +18,7 @@ gradient of a function of the matrix is slot_sum of its matrix gradient.
 Adding a shape family means providing a params dataclass (dim, pack,
 unpack, bounding_radius, validation in __post_init__) and branches in
 surface_mesh (map the reference icosphere, supply on-surface quadrature
-data), normal_velocity, normal_velocity_basis, measures (volume, area and
+data), normal_velocity_basis, measures (volume, area and
 their exact slot gradients) and volume_hessian; the Jacobian of the
 equations of motion also needs the linear maps by which the family's
 surface points move along its slots (slot_maps) and the rates of its
@@ -234,6 +234,18 @@ def icosphere_symmetry(level: int) -> MeshSymmetry:
 # shape parameters
 
 
+def _validate_ball(ball, name):
+    """Coerce a ball's ``center`` and ``radius`` (a frozen dataclass's) to
+    floats; a DegenerateShapeError, its message led by ``name``, unless the
+    centre is a finite 3-vector and the radius finite and > 0."""
+    object.__setattr__(ball, "center", np.asarray(ball.center, dtype=float))
+    object.__setattr__(ball, "radius", float(ball.radius))
+    if ball.center.shape != (3,) or not np.isfinite(ball.center).all():
+        raise DegenerateShapeError(f"{name} center must be a finite 3-vector")
+    if not np.isfinite(ball.radius) or ball.radius <= 0.0:
+        raise DegenerateShapeError(f"{name} radius must be > 0, got {ball.radius}")
+
+
 @dataclass(frozen=True)
 class SphereParams:
     """Sphere of radius ``radius`` centred at ``center``."""
@@ -242,12 +254,7 @@ class SphereParams:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.center.shape != (3,) or not np.isfinite(self.center).all():
-            raise DegenerateShapeError("sphere center must be a finite 3-vector")
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise DegenerateShapeError(f"sphere radius must be > 0, got {self.radius}")
+        _validate_ball(self, "sphere")
 
     @property
     def dim(self) -> int:
@@ -326,12 +333,7 @@ class CavitySphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.center.shape != (3,) or not np.isfinite(self.center).all():
-            raise DegenerateShapeError("cavity center must be a finite 3-vector")
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise DegenerateShapeError(f"cavity radius must be > 0, got {self.radius}")
+        _validate_ball(self, "cavity")
 
 
 @dataclass(frozen=True)
@@ -590,25 +592,14 @@ def normal_velocity(shape: ShapeParams, mdot, x, n):
     parameter velocity ``mdot``: c'.n + r' for spheres, c'.n + S' S^-1
     (x-c).n for ellipsoids, S' = symmetric_matrix(mdot[3:]).  Accepts
     single points or (M, 3) arrays."""
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(n, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    n = np.atleast_2d(n)
-    if isinstance(shape, SphereParams):
-        out = n @ mdot[:3] + mdot[3]
-    else:
-        Sinv = np.linalg.inv(shape.shape_matrix)
-        rel = (x - shape.center) @ Sinv.T @ symmetric_matrix(mdot[3:]).T
-        out = n @ mdot[:3] + np.einsum('ij,ij->i', rel, n)
-    return out[0] if single else out
+    out = normal_velocity_basis(shape, x, n) @ mdot
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def normal_velocity_basis(shape: ShapeParams, x, n) -> np.ndarray:
     """(M, dim) matrix whose column j is the normal velocity at the points
-    ``x`` (normals ``n``) of the unit parameter rate e_j; normal_velocity
-    is linear in the packed velocity, so it equals this matrix times that
-    velocity."""
+    ``x`` (normals ``n``) of the unit parameter rate e_j, which
+    normal_velocity contracts with a packed velocity."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = np.atleast_2d(np.asarray(n, dtype=float))
     if isinstance(shape, SphereParams):

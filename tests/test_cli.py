@@ -249,11 +249,15 @@ class TestRun:
         assert code != 0
         assert "gamma" in capsys.readouterr().err
 
-    def test_overlapping_bubbles_rejected(self, tmp_path):
+    def test_overlapping_bubbles_rejected(self, tmp_path, capsys):
         doc = equilibrium_doc()
         doc["bubbles"] = doc["bubbles"] + [dict(doc["bubbles"][0])]
         path = write_scenario(tmp_path, doc)
-        assert main(["run", "--scenario", path, "--out", str(tmp_path)]) != 0
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bubbles" in err and "initial configuration inadmissible" in err
+        assert not out.exists()
 
     def test_cavity_run_preserves_volume_invariant(self, tmp_path):
         r = 0.8
