@@ -92,6 +92,15 @@ def write_diagnostics_json(path, scenario, traj, extra):
         fh.write("\n")
 
 
+def _make_out_dir(path):
+    """Create the output directory ``path``; a ScenarioError anchored at
+    --out where it cannot be created (a file in the way, no permission)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out: cannot create the output directory ({exc})") from exc
+
+
 def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     if args.residual_cadence is not None:
@@ -105,7 +114,7 @@ def cmd_run(args) -> int:
     except BubbleDynError as exc:
         # a start fault is the scenario's: refused before any output or assembly
         raise ScenarioError(f"bubbles: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     extra = _gram_diagnostics(scenario)
     traj = dyn.integrate(scenario)
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), scenario, traj)
@@ -122,7 +131,7 @@ def cmd_check(args) -> int:
     config = scenario.configuration()
     print(f"scenario: {args.scenario}")
     print(f"bubbles: {config.n_bubbles}, domain "
-          f"{'bounded' if scenario.domain_is_bounded else 'unbounded'}, "
+          f"{'bounded' if config.bounded else 'unbounded'}, "
           f"mesh level {scenario.mesh_level}")
 
     report = check_admissible(config, scenario.admissibility_level)
@@ -136,7 +145,7 @@ def cmd_check(args) -> int:
         print(f"collision margin: {'ok' if margin > 0 else 'VIOLATION'} (smallest gap "
               f"less threshold {margin:.6g}; a run must start above 0)")
 
-    if scenario.domain_is_bounded:
+    if config.bounded:
         flux, ok = dyn.volume_flux(config, scenario.initial_state().packed()[1])
         if ok:
             print("cavity volume constraint: satisfied")
@@ -169,6 +178,8 @@ def cmd_convergence(args) -> int:
     levels = sorted(set(args.levels))
     if len(levels) == 1:
         print("warning: single level given; no convergence order can be estimated")
+    if args.out:
+        _make_out_dir(args.out)
     rows = []
     for level in levels:
         s = dataclasses.replace(scenario, mesh_level=level,
@@ -203,7 +214,6 @@ def cmd_convergence(args) -> int:
               f"{'' if np.isnan(delta) else f'{delta:15.3e}':>15} "
               f"{row['residual']:>12.3e} {order:>7}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "convergence.json")
         with open(path, "w") as fh:
             json.dump([{**r, "added_mass_diag": list(map(float, r["added_mass_diag"])),

@@ -121,7 +121,7 @@ def _check_state(scenario, state: State, initial=False):
     report = check_admissible(state.config, scenario.admissibility_level)
     if not report.ok:
         raise BubbleDynError(f"{when}configuration inadmissible: {report.violations}")
-    if scenario.domain_is_bounded:
+    if state.config.bounded:
         flux, ok = volume_flux(state.config, state.velocity)
         if not ok:
             raise CompatibilityError(f"{when}velocity violates the cavity volume "
@@ -397,7 +397,7 @@ def boundary_residual(scenario, state: State, mass, acceleration) -> float:
     # over the bubbles) in unbounded liquid, their projection in a cavity
     resid = mass.data[:len(p_gap)].T @ (p_gap * mass.assembly.weights[:len(p_gap)])
     areas = np.array([m.quad_weights.sum() for m in meshes])
-    if scenario.domain_is_bounded:
+    if config.bounded:
         resid /= areas.mean()
     else:
         resid /= np.repeat(areas, [b.dim for b in config.bubbles])

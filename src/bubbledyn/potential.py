@@ -122,7 +122,7 @@ import numpy as np
 from . import _blas
 from . import _lapack as sla
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
-from .shapes import (SLOTS, CavityMesh, CavitySphere, Configuration, ConstraintBasis,
+from .shapes import (SLOTS, CavitySphere, Configuration, ConstraintBasis,
                      MeshSymmetry, SphereParams, constraint_basis, icosphere_symmetry,
                      normal_velocity_basis, slot_maps, slot_sum, surface_mesh,
                      trivial_symmetry, volume_gradient, volume_hessian, wall_mesh)
@@ -634,9 +634,6 @@ class _Assembly:
                         else _Factorization(self.A))
         return self._lu
 
-    def rcond(self) -> float:
-        return self.factorization().rcond()
-
     def _check(self, q):
         """Raise IllPosedProblemError for a non-finite density ``q`` or a
         numerically singular collocation matrix.  A cavity's matrix has a
@@ -698,11 +695,6 @@ class _Assembly:
                                  _frozen(self.meshes[0].shape.radius * unit.potential))
 
 
-def _surfaces(config: Configuration):
-    """Shape behind each mesh of configuration_meshes(config)."""
-    return config.bubbles + ((config.domain,) if config.bounded else ())
-
-
 # ---------------------------------------------------------------------------
 # solutions for arbitrary data
 
@@ -729,7 +721,7 @@ class PotentialSolution:
         gecon's work arrays are aligned (_lapack); where numpy has no
         OpenBLAS, the scipy.linalg.lapack fallback allocates its own work
         array, and the estimate can differ in its last bits between runs."""
-        return 1.0 / max(self.assembly.rcond(), 1e-300)
+        return 1.0 / max(self.assembly.factorization().rcond(), 1e-300)
 
 
 def solve_neumann(meshes, boundary_data) -> PotentialSolution:
@@ -831,16 +823,14 @@ def surface_gradient(solution: PotentialSolution, impose_data: bool = True):
 # basis potentials and added mass
 
 
-def _mesh(shape, level: int, wall_level=None):
-    """Mesh of a bubble, or of the wall of a cavity domain."""
-    if isinstance(shape, (CavitySphere, CavityMesh)):
-        return wall_mesh(shape, level if wall_level is None else wall_level)
-    return surface_mesh(shape, level)
-
-
 def configuration_meshes(config: Configuration, level: int, wall_level=None):
-    """Bubble meshes plus the wall mesh in cavity mode."""
-    return tuple(_mesh(s, level, wall_level) for s in _surfaces(config))
+    """The meshes of ``config``'s surfaces, in the order of the collocation
+    system: each bubble's at ``level``, then in a cavity the wall's, at
+    ``wall_level`` (``level`` if None)."""
+    meshes = tuple(surface_mesh(b, level) for b in config.bubbles)
+    if config.bounded:
+        meshes += (wall_mesh(config.domain, level if wall_level is None else wall_level),)
+    return meshes
 
 
 def _direction_data(config, meshes, directions):
@@ -1246,30 +1236,17 @@ def _potential_rates(mass: AddedMassMatrix):
         dX = M^-1 (d(G P) - dM X),    d(S X) = dS X + S dX,
 
     with dS X and dM X from _slot_rates (its rows, under a zero cotangent,
-    unread), and no flux shift on the derivative solve: its data is not flux free, and shifting it would
-    bias the rates.  G changes only along an ellipsoid's matrix slots,
-    with the normals (y is fixed).  No mesh is built and no matrix
-    assembled.
+    unread), and no flux shift on the derivative solve: its data is not
+    flux free, and shifting it would bias the rates.  d_t(G P) is the data
+    rate that a run reads (_data_rates), taken at the unit velocity e_t.
+    No mesh is built and no matrix assembled.
     """
-    config, asm = mass.config, mass.assembly
-    p = config.dim
-    dP = _projector_derivatives(config)
-    B = mass.basis.matrix
-    X = mass.density @ B.T  # from the solution for G B
+    asm, p = mass.assembly, mass.config.dim
+    X = mass.density @ mass.basis.matrix.T  # from the solution for G B
     w = asm.weights
     zero = np.zeros(len(w))
     dSX, dMX, dw, motions, _, _ = _slot_rates(mass, X, mass.potential, (zero, zero, zero[:p]))
-    dG = np.zeros_like(dSX)
-    for k, (bubble, sl, mo) in enumerate(zip(config.bubbles, config.slices(), motions)):
-        if mo.normals is None:
-            continue
-        for i, dn in enumerate(mo.normals):
-            dG[sl.start + 3 + i, asm.blocks[k], sl] = normal_velocity_basis(
-                bubble, asm.panels[k].points, dn)
-
-    dGP = dG @ B @ B.T
-    if dP is not None:
-        dGP += _direction_data(config, asm.meshes, np.eye(p))[None] @ dP
+    dGP = np.stack([_data_rates(mass, motions, e)[1] for e in np.eye(p)])
     rhs = dGP - dMX
     dPhi = dSX
     if rhs.any():  # a lone unbounded sphere's is zero
@@ -1308,7 +1285,9 @@ def _data_rates(mass: AddedMassMatrix, motions, v):
     (p, N), and their sum weighted by v, Gamma = d_v(G P) (N, p), with
     ``motions`` the bubbles' _SlotMotion: G P changes with the projector
     and the ellipsoids' normals (a sphere's stay fixed), and G is linear
-    in the normals."""
+    in the normals.  The equations of motion read them at the state's
+    velocity, and the full Jacobian (_potential_rates) reads Gamma at each
+    unit velocity e_t, which is d_t(G P)."""
     config, asm, B = mass.config, mass.assembly, mass.basis.matrix
     p, N = config.dim, len(asm.weights)
     gamma, Gamma = np.zeros((p, N)), np.zeros((N, p))

@@ -55,10 +55,6 @@ class Scenario:
     output_dt: float = 0.05
 
     @property
-    def domain_is_bounded(self) -> bool:
-        return not isinstance(self.domain, Unbounded)
-
-    @property
     def admissibility_level(self) -> int:
         """Mesh level of the admissibility checks: the solver's, at most 2."""
         return min(self.mesh_level, 2)

@@ -29,7 +29,7 @@ Everything else downstream works on packed vectors and meshes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -521,18 +521,16 @@ def surface_mesh(shape: ShapeParams, level: int) -> SurfaceMesh:
 
 
 def wall_mesh(domain: Domain, level: int) -> SurfaceMesh:
-    """Cavity wall mesh with normals pointing into the fluid."""
+    """Cavity wall mesh with normals pointing into the fluid, closure -1/2
+    and ``shape`` the domain.  A spherical wall is the mesh of the sphere
+    it bounds (surface_mesh) reversed: the same vertices, points and
+    weights, with its triangles' orientation and its normals flipped to
+    point inward.  An ingested wall (CavityMesh, level -1) takes its flat
+    triangles as panels, oriented toward the interior."""
     if isinstance(domain, CavitySphere):
-        ref_verts, ref_faces = reference_icosphere(level)
-        ydir, omega = _reference_quadrature(level)
-        # reversed orientation: flat and quadrature normals point inward
-        faces = ref_faces[:, [0, 2, 1]]
-        verts = domain.center + domain.radius * ref_verts
-        return SurfaceMesh(vertices=verts, triangles=faces,
-                           quad_points=domain.center + domain.radius * ydir,
-                           quad_normals=-ydir,
-                           quad_weights=omega * domain.radius ** 2,
-                           level=level, closure=-0.5, shape=domain)
+        m = surface_mesh(SphereParams(center=domain.center, radius=domain.radius), level)
+        return replace(m, triangles=m.triangles[:, [0, 2, 1]], quad_normals=-m.quad_normals,
+                       closure=-0.5, shape=domain)
     if isinstance(domain, CavityMesh):
         verts, faces = domain.vertices, domain.triangles
         p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bubbledyn
+from bubbledyn import dynamics as dyn
 from bubbledyn.cli import main
 from bubbledyn.scenario import (ScenarioError, parse_scenario,
                                 scenario_from_dict, scenario_to_dict)
@@ -259,6 +260,16 @@ class TestRun:
         assert "bubbles" in err and "initial configuration inadmissible" in err
         assert not out.exists()
 
+    def test_out_path_that_cannot_be_created_exits_2(self, tmp_path, capsys):
+        # a file where the output directory should go: exit 2 at --out,
+        # with no traceback
+        path = write_scenario(tmp_path, equilibrium_doc())
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["run", "--scenario", path, "--out", str(blocker)]) == 2
+        assert "--out: cannot create the output directory" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
     def test_cavity_run_preserves_volume_invariant(self, tmp_path):
         r = 0.8
         doc = equilibrium_doc(
@@ -369,6 +380,21 @@ class TestConvergence:
         path = write_scenario(tmp_path, doc)
         assert main(["convergence", "--scenario", path, "--levels", "1"]) == 0
         assert "warning" in capsys.readouterr().out
+
+    def test_out_path_that_cannot_be_created_exits_2_before_integrating(
+            self, tmp_path, capsys, monkeypatch):
+        # the directory is made before the first level's run, so a bad
+        # --out costs no integration
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before creating the output directory")
+
+        monkeypatch.setattr(dyn, "integrate", refuse)
+        path = write_scenario(tmp_path, equilibrium_doc())
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["convergence", "--scenario", path, "--levels", "1,2",
+                     "--out", str(blocker / "conv")]) == 2
+        assert "--out: cannot create the output directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("levels", ["", ",", "-1", "7", "9"])
     def test_bad_levels_rejected(self, tmp_path, capsys, levels):

@@ -388,44 +388,79 @@ class TestAddedMass:
         assert errs[1] / errs[2] > 2.0
 
     @staticmethod
-    def ellipsoid_translation_mass(axes, rho=1.0):
-        """A lone ellipsoid's translational added mass along its axes,
-        rho V alpha_j / (2 - alpha_j) with alpha_j = a1 a2 a3 I_j and
-        I_j = int_0^inf ds / ((a_j^2 + s) Delta(s)), Delta(s)^2 =
-        prod_i (a_i^2 + s) (Lamb, Hydrodynamics, sec. 114), with the index
-        integrals by quadrature, independent of the package's own."""
+    def index_integral(axes, *indices):
+        """int_0^inf ds / (prod_{j in indices} (a_j^2 + s) Delta(s)),
+        Delta(s)^2 = prod_i (a_i^2 + s), the index integral I_j or I_jk of
+        the ellipsoid of semi-axes ``axes`` (Chandrasekhar, Ellipsoidal
+        Figures of Equilibrium, ch. 3), by quadrature, independent of the
+        package's own."""
         a = np.asarray(axes, dtype=float)
 
-        def integrand(s, aj):
-            return 1.0 / ((aj ** 2 + s) * np.sqrt(np.prod(a ** 2 + s)))
+        def integrand(s):
+            return 1.0 / (np.prod(a[list(indices)] ** 2 + s) * np.sqrt(np.prod(a ** 2 + s)))
 
-        index = np.array([quad(integrand, 0.0, np.inf, args=(aj,), epsabs=0.0,
-                               epsrel=1e-13)[0] for aj in a])
-        alpha = np.prod(a) * index
+        return quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+
+    @classmethod
+    def ellipsoid_translation_mass(cls, axes, rho=1.0):
+        """A lone ellipsoid's translational added mass along its axes,
+        rho V alpha_j / (2 - alpha_j) with alpha_j = a1 a2 a3 I_j (Lamb,
+        Hydrodynamics, sec. 114)."""
+        a = np.asarray(axes, dtype=float)
+        alpha = np.prod(a) * np.array([cls.index_integral(a, j) for j in range(3)])
         return rho * (4 * np.pi / 3) * np.prod(a) * alpha / (2.0 - alpha)
 
+    @classmethod
+    def ellipsoid_off_diagonal_mass(cls, axes, rho=1.0):
+        """A lone ellipsoid's added mass along its off-diagonal shape slots
+        s12, s13, s23 (the rate of S_jk = S_kj, the surface moving by
+        x_k / a_k along axis j and x_j / a_j along axis k), whose potential
+        is C x_j x_k chi(lambda) (Lamb, Hydrodynamics, sec. 115):
+        rho V (a_j + a_k)^2 I_jk / (5 (2 / (a1 a2 a3) - I_jk (a_j^2 + a_k^2)))."""
+        a = np.asarray(axes, dtype=float)
+        out = []
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            I = cls.index_integral(a, j, k)
+            out.append(rho * (4 * np.pi / 3) * np.prod(a) * (a[j] + a[k]) ** 2 * I
+                       / (5.0 * (2.0 / np.prod(a) - I * (a[j] ** 2 + a[k] ** 2))))
+        return np.array(out)
+
     @pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
-    def test_ellipsoid_translation_closed_form(self, rotated):
-        # the unit-sphere limit rho V / 2 checks the oracle itself
+    def test_ellipsoid_closed_form(self, rotated):
+        # the unit-sphere limits rho V / 2 and 16 pi rho / 45 check the
+        # oracle itself
         assert self.ellipsoid_translation_mass([1.0] * 3, rho=2.0) == pytest.approx(
             np.full(3, 4 * np.pi / 3), rel=1e-13)
+        assert self.ellipsoid_off_diagonal_mass([1.0] * 3, rho=2.0) == pytest.approx(
+            np.full(3, 32 * np.pi / 45), rel=1e-13)
         axes = np.array([1.0, 0.8, 0.6])
         R = (np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0] if rotated
              else np.eye(3))
         shape = EllipsoidParams(center=[0.4, -0.3, 0.2], shape_matrix=R @ np.diag(axes) @ R.T)
         want = R @ np.diag(self.ellipsoid_translation_mass(axes)) @ R.T
-        errs = []
-        # measured 7.20e-2, 1.957e-2 and 5.09e-3 at L1-L3; the bounds are 1.5x
-        for level, bound in ((1, 0.108), (2, 0.0294), (3, 0.0077)):
+        # the packed slots s12, s13 and s23 of the aligned ellipsoid
+        off, want_off = [4, 5, 7], self.ellipsoid_off_diagonal_mass(axes)
+        errs, off_errs = [], []
+        # translations measured 7.20e-2, 1.957e-2 and 5.09e-3 at L1-L3, the
+        # off-diagonal slots at most 0.1420, 0.0400 and 0.01054; the bounds
+        # are 1.5x
+        for level, bound, off_bound in ((1, 0.108, 0.213), (2, 0.0294, 0.0600),
+                                        (3, 0.0077, 0.0158)):
             A = added_mass(Configuration(bubbles=(shape,)), level).matrix
             errs.append(np.max(np.abs(A[:3, :3] - want)) / np.max(np.abs(want)))
             assert errs[-1] < bound
             if not rotated:
-                # parity: no translation couples to another axis or a slot
-                coupling = A[:3] - np.diag(np.diag(A))[:3]
-                assert np.max(np.abs(coupling)) <= 1e-14 * np.max(np.abs(A))
+                # parity: no translation or off-diagonal slot couples to
+                # any other slot
+                coupling = A - np.diag(np.diag(A))
+                assert np.max(np.abs(coupling[:3])) <= 1e-14 * np.max(np.abs(A))
+                assert np.max(np.abs(coupling[off])) <= 1e-14 * np.max(np.abs(A))
+                off_errs.append(np.abs(np.diag(A)[off] - want_off) / want_off)
+                assert np.max(off_errs[-1]) < off_bound
         # O(h^2): each level divides the error by about four
         assert all(3.0 <= e0 / e1 <= 5.0 for e0, e1 in zip(errs, errs[1:]))
+        for e0, e1 in zip(off_errs, off_errs[1:]):
+            assert np.all((3.0 <= e0 / e1) & (e0 / e1 <= 5.0))
 
 
 class TestBlockedAssembly:

@@ -1,0 +1,158 @@
+"""Compare the outputs of two checkouts, run for run: `bubbledyn run` on
+draws of every benchmark workload and on the shipped scenarios.
+
+Usage:
+    python tools/same_outputs.py PARENT [CHANGE]
+
+PARENT and CHANGE are checkouts (CHANGE defaults to the one this script
+sits in).  The scenarios come from this checkout: draws (950, 0),
+(951, 1), (42, 2) and (7001, 0) of each workload in
+perfbench/workloads.py, run with that workload's own arguments, and each
+scenarios/*.json, run with --residual-cadence 3.  Each checkout runs them
+all in one interpreter, with OPENBLAS_NUM_THREADS=1 and its own src first
+on the path.
+
+For each run it prints "identical" (the bytes of trajectory.csv, and
+diagnostics.json without stats.wall_time) or the largest column-relative
+difference of the two trajectories, and both n_rhs.  Exits 1 if a run
+fails or the n_rhs differ.
+"""
+
+import csv
+import glob
+import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DRAWS = ((950, 0), (951, 1), (42, 2), (7001, 0))
+
+# runs the jobs of one checkout: argv = src, jobs file, exit-codes file
+RUNNER = """
+import json, os, sys
+src, jobs, codes_path = sys.argv[1:]
+sys.path.insert(0, src)
+import bubbledyn
+from bubbledyn import cli
+if not os.path.abspath(bubbledyn.__file__).startswith(src + os.sep):
+    sys.exit(f"bubbledyn imported from {bubbledyn.__file__}, not from {src}")
+codes = {}
+with open(jobs) as fh:
+    for name, scenario, out, args in json.load(fh):
+        try:
+            codes[name] = cli.main(["run", "--scenario", scenario, "--out", out, *args])
+        except Exception as exc:  # one failed run does not stop the others
+            codes[name] = repr(exc)
+with open(codes_path, "w") as fh:
+    json.dump(codes, fh)
+"""
+
+
+def scenarios(tmp):
+    """(name, scenario path, run arguments) of every run, the workload
+    draws written into ``tmp``."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    # registered before it runs: its dataclasses look their module up
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = []
+    for name, workload in workloads.WORKLOADS.items():
+        for seed, rep in DRAWS:
+            path = os.path.join(tmp, f"{name}-{seed}-{rep}.json")
+            with open(path, "w") as fh:
+                json.dump(workloads.generate(name, seed, rep), fh)
+            runs.append((f"{name} ({seed}, {rep})", path, list(workload.run_args)))
+    for path in sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.json"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        runs.append((name, path, ["--residual-cadence", "3"]))
+    return runs
+
+
+def start(checkout, runs, tmp, tag):
+    """Start the interpreter that runs ``runs`` from ``checkout``: the
+    process, its exit-codes file and each run's output directory."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    outs = [os.path.join(tmp, tag, str(k)) for k in range(len(runs))]
+    jobs, codes = os.path.join(tmp, f"{tag}-jobs.json"), os.path.join(tmp, f"{tag}-codes.json")
+    with open(jobs, "w") as fh:
+        json.dump([(name, path, out, args) for (name, path, args), out in zip(runs, outs)], fh)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-c", RUNNER, src, jobs, codes], env=env,
+                            cwd=tmp, stdout=subprocess.DEVNULL)
+    return proc, codes, outs
+
+
+def read(out):
+    """The bytes of trajectory.csv and diagnostics.json without
+    stats.wall_time."""
+    with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
+        trajectory = fh.read()
+    with open(os.path.join(out, "diagnostics.json")) as fh:
+        diagnostics = json.load(fh)
+    diagnostics["stats"].pop("wall_time", None)
+    return trajectory, diagnostics
+
+
+def difference(csv_a, csv_b):
+    """The largest column-relative difference of two trajectories, with its
+    column: max |a - b| / max(|a|, |b|) over the rows of each column."""
+    rows_a, rows_b = (list(csv.reader(c.decode().splitlines())) for c in (csv_a, csv_b))
+    if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        return f"trajectories differ in shape: {len(rows_a)} and {len(rows_b)} rows"
+    worst, where = 0.0, None
+    for k, column in enumerate(rows_a[0]):
+        a = [float(r[k]) if r[k] else math.nan for r in rows_a[1:]]
+        b = [float(r[k]) if r[k] else math.nan for r in rows_b[1:]]
+        if [math.isnan(x) for x in a] != [math.isnan(y) for y in b]:
+            return f"column {column} sampled at different rows"
+        pairs = [(x, y) for x, y in zip(a, b) if not math.isnan(x)]
+        scale = max((max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+        diff = max((abs(x - y) for x, y in pairs), default=0.0)
+        rel = diff / scale if scale > 0.0 else 0.0
+        if rel > worst or where is None:
+            worst, where = rel, column
+    return f"largest column-relative difference {worst:.3e} ({where})"
+
+
+def main(argv):
+    if len(argv) not in (2, 3):
+        sys.exit(__doc__)
+    checkouts = (argv[1], argv[2] if len(argv) > 2 else ROOT)
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = scenarios(tmp)
+        started = [start(c, runs, tmp, tag) for c, tag in zip(checkouts, ("parent", "change"))]
+        results = []
+        for proc, codes, outs in started:
+            proc.wait()
+            try:
+                with open(codes) as fh:
+                    results.append((json.load(fh), outs))
+            except FileNotFoundError:
+                sys.exit(f"the interpreter for {checkouts[len(results)]} exited "
+                         f"{proc.returncode} before running every scenario")
+        (codes_a, outs_a), (codes_b, outs_b) = results
+        for k, (name, _, _) in enumerate(runs):
+            if codes_a[name] != 0 or codes_b[name] != 0:
+                print(f"{name:32s} FAILED: exit {codes_a[name]} / {codes_b[name]}")
+                ok = False
+                continue
+            (csv_a, diag_a), (csv_b, diag_b) = read(outs_a[k]), read(outs_b[k])
+            n_a, n_b = diag_a["stats"]["n_rhs"], diag_b["stats"]["n_rhs"]
+            same_diag = (json.dumps(diag_a, sort_keys=True) == json.dumps(diag_b, sort_keys=True))
+            if csv_a == csv_b:
+                verdict = "identical" if same_diag else "trajectory identical, diagnostics differ"
+            else:
+                verdict = difference(csv_a, csv_b)
+            print(f"{name:32s} {verdict}; n_rhs {n_a:g} / {n_b:g}")
+            ok = ok and n_a == n_b
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
