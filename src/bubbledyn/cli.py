@@ -69,8 +69,9 @@ def write_trajectory_csv(path, scenario, traj):
             fh.write(",".join(row) + "\n")
 
 
-def _gram_diagnostics(scenario):
-    A = dyn.mass_at(scenario, scenario.configuration())
+def _gram_diagnostics(A):
+    """The diagnostics of the start state's added mass ``A``, which
+    integrate hands over (its ``start``): no added mass of its own."""
     return {
         "gram_condition": A.condition,
         "gram_eigenvalues": [float(e) for e in A.eigenvalues],
@@ -115,8 +116,8 @@ def cmd_run(args) -> int:
         # a start fault is the scenario's: refused before any output or assembly
         raise ScenarioError(f"bubbles: {exc}") from exc
     _make_out_dir(args.out)
-    extra = _gram_diagnostics(scenario)
-    traj = dyn.integrate(scenario)
+    extra = {}
+    traj = dyn.integrate(scenario, start=lambda A: extra.update(_gram_diagnostics(A)))
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), scenario, traj)
     write_diagnostics_json(os.path.join(args.out, "diagnostics.json"),
                            scenario, traj, extra)

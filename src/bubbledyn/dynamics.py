@@ -227,7 +227,7 @@ def check_start(scenario) -> State:
 
 
 @_blas.single_thread()
-def integrate(scenario) -> Trajectory:
+def integrate(scenario, start=None) -> Trajectory:
     """Integrate the reduced system with the adaptive Dormand-Prince 5(4)
     pair (_stepper: scipy RK45's steps and controller, bit for bit), stopped
     by the collision and degeneracy events, sampling by dense interpolation
@@ -237,7 +237,14 @@ def integrate(scenario) -> Trajectory:
     controller reject the trial step and shrink it; stats["n_rejected"]
     counts the rejected trials, so that n_rhs = 1 + 6 (n_steps + n_rejected).
     Runs with one thread in every loaded OpenBLAS (_blas.single_thread);
-    stats["blas_threads"] records the counts in force."""
+    stats["blas_threads"] records the counts in force.
+
+    Every state is assembled once, the start state too: the first RHS call,
+    at the initial state, also takes output row 0 (the dense output at
+    t = 0 is the initial state bit for bit), its energies and, at cadence,
+    its residual from the call's acceleration and contraction, and hands
+    its added mass to ``start``, if given, before the first step; the mass
+    is then dropped."""
     state0 = check_start(scenario)
     config0 = state0.config
     q0, qd0 = state0.packed()
@@ -245,6 +252,8 @@ def integrate(scenario) -> Trajectory:
     sizes0 = np.array([_bubble_size(b) for b in config0.bubbles])
     n_rhs = [0]
     poisoned = {"n": 0, "last": None}
+    cadence = scenario.residual_cadence
+    row0 = {}
     t_wall = time.time()
 
     def split(y):
@@ -269,11 +278,30 @@ def integrate(scenario) -> Trajectory:
             report = check_admissible(config, scenario.admissibility_level)
             if not report.ok:
                 return poison(f"state not admissible: {report.violations}")
-            qdd = _acceleration(scenario, mass_at(scenario, config), qd)
+            mass = mass_at(scenario, config)
+            qdd = _acceleration(scenario, mass, qd)
         except (DegenerateShapeError, DiscretizationError, IllPosedProblemError,
                 np.linalg.LinAlgError) as exc:
             return poison(f"{type(exc).__name__}: {exc}")
+        if n_rhs[0] == 1:
+            # the initial state: output row 0, and the start hook
+            row0["row"] = sample(State(config=config, velocity=qd.copy()), mass, qdd,
+                                  bool(cadence))
+            if start is not None:
+                start(mass)
         return np.concatenate([qd, qdd])
+
+    def sample(state, mass, qdd=None, residual=False):
+        """Output row of ``state`` with its added mass: the state, its
+        kinetic and potential energy and, with ``residual``, its boundary
+        residual from the acceleration ``qdd`` (computed if None), else NaN."""
+        ke, pe, _ = energies(scenario, state, mass)
+        resid = np.nan
+        if residual:
+            if qdd is None:
+                qdd = _acceleration(scenario, mass, state.velocity)
+            resid = boundary_residual(scenario, state, mass, qdd)
+        return state, ke, pe, resid
 
     def ev_collision(t, y):
         q, _ = split(y)
@@ -318,20 +346,19 @@ def integrate(scenario) -> Trajectory:
     pe = np.empty(len(times))
     imp = [] if kelvin_impulse(state0) is not None else None
     residuals = np.full(len(times), np.nan)
-    cadence = scenario.residual_cadence
     for k, t in enumerate(times):
-        y = sol.sol(t)
-        q, qd = split(y)
-        config = config_from_params(config0, q)
-        state = State(config=config, velocity=qd)
+        if k == 0:
+            row = row0.pop("row")
+        else:
+            q, qd = split(sol.sol(t))
+            config = config_from_params(config0, q)
+            # one row's added mass at a time, dropped with the row
+            row = sample(State(config=config, velocity=qd), mass_at(scenario, config),
+                         residual=bool(cadence) and k % cadence == 0)
+        state, ke[k], pe[k], residuals[k] = row
         states.append(state)
-        mass = mass_at(scenario, config)
-        ke[k], pe[k], _ = energies(scenario, state, mass)
         if imp is not None:
             imp.append(kelvin_impulse(state))
-        if cadence and k % cadence == 0:
-            residuals[k] = boundary_residual(scenario, state, mass,
-                                             _acceleration(scenario, mass, qd))
     stats = {"n_steps": len(sol.t) - 1, "n_rejected": sol.n_rejected, "n_rhs": n_rhs[0],
              "n_poisoned": poisoned["n"], "last_poison": poisoned["last"],
              "wall_time": time.time() - t_wall, "t_final": float(t_final),

@@ -63,6 +63,8 @@ and crosses, unit normals, edge lengths and in-plane edge normals) are
 computed once per surface, when its PanelGeometry is built, leaving point-
 panel products to each block.  An assembly keeps one PanelGeometry per
 surface, the only panel format; no other module calls the panel integrals.
+A cavity wall does not move, so its PanelGeometry is built once per wall
+and level in a process (_wall_panels), as the unit sphere's blocks are.
 
 Added mass and its Jacobian.  The added mass is taken along the basis B
 of the admissible velocities that the configuration fixes
@@ -99,6 +101,22 @@ sum in the other order (_Cotangent), so that no (p, N, p) array is
 formed; the added mass keeps them for the last velocity, which a state's
 acceleration and residual share.
 
+A block's rate pass reads the elementwise kernel terms of its points and
+panels (corner distances, solid angle, edge logs and the edge factors f_e
+and g_a; _kernel), which the assembly's pass of the same block has just
+computed.  So an added mass keeps them, for each pair of surfaces and an
+ellipsoid's own block (with the offsets of its point kernel), and the
+rate pass reads them in place of its own kernel work and releases them
+(_Assembly.take_terms): they live from the assembly to the contraction, or
+until the added mass is dropped.  They are kept only where the rate pass
+takes a block in one row block (_rate_rows), which is every block up to
+level 2, and only up to what one rate pass may hold, 42 MB an assembly
+(_Assembly._keep); past that, and at level 3, the rate pass computes its
+own.  A block of M x N points and panels keeps 7 (M, N) arrays (13 where
+its panels deform, 10 for an ellipsoid's own block): for two spheres in a
+cavity, bubbles and wall at level 1, 2.2 MB; at level 2, 34 MB; for two
+ellipsoids, 2.4 MB and 38 MB.
+
 Every solve returns a PotentialSolution: the data, the densities and the
 boundary potentials, with the assembly that solved for them.
 solve_neumann takes arbitrary data on given meshes; the added mass is the
@@ -113,7 +131,7 @@ sphere's gradient (_basis_gradients).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -230,8 +248,104 @@ class _Cotangent(NamedTuple):
     corner_coeffs: np.ndarray | None = None
 
 
+class _Kernel(NamedTuple):
+    """The elementwise terms of the flat-panel integrals from points x over
+    the panels of one surface (_kernel), each (M, N), per edge a -> b
+    (p0p1, p1p2, p2p0) a tuple of three.  A pass of _panel_blocks reads
+    ``omega`` and ``logs``, with ``moments`` ``f``, with a ``tensor``
+    ``lengths`` and, with both, ``g``; a term no pass of the block reads is
+    None.  ``offsets``, the differences x - y of the points (3, M, N), is
+    the point kernel's, for an own block (_self_blocks)."""
+
+    omega: np.ndarray           # the signed solid angle
+    logs: tuple                 # L_e, the edge log integrals of 1/|x - y|
+    lengths: tuple | None       # l0, l1, l2, the distances from x to the corners
+    f: tuple | None             # f_e = (l_a + l_b) / (l_a l_b D_e)
+    g: tuple | None             # g_a = 1 / (l_a D_e)
+    offsets: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for term in self if term is not None
+                   for a in (term if isinstance(term, tuple) else (term,)))
+
+
+def _offsets(x, points):
+    """The differences x - y (3, M, N) of the points ``x`` and ``points``."""
+    return x.T[:, :, None] - points.T[:, None, :]
+
+
+def _kernel(x, geom: PanelGeometry, moments=False, tensor=False, own=False) -> _Kernel:
+    """_Kernel of the points ``x`` over the panels ``geom``: what a
+    _panel_blocks pass with ``moments`` and (panels that deform) a
+    ``tensor`` reads, computed elementwise from point-panel products, and
+    for the ``own`` block of a surface the offsets of its point kernel.
+    The one producer of the kernel terms, for the assembly's pass and the
+    rate pass alike."""
+    xx = np.einsum('mk,mk->m', x, x)[:, None]
+    xv = [x @ p.T for p in geom.corners]
+    # the corner distances sqrt(max(|x|^2 - 2 x.p + |p|^2, 0)), and the
+    # edges' (a - x).(b - x) = a.b - x.a - x.b + |x|^2, each operation in
+    # place (the bits of the plain expressions)
+    lengths = []
+    for xp, q in zip(xv, geom.corner_sq):
+        t = np.multiply(xp, -2.0)
+        t += xx
+        t += q[None]
+        np.maximum(t, 0.0, out=t)
+        lengths.append(np.sqrt(t, out=t))
+    dots = []
+    for e, c in enumerate(geom.corner_dots):
+        t = np.subtract(c[None], xv[e])
+        t -= xv[(e + 1) % 3]
+        t += xx
+        dots.append(t)
+    l0, l1, l2 = lengths
+    d01, d12, d20 = dots
+
+    # signed solid angle (van Oosterom-Strackee, expanded so that only
+    # point-panel GEMMs appear): 2 atan2(num, den)
+    num = np.matmul(x, geom.cross_sum.T, out=xv[0])
+    np.subtract(geom.detv[None], num, out=num)
+    den = np.multiply(l0, l1)
+    den *= l2
+    for d, l in zip(dots, (l2, l0, l1)):
+        term = np.multiply(d, l, out=xv[1])
+        den += term
+    omega = np.arctan2(num, den, out=den)
+    omega *= 2.0
+    del xv, num, term
+
+    ends = ((l0, l1), (l1, l2), (l2, l0))
+    sums = [la + lb for la, lb in ends]
+    logs = []
+    for ssum, le in zip(sums, geom.edge_length):
+        # stable symmetric form of the edge log integral of 1/|x-y|
+        t = np.subtract(ssum, le[None])
+        np.maximum(t, 1e-300, out=t)
+        L = np.add(ssum, le[None])
+        L /= t
+        logs.append(np.log(L, out=L))
+    f = g = None
+    if moments:
+        f, g = [], []
+        for (la, lb), dab, ssum in zip(ends, dots, sums):
+            # 1 / (l_a l_b D_e), times l_a + l_b for f_e and l_b for g_a
+            inv = np.multiply(la, lb)
+            dab += inv
+            inv *= dab
+            np.divide(1.0, inv, out=inv)
+            f.append(np.multiply(ssum, inv, out=ssum))
+            if tensor:
+                g.append(np.multiply(lb, inv, out=dab))
+        f, g = tuple(f), tuple(g) if tensor else None
+    return _Kernel(omega=omega, logs=tuple(logs), lengths=(l0, l1, l2) if tensor else None,
+                   f=f, g=g,
+                   offsets=_offsets(x, geom.points) if own else None)
+
+
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
-                  tensor=None, moments=None, degree=1, cotangent=None):
+                  tensor=None, moments=None, degree=1, cotangent=None, kernel=None):
     """Exact flat-panel integrals from points ``x`` over all panels.
 
     Returns (S, K, grad) where S holds integrals of G = -1/(4 pi |x-y|)
@@ -276,26 +390,15 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
     of field . (the grad term) + weight (strain : T), and per point (M,),
     the sum over the edges and panels of f_e m_j(x) coeffs and
     g_a m_j(x) corner_coeffs (j < 4).
+
+    The elementwise terms come from _kernel, or from ``kernel``, the same
+    terms of these points and panels computed before (_Assembly.take_terms).
     """
-    p0, p1, p2 = geom.corners
     x = np.asarray(x, dtype=float)
     M, N = len(x), geom.n_panels
-    xx = np.einsum('mk,mk->m', x, x)[:, None]
-    xv0, xv1, xv2 = x @ p0.T, x @ p1.T, x @ p2.T
-    q0, q1, q2 = geom.corner_sq
-    l0 = np.sqrt(np.maximum(xx - 2 * xv0 + q0[None], 0.0))
-    l1 = np.sqrt(np.maximum(xx - 2 * xv1 + q1[None], 0.0))
-    l2 = np.sqrt(np.maximum(xx - 2 * xv2 + q2[None], 0.0))
-
-    # signed solid angle (van Oosterom-Strackee, expanded so that only
-    # point-panel GEMMs appear)
-    num = geom.detv[None] - x @ geom.cross_sum.T
-    c01, c12, c20 = geom.corner_dots
-    d01 = c01[None] - xv0 - xv1 + xx
-    d12 = c12[None] - xv1 - xv2 + xx
-    d20 = c20[None] - xv2 - xv0 + xx
-    den = l0 * l1 * l2 + d01 * l2 + d12 * l0 + d20 * l1
-    omega = 2.0 * np.arctan2(num, den)
+    if kernel is None:
+        kernel = _kernel(x, geom, moments=moments is not None, tensor=tensor is not None)
+    omega = kernel.omega
 
     K = omega * (geom.lift[None] / (4.0 * np.pi)) if want_double else None
 
@@ -343,12 +446,9 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
             F = np.zeros((3, N, len(mono.T), Y.shape[1]))
             if tensor is not None:
                 Fa = np.zeros((3, N, 4, Y.shape[1]))
-        for e, ((la, lb), dab, le, mhat, am, edge) in enumerate(zip(
-                ((l0, l1), (l1, l2), (l2, l0)), (d01, d12, d20), geom.edge_length,
-                geom.edge_normal, geom.edge_offset, geom.edge_vector)):
-            # stable symmetric form of the edge log integral of 1/|x-y|
-            ssum = la + lb
-            L = np.log((ssum + le[None]) / np.maximum(ssum - le[None], 1e-300))
+        for e, (L, le, mhat, am, edge) in enumerate(zip(
+                kernel.logs, geom.edge_length, geom.edge_normal, geom.edge_offset,
+                geom.edge_vector)):
             if want_single or tensor is not None:
                 d = x @ mhat.T - am[None]
             if want_single:
@@ -359,18 +459,15 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
                 eh = edge / le[:, None]
                 tensor_term(h * L, -(nh[:, k] * mhat[:, l] + mhat[:, k] * nh[:, l]))
                 tensor_term(d * L, -mhat[:, k] * mhat[:, l])
-                tensor_term(lb - la, 0.5 * (eh[:, k] * mhat[:, l] + eh[:, l] * mhat[:, k]))
+                tensor_term(kernel.lengths[(e + 1) % 3] - kernel.lengths[e],
+                            0.5 * (eh[:, k] * mhat[:, l] + eh[:, l] * mhat[:, k]))
             if moments is not None:
-                # 1 / (l_a l_b D_e), times l_a + l_b for f_e and l_b for g_a
-                inv = la * lb
-                inv *= inv + dab
-                np.divide(1.0, inv, out=inv)
-                f = ssum * inv
+                f = kernel.f[e]
                 _add_products(F[e], f.T, mono, Y)
                 if cot.coeffs is not None:
                     point_sum += _dot(f @ cot.coeffs[e], mono)
                 if tensor is not None:
-                    g = lb * inv
+                    g = kernel.g[e]
                     _add_products(Fa[e], g.T, mono[:, :4], Y)
                     if cot.corner_coeffs is not None:
                         point_sum += _dot(g @ cot.corner_coeffs[e], mono[:, :4])
@@ -384,18 +481,24 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
     return (S, K, grad, T, F, Fa) + (() if cotangent is None else (panel_sum, point_sum))
 
 
-def _blocked(x, geom, moments=None, cotangent=None, **kw):
+def _rate_rows(geom) -> int:
+    """Rows of a rate pass over the panels ``geom`` (_blocked)."""
+    return max(1, _ROW_BLOCK ** 2 // (16 * geom.n_panels))
+
+
+def _blocked(x, geom, moments=None, cotangent=None, kernel=None, **kw):
     """Row-blocked wrapper around _panel_blocks to bound peak memory: the
     outputs of the points (S, K, grad, T, the cotangent's point sums) are
     stacked by rows, and those of the panels (the moments and the
     cotangent's panel sums), sums over the points, added up.  With rate
     terms a block holds about twenty (rows, N) arrays, so it has at most
-    _ROW_BLOCK^2 / (16 N) rows."""
+    _ROW_BLOCK^2 / (16 N) rows (_rate_rows).  A ``kernel`` (_Kernel of all
+    the rows) serves a pass of one block; blocked rows compute their own."""
     M = len(x)
     rates = moments is not None or kw.get("tensor") is not None
-    step = max(1, _ROW_BLOCK ** 2 // (16 * geom.n_panels)) if rates else _ROW_BLOCK
+    step = _rate_rows(geom) if rates else _ROW_BLOCK
     if M <= step:
-        return _panel_blocks(x, geom, moments=moments, cotangent=cotangent, **kw)
+        return _panel_blocks(x, geom, moments=moments, cotangent=cotangent, kernel=kernel, **kw)
 
     def rows(a, i):
         return None if a is None else a[i:i + step]
@@ -422,10 +525,12 @@ def _fill_index(symmetry: MeshSymmetry):
     return index
 
 
-def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry):
+def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry, kernel=None):
     """Own-surface blocks (1/2 I + K', S) of one surface, from its panel
     data and a group of rotations that maps the surface onto itself
-    (shapes.MeshSymmetry).
+    (shapes.MeshSymmetry).  ``kernel`` is the _Kernel of the
+    representatives over the panels with its ``offsets``, if it is kept
+    (_Assembly).
 
     The rotation carrying panel i onto panel perm[g, i] carries every
     point and panel with it, so both blocks are invariant:
@@ -440,12 +545,12 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry):
     reps = symmetry.representatives
     pts, w = panels.points, panels.weights
     x = pts[reps]
-    S, _, _ = _blocked(x, panels, want_single=True, want_double=False)
-    dx = x[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(dx, axis=2)
+    S, _, _ = _blocked(x, panels, want_single=True, want_double=False, kernel=kernel)
+    d = _offsets(x, pts) if kernel is None else kernel.offsets
+    r = np.linalg.norm(d, axis=0)
     own = (np.arange(len(reps)), reps)
     r[own] = 1.0
-    K = np.einsum('ijk,jk->ij', -dx, panels.normals) / (4.0 * np.pi * r ** 3)
+    K = np.einsum('kij,jk->ij', -d, panels.normals) / (4.0 * np.pi * r ** 3)
     K *= w[None, :]
     K[own] = 0.0
     K[own] = panels.closure - K.sum(axis=1)
@@ -458,9 +563,10 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry):
 
 
 class _Factorization:
-    """LU factorization of a collocation matrix with the matrix's 1-norm,
-    by numpy's own OpenBLAS (sla is _lapack, not scipy.linalg); the
-    reciprocal condition estimate is computed on first request and kept.
+    """LU factorization of a collocation matrix, by numpy's own OpenBLAS
+    (sla is _lapack, not scipy.linalg); the reciprocal condition estimate,
+    and the matrix's 1-norm that it needs, are computed on first request
+    and kept.
     An exactly zero pivot raises IllPosedProblemError.  The LU arrays are
     read-only.  The LU is factored on one BLAS thread wherever it is asked
     for (inside dynamics.integrate or not), so that a lone sphere's, shared
@@ -475,8 +581,13 @@ class _Factorization:
         lu.setflags(write=False)
         piv.setflags(write=False)
         self.lu = (lu, piv)
-        self.anorm = np.abs(A).sum(axis=0).max()
+        self._A = A
         self._rcond = None
+
+    @cached_property
+    def anorm(self) -> float:
+        """The matrix's 1-norm, which only the condition estimate reads."""
+        return np.abs(self._A).sum(axis=0).max()
 
     def rcond(self) -> float:
         # threads asking at once may each compute it: the same value
@@ -565,6 +676,28 @@ def _unit_sphere_blocks(level: int, wall: bool) -> _UnitSphere:
     return unit
 
 
+_WALL_PANELS = {}
+_WALL_PANELS_KEPT = 8
+
+
+def _wall_panels(mesh) -> PanelGeometry:
+    """Panel data of a wall mesh, which the wall's domain and level fix:
+    built on first use, one per (domain, level) and process, the last
+    _WALL_PANELS_KEPT kept.  The key is the domain's type and the bytes of
+    its fields, so no two walls share an entry."""
+    domain = mesh.shape
+    key = (type(domain), mesh.level) + tuple(
+        (a.dtype.str, a.shape, a.tobytes())
+        for a in (np.asarray(getattr(domain, f.name)) for f in fields(domain)))
+    with _UNIT_SPHERE_LOCK:
+        panels = _WALL_PANELS.get(key)
+        if panels is None:
+            panels = _WALL_PANELS[key] = surface_panels(mesh)
+            if len(_WALL_PANELS) > _WALL_PANELS_KEPT:
+                del _WALL_PANELS[next(iter(_WALL_PANELS))]
+    return panels
+
+
 class _Assembly:
     """Collocation system of one set of surfaces: the matrices
     (1/2 I + K', S), built block by block, the panel data of each surface,
@@ -579,9 +712,14 @@ class _Assembly:
     r (S_unit q), and its basis solution (basis_solution) is the unit's,
     the potential times r.  Its panel data, which nothing of its own
     reads, is built only on request.  Everything is read-only once built.
+
+    With ``rates`` (an added mass, whose rates a contraction takes) the
+    assembly keeps, for each block that the rate passes read (_slot_rates)
+    and take in one row block (_rate_rows), the kernel terms its own pass
+    computed (_Kernel), until the rate pass takes them (take_terms).
     """
 
-    def __init__(self, meshes):
+    def __init__(self, meshes, rates=False):
         self.meshes = meshes = tuple(meshes)
         n = len(meshes)
         self.bounded = any(m.closure < 0 for m in meshes)
@@ -590,6 +728,7 @@ class _Assembly:
         self.blocks = blocks = tuple(slice(offsets[k], offsets[k + 1]) for k in range(n))
         self._lu = None
         self._unit = None
+        self._terms, self._kept = {}, 0
         if n == 1 and isinstance(meshes[0].shape, SphereParams):
             self._unit = _unit_sphere_blocks(meshes[0].level, False)
             self.A = self._unit.A
@@ -604,29 +743,56 @@ class _Assembly:
                 # points of a over panels of b: S block (a, b), and the
                 # double-layer integrals whose weighted transpose is block (b, a)
                 S_ab, K_ab, _ = _blocked(parts[a].points, parts[b],
-                                         want_single=True, want_double=True)
+                                         want_single=True, want_double=True,
+                                         kernel=self._keep(a, b, rates))
                 S[blocks[a], blocks[b]] = S_ab
                 A[blocks[b], blocks[a]] = (
                     K_ab.T * (parts[a].weights[None, :] / parts[b].weights[:, None]))
-        for mesh, part, blk in zip(meshes, parts, blocks):
+        for k, (mesh, part, blk) in enumerate(zip(meshes, parts, blocks)):
             shape = mesh.shape
             if isinstance(shape, (SphereParams, CavitySphere)):
                 unit = _unit_sphere_blocks(mesh.level, isinstance(shape, CavitySphere))
                 A[blk, blk] = unit.A
                 S[blk, blk] = shape.radius * unit.S
             else:
-                A[blk, blk], S[blk, blk] = _self_blocks(part, trivial_symmetry(part.n_panels))
+                A[blk, blk], S[blk, blk] = _self_blocks(
+                    part, trivial_symmetry(part.n_panels), self._keep(k, k, rates))
         A.setflags(write=False)
         S.setflags(write=False)
         self.A, self.S = A, S
+
+    def _keep(self, a, b, rates):
+        """The _Kernel of the points of surface a over the panels of b, for
+        the assembly's pass and kept for the rate pass; None where nothing
+        is kept: without ``rates``, on a wall's own block (which no rate
+        pass reads) and where the rate pass takes more than one row block.
+        Every pair's pass takes moments, and the panels of a bubble other
+        than a sphere deform, with a tensor.  An assembly keeps at most what
+        one rate pass may hold (_blocked: twenty arrays of _ROW_BLOCK^2 / 16
+        doubles, 42 MB); a block past that is recomputed by its rate pass."""
+        x, geom, mesh = self.panels[a].points, self.panels[b], self.meshes[b]
+        deforms = mesh.closure > 0 and not isinstance(mesh.shape, SphereParams)
+        if not rates or (a == b and not deforms) or len(x) > _rate_rows(geom):
+            return None
+        kernel = _kernel(x, geom, moments=a != b, tensor=deforms, own=a == b)
+        if self._kept + kernel.nbytes <= 10 * _ROW_BLOCK ** 2:
+            self._terms[a, b] = kernel
+            self._kept += kernel.nbytes
+        return kernel
+
+    def take_terms(self, a, b):
+        """The kept _Kernel of the points of surface a over the panels of b,
+        released as it is read; None where none is kept."""
+        return self._terms.pop((a, b), None)
 
     @cached_property
     def panels(self):
         """Panel data of each surface, built on first read: by the blocks'
         assembly, or for a lone sphere, whose blocks read none, on
-        request."""
+        request.  A wall's is built once per wall and level (_wall_panels)."""
         # threads asking at once may each build it: equal data
-        return tuple(surface_panels(m) for m in self.meshes)
+        return tuple(_wall_panels(m) if m.closure < 0 else surface_panels(m)
+                     for m in self.meshes)
 
     def factorization(self) -> _Factorization:
         if self._lu is None:
@@ -886,7 +1052,7 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
     volume-preserving velocities in a cavity.  ``kinetic`` is the matrix
     over all packed velocities.
     """
-    asm = _Assembly(configuration_meshes(config, level, wall_level))
+    asm = _Assembly(configuration_meshes(config, level, wall_level), rates=True)
     basis = constraint_basis(config)
     sol = asm.basis_solution(config, basis.matrix)
     raw = -liquid_density * (sol.potential.T * asm.weights[None, :]) @ sol.data
@@ -1002,7 +1168,7 @@ def _on_panels(C, F):
             @ F.transpose(1, 0, 2, 3).reshape(N, 3 * J, -1)).transpose(1, 0, 2)
 
 
-def _block_rates(x, geom, X, Y, A, v, corners, cotangent):
+def _block_rates(x, geom, X, Y, A, v, corners, cotangent, kernel=None):
     """Rates of S X and of K^T Y for the block of the points ``x`` over the
     panels ``geom``, X (N, p) the panels' densities and Y (M, p) the
     points' weighted densities: (n, M, p) and (n, N, p), one per motion,
@@ -1025,7 +1191,8 @@ def _block_rates(x, geom, X, Y, A, v, corners, cotangent):
     outputs from the same pass, the transposed rates along the one motion
     that kappa weighs: u^T d S (N,) and d(K^T)^T zeta (M,).  That motion
     is one affine field and one map, so the sums over the points take
-    products of width 3 and the moments' of width J."""
+    products of width 3 and the moments' of width J.  ``kernel`` is the
+    block's kept _Kernel, if any."""
     quadratic = bool(np.any(A != A[:, :1, :1] * np.eye(3)))  # A not a multiple of I
     C = _edge_coefficients(A, v, geom, quadratic)
     u, zeta, kappa = cotangent
@@ -1046,7 +1213,7 @@ def _block_rates(x, geom, X, Y, A, v, corners, cotangent):
                            else corner_coeffs * lift[:, None])
     out = _blocked(x, geom, want_single=False, want_double=False, density=X,
                    tensor=None if corners is None else X, moments=Y,
-                   degree=2 if quadratic else 1, cotangent=cotangent)
+                   degree=2 if quadratic else 1, cotangent=cotangent, kernel=kernel)
     grad, T, F, Fa = out[2:6]
     dS = [_along(x @ A.transpose(0, 2, 1) + v[:, None], grad)]
     dK = [_on_panels(C, F)]
@@ -1060,7 +1227,8 @@ def _block_rates(x, geom, X, Y, A, v, corners, cotangent):
             *out[6:])
 
 
-def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotangent):
+def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotangent,
+                            d=None):
     """Rates of an ellipsoid's own block 1/2 I + K' (the point kernel of
     _self_blocks) along its matrix slots, applied to X: (6, N, p), and
     with the ``cotangent`` = (z, s), z (N,) and s the six slots' weights,
@@ -1075,10 +1243,13 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotan
         dg_ab = (n_a^T G + dn_a^T) d R_ab - (d^T G d) H_ab,
     H_ab = 3 g_ab / r_ab^2: the products of the three matrices d_l R and
     the six d_k d_l H (on SLOTS) with Y = w X, and their weighted column
-    sums, serve all six slots, and contracted with z, the transposed rate."""
+    sums, serve all six slots, and contracted with z, the transposed rate.
+    ``d`` is x_a - x_b (3, N, N) as _self_blocks computed it, if kept,
+    and is overwritten."""
     pts, n, w = panels.points, panels.normals, panels.weights
     N = len(w)
-    d = pts.T[:, :, None] - pts.T[:, None, :]
+    if d is None:
+        d = _offsets(pts, pts)
     r2 = np.einsum('kab,kab->ab', d, d)
     np.fill_diagonal(r2, 1.0)
     R = 1.0 / (4.0 * np.pi * r2 ** 1.5)
@@ -1146,7 +1317,9 @@ def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
       panel weight cancelling there) and, through the lift, b's panels in
       S.
 
-    No mesh is built and no matrix assembled."""
+    Each block's pass reads the kernel terms that the assembly kept for it
+    (_Assembly.take_terms, which releases them), or computes its own.  No
+    mesh is built and no matrix assembled."""
     config, asm = mass.config, mass.assembly
     p, nb = config.dim, config.n_bubbles
     w, blocks = asm.weights, asm.blocks
@@ -1167,15 +1340,17 @@ def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
             if not lone:
                 sT[blk] += v[t] / bubble.radius * (u[blk] @ asm.S[blk, blk])
             continue
-        part = asm.panels[k]
+        part, kernel = asm.panels[k], asm.take_terms(k, k)
         # points and corners move together: the lift's rate and G : T
         out = _blocked(part.points, part, want_single=False, want_double=False,
                        tensor=X[blk], cotangent=_Cotangent(
-                           weight=u[blk], strain=slot_sum(np.tensordot(v[t], mo.maps, 1))))
+                           weight=u[blk], strain=slot_sum(np.tensordot(v[t], mo.maps, 1))),
+                       kernel=kernel)
         dSX[t, blk] = (asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
                        + np.tensordot(slot_sum(mo.maps), out[3], axes=(1, 1)))
         sT[blk] += out[6] + (v[t] @ mo.lift) * (u[blk] @ asm.S[blk, blk])
-        dMX[t, blk], row = _own_double_layer_rates(part, mo, X[blk], (z[blk], v[t]))
+        dMX[t, blk], row = _own_double_layer_rates(
+            part, mo, X[blk], (z[blk], v[t]), None if kernel is None else kernel.offsets)
         mT[blk] += row
 
     # a lone surface has no pair (and a lone sphere no panel data)
@@ -1201,7 +1376,7 @@ def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
         C = np.hstack(C)
         dS, dK, sTb, mTa = _block_rates(
             parts[a].points, parts[b], X[Db], w[Da, None] * X[Da], np.concatenate(A),
-            np.concatenate(vs), corners, (u[Da], z[Db] / w[Db], v @ C))
+            np.concatenate(vs), corners, (u[Da], z[Db] / w[Db], v @ C), asm.take_terms(a, b))
         dSX[:, Da] += np.tensordot(C, dS, 1)
         dMX[:, Db] += np.tensordot(C, dK, 1) / w[Db, None]
         sT[Db] += sTb
@@ -1246,7 +1421,8 @@ def _potential_rates(mass: AddedMassMatrix):
     w = asm.weights
     zero = np.zeros(len(w))
     dSX, dMX, dw, motions, _, _ = _slot_rates(mass, X, mass.potential, (zero, zero, zero[:p]))
-    dGP = np.stack([_data_rates(mass, motions, e)[1] for e in np.eye(p)])
+    projector = _projector_terms(mass)
+    dGP = np.stack([_data_rates(mass, motions, e, projector)[1] for e in np.eye(p)])
     rhs = dGP - dMX
     dPhi = dSX
     if rhs.any():  # a lone unbounded sphere's is zero
@@ -1279,7 +1455,18 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
     return 0.5 * (raw + raw.transpose(0, 2, 1))
 
 
-def _data_rates(mass: AddedMassMatrix, motions, v):
+def _projector_terms(mass: AddedMassMatrix):
+    """The slot-independent terms of _data_rates: the canonical direction
+    data G (N, p) and the projector's derivatives dP (p, p, p)
+    (_projector_derivatives); None in unbounded liquid, where P = I."""
+    config = mass.config
+    dP = _projector_derivatives(config)
+    if dP is None:
+        return None
+    return _direction_data(config, mass.assembly.meshes, np.eye(config.dim)), dP
+
+
+def _data_rates(mass: AddedMassMatrix, motions, v, projector=None):
     """Rates of the basis data G P of ``mass`` (_potential_rates) along
     every slot t applied to the packed velocity v, gamma_t = d_t(G P) v
     (p, N), and their sum weighted by v, Gamma = d_v(G P) (N, p), with
@@ -1287,13 +1474,15 @@ def _data_rates(mass: AddedMassMatrix, motions, v):
     and the ellipsoids' normals (a sphere's stay fixed), and G is linear
     in the normals.  The equations of motion read them at the state's
     velocity, and the full Jacobian (_potential_rates) reads Gamma at each
-    unit velocity e_t, which is d_t(G P)."""
+    unit velocity e_t, which is d_t(G P), with the ``projector`` terms
+    (_projector_terms) taken once for all."""
     config, asm, B = mass.config, mass.assembly, mass.basis.matrix
     p, N = config.dim, len(asm.weights)
     gamma, Gamma = np.zeros((p, N)), np.zeros((N, p))
-    dP = _projector_derivatives(config)
-    if dP is not None:
-        G = _direction_data(config, asm.meshes, np.eye(p))
+    if projector is None:
+        projector = _projector_terms(mass)
+    if projector is not None:
+        G, dP = projector
         gamma += (G @ (dP @ v).T).T
         Gamma += G @ np.tensordot(v, dP, 1)
     P = B @ B.T

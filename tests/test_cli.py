@@ -35,6 +35,24 @@ def equilibrium_doc(**overrides):
     return doc
 
 
+def cavity_pair_doc(center=(0.0, 0.0, 0.0), radius=4.0, t_end=0.15):
+    """Two spheres of radius 0.8 pulsating in antiphase in a spherical
+    cavity, bubbles and wall at level 1."""
+    r = 0.8
+    doc = equilibrium_doc(
+        domain={"type": "cavity_sphere", "center": list(center), "radius": radius},
+        time={"t_end": t_end, "output_dt": 0.05})
+    doc["bubbles"] = [
+        {"shape": {"type": "sphere", "center": [x + center[0], center[1], center[2]],
+                   "radius": r},
+         "velocity": {"center": [0.0, 0.0, 0.0], "radius": vr},
+         "gas": {"kind": "polytropic", "K": 1.0, "gamma": 1.4},
+         "mass": R_EQ_MASS * r ** 3} for x, vr in ((-1.4, 0.2), (1.4, -0.2))]
+    doc["solver"] = {"mesh_level": 1, "wall_level": 1,
+                     "rel_tol": 1e-10, "abs_tol": 1e-12}
+    return doc
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -271,23 +289,7 @@ class TestRun:
         assert blocker.read_text() == ""
 
     def test_cavity_run_preserves_volume_invariant(self, tmp_path):
-        r = 0.8
-        doc = equilibrium_doc(
-            domain={"type": "cavity_sphere", "center": [0.0, 0.0, 0.0],
-                    "radius": 4.0},
-            time={"t_end": 0.15, "output_dt": 0.05})
-        doc["bubbles"] = [
-            {"shape": {"type": "sphere", "center": [-1.4, 0.0, 0.0], "radius": r},
-             "velocity": {"center": [0.0, 0.0, 0.0], "radius": 0.2},
-             "gas": {"kind": "polytropic", "K": 1.0, "gamma": 1.4},
-             "mass": R_EQ_MASS * r ** 3},
-            {"shape": {"type": "sphere", "center": [1.4, 0.0, 0.0], "radius": r},
-             "velocity": {"center": [0.0, 0.0, 0.0], "radius": -0.2},
-             "gas": {"kind": "polytropic", "K": 1.0, "gamma": 1.4},
-             "mass": R_EQ_MASS * r ** 3}]
-        doc["solver"] = {"mesh_level": 1, "wall_level": 1,
-                         "rel_tol": 1e-10, "abs_tol": 1e-12}
-        path = write_scenario(tmp_path, doc)
+        path = write_scenario(tmp_path, cavity_pair_doc())
         out = tmp_path / "cav"
         assert main(["run", "--scenario", path, "--out", str(out)]) == 0
         with open(out / "trajectory.csv") as fh:
@@ -296,6 +298,51 @@ class TestRun:
         assert max(abs(v - inv[0]) for v in inv) < 1e-10 * inv[0]
         # no impulse for multi-bubble runs
         assert rows[0]["impulse_x"] == ""
+
+    def test_cavity_run_assembles_each_state_once(self, tmp_path, monkeypatch):
+        # the Gram diagnostics, the first RHS call and output row 0 read
+        # one added mass of the start state: n_rhs + rows - 1 in a run
+        from bubbledyn import potential
+        path = write_scenario(tmp_path, cavity_pair_doc(t_end=0.1))
+        plain, calls = potential.added_mass, []
+        monkeypatch.setattr(potential, "added_mass",
+                            lambda *a, **kw: calls.append(1) or plain(*a, **kw))
+        out = tmp_path / "cav"
+        assert main(["run", "--scenario", path, "--out", str(out),
+                     "--residual-cadence", "2"]) == 0
+        with open(out / "trajectory.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert len(calls) == diag["stats"]["n_rhs"] + len(rows) - 1
+        scenario = parse_scenario(path)
+        fresh = plain(scenario.configuration(), 1, 1.0, 1)
+        assert diag["gram_condition"] == fresh.condition
+        assert diag["gram_eigenvalues"] == [float(e) for e in fresh.eigenvalues]
+        assert diag["gram_reciprocity_defect"] == fresh.asymmetry
+        assert diag["collocation_condition"] == fresh.collocation_condition
+
+    def test_walls_of_one_level_keep_their_own_panels(self, tmp_path):
+        # two cavities in one process, whose walls differ in radius and
+        # centre at the same level: each run writes what it writes alone
+        from bubbledyn import potential
+        docs = {"a": cavity_pair_doc(t_end=0.05),
+                "b": cavity_pair_doc(center=(0.3, -0.2, 0.1), radius=3.6, t_end=0.05)}
+
+        def run(name):
+            out = tmp_path / f"{name}-{len(os.listdir(tmp_path))}"
+            path = write_scenario(tmp_path, docs[name], f"{name}.json")
+            assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+            text = (out / "diagnostics.json").read_text()
+            return ((out / "trajectory.csv").read_bytes(),
+                    [line for line in text.splitlines() if '"wall_time":' not in line])
+
+        alone = {}
+        for name in docs:
+            potential._WALL_PANELS.clear()
+            alone[name] = run(name)
+        assert alone["a"][0] != alone["b"][0]
+        potential._WALL_PANELS.clear()
+        assert [run("a"), run("b"), run("a")] == [alone["a"], alone["b"], alone["a"]]
 
     def test_cavity_constraint_violation_exits_nonzero(self, tmp_path, capsys):
         doc = equilibrium_doc(

@@ -327,9 +327,11 @@ class TestIntegrate:
             integrate(scenario_from_dict(cavity_doc(level=0, t_end=0.01)))
 
     def test_one_added_mass_per_state(self, monkeypatch):
-        # every RHS call and every output row assembles its state once; a
-        # residual sample's acceleration and residual share the row's
-        # added mass and the one rate pass its velocity took
+        # every distinct state is assembled once: each RHS call and each
+        # output row but row 0, which is the initial state and takes the
+        # first RHS call's added mass and contraction; a residual sample's
+        # acceleration and residual share the row's added mass and the one
+        # rate pass its velocity took
         s = scenario_from_dict(sphere_doc(radius=1.1, vc=(0.1, 0, 0), vr=0.05, level=0,
                                           t_end=0.4, output_dt=0.2, residual_cadence=1))
         calls = {"added_mass": 0, "_velocity_rates": 0, "_potential_rates": 0}
@@ -346,8 +348,8 @@ class TestIntegrate:
         samples = np.count_nonzero(~np.isnan(traj.boundary_residuals))
         assert traj.stats["n_poisoned"] == 0
         assert samples == len(traj.times) == 3
-        assert calls["added_mass"] == traj.stats["n_rhs"] + len(traj.times)
-        assert calls["_velocity_rates"] == traj.stats["n_rhs"] + samples
+        assert calls["added_mass"] == traj.stats["n_rhs"] + len(traj.times) - 1
+        assert calls["_velocity_rates"] == traj.stats["n_rhs"] + samples - 1
         assert calls["_potential_rates"] == 0
         # the dense output at t = 0 is the initial state bit for bit, and so
         # is its residual

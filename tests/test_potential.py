@@ -914,6 +914,98 @@ class TestVelocityRates:
         assert len(calls) == 2 * passes
 
 
+class TestKeptKernelTerms:
+    """An added mass keeps the kernel terms that its assembly computed for
+    every block its rate passes read: each pair of surfaces and an
+    ellipsoid's own block.  The contraction reads them in place of its own
+    kernel work and releases them."""
+
+    @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity, ellipsoid_pair,
+                                             sphere_and_ellipsoid_in_cavity])
+    def test_kept_terms_give_the_recomputed_rates(self, monkeypatch, make_config):
+        import bubbledyn.potential as pot_mod
+        config = make_config()
+        mass = added_mass(config, 1)
+        asm = mass.assembly
+        n = len(asm.meshes)
+        own = {(k, k) for k, b in enumerate(config.bubbles) if isinstance(b, EllipsoidParams)}
+        assert set(asm._terms) == {(a, b) for a in range(n) for b in range(n) if a != b} | own
+        v = admissible_velocity(config, np.random.default_rng(8))
+        plain, kernels = pot_mod._kernel, []
+        monkeypatch.setattr(pot_mod, "_kernel",
+                            lambda *a, **kw: kernels.append(1) or plain(*a, **kw))
+        rates, passes = pot_mod._slot_rates, []
+        monkeypatch.setattr(pot_mod, "_slot_rates",
+                            lambda *a: passes.append(rates(*a)) or passes[-1])
+        kept = velocity_rates(mass, v)
+        # no kernel work of its own, and nothing left on the assembly
+        assert kernels == [] and asm._terms == {}
+        recomputed = pot_mod._velocity_rates(mass, v)
+        assert len(kernels) == n * (n - 1) + len(own)
+        for a, b in zip(kept, recomputed):
+            assert np.array_equal(a, b)
+        # row-blocked rate passes, which keep nothing, sum over the points
+        # in another order: dS x, dM x and the rows u^T d_v S and
+        # z^T d_v M agree to roundoff (measured at most 2.3e-13, dM x of
+        # the sphere pair in a cavity, whose edge coefficients cancel)
+        monkeypatch.setattr(pot_mod, "_ROW_BLOCK", 17)
+        assert added_mass(config, 1).assembly._terms == {}
+        pot_mod._velocity_rates(mass, v)
+        for k in (0, 1, 4, 5):
+            assert rel_diff(passes[-1][k], passes[0][k]) <= 1e-12
+
+    def test_kept_terms_stay_within_one_rate_pass_of_memory(self, monkeypatch):
+        # an assembly keeps at most 10 _ROW_BLOCK^2 bytes, what one rate
+        # pass may hold; the blocks past it are recomputed, to the same bits
+        import bubbledyn.potential as pot_mod
+        config = sphere_pair_in_cavity()
+        v = admissible_velocity(config, np.random.default_rng(3))
+        kept = velocity_rates(added_mass(config, 1), v)
+        # a block of 80 x 80 keeps 7 arrays, 358 kB: four fit in 1.6 MB
+        monkeypatch.setattr(pot_mod, "_ROW_BLOCK", 400)
+        mass = added_mass(config, 1)
+        assert len(mass.assembly._terms) == 4
+        assert sum(t.nbytes for t in mass.assembly._terms.values()) <= 10 * 400 ** 2
+        for a, b in zip(velocity_rates(mass, v), kept):
+            assert np.array_equal(a, b)
+
+    def test_a_run_keeps_no_terms_past_the_contraction(self):
+        # an added mass that no contraction reads (a lone sphere's, or a
+        # solve's assembly) keeps nothing; the Jacobian's passes release
+        # what they read
+        assert added_mass(unit_sphere_config(), 1).assembly._terms == {}
+        config = sphere_pair_in_cavity()
+        meshes = configuration_meshes(config, 1)
+        g = _direction_data(config, meshes, constraint_basis(config).matrix)[:, 0]
+        assert solve_neumann(meshes, g).assembly._terms == {}
+        mass = added_mass(config, 1)
+        added_mass_jacobian(mass)
+        assert mass.assembly._terms == {}
+
+
+def test_wall_panels_are_kept_per_wall_and_level():
+    # a wall's panel data is built once per wall and level: the same wall
+    # built again is served the same data, and another level, or an
+    # ingested wall with the very vertices and triangles of the sphere's
+    # mesh, gets its own
+    import bubbledyn.potential as pot_mod
+    from bubbledyn.shapes import CavityMesh
+
+    def sphere_wall(level):
+        return wall_mesh(CavitySphere(center=np.array([0.1, 0.0, -0.2]), radius=3.0), level)
+
+    mesh = sphere_wall(1)
+    panels = pot_mod._wall_panels(mesh)
+    assert pot_mod._wall_panels(sphere_wall(1)) is panels
+    assert pot_mod._wall_panels(sphere_wall(2)).n_panels == sphere_wall(2).n_panels
+    off = wall_mesh(CavityMesh(vertices=mesh.vertices, triangles=mesh.triangles), 1)
+    ingested = pot_mod._wall_panels(off)
+    assert ingested is not panels
+    assert np.array_equal(ingested.points, off.quad_points)
+    assert not np.array_equal(ingested.points, panels.points)
+    assert pot_mod._wall_panels(sphere_wall(1)) is panels
+
+
 def numpy_openblas_lapack():
     """Whether the solver's LAPACK is numpy's OpenBLAS (bubbledyn._lapack),
     not the scipy.linalg.lapack fallback."""
@@ -995,21 +1087,22 @@ class TestLoneSphereFactorization:
         assert passes == [2, 2, 1, 1]
         assert len(assemblies) > 20
         # a sphere pair still factors every assembly once, and assembles once
-        # per RHS (its Jacobian is exact) and once per output row (t = 0,
-        # 0.02, 0.04), whose energies, acceleration and residual share it;
-        # each solves for its basis data, and each acceleration (one per
-        # RHS and per residual sample, at t = 0 and 0.04) makes two solves
-        # of one column for its velocity's rates, one of them transposed.
-        # The panel passes: two per assembly for the blocks between the
-        # spheres, two per acceleration for their rates, and two per
-        # residual sample, one over each sphere's panels
+        # per RHS (its Jacobian is exact) and once per output row after
+        # the first (t = 0.02, 0.04), whose energies, acceleration and
+        # residual share it; row 0, the initial state, reads the first RHS
+        # call's.  Each solves for its basis data, and each acceleration
+        # (one per RHS and per residual sample after row 0's, at t = 0.04)
+        # makes two solves of one column for its velocity's rates, one of
+        # them transposed.  The panel passes: two per assembly for the
+        # blocks between the spheres, two per acceleration for their
+        # rates, and two per residual sample, one over each sphere's panels
         del calls[:], assemblies[:], solves[:], passes[:]
         traj = dyn.integrate(scenario_from_dict(doc([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0]], 0)))
         n_rhs = traj.stats["n_rhs"]
-        assert len(calls) == len(assemblies) == n_rhs + 3
+        assert len(calls) == len(assemblies) == n_rhs + 2
         assert set(calls) == {40}
-        assert sorted(solves) == [(40,)] * 2 * (n_rhs + 2) + [(40, 8)] * len(calls)
-        assert len(passes) == 2 * len(calls) + 2 * (n_rhs + 2) + 2 * 2
+        assert sorted(solves) == [(40,)] * 2 * (n_rhs + 1) + [(40, 8)] * len(calls)
+        assert len(passes) == 2 * len(calls) + 2 * (n_rhs + 1) + 2 * 2
 
     def test_results_match_a_freshly_factored_copy(self, monkeypatch):
         # the shared unit sphere (its LU, S and basis solution) against a

@@ -14,8 +14,9 @@ on the path.
 
 For each run it prints "identical" (the bytes of trajectory.csv, and
 diagnostics.json without stats.wall_time) or the largest column-relative
-difference of the two trajectories, and both n_rhs.  Exits 1 if a run
-fails or the n_rhs differ.
+difference of the two trajectories, both n_rhs, and both counts of
+potential.added_mass calls, which the runner counts by wrapping the
+function.  Exits 1 if a run fails or the n_rhs differ.
 """
 
 import csv
@@ -31,22 +32,34 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DRAWS = ((950, 0), (951, 1), (42, 2), (7001, 0))
 
-# runs the jobs of one checkout: argv = src, jobs file, exit-codes file
+# runs the jobs of one checkout: argv = src, jobs file, results file; each
+# run's result is its exit code and its count of added_mass calls
 RUNNER = """
 import json, os, sys
 src, jobs, codes_path = sys.argv[1:]
 sys.path.insert(0, src)
 import bubbledyn
-from bubbledyn import cli
+from bubbledyn import cli, potential
 if not os.path.abspath(bubbledyn.__file__).startswith(src + os.sep):
     sys.exit(f"bubbledyn imported from {bubbledyn.__file__}, not from {src}")
+plain, calls = potential.added_mass, [0]
+
+
+def counted(*args, **kwargs):
+    calls[0] += 1
+    return plain(*args, **kwargs)
+
+
+potential.added_mass = counted
 codes = {}
 with open(jobs) as fh:
     for name, scenario, out, args in json.load(fh):
+        calls[0] = 0
         try:
-            codes[name] = cli.main(["run", "--scenario", scenario, "--out", out, *args])
+            code = cli.main(["run", "--scenario", scenario, "--out", out, *args])
         except Exception as exc:  # one failed run does not stop the others
-            codes[name] = repr(exc)
+            code = repr(exc)
+        codes[name] = [code, calls[0]]
 with open(codes_path, "w") as fh:
     json.dump(codes, fh)
 """
@@ -138,8 +151,9 @@ def main(argv):
                          f"{proc.returncode} before running every scenario")
         (codes_a, outs_a), (codes_b, outs_b) = results
         for k, (name, _, _) in enumerate(runs):
-            if codes_a[name] != 0 or codes_b[name] != 0:
-                print(f"{name:32s} FAILED: exit {codes_a[name]} / {codes_b[name]}")
+            (code_a, mass_a), (code_b, mass_b) = codes_a[name], codes_b[name]
+            if code_a != 0 or code_b != 0:
+                print(f"{name:32s} FAILED: exit {code_a} / {code_b}")
                 ok = False
                 continue
             (csv_a, diag_a), (csv_b, diag_b) = read(outs_a[k]), read(outs_b[k])
@@ -149,7 +163,8 @@ def main(argv):
                 verdict = "identical" if same_diag else "trajectory identical, diagnostics differ"
             else:
                 verdict = difference(csv_a, csv_b)
-            print(f"{name:32s} {verdict}; n_rhs {n_a:g} / {n_b:g}")
+            print(f"{name:32s} {verdict}; n_rhs {n_a:g} / {n_b:g}; "
+                  f"added_mass {mass_a} / {mass_b}")
             ok = ok and n_a == n_b
     return 0 if ok else 1
 
