@@ -105,17 +105,19 @@ A block's rate pass reads the elementwise kernel terms of its points and
 panels (corner distances, solid angle, edge logs and the edge factors f_e
 and g_a; _kernel), which the assembly's pass of the same block has just
 computed.  So an added mass keeps them, for each pair of surfaces and an
-ellipsoid's own block (with the offsets of its point kernel), and the
-rate pass reads them in place of its own kernel work and releases them
-(_Assembly.take_terms): they live from the assembly to the contraction, or
-until the added mass is dropped.  They are kept only where the rate pass
-takes a block in one row block (_rate_rows), which is every block up to
-level 2, and only up to what one rate pass may hold, 42 MB an assembly
-(_Assembly._keep); past that, and at level 3, the rate pass computes its
-own.  A block of M x N points and panels keeps 7 (M, N) arrays (13 where
-its panels deform, 10 for an ellipsoid's own block): for two spheres in a
-cavity, bubbles and wall at level 1, 2.2 MB; at level 2, 34 MB; for two
-ellipsoids, 2.4 MB and 38 MB.
+ellipsoid's own block, and the rate pass reads them in place of its own
+kernel work and releases them (_Assembly.take_terms): they live from the
+assembly to the contraction, or until the added mass is dropped.  They
+are kept only where the rate pass takes a block in one row block
+(_rate_rows), which is every block up to level 2, and only up to what one
+rate pass may hold, 42 MB an assembly (_Assembly._keep); past that, and
+at level 3, the rate pass computes its own.  A block of M x N points and
+panels keeps 7 (M, N) arrays, and 13 where another surface's points meet
+an ellipsoid's panels, which deform; an ellipsoid's own block keeps 7,
+not the offsets x - y of its point kernel, which the assembly and the
+rate pass each compute.  For two spheres in a cavity, bubbles and wall at
+level 1, that is 2.2 MB; at level 2, 34 MB; for two ellipsoids, 2.0 MB
+and 33 MB.
 
 Every solve returns a PotentialSolution: the data, the densities and the
 boundary potentials, with the assembly that solved for them.
@@ -143,7 +145,7 @@ from .errors import CompatibilityError, DiscretizationError, IllPosedProblemErro
 from .shapes import (SLOTS, CavitySphere, Configuration, ConstraintBasis,
                      MeshSymmetry, SphereParams, constraint_basis, icosphere_symmetry,
                      normal_velocity_basis, slot_maps, slot_sum, surface_mesh,
-                     trivial_symmetry, volume_gradient, volume_hessian, wall_mesh)
+                     volume_hessian, wall_mesh)
 
 # relative net-flux threshold for the cavity compatibility check
 FLUX_TOLERANCE = 1e-8
@@ -254,15 +256,13 @@ class _Kernel(NamedTuple):
     (p0p1, p1p2, p2p0) a tuple of three.  A pass of _panel_blocks reads
     ``omega`` and ``logs``, with ``moments`` ``f``, with a ``tensor``
     ``lengths`` and, with both, ``g``; a term no pass of the block reads is
-    None.  ``offsets``, the differences x - y of the points (3, M, N), is
-    the point kernel's, for an own block (_self_blocks)."""
+    None."""
 
     omega: np.ndarray           # the signed solid angle
     logs: tuple                 # L_e, the edge log integrals of 1/|x - y|
     lengths: tuple | None       # l0, l1, l2, the distances from x to the corners
     f: tuple | None             # f_e = (l_a + l_b) / (l_a l_b D_e)
     g: tuple | None             # g_a = 1 / (l_a D_e)
-    offsets: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
@@ -275,11 +275,10 @@ def _offsets(x, points):
     return x.T[:, :, None] - points.T[:, None, :]
 
 
-def _kernel(x, geom: PanelGeometry, moments=False, tensor=False, own=False) -> _Kernel:
+def _kernel(x, geom: PanelGeometry, moments=False, tensor=False) -> _Kernel:
     """_Kernel of the points ``x`` over the panels ``geom``: what a
     _panel_blocks pass with ``moments`` and (panels that deform) a
-    ``tensor`` reads, computed elementwise from point-panel products, and
-    for the ``own`` block of a surface the offsets of its point kernel.
+    ``tensor`` reads, computed elementwise from point-panel products.
     The one producer of the kernel terms, for the assembly's pass and the
     rate pass alike."""
     xx = np.einsum('mk,mk->m', x, x)[:, None]
@@ -340,8 +339,7 @@ def _kernel(x, geom: PanelGeometry, moments=False, tensor=False, own=False) -> _
                 g.append(np.multiply(lb, inv, out=dab))
         f, g = tuple(f), tuple(g) if tensor else None
     return _Kernel(omega=omega, logs=tuple(logs), lengths=(l0, l1, l2) if tensor else None,
-                   f=f, g=g,
-                   offsets=_offsets(x, geom.points) if own else None)
+                   f=f, g=g)
 
 
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
@@ -525,28 +523,27 @@ def _fill_index(symmetry: MeshSymmetry):
     return index
 
 
-def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry, kernel=None):
+def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry | None = None, kernel=None):
     """Own-surface blocks (1/2 I + K', S) of one surface, from its panel
-    data and a group of rotations that maps the surface onto itself
-    (shapes.MeshSymmetry).  ``kernel`` is the _Kernel of the
-    representatives over the panels with its ``offsets``, if it is kept
-    (_Assembly).
+    data and, if the surface has one, a group of rotations that maps it
+    onto itself (shapes.MeshSymmetry).  ``kernel`` is the _Kernel of the
+    rows over the panels, if it is kept (_Assembly).
 
     The rotation carrying panel i onto panel perm[g, i] carries every
     point and panel with it, so both blocks are invariant:
     S[perm_g][:, perm_g] = S, and so is the double layer.  Their rows are
     computed at one panel per orbit and filled in from those by the
-    permutations (_fill_index); under the trivial group (shapes.trivial_symmetry)
-    every row is a representative and nothing is filled.  The double-layer
-    block uses the point kernel (whose weighted transpose collapses to the
-    plain adjoint kernel and preserves the sphere's constant-density mode
-    exactly), its diagonal closed by the Gauss row identity.
+    permutations (_fill_index); with no ``symmetry`` every row is its own
+    representative and nothing is filled.  The double-layer block uses the
+    point kernel (whose weighted transpose collapses to the plain adjoint
+    kernel and preserves the sphere's constant-density mode exactly), its
+    diagonal closed by the Gauss row identity.
     """
-    reps = symmetry.representatives
     pts, w = panels.points, panels.weights
+    reps = np.arange(len(pts)) if symmetry is None else symmetry.representatives
     x = pts[reps]
     S, _, _ = _blocked(x, panels, want_single=True, want_double=False, kernel=kernel)
-    d = _offsets(x, pts) if kernel is None else kernel.offsets
+    d = _offsets(x, pts)
     r = np.linalg.norm(d, axis=0)
     own = (np.arange(len(reps)), reps)
     r[own] = 1.0
@@ -554,7 +551,7 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry, kernel=None):
     K *= w[None, :]
     K[own] = 0.0
     K[own] = panels.closure - K.sum(axis=1)
-    if len(reps) < len(pts):
+    if symmetry is not None:
         index = _fill_index(symmetry)
         S, K = S.take(index), K.take(index)
     A = K.T * (w[None, :] / w[:, None])
@@ -564,9 +561,8 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry, kernel=None):
 
 class _Factorization:
     """LU factorization of a collocation matrix, by numpy's own OpenBLAS
-    (sla is _lapack, not scipy.linalg); the reciprocal condition estimate,
-    and the matrix's 1-norm that it needs, are computed on first request
-    and kept.
+    (sla is _lapack, not scipy.linalg); the reciprocal condition estimate
+    (rcond) is computed on first request and kept.
     An exactly zero pivot raises IllPosedProblemError.  The LU arrays are
     read-only.  The LU is factored on one BLAS thread wherever it is asked
     for (inside dynamics.integrate or not), so that a lone sphere's, shared
@@ -582,18 +578,11 @@ class _Factorization:
         piv.setflags(write=False)
         self.lu = (lu, piv)
         self._A = A
-        self._rcond = None
 
     @cached_property
-    def anorm(self) -> float:
-        """The matrix's 1-norm, which only the condition estimate reads."""
-        return np.abs(self._A).sum(axis=0).max()
-
     def rcond(self) -> float:
         # threads asking at once may each compute it: the same value
-        if self._rcond is None:
-            self._rcond = sla.rcond(self.lu[0], self.anorm)
-        return self._rcond
+        return sla.rcond(self.lu[0], np.abs(self._A).sum(axis=0).max())
 
 
 _UNIT_BUBBLE = SphereParams(center=np.zeros(3), radius=1.0)
@@ -755,8 +744,7 @@ class _Assembly:
                 A[blk, blk] = unit.A
                 S[blk, blk] = shape.radius * unit.S
             else:
-                A[blk, blk], S[blk, blk] = _self_blocks(
-                    part, trivial_symmetry(part.n_panels), self._keep(k, k, rates))
+                A[blk, blk], S[blk, blk] = _self_blocks(part, kernel=self._keep(k, k, rates))
         A.setflags(write=False)
         S.setflags(write=False)
         self.A, self.S = A, S
@@ -774,7 +762,7 @@ class _Assembly:
         deforms = mesh.closure > 0 and not isinstance(mesh.shape, SphereParams)
         if not rates or (a == b and not deforms) or len(x) > _rate_rows(geom):
             return None
-        kernel = _kernel(x, geom, moments=a != b, tensor=deforms, own=a == b)
+        kernel = _kernel(x, geom, moments=a != b, tensor=deforms)
         if self._kept + kernel.nbytes <= 10 * _ROW_BLOCK ** 2:
             self._terms[a, b] = kernel
             self._kept += kernel.nbytes
@@ -812,10 +800,10 @@ class _Assembly:
         lu = self.factorization()
         if not np.all(np.isfinite(q)):
             raise IllPosedProblemError("collocation solve produced non-finite density",
-                                       condition=1.0 / max(lu.rcond(), 1e-300))
+                                       condition=1.0 / max(lu.rcond, 1e-300))
         if self.bounded and any(m.level != 0 for m in self.meshes):
             return
-        rc = lu.rcond()
+        rc = lu.rcond
         if rc < 1e-13:
             raise IllPosedProblemError(
                 f"collocation matrix numerically singular (rcond={rc:.2e})",
@@ -887,7 +875,7 @@ class PotentialSolution:
         gecon's work arrays are aligned (_lapack); where numpy has no
         OpenBLAS, the scipy.linalg.lapack fallback allocates its own work
         array, and the estimate can differ in its last bits between runs."""
-        return 1.0 / max(self.assembly.factorization().rcond(), 1e-300)
+        return 1.0 / max(self.assembly.factorization().rcond, 1e-300)
 
 
 def solve_neumann(meshes, boundary_data) -> PotentialSolution:
@@ -1069,18 +1057,16 @@ def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
                            eigenvalues=eig, config=config)
 
 
-def _projector_derivatives(config):
-    """Derivatives of the projector P = I - l l^T / |l|^2 onto the
-    volume-preserving velocities (l the volume gradient) along every
-    parameter slot, from the volume Hessian, (p, p, p); None in unbounded
-    liquid, where P = I."""
-    if not config.bounded:
-        return None
-    ell = volume_gradient(config)
+def _projector_derivatives(mass: AddedMassMatrix):
+    """Derivatives of the projector P = I - l l^T / |l|^2 of ``mass`` onto
+    the volume-preserving velocities (l the volume gradient, its basis's
+    flux covector) along every parameter slot, from the volume Hessian,
+    (p, p, p); a cavity's alone, as P = I in unbounded liquid."""
+    ell = mass.basis.flux_covector
     n2 = ell @ ell
     L = np.outer(ell, ell) / n2
     dP = []
-    for dl in volume_hessian(config).T:
+    for dl in volume_hessian(mass.config).T:
         dP.append(2.0 * (dl @ ell) / n2 * L - (np.outer(dl, ell) + np.outer(ell, dl)) / n2)
     return np.array(dP)
 
@@ -1227,8 +1213,7 @@ def _block_rates(x, geom, X, Y, A, v, corners, cotangent, kernel=None):
             *out[6:])
 
 
-def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotangent,
-                            d=None):
+def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotangent):
     """Rates of an ellipsoid's own block 1/2 I + K' (the point kernel of
     _self_blocks) along its matrix slots, applied to X: (6, N, p), and
     with the ``cotangent`` = (z, s), z (N,) and s the six slots' weights,
@@ -1243,13 +1228,10 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotan
         dg_ab = (n_a^T G + dn_a^T) d R_ab - (d^T G d) H_ab,
     H_ab = 3 g_ab / r_ab^2: the products of the three matrices d_l R and
     the six d_k d_l H (on SLOTS) with Y = w X, and their weighted column
-    sums, serve all six slots, and contracted with z, the transposed rate.
-    ``d`` is x_a - x_b (3, N, N) as _self_blocks computed it, if kept,
-    and is overwritten."""
+    sums, serve all six slots, and contracted with z, the transposed rate."""
     pts, n, w = panels.points, panels.normals, panels.weights
     N = len(w)
-    if d is None:
-        d = _offsets(pts, pts)
+    d = _offsets(pts, pts)
     r2 = np.einsum('kab,kab->ab', d, d)
     np.fill_diagonal(r2, 1.0)
     R = 1.0 / (4.0 * np.pi * r2 ** 1.5)
@@ -1340,17 +1322,16 @@ def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
             if not lone:
                 sT[blk] += v[t] / bubble.radius * (u[blk] @ asm.S[blk, blk])
             continue
-        part, kernel = asm.panels[k], asm.take_terms(k, k)
+        part = asm.panels[k]
         # points and corners move together: the lift's rate and G : T
         out = _blocked(part.points, part, want_single=False, want_double=False,
                        tensor=X[blk], cotangent=_Cotangent(
                            weight=u[blk], strain=slot_sum(np.tensordot(v[t], mo.maps, 1))),
-                       kernel=kernel)
+                       kernel=asm.take_terms(k, k))
         dSX[t, blk] = (asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
                        + np.tensordot(slot_sum(mo.maps), out[3], axes=(1, 1)))
         sT[blk] += out[6] + (v[t] @ mo.lift) * (u[blk] @ asm.S[blk, blk])
-        dMX[t, blk], row = _own_double_layer_rates(
-            part, mo, X[blk], (z[blk], v[t]), None if kernel is None else kernel.offsets)
+        dMX[t, blk], row = _own_double_layer_rates(part, mo, X[blk], (z[blk], v[t]))
         mT[blk] += row
 
     # a lone surface has no pair (and a lone sphere no panel data)
@@ -1421,8 +1402,7 @@ def _potential_rates(mass: AddedMassMatrix):
     w = asm.weights
     zero = np.zeros(len(w))
     dSX, dMX, dw, motions, _, _ = _slot_rates(mass, X, mass.potential, (zero, zero, zero[:p]))
-    projector = _projector_terms(mass)
-    dGP = np.stack([_data_rates(mass, motions, e, projector)[1] for e in np.eye(p)])
+    dGP = np.stack([_data_rates(mass, motions, e)[1] for e in np.eye(p)])
     rhs = dGP - dMX
     dPhi = dSX
     if rhs.any():  # a lone unbounded sphere's is zero
@@ -1455,18 +1435,7 @@ def added_mass_jacobian(mass: AddedMassMatrix) -> np.ndarray:
     return 0.5 * (raw + raw.transpose(0, 2, 1))
 
 
-def _projector_terms(mass: AddedMassMatrix):
-    """The slot-independent terms of _data_rates: the canonical direction
-    data G (N, p) and the projector's derivatives dP (p, p, p)
-    (_projector_derivatives); None in unbounded liquid, where P = I."""
-    config = mass.config
-    dP = _projector_derivatives(config)
-    if dP is None:
-        return None
-    return _direction_data(config, mass.assembly.meshes, np.eye(config.dim)), dP
-
-
-def _data_rates(mass: AddedMassMatrix, motions, v, projector=None):
+def _data_rates(mass: AddedMassMatrix, motions, v):
     """Rates of the basis data G P of ``mass`` (_potential_rates) along
     every slot t applied to the packed velocity v, gamma_t = d_t(G P) v
     (p, N), and their sum weighted by v, Gamma = d_v(G P) (N, p), with
@@ -1474,15 +1443,12 @@ def _data_rates(mass: AddedMassMatrix, motions, v, projector=None):
     and the ellipsoids' normals (a sphere's stay fixed), and G is linear
     in the normals.  The equations of motion read them at the state's
     velocity, and the full Jacobian (_potential_rates) reads Gamma at each
-    unit velocity e_t, which is d_t(G P), with the ``projector`` terms
-    (_projector_terms) taken once for all."""
+    unit velocity e_t, which is d_t(G P)."""
     config, asm, B = mass.config, mass.assembly, mass.basis.matrix
     p, N = config.dim, len(asm.weights)
     gamma, Gamma = np.zeros((p, N)), np.zeros((N, p))
-    if projector is None:
-        projector = _projector_terms(mass)
-    if projector is not None:
-        G, dP = projector
+    if mass.basis.constrained:
+        G, dP = _direction_data(config, asm.meshes, np.eye(p)), _projector_derivatives(mass)
         gamma += (G @ (dP @ v).T).T
         Gamma += G @ np.tensordot(v, dP, 1)
     P = B @ B.T

@@ -19,8 +19,9 @@ from .shapes import (MAX_MESH_LEVEL, CavityMesh, CavitySphere, Configuration,
 
 SCHEMA_VERSION = 1
 # most output rows a document may ask for: a run integrates to t_end first
-# and then assembles one added mass per row, floor(t_end / output_dt) + 1
-# of them (one more for a final time off the grid)
+# and then assembles one added mass per row but row 0, which reuses the
+# first RHS's: rows - 1 of floor(t_end / output_dt) + 1 rows (one more for
+# a final time off the grid)
 MAX_OUTPUT_ROWS = 10 ** 6
 
 

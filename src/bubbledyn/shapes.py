@@ -174,23 +174,6 @@ class MeshSymmetry(NamedTuple):
     source: np.ndarray           # (N,) index of j's representative in representatives
 
 
-def _mesh_symmetry(rotations, perm) -> MeshSymmetry:
-    """The MeshSymmetry of the group ``rotations`` acting by ``perm``."""
-    orbit_min = perm.min(axis=0)
-    reps, source = np.unique(orbit_min, return_inverse=True)
-    element = np.argmax(perm[:, orbit_min] == np.arange(perm.shape[1]), axis=0)
-    arrays = (rotations, perm, reps, element, source)
-    for a in arrays:
-        a.setflags(write=False)
-    return MeshSymmetry(*arrays)
-
-
-def trivial_symmetry(n_panels: int) -> MeshSymmetry:
-    """The group of the identity alone, for a mesh of ``n_panels`` panels
-    with no symmetry: every panel is its own orbit."""
-    return _mesh_symmetry(np.eye(3)[None], np.arange(n_panels)[None])
-
-
 def _frames(u, v):
     """Right-handed orthonormal frames (..., 3, 3), by columns: u, the part
     of v normal to u, and their cross product."""
@@ -227,7 +210,13 @@ def icosphere_symmetry(level: int) -> MeshSymmetry:
         moved = np.where(child < 3, (child + shift[..., None]) % 3, 3)
         perm = (4 * perm[..., None] + moved).reshape(len(perm), -1)
         shift = np.repeat(shift, 4, axis=1)
-    return _mesh_symmetry(rotations, perm)
+    orbit_min = perm.min(axis=0)
+    reps, source = np.unique(orbit_min, return_inverse=True)
+    element = np.argmax(perm[:, orbit_min] == np.arange(perm.shape[1]), axis=0)
+    arrays = (rotations, perm, reps, element, source)
+    for a in arrays:
+        a.setflags(write=False)
+    return MeshSymmetry(*arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +794,8 @@ def _contains_point(shape: ShapeParams, x) -> bool:
 
 
 def _wall_gap(domain: Domain, bubble: ShapeParams, level: int = 2) -> float:
-    """Lower bound on the bubble-wall clearance (negative if outside/touching)."""
+    """Lower bound on the bubble-wall clearance (negative if outside/touching),
+    exact for a sphere."""
     if isinstance(domain, CavitySphere):
         if isinstance(bubble, SphereParams):
             return float(domain.radius - np.linalg.norm(bubble.center - domain.center)
@@ -815,17 +805,40 @@ def _wall_gap(domain: Domain, bubble: ShapeParams, level: int = 2) -> float:
         return float(domain.radius - d.max() - mesh.covering_radius())
     if isinstance(domain, CavityMesh):
         wall = wall_mesh(domain, level)
-        mesh = surface_mesh(bubble, level)
         # inside test via winding: total wall solid angle from the center is
         # -4pi for interior points (inward normals)
         omega = _solid_angles_from(wall.vertices, wall.triangles,
                                    np.asarray(bubble.center, dtype=float)).sum()
         if omega > -2.0 * np.pi:
             return float(-bubble.bounding_radius())
-        d = np.linalg.norm(wall.quad_points[:, None, :] - mesh.quad_points[None, :, :],
-                           axis=2)
-        return float(d.min() - wall.covering_radius() - mesh.covering_radius())
+        # the wall's flat triangles are its exact surface
+        if isinstance(bubble, SphereParams):
+            return _triangle_distance(bubble.center[None], wall) - bubble.radius
+        mesh = surface_mesh(bubble, level)
+        return _triangle_distance(mesh.quad_points, wall) - mesh.covering_radius()
     return np.inf
+
+
+def _triangle_distance(x, mesh: SurfaceMesh) -> float:
+    """Distance from the points ``x`` (M, 3) to the nearest flat triangle
+    of ``mesh``: to a triangle's plane where a point's foot lies inside it,
+    else to the triangle's nearest edge.  Every (M, T) term is a
+    point-triangle product, as in the panel integrals."""
+    corners, n = mesh.triangle_corners(), mesh.normal
+    xx = np.einsum('mk,mk->m', x, x)[:, None]
+    inside = np.ones((len(x), len(n)), dtype=bool)
+    edge_sq = np.full(inside.shape, np.inf)
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        e, m = b - a, np.cross(n, b - a)      # m: in-plane, into the triangle
+        along = x @ e.T - np.einsum('tk,tk->t', a, e)          # (x - a).e
+        ee = np.einsum('tk,tk->t', e, e)
+        t = np.clip(along / ee, 0.0, 1.0)
+        # |x - a - t e|^2 = |x - a|^2 - t (2 (x - a).e - t |e|^2)
+        sq = xx - 2.0 * (x @ a.T) + np.einsum('tk,tk->t', a, a) - t * (2.0 * along - t * ee)
+        edge_sq = np.minimum(edge_sq, sq)
+        inside &= x @ m.T >= np.einsum('tk,tk->t', a, m)
+    plane = np.abs(x @ n.T - np.einsum('tk,tk->t', corners[0], n))
+    return float(np.where(inside, plane, np.sqrt(np.maximum(edge_sq, 0.0))).min())
 
 
 def surface_gaps(config: Configuration, level: int = 2):

@@ -422,6 +422,38 @@ class TestConvergence:
         cc = [r["added_mass_diag"][0] for r in rows]
         assert abs(cc[-1] - 2 * np.pi / 3) / (2 * np.pi / 3) < 0.02
 
+    def test_one_added_mass_per_state(self, tmp_path, monkeypatch):
+        # a level's run assembles each state once, the start state too, and
+        # the table reads the start state's added mass and contraction from
+        # the run: n_rhs + rows - 1 added masses and n_rhs contractions
+        from bubbledyn import potential as pot
+        calls = {"added_mass": 0, "_velocity_rates": 0}
+        marks, trajs, plain_integrate = [], [], dyn.integrate
+
+        def counted(name, plain):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return plain(*args, **kwargs)
+            return wrapper
+
+        def integrate(*args, **kwargs):
+            marks.append(dict(calls))
+            trajs.append(plain_integrate(*args, **kwargs))
+            return trajs[-1]
+
+        for name in calls:
+            monkeypatch.setattr(pot, name, counted(name, getattr(pot, name)))
+        monkeypatch.setattr(dyn, "integrate", integrate)
+        doc = equilibrium_doc(time={"t_end": 0.1, "output_dt": 0.05})
+        doc["bubbles"][0]["velocity"]["radius"] = 0.1
+        assert main(["convergence", "--scenario", write_scenario(tmp_path, doc),
+                     "--levels", "1,2"]) == 0
+        marks.append(calls)
+        for traj, before, after in zip(trajs, marks, marks[1:]):
+            n_rhs = traj.stats["n_rhs"]
+            assert after["added_mass"] - before["added_mass"] == n_rhs + len(traj.times) - 1
+            assert after["_velocity_rates"] - before["_velocity_rates"] == n_rhs
+
     def test_single_level_warns(self, tmp_path, capsys):
         doc = equilibrium_doc(time={"t_end": 0.1, "output_dt": 0.05})
         path = write_scenario(tmp_path, doc)
@@ -619,18 +651,23 @@ class TestCavityMeshValidation:
         assert "scenario error: domain.path: cannot load OFF mesh" in capsys.readouterr().err
 
 
+def write_icosphere_off(tmp_path, R=4.0):
+    """The level-1 icosphere of radius R written as tmp_path/wall.off;
+    returns its corners (T, 3, 3) by face."""
+    from bubbledyn.shapes import reference_icosphere
+    verts, faces = reference_icosphere(1)
+    lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
+    lines += [f"{float(R * v[0])!r} {float(R * v[1])!r} {float(R * v[2])!r}"
+              for v in verts]
+    lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in faces]
+    (tmp_path / "wall.off").write_text("\n".join(lines) + "\n")
+    return R * verts[faces]
+
+
 class TestOffIngestion:
     def test_cavity_mesh_from_off_file(self, tmp_path):
         # icosphere wall, written as OFF, used as the cavity boundary
-        from bubbledyn.shapes import reference_icosphere
-        verts, faces = reference_icosphere(1)
-        R = 4.0
-        lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
-        lines += [f"{float(R * v[0])!r} {float(R * v[1])!r} {float(R * v[2])!r}"
-                  for v in verts]
-        lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in faces]
-        wall = tmp_path / "wall.off"
-        wall.write_text("\n".join(lines) + "\n")
+        write_icosphere_off(tmp_path)
         doc = equilibrium_doc(domain={"type": "cavity_mesh", "path": "wall.off"},
                               time={"t_end": 0.05, "output_dt": 0.05})
         # only translations are admissible for a single bubble in a cavity
@@ -641,3 +678,35 @@ class TestOffIngestion:
         assert main(["run", "--scenario", path, "--out", str(out)]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["termination"] == "completed"
+
+    def test_clearance_from_an_ingested_wall(self, tmp_path, capsys):
+        # the wall's flat triangles are its exact surface: a sphere's
+        # clearance is its centre's distance to them less its radius, at
+        # every level.  The wall is convex, so that distance is the one to
+        # the plane of the nearest face, which holds the centre's foot.  A
+        # bound through the wall's covering radius (1.43) read -0.236,
+        # -0.026 and 0.114 at levels 0-2 for a clearance of 1.629, and
+        # refused the scenario at level 1
+        from bubbledyn.shapes import check_admissible
+        corners = write_icosphere_off(tmp_path)
+        center, r = np.array([1.4, 0.0, 0.0]), 0.8
+        normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        heights = np.abs(np.einsum('tk,tk->t', center - corners[:, 0], normals))
+        face = np.argmin(heights)
+        a, b, _ = np.linalg.solve(np.column_stack([corners[face, 1] - corners[face, 0],
+                                                   corners[face, 2] - corners[face, 0],
+                                                   normals[face]]),
+                                  center - corners[face, 0])
+        assert min(a, b, 1.0 - a - b) > 0.0
+        doc = equilibrium_doc(domain={"type": "cavity_mesh", "path": "wall.off"},
+                              solver={"mesh_level": 1})
+        doc["bubbles"][0]["shape"] = {"type": "sphere", "center": list(center), "radius": r}
+        doc["bubbles"][0]["mass"] = R_EQ_MASS * r ** 3
+        path = write_scenario(tmp_path, doc)
+        config = parse_scenario(path).configuration()
+        for level in range(3):
+            gap = check_admissible(config, level).min_gap
+            assert abs(gap - (heights[face] - r)) <= 1e-12
+        assert main(["check", "--scenario", path]) == 0
+        assert "admissibility: ok" in capsys.readouterr().out

@@ -23,8 +23,7 @@ from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
                               SphereParams, Unbounded, check_admissible, config_from_params,
                               constraint_basis, icosphere_symmetry, normal_velocity,
                               pack_params, reference_icosphere, surface_mesh,
-                              symmetric_matrix, symmetric_slots, trivial_symmetry,
-                              wall_mesh)
+                              symmetric_matrix, symmetric_slots, wall_mesh)
 
 
 def unit_sphere_config():
@@ -209,12 +208,13 @@ class TestPotentialSolution:
         meshes = configuration_meshes(config, 1)
         g = _direction_data(config, meshes, constraint_basis(config).matrix)[:, 0]
         calls = []
-        plain = pot_mod._Factorization.rcond
-        monkeypatch.setattr(pot_mod._Factorization, "rcond",
-                            lambda self: calls.append(1) or plain(self))
+        plain = pot_mod.sla.rcond
+        monkeypatch.setattr(pot_mod.sla, "rcond", lambda *a: calls.append(1) or plain(*a))
         sol = solve_neumann(meshes, g)
         assert calls == []
         assert sol.collocation_condition > 1.0
+        # and kept with the factorization
+        assert sol.collocation_condition == 1.0 / sol.assembly.factorization().rcond
         assert calls == [1]
 
     def test_level_zero_cavity_is_singular(self):
@@ -649,7 +649,7 @@ class TestBlockReuse:
         center, radius = np.array([0.3, -1.2, 0.7]), 1.7
         mesh = (wall_mesh(CavitySphere(center=center, radius=radius), 2) if wall
                 else surface_mesh(SphereParams(center=center, radius=radius), 2))
-        A, S = _self_blocks(surface_panels(mesh), trivial_symmetry(mesh.n_panels))
+        A, S = _self_blocks(surface_panels(mesh))
         unit = _unit_sphere_blocks(2, wall)
         A_unit, S_unit = unit.A, unit.S
         assert not A_unit.flags.writeable and not S_unit.flags.writeable
@@ -969,6 +969,19 @@ class TestKeptKernelTerms:
         for a, b in zip(velocity_rates(mass, v), kept):
             assert np.array_equal(a, b)
 
+    def test_kept_terms_of_an_ellipsoid_pair(self):
+        # a block over an ellipsoid's panels, which deform, keeps 13 (M, N)
+        # arrays, and its own block 7 (no moments): at level 1 two blocks
+        # of each, 2.0 MB (README)
+        asm = added_mass(ellipsoid_pair(), 1).assembly
+        assert set(asm._terms) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for (a, b), kernel in asm._terms.items():
+            arrays = [t for term in kernel if term is not None
+                      for t in (term if isinstance(term, tuple) else (term,))]
+            assert len(arrays) == (7 if a == b else 13)
+            assert all(t.shape == (80, 80) for t in arrays)
+        assert sum(k.nbytes for k in asm._terms.values()) == 2_048_000
+
     def test_a_run_keeps_no_terms_past_the_contraction(self):
         # an added mass that no contraction reads (a lone sphere's, or a
         # solve's assembly) keeps nothing; the Jacobian's passes release
@@ -1172,7 +1185,7 @@ class TestLoneSphereFactorization:
         g[3] = np.nan
         with pytest.raises(IllPosedProblemError, match="non-finite"):
             solve_neumann((mesh,), g)
-        monkeypatch.setattr(pot_mod._Factorization, "rcond", lambda self: 1e-16)
+        monkeypatch.setattr(pot_mod._Factorization, "rcond", property(lambda self: 1e-16))
         with pytest.raises(IllPosedProblemError, match="singular"):
             added_mass(config, 1)
 
@@ -1226,7 +1239,7 @@ class OwnBlocks(_Assembly):
     def __init__(self, meshes):
         super().__init__(meshes)
         self._unit = None
-        self.A, self.S = _self_blocks(self.panels[0], trivial_symmetry(len(self.weights)))
+        self.A, self.S = _self_blocks(self.panels[0])
 
 
 def general_lone_sphere_mass(config, level, liquid_density=1.0):
@@ -1337,11 +1350,11 @@ class TestLoneSphereOracle:
 @functools.lru_cache(maxsize=None)
 def direct_unit_blocks(level, wall):
     """The unit sphere's panel data and own blocks (A, S) built directly,
-    every row by its own panel pass (the trivial group)."""
+    every row by its own panel pass (no symmetry)."""
     mesh = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
             else surface_mesh(SphereParams(center=np.zeros(3), radius=1.0), level))
     panels = surface_panels(mesh)
-    return (panels, *_self_blocks(panels, trivial_symmetry(mesh.n_panels)))
+    return (panels, *_self_blocks(panels))
 
 
 class TestUnitSphereSymmetry:
@@ -1478,11 +1491,12 @@ class TestLapack:
         from bubbledyn import _lapack
         if not numpy_openblas_lapack():
             pytest.skip("gecon is scipy.linalg.lapack's, whose work array is its own")
-        lu = _unit_sphere_blocks(2, False).factorization()
+        unit = _unit_sphere_blocks(2, False)
+        lu, anorm = unit.factorization().lu[0], np.abs(unit.A).sum(axis=0).max()
         held, values = [], set()
         for k in range(60):
             held.append(np.empty(1280 + k))
-            values.add(_lapack.rcond(lu.lu[0], lu.anorm))
+            values.add(_lapack.rcond(lu, anorm))
         assert len(values) == 1
 
     def test_exactly_singular_matrix_is_ill_posed(self):

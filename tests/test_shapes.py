@@ -10,7 +10,7 @@ from bubbledyn.shapes import (MAX_MESH_LEVEL, SLOT_MATRICES, CavitySphere, Confi
                               config_from_params, icosphere_symmetry, measures,
                               normal_velocity, pack_params, reference_icosphere,
                               slot_sum, surface_mesh, symmetric_matrix,
-                              symmetric_slots, trivial_symmetry, volume_gradient,
+                              symmetric_slots, volume_gradient,
                               volume_hessian, wall_mesh)
 
 
@@ -162,12 +162,6 @@ class TestIcosphereSymmetry:
         assert set(sizes) <= {20, 60} and sizes.sum() == n
         for a in sym:
             assert not a.flags.writeable
-
-    def test_trivial_group(self):
-        sym = trivial_symmetry(7)
-        assert np.array_equal(sym.representatives, np.arange(7))
-        assert np.array_equal(sym.perm, np.arange(7)[None])
-        assert np.array_equal(sym.rotations, np.eye(3)[None])
 
 
 class TestNormalVelocity:
@@ -463,6 +457,25 @@ class TestAdmissibility:
         report = check_admissible(config, level)
         assert not report.ok
         assert report.violations[0].kind == "outside-cavity"
+
+    def test_distance_to_wall_triangles(self):
+        # an icosahedral wall of circumradius 4: a point h outside a vertex,
+        # an edge's midpoint or a face's centroid, radially, is h from that
+        # point (by symmetry the radial direction lies in the normal cone of
+        # each), and a point inside is nearest the plane of a face
+        from bubbledyn.shapes import CavityMesh, _triangle_distance
+        verts, faces = reference_icosphere(0)
+        wall = wall_mesh(CavityMesh(vertices=4.0 * verts, triangles=faces), 0)
+        p0, p1, p2 = (4.0 * verts[faces[0, k]] for k in range(3))
+        centroid = (p0 + p1 + p2) / 3.0
+        for feature in (p0, 0.5 * (p0 + p1), centroid):
+            for h in (0.3, 2.0):
+                x = feature * (1.0 + h / np.linalg.norm(feature))
+                assert abs(_triangle_distance(x[None], wall) - h) <= 1e-12
+        inradius = np.linalg.norm(centroid)
+        assert abs(_triangle_distance(np.zeros((1, 3)), wall) - inradius) <= 1e-12
+        points = np.array([0.9 * centroid, 0.5 * p0])
+        assert abs(_triangle_distance(points, wall) - 0.1 * inradius) <= 1e-12
 
     def test_ellipsoid_wall_gap_is_a_lower_bound(self):
         rng = np.random.default_rng(31)

@@ -4,10 +4,12 @@ comments and blank lines are left out.  A docstring is the string
 literal that opens a module, class or function body.
 
 Usage:
-    python tools/code_lines.py [ROOT]
+    python tools/code_lines.py [ROOT [PARENT]]
 
 ROOT is a checkout (default: the one this script sits in); prints one
-line per module and then the total.
+line per module and then the total.  With a PARENT checkout each line
+holds PARENT's count, ROOT's and the change, a module missing on one
+side counting 0 there.
 """
 
 import ast
@@ -44,16 +46,27 @@ def code_lines(source):
     return len(lines - skip)
 
 
+def module_lines(root):
+    """Code lines of each module of the checkout ``root``, by its path
+    relative to ``root``."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "bubbledyn", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            counts[os.path.relpath(path, root)] = code_lines(fh.read())
+    return counts
+
+
 def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    total = 0
-    for path in sorted(glob.glob(os.path.join(root, "src", "bubbledyn", "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            n = code_lines(fh.read())
-        total += n
-        print(f"{n:6d}  {os.path.relpath(path, root)}")
-    print(f"{total:6d}  total")
+    both = len(argv) > 2
+    new = module_lines(root)
+    old = module_lines(argv[2]) if both else {}
+    rows = [(name, old.get(name, 0), new.get(name, 0))
+            for name in sorted(new.keys() | old.keys())]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    for name, m, n in rows:
+        print(f"{m:6d} {n:6d} {n - m:+6d}  {name}" if both else f"{n:6d}  {name}")
 
 
 if __name__ == "__main__":
