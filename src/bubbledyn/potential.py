@@ -36,14 +36,18 @@ and b alone, so the assembly is built block by block.  Which shape lies
 behind a surface, the assembly reads from its mesh (SurfaceMesh.shape):
 
 * Own-surface blocks are invariant under translation, and under scaling
-  except for S, which scales with the length.  A sphere's (or spherical
-  wall's) self-blocks are therefore those of the unit sphere of the same
-  level and orientation, with S times the radius; the unit pair is
-  computed once per (level, orientation) and kept read-only.  They are
-  invariant under the 60 rotations that map the icosphere onto itself
-  (shapes.icosphere_symmetry), so their rows are computed at one panel
-  per orbit (22 of 1280 at level 3) and the others filled in by the
-  rotations' panel permutations (_self_blocks).
+  except for S, which scales with the length.  A spherical bubble's
+  self-blocks are therefore those of the unit bubble of the same level,
+  with S times the radius; the unit pair is computed once per level and
+  kept read-only.  They are invariant under the 60 rotations that map
+  the icosphere onto itself (shapes.icosphere_symmetry), so their rows
+  are computed at one panel per orbit (22 of 1280 at level 3) and the
+  others filled in by the rotations' panel permutations (_self_blocks).
+* A cavity wall does not move, so its own blocks are a constant of the
+  run: they are built with its panel data, on the wall's own panels,
+  once per wall and level, and kept read-only for the one wall a run
+  uses (_wall).  A spherical wall's take one panel per orbit of the same
+  group, an ingested wall's every panel.
 * A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
   factorization is kept with the unit pair and serves every lone sphere
   of the level, whether its added mass or a solve_neumann asks: one
@@ -63,8 +67,8 @@ and crosses, unit normals, edge lengths and in-plane edge normals) are
 computed once per surface, when its PanelGeometry is built, leaving point-
 panel products to each block.  An assembly keeps one PanelGeometry per
 surface, the only panel format; no other module calls the panel integrals.
-A cavity wall does not move, so its PanelGeometry is built once per wall
-and level in a process (_wall_panels), as the unit sphere's blocks are.
+A cavity wall's PanelGeometry is built with its own blocks (_wall), and
+the unit bubble's with its blocks (_UnitSphere).
 
 Added mass and its Jacobian.  The added mass is taken along the basis B
 of the admissible velocities that the configuration fixes
@@ -300,7 +304,6 @@ def _kernel(x, geom: PanelGeometry, moments=False, tensor=False) -> _Kernel:
         t += xx
         dots.append(t)
     l0, l1, l2 = lengths
-    d01, d12, d20 = dots
 
     # signed solid angle (van Oosterom-Strackee, expanded so that only
     # point-panel GEMMs appear): 2 atan2(num, den)
@@ -600,22 +603,18 @@ class _UnitBasis(NamedTuple):
 
 
 class _UnitSphere:
-    """Read-only self-blocks (A, S) of the unit sphere at the origin at one
-    level and orientation, and the factorization of A and (a bubble's)
-    basis solution, each built on first use.  A lone sphere's collocation
-    matrix is this A itself.  The icosphere's rotation group
+    """Read-only panel data and self-blocks (A, S) of the unit bubble at the
+    origin at one level, and the factorization of A and the basis
+    solution, each built on first use.  A lone sphere's collocation matrix
+    is this A itself.  The icosphere's rotation group
     (shapes.icosphere_symmetry) maps the unit sphere onto itself, so the
     blocks and the basis gradient take their panel passes at one panel per
     orbit: 1, 2, 6 and 22 of 20, 80, 320 and 1280 at levels 0-3."""
 
-    def __init__(self, level: int, wall: bool):
-        unit = (wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level) if wall
-                else surface_mesh(_UNIT_BUBBLE, level))
-        self.level = level
+    def __init__(self, level: int):
         self.symmetry = icosphere_symmetry(level)
-        self.A, self.S = _self_blocks(surface_panels(unit), self.symmetry)
-        self.A.setflags(write=False)
-        self.S.setflags(write=False)
+        self.panels = surface_panels(surface_mesh(_UNIT_BUBBLE, level))
+        self.A, self.S = map(_frozen, _self_blocks(self.panels, self.symmetry))
         self._lu = self._basis = None
 
     def factorization(self) -> _Factorization:
@@ -625,18 +624,16 @@ class _UnitSphere:
         return self._lu
 
     def basis(self) -> _UnitBasis:
-        """The basis solution of a bubble, built on first use by one solve
-        and one gradient pass over the unit's panel data, which is built
-        again here rather than kept.  The pass is taken at the orbit
-        representatives alone: rotation R carries the data [n, 1] as a
+        """The basis solution, built on first use by one solve and one
+        gradient pass over the unit's panel data.  The pass is taken at the
+        orbit representatives alone: rotation R carries the data [n, 1] as a
         vector and a scalar, R^ = diag(R, 1), so the gradient at panel
         perm[g, r] is R_g grad[r] R^_g^T.  It is built on one BLAS thread,
         as the LU is, so that it has the same bits whoever first asked."""
         lu = self.factorization()
         with _UNIT_SPHERE_LOCK:
             if self._basis is None:
-                sym = self.symmetry
-                panels = surface_panels(surface_mesh(_UNIT_BUBBLE, self.level))
+                sym, panels = self.symmetry, self.panels
                 G = normal_velocity_basis(_UNIT_BUBBLE, panels.points, panels.normals)
                 with _blas.single_thread():
                     X = sla.lu_solve(lu.lu, G)
@@ -653,45 +650,55 @@ _UNIT_SPHERE_BLOCKS = {}
 _UNIT_SPHERE_LOCK = threading.Lock()
 
 
-def _unit_sphere_blocks(level: int, wall: bool) -> _UnitSphere:
-    """The unit sphere's blocks, oriented as a bubble or (``wall``) as a
-    cavity wall; built on first use, one per (level, orientation) and
+def _unit_sphere_blocks(level: int) -> _UnitSphere:
+    """The unit bubble's blocks, built on first use, one per level and
     process."""
-    key = (level, wall)
     with _UNIT_SPHERE_LOCK:
-        unit = _UNIT_SPHERE_BLOCKS.get(key)
-        if unit is None:
-            unit = _UNIT_SPHERE_BLOCKS[key] = _UnitSphere(level, wall)
-    return unit
+        if level not in _UNIT_SPHERE_BLOCKS:
+            _UNIT_SPHERE_BLOCKS[level] = _UnitSphere(level)
+        return _UNIT_SPHERE_BLOCKS[level]
 
 
-_WALL_PANELS = {}
-_WALL_PANELS_KEPT = 8
+class _Wall(NamedTuple):
+    """A cavity wall's panel data and own blocks (1/2 I + K', S), all
+    read-only."""
+
+    panels: PanelGeometry
+    blocks: tuple
 
 
-def _wall_panels(mesh) -> PanelGeometry:
-    """Panel data of a wall mesh, which the wall's domain and level fix:
-    built on first use, one per (domain, level) and process, the last
-    _WALL_PANELS_KEPT kept.  The key is the domain's type and the bytes of
-    its fields, so no two walls share an entry."""
+_WALL = {}  # the one wall kept (_wall): its key and _Wall
+
+
+def _wall(mesh) -> _Wall:
+    """The _Wall of a wall mesh, which the wall's domain and level fix:
+    built on first use and kept until another wall or level is asked for,
+    since a run meshes one wall at one level.  The key is the domain's type
+    and the bytes of its fields, so no two walls share it.  A spherical
+    wall's blocks are taken at one panel per orbit of the icosahedral
+    group (shapes.icosphere_symmetry), an ingested wall's at every panel."""
     domain = mesh.shape
     key = (type(domain), mesh.level) + tuple(
         (a.dtype.str, a.shape, a.tobytes())
         for a in (np.asarray(getattr(domain, f.name)) for f in fields(domain)))
     with _UNIT_SPHERE_LOCK:
-        panels = _WALL_PANELS.get(key)
-        if panels is None:
-            panels = _WALL_PANELS[key] = surface_panels(mesh)
-            if len(_WALL_PANELS) > _WALL_PANELS_KEPT:
-                del _WALL_PANELS[next(iter(_WALL_PANELS))]
-    return panels
+        if key not in _WALL:
+            panels = surface_panels(mesh)
+            sphere = isinstance(domain, CavitySphere)
+            blocks = _self_blocks(panels, icosphere_symmetry(mesh.level) if sphere else None)
+            _WALL.clear()
+            _WALL[key] = _Wall(panels, tuple(map(_frozen, blocks)))
+        return _WALL[key]
 
 
 class _Assembly:
     """Collocation system of one set of surfaces: the matrices
     (1/2 I + K', S), built block by block, the panel data of each surface,
     and the LU factorization of 1/2 I + K', built by the first solve.  The
-    shape behind each surface is its mesh's ``shape``.
+    shape behind each surface is its mesh's ``shape``.  A sphere's own
+    blocks are its unit sphere's, S times the radius; a cavity wall's are
+    read from the wall's kept entry (_wall), built once per run with its
+    panel data; an ellipsoid's are built by each assembly.
 
     ``blocks`` holds each surface's slice of the rows and columns.  A lone
     sphere (one surface, a spherical bubble) is its unit sphere scaled by
@@ -719,7 +726,7 @@ class _Assembly:
         self._unit = None
         self._terms, self._kept = {}, 0
         if n == 1 and isinstance(meshes[0].shape, SphereParams):
-            self._unit = _unit_sphere_blocks(meshes[0].level, False)
+            self._unit = _unit_sphere_blocks(meshes[0].level)
             self.A = self._unit.A
             return
         parts = self.panels
@@ -738,11 +745,12 @@ class _Assembly:
                 A[blocks[b], blocks[a]] = (
                     K_ab.T * (parts[a].weights[None, :] / parts[b].weights[:, None]))
         for k, (mesh, part, blk) in enumerate(zip(meshes, parts, blocks)):
-            shape = mesh.shape
-            if isinstance(shape, (SphereParams, CavitySphere)):
-                unit = _unit_sphere_blocks(mesh.level, isinstance(shape, CavitySphere))
+            if mesh.closure < 0:
+                A[blk, blk], S[blk, blk] = _wall(mesh).blocks
+            elif isinstance(mesh.shape, SphereParams):
+                unit = _unit_sphere_blocks(mesh.level)
                 A[blk, blk] = unit.A
-                S[blk, blk] = shape.radius * unit.S
+                S[blk, blk] = mesh.shape.radius * unit.S
             else:
                 A[blk, blk], S[blk, blk] = _self_blocks(part, kernel=self._keep(k, k, rates))
         A.setflags(write=False)
@@ -777,9 +785,9 @@ class _Assembly:
     def panels(self):
         """Panel data of each surface, built on first read: by the blocks'
         assembly, or for a lone sphere, whose blocks read none, on
-        request.  A wall's is built once per wall and level (_wall_panels)."""
+        request.  A wall's is built with its own blocks, once per run (_wall)."""
         # threads asking at once may each build it: equal data
-        return tuple(_wall_panels(m) if m.closure < 0 else surface_panels(m)
+        return tuple(_wall(m).panels if m.closure < 0 else surface_panels(m)
                      for m in self.meshes)
 
     def factorization(self) -> _Factorization:

@@ -338,10 +338,10 @@ class TestRun:
 
         alone = {}
         for name in docs:
-            potential._WALL_PANELS.clear()
+            potential._WALL.clear()
             alone[name] = run(name)
         assert alone["a"][0] != alone["b"][0]
-        potential._WALL_PANELS.clear()
+        potential._WALL.clear()
         assert [run("a"), run("b"), run("a")] == [alone["a"], alone["b"], alone["a"]]
 
     def test_cavity_constraint_violation_exits_nonzero(self, tmp_path, capsys):

@@ -645,16 +645,20 @@ def matrix_slots(config):
 
 class TestBlockReuse:
     @pytest.mark.parametrize("wall", [False, True])
-    def test_sphere_self_blocks_are_scaled_unit_pair(self, wall):
+    def test_sphere_self_blocks_are_scaled_unit_pair(self, wall, monkeypatch):
+        # a spherical bubble's own blocks are the unit bubble's, S times the
+        # radius; a spherical wall's are those its kept entry built (_wall)
+        import bubbledyn.potential as pot_mod
+        monkeypatch.setattr(pot_mod, "_WALL", {})
         center, radius = np.array([0.3, -1.2, 0.7]), 1.7
         mesh = (wall_mesh(CavitySphere(center=center, radius=radius), 2) if wall
                 else surface_mesh(SphereParams(center=center, radius=radius), 2))
         A, S = _self_blocks(surface_panels(mesh))
-        unit = _unit_sphere_blocks(2, wall)
-        A_unit, S_unit = unit.A, unit.S
-        assert not A_unit.flags.writeable and not S_unit.flags.writeable
-        assert rel_diff(A_unit, A) <= 1e-13
-        assert rel_diff(radius * S_unit, S) <= 1e-13
+        unit = _unit_sphere_blocks(2)
+        A_kept, S_kept = pot_mod._wall(mesh).blocks if wall else (unit.A, unit.S)
+        assert not A_kept.flags.writeable and not S_kept.flags.writeable
+        assert rel_diff(A_kept, A) <= 1e-13
+        assert rel_diff((1.0 if wall else radius) * S_kept, S) <= 1e-13
 
     @pytest.mark.parametrize("make_config", [sphere_pair_in_cavity, ellipsoid_pair,
                                              sphere_and_ellipsoid_in_cavity])
@@ -753,7 +757,7 @@ class TestBlockReuse:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(_unit_sphere_blocks, 1, False) for _ in range(8)]
+                futures = [pool.submit(_unit_sphere_blocks, 1) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -996,27 +1000,86 @@ class TestKeptKernelTerms:
         assert mass.assembly._terms == {}
 
 
-def test_wall_panels_are_kept_per_wall_and_level():
-    # a wall's panel data is built once per wall and level: the same wall
-    # built again is served the same data, and another level, or an
-    # ingested wall with the very vertices and triangles of the sphere's
-    # mesh, gets its own
+def test_wall_panels_are_kept_per_wall_and_level(monkeypatch):
+    # one wall is kept, its panel data with its own blocks (_wall): the same
+    # wall and level get the same entry; another level, or an ingested wall
+    # with the very vertices and triangles of the sphere's mesh, replaces it
+    # with its own data; the first wall asked for again is built anew, to
+    # equal data
+    from dataclasses import fields
     import bubbledyn.potential as pot_mod
     from bubbledyn.shapes import CavityMesh
+    monkeypatch.setattr(pot_mod, "_WALL", {})
 
     def sphere_wall(level):
         return wall_mesh(CavitySphere(center=np.array([0.1, 0.0, -0.2]), radius=3.0), level)
 
     mesh = sphere_wall(1)
-    panels = pot_mod._wall_panels(mesh)
-    assert pot_mod._wall_panels(sphere_wall(1)) is panels
-    assert pot_mod._wall_panels(sphere_wall(2)).n_panels == sphere_wall(2).n_panels
+    first = pot_mod._wall(mesh)
+    assert pot_mod._wall(sphere_wall(1)) is first
+    finer = pot_mod._wall(sphere_wall(2))
+    assert len(pot_mod._WALL) == 1 and pot_mod._wall(sphere_wall(2)) is finer
+    assert finer.panels.n_panels == len(finer.blocks[0]) == sphere_wall(2).n_panels
     off = wall_mesh(CavityMesh(vertices=mesh.vertices, triangles=mesh.triangles), 1)
-    ingested = pot_mod._wall_panels(off)
-    assert ingested is not panels
-    assert np.array_equal(ingested.points, off.quad_points)
-    assert not np.array_equal(ingested.points, panels.points)
-    assert pot_mod._wall_panels(sphere_wall(1)) is panels
+    ingested = pot_mod._wall(off)
+    assert len(pot_mod._WALL) == 1 and ingested is not first
+    assert np.array_equal(ingested.panels.points, off.quad_points)
+    assert not np.array_equal(ingested.panels.points, first.panels.points)
+    assert not np.array_equal(ingested.blocks[1], first.blocks[1])
+    again = pot_mod._wall(sphere_wall(1))
+    assert again is not first and len(pot_mod._WALL) == 1
+    for f in fields(first.panels):
+        assert np.array_equal(getattr(again.panels, f.name), getattr(first.panels, f.name))
+    for a, b in zip(again.blocks, first.blocks):
+        assert np.array_equal(a, b) and not a.flags.writeable
+
+
+def test_wall_built_once_under_threads(monkeypatch):
+    # more workers than cores and frequent switches, asking for one wall
+    # from an empty entry: a check-then-act race would build its blocks
+    # twice and hand out distinct entries
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    import bubbledyn.potential as pot_mod
+    monkeypatch.setattr(pot_mod, "_WALL", {})
+    built, plain = [], pot_mod._self_blocks
+    monkeypatch.setattr(pot_mod, "_self_blocks", lambda *a, **kw:
+                        built.append(1) or plain(*a, **kw))
+    mesh = wall_mesh(CavitySphere(center=np.zeros(3), radius=4.0), 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(pot_mod._wall, mesh) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == [1] and all(r is results[0] for r in results)
+
+
+def test_ingested_wall_blocks_built_once_per_run(monkeypatch):
+    # a run of two spheres in an ingested wall (the shipped cavity pair in
+    # the L1 icosphere of radius 4) builds the wall's own blocks once, with
+    # its panel data, where every assembly of the run, n_rhs + rows - 1 of
+    # them, reads them
+    import json
+    import bubbledyn.potential as pot_mod
+    from bubbledyn.scenario import scenario_from_dict
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                           "two_bubble_cavity.json")) as fh:
+        doc = json.load(fh)
+    verts, faces = reference_icosphere(1)
+    doc["domain"] = {"type": "cavity_mesh", "vertices": (4.0 * verts).tolist(),
+                     "triangles": faces.tolist()}
+    doc["time"] = {"t_end": 0.04, "output_dt": 0.02}
+    monkeypatch.setattr(pot_mod, "_WALL", {})
+    on_wall, plain = [], pot_mod._self_blocks
+    monkeypatch.setattr(pot_mod, "_self_blocks", lambda panels, *a, **kw:
+                        on_wall.append(panels.closure < 0) or plain(panels, *a, **kw))
+    traj = dyn.integrate(scenario_from_dict(doc))
+    assert traj.termination == "completed"
+    assert traj.stats["n_rhs"] + len(traj.times) - 1 > 1
+    assert sum(on_wall) == 1
 
 
 def numpy_openblas_lapack():
@@ -1135,10 +1198,10 @@ class TestLoneSphereFactorization:
                     mass.collocation_condition, sol.collocation_condition)
 
         shared = results()
-        unit = _unit_sphere_blocks(2, False)
+        unit = _unit_sphere_blocks(2)
         assert added_mass(config, 2).assembly.factorization() is unit.factorization()
-        copy = pot_mod._UnitSphere(2, False)
-        monkeypatch.setitem(pot_mod._UNIT_SPHERE_BLOCKS, (2, False), copy)
+        copy = pot_mod._UnitSphere(2)
+        monkeypatch.setitem(pot_mod._UNIT_SPHERE_BLOCKS, 2, copy)
         got = results()
         assert added_mass(config, 2).assembly.factorization() is copy.factorization()
         assert copy.factorization() is not unit.factorization()
@@ -1156,7 +1219,7 @@ class TestLoneSphereFactorization:
     def test_shared_arrays_read_only_and_no_panel_data(self, monkeypatch):
         import bubbledyn.potential as pot_mod
         config = Configuration(bubbles=(SphereParams(center=np.ones(3), radius=0.8),))
-        unit = _unit_sphere_blocks(1, False)
+        unit = _unit_sphere_blocks(1)
         basis = unit.basis()
         built = []
         plain = pot_mod.surface_panels
@@ -1325,7 +1388,7 @@ class TestLoneSphereOracle:
         import bubbledyn.potential as pot_mod
         scenario = self.scenario(*self.SPHERES[0], 2)
         state = scenario.initial_state()
-        _unit_sphere_blocks(2, False).basis()
+        _unit_sphere_blocks(2).basis()
         solves, passes = [], []
         for name, calls in (("_blocked", passes), ("_panel_blocks", passes)):
             monkeypatch.setattr(pot_mod, name, lambda *a, _calls=calls, **kw:
@@ -1370,15 +1433,23 @@ class TestUnitSphereSymmetry:
 
     @pytest.mark.parametrize("wall", [False, True])
     @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_direct_blocks_are_invariant_under_the_group(self, level, wall):
+    def test_direct_blocks_are_invariant_under_the_group(self, level, wall, monkeypatch):
         _, A, S = direct_unit_blocks(level, wall)
         for perm in icosphere_symmetry(level).perm:
             assert rel_diff(S.take(perm, 0).take(perm, 1), S) <= self.INVARIANCE_BOUNDS[level]
             assert rel_diff(A.take(perm, 0).take(perm, 1), A) <= 1e-14
-        # and the filled blocks agree with the direct ones to the same order
-        unit = _unit_sphere_blocks(level, wall)
-        assert rel_diff(unit.S, S) <= self.INVARIANCE_BOUNDS[level]
-        assert rel_diff(unit.A, A) <= 1e-14
+        # and the filled blocks agree with the direct ones to the same order:
+        # a bubble's the unit sphere's, a wall's those its kept entry built
+        import bubbledyn.potential as pot_mod
+        monkeypatch.setattr(pot_mod, "_WALL", {})
+        if wall:
+            unit_wall = wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level)
+            A_kept, S_kept = pot_mod._wall(unit_wall).blocks
+        else:
+            unit = _unit_sphere_blocks(level)
+            A_kept, S_kept = unit.A, unit.S
+        assert rel_diff(S_kept, S) <= self.INVARIANCE_BOUNDS[level]
+        assert rel_diff(A_kept, A) <= 1e-14
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_basis_matches_a_direct_solve_and_gradient_pass(self, level):
@@ -1386,7 +1457,7 @@ class TestUnitSphereSymmetry:
         # (gradient) at level 3
         from bubbledyn.potential import _blocked
         panels, A, S = direct_unit_blocks(level, False)
-        basis = _unit_sphere_blocks(level, False).basis()
+        basis = _unit_sphere_blocks(level).basis()
         X = np.linalg.solve(A, basis.data)
         _, _, grad = _blocked(panels.points, panels, want_single=False, want_double=False,
                               density=X)
@@ -1402,7 +1473,7 @@ class TestUnitSphereSymmetry:
         # block of the added mass is a multiple of I, uncoupled from the
         # radius (at most 6.6e-16 relative, levels 0-3): all to roundoff
         sym = icosphere_symmetry(level)
-        X = _unit_sphere_blocks(level, False).basis().density
+        X = _unit_sphere_blocks(level).basis().density
         for R, perm in zip(sym.rotations, sym.perm):
             assert rel_diff(X[perm, :3], X[:, :3] @ R.T) <= 2e-14
             assert rel_diff(X[perm, 3], X[:, 3]) <= 2e-14
@@ -1491,7 +1562,7 @@ class TestLapack:
         from bubbledyn import _lapack
         if not numpy_openblas_lapack():
             pytest.skip("gecon is scipy.linalg.lapack's, whose work array is its own")
-        unit = _unit_sphere_blocks(2, False)
+        unit = _unit_sphere_blocks(2)
         lu, anorm = unit.factorization().lu[0], np.abs(unit.A).sum(axis=0).max()
         held, values = [], set()
         for k in range(60):
@@ -1759,8 +1830,9 @@ class TestPanelData:
 
     def test_one_rhs_builds_panels_once_per_new_surface(self, monkeypatch):
         # two spheres in a cavity at level 1: the base configuration builds
-        # the meshes and panel data of its three surfaces; the Jacobian,
-        # exact in every centre and radius, builds none
+        # the meshes and panel data of its three surfaces, the wall's with
+        # its own blocks, from an empty wall entry; the Jacobian, exact in
+        # every centre and radius, builds none
         import os
         import bubbledyn.potential as pot_mod
         from bubbledyn.scenario import parse_scenario
@@ -1768,8 +1840,8 @@ class TestPanelData:
                                                "scenarios", "two_bubble_cavity.json"))
         state = scenario.initial_state()
         config, (_, qd) = state.config, state.packed()
-        for wall in (False, True):  # cached across the process: fill it first
-            _unit_sphere_blocks(scenario.mesh_level, wall)
+        _unit_sphere_blocks(scenario.mesh_level)  # cached across the process: fill it first
+        monkeypatch.setattr(pot_mod, "_WALL", {})  # and so is the wall: empty it
         calls = {name: [] for name in ("surface_panels", "surface_mesh", "wall_mesh")}
 
         def counted(name):

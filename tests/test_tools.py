@@ -2,6 +2,8 @@ import importlib.util
 import os
 import pathlib
 
+import numpy as np
+
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 # docstrings, comments and blank lines are not code; a multi-line
@@ -59,3 +61,58 @@ def test_code_lines_compares_two_checkouts(tmp_path, capsys):
     a, b, c = (os.path.join("src", "bubbledyn", m) for m in ("a.py", "b.py", "c.py"))
     assert rows == [["9", "10", "+1", a], ["2", "0", "-2", b], ["0", "1", "+1", c],
                     ["11", "11", "+0", "total"]]
+
+
+def test_package_has_no_dead_names(capsys):
+    # no function of the package assigns a name that it never reads
+    root = str(TOOLS.parent)
+    assert load_tool("dead_names").main(["dead_names.py", root]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_dead_names_finds_a_name_never_read():
+    # a name read only by a nested scope, an augmented assignment's target,
+    # a global and a name led by "_" are not dead; an unpacked name never
+    # read is
+    source = '''
+def f(x, out):
+    a, dead = x
+    used = a + 1
+    out += used
+    _skipped = 2
+    global g
+    g = 3
+    return lambda: [used * k for k in range(2)]
+'''
+    assert load_tool("dead_names").dead_names(source) == [(3, "f", "dead")]
+
+
+def test_same_outputs_runs_two_more_walls(tmp_path):
+    # the workload draws and shipped scenarios, then two_bubble_cavity in a
+    # wall off the origin and in the L1 icosphere of radius 4 read from an
+    # OFF file, written into the run's directory; nothing is run
+    import json
+    from bubbledyn.shapes import load_off, reference_icosphere
+    runs = load_tool("same_outputs").scenarios(str(tmp_path))
+    assert len(runs) == 16
+    names = [name for name, _, _ in runs]
+    assert names[-4:] == ["single_bubble", "two_bubble_cavity",
+                          "two_bubble_cavity off-centre", "two_bubble_cavity off-file"]
+    with open(runs[-3][1]) as fh:
+        shipped = json.load(fh)
+    docs = []
+    for _, path, args in runs[-2:]:
+        assert args == ["--residual-cadence", "3"]
+        with open(path) as fh:
+            docs.append(json.load(fh))
+        assert {k: v for k, v in docs[-1].items() if k != "domain"} == {
+            k: v for k, v in shipped.items() if k != "domain"}
+    assert docs[0]["domain"] == {"type": "cavity_sphere", "center": [0.3, -0.2, 0.1],
+                                 "radius": 3.6}
+    assert docs[1]["domain"]["type"] == "cavity_mesh"
+    off = docs[1]["domain"]["path"]
+    assert os.path.dirname(off) == str(tmp_path)
+    verts, faces = reference_icosphere(1)
+    wall = load_off(off)
+    assert np.array_equal(wall.vertices, 4.0 * verts)
+    assert np.array_equal(wall.triangles, faces)

@@ -8,9 +8,11 @@ PARENT and CHANGE are checkouts (CHANGE defaults to the one this script
 sits in).  The scenarios come from this checkout: draws (950, 0),
 (951, 1), (42, 2) and (7001, 0) of each workload in
 perfbench/workloads.py, run with that workload's own arguments, and each
-scenarios/*.json, run with --residual-cadence 3.  Each checkout runs them
-all in one interpreter, with OPENBLAS_NUM_THREADS=1 and its own src first
-on the path.
+scenarios/*.json, run with --residual-cadence 3, as is two_bubble_cavity
+twice more: in a wall moved to (0.3, -0.2, 0.1) with radius 3.6 and in
+the L1 icosphere of radius 4 read from an OFF file.  Each checkout runs
+them all in one interpreter, with OPENBLAS_NUM_THREADS=1 and its own src
+first on the path.
 
 For each run it prints "identical" (the bytes of trajectory.csv, and
 diagnostics.json without stats.wall_time) or the largest column-relative
@@ -83,6 +85,27 @@ def scenarios(tmp):
     for path in sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.json"))):
         name = os.path.splitext(os.path.basename(path))[0]
         runs.append((name, path, ["--residual-cadence", "3"]))
+    # two_bubble_cavity in walls whose own blocks are not the unit sphere's
+    # scaled by a power of two: one moved off the origin and shrunk, and the
+    # L1 icosphere of radius 4 read from an OFF file
+    with open(os.path.join(ROOT, "scenarios", "two_bubble_cavity.json")) as fh:
+        cavity = json.load(fh)
+    if os.path.join(ROOT, "src") not in sys.path:
+        sys.path.insert(0, os.path.join(ROOT, "src"))
+    from bubbledyn.shapes import reference_icosphere
+    verts, faces = reference_icosphere(1)
+    off = os.path.join(tmp, "wall-l1-r4.off")
+    with open(off, "w") as fh:
+        fh.write(f"OFF\n{len(verts)} {len(faces)} 0\n")
+        fh.writelines(" ".join(repr(float(x)) for x in 4.0 * v) + "\n" for v in verts)
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in faces)
+    walls = {"off-centre": {"type": "cavity_sphere", "center": [0.3, -0.2, 0.1], "radius": 3.6},
+             "off-file": {"type": "cavity_mesh", "path": off}}
+    for label, domain in walls.items():
+        path = os.path.join(tmp, f"two_bubble_cavity-{label}.json")
+        with open(path, "w") as fh:
+            json.dump({**cavity, "domain": domain}, fh)
+        runs.append((f"two_bubble_cavity {label}", path, ["--residual-cadence", "3"]))
     return runs
 
 
