@@ -48,12 +48,14 @@ class State:
 # scenario-facing kinetic assembly
 
 
-def mass_at(scenario, config) -> pot.AddedMassMatrix:
+def mass_at(scenario, config, rates=True) -> pot.AddedMassMatrix:
     """The added mass of ``config`` at the scenario's mesh levels and liquid
     density: the one assembly of a state, which its acceleration, energies
-    and boundary residual all read."""
+    and boundary residual all read.  Without ``rates`` it keeps no kernel
+    terms for a contraction (potential.added_mass): an output row that
+    takes no residual sample reads none."""
     return pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
-                          scenario.wall_level)
+                          scenario.wall_level, rates=rates)
 
 
 def _potential_energy(scenario, config):
@@ -352,9 +354,11 @@ def integrate(scenario, start=None) -> Trajectory:
         else:
             q, qd = split(sol.sol(t))
             config = config_from_params(config0, q)
-            # one row's added mass at a time, dropped with the row
-            row = sample(State(config=config, velocity=qd), mass_at(scenario, config),
-                         residual=bool(cadence) and k % cadence == 0)
+            # one row's added mass at a time, dropped with the row; only a
+            # residual sample contracts its rates
+            residual = bool(cadence) and k % cadence == 0
+            row = sample(State(config=config, velocity=qd),
+                         mass_at(scenario, config, rates=residual), residual=residual)
         state, ke[k], pe[k], residuals[k] = row
         states.append(state)
         if imp is not None:

@@ -95,6 +95,15 @@ plus products whose width grows with the number of parameters, not with
 the number of slots.  The Jacobian takes the added mass alone and builds
 no mesh.
 
+How a block's rates are contracted.  Every slot moves a block's points
+and panels by one field [v | A | G] (_block_rates).  The kernel terms
+come stacked by family (_Kernel), and each family meets its per-panel
+factors (PanelGeometry) in one batched product and its cotangent weights
+in one more: omega and L_e for grad(S X), ten terms for T, and f_e and
+g_a for the moments, which the panels' edge maps sum into a (3, 7) array
+per panel.  The slots' fields then enter through one small product, so
+a pass makes the same few dozen numpy calls at every mesh level.
+
 The equations of motion read only two contractions of the Jacobian with
 the velocity v, the tangent (d_v K) v and the gradient
 grad_q (1/2 v^T K v) (velocity_rates), and the boundary residual the
@@ -105,23 +114,18 @@ sum in the other order (_Cotangent), so that no (p, N, p) array is
 formed; the added mass keeps them for the last velocity, which a state's
 acceleration and residual share.
 
-A block's rate pass reads the elementwise kernel terms of its points and
-panels (corner distances, solid angle, edge logs and the edge factors f_e
-and g_a; _kernel), which the assembly's pass of the same block has just
-computed.  So an added mass keeps them, for each pair of surfaces and an
-ellipsoid's own block, and the rate pass reads them in place of its own
-kernel work and releases them (_Assembly.take_terms): they live from the
-assembly to the contraction, or until the added mass is dropped.  They
-are kept only where the rate pass takes a block in one row block
-(_rate_rows), which is every block up to level 2, and only up to what one
-rate pass may hold, 42 MB an assembly (_Assembly._keep); past that, and
-at level 3, the rate pass computes its own.  A block of M x N points and
-panels keeps 7 (M, N) arrays, and 13 where another surface's points meet
-an ellipsoid's panels, which deform; an ellipsoid's own block keeps 7,
-not the offsets x - y of its point kernel, which the assembly and the
-rate pass each compute.  For two spheres in a cavity, bubbles and wall at
-level 1, that is 2.2 MB; at level 2, 34 MB; for two ellipsoids, 2.0 MB
-and 33 MB.
+A block's rate pass reads the kernel terms of its points and panels
+(_kernel), which the assembly's pass of the same block has just computed.
+So an added mass with rates keeps them, for each pair of surfaces and an
+ellipsoid's own block, and the rate pass reads and releases them
+(_Assembly.take_terms).  They are kept only where the rate pass takes a
+block in one row block (_rate_rows), every block up to level 2, and up
+to what one rate pass may hold, 42 MB an assembly (_Assembly._keep).  A
+block of M x N points and panels keeps 7 (M, N) planes, and 13 where
+another surface's points meet an ellipsoid's panels, which deform; an
+ellipsoid's own block keeps 7, not the offsets x - y of its point
+kernel.  For two spheres in a cavity, bubbles and wall at level 1, that
+is 2.2 MB; at level 2, 34 MB; for two ellipsoids, 2.0 MB and 33 MB.
 
 Every solve returns a PotentialSolution: the data, the densities and the
 boundary potentials, with the assembly that solved for them.
@@ -147,7 +151,7 @@ from . import _blas
 from . import _lapack as sla
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
 from .shapes import (SLOTS, CavitySphere, Configuration, ConstraintBasis,
-                     MeshSymmetry, SphereParams, constraint_basis, icosphere_symmetry,
+                     MeshSymmetry, SphereParams, _cross, constraint_basis, icosphere_symmetry,
                      normal_velocity_basis, slot_maps, slot_sum, surface_mesh,
                      volume_hessian, wall_mesh)
 
@@ -170,9 +174,10 @@ def _frozen(a):
 @dataclass(frozen=True)
 class PanelGeometry:
     """Panel data of one surface: the collocation quadrature, the Gauss
-    closure of its own double-layer rows, and every term of the flat-panel
-    integrals that depends on the panels alone.  Built eagerly and
-    read-only."""
+    closure of its own double-layer rows, every term of the flat-panel
+    integrals that depends on the panels alone, built eagerly, and the
+    per-panel factors of the kernel's stacked terms (_panel_blocks), built
+    on first read.  All read-only."""
 
     closure: float            # mesh.closure: +1/2 on a bubble, -1/2 on a wall
     points: np.ndarray        # (N, 3) collocation points on the true surfaces
@@ -196,22 +201,55 @@ class PanelGeometry:
     def n_panels(self) -> int:
         return len(self.weights)
 
+    # threads reading a factor at once may each compute it: equal data
 
-def _cross(a, b):
-    """a x b over the last axis, broadcast: the products and differences of
-    np.cross (the same bits) without its axis handling."""
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+    @cached_property
+    def gradient_factors(self) -> np.ndarray:
+        """(4, N, 3) nh, -mhat_e: of omega and L_e in grad_x."""
+        return _frozen(np.concatenate([self.unit_normal[None], -self.edge_normal]))
+
+    @cached_property
+    def edge_map(self) -> np.ndarray:
+        """(3, N, 3, 4) per edge a -> b, E = [a x b | (b - a) x]:
+        (a - x) x (b - x) = E (1, x)."""
+        edge_map = np.zeros(self.edge_vector.shape + (4,))
+        edge_map[..., 0] = self.edge_cross
+        # (b - a) x w: rows 0-2, columns 1-3, entries +-(b - a)_k
+        edge_map[..., [0, 0, 1, 1, 2, 2], [2, 3, 1, 3, 1, 2]] = (
+            self.edge_vector[..., [2, 1, 2, 0, 1, 0]] * [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+        return _frozen(edge_map)
+
+    @cached_property
+    def tensor_factors(self) -> np.ndarray:
+        """(10, N, 6) of the terms of T on SLOTS, c (u w^T + w u^T) / 2:
+        nh nh of h omega, -2 sym(mhat_e, nh) of h L_e, -mhat_e mhat_e of
+        d_e L_e and sym(eh_e, mhat_e) of l_b - l_a."""
+        nh, mhat = self.unit_normal, self.edge_normal
+        k, l = SLOTS.T
+        u = np.concatenate([nh[None], mhat, mhat, self.edge_vector / self.edge_length[..., None]])
+        w = np.concatenate([nh[None], np.broadcast_to(nh, mhat.shape), mhat, mhat])
+        factors = u[..., k] * w[..., l] + u[..., l] * w[..., k]
+        factors *= 0.5 * np.array([1.0, -2, -2, -2, -1, -1, -1, 1, 1, 1])[:, None, None]
+        return _frozen(factors)
 
 
 def _dot(u, v):
     return np.einsum('...k,...k->...', u, v)
 
 
+_EYE = np.eye(3)
+# a symmetric 3 x 3 matrix from its SLOTS: entry (k, l) is slot _SYM[k, l]
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# the product m_i m_j of m = (1, x_0, x_1, x_2) as its index among the
+# moments' monomials (1, x_k, then x_k x_l on SLOTS), and as a 0/1 map
+# from the 16 entries of a matrix on m m^T to the ten monomials
+_PRODUCTS = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
+_MONOMIALS = (_PRODUCTS.reshape(16, 1) == np.arange(10)).astype(float)
+
+
 def surface_panels(mesh) -> PanelGeometry:
     """Panel data of one surface."""
-    corners = np.stack(mesh.triangle_corners())
+    corners = mesh.vertices[mesh.triangles.T]
     ends = corners[[1, 2, 0]]          # edges p0p1, p1p2, p2p0 run corners -> ends
     p0 = corners[0]
     nh = mesh.normal
@@ -230,22 +268,14 @@ def surface_panels(mesh) -> PanelGeometry:
     return PanelGeometry(closure=mesh.closure, **{k: _frozen(v) for k, v in arrays.items()})
 
 
-def _add_products(out, term, factors, X):
-    """out (M, c, p) += term @ (factors[:, u, None] X) for every column u
-    of the (K, c) factors, with the (M, K) term and the columns X (K, p):
-    one product of width p per component, on the solver's one BLAS thread
-    (README, Threads)."""
-    out += np.matmul(term, factors.T[:, :, None] * X).transpose(1, 0, 2)
-
-
 class _Cotangent(NamedTuple):
     """Weights that _panel_blocks sums its rate terms against in the other
     order, over the points where the forward outputs sum over the panels:
     ``field`` (M, 3) with the gradient terms of ``density``, ``weight``
     (M,) and ``strain`` (6, on SLOTS) with the tensor terms of ``tensor``,
     and per panel ``coeffs`` (3, N, J) and ``corner_coeffs`` (3, N, 4) with
-    the moment terms of ``moments`` (F and Fa).  Each pairs with the input
-    named, and None leaves its part out."""
+    the moment terms f_e and g_a of ``moments`` on their monomials.  Each
+    pairs with the input named, and None leaves its part out."""
 
     field: np.ndarray | None = None
     weight: np.ndarray | None = None
@@ -256,27 +286,32 @@ class _Cotangent(NamedTuple):
 
 class _Kernel(NamedTuple):
     """The elementwise terms of the flat-panel integrals from points x over
-    the panels of one surface (_kernel), each (M, N), per edge a -> b
-    (p0p1, p1p2, p2p0) a tuple of three.  A pass of _panel_blocks reads
-    ``omega`` and ``logs``, with ``moments`` ``f``, with a ``tensor``
-    ``lengths`` and, with both, ``g``; a term no pass of the block reads is
+    the panels of one surface (_kernel), stacked by family, each plane
+    (M, N) and per edge a -> b in the order p0p1, p1p2, p2p0.  A pass of
+    _panel_blocks reads ``grad``, with ``moments`` their f_e and, with a
+    ``tensor``, also g_a and ``dl``; a term no pass of the block reads is
     None."""
 
-    omega: np.ndarray           # the signed solid angle
-    logs: tuple                 # L_e, the edge log integrals of 1/|x - y|
-    lengths: tuple | None       # l0, l1, l2, the distances from x to the corners
-    f: tuple | None             # f_e = (l_a + l_b) / (l_a l_b D_e)
-    g: tuple | None             # g_a = 1 / (l_a D_e)
+    grad: np.ndarray            # (4, M, N): the signed solid angle omega, then
+                                # L_e, the edge log integrals of 1/|x - y|
+    moments: np.ndarray | None  # (3 or 6, M, N): f_e = (l_a + l_b) / (l_a l_b D_e),
+                                # then with a tensor g_a = 1 / (l_a D_e)
+    dl: np.ndarray | None       # (3, M, N): l_b - l_a, l the distances from x
+                                # to the corners
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for term in self if term is not None
-                   for a in (term if isinstance(term, tuple) else (term,)))
+        return sum(a.nbytes for a in self if a is not None)
 
 
 def _offsets(x, points):
-    """The differences x - y (3, M, N) of the points ``x`` and ``points``."""
-    return x.T[:, :, None] - points.T[:, None, :]
+    """The differences x - y (3, M, N) of the points ``x`` and ``points``,
+    and their squared lengths (M, N), summed over the axes in order."""
+    d = np.ascontiguousarray(x.T)[:, :, None] - np.ascontiguousarray(points.T)[:, None, :]
+    r2 = d[0] * d[0]
+    r2 += d[1] * d[1]
+    r2 += d[2] * d[2]
+    return d, r2
 
 
 def _kernel(x, geom: PanelGeometry, moments=False, tensor=False) -> _Kernel:
@@ -285,8 +320,11 @@ def _kernel(x, geom: PanelGeometry, moments=False, tensor=False) -> _Kernel:
     ``tensor`` reads, computed elementwise from point-panel products.
     The one producer of the kernel terms, for the assembly's pass and the
     rate pass alike."""
+    M, N = len(x), geom.n_panels
     xx = np.einsum('mk,mk->m', x, x)[:, None]
-    xv = [x @ p.T for p in geom.corners]
+    # the products x.p of each corner, where the edge logs will be
+    grad = np.empty((4, M, N))
+    xv = [np.matmul(x, p.T, out=out) for p, out in zip(geom.corners, grad[1:])]
     # the corner distances sqrt(max(|x|^2 - 2 x.p + |p|^2, 0)), and the
     # edges' (a - x).(b - x) = a.b - x.a - x.b + |x|^2, each operation in
     # place (the bits of the plain expressions)
@@ -314,35 +352,38 @@ def _kernel(x, geom: PanelGeometry, moments=False, tensor=False) -> _Kernel:
     for d, l in zip(dots, (l2, l0, l1)):
         term = np.multiply(d, l, out=xv[1])
         den += term
-    omega = np.arctan2(num, den, out=den)
+    omega = np.arctan2(num, den, out=grad[0])
     omega *= 2.0
-    del xv, num, term
+    del xv, num, term, den
 
     ends = ((l0, l1), (l1, l2), (l2, l0))
-    sums = [la + lb for la, lb in ends]
-    logs = []
-    for ssum, le in zip(sums, geom.edge_length):
+    # l_a + l_b, kept where f_e will be
+    mom = np.empty((6 if tensor else 3, M, N)) if moments else None
+    sums = [np.add(la, lb, out=None if mom is None else mom[e])
+            for e, (la, lb) in enumerate(ends)]
+    for ssum, le, L in zip(sums, geom.edge_length, grad[1:]):
         # stable symmetric form of the edge log integral of 1/|x-y|
         t = np.subtract(ssum, le[None])
         np.maximum(t, 1e-300, out=t)
-        L = np.add(ssum, le[None])
+        np.add(ssum, le[None], out=L)
         L /= t
-        logs.append(np.log(L, out=L))
-    f = g = None
+        np.log(L, out=L)
     if moments:
-        f, g = [], []
-        for (la, lb), dab, ssum in zip(ends, dots, sums):
+        for e, ((la, lb), dab) in enumerate(zip(ends, dots)):
             # 1 / (l_a l_b D_e), times l_a + l_b for f_e and l_b for g_a
             inv = np.multiply(la, lb)
             dab += inv
             inv *= dab
             np.divide(1.0, inv, out=inv)
-            f.append(np.multiply(ssum, inv, out=ssum))
+            mom[e] *= inv
             if tensor:
-                g.append(np.multiply(lb, inv, out=dab))
-        f, g = tuple(f), tuple(g) if tensor else None
-    return _Kernel(omega=omega, logs=tuple(logs), lengths=(l0, l1, l2) if tensor else None,
-                   f=f, g=g)
+                np.multiply(lb, inv, out=mom[3 + e])
+    dl = None
+    if tensor:
+        dl = np.empty((3, M, N))
+        for e, (la, lb) in enumerate(ends):
+            np.subtract(lb, la, out=dl[e])
+    return _Kernel(grad=grad, moments=mom, dl=dl)
 
 
 def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None,
@@ -371,20 +412,20 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
       g = -sum_e L_e mhat_e, h = (x - p0).nh, d_e = (x - a).mhat_e, eh_e
       the unit edge a -> b and l_a, l_b the distances from x to its ends
       (trace T = the integral itself).
-    * F, (3, N, J, p) for ``moments`` Y (M, p): per edge and panel, the
-      sums over the points of f_e m_j(x) Y, with the monomials
-      m = (1, x_k) and, for ``degree`` 2, x_k x_l on SLOTS (J = 4 or 10),
-      where f_e = (l_a + l_b) / (l_a l_b (l_a l_b + d_ab)) and
-      d_ab = (a - x).(b - x).  A point moving along V changes the solid
-      angle by the edge (Biot-Savart) sum over edges a -> b of
-      f_e V.((a - x) x (b - x)), and
-      V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a), so for affine
-      fields V the rates of Y^T K are F contracted with per-panel
-      coefficients.  With a ``tensor`` too (the panels deform), F is
-      followed by Fa, the same sums (J = 4) of g_a = 1 / (l_a D_e),
-      D_e = l_a l_b + d_ab; the corners a and b moving by W_a and W_b
-      change the solid angle by -(g_a W_a + g_b W_b).((a - x) x (b - x))
-      along the edge, and g_a + g_b = f_e.
+    * P, (N, 3, 4, p) for ``moments`` Y (M, p), (N, 3, 7, p) with a
+      ``tensor``: per panel the edge sums [P_v | P_A | P_G] that give the
+      rates of Y^T K along any field [v | A | G] as [v | A | G] : P.  A
+      point moving along V changes the solid angle by the edge
+      (Biot-Savart) sum of f_e V.((a - x) x (b - x)) over edges a -> b,
+      f_e = (l_a + l_b) / (l_a l_b D_e), D_e = l_a l_b + (a - x).(b - x),
+      and (a - x) x (b - x) = E_e m, E_e the edge map and m = (1, x); so
+      along A x + v it changes by [v | A] : E_e F_e, F_e the moments
+      sum_m f_e m m^T Y (the x x^T block only for ``degree`` 2: a field of
+      degree 1 has A a multiple of I, whose x^T E x terms cancel).  The
+      corners moving by G (y - c) change it by
+      -(g_a W_a + g_b W_b).((a - x) x (b - x)), g_a = 1 / (l_a D_e) and
+      g_a + g_b = f_e, which is G : P_G + (G c).P_v with
+      P_G = sum_e E_e (Fa_e (b - a)^T - F_e b^T), Fa the moments of g_a.
 
     With a ``cotangent`` (_Cotangent) two more follow, the same bilinear
     forms taken in the other order: per panel (N,), the sum over the points
@@ -399,87 +440,85 @@ def _panel_blocks(x, geom: PanelGeometry, want_single, want_double, density=None
     M, N = len(x), geom.n_panels
     if kernel is None:
         kernel = _kernel(x, geom, moments=moments is not None, tensor=tensor is not None)
-    omega = kernel.omega
+    omega, logs = kernel.grad[0], kernel.grad[1:]
 
     K = omega * (geom.lift[None] / (4.0 * np.pi)) if want_double else None
 
-    S = grad = T = F = Fa = None
-    rates = tensor is not None or moments is not None
+    S = grad = T = P = None
     cot = _Cotangent() if cotangent is None else cotangent
     panel_sum, point_sum = np.zeros(N), np.zeros(M)
-    if want_single or density is not None or rates:
-        nh = geom.unit_normal
-        scale = -geom.lift / (4.0 * np.pi)
-        if want_single:
-            I = np.zeros((M, N))
-
-        def gradient_term(term, vectors):
-            _add_products(grad, term, vectors, c)
-            if cot.field is not None:
-                panel_sum[:] += _dot((cot.field.T @ term).T, vectors)
-
-        def tensor_term(term, factors):
-            _add_products(T, term, factors, Xs)
-            if cot.weight is not None:
-                panel_sum[:] += (cot.weight @ term) * (factors @ cot.strain)
-
-        if density is not None:
-            # grad_x of the panel integral is omega nh - sum_e L_e mhat_e;
-            # c carries the density and the lifted kernel constant
-            c = np.asarray(density, dtype=float) * scale[:, None]
-            grad = np.zeros((M, 3, c.shape[1]))
-            gradient_term(omega, nh)
+    scale = -geom.lift / (4.0 * np.pi)
+    if want_single:
+        # h omega - sum_e d_e L_e, h = (x - p0).nh and d_e = (x - a).mhat_e
+        I = np.zeros((M, N))
+        for L, mhat, am in zip(logs, geom.edge_normal, geom.edge_offset):
+            I -= (x @ mhat.T - am[None]) * L
+        I += (x @ geom.unit_normal.T - geom.plane_offset[None]) * omega
+        S = I * (-geom.lift[None] / (4.0 * np.pi))
+    if density is not None:
+        # grad_x of the panel integral is omega nh - sum_e L_e mhat_e; c
+        # carries the density and the lifted kernel constant
+        c = np.asarray(density, dtype=float) * scale[:, None]
+        factors = geom.gradient_factors[..., None] * c[None, :, None]
+        grad = np.matmul(kernel.grad, factors.reshape(4, N, -1)).sum(axis=0)
+        grad = grad.reshape(M, 3, -1)
+        if cot.field is not None:
+            panel_sum += np.einsum('tkn,tnk->n', np.matmul(cot.field.T, kernel.grad),
+                                   geom.gradient_factors)
+    if tensor is not None:
+        # the first seven terms of T, h omega, h L_e and d_e L_e, in one
+        # buffer, d_e written where d_e L_e will be
+        terms = np.empty((7, M, N))
+        np.multiply(kernel.grad, x @ geom.unit_normal.T - geom.plane_offset[None],
+                    out=terms[:4])
+        d = np.matmul(x, geom.edge_normal.transpose(0, 2, 1), out=terms[4:])
+        d -= geom.edge_offset[:, None]
+        d *= logs
+        Xs = np.asarray(tensor, dtype=float) * scale[:, None]
+        factors = (geom.tensor_factors[..., None] * Xs[None, :, None]).reshape(10, N, -1)
+        T = np.matmul(terms, factors[:7]).sum(axis=0)
+        T += np.matmul(kernel.dl, factors[7:]).sum(axis=0)
+        T = T.reshape(M, 6, -1)
+        if cot.weight is not None:
+            strains = geom.tensor_factors @ cot.strain
+            panel_sum += (np.matmul(cot.weight, terms) * strains[:7]).sum(axis=0)
+            panel_sum += (np.matmul(cot.weight, kernel.dl) * strains[7:]).sum(axis=0)
+    if moments is not None:
+        Y = np.asarray(moments, dtype=float)
+        J = 10 if degree == 2 else 4
+        mono = np.empty((M, J))
+        mono[:, 0] = 1.0
+        mono[:, 1:4] = x
+        if degree == 2:
+            mono[:, 4:] = x[:, SLOTS[:, 0]] * x[:, SLOTS[:, 1]]
+        mY = (mono[:, :, None] * Y[:, None]).reshape(M, -1)
+        f = kernel.moments[:3]
+        F = np.matmul(f.transpose(0, 2, 1), mY).reshape(3, N, J, -1)
+        # per edge and panel the moments on m m^T, then with a tensor the
+        # corner moments Fa (b - a)^T - F b^T
+        Z = np.zeros((3, N, 4, 7 if tensor is not None else 4, Y.shape[1]))
+        if J == 10:
+            Z[:, :, :, :4] = F[:, :, _PRODUCTS]
+        else:
+            Z[:, :, 0, :4] = F
+            Z[:, :, 1:, 0] = F[:, :, 1:]
         if tensor is not None:
-            # the terms of T with their per-panel factors on SLOTS, each
-            # applied as soon as it is formed: h omega here, and h L_e,
-            # d_e L_e and l_b - l_a per edge
-            k, l = SLOTS.T
-            h = x @ nh.T - geom.plane_offset[None]
-            Xs = np.asarray(tensor, dtype=float) * scale[:, None]
-            T = np.zeros((M, 6, Xs.shape[1]))
-            tensor_term(h * omega, nh[:, k] * nh[:, l])
-        if moments is not None:
-            Y = np.asarray(moments, dtype=float)
-            mono = [np.ones(M), *x.T]
-            if degree == 2:
-                mono += [x[:, k] * x[:, l] for k, l in SLOTS]
-            mono = np.stack(mono, axis=1)
-            F = np.zeros((3, N, len(mono.T), Y.shape[1]))
-            if tensor is not None:
-                Fa = np.zeros((3, N, 4, Y.shape[1]))
-        for e, (L, le, mhat, am, edge) in enumerate(zip(
-                kernel.logs, geom.edge_length, geom.edge_normal, geom.edge_offset,
-                geom.edge_vector)):
-            if want_single or tensor is not None:
-                d = x @ mhat.T - am[None]
-            if want_single:
-                I -= d * L
-            if density is not None:
-                gradient_term(L, -mhat)
-            if tensor is not None:
-                eh = edge / le[:, None]
-                tensor_term(h * L, -(nh[:, k] * mhat[:, l] + mhat[:, k] * nh[:, l]))
-                tensor_term(d * L, -mhat[:, k] * mhat[:, l])
-                tensor_term(kernel.lengths[(e + 1) % 3] - kernel.lengths[e],
-                            0.5 * (eh[:, k] * mhat[:, l] + eh[:, l] * mhat[:, k]))
-            if moments is not None:
-                f = kernel.f[e]
-                _add_products(F[e], f.T, mono, Y)
-                if cot.coeffs is not None:
-                    point_sum += _dot(f @ cot.coeffs[e], mono)
-                if tensor is not None:
-                    g = kernel.g[e]
-                    _add_products(Fa[e], g.T, mono[:, :4], Y)
-                    if cot.corner_coeffs is not None:
-                        point_sum += _dot(g @ cot.corner_coeffs[e], mono[:, :4])
-        if want_single:
-            h = x @ nh.T - geom.plane_offset[None]
-            I += h * omega
-            S = I * (-geom.lift[None] / (4.0 * np.pi))
-        panel_sum *= scale
-    if not rates:
+            g = kernel.moments[3:]
+            Fa = np.matmul(g.transpose(0, 2, 1), mY[:, :4 * Y.shape[1]]).reshape(3, N, 4, 1, -1)
+            ends = geom.corners[[1, 2, 0]][:, :, None, :, None]
+            np.multiply(Fa, geom.edge_vector[:, :, None, :, None], out=Z[:, :, :, 4:])
+            Z[:, :, :, 4:] -= F[:, :, :4, None] * ends
+        P = np.matmul(geom.edge_map, Z.reshape(3, N, 4, -1)).sum(axis=0)
+        P = P.reshape(N, 3, -1, Y.shape[1])
+        if cot.coeffs is not None:
+            point_sum += (np.matmul(f, cot.coeffs).sum(axis=0) * mono).sum(axis=1)
+        if cot.corner_coeffs is not None:
+            point_sum += (np.matmul(kernel.moments[3:], cot.corner_coeffs).sum(axis=0)
+                          * mono[:, :4]).sum(axis=1)
+    panel_sum *= scale
+    if tensor is None and moments is None:
         return S, K, grad
-    return (S, K, grad, T, F, Fa) + (() if cotangent is None else (panel_sum, point_sum))
+    return (S, K, grad, T, P) + (() if cotangent is None else (panel_sum, point_sum))
 
 
 def _rate_rows(geom) -> int:
@@ -490,11 +529,12 @@ def _rate_rows(geom) -> int:
 def _blocked(x, geom, moments=None, cotangent=None, kernel=None, **kw):
     """Row-blocked wrapper around _panel_blocks to bound peak memory: the
     outputs of the points (S, K, grad, T, the cotangent's point sums) are
-    stacked by rows, and those of the panels (the moments and the
-    cotangent's panel sums), sums over the points, added up.  With rate
-    terms a block holds about twenty (rows, N) arrays, so it has at most
-    _ROW_BLOCK^2 / (16 N) rows (_rate_rows).  A ``kernel`` (_Kernel of all
-    the rows) serves a pass of one block; blocked rows compute their own."""
+    stacked by rows, and those of the panels (P and the cotangent's panel
+    sums), sums over the points, added up.  With rate terms a block holds
+    about twenty (rows, N) arrays (13 kernel terms, 7 terms of T), so it
+    has at most _ROW_BLOCK^2 / (16 N) rows (_rate_rows).  A ``kernel``
+    (_Kernel of all the rows) serves a pass of one block; blocked rows
+    compute their own."""
     M = len(x)
     rates = moments is not None or kw.get("tensor") is not None
     step = _rate_rows(geom) if rates else _ROW_BLOCK
@@ -509,7 +549,7 @@ def _blocked(x, geom, moments=None, cotangent=None, kernel=None, **kw):
                               field=rows(cotangent.field, i), weight=rows(cotangent.weight, i)),
                           **kw)
             for i in range(0, M, step)]
-    return tuple(None if parts[0] is None else sum(parts) if k in (4, 5, 6)
+    return tuple(None if parts[0] is None else sum(parts) if k in (4, 5)
                  else np.concatenate(parts, axis=0) for k, parts in enumerate(zip(*outs)))
 
 
@@ -546,11 +586,13 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry | None = None, ke
     reps = np.arange(len(pts)) if symmetry is None else symmetry.representatives
     x = pts[reps]
     S, _, _ = _blocked(x, panels, want_single=True, want_double=False, kernel=kernel)
-    d = _offsets(x, pts)
-    r = np.linalg.norm(d, axis=0)
+    d, r2 = _offsets(x, pts)
     own = (np.arange(len(reps)), reps)
-    r[own] = 1.0
-    K = np.einsum('kij,jk->ij', -d, panels.normals) / (4.0 * np.pi * r ** 3)
+    r2[own] = 1.0
+    K = np.einsum('kij,jk->ij', d, panels.normals)
+    r3 = np.sqrt(r2)
+    r3 *= r2
+    K /= np.multiply(r3, -4.0 * np.pi, out=r3)
     K *= w[None, :]
     K[own] = 0.0
     K[own] = panels.closure - K.sum(axis=1)
@@ -1040,15 +1082,17 @@ class AddedMassMatrix(PotentialSolution):
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
-               wall_level=None) -> AddedMassMatrix:
+               wall_level=None, rates=True) -> AddedMassMatrix:
     """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
     panels (Green reduction of the volume Gram integral), symmetrized,
     with i and j running over the columns of shapes.constraint_basis(config):
     the packed parameters in unbounded liquid, an orthonormal basis of the
     volume-preserving velocities in a cavity.  ``kinetic`` is the matrix
-    over all packed velocities.
+    over all packed velocities.  With ``rates`` its assembly keeps the
+    kernel terms that its first contraction reads (_Assembly); the same
+    bits either way.
     """
-    asm = _Assembly(configuration_meshes(config, level, wall_level), rates=True)
+    asm = _Assembly(configuration_meshes(config, level, wall_level), rates=rates)
     basis = constraint_basis(config)
     sol = asm.basis_solution(config, basis.matrix)
     raw = -liquid_density * (sol.potential.T * asm.weights[None, :]) @ sol.data
@@ -1072,11 +1116,11 @@ def _projector_derivatives(mass: AddedMassMatrix):
     (p, p, p); a cavity's alone, as P = I in unbounded liquid."""
     ell = mass.basis.flux_covector
     n2 = ell @ ell
-    L = np.outer(ell, ell) / n2
-    dP = []
-    for dl in volume_hessian(mass.config).T:
-        dP.append(2.0 * (dl @ ell) / n2 * L - (np.outer(dl, ell) + np.outer(ell, dl)) / n2)
-    return np.array(dP)
+    L = ell[:, None] * ell[None] / n2
+    dl = volume_hessian(mass.config).T  # the rate of l along each slot
+    outer = dl[:, :, None] * ell
+    return ((2.0 * (dl @ ell) / n2)[:, None, None] * L
+            - (outer + outer.transpose(0, 2, 1)) / n2)
 
 
 @dataclass(frozen=True)
@@ -1089,6 +1133,7 @@ class _SlotMotion:
     slots deform it (_slot_motion).  Each field has the slots first."""
 
     maps: np.ndarray            # (n, 3, 3) the linear maps G
+    strains: np.ndarray         # (n, 6) slot_sum(G): G : T = strains . T on SLOTS
     normals: np.ndarray | None  # (n, N, 3) rates of the unit normals, None if fixed
     weights: np.ndarray         # (n, N) log-rates of the patch weights
     area: np.ndarray            # (n, N) log-rates of the flat panel areas
@@ -1112,113 +1157,77 @@ def _slot_motion(bubble, asm: _Assembly, k) -> _SlotMotion:
     G = slot_maps(bubble)
     if isinstance(bubble, SphereParams):
         rate = np.full((1, asm.meshes[k].n_panels), 2.0 / bubble.radius)
-        return _SlotMotion(maps=G, normals=None, weights=rate, area=rate)
+        return _SlotMotion(maps=G, strains=slot_sum(G), normals=None, weights=rate, area=rate)
     panels = asm.panels[k]
     trace = np.trace(G, axis1=1, axis2=2)[:, None]
     n, nh = panels.normals, panels.unit_normal
     stretch = n @ G
-    along = _dot(stretch, n)
-    return _SlotMotion(maps=G, normals=n * along[..., None] - stretch,
-                       weights=trace - along, area=trace - _dot(nh @ G, nh))
+    along = (stretch * n).sum(axis=2)
+    return _SlotMotion(maps=G, strains=slot_sum(G), normals=n * along[..., None] - stretch,
+                       weights=trace - along, area=trace - ((nh @ G) * nh).sum(axis=2))
 
 
-def _edge_coefficients(A, v, geom, quadratic):
-    """Coefficients of V.((a - x) x (b - x)) = V.(a x b) - (V x x).(b - a)
-    on the monomials of _panel_blocks ``moments`` (1, x_k, then, if
-    ``quadratic``, x_k x_l on SLOTS) for the affine point fields
-    V = A x + v, (n, 3, 3) and (n, 3): (n, 3, N, 4 or 10) by field, edge
-    a -> b and panel.  The quadratic part is -x^T Q x with the rows
-    Q_l = (b - a) x A e_l, whose slot sums vanish where every A is a
-    multiple of I."""
-    ab, D = geom.edge_cross, geom.edge_vector
-    const = (ab @ v.T).transpose(2, 0, 1)
-    linear = ab @ A[:, None] - _cross(D, v[:, None, None])
-    if not quadratic:
-        return np.concatenate([const[..., None], linear], axis=-1)
-    Q = _cross(D[:, :, None], A.transpose(0, 2, 1)[:, None, None])
-    return np.concatenate([const[..., None], linear, -slot_sum(Q)], axis=-1)
-
-
-def _corner_coefficients(G, c, geom):
-    """Coefficients (n, 3, N, 4) on the monomials 1, x_k of
-    u.((a - x) x (b - x)) for the constant vectors u = G (y - c) of each
-    edge's ends y = a and y = b, (n, 3, 3) maps G: the pair (Ca, Cb)."""
-    u = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
-    ab, D = geom.edge_cross, geom.edge_vector
-    return tuple(np.concatenate([_dot(ue, ab)[..., None], -_cross(D, ue)], axis=-1)
-                 for ue in (u, u[:, [1, 2, 0]]))
-
-
-def _along(V, grad):
-    """V . grad point by point: (n, M, 3) and (M, 3, p) to (n, M, p)."""
-    return (V.transpose(1, 0, 2) @ grad).transpose(1, 0, 2)
-
-
-def _on_panels(C, F):
-    """Coefficients (n, 3, N, J) on moments (3, N, J, p), summed over the
-    edges and monomials panel by panel: (n, N, p)."""
-    n, _, N, J = C.shape
-    return (C.transpose(2, 0, 1, 3).reshape(N, n, 3 * J)
-            @ F.transpose(1, 0, 2, 3).reshape(N, 3 * J, -1)).transpose(1, 0, 2)
-
-
-def _block_rates(x, geom, X, Y, A, v, corners, cotangent, kernel=None):
+def _block_rates(x, geom, X, Y, fields, cotangent=None, kernel=None):
     """Rates of S X and of K^T Y for the block of the points ``x`` over the
     panels ``geom``, X (N, p) the panels' densities and Y (M, p) the
     points' weighted densities: (n, M, p) and (n, N, p), one per motion,
-    the lift held.  First the affine point fields V = A x + v (A and v
-    (n', 3, 3) and (n', 3)) with the panels fixed; then, with
-    ``corners`` = (G, c), the panels deforming by the linear maps G (their
-    corners y moving by G (y - c)) with the points fixed.
+    the lift held.  Each motion is a field (n, 3, 7) [v | A | G]: the
+    points moving along A x + v, and the panels' corners y by G (y - c),
+    with v then holding G c.
 
-    Everything comes from one _panel_blocks pass, contracted on the way:
-    d_V (S X) = V . grad(S X); a deformation is G about each point x plus
-    the shift G (x - c), so d_G (S X) = G : T - grad(S X) . G (x - c);
-    and the rates of K^T Y are the moments F (Fa) contracted with the
-    coefficients of the edge terms: _edge_coefficients for the point
-    fields, and for the panels the same coefficients of the constant
-    vectors u = G (y - c) of each edge's ends, on the moments of g_a and
-    g_b = f_e - g_a, negated.
+    Everything comes from one _panel_blocks pass: d_V (S X) =
+    V . grad(S X); a deformation is G about each point x plus the shift
+    G (x - c), so d_G (S X) = G : T - grad(S X) . G (x - c); and the rates
+    of K^T Y are the fields on P.  So both are one product of the fields,
+    with [grad | grad x^T | T - grad x^T] per point and with P per panel.
+    The panels deform where some G is nonzero, and the moments are
+    quadratic where some A is not a multiple of I.
 
-    The ``cotangent`` = (u, zeta, kappa), u (M,) on the points, zeta (N,)
-    on the panels and kappa (n,) a weight per motion, gives two more
-    outputs from the same pass, the transposed rates along the one motion
-    that kappa weighs: u^T d S (N,) and d(K^T)^T zeta (M,).  That motion
-    is one affine field and one map, so the sums over the points take
-    products of width 3 and the moments' of width J.  ``kernel`` is the
-    block's kept _Kernel, if any."""
-    quadratic = bool(np.any(A != A[:, :1, :1] * np.eye(3)))  # A not a multiple of I
-    C = _edge_coefficients(A, v, geom, quadratic)
-    u, zeta, kappa = cotangent
-    Av, vv = np.tensordot(kappa[:len(A)], A, 1), kappa[:len(A)] @ v
-    V = x @ Av.T + vv
-    coeffs = _edge_coefficients(Av[None], vv[None], geom, quadratic)[0]
-    corner_coeffs = strain = None
-    if corners is not None:
-        Gv = np.tensordot(kappa[len(A):], corners[0], 1)
-        V -= (x - corners[1]) @ Gv.T
-        Ca, Cb = (C_[0] for C_ in _corner_coefficients(Gv[None], corners[1], geom))
-        coeffs[..., :4] -= Cb
-        corner_coeffs, strain = Cb - Ca, slot_sum(Gv)
-    lift = zeta * geom.lift / (4.0 * np.pi)
-    cotangent = _Cotangent(field=u[:, None] * V, weight=u, strain=strain,
-                           coeffs=coeffs * lift[:, None],
-                           corner_coeffs=None if corners is None
-                           else corner_coeffs * lift[:, None])
+    The ``cotangent`` = (u, zeta, phi), u (M,) on the points, zeta (N,) on
+    the panels and phi (3, 7) one field, gives two more outputs, the
+    transposed rates along phi: u^T d S (N,) and d(K^T)^T zeta (M,).  The
+    coefficients on the moments' monomials are E_e^T [v - G b | A] on m m^T
+    for f_e, b the edge's end, and E_e^T G (b - a) on m for g_a.
+    ``kernel`` is the block's kept _Kernel, if any."""
+    fields = np.asarray(fields, dtype=float)
+    A = fields[:, :, 1:4]
+    quadratic = bool((A != A[:, :1, :1] * _EYE).any())  # some A not a multiple of I
+    corners = bool(fields[:, :, 4:].any())
+    width = 7 if corners else 4
+    M, N = len(x), geom.n_panels
+    lift = geom.lift / (4.0 * np.pi)
+    cot = None
+    if cotangent is not None:
+        u, zeta, phi = cotangent
+        v, Av, Gv = phi[:, 0], phi[:, 1:4], phi[:, 4:]
+        # the coefficients on the moments' monomials: f_e's E^T [v - G b | A]
+        # on m m^T, and g_a's E^T G (b - a) on m
+        Et = geom.edge_map.transpose(0, 1, 3, 2)
+        fe = np.empty((3, N, 3, 4))
+        fe[..., 0] = v - geom.corners[[1, 2, 0]] @ Gv.T
+        fe[..., 1:] = Av
+        weight = (zeta * lift)[:, None]
+        coeffs = np.matmul(Et, fe).reshape(3, N, 16) @ _MONOMIALS[:, :10 if quadratic else 4]
+        corner_coeffs = None
+        if corners:
+            corner_coeffs = weight * np.matmul(Et, (geom.edge_vector @ Gv.T)[..., None])[..., 0]
+        cot = _Cotangent(field=u[:, None] * (x @ (Av - Gv).T + v), weight=u,
+                         strain=slot_sum(Gv) if corners else None, coeffs=coeffs * weight,
+                         corner_coeffs=corner_coeffs)
     out = _blocked(x, geom, want_single=False, want_double=False, density=X,
-                   tensor=None if corners is None else X, moments=Y,
-                   degree=2 if quadratic else 1, cotangent=cotangent, kernel=kernel)
-    grad, T, F, Fa = out[2:6]
-    dS = [_along(x @ A.transpose(0, 2, 1) + v[:, None], grad)]
-    dK = [_on_panels(C, F)]
-    if corners is not None:
-        G, c = corners
-        dS.append(np.tensordot(slot_sum(G), T, axes=(1, 1))
-                  - _along((x - c) @ G.transpose(0, 2, 1), grad))
-        Ca, Cb = _corner_coefficients(G, c, geom)
-        dK.append(-_on_panels(Ca - Cb, Fa) - _on_panels(Cb, F[:, :, :4]))
-    return (np.concatenate(dS), np.concatenate(dK) * (geom.lift / (4.0 * np.pi))[:, None],
-            *out[6:])
+                   tensor=X if corners else None, moments=Y, degree=2 if quadratic else 1,
+                   cotangent=cot, kernel=kernel)
+    grad, T, P = out[2:5]
+    q = grad.shape[2]
+    psi = np.empty((3, width, M, q))
+    psi[:, 0] = grad.transpose(1, 0, 2)
+    np.multiply(psi[:, :1], x.T[None, :, :, None], out=psi[:, 1:4])
+    if corners:
+        np.subtract(T.transpose(1, 0, 2)[_SYM], psi[:, 1:4], out=psi[:, 4:])
+    phis = fields[:, :, :width].reshape(len(fields), -1)
+    dS = (phis @ psi.reshape(3 * width, -1)).reshape(-1, M, q)
+    dK = phis @ P.reshape(N, 3 * width, q).transpose(1, 0, 2).reshape(3 * width, -1)
+    return (dS, dK.reshape(-1, N, q) * lift[:, None], *out[5:])
 
 
 def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotangent):
@@ -1239,33 +1248,38 @@ def _own_double_layer_rates(panels: PanelGeometry, motion: _SlotMotion, X, cotan
     sums, serve all six slots, and contracted with z, the transposed rate."""
     pts, n, w = panels.points, panels.normals, panels.weights
     N = len(w)
-    d = _offsets(pts, pts)
-    r2 = np.einsum('kab,kab->ab', d, d)
-    np.fill_diagonal(r2, 1.0)
-    R = 1.0 / (4.0 * np.pi * r2 ** 1.5)
+    d, r2 = _offsets(pts, pts)
+    diagonal = slice(None, None, N + 1)
+    r2.flat[diagonal] = 1.0
+    R = np.sqrt(r2)
+    R *= r2
+    R *= 4.0 * np.pi
+    np.divide(1.0, R, out=R)
     g = np.einsum('kab,ak->ab', d, n) * R
-    np.fill_diagonal(g, 0.0)
-    np.fill_diagonal(R, 0.0)
+    g.flat[diagonal] = 0.0
+    R.flat[diagonal] = 0.0
     H = 3.0 * g / r2
     ddH = np.empty((6, N, N))
     for out, (k, l) in zip(ddH, SLOTS):
         np.multiply(d[k], d[l], out=out)
         out *= H
     dR = np.multiply(d, R, out=d)
-    G, dw = motion.maps, motion.weights * w
-    c = n @ G + motion.normals  # (6, N, 3), the factors of d_l R by slot
+    strains, dw = motion.strains, motion.weights * w
+    c = n @ motion.maps + motion.normals  # (6, N, 3), the factors of d_l R by slot
     Y = w[:, None] * X
-    RY, HY = dR @ Y, ddH @ Y
+    RY, HY = dR @ Y, (ddH @ Y).reshape(6, -1)
     dgY = ((c.transpose(0, 2, 1)[..., None] * RY).sum(axis=1)
-           - np.tensordot(slot_sum(G), HY, axes=(1, 0)))
-    # w^T dg
-    wH = w @ ddH
-    wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - slot_sum(G) @ wH
-    rates = dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
+           - (strains @ HY).reshape(-1, N, X.shape[1]))
     z, s = cotangent
-    cs, strain, logw = np.tensordot(s, c, 1).T, s @ slot_sum(G), s @ motion.weights
-    zdg = sum((z * cs[l]) @ dR[l] for l in range(3)) - strain @ (z @ ddH)
-    wdg_s = sum((w * cs[l]) @ dR[l] for l in range(3)) - strain @ wH
+    zw = np.array([z, w])
+    zwH = zw @ ddH  # (6, 2, N): z^T ddH and w^T ddH
+    # w^T dg
+    wdg = ((w * c.transpose(2, 0, 1)) @ dR).sum(axis=0) - strains @ zwH[:, 1]
+    rates = dgY + g @ (motion.weights[:, :, None] * Y) - (wdg + dw @ g)[:, :, None] * X
+    cs, strain, logw = (s @ c.reshape(6, -1)).reshape(N, 3), s @ strains, s @ motion.weights
+    # z^T and w^T of the rate along the slots weighted by s
+    zdg, wdg_s = (((zw * cs.T[:, None]) @ dR).sum(axis=0)
+                  - (strain @ zwH.reshape(6, -1)).reshape(2, N))
     return rates, w * (zdg + logw * (z @ g)) - z * (wdg_s + (logw * w) @ g)
 
 
@@ -1293,15 +1307,14 @@ def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
       point-kernel M_kk is differentiated entry by entry
       (_own_double_layer_rates);
     * the block of the points of a over the panels of b, for each ordered
-      pair of surfaces with a bubble among them, along affine fields of
-      a's points and the maps of b's panel corners (_block_rates), one
-      pass for all slots.  One slot-to-field matrix C weighs those
-      motions, forward and in the cotangent: a's slots move its points;
-      b's translations and a sphere b's radius move its panels, which is
-      a's points moving the other way; an ellipsoid b's maps move its
-      panel corners.  A sphere b's panels scale about its centre, so by
-      the scaling laws of the panel integrals (degree 1 for S, 0 for the
-      solid angle) its radius also takes S X / r;
+      pair of surfaces with a bubble among them, one pass for all slots
+      (_block_rates), each slot one field of a's points and b's panels,
+      forward and in the cotangent: a's slots move its points; b's
+      translations and a sphere b's radius move its panels, which is a's
+      points moving the other way; an ellipsoid b's maps move its panel
+      corners.  A sphere b's panels scale about its centre, so by the
+      scaling laws of the panel integrals (degree 1 for S, 0 for the solid
+      angle) its radius also takes S X / r;
     * the weights, dw = w times the weights' log-rate, which also enter
       the weighted transpose in M (a's weights, and b's flat areas, the
       panel weight cancelling there) and, through the lift, b's panels in
@@ -1320,7 +1333,8 @@ def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
     dw = np.zeros((p, len(w)))
     sT, mT = np.zeros(len(w)), np.zeros(len(w))
     motions = [_slot_motion(bubble, asm, k) for k, bubble in enumerate(config.bubbles)]
-    slots = [slice(sl.start + 3, sl.stop) for sl in config.slices()]
+    slices = config.slices()
+    slots = [slice(sl.start + 3, sl.stop) for sl in slices]
     for k, (bubble, mo, t) in enumerate(zip(config.bubbles, motions, slots)):
         blk = blocks[k]
         dw[t, blk] = mo.weights * w[blk]
@@ -1332,42 +1346,46 @@ def _slot_rates(mass: AddedMassMatrix, X, SX, cotangent):
             continue
         part = asm.panels[k]
         # points and corners move together: the lift's rate and G : T
-        out = _blocked(part.points, part, want_single=False, want_double=False,
-                       tensor=X[blk], cotangent=_Cotangent(
-                           weight=u[blk], strain=slot_sum(np.tensordot(v[t], mo.maps, 1))),
-                       kernel=asm.take_terms(k, k))
+        _, _, _, T, _, panel_sum, _ = _blocked(
+            part.points, part, want_single=False, want_double=False, tensor=X[blk],
+            cotangent=_Cotangent(weight=u[blk], strain=v[t] @ mo.strains),
+            kernel=asm.take_terms(k, k))
         dSX[t, blk] = (asm.S[blk, blk] @ (mo.lift[:, :, None] * X[blk])
-                       + np.tensordot(slot_sum(mo.maps), out[3], axes=(1, 1)))
-        sT[blk] += out[6] + (v[t] @ mo.lift) * (u[blk] @ asm.S[blk, blk])
+                       + (mo.strains @ T.transpose(1, 0, 2).reshape(6, -1)).reshape(
+                           -1, *X[blk].shape))
+        sT[blk] += panel_sum + (v[t] @ mo.lift) * (u[blk] @ asm.S[blk, blk])
         dMX[t, blk], row = _own_double_layer_rates(part, mo, X[blk], (z[blk], v[t]))
         mT[blk] += row
 
+    # each bubble's slots as fields [v | A | G] of its points and of its
+    # panels, seen from another surface's points (_block_rates)
+    moving, moved = [], []
+    for bubble, mo in zip(config.bubbles, motions):
+        own = np.zeros((3 + len(mo.maps), 3, 7))
+        own[:3, :, 0] = _EYE
+        own[3:, :, 0] = -mo.maps @ bubble.center
+        own[3:, :, 1:4] = mo.maps
+        moving.append(own)
+        moved.append(-own)
+        if mo.normals is not None:
+            moved[-1][3:] = 0.0
+            moved[-1][3:, :, 0] = mo.maps @ bubble.center
+            moved[-1][3:, :, 4:] = mo.maps
     # a lone surface has no pair (and a lone sphere no panel data)
     parts = asm.panels if len(asm.meshes) > 1 else ()
     for a, b in ((a, b) for a in range(len(parts)) for b in range(len(parts)) if a != b):
         Da, Db = blocks[a], blocks[b]
-        # the fields A x + v (the three axes, then the maps of a's points
-        # and of a sphere b's panels, as a's points moving back), b's
-        # corner maps, and C, the rate of every slot along each
-        A, vs, C, corners = [np.zeros((3, 3, 3))], [np.eye(3)], [np.zeros((p, 3))], None
-        for k, sign in ((a, 1.0), (b, -1.0)):
-            if k >= nb:
-                continue
-            mo, c, t = motions[k], config.bubbles[k].center, slots[k]
-            C[0] += sign * np.eye(p)[:, t.start - 3:t.start]
-            if k == b and mo.normals is not None:
-                corners = (mo.maps, c)
-                C.append(np.eye(p)[:, t])
-            else:
-                A.append(mo.maps)
-                vs.append(-mo.maps @ c)
-                C.append(sign * np.eye(p)[:, t])
-        C = np.hstack(C)
+        # the rate of every slot, as a field of a's points and b's panels
+        fields = np.zeros((p, 3, 7))
+        for k, forms in ((a, moving), (b, moved)):
+            if k < nb:
+                fields[slices[k]] = forms[k]
         dS, dK, sTb, mTa = _block_rates(
-            parts[a].points, parts[b], X[Db], w[Da, None] * X[Da], np.concatenate(A),
-            np.concatenate(vs), corners, (u[Da], z[Db] / w[Db], v @ C), asm.take_terms(a, b))
-        dSX[:, Da] += np.tensordot(C, dS, 1)
-        dMX[:, Db] += np.tensordot(C, dK, 1) / w[Db, None]
+            parts[a].points, parts[b], X[Db], w[Da, None] * X[Da], fields,
+            (u[Da], z[Db] / w[Db], (v @ fields.reshape(p, -1)).reshape(3, 7)),
+            asm.take_terms(a, b))
+        dSX[:, Da] += dS
+        dMX[:, Db] += dK / w[Db, None]
         sT[Db] += sTb
         mT[Da] += w[Da] * mTa
         if a < nb:
@@ -1458,16 +1476,17 @@ def _data_rates(mass: AddedMassMatrix, motions, v):
     if mass.basis.constrained:
         G, dP = _direction_data(config, asm.meshes, np.eye(p)), _projector_derivatives(mass)
         gamma += (G @ (dP @ v).T).T
-        Gamma += G @ np.tensordot(v, dP, 1)
+        Gamma += G @ (v @ dP.reshape(p, -1)).reshape(p, p)
     P = B @ B.T
     for k, (bubble, sl, mo) in enumerate(zip(config.bubbles, config.slices(), motions)):
         if mo.normals is None:
             continue
-        blk, t, pts = asm.blocks[k], slice(sl.start + 3, sl.stop), asm.panels[k].points
+        blk, t = asm.blocks[k], slice(sl.start + 3, sl.stop)
         # the six slots' normal rates, then their sum weighted by v, at once
-        normals = np.concatenate([mo.normals, np.tensordot(v[t], mo.normals, 1)[None]])
-        dG = normal_velocity_basis(bubble, np.tile(pts, (7, 1)), normals.reshape(-1, 3))
-        dG = dG.reshape(7, len(pts), -1) @ P[sl]
+        normals = mo.normals.reshape(6, -1)
+        normals = np.concatenate([normals, (v[t] @ normals)[None]])
+        dG = normal_velocity_basis(bubble, asm.panels[k].points, normals.reshape(7, -1, 3))
+        dG = dG @ P[sl]
         gamma[t, blk] += dG[:6] @ v
         Gamma[blk] += dG[6]
     return gamma, Gamma

@@ -29,6 +29,7 @@ Everything else downstream works on packed vectors and meshes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Union
 
@@ -71,6 +72,14 @@ def slot_sum(Q) -> np.ndarray:
     in the slots."""
     k, l = _SYM_ROWS, _SYM_COLS
     return np.where(k == l, Q[..., k, l], Q[..., k, l] + Q[..., l, k])
+
+
+def _cross(a, b):
+    """a x b over the last axis, broadcast: the products and differences of
+    np.cross (the same bits) without its axis handling."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +304,11 @@ class EllipsoidParams:
         q = np.asarray(q, dtype=float)
         return EllipsoidParams(center=q[:3], shape_matrix=symmetric_matrix(q[3:]))
 
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """S^-1, computed on first use and kept."""
+        return np.linalg.inv(self.shape_matrix)
+
     def semi_axes(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.shape_matrix)
 
@@ -475,7 +489,7 @@ def _flat_data(vertices, triangles):
     p0 = vertices[triangles[:, 0]]
     p1 = vertices[triangles[:, 1]]
     p2 = vertices[triangles[:, 2]]
-    cross = np.cross(p1 - p0, p2 - p0)
+    cross = _cross(p1 - p0, p2 - p0)
     two_area = np.linalg.norm(cross, axis=1)
     return (p0 + p1 + p2) / 3.0, 0.5 * two_area, cross / two_area[:, None]
 
@@ -498,7 +512,7 @@ def surface_mesh(shape: ShapeParams, level: int) -> SurfaceMesh:
         S = shape.shape_matrix
         verts = shape.center + ref_verts @ S.T
         qpts = shape.center + ydir @ S.T
-        sinv_y = ydir @ np.linalg.inv(S).T
+        sinv_y = ydir @ shape.inverse.T
         nrm_len = np.linalg.norm(sinv_y, axis=1)
         qnrm = sinv_y / nrm_len[:, None]
         qw = omega * np.linalg.det(S) * nrm_len
@@ -586,14 +600,15 @@ def normal_velocity(shape: ShapeParams, mdot, x, n):
 def normal_velocity_basis(shape: ShapeParams, x, n) -> np.ndarray:
     """(M, dim) matrix whose column j is the normal velocity at the points
     ``x`` (normals ``n``) of the unit parameter rate e_j, which
-    normal_velocity contracts with a packed velocity."""
+    normal_velocity contracts with a packed velocity; (..., M, dim) for
+    normals (..., M, 3), several at each point."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = np.atleast_2d(np.asarray(n, dtype=float))
     if isinstance(shape, SphereParams):
-        return np.column_stack([n, np.ones(len(n))])
-    u = (x - shape.center) @ np.linalg.inv(shape.shape_matrix).T
+        return np.concatenate([n, np.ones(n.shape[:-1] + (1,))], axis=-1)
+    u = (x - shape.center) @ shape.inverse.T
     # the normal speed along a matrix rate E is n . E u = (n u^T) : E
-    return np.column_stack([n, slot_sum(n[:, :, None] * u[:, None, :])])
+    return np.concatenate([n, slot_sum(n[..., :, None] * u[:, None, :])], axis=-1)
 
 
 def slot_maps(shape: ShapeParams) -> np.ndarray:
@@ -604,7 +619,7 @@ def slot_maps(shape: ShapeParams) -> np.ndarray:
     reference direction S^-1 (x - c) fixed, G = E S^-1."""
     if isinstance(shape, SphereParams):
         return np.eye(3)[None] / shape.radius
-    return SLOT_MATRICES @ np.linalg.inv(shape.shape_matrix)
+    return SLOT_MATRICES @ shape.inverse
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +631,11 @@ def _carlson_rf_rd(x, y, z):
     for x, y, z > 0 (Carlson, Numer. Algorithms 10, 1995).  One duplication
     sequence serves both; once the arguments agree to 1e-3 relative, each
     is summed by its fifth-order Taylor series, whose truncation error is
-    then below 1e-18."""
+    then below 1e-18.  Scalar work on Python floats."""
+    x, y, z = float(x), float(y), float(z)
     tail, weight = 0.0, 1.0
     while max(x, y, z) - min(x, y, z) > 1e-3 * min(x, y, z):
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         tail += weight / (sz * (z + lam))
         weight /= 4.0
@@ -628,7 +644,7 @@ def _carlson_rf_rd(x, y, z):
     X, Y = 1.0 - x / mean, 1.0 - y / mean
     Z = -X - Y
     e2, e3 = X * Y - Z * Z, X * Y * Z
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(mean)
     mean = (x + y + 3.0 * z) / 5.0
     X, Y = 1.0 - x / mean, 1.0 - y / mean
     Z = -(X + Y) / 3.0
@@ -636,18 +652,18 @@ def _carlson_rf_rd(x, y, z):
     e4, e5 = 3.0 * (X * Y - Z * Z) * Z * Z, X * Y * Z ** 3
     series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
               - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return rf, 3.0 * tail + weight * series / (mean * np.sqrt(mean))
+    return rf, 3.0 * tail + weight * series / (mean * math.sqrt(mean))
 
 
 def _ellipsoid_area(semi_axes) -> float:
     """Surface area of an ellipsoid, 4 pi abc R_G(a^-2, b^-2, c^-2), with
     2 R_G(x, y, z) = z R_F - (x - z)(y - z) R_D / 3 + sqrt(xy / z) (DLMF
     19.21.10) and z the middle argument, so that no term is negative."""
-    a, b, c = np.sort(np.asarray(semi_axes, dtype=float))
+    a, b, c = sorted(map(float, semi_axes))
     x, z, y = 1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c)
     rf, rd = _carlson_rf_rd(x, y, z)
-    rg = 0.5 * (z * rf - (x - z) * (y - z) * rd / 3.0 + np.sqrt(x * y / z))
-    return float(4.0 * np.pi * a * b * c * rg)
+    rg = 0.5 * (z * rf - (x - z) * (y - z) * rd / 3.0 + math.sqrt(x * y / z))
+    return 4.0 * math.pi * a * b * c * rg
 
 
 def _ellipsoid_area_gradient(semi_axes) -> np.ndarray:
@@ -687,8 +703,8 @@ def measures(shape: ShapeParams) -> Measures:
     S = shape.shape_matrix
     vol = 4.0 * np.pi * np.linalg.det(S) / 3.0
     a, V = np.linalg.eigh(S)
-    dvol = np.r_[np.zeros(3), slot_sum(vol * np.linalg.inv(S))]
-    darea = np.r_[np.zeros(3), slot_sum((V * _ellipsoid_area_gradient(a)) @ V.T)]
+    dvol = np.concatenate([np.zeros(3), slot_sum(vol * shape.inverse)])
+    darea = np.concatenate([np.zeros(3), slot_sum((V * _ellipsoid_area_gradient(a)) @ V.T)])
     return Measures(volume=vol, area=_ellipsoid_area(a), d_volume_dm=dvol, d_area_dm=darea)
 
 
@@ -707,7 +723,7 @@ def volume_hessian(config: Configuration) -> np.ndarray:
         if isinstance(b, SphereParams):
             H[sl.start + 3, sl.start + 3] = 8.0 * np.pi * b.radius
             continue
-        Sinv = np.linalg.inv(b.shape_matrix)
+        Sinv = b.inverse
         vol = 4.0 * np.pi * np.linalg.det(b.shape_matrix) / 3.0
         SE = Sinv @ SLOT_MATRICES
         dgrad = vol * (np.trace(SE, axis1=1, axis2=2)[:, None, None] * Sinv - SE @ Sinv)
@@ -829,7 +845,7 @@ def _triangle_distance(x, mesh: SurfaceMesh) -> float:
     inside = np.ones((len(x), len(n)), dtype=bool)
     edge_sq = np.full(inside.shape, np.inf)
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        e, m = b - a, np.cross(n, b - a)      # m: in-plane, into the triangle
+        e, m = b - a, _cross(n, b - a)      # m: in-plane, into the triangle
         along = x @ e.T - np.einsum('tk,tk->t', a, e)          # (x - a).e
         ee = np.einsum('tk,tk->t', e, e)
         t = np.clip(along / ee, 0.0, 1.0)

@@ -305,11 +305,11 @@ class TestIntegrate:
     def test_ill_posed_trial_solve_is_poisoned(self, monkeypatch):
         calls, plain = [0], dynamics.mass_at
 
-        def failing(scenario, config):
+        def failing(scenario, config, **kw):
             calls[0] += 1
             if calls[0] == 3:                  # a stage of the first trial step
                 raise IllPosedProblemError("collocation solve produced non-finite density")
-            return plain(scenario, config)
+            return plain(scenario, config, **kw)
 
         monkeypatch.setattr(dynamics, "mass_at", failing)
         traj = integrate(scenario_from_dict(sphere_doc(vr=0.05, level=0, t_end=0.2,
@@ -337,9 +337,9 @@ class TestIntegrate:
         calls = {"added_mass": 0, "_velocity_rates": 0, "_potential_rates": 0}
 
         def counted(name, plain):
-            def wrapper(*args):
+            def wrapper(*args, **kw):
                 calls[name] += 1
-                return plain(*args)
+                return plain(*args, **kw)
             return wrapper
 
         for name in calls:
@@ -359,6 +359,36 @@ class TestIntegrate:
         fresh = boundary_residual(s, state, dynamics.mass_at(s, state.config),
                                   eom_rhs(s, state))
         assert traj.boundary_residuals[0] == fresh
+
+    def test_only_contracted_states_keep_kernel_terms(self, monkeypatch):
+        # the added mass of every RHS state and of every residual-sampled
+        # row keeps the kernel terms its contraction reads; a row that
+        # takes no residual sample keeps none, and its outputs are the
+        # same bits either way
+        doc = cavity_doc(level=1, t_end=0.02)
+        doc["solver"]["residual_cadence"] = 2
+        kept, plain = [], pot.added_mass
+
+        def recorded(*args, **kw):
+            mass = plain(*args, **kw)
+            kept.append(bool(mass.assembly._terms))
+            return mass
+
+        monkeypatch.setattr(pot, "added_mass", recorded)
+        traj = integrate(scenario_from_dict(doc))
+        n_rhs, rows = traj.stats["n_rhs"], len(traj.times)
+        sampled = np.flatnonzero(~np.isnan(traj.boundary_residuals))
+        assert rows == 5 and list(sampled) == [0, 2, 4]
+        # the RHS states, then rows 1-4 (row 0 is the first RHS state's)
+        assert len(kept) == n_rhs + rows - 1
+        assert kept == [True] * n_rhs + [False, True, False, True]
+        monkeypatch.setattr(dynamics, "mass_at", lambda s, config, rates=True:
+                            pot.added_mass(config, s.mesh_level, s.liquid_density,
+                                           s.wall_level))
+        again = integrate(scenario_from_dict(doc))
+        for a, b in ((traj.kinetic, again.kinetic), (traj.potential, again.potential),
+                     (traj.boundary_residuals, again.boundary_residuals)):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_collapse_hits_degeneracy_event(self):
         # gas mass for equilibrium at r = 1 but started at r = 2.5 with a

@@ -19,7 +19,7 @@ from bubbledyn.potential import (AddedMassMatrix, PotentialSolution, _Assembly,
                                  added_mass_jacobian, configuration_meshes, evaluate,
                                  solve_neumann, surface_gradient, surface_panels,
                                  velocity_rates)
-from bubbledyn.shapes import (CavitySphere, Configuration, EllipsoidParams,
+from bubbledyn.shapes import (SLOTS, CavitySphere, Configuration, EllipsoidParams,
                               SphereParams, Unbounded, check_admissible, config_from_params,
                               constraint_basis, icosphere_symmetry, normal_velocity,
                               pack_params, reference_icosphere, surface_mesh,
@@ -471,9 +471,9 @@ class TestBlockedAssembly:
         sol_ref = dipole_solution(level=1)
         # the contracted rate terms of one ellipsoid's points over the
         # other's panels: the outputs of the points (grad, T, the
-        # cotangent's point sums) split with the rows, and the moments
-        # (F, Fa) and the cotangent's panel sums, sums over the points, add
-        # up over the blocks (here of one row each)
+        # cotangent's point sums) split with the rows, and the edge sums P
+        # and the cotangent's panel sums, sums over the points, add up over
+        # the blocks (here of one row each)
         config = ellipsoid_pair()
         a, b = (surface_panels(surface_mesh(e, 1)) for e in config.bubbles)
         rng = np.random.default_rng(5)
@@ -499,8 +499,8 @@ class TestBlockedAssembly:
         monkeypatch.setattr(pot_mod, "_ROW_BLOCK", 17)
         terms_blk = rate_terms()
         assert rows == [1] * a.n_panels
-        shapes = [(a.n_panels, 3, 4), (a.n_panels, 6, 4), (3, b.n_panels, 10, 4),
-                  (3, b.n_panels, 4, 4), (b.n_panels,), (a.n_panels,)]
+        shapes = [(a.n_panels, 3, 4), (a.n_panels, 6, 4), (b.n_panels, 3, 7, 4),
+                  (b.n_panels,), (a.n_panels,)]
         for blk, ref, shape in zip(terms_blk, terms_ref, shapes):
             assert blk.shape == ref.shape == shape
             assert rel_diff(blk, ref) <= 1e-13
@@ -918,6 +918,29 @@ class TestVelocityRates:
         assert len(calls) == 2 * passes
 
 
+def test_python_calls_of_a_contraction_and_an_added_mass():
+    # the width-one contraction takes a few stacked products per block,
+    # not products per edge, term and pair: one contraction of the
+    # ellipsoid pair at level 1 made 2151 Python-level calls (cProfile's
+    # total_calls, numpy 2.4) with one product per term and edge, and 666
+    # with the stacked families; one added mass 1329 and 951.  Both stay
+    # within 1.2x of the stacked counts
+    import cProfile
+    import pstats
+    import bubbledyn.potential as pot_mod
+    config = ellipsoid_pair()
+    v = admissible_velocity(config, np.random.default_rng(4))
+
+    def calls(fn, *args):
+        profile = cProfile.Profile()
+        profile.runcall(fn, *args)
+        return pstats.Stats(profile).total_calls
+
+    added_mass(config, 1)  # the caches of a first call
+    assert calls(added_mass, config, 1) <= 1.2 * 951
+    assert calls(pot_mod._velocity_rates, added_mass(config, 1), v) <= 1.2 * 666
+
+
 class TestKeptKernelTerms:
     """An added mass keeps the kernel terms that its assembly computed for
     every block its rate passes read: each pair of surfaces and an
@@ -975,15 +998,14 @@ class TestKeptKernelTerms:
 
     def test_kept_terms_of_an_ellipsoid_pair(self):
         # a block over an ellipsoid's panels, which deform, keeps 13 (M, N)
-        # arrays, and its own block 7 (no moments): at level 1 two blocks
-        # of each, 2.0 MB (README)
+        # planes, stacked by family, and its own block 7 (no moments): at
+        # level 1 two blocks of each, 2.0 MB (README)
         asm = added_mass(ellipsoid_pair(), 1).assembly
         assert set(asm._terms) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         for (a, b), kernel in asm._terms.items():
-            arrays = [t for term in kernel if term is not None
-                      for t in (term if isinstance(term, tuple) else (term,))]
-            assert len(arrays) == (7 if a == b else 13)
-            assert all(t.shape == (80, 80) for t in arrays)
+            arrays = [t for t in kernel if t is not None]
+            assert sum(len(t) for t in arrays) == (7 if a == b else 13)
+            assert all(t.shape[1:] == (80, 80) for t in arrays)
         assert sum(k.nbytes for k in asm._terms.values()) == 2_048_000
 
     def test_a_run_keeps_no_terms_past_the_contraction(self):
@@ -1707,6 +1729,140 @@ def _per_field_rates(x, geom, V, W):
     return dS, dK
 
 
+def _reference_edge_coefficients(A, v, geom, quadratic):
+    """The per-field coefficients of V.((a - x) x (b - x)) on the monomials
+    of the moments (1, x_k, then, if ``quadratic``, x_k x_l on SLOTS) for
+    the fields V = A x + v, (n, 3, N, 4 or 10), as the per-term rate path
+    formed them before the rates took stacked products."""
+    from bubbledyn.potential import _cross
+    from bubbledyn.shapes import slot_sum
+    ab, D = geom.edge_cross, geom.edge_vector
+    const = (ab @ v.T).transpose(2, 0, 1)
+    linear = ab @ A[:, None] - _cross(D, v[:, None, None])
+    if not quadratic:
+        return np.concatenate([const[..., None], linear], axis=-1)
+    Q = _cross(D[:, :, None], A.transpose(0, 2, 1)[:, None, None])
+    return np.concatenate([const[..., None], linear, -slot_sum(Q)], axis=-1)
+
+
+def _reference_corner_coefficients(G, c, geom):
+    """The coefficients (n, 3, N, 4) on 1, x_k of u.((a - x) x (b - x)) for
+    u = G (y - c) at each edge's ends y = a and y = b: the pair (Ca, Cb)."""
+    from bubbledyn.potential import _cross, _dot
+    u = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
+    ab, D = geom.edge_cross, geom.edge_vector
+    return tuple(np.concatenate([_dot(ue, ab)[..., None], -_cross(D, ue)], axis=-1)
+                 for ue in (u, u[:, [1, 2, 0]]))
+
+
+def _reference_on_panels(C, F):
+    """Coefficients (n, 3, N, J) on moments (3, N, J, p), summed over the
+    edges and monomials panel by panel: (n, N, p)."""
+    n, _, N, J = C.shape
+    return (C.transpose(2, 0, 1, 3).reshape(N, n, 3 * J)
+            @ F.transpose(1, 0, 2, 3).reshape(N, 3 * J, -1)).transpose(1, 0, 2)
+
+
+def _reference_rate_terms(x, geom, X, Y, degree, corners, cot):
+    """The rate terms of a _panel_blocks pass, one product per term and
+    edge: grad (M, 3, p), T (M, 6, p) with ``corners``, the moments
+    F (3, N, J, p) and, with ``corners``, Fa (3, N, 4, p), and the
+    cotangent's panel and point sums, from the kernel terms of _kernel."""
+    from bubbledyn.potential import _dot, _kernel
+    M, N = len(x), geom.n_panels
+    kernel = _kernel(x, geom, moments=True, tensor=corners)
+    omega, logs = kernel.grad[0], kernel.grad[1:]
+    nh, scale = geom.unit_normal, -geom.lift / (4.0 * np.pi)
+    k, l = SLOTS.T
+    panel_sum, point_sum = np.zeros(N), np.zeros(M)
+    c, Xs = X * scale[:, None], X * scale[:, None]
+    grad, T = np.zeros((M, 3, X.shape[1])), np.zeros((M, 6, X.shape[1]))
+
+    def add_products(out, term, factors, cols):
+        out += np.matmul(term, factors.T[:, :, None] * cols).transpose(1, 0, 2)
+
+    def gradient_term(term, vectors):
+        add_products(grad, term, vectors, c)
+        panel_sum[:] += _dot((cot.field.T @ term).T, vectors)
+
+    def tensor_term(term, factors):
+        add_products(T, term, factors, Xs)
+        if cot.weight is not None:
+            panel_sum[:] += (cot.weight @ term) * (factors @ cot.strain)
+
+    gradient_term(omega, nh)
+    h = x @ nh.T - geom.plane_offset[None]
+    if corners:
+        tensor_term(h * omega, nh[:, k] * nh[:, l])
+    mono = [np.ones(M), *x.T]
+    if degree == 2:
+        mono += [x[:, k] * x[:, l] for k, l in SLOTS]
+    mono = np.stack(mono, axis=1)
+    F = np.zeros((3, N, len(mono.T), Y.shape[1]))
+    Fa = np.zeros((3, N, 4, Y.shape[1]))
+    for e, (L, le, mhat, am, edge) in enumerate(zip(
+            logs, geom.edge_length, geom.edge_normal, geom.edge_offset, geom.edge_vector)):
+        gradient_term(L, -mhat)
+        if corners:
+            d = x @ mhat.T - am[None]
+            eh = edge / le[:, None]
+            tensor_term(h * L, -(nh[:, k] * mhat[:, l] + mhat[:, k] * nh[:, l]))
+            tensor_term(d * L, -mhat[:, k] * mhat[:, l])
+            tensor_term(kernel.dl[e], 0.5 * (eh[:, k] * mhat[:, l] + eh[:, l] * mhat[:, k]))
+        f = kernel.moments[e]
+        add_products(F[e], f.T, mono, Y)
+        point_sum += _dot(f @ cot.coeffs[e], mono)
+        if corners:
+            g = kernel.moments[3 + e]
+            add_products(Fa[e], g.T, mono[:, :4], Y)
+            point_sum += _dot(g @ cot.corner_coeffs[e], mono[:, :4])
+    return grad, T, F, Fa, panel_sum * scale, point_sum
+
+
+def _reference_block_rates(x, geom, X, Y, A, v, corners, cotangent):
+    """_block_rates as the per-term rate path took it: per field and map
+    the coefficients of the edge terms on their moments, (n, M, p),
+    (n, N, p), u^T dS (N,) and dK^T zeta (M,), the motions the fields
+    A x + v, then the corner maps G about c of ``corners`` = (G, c) or
+    None, and the ``cotangent`` = (u, zeta, kappa) with kappa a weight per
+    motion."""
+    from bubbledyn.potential import _Cotangent
+    from bubbledyn.shapes import slot_sum
+
+    def along(V, grad):
+        return (V.transpose(1, 0, 2) @ grad).transpose(1, 0, 2)
+
+    quadratic = bool(np.any(A != A[:, :1, :1] * np.eye(3)))
+    C = _reference_edge_coefficients(A, v, geom, quadratic)
+    u, zeta, kappa = cotangent
+    Av, vv = np.tensordot(kappa[:len(A)], A, 1), kappa[:len(A)] @ v
+    V = x @ Av.T + vv
+    coeffs = _reference_edge_coefficients(Av[None], vv[None], geom, quadratic)[0]
+    corner_coeffs = strain = None
+    if corners is not None:
+        Gv = np.tensordot(kappa[len(A):], corners[0], 1)
+        V -= (x - corners[1]) @ Gv.T
+        Ca, Cb = (C_[0] for C_ in _reference_corner_coefficients(Gv[None], corners[1], geom))
+        coeffs[..., :4] -= Cb
+        corner_coeffs, strain = Cb - Ca, slot_sum(Gv)
+    lift = zeta * geom.lift / (4.0 * np.pi)
+    cot = _Cotangent(field=u[:, None] * V, weight=u, strain=strain,
+                     coeffs=coeffs * lift[:, None],
+                     corner_coeffs=None if corners is None else corner_coeffs * lift[:, None])
+    grad, T, F, Fa, panel_sum, point_sum = _reference_rate_terms(
+        x, geom, X, Y, 2 if quadratic else 1, corners is not None, cot)
+    dS = [along(x @ A.transpose(0, 2, 1) + v[:, None], grad)]
+    dK = [_reference_on_panels(C, F)]
+    if corners is not None:
+        G, c = corners
+        dS.append(np.tensordot(slot_sum(G), T, axes=(1, 1))
+                  - along((x - c) @ G.transpose(0, 2, 1), grad))
+        Ca, Cb = _reference_corner_coefficients(G, c, geom)
+        dK.append(-_reference_on_panels(Ca - Cb, Fa) - _reference_on_panels(Cb, F[:, :, :4]))
+    return (np.concatenate(dS), np.concatenate(dK) * (geom.lift / (4.0 * np.pi))[:, None],
+            panel_sum, point_sum)
+
+
 SURFACES = {
     "sphere": lambda: surface_mesh(SphereParams(center=[0.3, -0.2, 0.1], radius=0.7), 2),
     "ellipsoid": lambda: surface_mesh(ellipsoid_pair().bubbles[0], 2),
@@ -1750,9 +1906,13 @@ class TestPanelData:
         return mesh, x, X, Y, A, v, (G, mesh.shape.center + rng.normal(scale=0.1, size=3))
 
     @staticmethod
-    def no_cotangent(x, geom):
-        """A zero cotangent of _block_rates for two fields and two maps."""
-        return np.zeros(len(x)), np.zeros(geom.n_panels), np.zeros(4)
+    def motion_fields(A, v, G, c):
+        """The motions of _block_rates, [v | A | G]: the point fields
+        A x + v, then the corner maps G about c."""
+        fields = np.zeros((len(A) + len(G), 3, 7))
+        fields[:len(A), :, 0], fields[:len(A), :, 1:4] = v, A
+        fields[len(A):, :, 0], fields[len(A):, :, 4:] = G @ c, G
+        return fields
 
     def test_panel_rates_match_central_differences(self):
         # the contracted rates of S X and K^T Y as the points move along
@@ -1765,7 +1925,7 @@ class TestPanelData:
         from bubbledyn.potential import _block_rates, _panel_blocks
         mesh, x, X, Y, A, v, (G, c) = self.block_motions(11)
         geom = surface_panels(mesh)
-        dSX, dKY, _, _ = _block_rates(x, geom, X, Y, A, v, (G, c), self.no_cotangent(x, geom))
+        dSX, dKY = _block_rates(x, geom, X, Y, self.motion_fields(A, v, G, c))
         assert dSX.shape == (4, len(x), 3) and dKY.shape == (4, mesh.n_panels, 3)
         h = 1e-6
 
@@ -1785,13 +1945,55 @@ class TestPanelData:
                 assert rel_diff(dSX[k], ref[0]) <= 1e-7
                 assert rel_diff(dKY[k], ref[1]) <= 1e-7
 
+    @pytest.mark.parametrize("cotangent", [False, True])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("surface", ["sphere", "ellipsoid", "wall"])
+    def test_stacked_rate_pass_matches_the_per_term_path(self, surface, level, cotangent):
+        # the rates of one block from the stacked term families against the
+        # per-term path (one product per term, edge and field), over the
+        # panels of a sphere (fields of degree 1), a wall (degree 2) and an
+        # ellipsoid (degree 2 and corner maps, its panels deforming): the
+        # contraction's width one with a cotangent, the Jacobian's width
+        # three without; each output within 1e-12 of its largest entry
+        from bubbledyn.potential import _block_rates
+        mesh = (wall_mesh(CavitySphere(center=[0.1, 0.0, -0.2], radius=2.5), level)
+                if surface == "wall" else surface_mesh(
+                    ellipsoid_pair().bubbles[0] if surface == "ellipsoid"
+                    else SphereParams(center=[0.3, -0.2, 0.1], radius=0.7), level))
+        geom = surface_panels(mesh)
+        pts, nrm, h = mesh.quad_points, mesh.quad_normals, mesh.edge_length()
+        # near the panels, and another surface's points farther off
+        x = np.concatenate([pts[::3] + 0.1 * h * nrm[::3], 1.4 * pts[1::4] + 0.3])
+        rng = np.random.default_rng([level, cotangent])
+        p = 1 if cotangent else 3
+        X, Y = rng.normal(size=(mesh.n_panels, p)), rng.normal(size=(len(x), p))
+        A, v = rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3))
+        if surface == "sphere":
+            A = rng.normal(size=(3, 1, 1)) * np.eye(3)
+        corners = None
+        fields = self.motion_fields(A, v, np.zeros((0, 3, 3)), np.zeros(3))
+        if surface == "ellipsoid":
+            corners = (rng.normal(size=(2, 3, 3)), mesh.shape.center + rng.normal(size=3))
+            fields = self.motion_fields(A, v, *corners)
+        n = len(fields)
+        weights = [rng.normal(size=k) if cotangent else np.zeros(k)
+                   for k in (len(x), mesh.n_panels, n)]
+        ref = _reference_block_rates(x, geom, X, Y, A, v, corners, weights)
+        u, zeta, kappa = weights
+        phi = (kappa @ fields.reshape(n, -1)).reshape(3, 7)  # the fields weighted by kappa
+        got = _block_rates(x, geom, X, Y, fields, (u, zeta, phi) if cotangent else None)
+        assert len(got) == (4 if cotangent else 2)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
     def test_contracted_rates_match_per_field_formula(self):
         # the tensor T and the edge moments against the per-field rate
         # blocks, each applied to the densities afterwards
         from bubbledyn.potential import _block_rates
         mesh, x, X, Y, A, v, (G, c) = self.block_motions(12)
         geom = surface_panels(mesh)
-        dSX, dKY, _, _ = _block_rates(x, geom, X, Y, A, v, (G, c), self.no_cotangent(x, geom))
+        dSX, dKY = _block_rates(x, geom, X, Y, self.motion_fields(A, v, G, c))
         V = x @ A.transpose(0, 2, 1) + v[:, None]
         W = (geom.corners - c) @ G[:, None].transpose(0, 1, 3, 2)
         dS, dK = _per_field_rates(x, geom, V, W)

@@ -314,6 +314,56 @@ class TestMeasures:
         assert m.d_area_dm[8] == pytest.approx(2 * np.pi * c * (2 * np.log(2 / c) - 1),
                                                rel=1e-9, abs=0)
 
+    def test_float_area_matches_the_numpy_scalar_form(self):
+        # the area and its gradient do their scalar work on Python floats
+        # and math.sqrt: the same bits as on numpy scalars and np.sqrt, for
+        # random axes down to ratios of 1e-3
+        from bubbledyn.shapes import _ellipsoid_area_gradient
+
+        def carlson(x, y, z):
+            tail, weight = 0.0, 1.0
+            while max(x, y, z) - min(x, y, z) > 1e-3 * min(x, y, z):
+                sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+                lam = sx * sy + sy * sz + sz * sx
+                tail += weight / (sz * (z + lam))
+                weight /= 4.0
+                x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+            mean = (x + y + z) / 3.0
+            X, Y = 1.0 - x / mean, 1.0 - y / mean
+            Z = -X - Y
+            e2, e3 = X * Y - Z * Z, X * Y * Z
+            rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
+                  - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
+            mean = (x + y + 3.0 * z) / 5.0
+            X, Y = 1.0 - x / mean, 1.0 - y / mean
+            Z = -(X + Y) / 3.0
+            e2, e3 = X * Y - 6.0 * Z * Z, (3.0 * X * Y - 8.0 * Z * Z) * Z
+            e4, e5 = 3.0 * (X * Y - Z * Z) * Z * Z, X * Y * Z ** 3
+            series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+                      - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+            return rf, 3.0 * tail + weight * series / (mean * np.sqrt(mean))
+
+        def area(semi_axes):
+            a, b, c = np.sort(np.asarray(semi_axes, dtype=float))
+            x, z, y = 1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c)
+            rf, rd = carlson(x, y, z)
+            rg = 0.5 * (z * rf - (x - z) * (y - z) * rd / 3.0 + np.sqrt(x * y / z))
+            return float(4.0 * np.pi * a * b * c * rg)
+
+        def gradient(semi_axes):
+            a = np.asarray(semi_axes, dtype=float)
+            u = 1.0 / (a * a)
+            d = np.array([u[m] * carlson(u[m - 2], u[m - 1], u[m])[1] for m in range(3)])
+            j, k = [1, 2, 0], [2, 0, 1]
+            return 2.0 * np.pi / 3.0 * a[j] * a[k] * (u[j] * (d + d[k]) + u[k] * (d + d[j]))
+
+        rng = np.random.default_rng(17)
+        axes = [np.exp(rng.uniform(np.log(1e-3), 0.0, 3)) for _ in range(40)]
+        axes += [(1.0, 1e-3, 0.5), (1e-3, 1e-3, 1.0), (1.0, 1.0, 1e-3), (0.7, 0.7, 0.7)]
+        for semi_axes in axes:
+            assert _ellipsoid_area(semi_axes) == area(semi_axes)
+            assert np.array_equal(_ellipsoid_area_gradient(semi_axes), gradient(semi_axes))
+
     def test_area_gradient_matches_richardson_differences(self):
         rng = np.random.default_rng(11)
         matrices = []

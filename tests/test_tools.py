@@ -116,3 +116,19 @@ def test_same_outputs_runs_two_more_walls(tmp_path):
     wall = load_off(off)
     assert np.array_equal(wall.vertices, 4.0 * verts)
     assert np.array_equal(wall.triangles, faces)
+
+
+def test_rhs_cost_prints_every_layer_at_level_0(capsys):
+    # one round of one call per layer, both pair workloads at level 0: a
+    # header, then five rows (three timings, two call counts) per workload
+    assert load_tool("rhs_cost").main(["rhs_cost.py", "--levels", "0", "--reps", "1",
+                                       "--calls", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["workload", "level", "quantity", "value"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[0], r[1], r[2]) for r in rows] == [
+        (name, "L0", quantity) for name in ("ellipsoid_pair_l1", "cavity_pair_l1")
+        for quantity in ("added_mass", "_velocity_rates", "rhs", "calls/contraction",
+                         "calls/added_mass")]
+    assert all(r[3] == "ms" for r in rows if not r[2].startswith("calls"))
+    assert all(float(r[-1]) > 0.0 for r in rows)
