@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import _blas
+from . import _lapack
 from . import dynamics as dyn
 from . import gas as gas_mod
 from .errors import BubbleDynError
@@ -262,7 +262,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _blas.single_thread():
+        with _lapack.single_thread():
             return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _blas
+from . import _lapack
 from . import gas as gas_mod
 from . import potential as pot
 from ._stepper import solve_ivp
@@ -228,7 +228,7 @@ def check_start(scenario) -> State:
     return state
 
 
-@_blas.single_thread()
+@_lapack.single_thread()
 def integrate(scenario, start=None) -> Trajectory:
     """Integrate the reduced system with the adaptive Dormand-Prince 5(4)
     pair (_stepper: scipy RK45's steps and controller, bit for bit), stopped
@@ -238,8 +238,8 @@ def integrate(scenario, start=None) -> Trajectory:
     refuse the same start faults.  A poisoned RHS call (NaN) makes the
     controller reject the trial step and shrink it; stats["n_rejected"]
     counts the rejected trials, so that n_rhs = 1 + 6 (n_steps + n_rejected).
-    Runs with one thread in every loaded OpenBLAS (_blas.single_thread);
-    stats["blas_threads"] records the counts in force.
+    Runs with one thread in the OpenBLAS the solver calls
+    (_lapack.single_thread); stats["blas_threads"] records the count in force.
 
     Every state is assembled once, the start state too: the first RHS call,
     at the initial state, also takes output row 0 (the dense output at
@@ -366,7 +366,7 @@ def integrate(scenario, start=None) -> Trajectory:
     stats = {"n_steps": len(sol.t) - 1, "n_rejected": sol.n_rejected, "n_rhs": n_rhs[0],
              "n_poisoned": poisoned["n"], "last_poison": poisoned["last"],
              "wall_time": time.time() - t_wall, "t_final": float(t_final),
-             "solver_message": str(sol.message), "blas_threads": _blas.thread_counts()}
+             "solver_message": str(sol.message), "blas_threads": _lapack.thread_counts()}
     return Trajectory(times=times, states=tuple(states), kinetic=ke, potential=pe,
                       total_energy=ke + pe,
                       impulse=np.array(imp) if imp is not None else None,

@@ -127,8 +127,12 @@ ellipsoid's own block keeps 7, not the offsets x - y of its point
 kernel.  For two spheres in a cavity, bubbles and wall at level 1, that
 is 2.2 MB; at level 2, 34 MB; for two ellipsoids, 2.0 MB and 33 MB.
 
-Every solve returns a PotentialSolution: the data, the densities and the
-boundary potentials, with the assembly that solved for them.
+Every solve of a collocation system goes through its _Factorization,
+which owns the system's LU, solves with it and tests the results (a
+non-finite value, a numerically singular matrix), so that a change to how
+the system is factored or solved is made in that one class.  Every solve
+returns a PotentialSolution: the data, the densities and the boundary
+potentials, with the assembly that solved for them.
 solve_neumann takes arbitrary data on given meshes; the added mass is the
 solution for the basis velocities' data with their Gram matrix added.
 evaluate reads a solution off the surfaces through the same exact panel
@@ -147,8 +151,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _blas
 from . import _lapack as sla
+from ._lapack import single_thread
 from .errors import CompatibilityError, DiscretizationError, IllPosedProblemError
 from .shapes import (SLOTS, CavitySphere, Configuration, ConstraintBasis,
                      MeshSymmetry, SphereParams, _cross, constraint_basis, icosphere_symmetry,
@@ -605,29 +609,57 @@ def _self_blocks(panels: PanelGeometry, symmetry: MeshSymmetry | None = None, ke
 
 
 class _Factorization:
-    """LU factorization of a collocation matrix, by numpy's own OpenBLAS
-    (sla is _lapack, not scipy.linalg); the reciprocal condition estimate
-    (rcond) is computed on first request and kept.
-    An exactly zero pivot raises IllPosedProblemError.  The LU arrays are
-    read-only.  The LU is factored on one BLAS thread wherever it is asked
-    for (inside dynamics.integrate or not), so that a lone sphere's, shared
-    by every later call, has the same bits whoever first asked."""
+    """The one owner of a collocation system's LAPACK work (sla is _lapack,
+    not scipy.linalg): the LU of A, its solves (solve), the test of a
+    solution (check), which every solve takes, and the reciprocal
+    condition estimate (rcond, computed on first request and kept).  The LU is factored on one BLAS thread
+    wherever it is asked for (inside dynamics.integrate or not), so that a
+    lone sphere's, shared by every later call, has the same bits whoever
+    first asked; an exactly zero pivot raises IllPosedProblemError.  The LU
+    is read-only, in LAPACK's form, and read by sla alone.
 
-    def __init__(self, A):
+    A cavity's matrix has a one-dimensional near-kernel whose rcond falls
+    with refinement (the shipped two_bubble_cavity: 3.1e-9, 1.5e-11,
+    6.4e-13 at levels 1-3), so the rcond threshold would refuse fine
+    meshes; it is skipped for a cavity with any surface of ``meshes``
+    finer than level 0.  At level 0 the LU no longer resolves the other
+    modes (3e-17, and the Jacobian is off a central difference by its own
+    size)."""
+
+    def __init__(self, A, meshes=()):
         try:
-            with _blas.single_thread():
-                lu, piv = sla.lu_factor(A)
+            with single_thread():
+                self._lu = sla.lu_factor(A)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise IllPosedProblemError(f"collocation matrix factorization failed: {exc}")
-        lu.setflags(write=False)
-        piv.setflags(write=False)
-        self.lu = (lu, piv)
+        for a in self._lu:
+            a.setflags(write=False)
         self._A = A
+        self._near_kernel = (any(m.closure < 0 for m in meshes)
+                             and any(m.level != 0 for m in meshes))
+
+    def solve(self, b, trans=0):
+        """A^-1 b (``trans`` 0) or A^-T b (1), shaped as ``b`` and checked."""
+        x = sla.lu_solve(self._lu, b, trans=trans)
+        self.check(x)
+        return x
+
+    def check(self, x):
+        """Raise IllPosedProblemError for a non-finite solution ``x`` or a
+        numerically singular A (rcond < 1e-13, where the near-kernel rule
+        does not exempt it)."""
+        if not np.isfinite(x).all():
+            raise IllPosedProblemError("collocation solve produced non-finite values",
+                                       condition=1.0 / max(self.rcond, 1e-300))
+        if not self._near_kernel and self.rcond < 1e-13:
+            raise IllPosedProblemError(
+                f"collocation matrix numerically singular (rcond={self.rcond:.2e})",
+                condition=1.0 / max(self.rcond, 1e-300))
 
     @cached_property
     def rcond(self) -> float:
         # threads asking at once may each compute it: the same value
-        return sla.rcond(self.lu[0], np.abs(self._A).sum(axis=0).max())
+        return sla.rcond(self._lu, np.abs(self._A).sum(axis=0).max())
 
 
 _UNIT_BUBBLE = SphereParams(center=np.zeros(3), radius=1.0)
@@ -677,8 +709,8 @@ class _UnitSphere:
             if self._basis is None:
                 sym, panels = self.symmetry, self.panels
                 G = normal_velocity_basis(_UNIT_BUBBLE, panels.points, panels.normals)
-                with _blas.single_thread():
-                    X = sla.lu_solve(lu.lu, G)
+                with single_thread():
+                    X = lu.solve(G)
                     _, _, rows = _blocked(panels.points[sym.representatives], panels,
                                           want_single=False, want_double=False, density=X)
                     R = sym.rotations[sym.element]
@@ -835,33 +867,11 @@ class _Assembly:
     def factorization(self) -> _Factorization:
         if self._lu is None:
             self._lu = (self._unit.factorization() if self._unit is not None
-                        else _Factorization(self.A))
+                        else _Factorization(self.A, self.meshes))
         return self._lu
-
-    def _check(self, q):
-        """Raise IllPosedProblemError for a non-finite density ``q`` or a
-        numerically singular collocation matrix.  A cavity's matrix has a
-        one-dimensional near-kernel whose rcond falls with refinement (the
-        shipped two_bubble_cavity: 3.1e-9, 1.5e-11, 6.4e-13 at levels 1-3),
-        so the threshold would refuse fine meshes; it is checked only when
-        every surface is at level 0, where the LU no longer resolves the
-        other modes (3e-17, and the Jacobian is off a central difference
-        by its own size)."""
-        lu = self.factorization()
-        if not np.all(np.isfinite(q)):
-            raise IllPosedProblemError("collocation solve produced non-finite density",
-                                       condition=1.0 / max(lu.rcond, 1e-300))
-        if self.bounded and any(m.level != 0 for m in self.meshes):
-            return
-        rc = lu.rcond
-        if rc < 1e-13:
-            raise IllPosedProblemError(
-                f"collocation matrix numerically singular (rcond={rc:.2e})",
-                condition=1.0 / max(rc, 1e-300))
 
     def solve(self, g) -> PotentialSolution:
         """Solve for one or more data vectors (columns of g)."""
-        lu = self.factorization()
         g = np.asarray(g, dtype=float)
         rhs = g.reshape(len(self.A), -1)
         if self.bounded:
@@ -878,8 +888,7 @@ class _Assembly:
             # constant shift to exact discrete compatibility (O(h^2) data
             # perturbation, keeps the near-null mode out of the LU solution)
             rhs = rhs - flux[None, :] / w.sum()
-        q = sla.lu_solve(lu.lu, rhs)
-        self._check(q)
+        q = self.factorization().solve(rhs)
         phi = (self.S @ q if self._unit is None
                else self.meshes[0].shape.radius * (self._unit.S @ q))
         return PotentialSolution(self, *(_frozen(a.reshape(g.shape)) for a in (g, q, phi)))
@@ -894,7 +903,7 @@ class _Assembly:
         if self._unit is None:
             return self.solve(_direction_data(config, self.meshes, directions))
         unit = self._unit.basis()
-        self._check(unit.density)
+        self.factorization().check(unit.density)
         return PotentialSolution(self, unit.data, unit.density,
                                  _frozen(self.meshes[0].shape.radius * unit.potential))
 
@@ -922,9 +931,10 @@ class PotentialSolution:
         estimate (gecon) from the LU factors: an estimate, not the exact
         condition number.  It is computed once per factorization, on the
         first request, and repeats to the bit on equal inputs, since
-        gecon's work arrays are aligned (_lapack); where numpy has no
-        OpenBLAS, the scipy.linalg.lapack fallback allocates its own work
-        array, and the estimate can differ in its last bits between runs."""
+        gecon's work arrays are aligned (_lapack); where neither numpy nor
+        scipy links an OpenBLAS, the scipy.linalg.lapack routines allocate
+        their own work array, and the estimate can differ in its last bits
+        between runs."""
         return 1.0 / max(self.assembly.factorization().rcond, 1e-300)
 
 
@@ -1432,10 +1442,7 @@ def _potential_rates(mass: AddedMassMatrix):
     rhs = dGP - dMX
     dPhi = dSX
     if rhs.any():  # a lone unbounded sphere's is zero
-        dX = sla.lu_solve(asm.factorization().lu,
-                          rhs.transpose(1, 0, 2).reshape(len(w), -1))
-        if not np.all(np.isfinite(dX)):
-            raise IllPosedProblemError("added-mass Jacobian solve produced non-finite values")
+        dX = asm.factorization().solve(rhs.transpose(1, 0, 2).reshape(len(w), -1))
         dPhi = dSX + (asm.S @ dX).reshape(len(w), p, p).transpose(1, 0, 2)
     return dPhi, dw, dGP
 
@@ -1535,8 +1542,8 @@ def _velocity_rates(mass: AddedMassMatrix, velocity) -> VelocityRates:
     lone = asm._unit is not None
     z = np.zeros_like(u)
     if not lone:
-        lu = asm.factorization().lu
-        z = sla.lu_solve(lu, u @ asm.S, trans=1)
+        lu = asm.factorization()
+        z = lu.solve(u @ asm.S, trans=1)
     dSx, dMx, dw, motions, sT, mT = _slot_rates(mass, x[:, None], phi[:, None], (u, z, v))
     dSx, dMx = dSx[..., 0], dMx[..., 0]
     gamma, Gamma = _data_rates(mass, motions, v)
@@ -1545,10 +1552,8 @@ def _velocity_rates(mass: AddedMassMatrix, velocity) -> VelocityRates:
     if lone:
         rows = v[3] / config.bubbles[0].radius * (u @ mass.potential)
     else:
-        psi = psi + asm.S @ sla.lu_solve(lu, gv - v @ dMx)
+        psi = psi + asm.S @ lu.solve(gv - v @ dMx)
         rows = (sT - mT) @ mass.density
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(psi))):
-        raise IllPosedProblemError("added-mass rate solve produced non-finite values")
     tangent = Gamma.T @ (z + wphi) + B @ (
         (dwv * phi + w * psi) @ mass.data + rows + (dwv * g + w * gv) @ mass.potential)
     return VelocityRates(*map(_frozen, (-0.5 * rho * tangent, -0.5 * rho * gradient, psi)))

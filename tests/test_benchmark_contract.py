@@ -66,6 +66,32 @@ def test_every_rebound_hook_exists_and_is_called_by_that_name():
         assert calls == {dotted}, (modname, calls)
 
 
+def test_collocation_lapack_has_one_owner():
+    # the hooks above sit in one class: every call into the LU routines
+    # (sla) in potential is made by _Factorization, so that a change to how
+    # the collocation system is factored or solved lands there alone; and
+    # the package finds its LAPACK through the extensions that link it,
+    # never by reading the process's memory map
+    import bubbledyn.potential
+    tree = ast.parse(inspect.getsource(bubbledyn.potential))
+    owner = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "_Factorization"]
+    assert len(owner) == 1
+
+    def sla_calls(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).startswith("sla.")]
+
+    inside = sla_calls(owner[0])
+    assert inside and len(sla_calls(tree)) == len(inside)
+    package = os.path.dirname(inspect.getfile(bubbledyn.potential))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            constants = [node.value for node in ast.walk(_parse(os.path.join(package, name)))
+                         if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+            assert not any("/proc/self/maps" in c for c in constants), name
+
+
 def test_every_workload_solver_key_is_read_back():
     # a key the scenario parser no longer reads would be dropped silently
     # (unknown keys are ignored): every key a workload writes in its

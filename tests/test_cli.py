@@ -73,16 +73,38 @@ def test_solver_imports_no_scipy():
 
 
 def test_run_loads_one_openblas(tmp_path):
-    # a run's process maps numpy's OpenBLAS and no other (skipped where
-    # none is found: numpy on another BLAS, or no /proc)
+    # a run's process imports no scipy, solves on the OpenBLAS numpy's
+    # linalg extension links, records that library alone on one thread, and
+    # maps no other OpenBLAS (the map is read where /proc is; skipped where
+    # numpy links no OpenBLAS)
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bubbledyn.__file__).parents[1])}
-    subprocess.run([sys.executable, "-m", "bubbledyn.cli", "run", "--scenario",
-                    write_scenario(tmp_path, equilibrium_doc()), "--out", str(tmp_path / "out")],
-                   env=env, check=True, capture_output=True)
+    code = """if True:
+        import json, sys
+        from bubbledyn import _lapack
+        from bubbledyn.cli import main
+        status = main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+        try:
+            with open("/proc/self/maps") as fh:
+                mapped = sorted({line.split(None, 5)[-1].strip() for line in fh
+                                 if "openblas" in line.lower()})
+        except OSError:
+            mapped = None
+        numpy = _lapack._openblas("numpy.linalg._umath_linalg")
+        print(json.dumps([status, [m for m in sys.modules if m.split(".")[0] == "scipy"],
+                          numpy and list(numpy.threads), list(_lapack.provider().threads),
+                          mapped]))
+    """
+    out = subprocess.run([sys.executable, "-c", code, write_scenario(tmp_path, equilibrium_doc()),
+                          str(tmp_path / "out")], env=env, check=True, capture_output=True,
+                         text=True)
+    status, scipy, numpy, solver, mapped = json.loads(out.stdout.splitlines()[-1])
+    if not numpy:
+        pytest.skip("numpy links no OpenBLAS")
+    assert status == 0 and scipy == [] and solver == numpy
     threads = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["stats"]["blas_threads"]
-    if not threads:
-        pytest.skip("no OpenBLAS found in the process")
-    assert len(threads) == 1
+    assert threads == dict.fromkeys(numpy, 1)
+    if mapped is not None:
+        assert [os.path.basename(path) for path in mapped] == numpy
 
 
 def test_public_names_resolve():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bubbledyn
-from bubbledyn import _blas, dynamics, potential as pot, shapes
+from bubbledyn import _lapack, dynamics, potential as pot, shapes
 from bubbledyn.cli import write_trajectory_csv
 from bubbledyn.dynamics import boundary_residual, eom_rhs, integrate, kelvin_impulse
 from bubbledyn.errors import (BubbleDynError, CompatibilityError, IllPosedProblemError,
@@ -318,6 +318,33 @@ class TestIntegrate:
         assert traj.stats["n_poisoned"] >= 1
         assert traj.stats["last_poison"].startswith("IllPosedProblemError:")
 
+    @pytest.mark.parametrize("planted", [1, 0])
+    def test_non_finite_contraction_solve_is_poisoned(self, monkeypatch, planted):
+        # a NaN from the contraction's transposed solve z (trans 1) or its
+        # one-column forward solve psi (trans 0) of the third RHS, a stage
+        # of the first trial step: the RHS is poisoned, and no NaN reaches
+        # the trajectory
+        seen, plain = [0], pot.sla.lu_solve
+
+        def nan_on_third(lu, b, trans=0):
+            x = plain(lu, b, trans=trans)
+            if trans == planted and np.ndim(b) == 1:
+                seen[0] += 1
+                if seen[0] == 3:
+                    return np.full_like(x, np.nan)
+            return x
+
+        monkeypatch.setattr(pot.sla, "lu_solve", nan_on_third)
+        traj = integrate(scenario_from_dict(cavity_doc(level=1, t_end=0.02)))
+        assert seen[0] > 3
+        assert traj.termination == "completed"
+        assert traj.stats["n_poisoned"] >= 1
+        assert traj.stats["last_poison"].startswith("IllPosedProblemError:")
+        assert "non-finite" in traj.stats["last_poison"]
+        for values in (traj.times, traj.kinetic, traj.potential, traj.total_energy,
+                       *(np.concatenate(s.packed()) for s in traj.states)):
+            assert np.isfinite(values).all()
+
     def test_ill_posed_initial_state_raises(self):
         # a level-0 cavity's collocation matrix is numerically singular, so
         # every trial from the initial state is poisoned and no step is
@@ -549,13 +576,13 @@ def blas_counts():
     """Every OpenBLAS found set to 2 threads, so that both the cap and its
     undoing show whatever the environment chose; the counts the test found
     come back afterwards.  Yields the counts on entry to the code under test."""
-    if not _blas.libraries():
+    if not _lapack.provider().threads:
         pytest.skip("no OpenBLAS loaded: the thread cap has nothing to set")
-    before = _blas.thread_counts()
-    for _, put in _blas.libraries().values():
+    before = _lapack.thread_counts()
+    for _, put in _lapack.provider().threads.values():
         put(2)
-    yield _blas.thread_counts()
-    for name, (_, put) in _blas.libraries().items():
+    yield _lapack.thread_counts()
+    for name, (_, put) in _lapack.provider().threads.items():
         put(before[name])
 
 
@@ -564,14 +591,14 @@ class TestBlasThreads:
             self, blas_counts, monkeypatch):
         seen, plain = [], dynamics._acceleration
         monkeypatch.setattr(dynamics, "_acceleration",
-                            lambda *a: seen.append(_blas.thread_counts()) or plain(*a))
+                            lambda *a: seen.append(_lapack.thread_counts()) or plain(*a))
         traj = integrate(scenario_from_dict(sphere_doc(vr=0.05, level=0, t_end=0.2,
                                                        output_dt=0.1)))
         ones = dict.fromkeys(blas_counts, 1)
         assert len(seen) == traj.stats["n_rhs"]
         assert all(counts == ones for counts in seen)
         assert traj.stats["blas_threads"] == ones
-        assert _blas.thread_counts() == blas_counts
+        assert _lapack.thread_counts() == blas_counts
 
     def test_counts_come_back_after_a_run_that_raises(self, blas_counts):
         doc = sphere_doc()
@@ -581,15 +608,15 @@ class TestBlasThreads:
              "gas": {"K": 1.0, "gamma": 1.4}, "mass": R_EQ_MASS})
         with pytest.raises(BubbleDynError, match="initial configuration inadmissible"):
             integrate(scenario_from_dict(doc))
-        assert _blas.thread_counts() == blas_counts
+        assert _lapack.thread_counts() == blas_counts
 
     def test_nested_entries_restore_at_the_outermost_exit(self, blas_counts):
         ones = dict.fromkeys(blas_counts, 1)
-        with _blas.single_thread():
-            with _blas.single_thread():
-                assert _blas.thread_counts() == ones
-            assert _blas.thread_counts() == ones
-        assert _blas.thread_counts() == blas_counts
+        with _lapack.single_thread():
+            with _lapack.single_thread():
+                assert _lapack.thread_counts() == ones
+            assert _lapack.thread_counts() == ones
+        assert _lapack.thread_counts() == blas_counts
 
     def test_concurrent_entries_share_one_scope(self, blas_counts):
         # threads entering and leaving, some nested, switched as often as
@@ -600,11 +627,11 @@ class TestBlasThreads:
 
         def worker():
             for k in range(200):
-                with _blas.single_thread():
+                with _lapack.single_thread():
                     if k % 3 == 0:
-                        with _blas.single_thread():
+                        with _lapack.single_thread():
                             pass
-                    if _blas.thread_counts() != ones:
+                    if _lapack.thread_counts() != ones:
                         wrong.append(k)
 
         workers = [threading.Thread(target=worker) for _ in range(4)]
@@ -619,7 +646,7 @@ class TestBlasThreads:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert not wrong
-        assert _blas.thread_counts() == blas_counts
+        assert _lapack.thread_counts() == blas_counts
 
     def test_trajectory_does_not_depend_on_the_blas_thread_count(self, blas_counts,
                                                                  tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import pathlib
 import subprocess
@@ -1104,11 +1105,12 @@ def test_ingested_wall_blocks_built_once_per_run(monkeypatch):
     assert sum(on_wall) == 1
 
 
-def numpy_openblas_lapack():
-    """Whether the solver's LAPACK is numpy's OpenBLAS (bubbledyn._lapack),
-    not the scipy.linalg.lapack fallback."""
+def openblas_lapack():
+    """Whether the solver's LAPACK is an OpenBLAS that bubbledyn._lapack
+    binds (with gecon's work arrays aligned), not the scipy.linalg.lapack
+    routines."""
     from bubbledyn import _lapack
-    return getattr(_lapack.provider().gecon, "__module__", None) == "bubbledyn._lapack"
+    return bool(_lapack.provider().threads)
 
 
 class TestLoneSphereFactorization:
@@ -1230,10 +1232,10 @@ class TestLoneSphereFactorization:
         assert got[1] is copy.basis().density is not unit.basis().density
         for a, b in zip(got[:-2], shared[:-2]):
             assert np.array_equal(a, b)
-        # the condition estimates too where gecon is numpy's OpenBLAS, whose
+        # the condition estimates too where gecon is an OpenBLAS's, whose
         # work arrays are aligned, so the estimate of equal factors repeats
         # to the bit; the scipy.linalg.lapack fallback allocates its own
-        if numpy_openblas_lapack():
+        if openblas_lapack():
             assert got[-2:] == shared[-2:]
         else:
             assert got[-2:] == pytest.approx(shared[-2:], rel=1e-14)
@@ -1256,7 +1258,7 @@ class TestLoneSphereFactorization:
         assert not built  # nothing of a lone sphere reads panel data
         assert "_flat" not in vars(asm.meshes[0])  # nor its mesh's flat data
         assert len(asm.panels) == 1 and len(built) == 1 and built[0] is asm.meshes[0]
-        lu, piv = asm.factorization().lu
+        lu, piv = asm.factorization()._lu
         for a in (lu, piv, asm.A, unit.S, *basis, mass.potential):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -1506,25 +1508,66 @@ class TestUnitSphereSymmetry:
         assert np.abs(M[:3, 3]).max() <= 2e-15 * M[3, 3]
 
 
-class TestLapack:
-    """The LU, solve and condition estimate come from numpy's own OpenBLAS
-    (bubbledyn._lapack), or from scipy.linalg.lapack where numpy has none;
-    scipy.linalg is the oracle for both."""
+class TestFailedSolves:
+    """Every collocation solve goes through the system's _Factorization,
+    which checks its result: a non-finite value from the contraction's
+    transposed solve z, its forward solve psi or the reference Jacobian's
+    solve dX raises IllPosedProblemError."""
 
-    @pytest.fixture(params=["default", "scipy.linalg.lapack"])
+    @pytest.mark.parametrize("config", [ellipsoid_pair, sphere_pair_in_cavity])
+    @pytest.mark.parametrize("solve, planted", [("z", 0), ("psi", 1), ("dX", 0)])
+    def test_non_finite_solve_raises(self, monkeypatch, config, solve, planted):
+        import bubbledyn.potential as pot_mod
+        config = config()
+        mass = added_mass(config, 1)
+        calls, plain = [], pot_mod.sla.lu_solve
+
+        def nan_on_call(lu, b, trans=0):
+            calls.append(trans)
+            x = plain(lu, b, trans=trans)
+            return np.full_like(x, np.nan) if len(calls) == planted + 1 else x
+
+        monkeypatch.setattr(pot_mod.sla, "lu_solve", nan_on_call)
+        with pytest.raises(IllPosedProblemError, match="non-finite"):
+            if solve == "dX":
+                added_mass_jacobian(mass)
+            else:
+                velocity_rates(mass, np.linspace(0.1, 0.3, config.dim))
+        # z is the transposed solve, psi's the forward one after it
+        assert calls == {"z": [1], "psi": [1, 0], "dX": [0]}[solve]
+
+
+class TestLapack:
+    """The LU, solve and condition estimate come from the OpenBLAS numpy's
+    linalg extension links (bubbledyn._lapack), else from the one scipy's
+    LAPACK extension links, else from scipy.linalg.lapack; scipy.linalg is
+    the oracle for all three.  The other two are forced through the
+    discovery: numpy's OpenBLAS, or every OpenBLAS, is not found."""
+
+    @pytest.fixture(params=["default", "scipy", "scipy.linalg.lapack"])
     def lapack(self, request, monkeypatch):
+        import bubbledyn.potential as pot_mod
         from bubbledyn import _lapack
         if request.param != "default":
-            monkeypatch.setattr(_lapack, "provider", _lapack.scipy_lapack)
-        return _lapack
+            plain = _lapack._openblas
+            monkeypatch.setattr(_lapack, "_openblas", lambda module: None if (
+                request.param != "scipy" or module.startswith("numpy.")) else plain(module))
+            # no LU of another provider is solved with
+            monkeypatch.setattr(pot_mod, "_UNIT_SPHERE_BLOCKS", {})
+            _lapack.provider.cache_clear()
+            if request.param == "scipy" and not _lapack.provider().threads:
+                pytest.skip("scipy's LAPACK extension links no OpenBLAS")
+        try:
+            yield _lapack
+        finally:
+            _lapack.provider.cache_clear()
 
     def test_matches_scipy_linalg_on_an_ellipsoid_pair(self, lapack):
         import scipy.linalg
-        from bubbledyn import _blas
         mass = added_mass(ellipsoid_pair(), 1)
         A, b = mass.assembly.A, mass.data
         anorm = np.abs(A).sum(axis=0).max()
-        with _blas.single_thread():
+        with lapack.single_thread():
             lu, piv = lapack.lu_factor(A)
             ref = scipy.linalg.lu_factor(A)
         x, want = lapack.lu_solve((lu, piv), b), scipy.linalg.lu_solve(ref, b)
@@ -1532,8 +1575,9 @@ class TestLapack:
         assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
         gecon = scipy.linalg.get_lapack_funcs(("gecon",), (ref[0],))[0]
         rcond = gecon(ref[0], anorm, norm="1")[0]
-        assert abs(lapack.rcond(lu, anorm) - rcond) <= 1e-12 * rcond
-        np.testing.assert_array_equal(piv, ref[1])
+        assert abs(lapack.rcond((lu, piv), anorm) - rcond) <= 1e-12 * rcond
+        # LAPACK's own pivots are one-based; scipy.linalg's, zero-based
+        np.testing.assert_array_equal(piv, ref[1] + 1)
         column = lapack.lu_solve((lu, piv), b[:, 0])
         assert column.shape == (len(A),)
         assert np.abs(column - want[:, 0]).max() <= 1e-13 * np.abs(want[:, 0]).max()
@@ -1556,25 +1600,65 @@ class TestLapack:
         for b in (np.ones(4), np.ones((2, 3))):
             with pytest.raises(ValueError):
                 lapack.lu_solve((lu, piv), b)
+        with pytest.raises(ValueError, match="trans"):
+            lapack.lu_solve((lu, piv), np.ones(3), trans=3)
+        if lapack.provider().threads:  # scipy.linalg.lapack factors a rectangle
+            with pytest.raises(ValueError, match="square"):
+                lapack.lu_factor(np.ones((3, 2)))
 
     def test_numpy_openblas_chosen_after_scipy(self):
         # the solver's LU of a fixed matrix comes from numpy's OpenBLAS, not
-        # the scipy.linalg.lapack fallback, and has the same bits whether or
-        # not scipy.linalg (with its own OpenBLAS) was imported first
+        # the one scipy.linalg links, and has the same bits whether or not
+        # scipy.linalg (with its own OpenBLAS) was imported first
         code = ("import hashlib; {}import numpy as np; "
-                "from bubbledyn import _blas, _lapack; "
+                "from bubbledyn import _lapack; "
                 "from bubbledyn.potential import _Factorization; "
                 "A = np.random.default_rng(7).standard_normal((160, 160)); "
-                "lu, piv = _Factorization(A).lu; "
-                "print(bool(_blas.mapped()), "
-                "getattr(_lapack.provider().getrf, '__module__', None) == 'bubbledyn._lapack', "
+                "lu, piv = _Factorization(A)._lu; "
+                "numpy = _lapack._openblas('numpy.linalg._umath_linalg'); "
+                "print(numpy is not None, "
+                "numpy is not None and list(_lapack.provider().threads) == list(numpy.threads), "
                 "hashlib.sha256(lu.tobytes() + piv.tobytes()).hexdigest())")
         outs = [_run_python(code.format(first)).split()
                 for first in ("", "import scipy.linalg; ")]
         if outs[0][0] != "True":
-            pytest.skip("no OpenBLAS found in the process")
+            pytest.skip("numpy links no OpenBLAS")
         assert [out[1] for out in outs] == ["True", "True"]
         assert outs[0][2] == outs[1][2]
+
+    def test_fallback_library_runs_on_one_thread(self):
+        # where numpy's routines are not found, the LU comes from the
+        # OpenBLAS that scipy's LAPACK extension links: inside the one-thread
+        # scope that library reads one thread and is listed, and after it
+        # every pool has its count back.  A first scope is entered before
+        # scipy is imported, as at the start of a run, so that a library
+        # list fixed at the first entry would miss the fallback's library
+        code = """if True:
+            import json
+            import numpy as np
+            from bubbledyn import _lapack
+            from bubbledyn.potential import _Factorization
+            plain = _lapack._openblas
+            _lapack._openblas = lambda m: None if m.startswith("numpy.") else plain(m)
+            with _lapack.single_thread():
+                pass
+            libs = [plain(m) for m in ("numpy.linalg._umath_linalg", "scipy.linalg._flapack")]
+            pools = {k: v for lib in libs if lib is not None for k, v in lib.threads.items()}
+            for _, put in pools.values():
+                put(2)
+            with _lapack.single_thread():
+                _Factorization(np.eye(4) + 0.1).solve(np.ones(4))
+                inside = _lapack.thread_counts()
+                every = {k: get() for k, (get, _) in pools.items()}
+            after = {k: get() for k, (get, _) in pools.items()}
+            print(json.dumps([libs[1] and list(libs[1].threads), inside, every, after]))
+        """
+        fallback, inside, every, after = json.loads(_run_python(code))
+        if not fallback:
+            pytest.skip("scipy's LAPACK extension links no OpenBLAS")
+        (name,) = fallback
+        assert inside == {name: 1} and every[name] == 1
+        assert after == dict.fromkeys(every, 2)
 
     def test_condition_estimate_repeats_whatever_the_heap_holds(self):
         # OpenBLAS sums in an order that depends on the alignment of
@@ -1582,10 +1666,10 @@ class TestLapack:
         # the level-2 unit sphere's LU moved in its last bit as arrays of
         # 1280 to 1340 doubles were allocated between the calls
         from bubbledyn import _lapack
-        if not numpy_openblas_lapack():
+        if not openblas_lapack():
             pytest.skip("gecon is scipy.linalg.lapack's, whose work array is its own")
         unit = _unit_sphere_blocks(2)
-        lu, anorm = unit.factorization().lu[0], np.abs(unit.A).sum(axis=0).max()
+        lu, anorm = unit.factorization()._lu, np.abs(unit.A).sum(axis=0).max()
         held, values = [], set()
         for k in range(60):
             held.append(np.empty(1280 + k))

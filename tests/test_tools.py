@@ -3,6 +3,7 @@ import os
 import pathlib
 
 import numpy as np
+import pytest
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -116,6 +117,30 @@ def test_same_outputs_runs_two_more_walls(tmp_path):
     wall = load_off(off)
     assert np.array_equal(wall.vertices, 4.0 * verts)
     assert np.array_equal(wall.triangles, faces)
+
+
+def test_same_outputs_reads_roundoff_against_the_trajectory_scale():
+    # two synthetic trajectories, no runs: a column zero by symmetry
+    # (roundoff on both sides) is compared against the largest bubble
+    # parameter, and a relative change in a nonzero column reads as itself
+    import re
+    difference = load_tool("same_outputs").difference
+    header = "t,b0_cx,b0_cz,b0_r,b0_vcx,b0_vcz,b0_vr,energy_total\n"
+
+    def csv(cz, r):
+        rows = [f"{t},0.5,{cz},{r * (1 + t)},0.1,0.0,0.2,3.0\n" for t in (0.0, 0.5)]
+        return (header + "".join(rows)).encode()
+
+    def read(text):
+        found = re.fullmatch(r"largest column-relative difference (\S+) \((\w+)\)", text)
+        return float(found[1]), found[2]
+
+    base = csv(6.7e-17, 1.25)
+    assert read(difference(base, base)) == (0.0, "t")
+    worst, _ = read(difference(base, csv(-2.6e-17, 1.25)))
+    assert worst <= 1e-12
+    worst, where = read(difference(base, csv(-2.6e-17, 1.25 * (1 + 1e-9))))
+    assert where == "b0_r" and worst == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_rhs_cost_prints_every_layer_at_level_0(capsys):

@@ -16,9 +16,10 @@ first on the path.
 
 For each run it prints "identical" (the bytes of trajectory.csv, and
 diagnostics.json without stats.wall_time) or the largest column-relative
-difference of the two trajectories, both n_rhs, and both counts of
-potential.added_mass calls, which the runner counts by wrapping the
-function.  Exits 1 if a run fails or the n_rhs differ.
+difference of the two trajectories (a column that is roundoff on both
+sides taken relative to the bubble parameters' scale), both n_rhs, and
+both counts of potential.added_mass calls, which the runner counts by
+wrapping the function.  Exits 1 if a run fails or the n_rhs differ.
 """
 
 import csv
@@ -27,12 +28,15 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DRAWS = ((950, 0), (951, 1), (42, 2), (7001, 0))
+# a column no larger than this times the trajectory scale is roundoff
+ROUNDOFF = 1e-12
 
 # runs the jobs of one checkout: argv = src, jobs file, results file; each
 # run's result is its exit code and its count of added_mass calls
@@ -136,19 +140,29 @@ def read(out):
 
 def difference(csv_a, csv_b):
     """The largest column-relative difference of two trajectories, with its
-    column: max |a - b| / max(|a|, |b|) over the rows of each column."""
+    column: max |a - b| / max(|a|, |b|) over the rows of each column.  A
+    column that is roundoff on both sides, every |value| at most
+    ROUNDOFF times the trajectory scale (the largest |value| of the bubble
+    parameter columns b<i>_<name>, not their rates b<i>_v<name>), is
+    divided by that scale instead: one that is zero by symmetry would
+    otherwise read O(1) from its last bits."""
     rows_a, rows_b = (list(csv.reader(c.decode().splitlines())) for c in (csv_a, csv_b))
     if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
         return f"trajectories differ in shape: {len(rows_a)} and {len(rows_b)} rows"
-    worst, where = 0.0, None
+    columns = {}
     for k, column in enumerate(rows_a[0]):
         a = [float(r[k]) if r[k] else math.nan for r in rows_a[1:]]
         b = [float(r[k]) if r[k] else math.nan for r in rows_b[1:]]
         if [math.isnan(x) for x in a] != [math.isnan(y) for y in b]:
             return f"column {column} sampled at different rows"
         pairs = [(x, y) for x, y in zip(a, b) if not math.isnan(x)]
-        scale = max((max(abs(x), abs(y)) for x, y in pairs), default=0.0)
-        diff = max((abs(x - y) for x, y in pairs), default=0.0)
+        columns[column] = (max((max(abs(x), abs(y)) for x, y in pairs), default=0.0),
+                           max((abs(x - y) for x, y in pairs), default=0.0))
+    trajectory = max((size for column, (size, _) in columns.items()
+                      if re.fullmatch(r"b\d+_[^v]\w*", column)), default=0.0)
+    worst, where = 0.0, None
+    for column, (size, diff) in columns.items():
+        scale = trajectory if size <= ROUNDOFF * trajectory else size
         rel = diff / scale if scale > 0.0 else 0.0
         if rel > worst or where is None:
             worst, where = rel, column
