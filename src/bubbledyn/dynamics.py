@@ -48,14 +48,16 @@ class State:
 # scenario-facing kinetic assembly
 
 
-def mass_at(scenario, config, rates=True) -> pot.AddedMassMatrix:
+def mass_at(scenario, config, rates=True, operator=None) -> pot.AddedMassMatrix:
     """The added mass of ``config`` at the scenario's mesh levels and liquid
     density: the one assembly of a state, which its acceleration, energies
     and boundary residual all read.  Without ``rates`` it keeps no kernel
     terms for a contraction (potential.added_mass): an output row that
-    takes no residual sample reads none."""
+    takes no residual sample reads none.  ``operator`` is the run's
+    (potential.Operator), which keeps its cavity wall; without one, the
+    wall's own blocks are built for this call alone, to the same bits."""
     return pot.added_mass(config, scenario.mesh_level, scenario.liquid_density,
-                          scenario.wall_level, rates=rates)
+                          scenario.wall_level, rates=rates, operator=operator)
 
 
 def _potential_energy(scenario, config):
@@ -246,9 +248,11 @@ def integrate(scenario, start=None) -> Trajectory:
     t = 0 is the initial state bit for bit), its energies and, at cadence,
     its residual from the call's acceleration and contraction, and hands
     its added mass to ``start``, if given, before the first step; the mass
-    is then dropped."""
+    is then dropped.  Every added mass of the run reads its cavity wall
+    from the run's one operator (potential.Operator)."""
     state0 = check_start(scenario)
     config0 = state0.config
+    operator = pot.Operator(config0.domain)
     q0, qd0 = state0.packed()
     p = config0.dim
     sizes0 = np.array([_bubble_size(b) for b in config0.bubbles])
@@ -280,7 +284,7 @@ def integrate(scenario, start=None) -> Trajectory:
             report = check_admissible(config, scenario.admissibility_level)
             if not report.ok:
                 return poison(f"state not admissible: {report.violations}")
-            mass = mass_at(scenario, config)
+            mass = mass_at(scenario, config, operator=operator)
             qdd = _acceleration(scenario, mass, qd)
         except (DegenerateShapeError, DiscretizationError, IllPosedProblemError,
                 np.linalg.LinAlgError) as exc:
@@ -357,8 +361,8 @@ def integrate(scenario, start=None) -> Trajectory:
             # one row's added mass at a time, dropped with the row; only a
             # residual sample contracts its rates
             residual = bool(cadence) and k % cadence == 0
-            row = sample(State(config=config, velocity=qd),
-                         mass_at(scenario, config, rates=residual), residual=residual)
+            mass = mass_at(scenario, config, rates=residual, operator=operator)
+            row = sample(State(config=config, velocity=qd), mass, residual=residual)
         state, ke[k], pe[k], residuals[k] = row
         states.append(state)
         if imp is not None:

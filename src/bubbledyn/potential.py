@@ -45,9 +45,9 @@ behind a surface, the assembly reads from its mesh (SurfaceMesh.shape):
   others filled in by the rotations' panel permutations (_self_blocks).
 * A cavity wall does not move, so its own blocks are a constant of the
   run: they are built with its panel data, on the wall's own panels,
-  once per wall and level, and kept read-only for the one wall a run
-  uses (_wall).  A spherical wall's take one panel per orbit of the same
-  group, an ingested wall's every panel.
+  once per level, and kept read-only by the run's Operator, which no
+  other run shares.  A spherical wall's take one panel per orbit of the
+  same group, an ingested wall's every panel.
 * A lone sphere's 1/2 I + K' is the unit sphere's block itself, so its LU
   factorization is kept with the unit pair and serves every lone sphere
   of the level, whether its added mass or a solve_neumann asks: one
@@ -67,7 +67,7 @@ and crosses, unit normals, edge lengths and in-plane edge normals) are
 computed once per surface, when its PanelGeometry is built, leaving point-
 panel products to each block.  An assembly keeps one PanelGeometry per
 surface, the only panel format; no other module calls the panel integrals.
-A cavity wall's PanelGeometry is built with its own blocks (_wall), and
+A cavity wall's PanelGeometry is built with its own blocks (Operator), and
 the unit bubble's with its blocks (_UnitSphere).
 
 Added mass and its Jacobian.  The added mass is taken along the basis B
@@ -145,7 +145,7 @@ sphere's gradient (_basis_gradients).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -733,36 +733,29 @@ def _unit_sphere_blocks(level: int) -> _UnitSphere:
         return _UNIT_SPHERE_BLOCKS[level]
 
 
-class _Wall(NamedTuple):
-    """A cavity wall's panel data and own blocks (1/2 I + K', S), all
-    read-only."""
+class Operator:
+    """The fixed surfaces of one run, in its cavity ``domain``: each wall
+    mesh's panel data and own blocks (1/2 I + K', S), built on first use,
+    one per level, and kept read-only.  A spherical wall's blocks are
+    taken at one panel per orbit of the icosahedral group
+    (shapes.icosphere_symmetry), an ingested wall's at every panel.  It
+    holds no lock: a run is one thread, and two runs have two operators."""
 
-    panels: PanelGeometry
-    blocks: tuple
+    def __init__(self, domain):
+        self.domain = domain
+        self._walls = {}
 
-
-_WALL = {}  # the one wall kept (_wall): its key and _Wall
-
-
-def _wall(mesh) -> _Wall:
-    """The _Wall of a wall mesh, which the wall's domain and level fix:
-    built on first use and kept until another wall or level is asked for,
-    since a run meshes one wall at one level.  The key is the domain's type
-    and the bytes of its fields, so no two walls share it.  A spherical
-    wall's blocks are taken at one panel per orbit of the icosahedral
-    group (shapes.icosphere_symmetry), an ingested wall's at every panel."""
-    domain = mesh.shape
-    key = (type(domain), mesh.level) + tuple(
-        (a.dtype.str, a.shape, a.tobytes())
-        for a in (np.asarray(getattr(domain, f.name)) for f in fields(domain)))
-    with _UNIT_SPHERE_LOCK:
-        if key not in _WALL:
+    def wall(self, mesh):
+        """The panel data and own blocks of ``mesh``, a wall of this
+        operator's domain; a wall of another domain is refused."""
+        if mesh.shape is not self.domain:
+            raise ValueError("the wall mesh is not of this operator's domain")
+        if mesh.level not in self._walls:
             panels = surface_panels(mesh)
-            sphere = isinstance(domain, CavitySphere)
+            sphere = isinstance(self.domain, CavitySphere)
             blocks = _self_blocks(panels, icosphere_symmetry(mesh.level) if sphere else None)
-            _WALL.clear()
-            _WALL[key] = _Wall(panels, tuple(map(_frozen, blocks)))
-        return _WALL[key]
+            self._walls[mesh.level] = panels, tuple(map(_frozen, blocks))
+        return self._walls[mesh.level]
 
 
 class _Assembly:
@@ -770,9 +763,10 @@ class _Assembly:
     (1/2 I + K', S), built block by block, the panel data of each surface,
     and the LU factorization of 1/2 I + K', built by the first solve.  The
     shape behind each surface is its mesh's ``shape``.  A sphere's own
-    blocks are its unit sphere's, S times the radius; a cavity wall's are
-    read from the wall's kept entry (_wall), built once per run with its
-    panel data; an ellipsoid's are built by each assembly.
+    blocks are its unit sphere's, S times the radius; a cavity wall's, with
+    its panel data, are ``operator``'s (Operator.wall), a run's own or,
+    if None, one built for this assembly alone; an ellipsoid's are built
+    by each assembly.
 
     ``blocks`` holds each surface's slice of the rows and columns.  A lone
     sphere (one surface, a spherical bubble) is its unit sphere scaled by
@@ -789,8 +783,9 @@ class _Assembly:
     computed (_Kernel), until the rate pass takes them (take_terms).
     """
 
-    def __init__(self, meshes, rates=False):
+    def __init__(self, meshes, rates=False, operator=None):
         self.meshes = meshes = tuple(meshes)
+        self.operator = operator or Operator(meshes[-1].shape)  # a wall comes last
         n = len(meshes)
         self.bounded = any(m.closure < 0 for m in meshes)
         self.weights = np.concatenate([m.quad_weights for m in meshes])
@@ -820,7 +815,7 @@ class _Assembly:
                     K_ab.T * (parts[a].weights[None, :] / parts[b].weights[:, None]))
         for k, (mesh, part, blk) in enumerate(zip(meshes, parts, blocks)):
             if mesh.closure < 0:
-                A[blk, blk], S[blk, blk] = _wall(mesh).blocks
+                A[blk, blk], S[blk, blk] = self.operator.wall(mesh)[1]
             elif isinstance(mesh.shape, SphereParams):
                 unit = _unit_sphere_blocks(mesh.level)
                 A[blk, blk] = unit.A
@@ -859,9 +854,9 @@ class _Assembly:
     def panels(self):
         """Panel data of each surface, built on first read: by the blocks'
         assembly, or for a lone sphere, whose blocks read none, on
-        request.  A wall's is built with its own blocks, once per run (_wall)."""
+        request.  A wall's is its operator's, built with its own blocks."""
         # threads asking at once may each build it: equal data
-        return tuple(_wall(m).panels if m.closure < 0 else surface_panels(m)
+        return tuple(self.operator.wall(m)[0] if m.closure < 0 else surface_panels(m)
                      for m in self.meshes)
 
     def factorization(self) -> _Factorization:
@@ -1092,17 +1087,18 @@ class AddedMassMatrix(PotentialSolution):
 
 
 def added_mass(config: Configuration, level: int, liquid_density: float = 1.0,
-               wall_level=None, rates=True) -> AddedMassMatrix:
+               wall_level=None, rates=True, operator=None) -> AddedMassMatrix:
     """Added-mass matrix A_ij = -rho * sum(phi^i g_j w) over the bubble
     panels (Green reduction of the volume Gram integral), symmetrized,
     with i and j running over the columns of shapes.constraint_basis(config):
     the packed parameters in unbounded liquid, an orthonormal basis of the
     volume-preserving velocities in a cavity.  ``kinetic`` is the matrix
     over all packed velocities.  With ``rates`` its assembly keeps the
-    kernel terms that its first contraction reads (_Assembly); the same
-    bits either way.
+    kernel terms that its first contraction reads (_Assembly), and it reads
+    a cavity wall's own blocks from ``operator`` (Operator), a run's, or
+    builds them; the same bits either way.
     """
-    asm = _Assembly(configuration_meshes(config, level, wall_level), rates=rates)
+    asm = _Assembly(configuration_meshes(config, level, wall_level), rates, operator)
     basis = constraint_basis(config)
     sol = asm.basis_solution(config, basis.matrix)
     raw = -liquid_density * (sol.potential.T * asm.weights[None, :]) @ sol.data

@@ -92,6 +92,26 @@ def test_collocation_lapack_has_one_owner():
             assert not any("/proc/self/maps" in c for c in constants), name
 
 
+def test_potential_keeps_no_run_state_in_a_global():
+    # a run's own state lives in its operator (potential.Operator): the one
+    # module-level mutable container in potential is the unit sphere's
+    # per-level cache, which every run of the process may share
+    import bubbledyn.potential
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+    def mutable(value):
+        return isinstance(value, displays) or (
+            isinstance(value, ast.Call) and ast.unparse(value.func) in ("dict", "list", "set"))
+
+    names = []
+    for node in ast.parse(inspect.getsource(bubbledyn.potential)).body:
+        if isinstance(node, ast.Assign) and mutable(node.value):
+            names += map(ast.unparse, node.targets)
+        elif isinstance(node, ast.AnnAssign) and mutable(node.value):
+            names.append(ast.unparse(node.target))
+    assert names == ["_UNIT_SPHERE_BLOCKS"]
+
+
 def test_every_workload_solver_key_is_read_back():
     # a key the scenario parser no longer reads would be dropped silently
     # (unknown keys are ignored): every key a workload writes in its

@@ -343,28 +343,43 @@ class TestRun:
         assert diag["gram_reciprocity_defect"] == fresh.asymmetry
         assert diag["collocation_condition"] == fresh.collocation_condition
 
-    def test_walls_of_one_level_keep_their_own_panels(self, tmp_path):
+    def test_walls_of_one_level_keep_their_own_panels(self, tmp_path, monkeypatch):
         # two cavities in one process, whose walls differ in radius and
-        # centre at the same level: each run writes what it writes alone
+        # centre at the same level: each run writes what it writes alone,
+        # one after the other and in two threads at once, with frequent
+        # switches; there each run builds its wall's own blocks once, in its
+        # own operator
+        import itertools
+        from concurrent.futures import ThreadPoolExecutor
         from bubbledyn import potential
         docs = {"a": cavity_pair_doc(t_end=0.05),
                 "b": cavity_pair_doc(center=(0.3, -0.2, 0.1), radius=3.6, t_end=0.05)}
+        paths = {name: write_scenario(tmp_path, doc, f"{name}.json")
+                 for name, doc in docs.items()}
+        outs = itertools.count()
 
         def run(name):
-            out = tmp_path / f"{name}-{len(os.listdir(tmp_path))}"
-            path = write_scenario(tmp_path, docs[name], f"{name}.json")
-            assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+            out = tmp_path / f"{name}-{next(outs)}"
+            assert main(["run", "--scenario", paths[name], "--out", str(out)]) == 0
             text = (out / "diagnostics.json").read_text()
             return ((out / "trajectory.csv").read_bytes(),
                     [line for line in text.splitlines() if '"wall_time":' not in line])
 
-        alone = {}
-        for name in docs:
-            potential._WALL.clear()
-            alone[name] = run(name)
+        alone = {name: run(name) for name in docs}
         assert alone["a"][0] != alone["b"][0]
-        potential._WALL.clear()
         assert [run("a"), run("b"), run("a")] == [alone["a"], alone["b"], alone["a"]]
+        on_wall, plain = [], potential._self_blocks
+        monkeypatch.setattr(potential, "_self_blocks", lambda panels, *a, **kw:
+                            on_wall.append(panels.closure < 0) or plain(panels, *a, **kw))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                both = list(pool.map(run, docs, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert both == [alone["a"], alone["b"]]
+        assert sum(on_wall) == 2
 
     def test_cavity_constraint_violation_exits_nonzero(self, tmp_path, capsys):
         doc = equilibrium_doc(

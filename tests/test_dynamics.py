@@ -409,7 +409,7 @@ class TestIntegrate:
         # the RHS states, then rows 1-4 (row 0 is the first RHS state's)
         assert len(kept) == n_rhs + rows - 1
         assert kept == [True] * n_rhs + [False, True, False, True]
-        monkeypatch.setattr(dynamics, "mass_at", lambda s, config, rates=True:
+        monkeypatch.setattr(dynamics, "mass_at", lambda s, config, rates=True, operator=None:
                             pot.added_mass(config, s.mesh_level, s.liquid_density,
                                            s.wall_level))
         again = integrate(scenario_from_dict(doc))

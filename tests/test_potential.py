@@ -15,7 +15,7 @@ import bubbledyn
 from bubbledyn import dynamics as dyn
 from bubbledyn.errors import CompatibilityError, IllPosedProblemError
 from bubbledyn.gas import BubbleGasState, GasLaw, potential_energy
-from bubbledyn.potential import (AddedMassMatrix, PotentialSolution, _Assembly,
+from bubbledyn.potential import (AddedMassMatrix, Operator, PotentialSolution, _Assembly,
                                  _direction_data, _self_blocks, _unit_sphere_blocks, added_mass,
                                  added_mass_jacobian, configuration_meshes, evaluate,
                                  solve_neumann, surface_gradient, surface_panels,
@@ -646,17 +646,15 @@ def matrix_slots(config):
 
 class TestBlockReuse:
     @pytest.mark.parametrize("wall", [False, True])
-    def test_sphere_self_blocks_are_scaled_unit_pair(self, wall, monkeypatch):
+    def test_sphere_self_blocks_are_scaled_unit_pair(self, wall):
         # a spherical bubble's own blocks are the unit bubble's, S times the
-        # radius; a spherical wall's are those its kept entry built (_wall)
-        import bubbledyn.potential as pot_mod
-        monkeypatch.setattr(pot_mod, "_WALL", {})
+        # radius; a spherical wall's are those its operator built
         center, radius = np.array([0.3, -1.2, 0.7]), 1.7
         mesh = (wall_mesh(CavitySphere(center=center, radius=radius), 2) if wall
                 else surface_mesh(SphereParams(center=center, radius=radius), 2))
         A, S = _self_blocks(surface_panels(mesh))
         unit = _unit_sphere_blocks(2)
-        A_kept, S_kept = pot_mod._wall(mesh).blocks if wall else (unit.A, unit.S)
+        A_kept, S_kept = Operator(mesh.shape).wall(mesh)[1] if wall else (unit.A, unit.S)
         assert not A_kept.flags.writeable and not S_kept.flags.writeable
         assert rel_diff(A_kept, A) <= 1e-13
         assert rel_diff((1.0 if wall else radius) * S_kept, S) <= 1e-13
@@ -1023,61 +1021,62 @@ class TestKeptKernelTerms:
         assert mass.assembly._terms == {}
 
 
-def test_wall_panels_are_kept_per_wall_and_level(monkeypatch):
-    # one wall is kept, its panel data with its own blocks (_wall): the same
-    # wall and level get the same entry; another level, or an ingested wall
-    # with the very vertices and triangles of the sphere's mesh, replaces it
-    # with its own data; the first wall asked for again is built anew, to
-    # equal data
+def test_wall_panels_are_kept_per_wall_and_level():
+    # an operator keeps its wall's panel data with its own blocks, one
+    # entry per level: the same wall and level get the same entry, another
+    # level its own; an ingested wall with the very vertices and triangles
+    # of the sphere's mesh is another domain, with its own data; every
+    # entry is read-only and equal to a fresh build; a wall mesh of another
+    # domain is refused
     from dataclasses import fields
-    import bubbledyn.potential as pot_mod
     from bubbledyn.shapes import CavityMesh
-    monkeypatch.setattr(pot_mod, "_WALL", {})
-
-    def sphere_wall(level):
-        return wall_mesh(CavitySphere(center=np.array([0.1, 0.0, -0.2]), radius=3.0), level)
-
-    mesh = sphere_wall(1)
-    first = pot_mod._wall(mesh)
-    assert pot_mod._wall(sphere_wall(1)) is first
-    finer = pot_mod._wall(sphere_wall(2))
-    assert len(pot_mod._WALL) == 1 and pot_mod._wall(sphere_wall(2)) is finer
-    assert finer.panels.n_panels == len(finer.blocks[0]) == sphere_wall(2).n_panels
+    domain = CavitySphere(center=np.array([0.1, 0.0, -0.2]), radius=3.0)
+    operator = Operator(domain)
+    mesh = wall_mesh(domain, 1)
+    first = operator.wall(mesh)
+    assert operator.wall(wall_mesh(domain, 1)) is first
+    finer = operator.wall(wall_mesh(domain, 2))
+    assert finer is not first and operator.wall(wall_mesh(domain, 2)) is finer
+    assert operator.wall(mesh) is first
+    assert finer[0].n_panels == len(finer[1][0]) == wall_mesh(domain, 2).n_panels
     off = wall_mesh(CavityMesh(vertices=mesh.vertices, triangles=mesh.triangles), 1)
-    ingested = pot_mod._wall(off)
-    assert len(pot_mod._WALL) == 1 and ingested is not first
-    assert np.array_equal(ingested.panels.points, off.quad_points)
-    assert not np.array_equal(ingested.panels.points, first.panels.points)
-    assert not np.array_equal(ingested.blocks[1], first.blocks[1])
-    again = pot_mod._wall(sphere_wall(1))
-    assert again is not first and len(pot_mod._WALL) == 1
-    for f in fields(first.panels):
-        assert np.array_equal(getattr(again.panels, f.name), getattr(first.panels, f.name))
-    for a, b in zip(again.blocks, first.blocks):
-        assert np.array_equal(a, b) and not a.flags.writeable
+    ingested = Operator(off.shape).wall(off)
+    assert np.array_equal(ingested[0].points, off.quad_points)
+    assert not np.array_equal(ingested[0].points, first[0].points)
+    assert not np.array_equal(ingested[1][1], first[1][1])
+    for kept, m, symmetry in ((first, mesh, icosphere_symmetry(1)), (ingested, off, None)):
+        fresh = surface_panels(m)
+        for f in fields(fresh):
+            assert np.array_equal(getattr(kept[0], f.name), getattr(fresh, f.name))
+        for a, b in zip(kept[1], _self_blocks(fresh, symmetry)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+    twin = wall_mesh(CavitySphere(center=domain.center, radius=domain.radius), 1)
+    for other in (twin, off):
+        with pytest.raises(ValueError, match="domain"):
+            operator.wall(other)
 
 
-def test_wall_built_once_under_threads(monkeypatch):
-    # more workers than cores and frequent switches, asking for one wall
-    # from an empty entry: a check-then-act race would build its blocks
-    # twice and hand out distinct entries
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-    import bubbledyn.potential as pot_mod
-    monkeypatch.setattr(pot_mod, "_WALL", {})
-    built, plain = [], pot_mod._self_blocks
-    monkeypatch.setattr(pot_mod, "_self_blocks", lambda *a, **kw:
-                        built.append(1) or plain(*a, **kw))
-    mesh = wall_mesh(CavitySphere(center=np.zeros(3), radius=4.0), 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(pot_mod._wall, mesh) for _ in range(8)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert built == [1] and all(r is results[0] for r in results)
+@pytest.mark.parametrize("ingested", [False, True])
+def test_added_mass_is_the_same_with_a_kept_operator(ingested):
+    # a run's operator keeps its wall across added masses; a call without
+    # one builds the wall for itself: the kinetic matrix, the densities and
+    # the velocity contractions have the same bits either way
+    from bubbledyn.shapes import CavityMesh
+    config = sphere_pair_in_cavity()
+    if ingested:
+        verts, faces = reference_icosphere(1)
+        config = Configuration(bubbles=config.bubbles,
+                               domain=CavityMesh(vertices=4.0 * verts, triangles=faces))
+    operator = Operator(config.domain)
+    basis = constraint_basis(config).matrix
+    v = basis @ np.linspace(-0.3, 0.4, basis.shape[1])
+    for _ in range(2):
+        kept, alone = added_mass(config, 1, operator=operator), added_mass(config, 1)
+        assert len(operator._walls) == 1
+        assert np.array_equal(kept.kinetic, alone.kinetic)
+        assert np.array_equal(kept.density, alone.density)
+        for a, b in zip(velocity_rates(kept, v), velocity_rates(alone, v)):
+            assert np.array_equal(a, b)
 
 
 def test_ingested_wall_blocks_built_once_per_run(monkeypatch):
@@ -1095,7 +1094,6 @@ def test_ingested_wall_blocks_built_once_per_run(monkeypatch):
     doc["domain"] = {"type": "cavity_mesh", "vertices": (4.0 * verts).tolist(),
                      "triangles": faces.tolist()}
     doc["time"] = {"t_end": 0.04, "output_dt": 0.02}
-    monkeypatch.setattr(pot_mod, "_WALL", {})
     on_wall, plain = [], pot_mod._self_blocks
     monkeypatch.setattr(pot_mod, "_self_blocks", lambda panels, *a, **kw:
                         on_wall.append(panels.closure < 0) or plain(panels, *a, **kw))
@@ -1457,18 +1455,16 @@ class TestUnitSphereSymmetry:
 
     @pytest.mark.parametrize("wall", [False, True])
     @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_direct_blocks_are_invariant_under_the_group(self, level, wall, monkeypatch):
+    def test_direct_blocks_are_invariant_under_the_group(self, level, wall):
         _, A, S = direct_unit_blocks(level, wall)
         for perm in icosphere_symmetry(level).perm:
             assert rel_diff(S.take(perm, 0).take(perm, 1), S) <= self.INVARIANCE_BOUNDS[level]
             assert rel_diff(A.take(perm, 0).take(perm, 1), A) <= 1e-14
         # and the filled blocks agree with the direct ones to the same order:
-        # a bubble's the unit sphere's, a wall's those its kept entry built
-        import bubbledyn.potential as pot_mod
-        monkeypatch.setattr(pot_mod, "_WALL", {})
+        # a bubble's the unit sphere's, a wall's those its operator built
         if wall:
             unit_wall = wall_mesh(CavitySphere(center=np.zeros(3), radius=1.0), level)
-            A_kept, S_kept = pot_mod._wall(unit_wall).blocks
+            A_kept, S_kept = Operator(unit_wall.shape).wall(unit_wall)[1]
         else:
             unit = _unit_sphere_blocks(level)
             A_kept, S_kept = unit.A, unit.S
@@ -2117,7 +2113,7 @@ class TestPanelData:
     def test_one_rhs_builds_panels_once_per_new_surface(self, monkeypatch):
         # two spheres in a cavity at level 1: the base configuration builds
         # the meshes and panel data of its three surfaces, the wall's with
-        # its own blocks, from an empty wall entry; the Jacobian, exact in
+        # its own blocks, by the call's own operator; the Jacobian, exact in
         # every centre and radius, builds none
         import os
         import bubbledyn.potential as pot_mod
@@ -2127,7 +2123,6 @@ class TestPanelData:
         state = scenario.initial_state()
         config, (_, qd) = state.config, state.packed()
         _unit_sphere_blocks(scenario.mesh_level)  # cached across the process: fill it first
-        monkeypatch.setattr(pot_mod, "_WALL", {})  # and so is the wall: empty it
         calls = {name: [] for name in ("surface_panels", "surface_mesh", "wall_mesh")}
 
         def counted(name):

@@ -157,3 +157,21 @@ def test_rhs_cost_prints_every_layer_at_level_0(capsys):
                          "calls/added_mass")]
     assert all(r[3] == "ms" for r in rows if not r[2].startswith("calls"))
     assert all(float(r[-1]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("tool", ["rhs_cost", "same_outputs"])
+def test_help_prints_usage_and_runs_nothing(tool, monkeypatch, capsys):
+    # --help is an option, not a checkout: the usage text, exit 0, and no
+    # interpreter started
+    import subprocess
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an interpreter was started")
+
+    monkeypatch.setattr(subprocess, "run", refused)
+    monkeypatch.setattr(subprocess, "Popen", refused)
+    with pytest.raises(SystemExit) as exit_:
+        load_tool(tool).main([f"{tool}.py", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {tool}.py") and "PARENT" in out

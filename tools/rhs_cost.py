@@ -19,8 +19,16 @@ alternately.  Printed per workload, level and quantity: the median
 milliseconds per call over every round (the call counts, from cProfile's
 total_calls, are deterministic), each checkout's, and with a PARENT the
 ratio change / parent.
+
+The added masses and RHS calls take a run's path: where a checkout has
+potential.Operator, which keeps a cavity wall's own blocks for the run
+that holds it, the calls of one workload and level share one, as a run's
+do (dynamics.mass_at is rebound to pass it).  A call outside a run builds
+the wall afresh each time, a cost no run pays; a checkout without the
+operator keeps the wall process-wide.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -35,7 +43,7 @@ QUANTITIES = ("added_mass ms", "_velocity_rates ms", "rhs ms",
 # one round of one checkout: argv = src, workloads.py, levels, calls;
 # prints {workload/level: {quantity: [values]}} as JSON
 RUNNER = """
-import cProfile, importlib.util, json, os, pstats, sys, time
+import cProfile, functools, importlib.util, json, os, pstats, sys, time
 src, workloads_py, levels, n = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 sys.path.insert(0, src)
 import bubbledyn
@@ -46,6 +54,7 @@ if not os.path.abspath(bubbledyn.__file__).startswith(src + os.sep):
 spec = importlib.util.spec_from_file_location("workloads", workloads_py)
 workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)
+plain_mass_at = dynamics.mass_at
 
 
 def total_calls(fn, *args):
@@ -67,6 +76,9 @@ for name in %r:
         s = scenario_from_dict(doc)
         state = s.initial_state()
         config, v = state.config, state.velocity
+        if hasattr(potential, "Operator"):  # one per run: see the tool's docstring
+            dynamics.mass_at = functools.partial(
+                plain_mass_at, operator=potential.Operator(config.domain))
         dynamics.eom_rhs(s, state)  # warm the unit sphere and the wall
         cell = out[f"{name}/{level}"] = {"added_mass ms": [], "_velocity_rates ms": [],
                                          "rhs ms": []}
@@ -98,26 +110,22 @@ def round_of(checkout, levels, calls):
 
 
 def main(argv):
-    args, options = [], {"--levels": "0,1,2", "--reps": "3", "--calls": "5"}
-    it = iter(argv[1:])
-    for a in it:
-        if a in options:
-            options[a] = next(it, None)
-            if options[a] is None:
-                sys.exit(f"{a} needs a value\n{__doc__}")
-        else:
-            args.append(a)
-    if len(args) > 1:
-        sys.exit(__doc__)
-    checkouts = ([args[0]] if args else []) + [ROOT]
-    levels, reps, calls = options["--levels"], int(options["--reps"]), int(options["--calls"])
+    parser = argparse.ArgumentParser(prog=os.path.basename(argv[0]), description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", nargs="?", metavar="PARENT")
+    parser.add_argument("--levels", default="0,1,2")
+    parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--calls", type=int, default=5)
+    args = parser.parse_args(argv[1:])
+    checkouts = ([args.parent] if args.parent else []) + [ROOT]
+    levels, reps, calls = args.levels, args.reps, args.calls
     merged = [{} for _ in checkouts]
     for _ in range(reps):
         for seen, checkout in zip(merged, checkouts):
             for cell, quantities in round_of(checkout, levels, calls).items():
                 for q, values in quantities.items():
                     seen.setdefault(cell, {}).setdefault(q, []).extend(values)
-    head = ["workload", "level", "quantity"] + (["parent", "change", "ratio"] if args
+    head = ["workload", "level", "quantity"] + (["parent", "change", "ratio"] if args.parent
                                                 else ["value"])
     print(f"{head[0]:18s} {head[1]:>5s} {head[2]:20s} " + " ".join(f"{h:>9s}" for h in head[3:]))
     for cell in merged[-1]:
@@ -125,7 +133,7 @@ def main(argv):
         for q in QUANTITIES:
             values = [median(seen[cell][q]) for seen in merged]
             row = [f"{x:9.2f}" if q.endswith("ms") else f"{x:9.0f}" for x in values]
-            if args:
+            if args.parent:
                 row.append(f"{values[1] / values[0]:9.3f}")
             print(f"{name:18s} {'L' + level:>5s} {q:20s} " + " ".join(row))
     return 0

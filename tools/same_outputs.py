@@ -22,6 +22,7 @@ both counts of potential.added_mass calls, which the runner counts by
 wrapping the function.  Exits 1 if a run fails or the n_rhs differ.
 """
 
+import argparse
 import csv
 import glob
 import importlib.util
@@ -170,9 +171,12 @@ def difference(csv_a, csv_b):
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
-        sys.exit(__doc__)
-    checkouts = (argv[1], argv[2] if len(argv) > 2 else ROOT)
+    parser = argparse.ArgumentParser(prog=os.path.basename(argv[0]), description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", metavar="PARENT")
+    parser.add_argument("change", nargs="?", default=ROOT, metavar="CHANGE")
+    args = parser.parse_args(argv[1:])
+    checkouts = (args.parent, args.change)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         runs = scenarios(tmp)
